@@ -1,8 +1,9 @@
 // Command maybms-vet machine-checks the engine's load-bearing conventions:
 // arena release on every path (arenapool), cancellation checkpoints in row
 // sweeps (guardloop), no map-order dependence in byte-identity-critical
-// code (detmap), and fs-op error discipline in the durability layer
-// (walerr). See docs/static-analysis.md for the invariant catalog.
+// code (detmap), fs-op error discipline in the durability layer (walerr),
+// and no oracle or tooling import in the packages that serve requests
+// (layering). See docs/static-analysis.md for the invariant catalog.
 //
 // Usage:
 //

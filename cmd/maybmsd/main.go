@@ -58,7 +58,6 @@ import (
 	"syscall"
 	"time"
 
-	"maybms/internal/bench"
 	"maybms/internal/census"
 	"maybms/internal/engine"
 	"maybms/internal/server"
@@ -222,19 +221,22 @@ func buildStore(path, rel string, rows int, density float64, seed int64, skipCha
 	}
 	log.Printf("generating census relation: %d tuples × %d attributes, density %.3f%%",
 		rows, len(census.Attrs), density*100)
-	p, err := bench.Prepare(rows, density, seed)
+	st, err := census.NewStore("R", rows, seed)
+	if err == nil {
+		_, err = census.AddNoise(st, "R", density, seed+1)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("maybmsd: generating census data: %w", err)
 	}
 	if !skipChase {
 		start := time.Now()
-		if err := p.Store.ChaseEGDsOpt("R", census.Dependencies(), engine.ChaseOptions{AssumeClean: true}); err != nil {
+		if err := st.ChaseEGDsOpt("R", census.Dependencies(), engine.ChaseOptions{AssumeClean: true}); err != nil {
 			return nil, fmt.Errorf("maybmsd: cleaning chase failed: %w (rerun with -skip-chase to serve the uncleaned data)", err)
 		}
 		log.Printf("chased %d dependencies in %s", len(census.Dependencies()), time.Since(start).Round(time.Millisecond))
 	}
-	logStats(p.Store, "R")
-	return p.Store, nil
+	logStats(st, "R")
+	return st, nil
 }
 
 // loadCSVStore bulk-ingests a CSV file into a fresh store through

@@ -9,6 +9,7 @@ import (
 	"maybms/internal/analysis/arenapool"
 	"maybms/internal/analysis/detmap"
 	"maybms/internal/analysis/guardloop"
+	"maybms/internal/analysis/layering"
 	"maybms/internal/analysis/walerr"
 )
 
@@ -20,5 +21,6 @@ var Analyzers = []*analysis.Analyzer{
 	arenapool.Analyzer,
 	detmap.Analyzer,
 	guardloop.Analyzer,
+	layering.Analyzer,
 	walerr.Analyzer,
 }

@@ -6,8 +6,11 @@ import (
 	"math/rand"
 	"time"
 
+	"maybms/internal/bridge"
 	"maybms/internal/census"
+	"maybms/internal/relation"
 	"maybms/internal/sql"
+	"maybms/internal/worlds"
 )
 
 // This file measures the engine-path EXCEPT (the native difference operator
@@ -36,6 +39,13 @@ type ExceptPoint struct {
 // condition — difference between a base relation and a selection over it,
 // the canonical EXCEPT shape.
 const exceptQuery = "SELECT * FROM R EXCEPT SELECT * FROM R WHERE CITIZEN = 0"
+
+// exceptPerWorld is exceptQuery as the relational algebra tree the per-world
+// evaluator runs.
+var exceptPerWorld = worlds.Difference{
+	L: worlds.Base{Rel: "R"},
+	R: worlds.Select{Q: worlds.Base{Rel: "R"}, Pred: relation.Eq("CITIZEN", 0)},
+}
 
 // ExceptNative measures both paths for one census configuration. The store
 // carries exactly orsets or-sets of size 2–3 placed on seeded positions —
@@ -125,17 +135,13 @@ func ExceptNative(rows, orsets int, seed int64, reps int) (ExceptPoint, error) {
 	// The per-world evaluator's input: the world-set of R, enumerated through
 	// the scoped bridge. Built outside the timed region — the engine path
 	// needs nothing comparable, so charging it would only pad the ratio.
-	ws, err := p.Store.RepRelation("R", 1<<16)
+	ws, err := bridge.RepRelation(p.Store, "R", 1<<16)
 	if err != nil {
 		return ExceptPoint{}, err
 	}
 	pt.Worlds = ws.Size()
-	st, err := sql.Parse(exceptQuery)
-	if err != nil {
-		return ExceptPoint{}, err
-	}
 	start := time.Now()
-	perWorld, err := sql.ExecWorlds(st, ws, "exceptres")
+	perWorld, err := worlds.EvalWorldSet(exceptPerWorld, ws, "exceptres")
 	if err != nil {
 		return ExceptPoint{}, err
 	}
@@ -149,11 +155,11 @@ func ExceptNative(rows, orsets int, seed int64, reps int) (ExceptPoint, error) {
 	}
 	defer db.DropRelation("exceptres")
 	pt.ResultRows = res.Stats.RSize
-	native, err := p.Store.RepRelation("exceptres", 1<<16)
+	native, err := bridge.RepRelation(p.Store, "exceptres", 1<<16)
 	if err != nil {
 		return ExceptPoint{}, err
 	}
-	if !native.Equal(perWorld.WorldSet, 1e-9) {
+	if !native.Equal(perWorld, 1e-9) {
 		return ExceptPoint{}, fmt.Errorf("bench: EXCEPT paths disagree at %d rows / %d or-sets", rows, p.OrSets)
 	}
 	return pt, nil

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"maybms/internal/bridge"
 	"maybms/internal/census"
 	"maybms/internal/confidence"
 	"maybms/internal/sql"
@@ -147,7 +148,7 @@ func ConfBridge(rows int, density float64, seed int64) (ConfBridgePoint, error) 
 	pt := ConfBridgePoint{Rows: rows, Density: density, ResultRows: res.Stats.RSize}
 
 	start := time.Now()
-	w, err := p.Store.ToWSDOf("confres")
+	w, err := bridge.ToWSDOf(p.Store, "confres")
 	if err != nil {
 		return ConfBridgePoint{}, err
 	}
@@ -158,7 +159,7 @@ func ConfBridge(rows int, density float64, seed int64) (ConfBridgePoint, error) 
 	pt.Scoped = time.Since(start)
 
 	start = time.Now()
-	w, err = p.Store.ToWSD()
+	w, err = bridge.ToWSD(p.Store)
 	if err != nil {
 		return ConfBridgePoint{}, err
 	}
@@ -348,7 +349,7 @@ func ConfSinglePass(rows int, density float64, seed int64) (ConfPassPoint, error
 	}
 	defer db.DropRelation("confres")
 	pt := ConfPassPoint{Rows: rows, Density: density, ResultRows: res.Stats.RSize}
-	w, err := p.Store.ToWSDOf("confres")
+	w, err := bridge.ToWSDOf(p.Store, "confres")
 	if err != nil {
 		return ConfPassPoint{}, err
 	}
@@ -446,7 +447,7 @@ func ConfNative(rows int, density float64, seed int64) (ConfNativePoint, error) 
 	pt.Tuples = len(native)
 
 	start = time.Now()
-	w, err := p.Store.ToWSDOf("confres")
+	w, err := bridge.ToWSDOf(p.Store, "confres")
 	if err != nil {
 		return ConfNativePoint{}, err
 	}

@@ -1,4 +1,4 @@
-package engine
+package bridge
 
 import (
 	"math"
@@ -6,14 +6,15 @@ import (
 	"testing"
 
 	"maybms/internal/confidence"
+	"maybms/internal/engine"
 )
 
 // scopedStore builds a store whose components span two relations: res is a
 // selection of R, so the copies of R's uncertain fields in res live in the
 // same components as their sources.
-func scopedStore(t *testing.T) *Store {
+func scopedStore(t *testing.T) *engine.Store {
 	t.Helper()
-	s := NewStore()
+	s := engine.NewStore()
 	if _, err := s.AddRelation("R", []string{"A", "B"}, [][]int32{{1, 2, 3}, {10, 20, 30}}); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,11 @@ func scopedStore(t *testing.T) *Store {
 	if err := s.SetUncertain("S", 0, "C", []int32{5, 7}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Select("res", "R", Gt("B", 15)); err != nil {
+	ar := engine.NewArena(s.Snapshot())
+	if _, err := ar.Select("res", "R", engine.Gt("B", 15)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ar.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -39,12 +44,12 @@ func scopedStore(t *testing.T) *Store {
 // scoped bridge agree with the whole-store bridge for every relation.
 func TestToWSDOfMatchesFullBridge(t *testing.T) {
 	s := scopedStore(t)
-	full, err := s.ToWSD()
+	full, err := ToWSD(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rel := range s.Relations() {
-		scoped, err := s.ToWSDOf(rel)
+		scoped, err := ToWSDOf(s, rel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +79,7 @@ func TestToWSDOfMatchesFullBridge(t *testing.T) {
 // relation does not grow with unrelated relations in the store.
 func TestToWSDOfScopesSize(t *testing.T) {
 	s := scopedStore(t)
-	w, err := s.ToWSDOf("S")
+	w, err := ToWSDOf(s, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,43 +91,7 @@ func TestToWSDOfScopesSize(t *testing.T) {
 	if n := len(w.Comps); n != 2 {
 		t.Fatalf("scoped WSD of S has %d components, want 2", n)
 	}
-	if _, err := s.ToWSDOf("nope"); err == nil || !strings.Contains(err.Error(), "unknown relation") {
+	if _, err := ToWSDOf(s, "nope"); err == nil || !strings.Contains(err.Error(), "unknown relation") {
 		t.Fatalf("ToWSDOf(nope) = %v, want unknown relation", err)
-	}
-}
-
-// TestNewScratchAndRename covers the scratch-name lifecycle primitives the
-// SQL session layer builds on.
-func TestNewScratchAndRename(t *testing.T) {
-	s := NewStore()
-	a, b := s.NewScratch(), s.NewScratch()
-	if a == b {
-		t.Fatalf("NewScratch repeated %q", a)
-	}
-	if !strings.Contains(a, "\x00") {
-		t.Fatalf("scratch name %q carries no NUL guard", a)
-	}
-	if _, err := s.AddRelation(a, []string{"A"}, [][]int32{{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RenameRelation(a, "out"); err != nil {
-		t.Fatal(err)
-	}
-	if s.Rel(a) != nil || s.Rel("out") == nil {
-		t.Fatal("rename did not move the catalog entry")
-	}
-	if err := s.RenameRelation("nope", "x"); err == nil {
-		t.Fatal("renaming a missing relation succeeded")
-	}
-	if _, err := s.AddRelation("other", []string{"A"}, [][]int32{{2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RenameRelation("other", "out"); err == nil || !strings.Contains(err.Error(), "already exists") {
-		t.Fatalf("rename onto live relation = %v, want already exists", err)
-	}
-	// The clone keeps issuing fresh scratch names.
-	c := s.Clone()
-	if n := c.NewScratch(); n == a || n == b {
-		t.Fatalf("clone reissued scratch name %q", n)
 	}
 }

@@ -210,7 +210,7 @@ func TestQueriesRunAndShrink(t *testing.T) {
 	base := s.Stats("R")
 	for _, q := range QueryNames {
 		res := "res" + q
-		if err := Run(s, q, "R", res); err != nil {
+		if err := runCommitted(s, q, "R", res); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 		if err := s.Validate(1e-9); err != nil {
@@ -231,12 +231,22 @@ func TestQueriesRunAndShrink(t *testing.T) {
 	}
 }
 
+// runCommitted evaluates the named query on a fresh arena over a snapshot of
+// s and commits it, landing the result relation in the store.
+func runCommitted(s *engine.Store, name, src, res string) error {
+	ar := engine.NewArena(s.Snapshot())
+	if err := Run(ar, name, src, res); err != nil {
+		return err
+	}
+	return ar.Commit()
+}
+
 func TestQ1SelectivityOnStore(t *testing.T) {
 	s, err := NewStore("R", 100000, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Run(s, "Q1", "R", "P"); err != nil {
+	if err := runCommitted(s, "Q1", "R", "P"); err != nil {
 		t.Fatal(err)
 	}
 	got := float64(s.Rel("P").NumRows()) / 100000
@@ -251,7 +261,7 @@ func TestRunUnknownQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Run(s, "Q9", "R", "P"); err == nil {
+	if err := runCommitted(s, "Q9", "R", "P"); err == nil {
 		t.Fatal("unknown query must fail")
 	}
 }

@@ -13,9 +13,8 @@ import (
 // over the results of Q2 and Q3, mirroring the paper (its reported time
 // excludes the subqueries).
 //
-// The queries run against any engine.Space: a per-session Arena over a
-// Snapshot (results stay private, the concurrent path) or a Store directly
-// (each operator committed in place, the deprecated one-shot path).
+// The queries run on a per-session Arena over a Snapshot: results stay
+// private to the arena until it is committed or released.
 
 // QueryNames lists the queries in paper order.
 var QueryNames = []string{"Q1", "Q2", "Q3", "Q4", "Q5", "Q6"}
@@ -36,14 +35,14 @@ var SQL = map[string]string{
 }
 
 // Q1 computes σ_{YEARSCH=17 ∧ CITIZEN=0}(src): US citizens with PhD degree.
-func Q1(s engine.Space, src, res string) error {
+func Q1(s *engine.Arena, src, res string) error {
 	_, err := s.Select(res, src, engine.And{engine.Eq("YEARSCH", 17), engine.Eq("CITIZEN", 0)})
 	return err
 }
 
 // Q2 computes π_{POWSTATE,CITIZEN,IMMIGR}(σ_{CITIZEN≠0 ∧ ENGLISH>3}(src)):
 // birthplaces of citizens born outside the US who do not speak English well.
-func Q2(s engine.Space, src, res string) error {
+func Q2(s *engine.Arena, src, res string) error {
 	tmp := res + "\x00σ"
 	if _, err := s.Select(tmp, src, engine.And{engine.Ne("CITIZEN", 0), engine.Gt("ENGLISH", 3)}); err != nil {
 		return err
@@ -56,7 +55,7 @@ func Q2(s engine.Space, src, res string) error {
 // Q3 computes π_{POWSTATE,MARITAL,FERTIL}(σ_{POWSTATE=POB}(σ_{FERTIL>4 ∧
 // MARITAL=1}(src))): widows with more than three children living in the
 // state where they were born.
-func Q3(s engine.Space, src, res string) error {
+func Q3(s *engine.Arena, src, res string) error {
 	t1 := res + "\x00σ1"
 	t2 := res + "\x00σ2"
 	if _, err := s.Select(t1, src, engine.And{engine.Gt("FERTIL", 4), engine.Eq("MARITAL", 1)}); err != nil {
@@ -73,7 +72,7 @@ func Q3(s engine.Space, src, res string) error {
 
 // Q4 computes σ_{FERTIL=1 ∧ (RSPOUSE=1 ∨ RSPOUSE=2)}(src): married persons
 // with no children (the very unselective query).
-func Q4(s engine.Space, src, res string) error {
+func Q4(s *engine.Arena, src, res string) error {
 	_, err := s.Select(res, src, engine.And{
 		engine.Eq("FERTIL", 1),
 		engine.Or{engine.Eq("RSPOUSE", 1), engine.Eq("RSPOUSE", 2)},
@@ -84,7 +83,7 @@ func Q4(s engine.Space, src, res string) error {
 // Q5 joins the Q2 and Q3 results restricted to states with IPUMS index
 // greater than 50: δ_{POWSTATE→P1}(σ_{POWSTATE>50}(q2)) ⋈_{P1=P2}
 // δ_{POWSTATE→P2}(σ_{POWSTATE>50}(q3)).
-func Q5(s engine.Space, q2, q3, res string) error {
+func Q5(s *engine.Arena, q2, q3, res string) error {
 	a := res + "\x00l"
 	b := res + "\x00r"
 	al := res + "\x00lδ"
@@ -111,7 +110,7 @@ func Q5(s engine.Space, q2, q3, res string) error {
 
 // Q6 computes π_{POWSTATE,POB}(σ_{ENGLISH=3}(src)): places of birth and work
 // of persons speaking English "not well".
-func Q6(s engine.Space, src, res string) error {
+func Q6(s *engine.Arena, src, res string) error {
 	tmp := res + "\x00σ"
 	if _, err := s.Select(tmp, src, engine.Eq("ENGLISH", 3)); err != nil {
 		return err
@@ -139,7 +138,7 @@ func ConfQuery(s *engine.Store, name, src string) ([]engine.TupleConf, error) {
 // Run evaluates the named query (Q1..Q6) of Figure 29 against src,
 // materializing the result as res. Q5 computes its Q2 and Q3 inputs first
 // and drops them afterwards.
-func Run(s engine.Space, name, src, res string) error {
+func Run(s *engine.Arena, name, src, res string) error {
 	switch name {
 	case "Q1":
 		return Q1(s, src, res)

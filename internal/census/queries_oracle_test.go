@@ -3,6 +3,7 @@ package census
 import (
 	"testing"
 
+	"maybms/internal/bridge"
 	"maybms/internal/confidence"
 	"maybms/internal/engine"
 	"maybms/internal/relation"
@@ -68,7 +69,7 @@ func oracleQuery(name string) worlds.Query {
 func TestQueriesAgainstOracle(t *testing.T) {
 	for _, name := range QueryNames {
 		s := tinyStore(t)
-		w, err := s.ToWSD()
+		w, err := bridge.ToWSD(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,13 +82,13 @@ func TestQueriesAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", name, err)
 		}
-		if err := Run(s, name, "R", "P"); err != nil {
+		if err := runCommitted(s, name, "R", "P"); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if err := s.Validate(1e-9); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := s.RepRelation("P", 1<<22)
+		got, err := bridge.RepRelation(s, "P", 1<<22)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -110,7 +111,7 @@ func TestChaseThenQueryAgainstOracle(t *testing.T) {
 		if err := s.ChaseEGDs("R", deps); err != nil {
 			t.Fatalf("%s: chase: %v", name, err)
 		}
-		w, err := s.ToWSD()
+		w, err := bridge.ToWSD(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,10 +123,10 @@ func TestChaseThenQueryAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", name, err)
 		}
-		if err := Run(s, name, "R", "P"); err != nil {
+		if err := runCommitted(s, name, "R", "P"); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := s.RepRelation("P", 1<<22)
+		got, err := bridge.RepRelation(s, "P", 1<<22)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -159,7 +160,7 @@ func TestConfQueryMatchesBridgeOracle(t *testing.T) {
 			}
 			continue
 		}
-		w, err := ar.ToWSDOf("res")
+		w, err := bridge.ToWSDOf(ar, "res")
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -40,7 +40,7 @@ type Arena struct {
 	fieldComp map[FieldID]int32
 	// origins maps each arena component to the snapshot component ids it
 	// covers (one for an adoption, several after compositions); shadowed is
-	// their union, hiding them from eachComp.
+	// their union, hiding them from EachComp.
 	origins  map[int32][]int32
 	shadowed map[int32]bool
 	// dirty marks arena components that diverged from their origins
@@ -74,8 +74,8 @@ func (a *Arena) Rel(name string) *Relation {
 	return a.snap.Rel(name)
 }
 
-// relByID resolves a relation id: negative ids are arena relations.
-func (a *Arena) relByID(id int32) *Relation {
+// RelByID resolves a relation id: negative ids are arena relations.
+func (a *Arena) RelByID(id int32) *Relation {
 	if id < 0 {
 		i := int(-id - 1)
 		if i >= len(a.rels) {
@@ -83,7 +83,7 @@ func (a *Arena) relByID(id int32) *Relation {
 		}
 		return a.rels[i]
 	}
-	return a.snap.relByID(id)
+	return a.snap.RelByID(id)
 }
 
 // Relations returns the names of the snapshot's relations plus the arena's
@@ -200,7 +200,7 @@ func (a *Arena) compFor(f FieldID) *Component {
 	if cid, ok := a.fieldComp[f]; ok {
 		return a.comps[cid]
 	}
-	c := a.snap.compOf(f)
+	c := a.snap.ComponentOf(f)
 	if c == nil {
 		return nil
 	}
@@ -221,22 +221,22 @@ func (a *Arena) adopt(c *Component) *Component {
 	return nc
 }
 
-// compOf returns the component defining f without adopting it (the
-// read-only view used by Stats and the WSD bridge).
-func (a *Arena) compOf(f FieldID) *Component {
+// ComponentOf returns the component defining f without adopting it (the
+// read-only View surface).
+func (a *Arena) ComponentOf(f FieldID) *Component {
 	if cid, ok := a.fieldComp[f]; ok {
 		return a.comps[cid]
 	}
-	return a.snap.compOf(f)
+	return a.snap.ComponentOf(f)
 }
 
-// eachComp visits the arena's components plus the snapshot components not
+// EachComp visits the arena's components plus the snapshot components not
 // shadowed by adoptions.
-func (a *Arena) eachComp(fn func(*Component)) {
+func (a *Arena) EachComp(fn func(*Component)) {
 	for _, c := range a.comps {
 		fn(c)
 	}
-	a.snap.eachComp(func(c *Component) {
+	a.snap.EachComp(func(c *Component) {
 		if !a.shadowed[c.ID] {
 			fn(c)
 		}
@@ -355,7 +355,7 @@ func (a *Arena) Commit() error {
 			}
 		}
 		for _, f := range a.comps[cid].Fields {
-			if f.Rel >= 0 && (int(f.Rel) >= len(s.rels) || s.rels[f.Rel] == nil || s.rels[f.Rel] != a.snap.relByID(f.Rel)) {
+			if f.Rel >= 0 && (int(f.Rel) >= len(s.rels) || s.rels[f.Rel] == nil || s.rels[f.Rel] != a.snap.RelByID(f.Rel)) {
 				return fmt.Errorf("engine: commit conflicts with a concurrent change to relation %d", f.Rel)
 			}
 		}
@@ -397,25 +397,3 @@ func (a *Arena) Commit() error {
 	a.snap = nil // poison: the arena is spent
 	return nil
 }
-
-// Space is the operator surface a compiled plan executes against: a
-// per-session Arena (the concurrent read path) or, through the deprecated
-// one-shot wrappers, the Store itself (which commits each operator's result
-// in place).
-type Space interface {
-	Select(res, src string, p Pred) (*Relation, error)
-	Project(res, src string, attrs ...string) (*Relation, error)
-	Rename(res, src string, oldNew map[string]string) (*Relation, error)
-	Join(res, l, r, onL, onR string) (*Relation, error)
-	Product(res, l, r string) (*Relation, error)
-	Union(res, l, r string) (*Relation, error)
-	Difference(res, l, r string) (*Relation, error)
-	DropRelation(name string)
-	Rel(name string) *Relation
-	Stats(rel string) Stats
-}
-
-var (
-	_ Space = (*Arena)(nil)
-	_ Space = (*Store)(nil)
-)

@@ -1,9 +1,13 @@
-package engine
+package engine_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+
+	"maybms/internal/bridge"
+	. "maybms/internal/engine"
 )
 
 // arenaStore builds a small store with composed-component potential: two
@@ -77,43 +81,38 @@ func TestArenaLeavesStoreUntouched(t *testing.T) {
 	}
 }
 
-// TestArenaMatchesOneShot checks the two surfaces agree: the same operator
-// chain run on an arena and through the deprecated Store wrappers yields
-// identical world-sets and statistics.
-func TestArenaMatchesOneShot(t *testing.T) {
-	mkChain := func(sp Space) error {
-		if _, err := sp.Select("sel", "R", Or{Eq("A", 2), Gt("B", 25)}); err != nil {
+// TestArenaMatchesCommitted checks the two views agree: the same operator
+// chain read through its private arena and read from the store after Commit
+// yields identical world-sets and statistics.
+func TestArenaMatchesCommitted(t *testing.T) {
+	mkChain := func(a *Arena) error {
+		if _, err := a.Select("sel", "R", Or{Eq("A", 2), Gt("B", 25)}); err != nil {
 			return err
 		}
-		if _, err := sp.Project("res", "sel", "B"); err != nil {
-			return err
-		}
-		return nil
+		_, err := a.Project("res", "sel", "B")
+		return err
 	}
-	sArena := arenaStore(t)
-	a := NewArena(sArena.Snapshot())
+	a := NewArena(arenaStore(t).Snapshot())
 	if err := mkChain(a); err != nil {
 		t.Fatal(err)
 	}
-	sOne := arenaStore(t)
-	if err := mkChain(sOne); err != nil {
-		t.Fatal(err)
+	committed := arenaStore(t)
+	Commit(t, committed, mkChain)
+	if got, want := a.Stats("res"), committed.Stats("res"); got != want {
+		t.Fatalf("stats diverge: arena %+v, committed %+v", got, want)
 	}
-	if got, want := a.Stats("res"), sOne.Stats("res"); got != want {
-		t.Fatalf("stats diverge: arena %+v, one-shot %+v", got, want)
-	}
-	wa, err := a.RepRelation("res", 1<<16)
+	wa, err := bridge.RepRelation(a, "res", 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wo, err := sOne.RepRelation("res", 1<<16)
+	wc, err := bridge.RepRelation(committed, "res", 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wa.Equal(wo, 1e-9) {
-		t.Fatal("arena and one-shot world-sets diverge")
+	if !wa.Equal(wc, 1e-9) {
+		t.Fatal("arena and committed world-sets diverge")
 	}
-	if err := sOne.Validate(1e-9); err != nil {
+	if err := committed.Validate(1e-9); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -233,5 +232,41 @@ func TestConcurrentArenasOverOneSnapshot(t *testing.T) {
 	}
 	if got := storeFingerprint(s); got != want {
 		t.Fatalf("concurrent arenas changed the store:\n pre %s\npost %s", want, got)
+	}
+}
+
+// TestNewScratchAndRename covers the scratch-name lifecycle primitives the
+// SQL session layer builds on.
+func TestNewScratchAndRename(t *testing.T) {
+	s := NewStore()
+	a, b := s.NewScratch(), s.NewScratch()
+	if a == b {
+		t.Fatalf("NewScratch repeated %q", a)
+	}
+	if !strings.Contains(a, "\x00") {
+		t.Fatalf("scratch name %q carries no NUL guard", a)
+	}
+	if _, err := s.AddRelation(a, []string{"A"}, [][]int32{{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RenameRelation(a, "out"); err != nil {
+		t.Fatal(err)
+	}
+	if s.Rel(a) != nil || s.Rel("out") == nil {
+		t.Fatal("rename did not move the catalog entry")
+	}
+	if err := s.RenameRelation("nope", "x"); err == nil {
+		t.Fatal("renaming a missing relation succeeded")
+	}
+	if _, err := s.AddRelation("other", []string{"A"}, [][]int32{{2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RenameRelation("other", "out"); err == nil || !strings.Contains(err.Error(), "already exists") {
+		t.Fatalf("rename onto live relation = %v, want already exists", err)
+	}
+	// The clone keeps issuing fresh scratch names.
+	c := s.Clone()
+	if n := c.NewScratch(); n == a || n == b {
+		t.Fatalf("clone reissued scratch name %q", n)
 	}
 }

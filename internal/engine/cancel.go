@@ -34,7 +34,7 @@ const guardPeriod = 1024
 // Guard is the cancellation and resource checkpoint of one query execution.
 // It is attached to the arenas (and shared by the fold workers) of that
 // execution; a nil *Guard is valid everywhere and means "never canceled" —
-// the Store's deprecated one-shot path and plain library use pay nothing.
+// plain library use pays nothing.
 //
 // A Guard is safe for concurrent use: sharded and fold-parallel execution
 // tick one guard from many goroutines.
@@ -158,14 +158,14 @@ func (a *Arena) SetGuard(g *Guard) {
 // costs one predictable branch.
 func (a *Arena) tick() error { return a.guard.Tick() }
 
-// execGuard exposes the arena's guard to the catView-generic confidence
+// execGuard exposes the arena's guard to the View-generic confidence
 // code; Snapshot and Store carry none (reads of committed state run
 // unguarded).
 func (a *Arena) execGuard() *Guard { return a.guard }
 
-// guardOf resolves the guard of a catView: arenas carry one, snapshots and
+// guardOf resolves the guard of a View: arenas carry one, snapshots and
 // stores do not.
-func guardOf(v catView) *Guard {
+func guardOf(v View) *Guard {
 	if g, ok := v.(interface{ execGuard() *Guard }); ok {
 		return g.execGuard()
 	}

@@ -8,7 +8,7 @@ import (
 // This file computes the across-world operators of Section 6 — the
 // confidence of a tuple (Figure 17), the possible tuples of a relation
 // (Figure 18) and both combined (Figure 19) — natively on the columnar
-// representation. The WSD bridge (rep.go) plus internal/confidence remain as
+// representation. The WSD bridge (internal/bridge) plus internal/confidence remain as
 // the reference oracle these implementations are differential-tested
 // against; the query path goes through here and never materializes a
 // core.WSD.
@@ -252,7 +252,7 @@ func (ac *tupleAccum) sweepGroups(r *Relation, groups []*tlGroup, guard *Guard) 
 // possibleMassesOf computes the pre-fold confidence table of rel natively:
 // the tuple-level view is built once and every tuple's per-group masses are
 // collected in a single sweep over it, in canonical tuple order.
-func possibleMassesOf(v catView, rel string) ([]TupleMasses, error) {
+func possibleMassesOf(v View, rel string) ([]TupleMasses, error) {
 	tv, err := tupleLevelView(v, rel)
 	if err != nil {
 		return nil, err
@@ -266,7 +266,7 @@ func possibleMassesOf(v catView, rel string) ([]TupleMasses, error) {
 }
 
 // possiblePOf computes the Figure 19 confidence table of rel natively.
-func possiblePOf(v catView, rel string) ([]TupleConf, error) {
+func possiblePOf(v View, rel string) ([]TupleConf, error) {
 	tms, err := possibleMassesOf(v, rel)
 	if err != nil {
 		return nil, err
@@ -275,7 +275,7 @@ func possiblePOf(v catView, rel string) ([]TupleConf, error) {
 }
 
 // confOf computes the Figure 17 confidence of one tuple of rel natively.
-func confOf(v catView, rel string, t []int32) (float64, error) {
+func confOf(v View, rel string, t []int32) (float64, error) {
 	tv, err := tupleLevelView(v, rel)
 	if err != nil {
 		return 0, err
@@ -330,7 +330,7 @@ func confOf(v catView, rel string, t []int32) (float64, error) {
 // canonical order.
 //
 //maybms:unguarded linear copy of the already-folded table; possiblePOf ticks per tuple
-func possibleOf(v catView, rel string) ([][]int32, error) {
+func possibleOf(v View, rel string) ([][]int32, error) {
 	tcs, err := possiblePOf(v, rel)
 	if err != nil {
 		return nil, err
@@ -346,7 +346,7 @@ func possibleOf(v catView, rel string) ([][]int32, error) {
 // confidence is 1 within eps. Engine components always carry probabilities,
 // so — unlike the generic confidence package — there is no separate
 // non-probabilistic path.
-func certainOf(v catView, rel string, t []int32, eps float64) (bool, error) {
+func certainOf(v View, rel string, t []int32, eps float64) (bool, error) {
 	c, err := confOf(v, rel, t)
 	if err != nil {
 		return false, err

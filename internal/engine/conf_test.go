@@ -1,11 +1,12 @@
-package engine
+package engine_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
+	"maybms/internal/bridge"
 	"maybms/internal/confidence"
+	. "maybms/internal/engine"
 	"maybms/internal/relation"
 )
 
@@ -17,96 +18,6 @@ import (
 // the native path and the oracle (marginalize-then-compose vs
 // compose-then-marginalize sums masses in different orders).
 const confEps = 1e-12
-
-// randomConfStore builds a seeded random store exercising the tuple-level
-// machinery: several relations, or-sets with non-uniform probabilities,
-// multi-slot components (merged across rows), cross-relation components
-// (merged across relations, forcing marginalization), and absent fields (⊥).
-func randomConfStore(t *testing.T, seed int64) *Store {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	s := NewStore()
-	nrels := 1 + rng.Intn(2)
-	type field struct {
-		rel  string
-		row  int
-		attr string
-	}
-	var uncertain []field
-	for ri := 0; ri < nrels; ri++ {
-		name := fmt.Sprintf("T%d", ri)
-		nattrs := 2 + rng.Intn(2)
-		nrows := 2 + rng.Intn(4)
-		attrs := make([]string, nattrs)
-		cols := make([][]int32, nattrs)
-		for a := range attrs {
-			attrs[a] = fmt.Sprintf("A%d", a)
-			cols[a] = make([]int32, nrows)
-			for i := range cols[a] {
-				cols[a][i] = int32(rng.Intn(4))
-			}
-		}
-		if _, err := s.AddRelation(name, attrs, cols); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < nrows; i++ {
-			for a := 0; a < nattrs; a++ {
-				if rng.Float64() < 0.4 {
-					k := 2 + rng.Intn(2)
-					vals := make([]int32, k)
-					probs := make([]float64, k)
-					total := 0.0
-					for j := range vals {
-						vals[j] = int32(rng.Intn(4))
-						probs[j] = 0.1 + rng.Float64()
-						total += probs[j]
-					}
-					for j := range probs {
-						probs[j] /= total
-					}
-					if err := s.SetUncertain(name, i, attrs[a], vals, probs); err != nil {
-						t.Fatal(err)
-					}
-					uncertain = append(uncertain, field{rel: name, row: i, attr: attrs[a]})
-				}
-			}
-		}
-	}
-	// Merge a few random component pairs: same-relation pairs produce
-	// multi-slot components, cross-relation pairs force marginalization.
-	fid := func(f field) FieldID {
-		r := s.Rel(f.rel)
-		ai, err := r.AttrIndex(f.attr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return FieldID{Rel: r.id, Row: int32(f.row), Attr: ai}
-	}
-	for m := 0; m < 3 && len(uncertain) >= 2; m++ {
-		a := uncertain[rng.Intn(len(uncertain))]
-		b := uncertain[rng.Intn(len(uncertain))]
-		if a == b {
-			continue
-		}
-		if _, err := s.mergeComps(fid(a), fid(b)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Mark some fields absent in some local worlds (⊥: the tuple is absent
-	// from worlds choosing those local worlds).
-	for _, f := range uncertain {
-		if rng.Float64() < 0.5 {
-			c := s.ComponentOf(fid(f))
-			col := c.Pos(fid(f))
-			w := rng.Intn(len(c.Rows))
-			c.Rows[w].Absent = c.Rows[w].Absent.Set(col)
-		}
-	}
-	if err := s.Validate(1e-9); err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
-	}
-	return s
-}
 
 // nativeToRelation converts a native tuple to the oracle's representation.
 func nativeToRelation(t []int32) relation.Tuple {
@@ -135,10 +46,10 @@ func diffPossibleP(t *testing.T, label string, native []TupleConf, oracle []conf
 
 func TestNativeConfidenceMatchesOracleRandom(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
-		s := randomConfStore(t, seed)
+		s := RandomConfStore(t, seed)
 		for _, rel := range s.Relations() {
 			label := fmt.Sprintf("seed %d rel %s", seed, rel)
-			w, err := s.ToWSDOf(rel)
+			w, err := bridge.ToWSDOf(s, rel)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -212,10 +123,10 @@ func TestNativeConfidenceMatchesOracleRandom(t *testing.T) {
 // tuple is the summed probability of the worlds containing it.
 func TestNativeConfidenceMatchesWorldEnumeration(t *testing.T) {
 	for seed := int64(100); seed < 110; seed++ {
-		s := randomConfStore(t, seed)
+		s := RandomConfStore(t, seed)
 		for _, rel := range s.Relations() {
 			label := fmt.Sprintf("seed %d rel %s", seed, rel)
-			ws, err := s.RepRelation(rel, 1<<16)
+			ws, err := bridge.RepRelation(s, rel, 1<<16)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -251,7 +162,7 @@ func TestNativeConfidenceMatchesWorldEnumeration(t *testing.T) {
 // absence marks and cross-relation sharing organically).
 func TestNativeConfidenceOnArenaResults(t *testing.T) {
 	for seed := int64(200); seed < 220; seed++ {
-		s := randomConfStore(t, seed)
+		s := RandomConfStore(t, seed)
 		rel := s.Relations()[0]
 		r := s.Rel(rel)
 		ar := NewArena(s.Snapshot())
@@ -276,7 +187,7 @@ func TestNativeConfidenceOnArenaResults(t *testing.T) {
 				}
 				continue
 			}
-			w, err := ar.ToWSDOf(res)
+			w, err := bridge.ToWSDOf(ar, res)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

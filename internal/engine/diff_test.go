@@ -1,10 +1,11 @@
-package engine
+package engine_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
+	"maybms/internal/bridge"
+	. "maybms/internal/engine"
 	"maybms/internal/relation"
 	"maybms/internal/worlds"
 )
@@ -18,117 +19,10 @@ import (
 // matches are common), multi-slot and cross-relation components (so the
 // composed presence masks ride on shared components), and absent fields.
 
-// randomDiffStore builds a seeded store with two same-schema relations L
-// and R whose tuples collide often.
-func randomDiffStore(t *testing.T, seed int64) *Store {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	s := NewStore()
-	attrs := []string{"A0", "A1"}
-	type field struct {
-		rel  string
-		row  int
-		attr string
-	}
-	var uncertain []field
-	nrows := map[string]int{}
-	for _, name := range []string{"L", "R"} {
-		n := 2 + rng.Intn(3)
-		nrows[name] = n
-		cols := make([][]int32, len(attrs))
-		for a := range cols {
-			cols[a] = make([]int32, n)
-			for i := range cols[a] {
-				cols[a][i] = int32(rng.Intn(3))
-			}
-		}
-		if _, err := s.AddRelation(name, attrs, cols); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Copy some L templates into R verbatim so exact duplicates exist.
-	lRel, rRel := s.Rel("L"), s.Rel("R")
-	for j := 0; j < nrows["R"]; j++ {
-		if rng.Float64() < 0.4 {
-			i := rng.Intn(nrows["L"])
-			for a := range attrs {
-				rRel.Cols[a][j] = lRel.Cols[a][i]
-			}
-		}
-	}
-	for _, name := range []string{"L", "R"} {
-		for i := 0; i < nrows[name]; i++ {
-			for _, at := range attrs {
-				if rng.Float64() >= 0.35 {
-					continue
-				}
-				k := 2 + rng.Intn(2)
-				vals := make([]int32, 0, k)
-				probs := make([]float64, 0, k)
-				seen := map[int32]bool{}
-				total := 0.0
-				for len(vals) < k {
-					v := int32(rng.Intn(3))
-					if seen[v] {
-						continue
-					}
-					seen[v] = true
-					vals = append(vals, v)
-					p := 0.1 + rng.Float64()
-					probs = append(probs, p)
-					total += p
-				}
-				for j := range probs {
-					probs[j] /= total
-				}
-				if err := s.SetUncertain(name, i, at, vals, probs); err != nil {
-					t.Fatal(err)
-				}
-				uncertain = append(uncertain, field{rel: name, row: i, attr: at})
-			}
-		}
-	}
-	// Merge random component pairs: same-relation pairs produce multi-slot
-	// components, cross-relation pairs correlate L with R — the case where
-	// marking a left slot ⊥ must respect the joint distribution.
-	fid := func(f field) FieldID {
-		r := s.Rel(f.rel)
-		ai, err := r.AttrIndex(f.attr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return FieldID{Rel: r.id, Row: int32(f.row), Attr: ai}
-	}
-	for m := 0; m < 2 && len(uncertain) >= 2; m++ {
-		a := uncertain[rng.Intn(len(uncertain))]
-		b := uncertain[rng.Intn(len(uncertain))]
-		if a == b {
-			continue
-		}
-		if _, err := s.mergeComps(fid(a), fid(b)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Mark some fields absent in some local world (⊥: worlds of different
-	// sizes — an absent right tuple must not delete anything).
-	for _, f := range uncertain {
-		if rng.Float64() < 0.4 {
-			c := s.ComponentOf(fid(f))
-			col := c.Pos(fid(f))
-			w := rng.Intn(len(c.Rows))
-			c.Rows[w].Absent = c.Rows[w].Absent.Set(col)
-		}
-	}
-	if err := s.Validate(1e-9); err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
-	}
-	return s
-}
-
 // enumerate returns the full world-set of the store.
 func enumerate(t *testing.T, s *Store, label string) *worlds.WorldSet {
 	t.Helper()
-	w, err := s.ToWSD()
+	w, err := bridge.ToWSD(s)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -141,7 +35,7 @@ func enumerate(t *testing.T, s *Store, label string) *worlds.WorldSet {
 
 func TestDifferenceMatchesWorldEnumeration(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
-		s := randomDiffStore(t, seed)
+		s := RandomDiffStore(t, seed)
 		label := fmt.Sprintf("seed %d", seed)
 		ws := enumerate(t, s, label)
 
@@ -167,7 +61,7 @@ func TestDifferenceMatchesWorldEnumeration(t *testing.T) {
 		if _, err := ar.Difference("res", "L", "R"); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		got, err := ar.RepRelation("res", 1<<20)
+		got, err := bridge.RepRelation(ar, "res", 1<<20)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -208,7 +102,7 @@ func TestDifferenceMatchesWorldEnumeration(t *testing.T) {
 // components extend shared base components — the SQL EXCEPT shape.
 func TestDifferenceOnArenaResults(t *testing.T) {
 	for seed := int64(100); seed < 130; seed++ {
-		s := randomDiffStore(t, seed)
+		s := RandomDiffStore(t, seed)
 		label := fmt.Sprintf("seed %d", seed)
 		ws := enumerate(t, s, label)
 		pred := Gt("A0", 0)
@@ -227,7 +121,7 @@ func TestDifferenceOnArenaResults(t *testing.T) {
 		if _, err := ar.Difference("res", "L", "sel"); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		got, err := ar.RepRelation("res", 1<<20)
+		got, err := bridge.RepRelation(ar, "res", 1<<20)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -241,12 +135,12 @@ func TestDifferenceOnArenaResults(t *testing.T) {
 // uncertainty structure.
 func TestDifferenceSelfEmpty(t *testing.T) {
 	for seed := int64(200); seed < 220; seed++ {
-		s := randomDiffStore(t, seed)
+		s := RandomDiffStore(t, seed)
 		ar := NewArena(s.Snapshot())
 		if _, err := ar.Difference("res", "R", "R"); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		got, err := ar.RepRelation("res", 1<<20)
+		got, err := bridge.RepRelation(ar, "res", 1<<20)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -258,24 +152,25 @@ func TestDifferenceSelfEmpty(t *testing.T) {
 	}
 }
 
-// TestDifferenceCommit checks the one-shot Store wrapper: the result commits
-// into the store and the store stays valid (composed components replaced
+// TestDifferenceCommit checks a committed difference: the result lands in
+// the store and the store stays valid (composed components replaced
 // their origins consistently).
 func TestDifferenceCommit(t *testing.T) {
 	for seed := int64(300); seed < 310; seed++ {
-		s := randomDiffStore(t, seed)
+		s := RandomDiffStore(t, seed)
 		want, err := worlds.EvalWorldSet(worlds.Difference{L: worlds.Base{Rel: "L"}, R: worlds.Base{Rel: "R"}},
 			enumerate(t, s, fmt.Sprintf("seed %d", seed)), "res")
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if _, err := s.Difference("res", "L", "R"); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		Commit(t, s, func(a *Arena) error {
+			_, err := a.Difference("res", "L", "R")
+			return err
+		})
 		if err := s.Validate(1e-9); err != nil {
 			t.Fatalf("seed %d: store invalid after committed difference: %v", seed, err)
 		}
-		got, err := s.RepRelation("res", 1<<20)
+		got, err := bridge.RepRelation(s, "res", 1<<20)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

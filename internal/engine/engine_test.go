@@ -1,10 +1,12 @@
-package engine
+package engine_test
 
 import (
 	"errors"
 	"math/rand"
 	"testing"
 
+	"maybms/internal/bridge"
+	. "maybms/internal/engine"
 	"maybms/internal/relation"
 	"maybms/internal/worlds"
 )
@@ -114,7 +116,7 @@ func oracleCompare(t *testing.T, trial int, in *worlds.WorldSet, s *Store, res s
 	if err != nil {
 		t.Fatalf("trial %d: oracle: %v", trial, err)
 	}
-	got, err := s.RepRelation(res, 1<<22)
+	got, err := bridge.RepRelation(s, res, 1<<22)
 	if err != nil {
 		t.Fatalf("trial %d: rep: %v", trial, err)
 	}
@@ -166,10 +168,8 @@ func TestSelectCertainOnly(t *testing.T) {
 	if _, err := s.AddRelation("R", []string{"A", "B"}, [][]int32{{1, 2, 3}, {10, 20, 30}}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.Select("P", "R", Gt("A", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	Commit(t, s, func(a *Arena) error { _, err := a.Select("P", "R", Gt("A", 1)); return err })
+	out := s.Rel("P")
 	if out.NumRows() != 2 || out.Cols[1][0] != 20 {
 		t.Fatalf("select result wrong: %v", out.Cols)
 	}
@@ -182,7 +182,7 @@ func TestSelectAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 60; trial++ {
 		s := randStore(rng)
-		w, err := s.ToWSD()
+		w, err := bridge.ToWSD(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,9 +191,7 @@ func TestSelectAgainstOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := randPred(rng, []string{"A", "B", "C"}, 1+rng.Intn(2))
-		if _, err := s.Select("P", "R", p); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		Commit(t, s, func(a *Arena) error { _, err := a.Select("P", "R", p); return err })
 		if err := s.Validate(1e-9); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -207,7 +205,7 @@ func TestSelectChainAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	for trial := 0; trial < 40; trial++ {
 		s := randStore(rng)
-		w, err := s.ToWSD()
+		w, err := bridge.ToWSD(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,12 +215,8 @@ func TestSelectChainAgainstOracle(t *testing.T) {
 		}
 		p1 := randPred(rng, []string{"A", "B", "C"}, 1)
 		p2 := randPred(rng, []string{"A", "B", "C"}, 1)
-		if _, err := s.Select("P1", "R", p1); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if _, err := s.Select("P2", "P1", p2); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		Commit(t, s, func(a *Arena) error { _, err := a.Select("P1", "R", p1); return err })
+		Commit(t, s, func(a *Arena) error { _, err := a.Select("P2", "P1", p2); return err })
 		if err := s.Validate(1e-9); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -238,7 +232,7 @@ func TestProjectAgainstOracle(t *testing.T) {
 	attrsAll := []string{"A", "B", "C"}
 	for trial := 0; trial < 60; trial++ {
 		s := randStore(rng)
-		w, err := s.ToWSD()
+		w, err := bridge.ToWSD(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,9 +241,7 @@ func TestProjectAgainstOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := randPred(rng, attrsAll, 1)
-		if _, err := s.Select("P1", "R", p); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		Commit(t, s, func(a *Arena) error { _, err := a.Select("P1", "R", p); return err })
 		// Random non-empty projection.
 		perm := rng.Perm(3)
 		k := 1 + rng.Intn(3)
@@ -257,9 +249,7 @@ func TestProjectAgainstOracle(t *testing.T) {
 		for _, i := range perm[:k] {
 			keep = append(keep, attrsAll[i])
 		}
-		if _, err := s.Project("P2", "P1", keep...); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		Commit(t, s, func(a *Arena) error { _, err := a.Project("P2", "P1", keep...); return err })
 		if err := s.Validate(1e-9); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -275,7 +265,7 @@ func TestRenameAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(109))
 	for trial := 0; trial < 20; trial++ {
 		s := randStore(rng)
-		w, err := s.ToWSD()
+		w, err := bridge.ToWSD(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,9 +273,7 @@ func TestRenameAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Rename("P", "R", map[string]string{"A": "X"}); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		Commit(t, s, func(a *Arena) error { _, err := a.Rename("P", "R", map[string]string{"A": "X"}); return err })
 		oracleCompare(t, trial, in, s, "P",
 			worlds.Rename{Q: worlds.Base{Rel: "R"}, Old: "A", New: "X"})
 	}
@@ -319,7 +307,7 @@ func TestJoinAgainstOracle(t *testing.T) {
 		}
 		mk("L", []string{"A", "B"})
 		mk("S", []string{"C", "D"})
-		w, err := s.ToWSD()
+		w, err := bridge.ToWSD(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,9 +315,7 @@ func TestJoinAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Join("J", "L", "S", "B", "C"); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		Commit(t, s, func(a *Arena) error { _, err := a.Join("J", "L", "S", "B", "C"); return err })
 		if err := s.Validate(1e-9); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -345,7 +331,7 @@ func TestChaseEGDsAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	for trial := 0; trial < 80; trial++ {
 		s := randStore(rng)
-		w, err := s.ToWSD()
+		w, err := bridge.ToWSD(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +395,7 @@ func TestChaseEGDsAgainstOracle(t *testing.T) {
 		if err := s.Validate(1e-9); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		got, err := s.RepRelation("R", 1<<22)
+		got, err := bridge.RepRelation(s, "R", 1<<22)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,9 +431,7 @@ func TestChaseCertainViolation(t *testing.T) {
 func TestDropRelationCleansComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	s := randStore(rng)
-	if _, err := s.Select("P", "R", Gt("A", 0)); err != nil {
-		t.Fatal(err)
-	}
+	Commit(t, s, func(a *Arena) error { _, err := a.Select("P", "R", Gt("A", 0)); return err })
 	if err := s.Validate(1e-9); err != nil {
 		t.Fatal(err)
 	}
@@ -458,13 +442,13 @@ func TestDropRelationCleansComponents(t *testing.T) {
 	if s.Rel("P") != nil {
 		t.Fatal("relation not dropped")
 	}
-	for _, c := range s.comps {
+	s.EachComp(func(c *Component) {
 		for _, f := range c.Fields {
-			if s.rels[f.Rel] == nil {
+			if s.RelByID(f.Rel) == nil {
 				t.Fatal("component still references dropped relation")
 			}
 		}
-	}
+	})
 }
 
 func TestStatsAfterNoise(t *testing.T) {
@@ -508,11 +492,11 @@ func TestChaseRefinedSameSemantics(t *testing.T) {
 		if err1 != nil {
 			continue
 		}
-		r1, err := s1.RepRelation("R", 1<<22)
+		r1, err := bridge.RepRelation(s1, "R", 1<<22)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := s2.RepRelation("R", 1<<22)
+		r2, err := bridge.RepRelation(s2, "R", 1<<22)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -543,11 +527,11 @@ func TestChaseAssumeCleanSameResultOnCleanData(t *testing.T) {
 		if err := s2.ChaseEGDsOpt("R", deps, ChaseOptions{AssumeClean: true}); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		r1, err := s1.RepRelation("R", 1<<22)
+		r1, err := bridge.RepRelation(s1, "R", 1<<22)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := s2.RepRelation("R", 1<<22)
+		r2, err := bridge.RepRelation(s2, "R", 1<<22)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -560,7 +544,7 @@ func TestChaseAssumeCleanSameResultOnCleanData(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	s := randStore(rng)
-	before, err := s.RepRelation("R", 1<<22)
+	before, err := bridge.RepRelation(s, "R", 1<<22)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,16 +553,14 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatalf("clone invalid: %v", err)
 	}
 	// Mutate the clone heavily; the original must be unaffected.
-	if _, err := c.Select("P", "R", Gt("A", 0)); err != nil {
-		t.Fatal(err)
-	}
+	Commit(t, c, func(a *Arena) error { _, err := a.Select("P", "R", Gt("A", 0)); return err })
 	if err := c.ChaseEGDs("R", []EGD{{
 		Premise:    []Atom{{Attr: "A", Theta: relation.EQ, C: 0}},
 		Conclusion: Atom{Attr: "B", Theta: relation.NE, C: 0},
 	}}); err != nil && !errors.Is(err, ErrInconsistent) {
 		t.Fatal(err)
 	}
-	after, err := s.RepRelation("R", 1<<22)
+	after, err := bridge.RepRelation(s, "R", 1<<22)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,10 +213,10 @@ func (a *Arena) Join(res, l, r, onL, onR string) (*Relation, error) {
 }
 
 // fieldValues returns the present values of an uncertain field. It reads
-// through compOf — no adoption: probe-phase rows that never join should not
+// through ComponentOf — no adoption: probe-phase rows that never join should not
 // pay for a component copy.
 func (a *Arena) fieldValues(f FieldID) []int32 {
-	c := a.compOf(f)
+	c := a.ComponentOf(f)
 	if c == nil {
 		return nil
 	}
@@ -244,7 +244,7 @@ func compFieldValues(c *Component, f FieldID) []int32 {
 //
 //maybms:unguarded bounded single-component probe; the planning loops that call it tick per candidate
 func (a *Arena) fieldCanTake(f FieldID, v int32) bool {
-	c := a.compOf(f)
+	c := a.ComponentOf(f)
 	if c == nil {
 		return false
 	}
@@ -260,12 +260,12 @@ func (a *Arena) fieldCanTake(f FieldID, v int32) bool {
 // fieldsIntersect reports whether two uncertain fields can take a common
 // value in some world. When the fields share a component the check is exact
 // (joint rows); otherwise the value sets are intersected. Reads through
-// compOf — adoption remaps every field of a component at once, so pointer
+// ComponentOf — adoption remaps every field of a component at once, so pointer
 // equality between the resolved components stays exact.
 //
 //maybms:unguarded bounded single-component probe; the planning loops that call it tick per candidate
 func (a *Arena) fieldsIntersect(f, g FieldID) bool {
-	cf, cg := a.compOf(f), a.compOf(g)
+	cf, cg := a.ComponentOf(f), a.ComponentOf(g)
 	if cf == nil || cg == nil {
 		return false
 	}

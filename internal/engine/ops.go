@@ -13,8 +13,7 @@ import "fmt"
 // Operators are Arena methods: they read base data through the arena's
 // snapshot and write result templates and extended component rows into the
 // arena, leaving the shared store untouched — which is what lets many
-// sessions run SELECTs concurrently. The Store methods of the same names
-// are deprecated one-shot wrappers that commit the arena back.
+// sessions run SELECTs concurrently.
 
 type rowPlan struct {
 	src  int32
@@ -317,7 +316,7 @@ func (a *Arena) Project(res, src string, attrs ...string) (*Relation, error) {
 
 // fieldHasAbsence reports whether field f is absent in some local world.
 func (a *Arena) fieldHasAbsence(f FieldID) bool {
-	c := a.compOf(f)
+	c := a.ComponentOf(f)
 	if c == nil {
 		return false
 	}

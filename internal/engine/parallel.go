@@ -38,7 +38,7 @@ const parallelThreshold = 256
 // possibleMassesParallel is possibleMassesOf with the sweep striped over a
 // worker pool: worker w scores certain-row chunk w and every group g with
 // index ≡ w (mod workers). The merged result is identical to the serial one.
-func possibleMassesParallel(v catView, rel string, workers int) ([]TupleMasses, error) {
+func possibleMassesParallel(v View, rel string, workers int) ([]TupleMasses, error) {
 	if workers <= 0 {
 		workers = DefaultConfWorkers()
 	}
@@ -148,15 +148,12 @@ func MergeMasses(g *Guard, parts [][]TupleMasses) ([]TupleMasses, error) {
 // no-op guard).
 func FoldMassTable(g *Guard, tms []TupleMasses) ([]TupleConf, error) { return foldAll(g, tms) }
 
-// PossiblePParallel computes the confidence table of rel with the group
-// sweep striped over a pool of workers (0 = DefaultConfWorkers). The result
-// is byte-identical to PossibleP.
-func (a *Arena) PossiblePParallel(rel string, workers int) ([]TupleConf, error) {
-	tms, err := possibleMassesParallel(a, rel, workers)
-	if err != nil {
-		return nil, err
-	}
-	return foldAll(a.guard, tms)
+// PossibleMassesParallel is PossibleMasses with the group sweep striped over
+// a pool of workers (0 = DefaultConfWorkers, 1 = the serial sweep). The table
+// is identical to the serial one, so folding it is byte-identical to
+// PossibleP.
+func (a *Arena) PossibleMassesParallel(rel string, workers int) ([]TupleMasses, error) {
+	return possibleMassesParallel(a, rel, workers)
 }
 
 // PossiblePParallel computes the confidence table of rel on the snapshot

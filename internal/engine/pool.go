@@ -15,10 +15,15 @@ import (
 
 var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
 
-// arenaReleases counts non-nil ReleaseArena calls process-wide. It is an
-// instrumentation hook like BridgeConversions: the serving-layer tests assert
-// that closing a cursor mid-fetch actually returns the pooled arena.
-var arenaReleases atomic.Uint64
+// arenaAcquires and arenaReleases count AcquireArena and non-nil
+// ReleaseArena calls process-wide. They are instrumentation hooks: tests
+// assert that every path out of an execution — error, cancel, a cursor
+// closed mid-fetch — returns the arenas it acquired (the two deltas match).
+var arenaAcquires, arenaReleases atomic.Uint64
+
+// ArenaAcquires reports how many arenas this process has taken from the
+// pool.
+func ArenaAcquires() uint64 { return arenaAcquires.Load() }
 
 // ArenaReleases reports how many arenas this process has returned to the
 // pool.
@@ -29,6 +34,7 @@ func ArenaReleases() uint64 { return arenaReleases.Load() }
 func AcquireArena(snap *Snapshot) *Arena {
 	a := arenaPool.Get().(*Arena)
 	a.Reset(snap)
+	arenaAcquires.Add(1)
 	return a
 }
 

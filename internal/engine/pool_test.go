@@ -35,7 +35,7 @@ func poolWorkload(ar *Arena, rel string) (string, error) {
 // produce byte-identical results, including while many goroutines churn the
 // pool concurrently — run under -race in CI.
 func TestArenaPoolByteIdentical(t *testing.T) {
-	s := randomConfStore(t, 7)
+	s := RandomConfStore(t, 7)
 	rel := s.Relations()[0]
 	snap := s.Snapshot()
 	want, err := poolWorkload(NewArena(snap), rel)
@@ -96,7 +96,7 @@ func TestArenaPoolByteIdentical(t *testing.T) {
 // TestArenaResetAfterCommit checks a committed (spent) arena is safe to
 // release and reuse: Reset drops the references Commit left behind.
 func TestArenaResetAfterCommit(t *testing.T) {
-	s := randomConfStore(t, 11)
+	s := RandomConfStore(t, 11)
 	rel := s.Relations()[0]
 	ar := AcquireArena(s.Snapshot())
 	r := ar.Rel(rel)

@@ -18,9 +18,8 @@ package engine
 //     and are therefore safe to run concurrently with snapshot readers (one
 //     writer at a time; the session API serializes writers).
 //   - Mutators that rewrite shared objects in place (SetUncertain, the
-//     chase, and the deprecated one-shot operator wrappers' inputs) are
-//     load-time operations: they must not run while snapshots are live.
-//     Snapshots taken afterwards observe their effects, as usual.
+//     chase) are load-time operations: they must not run while snapshots
+//     are live. Snapshots taken afterwards observe their effects, as usual.
 
 // Snapshot is a read-only, point-in-time view of a store's catalog and
 // component space. It is safe for concurrent use by any number of readers
@@ -85,16 +84,16 @@ func (sn *Snapshot) Rel(name string) *Relation {
 	return sn.rels[id]
 }
 
-// relByID returns the relation with the given id, or nil.
-func (sn *Snapshot) relByID(id int32) *Relation {
+// RelByID returns the relation with the given id, or nil.
+func (sn *Snapshot) RelByID(id int32) *Relation {
 	if id < 0 || int(id) >= len(sn.rels) {
 		return nil
 	}
 	return sn.rels[id]
 }
 
-// compOf returns the component defining field f, or nil.
-func (sn *Snapshot) compOf(f FieldID) *Component {
+// ComponentOf returns the component defining field f, or nil.
+func (sn *Snapshot) ComponentOf(f FieldID) *Component {
 	cid, ok := sn.fieldComp[f]
 	if !ok {
 		return nil
@@ -102,8 +101,8 @@ func (sn *Snapshot) compOf(f FieldID) *Component {
 	return sn.comps[cid]
 }
 
-// eachComp visits every component of the snapshot.
-func (sn *Snapshot) eachComp(fn func(*Component)) {
+// EachComp visits every component of the snapshot.
+func (sn *Snapshot) EachComp(fn func(*Component)) {
 	for _, c := range sn.comps {
 		fn(c)
 	}

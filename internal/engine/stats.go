@@ -12,33 +12,38 @@ type Stats struct {
 	RSize      int // |R|: template rows
 }
 
-// catView is the minimal read surface Stats and the WSD bridge share; it is
-// implemented by Store, Snapshot and Arena, so representation statistics
-// and across-world conversion work identically on the live store, a frozen
-// snapshot, and a session's arena results.
-type catView interface {
+// View is the read-only surface shared by Store, Snapshot and Arena:
+// representation statistics and the confidence operators are written once
+// against it, and the reference WSD bridge (internal/bridge) reads engine
+// state through it — on the live store, a frozen snapshot, or a session's
+// arena results alike.
+type View interface {
+	// Rel returns the named relation, or nil.
 	Rel(name string) *Relation
-	relByID(id int32) *Relation
-	compOf(f FieldID) *Component
-	eachComp(fn func(*Component))
+	// RelByID resolves the relation a FieldID refers to, or nil.
+	RelByID(id int32) *Relation
+	// ComponentOf returns the component defining field f, or nil.
+	ComponentOf(f FieldID) *Component
+	// EachComp visits every component visible through the view.
+	EachComp(fn func(*Component))
 }
 
 var (
-	_ catView = (*Store)(nil)
-	_ catView = (*Snapshot)(nil)
-	_ catView = (*Arena)(nil)
+	_ View = (*Store)(nil)
+	_ View = (*Snapshot)(nil)
+	_ View = (*Arena)(nil)
 )
 
-func (s *Store) relByID(id int32) *Relation {
+// RelByID returns the relation with the given id, or nil.
+func (s *Store) RelByID(id int32) *Relation {
 	if id < 0 || int(id) >= len(s.rels) {
 		return nil
 	}
 	return s.rels[id]
 }
 
-func (s *Store) compOf(f FieldID) *Component { return s.ComponentOf(f) }
-
-func (s *Store) eachComp(fn func(*Component)) {
+// EachComp visits every live component.
+func (s *Store) EachComp(fn func(*Component)) {
 	for _, c := range s.comps {
 		fn(c)
 	}
@@ -50,7 +55,7 @@ func (s *Store) Stats(rel string) Stats { return statsOf(s, rel) }
 // statsOf computes the statistics with one bounded pass per uncertain field.
 //
 //maybms:unguarded planner/EXPLAIN statistics probe, not a query answer path
-func statsOf(v catView, rel string) Stats {
+func statsOf(v View, rel string) Stats {
 	r := v.Rel(rel)
 	if r == nil {
 		return Stats{}
@@ -60,7 +65,7 @@ func statsOf(v catView, rel string) Stats {
 	for row, attrs := range r.uncertain {
 		for _, a := range attrs {
 			f := FieldID{Rel: r.id, Row: row, Attr: a}
-			c := v.compOf(f)
+			c := v.ComponentOf(f)
 			if c == nil {
 				continue
 			}
@@ -118,7 +123,7 @@ func HistogramSizes(h map[int]int) []int {
 // TotalPlaceholders returns the number of uncertain fields of a relation.
 func (s *Store) TotalPlaceholders(rel string) int { return totalPlaceholders(s, rel) }
 
-func totalPlaceholders(v catView, rel string) int {
+func totalPlaceholders(v View, rel string) int {
 	r := v.Rel(rel)
 	if r == nil {
 		return 0

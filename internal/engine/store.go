@@ -418,7 +418,6 @@ func compressComponent(c *Component) {
 // appendFieldKey appends the canonical 4-byte encoding of one field state —
 // the value, or a -2 absent marker distinct from every real value (≥ 0) and
 // from Placeholder — used to merge indistinguishable local worlds.
-// compressComponent and the scoped WSD bridge (ToWSDOf) share it.
 func appendFieldKey(buf []byte, v int32, absent bool) []byte {
 	if absent {
 		v = -2

@@ -46,7 +46,7 @@ type tupleView struct {
 // fails on unknown relations and when composing components would exceed the
 // MaxCompRows blow-up guard (the NP-hardness of Section 6 surfacing as an
 // error, exactly as on the store's own compositions).
-func tupleLevelView(v catView, rel string) (*tupleView, error) {
+func tupleLevelView(v View, rel string) (*tupleView, error) {
 	r := v.Rel(rel)
 	if r == nil {
 		return nil, fmt.Errorf("engine: unknown relation %q", rel)
@@ -76,7 +76,7 @@ func tupleLevelView(v catView, rel string) (*tupleView, error) {
 		}
 		for _, a := range attrs {
 			f := FieldID{Rel: r.id, Row: row, Attr: a}
-			c := v.compOf(f)
+			c := v.ComponentOf(f)
 			if c == nil {
 				return nil, fmt.Errorf("engine: field %v has no component", f)
 			}

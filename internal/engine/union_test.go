@@ -1,9 +1,11 @@
-package engine
+package engine_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"maybms/internal/bridge"
+	. "maybms/internal/engine"
 	"maybms/internal/worlds"
 )
 
@@ -14,7 +16,7 @@ func TestUnionAgainstOracle(t *testing.T) {
 		// Two selections over R, then their union.
 		p1 := randPred(rng, []string{"A", "B", "C"}, 1)
 		p2 := randPred(rng, []string{"A", "B", "C"}, 1)
-		w, err := s.ToWSD()
+		w, err := bridge.ToWSD(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -22,15 +24,9 @@ func TestUnionAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Select("L", "R", p1); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Select("S", "R", p2); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Union("U", "L", "S"); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		Commit(t, s, func(a *Arena) error { _, err := a.Select("L", "R", p1); return err })
+		Commit(t, s, func(a *Arena) error { _, err := a.Select("S", "R", p2); return err })
+		Commit(t, s, func(a *Arena) error { _, err := a.Union("U", "L", "S"); return err })
 		if err := s.Validate(1e-9); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -70,7 +66,7 @@ func TestProductAgainstOracle(t *testing.T) {
 		}
 		mk("L", []string{"A", "B"})
 		mk("S", []string{"C"})
-		w, err := s.ToWSD()
+		w, err := bridge.ToWSD(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,9 +74,7 @@ func TestProductAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Product("P", "L", "S"); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		Commit(t, s, func(a *Arena) error { _, err := a.Product("P", "L", "S"); return err })
 		if err := s.Validate(1e-9); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -97,19 +91,19 @@ func TestUnionErrors(t *testing.T) {
 	if _, err := s.AddRelation("B", []string{"Y"}, [][]int32{{1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Union("U", "A", "B"); err == nil {
+	if _, err := NewArena(s.Snapshot()).Union("U", "A", "B"); err == nil {
 		t.Fatal("schema mismatch must fail")
 	}
-	if _, err := s.Union("U", "A", "Z"); err == nil {
+	if _, err := NewArena(s.Snapshot()).Union("U", "A", "Z"); err == nil {
 		t.Fatal("unknown relation must fail")
 	}
-	if _, err := s.Product("P", "A", "A2"); err == nil {
+	if _, err := NewArena(s.Snapshot()).Product("P", "A", "A2"); err == nil {
 		t.Fatal("unknown relation must fail")
 	}
 	if _, err := s.AddRelation("A2", []string{"X"}, [][]int32{{2}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Product("P", "A", "A2"); err == nil {
+	if _, err := NewArena(s.Snapshot()).Product("P", "A", "A2"); err == nil {
 		t.Fatal("overlapping attributes must fail")
 	}
 }

@@ -1,0 +1,67 @@
+package engine
+
+import "fmt"
+
+// Validate checks store invariants: field/component index agreement,
+// probability sums, bitmap width, and placeholder bookkeeping.
+//
+//maybms:unguarded debug invariant check, not on any query path
+func (s *Store) Validate(eps float64) error {
+	for cid, c := range s.comps {
+		if c.ID != cid {
+			return fmt.Errorf("engine: component id mismatch %d vs %d", c.ID, cid)
+		}
+		if len(c.Fields) > MaxCompFields {
+			return fmt.Errorf("engine: component %d has %d fields", cid, len(c.Fields))
+		}
+		for i, f := range c.Fields {
+			if c.pos[f] != i {
+				return fmt.Errorf("engine: component %d field index broken", cid)
+			}
+			if s.fieldComp[f] != cid {
+				return fmt.Errorf("engine: field %v maps to wrong component", f)
+			}
+			r := s.RelByID(f.Rel)
+			if r == nil {
+				return fmt.Errorf("engine: component %d references dropped relation", cid)
+			}
+			if r.Cols[f.Attr][f.Row] != Placeholder {
+				return fmt.Errorf("engine: field %v not a placeholder in template", f)
+			}
+		}
+		total := c.TotalP()
+		if total < 1-eps || total > 1+eps {
+			return fmt.Errorf("engine: component %d probabilities sum to %g", cid, total)
+		}
+		for _, row := range c.Rows {
+			if len(row.Vals) != len(c.Fields) {
+				return fmt.Errorf("engine: component %d row arity mismatch", cid)
+			}
+		}
+	}
+	for f, cid := range s.fieldComp {
+		c, ok := s.comps[cid]
+		if !ok {
+			return fmt.Errorf("engine: field %v maps to dead component %d", f, cid)
+		}
+		if c.Pos(f) < 0 {
+			return fmt.Errorf("engine: field %v missing from its component", f)
+		}
+	}
+	for _, r := range s.rels {
+		if r == nil {
+			continue
+		}
+		for row, attrs := range r.uncertain {
+			for _, a := range attrs {
+				if r.Cols[a][row] != Placeholder {
+					return fmt.Errorf("engine: %s row %d attr %d marked uncertain but certain", r.Name, row, a)
+				}
+				if _, ok := s.fieldComp[FieldID{Rel: r.id, Row: row, Attr: a}]; !ok {
+					return fmt.Errorf("engine: %s row %d attr %d has no component", r.Name, row, a)
+				}
+			}
+		}
+	}
+	return nil
+}

@@ -2,6 +2,9 @@ package server_test
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -46,6 +49,27 @@ func waitReleases(t *testing.T, before uint64) {
 	}
 }
 
+// arenaMark records the process-wide arena counters; waitHome polls until
+// every arena acquired since the mark is back in the pool. A request
+// canceled before it starts acquires none, so aborted requests are checked
+// for balance rather than for a release having happened.
+type arenaMark struct{ acquired, released uint64 }
+
+func markArenas() arenaMark {
+	return arenaMark{engine.ArenaAcquires(), engine.ArenaReleases()}
+}
+
+func (m arenaMark) waitHome(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for engine.ArenaAcquires()-m.acquired != engine.ArenaReleases()-m.released {
+		if time.Now().After(deadline) {
+			t.Fatal("an acquired arena never returned to the pool")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestCancelMidQuery is the tentpole acceptance path: a CANCEL frame sent
 // while an EXEC is executing aborts it with the CANCELED wire code, the
 // result arena is released, and the same connection immediately serves the
@@ -62,7 +86,7 @@ func TestCancelMidQuery(t *testing.T) {
 
 	const victim = "SELECT * FROM R WHERE YEARSCH = 17 AND CITIZEN = 0"
 	entered, release := blockOnce(t, victim)
-	before := engine.ArenaReleases()
+	mark := markArenas()
 	errc := make(chan error, 1)
 	go func() {
 		rows, qerr := conn.Query(victim)
@@ -85,7 +109,7 @@ func TestCancelMidQuery(t *testing.T) {
 	if !errors.As(qerr, &werr) || werr.Code != server.ErrCanceled {
 		t.Fatalf("canceled query: got %v, want wire code CANCELED", qerr)
 	}
-	waitReleases(t, before)
+	mark.waitHome(t)
 
 	// The connection is not poisoned: the identical statement now answers,
 	// byte-for-byte what the in-process session returns.
@@ -188,7 +212,7 @@ func TestDisconnectCancelsInflight(t *testing.T) {
 
 	const victim = "SELECT * FROM R WHERE YEARSCH = 17"
 	entered, release := blockOnce(t, victim)
-	before := engine.ArenaReleases()
+	mark := markArenas()
 	go func() {
 		rows, qerr := conn.Query(victim)
 		if qerr == nil {
@@ -199,7 +223,6 @@ func TestDisconnectCancelsInflight(t *testing.T) {
 	conn.Close()
 	time.Sleep(100 * time.Millisecond)
 	close(release)
-	waitReleases(t, before)
 
 	// The server is still serving fresh connections.
 	c2, err := client.Dial(addr)
@@ -210,6 +233,7 @@ func TestDisconnectCancelsInflight(t *testing.T) {
 	if err := c2.Ping(); err != nil {
 		t.Fatalf("ping after disconnect-cancel: %v", err)
 	}
+	mark.waitHome(t)
 }
 
 // TestDisconnectMidFetchReleasesArena: a cursor abandoned mid-stream (client
@@ -372,5 +396,102 @@ func TestClientRetryMemBudget(t *testing.T) {
 	var werr *server.WireError
 	if !errors.As(qerr, &werr) || werr.Code != server.ErrMemBudget {
 		t.Fatalf("without retry: got %v, want wire code MEM_BUDGET", qerr)
+	}
+}
+
+// dirBytes reads every file of a durable directory, keyed by name.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(b)
+	}
+	return out
+}
+
+// TestMaterializeCancelAndDeadline: MATERIALIZE runs under the same
+// per-request context as EXEC. A CANCEL frame and the request deadline both
+// abort it with their wire codes before anything commits — catalog and
+// write-ahead log byte-identical — with every arena back in the pool and the
+// writer lock free, so the same connection's next MATERIALIZE commits.
+func TestMaterializeCancelAndDeadline(t *testing.T) {
+	cases := []struct {
+		name    string
+		timeout time.Duration // 0 = the server default, far beyond the test
+		want    uint16
+	}{
+		{"cancel", 0, server.ErrCanceled},
+		{"deadline", 400 * time.Millisecond, server.ErrTimeout},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := sql.InitDir(dir, testStore(t, 500))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			_, addr := startServer(t, db, server.Config{RequestTimeout: tc.timeout})
+			conn, err := client.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+
+			const victim = "SELECT * FROM R AS a, R AS b WHERE a.YEARSCH = 17"
+			entered, release := blockOnce(t, victim)
+			catalog, files := db.Relations(), dirBytes(t, dir)
+			mark := markArenas()
+			errc := make(chan error, 1)
+			go func() {
+				_, merr := conn.Materialize("big", victim)
+				errc <- merr
+			}()
+			select {
+			case <-entered:
+			case <-time.After(10 * time.Second):
+				t.Fatal("MATERIALIZE never reached the executor")
+			}
+			if tc.timeout == 0 {
+				if err := conn.Cancel(); err != nil {
+					t.Fatalf("sending CANCEL: %v", err)
+				}
+				// Let the out-of-band frame reach the server's reader before
+				// the statement proceeds to its first checkpoint.
+				time.Sleep(200 * time.Millisecond)
+			} else {
+				time.Sleep(tc.timeout + 100*time.Millisecond)
+			}
+			close(release)
+
+			merr := <-errc
+			var werr *server.WireError
+			if !errors.As(merr, &werr) || werr.Code != tc.want {
+				t.Fatalf("aborted MATERIALIZE: got %v, want wire code %d", merr, tc.want)
+			}
+			mark.waitHome(t)
+			if got := db.Relations(); !reflect.DeepEqual(got, catalog) {
+				t.Fatalf("catalog changed: %v, was %v", got, catalog)
+			}
+			if got := dirBytes(t, dir); !reflect.DeepEqual(got, files) {
+				t.Fatal("durable directory changed: an aborted MATERIALIZE reached the log")
+			}
+
+			const small = "SELECT YEARSCH, CITIZEN FROM R WHERE YEARSCH = 17"
+			if _, err := conn.Materialize("small", small); err != nil {
+				t.Fatalf("MATERIALIZE after the aborted one: %v", err)
+			}
+			if err := conn.DropRelation("small"); err != nil {
+				t.Fatalf("DROP after the aborted MATERIALIZE: %v", err)
+			}
+		})
 	}
 }

@@ -171,22 +171,22 @@ func (c *Conn) connect(ctx context.Context, addr string) error {
 	c.conn = nc
 	c.br = bufio.NewReaderSize(nc, 32<<10)
 	c.bw = bufio.NewWriterSize(nc, 32<<10)
-	var w wb
-	w.b = append(w.b, server.Magic...)
-	w.u16(server.ProtoVersion)
-	payload, err := c.round(server.OpHello, w.b, server.OpHelloOK)
+	var w server.WBuf
+	w.B = append(w.B, server.Magic...)
+	w.U16(server.ProtoVersion)
+	payload, err := c.round(server.OpHello, w.B, server.OpHelloOK)
 	if err != nil {
 		nc.Close()
 		return err
 	}
-	r := rb{b: payload}
-	v := r.u16()
+	r := server.RBuf{B: payload}
+	v := r.U16()
 	if v == 0 || v > server.ProtoVersion {
 		nc.Close()
 		return fmt.Errorf("client: server speaks protocol version %d, want ≤ %d", v, server.ProtoVersion)
 	}
 	c.proto = v
-	c.banner = r.str()
+	c.banner = r.Str()
 	return nil
 }
 
@@ -225,9 +225,9 @@ func (c *Conn) roundLocked(op byte, payload []byte, want byte) ([]byte, error) {
 		return nil, fmt.Errorf("client: reading response: %w", err)
 	}
 	if rop == server.OpErr {
-		r := rb{b: rpayload}
-		code := r.u16()
-		msg := r.str()
+		r := server.RBuf{B: rpayload}
+		code := r.U16()
+		msg := r.Str()
 		return nil, &server.WireError{Code: code, Msg: msg}
 	}
 	if rop != want {
@@ -299,21 +299,21 @@ type Stmt struct {
 // Prepare compiles a statement on the server; the plan caches server-side,
 // and the returned Stmt executes it any number of times with bound args.
 func (c *Conn) Prepare(text string) (*Stmt, error) {
-	var w wb
-	w.str(text)
-	payload, err := c.round(server.OpPrepare, w.b, server.OpPrepared)
+	var w server.WBuf
+	w.Str(text)
+	payload, err := c.round(server.OpPrepare, w.B, server.OpPrepared)
 	if err != nil {
 		return nil, err
 	}
-	r := rb{b: payload}
-	st := &Stmt{c: c, id: r.u32(), text: text}
-	st.nparams = int(r.u16())
-	ncols := int(r.u16())
+	r := server.RBuf{B: payload}
+	st := &Stmt{c: c, id: r.U32(), text: text}
+	st.nparams = int(r.U16())
+	ncols := int(r.U16())
 	for i := 0; i < ncols; i++ {
-		st.cols = append(st.cols, r.str())
+		st.cols = append(st.cols, r.Str())
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("client: malformed PREPARED response: %w", r.err)
+	if r.Err != nil {
+		return nil, fmt.Errorf("client: malformed PREPARED response: %w", r.Err)
 	}
 	return st, nil
 }
@@ -333,9 +333,9 @@ func (s *Stmt) Close() error {
 		return nil
 	}
 	s.closed = true
-	var w wb
-	w.u32(s.id)
-	_, err := s.c.round(server.OpCloseStmt, w.b, server.OpOK)
+	var w server.WBuf
+	w.U32(s.id)
+	_, err := s.c.round(server.OpCloseStmt, w.B, server.OpOK)
 	return err
 }
 
@@ -351,28 +351,28 @@ func (s *Stmt) Query(args ...any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	var w wb
-	w.u32(s.id)
-	w.u16(uint16(len(vals)))
+	var w server.WBuf
+	w.U32(s.id)
+	w.U16(uint16(len(vals)))
 	for _, v := range vals {
-		w.value(v)
+		w.Value(v)
 	}
-	payload, err := s.c.roundRetry(server.OpExec, w.b, server.OpExecOK)
+	payload, err := s.c.roundRetry(server.OpExec, w.B, server.OpExecOK)
 	if err != nil {
 		return nil, err
 	}
-	r := rb{b: payload}
+	r := server.RBuf{B: payload}
 	rows := &Rows{c: s.c, stmt: s}
-	rows.id = r.u32()
-	rows.mode = sql.Mode(r.u8())
-	rows.total = int(r.u32())
-	rows.stats = r.stats()
-	ncols := int(r.u16())
+	rows.id = r.U32()
+	rows.mode = sql.Mode(r.U8())
+	rows.total = int(r.U32())
+	rows.stats = r.Stats()
+	ncols := int(r.U16())
 	for i := 0; i < ncols; i++ {
-		rows.cols = append(rows.cols, r.str())
+		rows.cols = append(rows.cols, r.Str())
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("client: malformed EXECOK response: %w", r.err)
+	if r.Err != nil {
+		return nil, fmt.Errorf("client: malformed EXECOK response: %w", r.Err)
 	}
 	return rows, nil
 }
@@ -395,16 +395,16 @@ func (c *Conn) Query(text string, args ...any) (*Rows, error) {
 
 // Explain renders the server's Section 5 SQL rewriting of the statement.
 func (c *Conn) Explain(text string) (string, error) {
-	var w wb
-	w.str(text)
-	payload, err := c.round(server.OpExplain, w.b, server.OpExplained)
+	var w server.WBuf
+	w.Str(text)
+	payload, err := c.round(server.OpExplain, w.B, server.OpExplained)
 	if err != nil {
 		return "", err
 	}
-	r := rb{b: payload}
-	out := r.str()
-	if r.err != nil {
-		return "", fmt.Errorf("client: malformed EXPLAINED response: %w", r.err)
+	r := server.RBuf{B: payload}
+	out := r.Str()
+	if r.Err != nil {
+		return "", fmt.Errorf("client: malformed EXPLAINED response: %w", r.Err)
 	}
 	return out, nil
 }
@@ -418,30 +418,30 @@ func (c *Conn) Materialize(res, text string, args ...any) (engine.Stats, error) 
 	if err != nil {
 		return engine.Stats{}, err
 	}
-	var w wb
-	w.str(res)
-	w.str(text)
-	w.u16(uint16(len(vals)))
+	var w server.WBuf
+	w.Str(res)
+	w.Str(text)
+	w.U16(uint16(len(vals)))
 	for _, v := range vals {
-		w.value(v)
+		w.Value(v)
 	}
-	payload, err := c.round(server.OpMaterialize, w.b, server.OpMaterialized)
+	payload, err := c.round(server.OpMaterialize, w.B, server.OpMaterialized)
 	if err != nil {
 		return engine.Stats{}, err
 	}
-	r := rb{b: payload}
-	st := r.stats()
-	if r.err != nil {
-		return engine.Stats{}, fmt.Errorf("client: malformed MATERIALIZED response: %w", r.err)
+	r := server.RBuf{B: payload}
+	st := r.Stats()
+	if r.Err != nil {
+		return engine.Stats{}, fmt.Errorf("client: malformed MATERIALIZED response: %w", r.Err)
 	}
 	return st, nil
 }
 
 // DropRelation removes a user relation from the server's store.
 func (c *Conn) DropRelation(rel string) error {
-	var w wb
-	w.str(rel)
-	_, err := c.round(server.OpDrop, w.b, server.OpOK)
+	var w server.WBuf
+	w.Str(rel)
+	_, err := c.round(server.OpDrop, w.B, server.OpOK)
 	return err
 }
 
@@ -460,21 +460,21 @@ func (c *Conn) Catalog() ([]RelInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := rb{b: payload}
-	n := int(r.u32())
+	r := server.RBuf{B: payload}
+	n := int(r.U32())
 	out := make([]RelInfo, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		ri := RelInfo{Name: r.str()}
-		nattrs := int(r.u16())
+	for i := 0; i < n && r.Err == nil; i++ {
+		ri := RelInfo{Name: r.Str()}
+		nattrs := int(r.U16())
 		for j := 0; j < nattrs; j++ {
-			ri.Attrs = append(ri.Attrs, r.str())
+			ri.Attrs = append(ri.Attrs, r.Str())
 		}
-		ri.Stats = r.stats()
-		ri.Placeholders = int(r.u32())
+		ri.Stats = r.Stats()
+		ri.Placeholders = int(r.U32())
 		out = append(out, ri)
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("client: malformed CATALOG response: %w", r.err)
+	if r.Err != nil {
+		return nil, fmt.Errorf("client: malformed CATALOG response: %w", r.Err)
 	}
 	return out, nil
 }

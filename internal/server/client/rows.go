@@ -79,31 +79,31 @@ func (r *Rows) Next() bool {
 
 // fetch pulls the next batch of at most the connection's FETCH size.
 func (r *Rows) fetch() error {
-	var w wb
-	w.u32(r.id)
-	w.u32(uint32(r.c.fetch))
-	payload, err := r.c.round(server.OpFetch, w.b, server.OpRows)
+	var w server.WBuf
+	w.U32(r.id)
+	w.U32(uint32(r.c.fetch))
+	payload, err := r.c.round(server.OpFetch, w.B, server.OpRows)
 	if err != nil {
 		return err
 	}
-	p := rb{b: payload}
-	done := p.u8() == 1
-	r.hasConf = p.u8() == 1
-	n := int(p.u32())
+	p := server.RBuf{B: payload}
+	done := p.U8() == 1
+	r.hasConf = p.U8() == 1
+	n := int(p.U32())
 	r.batch = r.batch[:0]
 	r.confs = r.confs[:0]
-	for i := 0; i < n && p.err == nil; i++ {
+	for i := 0; i < n && p.Err == nil; i++ {
 		row := make([]relation.Value, len(r.cols))
 		for j := range row {
-			row[j] = p.value()
+			row[j] = p.Value()
 		}
 		if r.hasConf {
-			r.confs = append(r.confs, p.f64())
+			r.confs = append(r.confs, p.F64())
 		}
 		r.batch = append(r.batch, row)
 	}
-	if p.err != nil {
-		return fmt.Errorf("client: malformed ROWS frame: %w", p.err)
+	if p.Err != nil {
+		return fmt.Errorf("client: malformed ROWS frame: %w", p.Err)
 	}
 	r.done = done
 	r.cur = -1
@@ -180,9 +180,9 @@ func (r *Rows) Close() error {
 	r.confs = nil
 	var errClose error
 	if !r.done {
-		var w wb
-		w.u32(r.id)
-		_, errClose = r.c.round(server.OpCloseCursor, w.b, server.OpOK)
+		var w server.WBuf
+		w.U32(r.id)
+		_, errClose = r.c.round(server.OpCloseCursor, w.B, server.OpOK)
 	}
 	if err := r.release(); errClose == nil {
 		errClose = err

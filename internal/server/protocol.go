@@ -48,9 +48,9 @@ const (
 	OpCatalog     byte = 0x0A // empty
 	OpPing        byte = 0x0B // empty
 	// OpCancel (v2) is the only out-of-band request: it carries no payload,
-	// gets no response, and asks the server to cancel the EXEC currently
-	// running on this connection (a no-op when none is). The canceled EXEC
-	// itself answers OpErr/ErrCanceled.
+	// gets no response, and asks the server to cancel the EXEC or MATERIALIZE
+	// currently running on this connection (a no-op when none is). The
+	// canceled request itself answers OpErr/ErrCanceled.
 	OpCancel byte = 0x0C
 
 	OpOK           byte = 0x80 // empty
@@ -158,152 +158,155 @@ func ReadFrame(r io.Reader) (op byte, payload []byte, err error) {
 	return buf[0], buf[1:], nil
 }
 
-// wbuf builds a frame payload.
-type wbuf struct{ b []byte }
+// WBuf builds a frame payload in the field encodings of
+// docs/wire-protocol.md. It and RBuf are the one payload codec: the server
+// and internal/server/client both encode and decode through them.
+type WBuf struct{ B []byte }
 
-func (w *wbuf) u8(v byte)     { w.b = append(w.b, v) }
-func (w *wbuf) u16(v uint16)  { w.b = binary.BigEndian.AppendUint16(w.b, v) }
-func (w *wbuf) u32(v uint32)  { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *wbuf) i64(v int64)   { w.b = binary.BigEndian.AppendUint64(w.b, uint64(v)) }
-func (w *wbuf) f64(v float64) { w.b = binary.BigEndian.AppendUint64(w.b, math.Float64bits(v)) }
-func (w *wbuf) str(s string) {
-	w.u32(uint32(len(s)))
-	w.b = append(w.b, s...)
+func (w *WBuf) U8(v byte)     { w.B = append(w.B, v) }
+func (w *WBuf) U16(v uint16)  { w.B = binary.BigEndian.AppendUint16(w.B, v) }
+func (w *WBuf) U32(v uint32)  { w.B = binary.BigEndian.AppendUint32(w.B, v) }
+func (w *WBuf) I64(v int64)   { w.B = binary.BigEndian.AppendUint64(w.B, uint64(v)) }
+func (w *WBuf) F64(v float64) { w.B = binary.BigEndian.AppendUint64(w.B, math.Float64bits(v)) }
+func (w *WBuf) Str(s string) {
+	w.U32(uint32(len(s)))
+	w.B = append(w.B, s...)
 }
 
-func (w *wbuf) value(v relation.Value) {
+func (w *WBuf) Value(v relation.Value) {
 	switch v.Kind() {
 	case relation.KindInt:
-		w.u8(tagInt)
-		w.i64(v.AsInt())
+		w.U8(tagInt)
+		w.I64(v.AsInt())
 	case relation.KindString:
-		w.u8(tagString)
-		w.str(v.AsString())
+		w.U8(tagString)
+		w.Str(v.AsString())
 	case relation.KindPlaceholder:
-		w.u8(tagPlaceholder)
+		w.U8(tagPlaceholder)
 	default:
-		w.u8(tagBottom)
+		w.U8(tagBottom)
 	}
 }
 
-func (w *wbuf) stats(st engine.Stats) {
-	w.i64(int64(st.NumComp))
-	w.i64(int64(st.NumCompGT1))
-	w.i64(int64(st.CSize))
-	w.i64(int64(st.RSize))
+func (w *WBuf) Stats(st engine.Stats) {
+	w.I64(int64(st.NumComp))
+	w.I64(int64(st.NumCompGT1))
+	w.I64(int64(st.CSize))
+	w.I64(int64(st.RSize))
 }
 
-// rbuf decodes a frame payload. Errors are sticky: the first underflow or
-// malformed field poisons the reader, and callers check err once at the end —
-// a truncated payload can never read out of bounds or be half-applied.
-type rbuf struct {
-	b   []byte
+// RBuf decodes a frame payload. Errors are sticky: the first underflow or
+// malformed field poisons the reader, and callers check Err (or Done) once at
+// the end — a truncated payload can never read out of bounds or be
+// half-applied.
+type RBuf struct {
+	B   []byte
 	off int
-	err error
+	Err error
 }
 
-func (r *rbuf) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("payload truncated at byte %d", r.off)
+func (r *RBuf) fail() {
+	if r.Err == nil {
+		r.Err = fmt.Errorf("payload truncated at byte %d", r.off)
 	}
 }
 
-func (r *rbuf) take(n int) []byte {
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
+func (r *RBuf) Take(n int) []byte {
+	if r.Err != nil || n < 0 || r.off+n > len(r.B) {
 		r.fail()
 		return nil
 	}
-	out := r.b[r.off : r.off+n]
+	out := r.B[r.off : r.off+n]
 	r.off += n
 	return out
 }
 
-func (r *rbuf) u8() byte {
-	b := r.take(1)
+func (r *RBuf) U8() byte {
+	b := r.Take(1)
 	if b == nil {
 		return 0
 	}
 	return b[0]
 }
 
-func (r *rbuf) u16() uint16 {
-	b := r.take(2)
+func (r *RBuf) U16() uint16 {
+	b := r.Take(2)
 	if b == nil {
 		return 0
 	}
 	return binary.BigEndian.Uint16(b)
 }
 
-func (r *rbuf) u32() uint32 {
-	b := r.take(4)
+func (r *RBuf) U32() uint32 {
+	b := r.Take(4)
 	if b == nil {
 		return 0
 	}
 	return binary.BigEndian.Uint32(b)
 }
 
-func (r *rbuf) i64() int64 {
-	b := r.take(8)
+func (r *RBuf) I64() int64 {
+	b := r.Take(8)
 	if b == nil {
 		return 0
 	}
 	return int64(binary.BigEndian.Uint64(b))
 }
 
-func (r *rbuf) f64() float64 {
-	b := r.take(8)
+func (r *RBuf) F64() float64 {
+	b := r.Take(8)
 	if b == nil {
 		return 0
 	}
 	return math.Float64frombits(binary.BigEndian.Uint64(b))
 }
 
-func (r *rbuf) str() string {
-	n := int(r.u32())
-	if r.err == nil && n > len(r.b)-r.off {
+func (r *RBuf) Str() string {
+	n := int(r.U32())
+	if r.Err == nil && n > len(r.B)-r.off {
 		// Declared string length beyond the payload: poison instead of
 		// allocating on attacker-controlled sizes.
 		r.fail()
 		return ""
 	}
-	return string(r.take(n))
+	return string(r.Take(n))
 }
 
-func (r *rbuf) value() relation.Value {
-	switch tag := r.u8(); tag {
+func (r *RBuf) Value() relation.Value {
+	switch tag := r.U8(); tag {
 	case tagInt:
-		return relation.Int(r.i64())
+		return relation.Int(r.I64())
 	case tagString:
-		return relation.String(r.str())
+		return relation.String(r.Str())
 	case tagPlaceholder:
 		return relation.Placeholder()
 	case tagBottom:
 		return relation.Bottom()
 	default:
-		if r.err == nil {
-			r.err = fmt.Errorf("unknown value tag %d at byte %d", tag, r.off-1)
+		if r.Err == nil {
+			r.Err = fmt.Errorf("unknown value tag %d at byte %d", tag, r.off-1)
 		}
 		return relation.Bottom()
 	}
 }
 
-func (r *rbuf) stats() engine.Stats {
+func (r *RBuf) Stats() engine.Stats {
 	return engine.Stats{
-		NumComp:    int(r.i64()),
-		NumCompGT1: int(r.i64()),
-		CSize:      int(r.i64()),
-		RSize:      int(r.i64()),
+		NumComp:    int(r.I64()),
+		NumCompGT1: int(r.I64()),
+		CSize:      int(r.I64()),
+		RSize:      int(r.I64()),
 	}
 }
 
-// done reports leftover bytes as an error: every request payload must be
+// Done reports leftover bytes as an error: every request payload must be
 // consumed exactly, so garbage appended to a well-formed request is caught.
-func (r *rbuf) done() error {
-	if r.err != nil {
-		return r.err
+func (r *RBuf) Done() error {
+	if r.Err != nil {
+		return r.Err
 	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("%d trailing bytes after payload", len(r.b)-r.off)
+	if r.off != len(r.B) {
+		return fmt.Errorf("%d trailing bytes after payload", len(r.B)-r.off)
 	}
 	return nil
 }

@@ -222,8 +222,8 @@ func (s *Server) GlobalUsed() int64 { return s.global.Used() }
 
 // errPayload builds an OpErr payload.
 func errPayload(code uint16, msg string) []byte {
-	var w wbuf
-	w.u16(code)
-	w.str(msg)
-	return w.b
+	var w WBuf
+	w.U16(code)
+	w.Str(msg)
+	return w.B
 }

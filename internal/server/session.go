@@ -106,6 +106,25 @@ func (s *session) cancelInflight() {
 	s.curMu.Unlock()
 }
 
+// beginRequest builds the context an executing request (EXEC, MATERIALIZE)
+// runs under: the RequestTimeout deadline, canceled early by a CANCEL frame,
+// a disconnect, or forced shutdown. The memory guard hook rides along so
+// arena growth is charged while the statement runs. Pair with endRequest.
+func (s *session) beginRequest() (context.Context, time.Time) {
+	deadline := time.Now().Add(s.srv.cfg.RequestTimeout)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	ctx = sql.WithMemGuard(ctx, func(delta int64) error { return s.memGrow(delta, deadline) })
+	s.setInflight(cancel)
+	return ctx, deadline
+}
+
+// endRequest retires the request begun by beginRequest and returns its
+// mid-flight memory reservation.
+func (s *session) endRequest() {
+	s.clearInflight()
+	s.settleReserved()
+}
+
 // errMidBudget marks a query aborted mid-flight by the memory guard; the
 // wire code is ErrMemBudget, same as a cursor-open rejection.
 var errMidBudget = errors.New("memory budget exceeded mid-query")
@@ -306,10 +325,10 @@ func (s *session) handshake() *protoErr {
 	if op != OpHello {
 		return perr(ErrProtocol, "expected HELLO, got opcode 0x%02x", op)
 	}
-	r := rbuf{b: payload}
-	magic := string(r.take(len(Magic)))
-	version := r.u16()
-	if err := r.done(); err != nil || magic != Magic {
+	r := RBuf{B: payload}
+	magic := string(r.Take(len(Magic)))
+	version := r.U16()
+	if err := r.Done(); err != nil || magic != Magic {
 		return perr(ErrProtocol, "bad handshake (not a %s client?)", Magic)
 	}
 	if version > ProtoVersion {
@@ -317,10 +336,10 @@ func (s *session) handshake() *protoErr {
 	}
 	// Echo the client's (validated) version: a v1 client on a v2 server keeps
 	// its v1 contract — CANCEL simply never arrives from it.
-	var w wbuf
-	w.u16(version)
-	w.str("maybmsd")
-	if !s.reply(OpHelloOK, w.b) {
+	var w WBuf
+	w.U16(version)
+	w.Str("maybmsd")
+	if !s.reply(OpHelloOK, w.B) {
 		return perr(ErrProtocol, "handshake reply failed").asFatal()
 	}
 	return nil
@@ -333,10 +352,10 @@ func (s *session) dispatch(op byte, payload []byte) (byte, []byte, *protoErr) {
 	if s.srv.draining.Load() {
 		return 0, nil, perr(ErrShutdown, "server is draining").asFatal()
 	}
-	r := rbuf{b: payload}
+	r := RBuf{B: payload}
 	switch op {
 	case OpPing:
-		if err := r.done(); err != nil {
+		if err := r.Done(); err != nil {
 			return 0, nil, perr(ErrProtocol, "PING: %v", err)
 		}
 		return OpOK, nil, nil
@@ -347,8 +366,8 @@ func (s *session) dispatch(op byte, payload []byte) (byte, []byte, *protoErr) {
 	case OpFetch:
 		return s.fetch(&r)
 	case OpCloseCursor:
-		id := r.u32()
-		if err := r.done(); err != nil {
+		id := r.U32()
+		if err := r.Done(); err != nil {
 			return 0, nil, perr(ErrProtocol, "CLOSE_CURSOR: %v", err)
 		}
 		c, ok := s.cursors[id]
@@ -358,8 +377,8 @@ func (s *session) dispatch(op byte, payload []byte) (byte, []byte, *protoErr) {
 		s.closeCursor(id, c)
 		return OpOK, nil, nil
 	case OpCloseStmt:
-		id := r.u32()
-		if err := r.done(); err != nil {
+		id := r.U32()
+		if err := r.Done(); err != nil {
 			return 0, nil, perr(ErrProtocol, "CLOSE_STMT: %v", err)
 		}
 		st, ok := s.stmts[id]
@@ -370,22 +389,22 @@ func (s *session) dispatch(op byte, payload []byte) (byte, []byte, *protoErr) {
 		delete(s.stmts, id)
 		return OpOK, nil, nil
 	case OpExplain:
-		text := r.str()
-		if err := r.done(); err != nil {
+		text := r.Str()
+		if err := r.Done(); err != nil {
 			return 0, nil, perr(ErrProtocol, "EXPLAIN: %v", err)
 		}
 		out, err := s.srv.db.Explain(text)
 		if err != nil {
 			return 0, nil, perr(ErrSQL, "%v", err)
 		}
-		var w wbuf
-		w.str(out)
-		return OpExplained, w.b, nil
+		var w WBuf
+		w.Str(out)
+		return OpExplained, w.B, nil
 	case OpMaterialize:
 		return s.materialize(&r)
 	case OpDrop:
-		rel := r.str()
-		if err := r.done(); err != nil {
+		rel := r.Str()
+		if err := r.Done(); err != nil {
 			return 0, nil, perr(ErrProtocol, "DROP: %v", err)
 		}
 		if s.srv.db.Schema(rel) == nil {
@@ -394,7 +413,7 @@ func (s *session) dispatch(op byte, payload []byte) (byte, []byte, *protoErr) {
 		s.srv.db.DropRelation(rel)
 		return OpOK, nil, nil
 	case OpCatalog:
-		if err := r.done(); err != nil {
+		if err := r.Done(); err != nil {
 			return 0, nil, perr(ErrProtocol, "CATALOG: %v", err)
 		}
 		return s.catalog()
@@ -402,9 +421,9 @@ func (s *session) dispatch(op byte, payload []byte) (byte, []byte, *protoErr) {
 	return 0, nil, perr(ErrProtocol, "unknown opcode 0x%02x", op)
 }
 
-func (s *session) prepare(r *rbuf) (byte, []byte, *protoErr) {
-	text := r.str()
-	if err := r.done(); err != nil {
+func (s *session) prepare(r *RBuf) (byte, []byte, *protoErr) {
+	text := r.Str()
+	if err := r.Done(); err != nil {
 		return 0, nil, perr(ErrProtocol, "PREPARE: %v", err)
 	}
 	st, err := s.srv.db.Prepare(text)
@@ -414,41 +433,34 @@ func (s *session) prepare(r *rbuf) (byte, []byte, *protoErr) {
 	s.nextStmt++
 	id := s.nextStmt
 	s.stmts[id] = st
-	var w wbuf
-	w.u32(id)
-	w.u16(uint16(st.NumParams()))
+	var w WBuf
+	w.U32(id)
+	w.U16(uint16(st.NumParams()))
 	cols := st.Columns()
-	w.u16(uint16(len(cols)))
+	w.U16(uint16(len(cols)))
 	for _, c := range cols {
-		w.str(c)
+		w.Str(c)
 	}
-	return OpPrepared, w.b, nil
+	return OpPrepared, w.B, nil
 }
 
-func (s *session) exec(r *rbuf) (byte, []byte, *protoErr) {
-	id := r.u32()
-	nargs := int(r.u16())
+func (s *session) exec(r *RBuf) (byte, []byte, *protoErr) {
+	id := r.U32()
+	nargs := int(r.U16())
 	args := make([]any, 0, nargs)
-	for i := 0; i < nargs && r.err == nil; i++ {
-		args = append(args, r.value())
+	for i := 0; i < nargs && r.Err == nil; i++ {
+		args = append(args, r.Value())
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return 0, nil, perr(ErrProtocol, "EXEC: %v", err)
 	}
 	st, ok := s.stmts[id]
 	if !ok {
 		return 0, nil, perr(ErrUnknownStmt, "no prepared statement %d", id)
 	}
-	// Per-request context: the RequestTimeout deadline, canceled early by a
-	// CANCEL frame, a disconnect, or forced shutdown. The memory guard hook
-	// rides along so arena growth is charged while the query runs.
-	deadline := time.Now().Add(s.srv.cfg.RequestTimeout)
-	ctx, cancel := context.WithDeadline(context.Background(), deadline)
-	ctx = sql.WithMemGuard(ctx, func(delta int64) error { return s.memGrow(delta, deadline) })
-	s.setInflight(cancel)
+	ctx, deadline := s.beginRequest()
 	rows, err := st.QueryContext(ctx, args...)
-	s.clearInflight()
-	s.settleReserved()
+	s.endRequest()
 	if err != nil {
 		return 0, nil, perr(execErrCode(err), "%v", err)
 	}
@@ -488,16 +500,16 @@ func (s *session) exec(r *rbuf) (byte, []byte, *protoErr) {
 	cid := s.nextCursor
 	s.cursors[cid] = c
 
-	var w wbuf
-	w.u32(cid)
-	w.u8(byte(res.Mode))
-	w.u32(uint32(c.total))
-	w.stats(res.Stats)
-	w.u16(uint16(len(cols)))
+	var w WBuf
+	w.U32(cid)
+	w.U8(byte(res.Mode))
+	w.U32(uint32(c.total))
+	w.Stats(res.Stats)
+	w.U16(uint16(len(cols)))
 	for _, col := range cols {
-		w.str(col)
+		w.Str(col)
 	}
-	return OpExecOK, w.b, nil
+	return OpExecOK, w.B, nil
 }
 
 // fetch streams the next batch of a cursor: at most min(asked, FetchBatch)
@@ -505,10 +517,10 @@ func (s *session) exec(r *rbuf) (byte, []byte, *protoErr) {
 // is never rendered into one response buffer. An exhausted cursor reports
 // done and is closed server-side (its arena returns to the pool at once);
 // the client treats done as an implicit CLOSE_CURSOR.
-func (s *session) fetch(r *rbuf) (byte, []byte, *protoErr) {
-	id := r.u32()
-	asked := int(r.u32())
-	if err := r.done(); err != nil {
+func (s *session) fetch(r *RBuf) (byte, []byte, *protoErr) {
+	id := r.U32()
+	asked := int(r.U32())
+	if err := r.Done(); err != nil {
 		return 0, nil, perr(ErrProtocol, "FETCH: %v", err)
 	}
 	c, ok := s.cursors[id]
@@ -518,15 +530,15 @@ func (s *session) fetch(r *rbuf) (byte, []byte, *protoErr) {
 	if asked <= 0 || asked > s.srv.cfg.FetchBatch {
 		asked = s.srv.cfg.FetchBatch
 	}
-	var w wbuf
-	w.u8(0) // done flag, patched below
+	var w WBuf
+	w.U8(0) // done flag, patched below
 	if c.hasConf {
-		w.u8(1)
+		w.U8(1)
 	} else {
-		w.u8(0)
+		w.U8(0)
 	}
-	countAt := len(w.b)
-	w.u32(0) // row count, patched below
+	countAt := len(w.B)
+	w.U32(0) // row count, patched below
 	n := 0
 	for n < asked && c.rows.Next() {
 		if err := c.rows.Scan(c.dests...); err != nil {
@@ -535,58 +547,60 @@ func (s *session) fetch(r *rbuf) (byte, []byte, *protoErr) {
 			return 0, nil, perr(ErrInternal, "scanning row %d: %v", c.fetched+n, err)
 		}
 		for _, v := range c.vals {
-			w.value(v)
+			w.Value(v)
 		}
 		if c.hasConf {
-			w.f64(c.rows.Conf())
+			w.F64(c.rows.Conf())
 		}
 		n++
 	}
 	c.fetched += n
-	putU32(w.b[countAt:], uint32(n))
+	putU32(w.B[countAt:], uint32(n))
 	if c.fetched >= c.total {
-		w.b[0] = 1
+		w.B[0] = 1
 		s.closeCursor(id, c)
 	}
-	return OpRows, w.b, nil
+	return OpRows, w.B, nil
 }
 
-func (s *session) materialize(r *rbuf) (byte, []byte, *protoErr) {
-	res := r.str()
-	text := r.str()
-	nargs := int(r.u16())
+func (s *session) materialize(r *RBuf) (byte, []byte, *protoErr) {
+	res := r.Str()
+	text := r.Str()
+	nargs := int(r.U16())
 	args := make([]any, 0, nargs)
-	for i := 0; i < nargs && r.err == nil; i++ {
-		args = append(args, r.value())
+	for i := 0; i < nargs && r.Err == nil; i++ {
+		args = append(args, r.Value())
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return 0, nil, perr(ErrProtocol, "MATERIALIZE: %v", err)
 	}
-	result, err := s.srv.db.Materialize(res, text, args...)
+	ctx, _ := s.beginRequest()
+	result, err := s.srv.db.MaterializeContext(ctx, res, text, args...)
+	s.endRequest()
 	if err != nil {
-		return 0, nil, perr(ErrSQL, "%v", err)
+		return 0, nil, perr(execErrCode(err), "%v", err)
 	}
-	var w wbuf
-	w.stats(result.Stats)
-	return OpMaterialized, w.b, nil
+	var w WBuf
+	w.Stats(result.Stats)
+	return OpMaterialized, w.B, nil
 }
 
 func (s *session) catalog() (byte, []byte, *protoErr) {
 	db := s.srv.db
 	rels := db.Relations()
-	var w wbuf
-	w.u32(uint32(len(rels)))
+	var w WBuf
+	w.U32(uint32(len(rels)))
 	for _, name := range rels {
-		w.str(name)
+		w.Str(name)
 		attrs := db.Schema(name)
-		w.u16(uint16(len(attrs)))
+		w.U16(uint16(len(attrs)))
 		for _, a := range attrs {
-			w.str(a)
+			w.Str(a)
 		}
-		w.stats(db.Stats(name))
-		w.u32(uint32(db.Placeholders(name)))
+		w.Stats(db.Stats(name))
+		w.U32(uint32(db.Placeholders(name)))
 	}
-	return OpCatalogR, w.b, nil
+	return OpCatalogR, w.B, nil
 }
 
 // execErrCode maps an execution error to its wire code: the engine's

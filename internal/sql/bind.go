@@ -60,30 +60,3 @@ func bindExpr(e Expr, args []relation.Value) Expr {
 	}
 	return e
 }
-
-// bindStmt returns a copy of the statement with all parameters bound; the
-// per-world planner compiles the bound copy directly.
-func bindStmt(st *Stmt, args []relation.Value) (*Stmt, error) {
-	if err := checkArgs(st.NumParams, args); err != nil {
-		return nil, err
-	}
-	if st.NumParams == 0 {
-		return st, nil
-	}
-	out := *st
-	out.Query = bindNode(st.Query, args)
-	out.NumParams = 0
-	return &out, nil
-}
-
-func bindNode(n Node, args []relation.Value) Node {
-	switch n := n.(type) {
-	case *SelectNode:
-		c := *n
-		c.Where = bindExpr(n.Where, args)
-		return &c
-	case SetNode:
-		return SetNode{Op: n.Op, L: bindNode(n.L, args), R: bindNode(n.R, args)}
-	}
-	return n
-}

@@ -10,12 +10,12 @@ import (
 
 // TestQueryContextPreCanceled: a context canceled before the query starts is
 // noticed by the eager guard checkpoint — even a query too small to reach an
-// amortized one — and the pooled arena goes straight back to the pool.
+// amortized one — and no pooled arena stays out.
 func TestQueryContextPreCanceled(t *testing.T) {
 	db := Open(tinyStore(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	before := engine.ArenaReleases()
+	acquired, released := engine.ArenaAcquires(), engine.ArenaReleases()
 	_, err := db.QueryContext(ctx, "SELECT CONF() FROM R WHERE A = 1")
 	if err == nil {
 		t.Fatal("query on a pre-canceled context succeeded")
@@ -26,7 +26,7 @@ func TestQueryContextPreCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not chain context.Canceled", err)
 	}
-	if engine.ArenaReleases() == before {
+	if engine.ArenaAcquires()-acquired != engine.ArenaReleases()-released {
 		t.Fatal("aborted query did not release its pooled arena")
 	}
 }
@@ -131,5 +131,37 @@ func TestShardedModeQueryCanceled(t *testing.T) {
 	_, err := db.QueryContext(ctx, "SELECT CONF() FROM R WHERE A < 10")
 	if !errors.Is(err, engine.ErrCanceled) {
 		t.Fatalf("sharded mode-query cancel: got %v, want engine.ErrCanceled", err)
+	}
+}
+
+// TestShardedFoldUnderMemGuard: the coordinator's merge and fold run after
+// the shard arenas are gone, so they checkpoint against the request context
+// alone. A sharded across-world query with more mass rows than one
+// checkpoint period, under a context carrying a memory hook (every served
+// request), used to crash there on a guard with a hook but no arena to probe.
+func TestShardedFoldUnderMemGuard(t *testing.T) {
+	store := shardedStore(t, 5, 4000)
+	const q = "SELECT POSSIBLE A, B, C FROM R"
+	want := modeTable(t, mustQuery(t, Open(store), q))
+	if len(want) <= 1024 {
+		t.Fatalf("%d answers; the merge must tick past one checkpoint period", len(want))
+	}
+	db := Open(store)
+	if err := db.EnableSharding(2, 2); err != nil {
+		t.Fatal(err)
+	}
+	ctx := WithMemGuard(context.Background(), func(int64) error { return nil })
+	rows, err := db.QueryContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := modeTable(t, rows)
+	if len(got) != len(want) {
+		t.Fatalf("%d answers, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("answer %d: %s, want %s", i, got[i], want[i])
+		}
 	}
 }

@@ -3,6 +3,7 @@ package sql
 import (
 	"testing"
 
+	"maybms/internal/bridge"
 	"maybms/internal/census"
 	"maybms/internal/engine"
 )
@@ -35,18 +36,31 @@ func runCensusSQL(t *testing.T, s *engine.Store, name, res string) *Result {
 	if name == "Q5" {
 		for _, in := range []string{"Q2", "Q3"} {
 			tgt := map[string]string{"Q2": "q2", "Q3": "q3"}[in]
-			if _, err := Exec(s, CensusSQL[in], tgt); err != nil {
+			if _, err := execSQL(s, CensusSQL[in], tgt); err != nil {
 				t.Fatalf("%s (input of Q5): %v", in, err)
 			}
 		}
 		defer s.DropRelation("q3")
 		defer s.DropRelation("q2")
 	}
-	r, err := Exec(s, CensusSQL[name], res)
+	r, err := execSQL(s, CensusSQL[name], res)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	return r
+}
+
+// runHandBuilt evaluates the hand-built census.Run plan of a Figure 29 query
+// on an arena over s and commits it, landing res in the store.
+func runHandBuilt(t *testing.T, s *engine.Store, name, res string) {
+	t.Helper()
+	ar := engine.NewArena(s.Snapshot())
+	if err := census.Run(ar, name, "R", res); err != nil {
+		t.Fatalf("%s: hand-built: %v", name, err)
+	}
+	if err := ar.Commit(); err != nil {
+		t.Fatalf("%s: hand-built: %v", name, err)
+	}
 }
 
 // TestCensusSQLStatsMatchHandBuilt is the acceptance check for the SQL
@@ -61,9 +75,7 @@ func TestCensusSQLStatsMatchHandBuilt(t *testing.T) {
 	for _, name := range census.QueryNames {
 		hand := store.Clone()
 		viaSQL := store.Clone()
-		if err := census.Run(hand, name, "R", "res"); err != nil {
-			t.Fatalf("%s: hand-built: %v", name, err)
-		}
+		runHandBuilt(t, hand, name, "res")
 		runCensusSQL(t, viaSQL, name, "res")
 		want := hand.Stats("res")
 		got := viaSQL.Stats("res")
@@ -86,9 +98,7 @@ func TestCensusSQLStatsMatchAfterChase(t *testing.T) {
 	for _, name := range census.QueryNames {
 		hand := store.Clone()
 		viaSQL := store.Clone()
-		if err := census.Run(hand, name, "R", "res"); err != nil {
-			t.Fatalf("%s: hand-built: %v", name, err)
-		}
+		runHandBuilt(t, hand, name, "res")
 		runCensusSQL(t, viaSQL, name, "res")
 		if got, want := viaSQL.Stats("res"), hand.Stats("res"); got != want {
 			t.Fatalf("%s: SQL stats %+v diverge from hand-built %+v", name, got, want)
@@ -111,7 +121,7 @@ func TestCensusSQLAgainstOracle(t *testing.T) {
 		if _, err := census.AddNoise(s, "R", 0.002, 4); err != nil {
 			t.Fatal(err)
 		}
-		w, err := s.ToWSD()
+		w, err := bridge.ToWSD(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,10 +137,10 @@ func TestCensusSQLAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: per-world: %v", name, err)
 		}
-		if _, err := Exec(s, CensusSQL[name], "P"); err != nil {
+		if _, err := execSQL(s, CensusSQL[name], "P"); err != nil {
 			t.Fatalf("%s: engine: %v", name, err)
 		}
-		got, err := s.RepRelation("P", 1<<22)
+		got, err := bridge.RepRelation(s, "P", 1<<22)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -25,7 +25,7 @@ func TestConfOverExcept(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: per-world: %v", q, err)
 		}
-		got, err := Exec(s, q, "P")
+		got, err := execSQL(s, q, "P")
 		if err != nil {
 			t.Fatalf("%s: engine: %v", q, err)
 		}
@@ -33,7 +33,7 @@ func TestConfOverExcept(t *testing.T) {
 			t.Fatalf("%s: %d tuples on engine path, %d per world", q, len(got.Tuples), len(want.Tuples))
 		}
 		for i := range got.Tuples {
-			if !got.Tuples[i].Tuple.Equal(want.Tuples[i].Tuple) {
+			if !relTuple(got.Tuples[i].Tuple).Equal(want.Tuples[i].Tuple) {
 				t.Fatalf("%s: tuple %d: %v vs %v", q, i, got.Tuples[i].Tuple, want.Tuples[i].Tuple)
 			}
 			if math.Abs(got.Tuples[i].Conf-want.Tuples[i].Conf) > 1e-9 {

@@ -1,52 +1,6 @@
 package sql
 
-import (
-	"testing"
-
-	"maybms/internal/engine"
-)
-
-// TestConfQueriesNeverCrossWSDBridge asserts the PR 4 contract: CONF(),
-// POSSIBLE and CERTAIN execute natively on the columnar engine, with zero
-// core.WSD construction on the query path. The engine counts bridge
-// crossings (engine.BridgeConversions); the counter must stay flat across
-// across-world executions — including repeated pooled executions of a
-// prepared statement — and across plain queries for good measure.
-func TestConfQueriesNeverCrossWSDBridge(t *testing.T) {
-	s := tinyStore(t)
-	db := Open(s)
-	defer db.Close()
-	queries := []string{
-		"SELECT CONF() FROM R WHERE A = 2",
-		"SELECT CONF() FROM R, S WHERE A = C",
-		"SELECT POSSIBLE B FROM R",
-		"SELECT CERTAIN B FROM R WHERE B <= 30",
-		"SELECT CONF() FROM R WHERE A = 999", // empty result
-		"SELECT * FROM R WHERE A = 1",        // plain, for good measure
-	}
-	before := engine.BridgeConversions()
-	for _, q := range queries {
-		stmt, err := db.Prepare(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		for rep := 0; rep < 3; rep++ {
-			rows, err := stmt.Query()
-			if err != nil {
-				t.Fatalf("%s: %v", q, err)
-			}
-			for rows.Next() {
-				rows.Conf()
-			}
-			if err := rows.Close(); err != nil {
-				t.Fatalf("%s: %v", q, err)
-			}
-		}
-	}
-	if after := engine.BridgeConversions(); after != before {
-		t.Fatalf("query path crossed the WSD bridge %d times; want 0", after-before)
-	}
-}
+import "testing"
 
 // TestConfEmptyResult checks the native path's handling of an empty result:
 // no possible tuples, no error (the WSD bridge could not even express this —

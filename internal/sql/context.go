@@ -8,8 +8,8 @@ import (
 
 // Query-lifecycle plumbing between the serving layer and the engine: the
 // server derives a context per request (timeout, CANCEL frame, connection
-// close) and attaches its memory ledger through WithMemGuard; the executors
-// below turn both into an engine.Guard wired to the query's arenas, so every
+// close) and attaches its memory ledger through WithMemGuard; the executor
+// turns both into an engine.Guard wired to the query's arenas, so every
 // operator row loop and confidence sweep is a cancellation point and arena
 // growth is charged against the budget while the result is being built.
 
@@ -45,8 +45,8 @@ func newExecGuard(ctx context.Context) *engine.Guard {
 	return g
 }
 
-// TestHookExec, when non-nil, is called at the start of every engine-path
-// execution with the statement text. It exists for the serving layer's
+// TestHookExec, when non-nil, is called at the start of every execution —
+// Query and, under the writer lock, Materialize — with the statement text. It exists for the serving layer's
 // lifecycle tests: blocking in the hook holds a query mid-execution so a
 // CANCEL or disconnect can race it deterministically, and panicking in it
 // simulates an engine defect for the containment tests. Never set outside

@@ -2,249 +2,122 @@ package sql
 
 import (
 	"context"
-	"fmt"
-	"sort"
 
-	"maybms/internal/confidence"
 	"maybms/internal/engine"
 	"maybms/internal/relation"
-	"maybms/internal/worlds"
+	"maybms/internal/shard"
 )
 
 // certainEps is the tolerance under which a confidence counts as 1.
 const certainEps = 1e-9
 
-// Executor is a compiled statement bound to an execution backend. The
-// engine path (native operators on the columnar store) and the per-world
-// reference path (naive evaluation over an explicit world-set) implement
-// the same contract, so callers — the session API above, tests, tools —
-// run either through one Query call.
-type Executor interface {
-	// Columns returns the output attribute names.
-	Columns() []string
-	// NumParams returns the number of ? placeholders to bind.
-	NumParams() int
-	// Query binds args positionally and executes the statement under ctx:
-	// cancellation and deadline are honored at engine checkpoints, and a
-	// WithMemGuard hook on the context is charged with arena growth.
-	Query(ctx context.Context, args []relation.Value) (*Result, error)
-}
-
-// runEngine binds a compiled template to a fresh scratch relation in a
-// private arena over the given snapshot and executes it there — the shared
-// store is never written, which is what lets many sessions run this
-// concurrently. Arenas come from the engine's pool (high-QPS prepared
-// queries reuse arena scratch instead of reallocating it). Plain results
-// stay in the arena under the scratch name (the returned Result owns the
-// arena; Rows.Close releases it back to the pool) — unless install is
-// non-empty, in which case the arena is committed into the store with the
-// result renamed into the user's namespace. Across-world modes materialize
-// nothing: the confidence table of the scratch result is computed natively
-// on the arena (engine.Arena.PossibleP — FieldID/component structures read
-// in place, no core.WSD construction) and the arena is released.
-func runEngine(ctx context.Context, snap *engine.Snapshot, tpl *EnginePlan, args []relation.Value, install string) (*Result, error) {
-	return runEngineConf(ctx, snap, tpl, args, install, 1)
-}
-
-// runEngineConf is runEngine with the across-world confidence fold striped
-// over foldWorkers goroutines (1 = serial; the sharded session passes its
-// worker-pool width for non-distributable mode queries). The parallel fold
-// is byte-identical to the serial one (engine.PossiblePParallel).
-func runEngineConf(ctx context.Context, snap *engine.Snapshot, tpl *EnginePlan, args []relation.Value, install string, foldWorkers int) (*Result, error) {
-	ar := engine.AcquireArena(snap)
-	keep := false
-	defer func() {
-		if !keep {
-			engine.ReleaseArena(ar)
-		}
-	}()
-	guard := newExecGuard(ctx)
-	ar.SetGuard(guard)
-	// One eager checkpoint before any work: a context canceled before the
-	// query starts (or between retries) is noticed even by a query too small
-	// to reach an amortized checkpoint.
-	if err := guard.Check(); err != nil {
-		return nil, err
+// execute is the one path from a compiled template to a Result. It binds
+// and runs the plan once per snapshot of the placement — the authority
+// snapshot alone, or one snapshot per shard (DB.placement chooses) — each on
+// a pooled private arena, so the shared store is never written and any
+// number of executions run concurrently. workers bounds the goroutines of
+// the fan-out, and of the confidence sweep when the authority runs alone.
+//
+// A plain result keeps one arena-owned segment per snapshot, in placement
+// order: the row partition distributes over the operators of a distributable
+// plan, so the segments concatenate. The returned Result owns the arenas;
+// Rows.Close (or Materialize) releases them. An across-world result
+// materializes nothing: each snapshot yields its pre-fold mass table and
+// releases its arena, the tables merge exactly (every group of independent
+// components lives in one part), and one canonical fold produces the
+// answers — which is what makes sharded CONF()/POSSIBLE/CERTAIN
+// byte-identical to unsharded.
+func execute(ctx context.Context, snaps []*engine.Snapshot, workers int, tpl *EnginePlan, args []relation.Value) (*Result, error) {
+	segs := make([]resultSeg, len(snaps))
+	parts := make([][]engine.TupleMasses, len(snaps))
+	// With a single placement the pool is free for the confidence sweep
+	// (byte-identical to the serial one); across shards each arena sweeps
+	// serially and the pool runs the shards.
+	sweepWorkers := 1
+	if len(snaps) == 1 && workers > 1 {
+		sweepWorkers = workers
 	}
-	scratch := ar.NewScratch()
-	plan, err := tpl.Bind(scratch, args)
-	if err != nil {
-		return nil, err
-	}
-	if err := plan.Run(ar); err != nil {
-		return nil, err
-	}
-	plan.DropTemps(ar)
-	out := &Result{Mode: tpl.Mode, Attrs: plan.OutAttrs}
-	if tpl.Mode == ModePlain {
-		if install != "" {
-			if err := ar.RenameRelation(scratch, install); err != nil {
-				return nil, fmt.Errorf("sql: installing result: %w", err)
+	var attrs []string
+	err := shard.EachSnapshotCtx(ctx, snaps, workers, func(i int, sn *engine.Snapshot) error {
+		ar := engine.AcquireArena(sn)
+		keep := false
+		defer func() {
+			if !keep {
+				engine.ReleaseArena(ar)
 			}
-			out.Relation = install
-			out.Stats = ar.Stats(install)
-			if err := ar.Commit(); err != nil {
-				return nil, fmt.Errorf("sql: installing result: %w", err)
-			}
-			return out, nil
+		}()
+		// Each arena gets its own guard over the shared request context:
+		// growth deltas stay per-arena while cancellation and the budget hook
+		// are common to the whole query.
+		guard := newExecGuard(ctx)
+		ar.SetGuard(guard)
+		// One eager checkpoint before any work: a context canceled before the
+		// query starts (or between retries) is noticed even by a query too
+		// small to reach an amortized checkpoint.
+		if err := guard.Check(); err != nil {
+			return err
 		}
-		out.Relation = scratch
-		out.Stats = ar.Stats(scratch)
-		out.arena = ar
-		out.rel = ar.Rel(scratch)
+		scratch := ar.NewScratch()
+		plan, err := tpl.Bind(scratch, args)
+		if err != nil {
+			return err
+		}
+		if err := plan.Run(ar); err != nil {
+			return err
+		}
+		plan.DropTemps(ar)
+		if i == 0 {
+			attrs = plan.OutAttrs
+		}
+		if tpl.Mode != ModePlain {
+			parts[i], err = ar.PossibleMassesParallel(scratch, sweepWorkers)
+			return err
+		}
+		segs[i] = resultSeg{arena: ar, rel: ar.Rel(scratch)}
 		keep = true
-		return out, nil
-	}
-	var native []engine.TupleConf
-	if foldWorkers > 1 {
-		native, err = ar.PossiblePParallel(scratch, foldWorkers)
-	} else {
-		native, err = ar.PossibleP(scratch)
-	}
-	if err != nil {
-		return nil, err
-	}
-	tcs := make([]confidence.TupleConf, 0, len(native))
-	for _, tc := range native {
-		if tpl.Mode == ModeCertain && tc.Conf < 1-certainEps {
-			continue
-		}
-		t := make(relation.Tuple, len(tc.Tuple))
-		for i, v := range tc.Tuple {
-			t[i] = relation.Int(int64(v))
-		}
-		tcs = append(tcs, confidence.TupleConf{Tuple: t, Conf: tc.Conf})
-	}
-	out.Tuples = tcs
-	return out, nil
-}
-
-// Exec parses and executes one statement against the engine store. A plain
-// query materializes its result as relation res (the caller owns dropping
-// it); CONF()/POSSIBLE/CERTAIN queries materialize nothing and return their
-// answers in Result.Tuples. EXPLAIN statements are rejected; use Explain.
-//
-// Deprecated: Exec re-lexes, re-parses and re-plans on every call and
-// needs a caller-managed result name. Use Open and DB.Prepare/DB.Query,
-// which reuse compiled plans, bind ? parameters, and scope result relations
-// to the session's arena. Exec is now a thin wrapper over a one-shot
-// snapshot + arena: execution never touches the store, and only a plain
-// query's final commit does.
-func Exec(s *engine.Store, input, res string) (*Result, error) {
-	st, err := Parse(input)
-	if err != nil {
-		return nil, err
-	}
-	if st.Explain {
-		return nil, fmt.Errorf("sql: statement is EXPLAIN; use Explain to render the rewriting")
-	}
-	return ExecStmt(s, st, res)
-}
-
-// ExecStmt executes a parsed statement against the engine store,
-// materializing plain results under res. All intermediates run under
-// session-scoped scratch names, so the only way res can clash with the
-// store is the final install — which is checked up front with a clear
-// error instead of surfacing a mid-plan engine failure.
-//
-// Deprecated: use Open and DB.Prepare/DB.Query (see Exec).
-func ExecStmt(s *engine.Store, st *Stmt, res string) (*Result, error) {
-	snap := s.Snapshot()
-	if st.Mode == ModePlain && snap.Rel(res) != nil {
-		return nil, fmt.Errorf("sql: result relation %q already exists in the store (drop it first or pick another name)", res)
-	}
-	tpl, err := compileEngine(st, catalogView{snap})
-	if err != nil {
-		return nil, err
-	}
-	install := res
-	if st.Mode != ModePlain {
-		install = ""
-	}
-	return runEngine(context.Background(), snap, tpl, nil, install)
-}
-
-// ExecWorlds executes a parsed statement under the per-world reference
-// semantics: the query is evaluated in every world of ws, and the mode is
-// applied across the resulting world-set. For non-probabilistic world-sets
-// CONF() fails, POSSIBLE reports Conf 0, and CERTAIN keeps the tuples
-// present in every world.
-//
-// Deprecated: use PrepareWorlds, which shares the Executor contract with
-// the engine path and binds ? parameters.
-func ExecWorlds(st *Stmt, ws *worlds.WorldSet, result string) (*Result, error) {
-	return execWorldsBound(st, ws, result, nil)
-}
-
-func execWorldsBound(st *Stmt, ws *worlds.WorldSet, result string, args []relation.Value) (*Result, error) {
-	if st.Explain {
-		return nil, fmt.Errorf("sql: statement is EXPLAIN; use Explain to render the rewriting")
-	}
-	bound, err := bindStmt(st, args)
-	if err != nil {
-		return nil, err
-	}
-	q, err := PlanWorlds(bound, ws.Schema)
-	if err != nil {
-		return nil, err
-	}
-	return evalWorlds(st.Mode, q, ws, result)
-}
-
-// evalWorlds evaluates a compiled per-world plan and applies the mode
-// across the resulting world-set.
-func evalWorlds(mode Mode, q worlds.Query, ws *worlds.WorldSet, result string) (*Result, error) {
-	outSchema, err := q.OutSchema(ws.Schema)
-	if err != nil {
-		return nil, err
-	}
-	evaluated, err := worlds.EvalWorldSet(q, ws, result)
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{Mode: mode, Attrs: outSchema.Attrs()}
-	if mode == ModePlain {
-		out.WorldSet = evaluated
-		return out, nil
-	}
-	prob := evaluated.Probabilistic()
-	if mode == ModeConf && !prob {
-		return nil, fmt.Errorf("sql: CONF() requires a probabilistic world-set")
-	}
-	type acc struct {
-		tuple relation.Tuple
-		conf  float64
-		n     int // worlds containing the tuple
-	}
-	sums := make(map[string]*acc)
-	for i, w := range evaluated.Worlds {
-		r := w.Rel(result)
-		for _, t := range r.Tuples() {
-			k := t.Key()
-			a := sums[k]
-			if a == nil {
-				a = &acc{tuple: t}
-				sums[k] = a
-			}
-			a.conf += evaluated.Probs[i]
-			a.n++
-		}
-	}
-	var tcs []confidence.TupleConf
-	for _, a := range sums {
-		if mode == ModeCertain {
-			if prob && a.conf < 1-certainEps {
-				continue
-			}
-			if !prob && a.n < evaluated.Size() {
-				continue
-			}
-		}
-		tcs = append(tcs, confidence.TupleConf{Tuple: a.tuple, Conf: a.conf})
-	}
-	sort.Slice(tcs, func(i, j int) bool {
-		return relation.CompareTuples(tcs[i].Tuple, tcs[j].Tuple) < 0
+		return nil
 	})
+	if err != nil {
+		for _, seg := range segs {
+			engine.ReleaseArena(seg.arena)
+		}
+		return nil, err
+	}
+	out := &Result{Mode: tpl.Mode, Attrs: attrs}
+	if tpl.Mode == ModePlain {
+		out.Relation = segs[0].rel.Name
+		out.segs = segs
+		for _, seg := range segs {
+			st := seg.arena.Stats(seg.rel.Name)
+			out.Stats.NumComp += st.NumComp
+			out.Stats.NumCompGT1 += st.NumCompGT1
+			out.Stats.CSize += st.CSize
+			out.Stats.RSize += st.RSize
+		}
+		return out, nil
+	}
+	// The merge and fold run on the coordinator after the arenas are gone;
+	// they watch the request context through a guard of their own.
+	guard := engine.NewGuard(ctx)
+	merged := parts[0]
+	if len(parts) > 1 {
+		if merged, err = engine.MergeMasses(guard, parts); err != nil {
+			return nil, err
+		}
+	}
+	tcs, err := engine.FoldMassTable(guard, merged)
+	if err != nil {
+		return nil, err
+	}
+	if tpl.Mode == ModeCertain {
+		kept := tcs[:0]
+		for _, tc := range tcs {
+			if tc.Conf >= 1-certainEps {
+				kept = append(kept, tc)
+			}
+		}
+		tcs = kept
+	}
 	out.Tuples = tcs
 	return out, nil
 }

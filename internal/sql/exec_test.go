@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"maybms/internal/bridge"
 	"maybms/internal/engine"
+	"maybms/internal/relation"
 	"maybms/internal/worlds"
 )
 
@@ -32,10 +34,40 @@ func tinyStore(t *testing.T) *engine.Store {
 	return s
 }
 
+// execSQL runs one statement through the session API against a bare store:
+// a plain statement is materialized under res (the caller owns dropping it),
+// a CONF()/POSSIBLE/CERTAIN statement materializes nothing and returns its
+// answers in Result.Tuples.
+func execSQL(s *engine.Store, input, res string) (*Result, error) {
+	db := Open(s)
+	st, err := Parse(input)
+	if err != nil {
+		return nil, err
+	}
+	if st.Mode == ModePlain {
+		return db.Materialize(res, input)
+	}
+	rows, err := db.Query(input)
+	if err != nil {
+		return nil, err
+	}
+	defer rows.Close()
+	return rows.Result(), nil
+}
+
+// relTuple converts an engine answer tuple to the oracle's representation.
+func relTuple(t []int32) relation.Tuple {
+	out := make(relation.Tuple, len(t))
+	for i, v := range t {
+		out[i] = relation.Int(int64(v))
+	}
+	return out
+}
+
 // worldSetOf enumerates the store as an explicit world-set.
 func worldSetOf(t *testing.T, s *engine.Store) *worlds.WorldSet {
 	t.Helper()
-	w, err := s.ToWSD()
+	w, err := bridge.ToWSD(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +119,7 @@ func TestEngineAgreesWithPerWorld(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: per-world: %v", q, err)
 		}
-		res, err := Exec(s, q, "P")
+		res, err := execSQL(s, q, "P")
 		if err != nil {
 			t.Fatalf("%s: engine: %v", q, err)
 		}
@@ -97,7 +129,7 @@ func TestEngineAgreesWithPerWorld(t *testing.T) {
 		if !sameAttrs(res.Attrs, want.Attrs) {
 			t.Fatalf("%s: attrs diverge: engine %v, per-world %v", q, res.Attrs, want.Attrs)
 		}
-		got, err := s.RepRelation("P", 1<<20)
+		got, err := bridge.RepRelation(s, "P", 1<<20)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -113,8 +145,7 @@ func TestEngineAgreesWithPerWorld(t *testing.T) {
 // gap: the planner used to reject EXCEPT ("not supported on the engine
 // path") and only the per-world evaluator ran it. It now compiles to the
 // native difference operator, executes through the session API with ? bind
-// parameters, matches the per-world result, and crosses the WSD bridge zero
-// times (engine.BridgeConversions stays flat).
+// parameters, and matches the per-world result.
 func TestExceptEngineNative(t *testing.T) {
 	const q = "SELECT A FROM R EXCEPT SELECT A FROM R WHERE B > ?"
 	s := tinyStore(t)
@@ -137,39 +168,43 @@ func TestExceptEngineNative(t *testing.T) {
 	if st.NumParams != 1 || stmt.NumParams() != 1 {
 		t.Fatalf("NumParams = %d/%d, want 1", st.NumParams, stmt.NumParams())
 	}
-	before := engine.BridgeConversions()
 	for _, arg := range []int{15, 25, 45} {
 		rows, err := stmt.Query(arg)
 		if err != nil {
 			t.Fatalf("B > %d: engine: %v", arg, err)
 		}
-		res := rows.Result()
 		// The per-world executor names its result \x00result; rename the
 		// engine result to match so the world-set fingerprints compare.
-		if err := res.arena.RenameRelation(res.Relation, "\x00result"); err != nil {
+		ar := resultArena(t, rows)
+		if err := ar.RenameRelation(rows.Result().Relation, "\x00result"); err != nil {
 			t.Fatalf("B > %d: %v", arg, err)
 		}
-		got, err := res.arena.RepRelation("\x00result", 1<<20)
+		got, err := bridge.RepRelation(ar, "\x00result", 1<<20)
 		if err != nil {
 			t.Fatalf("B > %d: %v", arg, err)
 		}
-		wrows, err := wstmt.Query(arg)
+		want, err := wstmt.Query(arg)
 		if err != nil {
 			t.Fatalf("B > %d: per-world: %v", arg, err)
 		}
-		if !got.Equal(wrows.Result().WorldSet, 1e-9) {
+		if !got.Equal(want.WorldSet, 1e-9) {
 			t.Fatalf("B > %d: engine EXCEPT diverges from per-world evaluation", arg)
 		}
-		wrows.Close()
 		if err := rows.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if after := engine.BridgeConversions() - before; after != 3 {
-		// The three RepRelation oracle calls above are the only sanctioned
-		// crossings; the query path itself must not add any.
-		t.Fatalf("EXCEPT execution crossed the WSD bridge %d times; want 3 (oracle only)", after)
+}
+
+// resultArena returns the arena holding an unsharded plain result, for
+// tests that enumerate it through the bridge.
+func resultArena(t *testing.T, rows *Rows) *engine.Arena {
+	t.Helper()
+	segs := rows.Result().segs
+	if len(segs) != 1 {
+		t.Fatalf("result has %d segments, want 1", len(segs))
 	}
+	return segs[0].arena
 }
 
 // TestExceptSelfEmpty checks R EXCEPT R: empty in every world, on both
@@ -183,7 +218,7 @@ func TestExceptSelfEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rows.Close()
-	got, err := rows.Result().arena.RepRelation(rows.Result().Relation, 1<<20)
+	got, err := bridge.RepRelation(resultArena(t, rows), rows.Result().Relation, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +245,7 @@ func TestSetOpSchemaErrorsAgree(t *testing.T) {
 	for _, q := range accepted {
 		s := tinyStore(t)
 		ws := worldSetOf(t, s)
-		if _, err := Exec(s, q, "P"); err != nil {
+		if _, err := execSQL(s, q, "P"); err != nil {
 			t.Errorf("engine rejects %q: %v", q, err)
 		}
 		if _, err := PrepareWorlds(ws, q); err != nil {
@@ -220,7 +255,7 @@ func TestSetOpSchemaErrorsAgree(t *testing.T) {
 	for _, q := range rejected {
 		s := tinyStore(t)
 		ws := worldSetOf(t, s)
-		_, engineErr := Exec(s, q, "P")
+		_, engineErr := execSQL(s, q, "P")
 		_, worldsErr := PrepareWorlds(ws, q)
 		if engineErr == nil || worldsErr == nil {
 			t.Errorf("%q: engine err = %v, per-world err = %v, want both non-nil", q, engineErr, worldsErr)
@@ -256,7 +291,7 @@ func TestConfAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: per-world: %v", q, err)
 		}
-		got, err := Exec(s, q, "P")
+		got, err := execSQL(s, q, "P")
 		if err != nil {
 			t.Fatalf("%s: engine: %v", q, err)
 		}
@@ -264,7 +299,7 @@ func TestConfAgreement(t *testing.T) {
 			t.Fatalf("%s: %d tuples on engine path, %d per world", q, len(got.Tuples), len(want.Tuples))
 		}
 		for i := range got.Tuples {
-			if !got.Tuples[i].Tuple.Equal(want.Tuples[i].Tuple) {
+			if !relTuple(got.Tuples[i].Tuple).Equal(want.Tuples[i].Tuple) {
 				t.Fatalf("%s: tuple %d: %v vs %v", q, i, got.Tuples[i].Tuple, want.Tuples[i].Tuple)
 			}
 			if math.Abs(got.Tuples[i].Conf-want.Tuples[i].Conf) > 1e-9 {
@@ -302,18 +337,18 @@ func TestPlanErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		s := tinyStore(t)
-		_, err := Exec(s, c.in, "P")
+		_, err := execSQL(s, c.in, "P")
 		if err == nil {
-			t.Errorf("Exec(%q) succeeded, want error containing %q", c.in, c.wantSub)
+			t.Errorf("execSQL(%q) succeeded, want error containing %q", c.in, c.wantSub)
 			continue
 		}
 		if !strings.Contains(err.Error(), c.wantSub) {
-			t.Errorf("Exec(%q) error %q, want substring %q", c.in, err, c.wantSub)
+			t.Errorf("execSQL(%q) error %q, want substring %q", c.in, err, c.wantSub)
 		}
 		// Failed plans must not leak relations into the store.
 		for _, rel := range s.Relations() {
 			if rel != "R" && rel != "S" {
-				t.Errorf("Exec(%q) leaked relation %q", c.in, rel)
+				t.Errorf("execSQL(%q) leaked relation %q", c.in, rel)
 			}
 		}
 	}
@@ -323,7 +358,7 @@ func TestPlanErrors(t *testing.T) {
 // exists under the requested name, temps are gone, stats are filled.
 func TestPlainResultMaterialization(t *testing.T) {
 	s := tinyStore(t)
-	res, err := Exec(s, "SELECT B FROM R WHERE A = 1", "out")
+	res, err := execSQL(s, "SELECT B FROM R WHERE A = 1", "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +377,7 @@ func TestPlainResultMaterialization(t *testing.T) {
 		}
 	}
 	// A bare base query still materializes a fresh copy.
-	if _, err := Exec(s, "SELECT * FROM S", "copy"); err != nil {
+	if _, err := execSQL(s, "SELECT * FROM S", "copy"); err != nil {
 		t.Fatal(err)
 	}
 	if s.Rel("copy") == nil {

@@ -240,7 +240,7 @@ func exprToEnginePred(e Expr, name func(ColumnRef) (string, error)) (engine.Pred
 			return engine.AttrAttr{A: a, Theta: theta, B: b}, nil
 		}
 		if r.Val.Kind() != relation.KindInt {
-			return nil, fmt.Errorf("sql: the engine stores integer codes only; string literal %s is not comparable (use the per-world evaluator)", r.Val)
+			return nil, fmt.Errorf("sql: the engine stores integer codes only; string literal %s is not comparable", r.Val)
 		}
 		v := r.Val.AsInt()
 		if v > math.MaxInt32 || v < math.MinInt32 {
@@ -261,7 +261,7 @@ func andOfEngine(ps []engine.Pred) engine.Pred {
 // OpKind discriminates engine plan operators.
 type OpKind uint8
 
-// The engine plan operators, one per engine.Store method.
+// The engine plan operators, one per engine.Arena operator method.
 const (
 	OpSelect OpKind = iota
 	OpProject
@@ -389,11 +389,10 @@ func (p *EnginePlan) Bind(res string, args []relation.Value) (*EnginePlan, error
 	return out, nil
 }
 
-// Run executes the plan's operators against a Space: a per-session Arena
-// (the concurrent SELECT path — results never touch the shared store) or,
-// through the deprecated one-shot entry points, the Store itself. On error
-// every relation already created by the plan is dropped.
-func (p *EnginePlan) Run(s engine.Space) error {
+// Run executes the plan's operators on an arena — results never touch the
+// shared store. On error every relation already created by the plan is
+// dropped.
+func (p *EnginePlan) Run(s *engine.Arena) error {
 	if p.template {
 		return fmt.Errorf("sql: plan is a template; Bind it first")
 	}
@@ -433,7 +432,7 @@ func (p *EnginePlan) Run(s engine.Space) error {
 }
 
 // DropTemps drops the plan's intermediate relations, newest first.
-func (p *EnginePlan) DropTemps(s engine.Space) {
+func (p *EnginePlan) DropTemps(s *engine.Arena) {
 	for i := len(p.Temps) - 1; i >= 0; i-- {
 		s.DropRelation(p.Temps[i])
 	}
@@ -743,55 +742,16 @@ func setOpName(op SetOpKind) string {
 	return "UNION"
 }
 
-// checkSetOpSchemas enforces the set-operation contract shared by both
-// planners: the arms must produce identically named columns, compared after
-// AS aliases apply. The engine and per-world planners both route through
-// here, so an aliased UNION/EXCEPT arm gets the same acceptance — and a
-// mismatch the same error text — on either path.
+// checkSetOpSchemas enforces the set-operation contract: the arms must
+// produce identically named columns, compared after AS aliases apply. The
+// per-world reference planner (oracle_test.go) routes through here too, so
+// an aliased UNION/EXCEPT arm gets the same acceptance — and a mismatch the
+// same error text — on either path.
 func checkSetOpSchemas(op SetOpKind, l, r []string) error {
 	if !sameAttrs(l, r) {
 		return fmt.Errorf("sql: %s schema mismatch: %v vs %v", setOpName(op), l, r)
 	}
 	return nil
-}
-
-// nodeAttrs resolves the output attribute names of a query node — post-AS,
-// the names a set operation compares — checking every set operation on the
-// way. The worlds planner uses it to apply the same schema acceptance as the
-// engine planner (whose compilation computes the same lists itself).
-func nodeAttrs(n Node, cat catalog) ([]string, error) {
-	switch n := n.(type) {
-	case *SelectNode:
-		b, err := resolveFrom(n, cat)
-		if err != nil {
-			return nil, err
-		}
-		if n.Star {
-			var out []string
-			for ti, t := range b.tables {
-				for _, a := range t.attrs {
-					out = append(out, b.internalName(ti, a))
-				}
-			}
-			return out, nil
-		}
-		_, final, err := resolveItems(n, b)
-		return final, err
-	case SetNode:
-		l, err := nodeAttrs(n.L, cat)
-		if err != nil {
-			return nil, err
-		}
-		r, err := nodeAttrs(n.R, cat)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkSetOpSchemas(n.Op, l, r); err != nil {
-			return nil, err
-		}
-		return l, nil
-	}
-	return nil, fmt.Errorf("sql: unknown query node %T", n)
 }
 
 func sameAttrs(a, b []string) bool {

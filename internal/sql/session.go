@@ -3,6 +3,7 @@ package sql
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -10,7 +11,6 @@ import (
 	"maybms/internal/relation"
 	"maybms/internal/shard"
 	"maybms/internal/storage"
-	"maybms/internal/worlds"
 )
 
 // The session API: a database/sql-shaped surface over the engine store.
@@ -149,7 +149,7 @@ func (db *DB) Prepare(query string) (*Prepared, error) {
 		}
 		db.plans[query] = tpl
 	}
-	return &Prepared{exec: &engineExec{db: db, st: st, text: query, tpl: tpl}, text: query}, nil
+	return &Prepared{db: db, st: st, text: query, tpl: tpl}, nil
 }
 
 // Query prepares (or reuses the cached plan of) the statement and executes
@@ -178,12 +178,19 @@ func (db *DB) QueryContext(ctx context.Context, query string, args ...any) (*Row
 // The caller owns dropping res. A clear error is returned if res already
 // exists.
 func (db *DB) Materialize(res, query string, args ...any) (*Result, error) {
+	return db.MaterializeContext(context.Background(), res, query, args...)
+}
+
+// MaterializeContext is Materialize honoring ctx: cancellation or deadline
+// expiry stops the execution at its next engine checkpoint, before anything
+// is committed or logged, and releases the writer lock and the arena. The
+// returned error chains engine.ErrCanceled and the context's own error.
+func (db *DB) MaterializeContext(ctx context.Context, res, query string, args ...any) (*Result, error) {
 	stmt, err := db.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	ee, ok := stmt.exec.(*engineExec)
-	if !ok || ee.st.Mode != ModePlain {
+	if stmt.st.Mode != ModePlain {
 		return nil, fmt.Errorf("sql: Materialize requires a plain query (no CONF()/POSSIBLE/CERTAIN)")
 	}
 	vals, err := valuesOf(args)
@@ -192,16 +199,30 @@ func (db *DB) Materialize(res, query string, args ...any) (*Result, error) {
 	}
 	db.writer.Lock()
 	defer db.writer.Unlock()
-	snap, tpl, err := db.templateFor(ee)
+	if TestHookExec != nil {
+		TestHookExec(query)
+	}
+	snap, tpl, err := db.templateFor(stmt)
 	if err != nil {
 		return nil, err
 	}
 	if snap.Rel(res) != nil {
 		return nil, fmt.Errorf("sql: result relation %q already exists in the store (drop it first or pick another name)", res)
 	}
-	out, err := runEngine(context.Background(), snap, tpl, vals, res)
+	// Writers always run on the authority: the commit below lands there.
+	out, err := execute(ctx, []*engine.Snapshot{snap}, 1, tpl, vals)
 	if err != nil {
 		return nil, err
+	}
+	ar := out.segs[0].arena
+	out.segs = nil
+	defer engine.ReleaseArena(ar)
+	if err := ar.RenameRelation(out.Relation, res); err != nil {
+		return nil, fmt.Errorf("sql: installing result: %w", err)
+	}
+	out.Relation = res
+	if err := ar.Commit(); err != nil {
+		return nil, fmt.Errorf("sql: installing result: %w", err)
 	}
 	if err := db.logCommit(&storage.WALRecord{Type: storage.RecMaterialize, Res: res, Query: query, Args: vals}); err != nil {
 		// The log could not capture the commit; undo it so the store never
@@ -312,7 +333,7 @@ func (db *DB) DropRelation(rel string) {
 // plan, re-preparing it against the snapshot first if a base relation was
 // dropped or re-created with a different schema since compile time —
 // running a stale plan would return wrongly-labeled data.
-func (db *DB) templateFor(e *engineExec) (*engine.Snapshot, *EnginePlan, error) {
+func (db *DB) templateFor(e *Prepared) (*engine.Snapshot, *EnginePlan, error) {
 	snap := db.store.Snapshot()
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -338,43 +359,26 @@ func (db *DB) templateFor(e *engineExec) (*engine.Snapshot, *EnginePlan, error) 
 // Prepared is a statement compiled once and executable many times with
 // different bound parameters. It is safe for concurrent use.
 type Prepared struct {
-	exec Executor
+	db   *DB
+	st   *Stmt
 	text string
-}
-
-// PrepareWorlds compiles a statement against a world-set under the
-// per-world reference semantics. The returned statement shares the Prepared
-// surface with the engine path; its plain-mode Rows carry no template rows
-// but expose the evaluated world-set through Rows.Result.
-func PrepareWorlds(ws *worlds.WorldSet, query string) (*Prepared, error) {
-	st, err := Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	if st.Explain {
-		return nil, fmt.Errorf("sql: statement is EXPLAIN; use Explain to render the rewriting")
-	}
-	// Plan once: the output schema never depends on parameter values, and a
-	// parameter-free plan is reused verbatim by every execution.
-	q, err := PlanWorlds(st, ws.Schema)
-	if err != nil {
-		return nil, err
-	}
-	outSchema, err := q.OutSchema(ws.Schema)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{exec: &worldsExec{st: st, ws: ws, cols: outSchema.Attrs(), plan: q}, text: query}, nil
+	// tpl is the compiled template; templateFor swaps it under db.mu when
+	// the catalog changed since compile time.
+	tpl *EnginePlan
 }
 
 // Text returns the statement's SQL text.
 func (p *Prepared) Text() string { return p.text }
 
 // Columns returns the output attribute names.
-func (p *Prepared) Columns() []string { return p.exec.Columns() }
+func (p *Prepared) Columns() []string {
+	p.db.mu.Lock()
+	defer p.db.mu.Unlock()
+	return p.tpl.OutAttrs
+}
 
 // NumParams returns the number of ? placeholders the statement binds.
-func (p *Prepared) NumParams() int { return p.exec.NumParams() }
+func (p *Prepared) NumParams() int { return p.st.NumParams }
 
 // Close releases the statement. The DB's plan cache keeps the compiled
 // plan, so closing and re-preparing stays cheap.
@@ -382,137 +386,55 @@ func (p *Prepared) Close() error { return nil }
 
 // Query executes the statement with the given arguments (int and string
 // forms, or relation.Value). The result streams through a Rows iterator;
-// always Close it — that is what releases the session's result arena on the
-// engine path.
+// always Close it — that is what releases the result's arenas.
 func (p *Prepared) Query(args ...any) (*Rows, error) {
 	return p.QueryContext(context.Background(), args...)
 }
 
 // QueryContext is Query honoring ctx at the engine's cancellation
-// checkpoints; see DB.QueryContext.
+// checkpoints; see DB.QueryContext. The plan runs on a snapshot of the
+// session's store, materializing into private arenas — it never takes store
+// write access.
 func (p *Prepared) QueryContext(ctx context.Context, args ...any) (*Rows, error) {
 	vals, err := valuesOf(args)
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.exec.Query(ctx, vals)
-	if err != nil {
-		return nil, err
-	}
-	r := &Rows{result: res, cols: res.Attrs, arena: res.arena, rel: res.rel, segs: res.segs, idx: -1}
-	if res.Mode != ModePlain {
-		r.tuples = make([]relation.Tuple, len(res.Tuples))
-		r.confs = make([]float64, len(res.Tuples))
-		for i, tc := range res.Tuples {
-			r.tuples[i] = tc.Tuple
-			r.confs[i] = tc.Conf
-		}
-	}
-	return r, nil
-}
-
-// engineExec runs a compiled template on a snapshot of the session's store,
-// materializing into a private arena — it never takes store write access.
-type engineExec struct {
-	db   *DB
-	st   *Stmt
-	text string
-	tpl  *EnginePlan
-}
-
-func (e *engineExec) Columns() []string {
-	e.db.mu.Lock()
-	defer e.db.mu.Unlock()
-	return e.tpl.OutAttrs
-}
-
-func (e *engineExec) NumParams() int { return e.st.NumParams }
-
-func (e *engineExec) Query(ctx context.Context, args []relation.Value) (*Result, error) {
 	if TestHookExec != nil {
-		TestHookExec(e.text)
+		TestHookExec(p.text)
 	}
-	snap, tpl, err := e.db.templateFor(e)
+	snap, tpl, err := p.db.templateFor(p)
 	if err != nil {
 		return nil, err
 	}
-	if sh := e.db.shardStore(); sh != nil {
-		if tpl.distributable() {
-			out, err := runEngineSharded(ctx, sh, tpl, args)
-			if err != errShardStale {
-				return out, err
-			}
-			// A commit raced the shard set; the authority snapshot above is
-			// current, so fall through to it.
-		} else if tpl.Mode != ModePlain {
-			// Non-distributable mode query: run on the authority, but stripe
-			// the confidence fold over the shard store's worker pool.
-			return runEngineConf(ctx, snap, tpl, args, "", sh.Workers())
-		}
-	}
-	return runEngine(ctx, snap, tpl, args, "")
-}
-
-// worldsExec evaluates the statement per world, the reference semantics.
-type worldsExec struct {
-	st   *Stmt
-	ws   *worlds.WorldSet
-	cols []string
-	// plan is the compiled algebra, evaluated directly by parameter-free
-	// statements. With parameters each execution re-plans from the bound
-	// statement (worlds.Query embeds concrete constants, so the bound tree
-	// must be rebuilt) — acceptable on the naive reference path, whose
-	// evaluation dwarfs planning.
-	plan worlds.Query
-}
-
-func (e *worldsExec) Columns() []string { return e.cols }
-
-func (e *worldsExec) NumParams() int { return e.st.NumParams }
-
-func (e *worldsExec) Query(ctx context.Context, args []relation.Value) (*Result, error) {
-	// The per-world reference path is coarse-grained: the context is checked
-	// between planning and evaluation, not inside the world loop.
-	if err := ctx.Err(); err != nil {
+	snaps, workers := p.db.placement(snap, tpl)
+	res, err := execute(ctx, snaps, workers, tpl, vals)
+	if err != nil {
 		return nil, err
 	}
-	if e.st.NumParams == 0 {
-		if err := checkArgs(0, args); err != nil {
-			return nil, err
-		}
-		return evalWorlds(e.st.Mode, e.plan, e.ws, "\x00result")
-	}
-	return execWorldsBound(e.st, e.ws, "\x00result", args)
+	return &Rows{result: res, idx: -1}, nil
 }
 
 // Rows is the pull iterator over one execution's result, in the shape of
 // database/sql: Next advances, Scan reads the current row, Close releases
-// the execution's result arena. On the engine path, plain-query rows are
-// the result's template tuples, read lazily from the arena's columnar
-// relation — no decoding happens for rows never scanned — with uncertain
-// fields scanning as '?' placeholders into *relation.Value. CONF()/
-// POSSIBLE/CERTAIN rows are the across-world answers with Conf exposing the
+// the execution's result arenas. Plain-query rows are the result's template
+// tuples, read lazily from the arenas' columnar relations — no decoding
+// happens for rows never scanned — with uncertain fields scanning as '?'
+// placeholders into *relation.Value. CONF()/POSSIBLE/CERTAIN rows are the
+// across-world answers, decoded just as lazily, with Conf exposing the
 // current confidence.
 type Rows struct {
+	// result holds the answers: the arena-owned segments of a plain query
+	// (private to this execution, so reading them needs no locks; Close frees
+	// them by releasing the arenas — the shared store was never touched) or
+	// the across-world tuple list.
 	result *Result
-	cols   []string
-	// arena owns the result relation rel of a plain engine query; both are
-	// private to this execution, so reading them needs no locks, and Close
-	// frees the result by dropping the arena (the shared store was never
-	// touched).
-	arena *engine.Arena
-	rel   *engine.Relation
-	// segs are the per-shard segments of a sharded plain result, walked in
-	// shard order; arena and rel are nil then.
-	segs   []resultSeg
-	tuples []relation.Tuple // across-world answers (mode queries)
-	confs  []float64
 	idx    int
 	closed bool
 }
 
 // Columns returns the output attribute names.
-func (r *Rows) Columns() []string { return r.cols }
+func (r *Rows) Columns() []string { return r.result.Attrs }
 
 // Len returns the number of rows the iterator yields in total (0 after
 // Close).
@@ -520,17 +442,14 @@ func (r *Rows) Len() int {
 	if r.closed {
 		return 0
 	}
-	if r.rel != nil {
-		return r.rel.NumRows()
+	if r.result.Mode != ModePlain {
+		return len(r.result.Tuples)
 	}
-	if r.segs != nil {
-		n := 0
-		for _, seg := range r.segs {
-			n += seg.rel.NumRows()
-		}
-		return n
+	n := 0
+	for _, seg := range r.result.segs {
+		n += seg.rel.NumRows()
 	}
-	return len(r.tuples)
+	return n
 }
 
 // Next advances to the next row; it returns false when the rows are
@@ -552,14 +471,14 @@ func (r *Rows) Err() error { return nil }
 // Conf returns the confidence of the current row (CONF() and CERTAIN
 // answers; 0 for POSSIBLE over non-probabilistic data and plain rows).
 func (r *Rows) Conf() float64 {
-	if r.confs == nil || r.idx < 0 || r.idx >= len(r.confs) {
+	if r.closed || r.idx < 0 || r.idx >= len(r.result.Tuples) {
 		return 0
 	}
-	return r.confs[r.idx]
+	return r.result.Tuples[r.idx].Conf
 }
 
 // Result exposes the underlying execution result: representation
-// statistics, the across-world tuple list, or the per-world world-set.
+// statistics or the across-world tuple list.
 func (r *Rows) Result() *Result { return r.result }
 
 // Mode reports what the rows mean: plain template tuples, CONF() answers,
@@ -567,39 +486,29 @@ func (r *Rows) Result() *Result { return r.result }
 func (r *Rows) Mode() Mode { return r.result.Mode }
 
 // MemUsage estimates the bytes this result retains until Close: the result
-// arena of a plain engine query (templates plus adopted components), or the
+// arenas of a plain query (templates plus adopted components), or the
 // across-world answer list of a mode query. The serving layer charges this
 // against per-session and global memory budgets; 0 after Close.
 func (r *Rows) MemUsage() int64 {
 	if r.closed {
 		return 0
 	}
-	if r.arena != nil {
-		return r.arena.MemUsage()
-	}
-	if r.segs != nil {
-		var n int64
-		for _, seg := range r.segs {
-			n += seg.arena.MemUsage()
-		}
-		return n
-	}
 	var n int64
-	for _, t := range r.tuples {
-		n += int64(len(t))*48 + 24 // relation.Value is 4 words; slice header
+	for _, seg := range r.result.segs {
+		n += seg.arena.MemUsage()
 	}
-	n += int64(len(r.confs)) * 8
-	return n
+	// Per answer: the values, their slice header, the confidence.
+	return n + int64(len(r.result.Tuples))*int64(len(r.result.Attrs)*4+24+8)
 }
 
 // Stats returns the representation statistics of the result relation
-// (plain engine-path queries).
+// (plain queries).
 func (r *Rows) Stats() engine.Stats { return r.result.Stats }
 
 // Scan copies the current row into dest: *int, *int32, *int64, *string or
 // *relation.Value per column. An uncertain template field scans only into a
 // *relation.Value (as the '?' placeholder); ask for POSSIBLE or CONF() to
-// decode it. Scan fails cleanly after Close: the rows' arena is released
+// decode it. Scan fails cleanly after Close: the rows' arenas are released
 // and there is nothing left to read.
 func (r *Rows) Scan(dest ...any) error {
 	if r.closed {
@@ -611,70 +520,65 @@ func (r *Rows) Scan(dest ...any) error {
 	if r.idx >= r.Len() {
 		return fmt.Errorf("sql: Scan called after the last row")
 	}
-	if len(dest) != len(r.cols) {
-		return fmt.Errorf("sql: Scan got %d destinations for %d columns", len(dest), len(r.cols))
+	cols := r.result.Attrs
+	if len(dest) != len(cols) {
+		return fmt.Errorf("sql: Scan got %d destinations for %d columns", len(dest), len(cols))
 	}
+	tuple, rel, row := r.current()
 	for i, d := range dest {
-		v := r.value(i)
+		var v int32
+		if rel != nil {
+			v = rel.Cols[i][row]
+		} else {
+			v = tuple[i]
+		}
 		if pv, ok := d.(*relation.Value); ok {
-			*pv = v
+			if v == engine.Placeholder {
+				*pv = relation.Placeholder()
+			} else {
+				*pv = relation.Int(int64(v))
+			}
 			continue
 		}
-		if v.IsPlaceholder() {
-			return fmt.Errorf("sql: column %s is uncertain in the template; scan into *relation.Value or query with POSSIBLE/CONF()", r.cols[i])
+		if v == engine.Placeholder {
+			return fmt.Errorf("sql: column %s is uncertain in the template; scan into *relation.Value or query with POSSIBLE/CONF()", cols[i])
 		}
 		switch d := d.(type) {
-		case *int64, *int, *int32:
-			if v.Kind() != relation.KindInt {
-				return fmt.Errorf("sql: column %s holds %s, not an integer; scan into *string or *relation.Value", r.cols[i], v)
-			}
-			switch d := d.(type) {
-			case *int64:
-				*d = v.AsInt()
-			case *int:
-				*d = int(v.AsInt())
-			case *int32:
-				*d = int32(v.AsInt())
-			}
+		case *int64:
+			*d = int64(v)
+		case *int:
+			*d = int(v)
+		case *int32:
+			*d = v
 		case *string:
-			if v.Kind() == relation.KindString {
-				*d = v.AsString()
-			} else {
-				*d = v.String()
-			}
+			*d = strconv.Itoa(int(v))
 		default:
-			return fmt.Errorf("sql: unsupported Scan destination %T for column %s", d, r.cols[i])
+			return fmt.Errorf("sql: unsupported Scan destination %T for column %s", d, cols[i])
 		}
 	}
 	return nil
 }
 
-// value reads column i of the current row: lazily from the result template
-// (plain engine path) or from the across-world answer list.
-func (r *Rows) value(i int) relation.Value {
-	if r.rel != nil {
-		if v := r.rel.Cols[i][r.idx]; v != engine.Placeholder {
-			return relation.Int(int64(v))
-		}
-		return relation.Placeholder()
+// current locates the current row in the engine's encoding: the answer
+// tuple of a mode result, or the segment relation and the row within it of
+// a plain one (read lazily, column by column, by Scan). The caller has
+// bounds-checked idx against Len.
+func (r *Rows) current() (tuple []int32, rel *engine.Relation, row int) {
+	if r.result.Mode != ModePlain {
+		return r.result.Tuples[r.idx].Tuple, nil, 0
 	}
-	if r.segs != nil {
-		idx := r.idx
-		for _, seg := range r.segs {
-			if idx < seg.rel.NumRows() {
-				if v := seg.rel.Cols[i][idx]; v != engine.Placeholder {
-					return relation.Int(int64(v))
-				}
-				return relation.Placeholder()
-			}
-			idx -= seg.rel.NumRows()
+	row = r.idx
+	for _, seg := range r.result.segs {
+		if row < seg.rel.NumRows() {
+			return nil, seg.rel, row
 		}
+		row -= seg.rel.NumRows()
 	}
-	return r.tuples[r.idx][i]
+	return nil, nil, 0
 }
 
-// Close releases the result by returning its arena to the engine's pool —
-// an O(1) detach, with no writes to the shared store (whose catalog was
+// Close releases the result by returning its arenas to the engine's pool —
+// an O(1) detach each, with no writes to the shared store (whose catalog was
 // never touched by the query). Close is idempotent; Scan and Next fail/stop
 // after it.
 func (r *Rows) Close() error {
@@ -682,20 +586,10 @@ func (r *Rows) Close() error {
 		return nil
 	}
 	r.closed = true
-	engine.ReleaseArena(r.arena)
-	for _, seg := range r.segs {
+	for _, seg := range r.result.segs {
 		engine.ReleaseArena(seg.arena)
 	}
-	r.arena = nil
-	r.rel = nil
-	r.segs = nil
-	r.tuples = nil
-	r.confs = nil
-	if r.result != nil {
-		r.result.arena = nil
-		r.result.rel = nil
-		r.result.segs = nil
-	}
+	r.result.segs = nil
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"maybms/internal/bridge"
 	"maybms/internal/engine"
 	"maybms/internal/relation"
 )
@@ -27,7 +28,7 @@ func catalogOf(s *engine.Store) string {
 
 // TestPreparedReplansZero is the tentpole acceptance test: a prepared
 // statement executed twice with different bound parameters re-plans zero
-// times, and each binding returns the same answers as the one-shot path
+// times, and each binding returns the same answers as an ad-hoc statement
 // with the constant inlined.
 func TestPreparedReplansZero(t *testing.T) {
 	s := tinyStore(t)
@@ -41,7 +42,7 @@ func TestPreparedReplansZero(t *testing.T) {
 	}
 	before := EnginePlansCompiled()
 	for _, bindv := range []int{1, 2} {
-		want, err := Exec(tinyStore(t), fmt.Sprintf("SELECT CONF() FROM R WHERE A = %d", bindv), "P")
+		want, err := execSQL(tinyStore(t), fmt.Sprintf("SELECT CONF() FROM R WHERE A = %d", bindv), "P")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,12 +69,11 @@ func TestPreparedReplansZero(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The one-shot Exec calls above compiled plans of their own; re-read the
-	// prepared statement instead: two more executions, still zero compiles
-	// beyond those attributable to Exec.
+	// The ad-hoc reference statements above (inlined constants, fresh DB)
+	// compiled one plan each; the prepared executions compiled none.
 	execCompiles := EnginePlansCompiled() - before
-	if execCompiles != 2 { // exactly the two Exec calls
-		t.Fatalf("prepared executions compiled %d plans, want 0 (plus 2 one-shot)", execCompiles-2)
+	if execCompiles != 2 { // exactly the two reference statements
+		t.Fatalf("prepared executions compiled %d plans, want 0 (plus 2 ad hoc)", execCompiles-2)
 	}
 	// Preparing the identical text again hits the DB plan cache.
 	if _, err := db.Prepare("SELECT CONF() FROM R WHERE A = ?"); err != nil {
@@ -132,7 +132,7 @@ func TestConcurrentPreparedQueries(t *testing.T) {
 	// Reference answers, computed single-threaded.
 	wantConf := make(map[int]int)
 	for _, v := range []int{1, 2, 3} {
-		res, err := Exec(tinyStore(t), fmt.Sprintf("SELECT CONF() FROM R WHERE A = %d", v), "P")
+		res, err := execSQL(tinyStore(t), fmt.Sprintf("SELECT CONF() FROM R WHERE A = %d", v), "P")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,13 +190,13 @@ func TestConcurrentPreparedQueries(t *testing.T) {
 }
 
 // TestExecCollisionClearError is the regression test for result-name
-// collisions: the one-shot path must fail up front with a clear sql-level
+// collisions: Materialize must fail up front with a clear sql-level
 // error — not a confusing mid-plan engine error — and leave the store
 // untouched.
 func TestExecCollisionClearError(t *testing.T) {
 	s := tinyStore(t)
 	before := catalogOf(s)
-	_, err := Exec(s, "SELECT A FROM R", "S")
+	_, err := execSQL(s, "SELECT A FROM R", "S")
 	if err == nil {
 		t.Fatal("Exec with colliding result name succeeded")
 	}
@@ -221,11 +221,11 @@ func TestExecCollisionClearError(t *testing.T) {
 	}
 }
 
-// TestPreparedWorldsSharedSurface checks the Executor unification: the same
-// parameterized statement prepared against the engine store and against the
-// explicit world-set returns identical CONF() answers through the identical
-// Query/Rows surface.
-func TestPreparedWorldsSharedSurface(t *testing.T) {
+// TestPreparedWorldsAgree checks prepared execution against the reference:
+// the same parameterized statement prepared against the engine store and
+// against the explicit world-set returns identical columns and CONF()
+// answers for every binding.
+func TestPreparedWorldsAgree(t *testing.T) {
 	s := tinyStore(t)
 	ws := worldSetOf(t, s)
 	db := Open(s)
@@ -250,20 +250,15 @@ func TestPreparedWorldsSharedSurface(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			en, rn := er.Next(), rr.Next()
-			if en != rn {
-				t.Fatalf("bind %v: row counts diverge", bind)
-			}
-			if !en {
-				break
-			}
-			if math.Abs(er.Conf()-rr.Conf()) > 1e-9 {
-				t.Fatalf("bind %v: conf %g vs %g", bind, er.Conf(), rr.Conf())
+		if er.Len() != len(rr.Tuples) {
+			t.Fatalf("bind %v: row counts diverge", bind)
+		}
+		for i := 0; er.Next(); i++ {
+			if math.Abs(er.Conf()-rr.Tuples[i].Conf) > 1e-9 {
+				t.Fatalf("bind %v: conf %g vs %g", bind, er.Conf(), rr.Tuples[i].Conf)
 			}
 		}
 		er.Close()
-		rr.Close()
 	}
 }
 
@@ -395,19 +390,10 @@ func TestRowsScan(t *testing.T) {
 		t.Fatalf("uncertain-into-int error = %v", err)
 	}
 
-	// A string value refuses an int destination with an error, not a panic
-	// (strings reach Rows through the per-world path).
-	srows := &Rows{
-		cols:   []string{"NAME"},
-		tuples: []relation.Tuple{{relation.String("alice")}},
-		idx:    0,
-	}
-	if err := srows.Scan(&ai); err == nil || !strings.Contains(err.Error(), "not an integer") {
-		t.Fatalf("string-into-int error = %v", err)
-	}
-	var name string
-	if err := srows.Scan(&name); err != nil || name != "alice" {
-		t.Fatalf("string scan = %q, %v", name, err)
+	// An integer column renders into a *string destination.
+	var bs string
+	if err := urows.Scan(&av, &bs); err != nil || bs != "10" {
+		t.Fatalf("int-into-string scan = %q, %v", bs, err)
 	}
 }
 
@@ -425,10 +411,10 @@ func TestSessionAliasUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Exec(s, q, "P"); err != nil {
+	if _, err := execSQL(s, q, "P"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.RepRelation("P", 1<<20)
+	got, err := bridge.RepRelation(s, "P", 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

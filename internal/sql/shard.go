@@ -1,28 +1,21 @@
 package sql
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 
-	"maybms/internal/confidence"
 	"maybms/internal/engine"
-	"maybms/internal/relation"
 	"maybms/internal/shard"
 )
 
 // Sharded execution: when a DB has sharding enabled, distributable
-// statements run morsel-parallel across the shard set — each shard executes
-// the full plan over its slice of every base relation on a worker pool, and
-// the per-shard answers merge exactly. Plain results concatenate (the row
-// partition distributes over Select/Project/Rename/Union); across-world
-// results merge their pre-fold mass tables and fold canonically, which makes
-// sharded CONF()/POSSIBLE/CERTAIN byte-identical to the unsharded engine
-// (see docs/sharding.md). Plans containing Join/Product/Difference are not
-// distributable — they entangle components across inputs, so per-shard
-// execution could double-count correlated provenance — and fall back to the
-// authority store, where mode queries still get a morsel-parallel confidence
-// fold (engine.PossiblePParallel).
+// statements are placed on the shard set — execute runs the full plan over
+// each shard's slice of every base relation on a worker pool, and the
+// per-shard answers merge exactly (see execute and docs/sharding.md). Plans
+// containing Join/Product/Difference are not distributable — they entangle
+// components across inputs, so per-shard execution could double-count
+// correlated provenance — and are placed on the authority store, where mode
+// queries still get a morsel-parallel confidence sweep.
 //
 // The shard set is derived state: every catalog commit re-partitions it
 // (resyncShards), and queries in flight keep the snapshots of the set they
@@ -161,122 +154,26 @@ func (p *EnginePlan) distributable() bool {
 	return true
 }
 
-// errShardStale reports a shard snapshot that no longer matches the plan's
-// catalog (a commit raced the query); the caller falls back to the
-// authority.
-var errShardStale = fmt.Errorf("sql: shard snapshot stale")
-
-// runEngineSharded executes a distributable template once per shard on the
-// store's worker pool and merges: plain results keep one arena-owned segment
-// per shard (Rows walks them in shard order); across-world modes merge the
-// per-shard pre-fold mass tables and fold canonically.
-func runEngineSharded(ctx context.Context, sh *shard.Store, tpl *EnginePlan, args []relation.Value) (*Result, error) {
-	snaps := sh.Snapshots()
-	for _, sn := range snaps {
-		if !tpl.CatalogValid(sn) {
-			return nil, errShardStale
+// placement picks where a plan runs, and the worker-pool width execute may
+// use there: the shard set for a distributable plan whose shard snapshots
+// all carry the plan's catalog, the authority snapshot otherwise — sharding
+// off, a join/product/difference plan, or a commit that raced the query (the
+// shard set re-partitions after the authority commits, so for a moment it is
+// stale; snap was taken after the commit and is current).
+func (db *DB) placement(snap *engine.Snapshot, tpl *EnginePlan) ([]*engine.Snapshot, int) {
+	sh := db.shardStore()
+	if sh == nil {
+		return []*engine.Snapshot{snap}, 1
+	}
+	if tpl.distributable() {
+		snaps := sh.Snapshots()
+		current := true
+		for _, sn := range snaps {
+			current = current && tpl.CatalogValid(sn)
+		}
+		if current {
+			return snaps, sh.Workers()
 		}
 	}
-	if tpl.Mode == ModePlain {
-		segs := make([]resultSeg, len(snaps))
-		ok := false
-		defer func() {
-			if !ok {
-				for _, seg := range segs {
-					engine.ReleaseArena(seg.arena)
-				}
-			}
-		}()
-		var attrs []string
-		err := shard.EachSnapshotCtx(ctx, snaps, sh.Workers(), func(i int, sn *engine.Snapshot) error {
-			ar := engine.AcquireArena(sn)
-			// Each shard arena gets its own guard over the shared request
-			// context: growth deltas stay per-arena while cancellation and the
-			// budget hook are common to the whole query.
-			ar.SetGuard(newExecGuard(ctx))
-			scratch := ar.NewScratch()
-			plan, err := tpl.Bind(scratch, args)
-			if err != nil {
-				engine.ReleaseArena(ar)
-				return err
-			}
-			if err := plan.Run(ar); err != nil {
-				engine.ReleaseArena(ar)
-				return err
-			}
-			plan.DropTemps(ar)
-			segs[i] = resultSeg{arena: ar, rel: ar.Rel(scratch)}
-			if i == 0 {
-				attrs = plan.OutAttrs
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		out := &Result{Mode: tpl.Mode, Attrs: attrs, segs: segs}
-		for _, seg := range segs {
-			st := seg.arena.Stats(seg.rel.Name)
-			out.Stats.NumComp += st.NumComp
-			out.Stats.NumCompGT1 += st.NumCompGT1
-			out.Stats.CSize += st.CSize
-			out.Stats.RSize += st.RSize
-		}
-		ok = true
-		return out, nil
-	}
-
-	parts := make([][]engine.TupleMasses, len(snaps))
-	var attrs []string
-	err := shard.EachSnapshotCtx(ctx, snaps, sh.Workers(), func(i int, sn *engine.Snapshot) error {
-		ar := engine.AcquireArena(sn)
-		defer engine.ReleaseArena(ar)
-		ar.SetGuard(newExecGuard(ctx))
-		scratch := ar.NewScratch()
-		plan, err := tpl.Bind(scratch, args)
-		if err != nil {
-			return err
-		}
-		if err := plan.Run(ar); err != nil {
-			return err
-		}
-		plan.DropTemps(ar)
-		tms, err := ar.PossibleMasses(scratch)
-		if err != nil {
-			return err
-		}
-		parts[i] = tms
-		if i == 0 {
-			attrs = plan.OutAttrs
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{Mode: tpl.Mode, Attrs: attrs}
-	// The merge and fold run on the coordinator after the shard arenas are
-	// gone; give them their own guard so a canceled request dies here too.
-	mg := newExecGuard(ctx)
-	merged, err := engine.MergeMasses(mg, parts)
-	if err != nil {
-		return nil, err
-	}
-	native, err := engine.FoldMassTable(mg, merged)
-	if err != nil {
-		return nil, err
-	}
-	tcs := make([]confidence.TupleConf, 0, len(native))
-	for _, tc := range native {
-		if tpl.Mode == ModeCertain && tc.Conf < 1-certainEps {
-			continue
-		}
-		t := make(relation.Tuple, len(tc.Tuple))
-		for i, v := range tc.Tuple {
-			t[i] = relation.Int(int64(v))
-		}
-		tcs = append(tcs, confidence.TupleConf{Tuple: t, Conf: tc.Conf})
-	}
-	out.Tuples = tcs
-	return out, nil
+	return []*engine.Snapshot{snap}, sh.Workers()
 }

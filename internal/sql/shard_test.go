@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"maybms/internal/engine"
 	"maybms/internal/relation"
+	"maybms/internal/shard"
 )
 
 // shardedStore builds a store big enough to shard meaningfully: two
@@ -89,7 +91,7 @@ func modeTable(t *testing.T, rows *Rows) []string {
 		for _, v := range vals {
 			fmt.Fprintf(&sb, "%s|", v)
 		}
-		fmt.Fprintf(&sb, "%b", rows.Conf()) // %b: exact bits, not rounded
+		fmt.Fprintf(&sb, "%016x", math.Float64bits(rows.Conf())) // exact bits, not rounded
 		out = append(out, sb.String())
 	}
 	return out
@@ -112,9 +114,36 @@ var shardDiffQueries = []string{
 	"SELECT CONF() FROM R WHERE A < 10 EXCEPT SELECT * FROM S WHERE B > 3",
 }
 
-// TestShardedDifferential runs the same statements on an unsharded and a
-// sharded session over the same store: plain results must agree as
-// multisets, CONF/POSSIBLE/CERTAIN must be byte-identical.
+// staleSharded opens a session over store whose shard set no longer carries
+// the catalog — as if every query raced a commit's re-partition — so each
+// plan is placed on the authority snapshot of a sharded DB.
+func staleSharded(t *testing.T, store *engine.Store, n int) *DB {
+	t.Helper()
+	db := Open(store)
+	empty, err := shard.New(engine.NewStore(), n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.mu.Lock()
+	db.shards = empty
+	db.mu.Unlock()
+	return db
+}
+
+// arenasOut returns how many arenas acquired since the marks are not yet
+// back in the pool, and how many were acquired.
+func arenasOut(acquired, released uint64) (out, taken int) {
+	taken = int(engine.ArenaAcquires() - acquired)
+	return taken - int(engine.ArenaReleases()-released), taken
+}
+
+// TestShardedDifferential runs the same statements through every placement
+// of the one executor — an unsharded session, a sharded one, and a sharded
+// one whose shard set is stale (authority placement with the shard worker
+// pool) — over the same store. Plain results must agree as multisets with
+// identical Len and Stats, CONF/POSSIBLE/CERTAIN must be byte-identical, the
+// result must hold exactly the arenas of its placement (one segment, or one
+// per shard) and hand every one back on Close — drained or mid-iteration.
 func TestShardedDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		store := shardedStore(t, seed, 150)
@@ -127,34 +156,85 @@ func TestShardedDifferential(t *testing.T) {
 			if got, workers := sharded.Sharding(); got != n || workers < 1 {
 				t.Fatalf("Sharding() = (%d, %d), want (%d, ≥1)", got, workers, n)
 			}
+			placements := []struct {
+				name string
+				db   *DB
+				// segs is the placement size of a distributable plan.
+				segs int
+			}{
+				{"sharded", sharded, n},
+				{"stale", staleSharded(t, store, n), 1},
+			}
 			for _, q := range shardDiffQueries {
-				wantRows, err := plain.Query(q)
-				if err != nil {
-					t.Fatalf("seed %d unsharded %q: %v", seed, q, err)
-				}
-				gotRows, err := sharded.Query(q)
-				if err != nil {
-					t.Fatalf("seed %d n=%d %q: %v", seed, n, q, err)
-				}
-				if wantRows.Mode() == ModePlain {
-					want, got := rowsAsStrings(t, wantRows), rowsAsStrings(t, gotRows)
+				for _, pl := range placements {
+					label := fmt.Sprintf("seed %d n=%d %s %q", seed, n, pl.name, q)
+					stmt, err := plain.Prepare(q)
+					if err != nil {
+						t.Fatalf("seed %d unsharded %q: %v", seed, q, err)
+					}
+					wantRows, err := stmt.Query()
+					if err != nil {
+						t.Fatalf("seed %d unsharded %q: %v", seed, q, err)
+					}
+					mode, wantLen, wantStats := wantRows.Mode(), wantRows.Len(), wantRows.Stats()
+					render := modeTable
+					if mode == ModePlain {
+						render = rowsAsStrings
+					}
+					want := render(t, wantRows)
+					wantSegs := 1
+					if stmt.tpl.distributable() {
+						wantSegs = pl.segs
+					}
+
+					acquired, released := engine.ArenaAcquires(), engine.ArenaReleases()
+					gotRows, err := pl.db.Query(q)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					out, taken := arenasOut(acquired, released)
+					if taken != wantSegs {
+						t.Fatalf("%s: execution acquired %d arenas, want %d", label, taken, wantSegs)
+					}
+					if mode != ModePlain {
+						wantSegs = 0 // answers are folded; every arena is already back
+					}
+					if len(gotRows.result.segs) != wantSegs || out != wantSegs {
+						t.Fatalf("%s: %d segments holding %d arenas, want %d", label, len(gotRows.result.segs), out, wantSegs)
+					}
+					if gotRows.Len() != wantLen || gotRows.Stats() != wantStats {
+						t.Fatalf("%s: Len/Stats %d %+v, want %d %+v", label, gotRows.Len(), gotRows.Stats(), wantLen, wantStats)
+					}
+					got := render(t, gotRows)
 					if len(want) != len(got) {
-						t.Fatalf("seed %d n=%d %q: %d rows, want %d", seed, n, q, len(got), len(want))
+						t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
 					}
 					for i := range want {
 						if want[i] != got[i] {
-							t.Fatalf("seed %d n=%d %q row %d: %s, want %s", seed, n, q, i, got[i], want[i])
+							t.Fatalf("%s row %d not identical:\n got %s\nwant %s", label, i, got[i], want[i])
 						}
 					}
-				} else {
-					want, got := modeTable(t, wantRows), modeTable(t, gotRows)
-					if len(want) != len(got) {
-						t.Fatalf("seed %d n=%d %q: %d answers, want %d", seed, n, q, len(got), len(want))
+					if out, _ := arenasOut(acquired, released); out != 0 {
+						t.Fatalf("%s: %d arenas still out after Close", label, out)
 					}
-					for i := range want {
-						if want[i] != got[i] {
-							t.Fatalf("seed %d n=%d %q answer %d not byte-identical:\n got %s\nwant %s", seed, n, q, i, got[i], want[i])
-						}
+
+					// Close part-way through: every segment is released, read or
+					// not, and the iteration ends.
+					midRows, err := pl.db.Query(q)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					total := midRows.Len()
+					for i := 0; i < total/2+1 && midRows.Next(); i++ {
+					}
+					if err := midRows.Close(); err != nil {
+						t.Fatalf("%s: Close mid-iteration: %v", label, err)
+					}
+					if midRows.Next() || midRows.Len() != 0 {
+						t.Fatalf("%s: rows still iterate after Close", label)
+					}
+					if out, _ := arenasOut(acquired, released); out != 0 {
+						t.Fatalf("%s: %d arenas still out after Close mid-iteration", label, out)
 					}
 				}
 			}

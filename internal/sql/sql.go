@@ -1,25 +1,25 @@
 // Package sql is the SQL frontend over UWSDTs: a lexer, a recursive-descent
-// parser, two planners, and a database/sql-shaped session API for the query
+// parser, a planner, and a database/sql-shaped session API for the query
 // language the MayBMS prototype grew around the Section 5 machinery. A
-// statement is compiled two ways — into a worlds.Query evaluated naively
-// per world (the reference semantics), and into a sequence of native
-// operators on the scalable columnar engine (internal/engine) whose shapes
-// mirror the hand-built Figure 29 plans. Both compilations sit behind the
-// Executor interface, so either backend serves the same Query call. The
-// across-world constructs CONF(), POSSIBLE and CERTAIN are computed
-// natively on the columnar engine (engine.Arena.PossibleP over the result
-// relation — no core.WSD is constructed on the query path); EXPLAIN emits
-// the exact Section 5 SQL rewriting of every plan step via
-// internal/sqlrewrite.
+// statement compiles into a sequence of native operators on the scalable
+// columnar engine (internal/engine) whose shapes mirror the hand-built
+// Figure 29 plans, and one executor (exec.go) runs the bound plan wherever
+// the session places it: on the authority snapshot or across the shard set.
+// The across-world constructs CONF(), POSSIBLE and CERTAIN are computed
+// natively on the columnar engine (engine.Arena.PossibleMasses over the
+// result relation — no core.WSD is constructed on the query path); EXPLAIN
+// emits the exact Section 5 SQL rewriting of every plan step via
+// internal/sqlrewrite. The naive per-world evaluation of the same
+// statements — the reference semantics — lives in this package's test
+// files, where the differential suites compare the engine against it.
 //
-// The session API is the intended entry point: Open wraps a store in a DB,
+// The session API is the entry point: Open wraps a store in a DB,
 // DB.Prepare compiles a statement once (plans are parameter-templated and
 // cached per DB), Prepared.Query binds the ? placeholders and returns a
 // Rows pull iterator with Next/Scan/Columns/Err/Close. Result relations and
-// planner intermediates carry session-scoped scratch names and are dropped
+// planner intermediates carry arena-scoped scratch names and are dropped
 // on Rows.Close, so a long-lived store does not grow under repeated
-// queries. The one-shot Exec/ExecWorlds functions remain as deprecated
-// wrappers.
+// queries.
 //
 // The accepted subset, in EBNF (keywords are case-insensitive; identifiers
 // are case-sensitive):
@@ -47,9 +47,8 @@
 // statement of the grammar runs on the columnar engine. CONF(), POSSIBLE
 // and CERTAIN may only head the leftmost select of a statement and apply to
 // the whole query — including over UNION/EXCEPT results. Strings are
-// single-quoted with ” as the escape; they are accepted by the per-world
-// evaluator but rejected by the engine planner, whose columnar store holds
-// integer codes only.
+// single-quoted with ” as the escape; the parser accepts them, but the
+// planner rejects them: the columnar store holds integer codes only.
 //
 // A ? is a positional bind parameter, accepted wherever the grammar takes a
 // constant; parameters are numbered left to right and bound at execute
@@ -58,19 +57,14 @@
 //
 // Join queries qualify every output attribute as alias.attr; single-table
 // queries keep bare names. UNION and EXCEPT arms must produce identically
-// named columns (checked identically, with identical error text, by both
-// planners); AS aliases rename output columns, so a join arm can combine
+// named columns; AS aliases rename output columns, so a join arm can combine
 // with a single-table arm by aliasing its columns to bare names.
 //
 // Not yet covered (see ROADMAP "Open items"): aggregates beyond CONF(),
 // GROUP BY, subqueries in FROM, and a REPAIR BY syntax for the chase.
 package sql
 
-import (
-	"maybms/internal/confidence"
-	"maybms/internal/engine"
-	"maybms/internal/worlds"
-)
+import "maybms/internal/engine"
 
 // Mode is the across-world construct heading a statement.
 type Mode uint8
@@ -108,30 +102,25 @@ type Result struct {
 	Mode Mode
 	// Attrs are the output attribute names.
 	Attrs []string
-	// Relation names the materialized engine relation (ModePlain on the
-	// engine path; empty otherwise). The caller owns dropping it.
+	// Relation names the result relation of a plain statement: the
+	// arena-scoped scratch name of a query, or the installed name after
+	// Materialize (the caller owns dropping that one). Empty for mode queries.
 	Relation string
-	// Stats are the representation statistics of Relation.
+	// Stats are the representation statistics of the plain result, summed
+	// over its segments.
 	Stats engine.Stats
-	// Tuples holds the answers of CONF()/POSSIBLE/CERTAIN queries, sorted
-	// canonically. For ModePossible and non-probabilistic inputs the Conf
-	// fields are 0.
-	Tuples []confidence.TupleConf
-	// WorldSet is the per-world result (ModePlain on the per-world path).
-	WorldSet *worlds.WorldSet
+	// Tuples holds the answers of CONF()/POSSIBLE/CERTAIN queries in the
+	// engine's native encoding, sorted canonically. For ModePossible and
+	// non-probabilistic inputs the Conf fields are 0.
+	Tuples []engine.TupleConf
 
-	// arena owns the result relation of a plain engine-path execution (no
-	// install); rel is that relation. Rows.Close releases both — the
-	// session-arena lifecycle replacing PR 2's drop-from-shared-catalog.
-	arena *engine.Arena
-	rel   *engine.Relation
-	// segs holds the per-shard result segments of a sharded plain execution
-	// (one arena-owned relation per shard, walked in shard order); arena and
-	// rel are nil then. Rows.Close releases every segment.
+	// segs holds the plain result: one arena-owned relation per snapshot the
+	// plan ran on (one for the authority, one per shard otherwise), walked in
+	// placement order. Rows.Close releases every segment's arena.
 	segs []resultSeg
 }
 
-// resultSeg is one shard's slice of a sharded plain result.
+// resultSeg is one snapshot's slice of a plain result.
 type resultSeg struct {
 	arena *engine.Arena
 	rel   *engine.Relation

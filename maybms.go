@@ -28,6 +28,7 @@
 package maybms
 
 import (
+	"maybms/internal/bridge"
 	"maybms/internal/chase"
 	"maybms/internal/confidence"
 	"maybms/internal/core"
@@ -250,9 +251,8 @@ var (
 // WSD materialization) run as Arena methods — reading shared state, writing
 // only the arena. Any number of arenas evaluate concurrently over one
 // store; dropping an arena releases its results, Arena.Commit installs
-// them. The operator methods on Store itself are deprecated one-shot
-// wrappers (snapshot + arena + commit per call), and the WSD bridge
-// (ToWSD/ToWSDOf) is kept for testing and as the confidence oracle.
+// them. StoreToWSD/StoreToWSDOf bridge engine state to the WSD model, for
+// small data and as the confidence oracle.
 type (
 	// Store is the columnar UWSDT engine.
 	Store = engine.Store
@@ -261,9 +261,6 @@ type (
 	// StoreArena is a private result space over one snapshot; the engine
 	// operators run as its methods.
 	StoreArena = engine.Arena
-	// EngineSpace is the operator surface shared by Arena and the
-	// deprecated one-shot Store wrappers.
-	EngineSpace = engine.Space
 	// StoreStats are per-relation representation statistics.
 	StoreStats = engine.Stats
 	// EngineTupleConf pairs a possible tuple (native int32 encoding) with
@@ -291,14 +288,18 @@ var (
 	EngineEq     = engine.Eq
 	EngineNe     = engine.Ne
 	EngineGt     = engine.Gt
+	// StoreToWSD converts a whole store, StoreToWSDOf the named relations of
+	// a Store, StoreSnapshot or StoreArena, into a WSD.
+	StoreToWSD   = bridge.ToWSD
+	StoreToWSDOf = bridge.ToWSDOf
 	ChaseOptions = func(refined, assumeClean bool) engine.ChaseOptions {
 		return engine.ChaseOptions{Refined: refined, AssumeClean: assumeClean}
 	}
 )
 
 // SQL frontend (internal/sql): parse a statement of the MayBMS subset, plan
-// it, execute it on the engine store or per world, and render the Section 5
-// rewriting of the plan. See the internal/sql package comment for the
+// it, execute it on the engine store, and render the Section 5 rewriting of
+// the plan. See the internal/sql package comment for the
 // grammar.
 type (
 	// SQLStmt is a parsed SQL statement.
@@ -330,18 +331,10 @@ type (
 	Stmt = sql.Prepared
 	// Rows is the pull iterator over one execution's result.
 	Rows = sql.Rows
-	// SQLExecutor is the execution backend contract shared by the engine
-	// path and the per-world reference path.
-	SQLExecutor = sql.Executor
 )
 
-// Open opens a session over an engine store; PrepareSQLPerWorld compiles a
-// statement against an explicit world-set under the reference semantics,
-// behind the same Stmt/Rows surface.
-var (
-	Open               = sql.Open
-	PrepareSQLPerWorld = sql.PrepareWorlds
-)
+// Open opens a session over an engine store.
+var Open = sql.Open
 
 // Durability (internal/storage, docs/snapshot-format.md): Restore opens a
 // durable data directory — newest snapshot loaded, write-ahead log replayed
@@ -373,18 +366,4 @@ var (
 	ParseSQL = sql.Parse
 	PlanSQL  = sql.PlanEngine
 	Explain  = sql.Explain
-)
-
-// One-shot execution facade.
-//
-// Deprecated: ExecSQL re-lexes, re-parses and re-plans on every call,
-// materializes under a caller-managed result name, and ExecSQLPerWorld
-// cannot bind parameters. Use Open (engine path) or PrepareSQLPerWorld
-// (reference path): plans compile once, ? parameters bind per execution,
-// and results live in session arenas released on Rows.Close. ExecSQL is now
-// itself a thin wrapper over a one-shot snapshot + arena — execution never
-// locks the store; only a plain query's final install commits.
-var (
-	ExecSQL         = sql.Exec
-	ExecSQLPerWorld = sql.ExecWorlds
 )

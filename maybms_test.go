@@ -177,10 +177,11 @@ func TestFacadeEngineStore(t *testing.T) {
 	if err := s.SetUncertain("R", 0, "B", []int32{3, 9}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Select("P", "R", EngineEq("B", 9)); err != nil {
+	ar := NewArena(s.Snapshot())
+	if _, err := ar.Select("P", "R", EngineEq("B", 9)); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats("P")
+	st := ar.Stats("P")
 	if st.RSize != 1 || st.NumComp != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -206,10 +207,11 @@ func TestFacadeChaseOptionsAndEngineChase(t *testing.T) {
 		t.Fatalf("|C| = %d after chase, want 1 (value 9 removed)", st.CSize)
 	}
 	// Engine predicates through the facade.
-	if _, err := s.Select("P", "R", EngineNe("A", 0)); err != nil {
+	ar := NewArena(s.Snapshot())
+	if _, err := ar.Select("P", "R", EngineNe("A", 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Select("P2", "R", EngineGt("B", 5)); err != nil {
+	if _, err := ar.Select("P2", "R", EngineGt("B", 5)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -233,20 +235,23 @@ func TestFacadeSQLFrontend(t *testing.T) {
 	if len(plan.Ops) != 2 {
 		t.Fatalf("plan has %d ops, want select+project", len(plan.Ops))
 	}
-	res, err := ExecSQL(s, "SELECT A FROM R WHERE B = 9", "P")
+	db := Open(s)
+	defer db.Close()
+	res, err := db.Materialize("P", "SELECT A FROM R WHERE B = 9")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.RSize != 1 {
 		t.Fatalf("result stats = %+v", res.Stats)
 	}
-	s.DropRelation("P")
+	db.DropRelation("P")
 
-	conf, err := ExecSQL(s, "SELECT CONF() FROM R WHERE B = 9", "C")
+	rows, err := db.Query("SELECT CONF() FROM R WHERE B = 9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(conf.Tuples) != 1 || math.Abs(conf.Tuples[0].Conf-0.6) > 1e-9 {
+	defer rows.Close()
+	if conf := rows.Result(); len(conf.Tuples) != 1 || math.Abs(conf.Tuples[0].Conf-0.6) > 1e-9 {
 		t.Fatalf("CONF() tuples = %v", conf.Tuples)
 	}
 
