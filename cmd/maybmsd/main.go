@@ -13,7 +13,7 @@
 //
 // Without -store the server generates the Section 9 census relation R (with
 // noise and the Figure 25 cleaning chase, as wsdcli does). With -store it
-// bulk-ingests a CSV file (storage.LoadCSV): the header row names the
+// bulk-ingests a CSV file (sql.DB.IngestCSV): the header row names the
 // attributes, fields are non-negative integers, and a field of the form
 // "a|b|c" becomes an or-set (a local world per alternative, uniform
 // probabilities). When the CSV header matches the census schema the
@@ -22,8 +22,8 @@
 // With -data the store is durable (docs/snapshot-format.md): a directory
 // holding a snapshot is restored — newest snapshot plus write-ahead-log
 // replay, zero CSV re-ingest — and -store/-rows are ignored; a fresh
-// directory is initialized from the usual build path and every MATERIALIZE
-// or DROP commit is logged from then on. A fresh directory combined with
+// directory is initialized from the generated store and every commit is
+// logged from then on. A fresh directory combined with
 // -store boots durably without writing a snapshot first: the ingest is one
 // LOAD CSV log record (file checksum + row count) and the chase is logged
 // behind it, so a kill -9 before the first checkpoint replays the boot
@@ -50,6 +50,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"os"
 	"os/signal"
@@ -140,43 +141,38 @@ func main() {
 	}
 }
 
-// openDB builds the served session: a durable restore/initialize when -data
-// is given, an in-memory store otherwise.
+// openDB builds the served session. A -data directory that already holds a
+// store is restored and nothing else is consulted; otherwise the store comes
+// from the -store CSV or the census generator, durable when -data is given.
 func openDB(dataDir, storePath, rel string, rows int, density float64, seed int64, skipChase bool) (*sql.DB, error) {
-	if dataDir == "" {
-		st, err := buildStore(storePath, rel, rows, density, seed, skipChase)
-		if err != nil {
-			return nil, err
+	if dataDir != "" {
+		db, replayed, err := sql.Restore(dataDir)
+		if err == nil {
+			if snaps, _ := filepath.Glob(filepath.Join(dataDir, "snapshot-*.mybs")); len(snaps) > 0 {
+				log.Printf("restored %s: snapshot + %d WAL records, zero re-ingest", dataDir, replayed)
+			} else {
+				log.Printf("restored %s: WAL-only boot, %d records replayed (no snapshot yet; the drain checkpoint writes one)", dataDir, replayed)
+			}
+			for _, name := range db.Relations() {
+				logStats(db, name)
+			}
+			return db, nil
 		}
-		return sql.Open(st), nil
-	}
-	db, replayed, err := sql.Restore(dataDir)
-	if err == nil {
-		if snaps, _ := filepath.Glob(filepath.Join(dataDir, "snapshot-*.mybs")); len(snaps) > 0 {
-			log.Printf("restored %s: snapshot + %d WAL records, zero re-ingest", dataDir, replayed)
-		} else {
-			log.Printf("restored %s: WAL-only boot, %d records replayed (no snapshot yet; the drain checkpoint writes one)", dataDir, replayed)
+		if !errors.Is(err, storage.ErrNoSnapshot) {
+			return nil, fmt.Errorf("maybmsd: restoring -data %s: %w (move the damaged directory aside to re-initialize)", dataDir, err)
 		}
-		for _, name := range db.Relations() {
-			logStats(db, name)
-		}
-		return db, nil
-	}
-	if !errors.Is(err, storage.ErrNoSnapshot) {
-		return nil, fmt.Errorf("maybmsd: restoring -data %s: %w (move the damaged directory aside to re-initialize)", dataDir, err)
 	}
 	if storePath != "" {
-		// Fresh directory + CSV: boot durably through the log instead of
-		// loading in memory and snapshotting — the ingest is one LOAD CSV
-		// record and the chase is logged behind it, so the boot survives a
-		// kill -9 before any checkpoint.
-		return createCSVDir(dataDir, storePath, rel, skipChase)
+		return bootCSV(dataDir, storePath, rel, skipChase)
 	}
-	st, err := buildStore(storePath, rel, rows, density, seed, skipChase)
+	st, err := censusStore(rows, density, seed, skipChase)
 	if err != nil {
 		return nil, err
 	}
-	db, err = sql.InitDir(dataDir, st)
+	if dataDir == "" {
+		return sql.Open(st), nil
+	}
+	db, err := sql.InitDir(dataDir, st)
 	if err != nil {
 		return nil, fmt.Errorf("maybmsd: initializing -data %s: %w", dataDir, err)
 	}
@@ -184,21 +180,31 @@ func openDB(dataDir, storePath, rel string, rows int, density float64, seed int6
 	return db, nil
 }
 
-// createCSVDir boots a fresh durable directory from a CSV file: the ingest
-// and the cleaning chase are logged as WAL records (no snapshot yet), so the
-// CSV file must stay in place until the first checkpoint.
-func createCSVDir(dataDir, storePath, rel string, skipChase bool) (*sql.DB, error) {
-	db, err := sql.CreateDir(dataDir)
-	if err != nil {
-		return nil, fmt.Errorf("maybmsd: creating -data %s: %w", dataDir, err)
+// bootCSV serves a CSV file: header row = attribute names, integer fields =
+// certain values, "a|b|c" fields = or-sets; the census cleaning chase runs
+// when the header matches the census schema. The ingest and the chase are
+// two commits on the session, so the in-memory boot (a DB with no directory)
+// and the durable one are the same sequence: with a fresh -data directory
+// they are logged as WAL records — no snapshot is written first, and the
+// boot survives a kill -9 before any checkpoint.
+func bootCSV(dataDir, storePath, rel string, skipChase bool) (*sql.DB, error) {
+	db := sql.Open(engine.NewStore())
+	if dataDir != "" {
+		var err error
+		if db, err = sql.CreateDir(dataDir); err != nil {
+			return nil, fmt.Errorf("maybmsd: creating -data %s: %w", dataDir, err)
+		}
 	}
 	info, err := db.IngestCSV(storePath, rel)
 	if err != nil {
 		db.Close()
+		var pe *fs.PathError
+		if errors.As(err, &pe) {
+			return nil, fmt.Errorf("maybmsd: opening -store file: %v (give the path of a CSV whose header row names the attributes)", pe)
+		}
 		return nil, fmt.Errorf("maybmsd: %v", err)
 	}
-	log.Printf("ingested %s: %d tuples × %d attributes, %d or-sets (logged as one LOAD CSV record; keep the file until the first checkpoint)",
-		storePath, info.Rows, info.Attrs, info.OrSets)
+	log.Printf("ingested %s: %d tuples × %d attributes, %d or-sets", storePath, info.Rows, info.Attrs, info.OrSets)
 	if !skipChase && isCensusSchema(db.Schema(rel)) {
 		start := time.Now()
 		if err := db.Chase(rel, census.Dependencies(), engine.ChaseOptions{AssumeClean: true}); err != nil {
@@ -209,16 +215,15 @@ func createCSVDir(dataDir, storePath, rel string, skipChase bool) (*sql.DB, erro
 			len(census.Dependencies()), time.Since(start).Round(time.Millisecond))
 	}
 	logStats(db, rel)
-	log.Printf("created %s: commits logged from the first record, no snapshot yet", dataDir)
+	if dataDir != "" {
+		log.Printf("created %s: commits logged from the first record, no snapshot yet (the ingest is one LOAD CSV record: keep %s until the first checkpoint)", dataDir, storePath)
+	}
 	return db, nil
 }
 
-// buildStore prepares the served store: census generation (the wsdcli
-// pipeline) or CSV ingest. Every failure returns an error naming what to fix.
-func buildStore(path, rel string, rows int, density float64, seed int64, skipChase bool) (*engine.Store, error) {
-	if path != "" {
-		return loadCSVStore(path, rel, skipChase)
-	}
+// censusStore generates the Section 9 census relation R with noise and the
+// Figure 25 cleaning chase (the wsdcli pipeline).
+func censusStore(rows int, density float64, seed int64, skipChase bool) (*engine.Store, error) {
 	log.Printf("generating census relation: %d tuples × %d attributes, density %.3f%%",
 		rows, len(census.Attrs), density*100)
 	st, err := census.NewStore("R", rows, seed)
@@ -236,35 +241,6 @@ func buildStore(path, rel string, rows int, density float64, seed int64, skipCha
 		log.Printf("chased %d dependencies in %s", len(census.Dependencies()), time.Since(start).Round(time.Millisecond))
 	}
 	logStats(st, "R")
-	return st, nil
-}
-
-// loadCSVStore bulk-ingests a CSV file into a fresh store through
-// storage.LoadCSV: header row = attribute names, integer fields = certain
-// values, "a|b|c" fields = or-sets. The census cleaning chase runs when the
-// header matches the census schema.
-func loadCSVStore(path, rel string, skipChase bool) (*engine.Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("maybmsd: opening -store file: %v (give the path of a CSV whose header row names the attributes)", err)
-	}
-	defer f.Close()
-
-	st, info, err := storage.LoadCSV(f, path, rel)
-	if err != nil {
-		return nil, fmt.Errorf("maybmsd: %v", err)
-	}
-	log.Printf("ingested %s: %d tuples × %d attributes, %d or-sets", path, info.Rows, info.Attrs, info.OrSets)
-
-	if !skipChase && isCensusSchema(st.Rel(rel).Attrs) {
-		start := time.Now()
-		if err := st.ChaseEGDsOpt(rel, census.Dependencies(), engine.ChaseOptions{AssumeClean: true}); err != nil {
-			return nil, fmt.Errorf("maybmsd: cleaning chase over %s failed: %w (the data contradicts the census dependencies; rerun with -skip-chase to serve it as-is)", rel, err)
-		}
-		log.Printf("census schema detected: chased %d dependencies in %s",
-			len(census.Dependencies()), time.Since(start).Round(time.Millisecond))
-	}
-	logStats(st, rel)
 	return st, nil
 }
 

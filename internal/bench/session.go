@@ -11,6 +11,7 @@ import (
 	"maybms/internal/bridge"
 	"maybms/internal/census"
 	"maybms/internal/confidence"
+	"maybms/internal/engine"
 	"maybms/internal/sql"
 )
 
@@ -439,7 +440,7 @@ func ConfNative(rows int, density float64, seed int64) (ConfNativePoint, error) 
 	snap := p.Store.Snapshot()
 
 	start := time.Now()
-	native, err := snap.PossibleP("confres")
+	native, err := engine.PossibleP(snap, "confres")
 	if err != nil {
 		return ConfNativePoint{}, err
 	}

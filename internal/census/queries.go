@@ -132,7 +132,7 @@ func ConfQuery(s *engine.Store, name, src string) ([]engine.TupleConf, error) {
 	if err := Run(ar, name, src, res); err != nil {
 		return nil, err
 	}
-	return ar.PossibleP(res)
+	return engine.PossibleP(ar, res)
 }
 
 // Run evaluates the named query (Q1..Q6) of Figure 29 against src,

@@ -294,9 +294,9 @@ func (a *Arena) mergeComps(fields ...FieldID) (*Component, error) {
 	return merged, nil
 }
 
-// addField appends a new field column to arena component c; the arena
-// analogue of Store.addField. c must have been obtained through compFor or
-// mergeComps (arena components only).
+// addField appends a new field column to arena component c, with the given
+// values and absence bits (one entry per component row). c must have been
+// obtained through compFor or mergeComps (arena components only).
 func (a *Arena) addField(c *Component, f FieldID, vals []int32, absent []bool) error {
 	if c.ID >= 0 {
 		return fmt.Errorf("engine: addField on non-arena component %d", c.ID)

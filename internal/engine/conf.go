@@ -249,10 +249,13 @@ func (ac *tupleAccum) sweepGroups(r *Relation, groups []*tlGroup, guard *Guard) 
 	return nil
 }
 
-// possibleMassesOf computes the pre-fold confidence table of rel natively:
-// the tuple-level view is built once and every tuple's per-group masses are
-// collected in a single sweep over it, in canonical tuple order.
-func possibleMassesOf(v View, rel string) ([]TupleMasses, error) {
+// PossibleMasses computes the pre-fold confidence table of rel natively on
+// any view (live store, snapshot, or an arena's result relations read in
+// place): the tuple-level view is built once and every tuple's per-group
+// masses are collected in a single sweep over it, in canonical tuple order,
+// not yet folded. The shard layer merges these across sub-stores before
+// folding.
+func PossibleMasses(v View, rel string) ([]TupleMasses, error) {
 	tv, err := tupleLevelView(v, rel)
 	if err != nil {
 		return nil, err
@@ -265,17 +268,21 @@ func possibleMassesOf(v View, rel string) ([]TupleMasses, error) {
 	return ac.sorted(), nil
 }
 
-// possiblePOf computes the Figure 19 confidence table of rel natively.
-func possiblePOf(v View, rel string) ([]TupleConf, error) {
-	tms, err := possibleMassesOf(v, rel)
+// PossibleP computes the possible tuples of rel with their confidences
+// (Figure 19) natively on the view, sorted canonically. This is the CONF()
+// computation, with no WSD materialization.
+func PossibleP(v View, rel string) ([]TupleConf, error) {
+	tms, err := PossibleMasses(v, rel)
 	if err != nil {
 		return nil, err
 	}
 	return foldAll(guardOf(v), tms)
 }
 
-// confOf computes the Figure 17 confidence of one tuple of rel natively.
-func confOf(v View, rel string, t []int32) (float64, error) {
+// Conf computes the confidence of tuple t in relation rel (Figure 17)
+// natively on the view: the sum of the probabilities of the worlds whose rel
+// contains t.
+func Conf(v View, rel string, t []int32) (float64, error) {
 	tv, err := tupleLevelView(v, rel)
 	if err != nil {
 		return 0, err
@@ -326,12 +333,12 @@ func confOf(v View, rel string, t []int32) (float64, error) {
 	return FoldMasses(masses), nil
 }
 
-// possibleOf computes the Figure 18 possible tuples of rel natively, in
-// canonical order.
+// Possible computes the tuples of rel appearing in at least one world
+// (Figure 18) natively on the view, in canonical order.
 //
-//maybms:unguarded linear copy of the already-folded table; possiblePOf ticks per tuple
-func possibleOf(v View, rel string) ([][]int32, error) {
-	tcs, err := possiblePOf(v, rel)
+//maybms:unguarded linear copy of the already-folded table; PossibleP ticks per tuple
+func Possible(v View, rel string) ([][]int32, error) {
+	tcs, err := PossibleP(v, rel)
 	if err != nil {
 		return nil, err
 	}
@@ -342,78 +349,18 @@ func possibleOf(v View, rel string) ([][]int32, error) {
 	return out, nil
 }
 
-// certainOf reports whether tuple t occurs in every world of rel: its
+// Certain reports whether tuple t occurs in every world of rel: its
 // confidence is 1 within eps. Engine components always carry probabilities,
 // so — unlike the generic confidence package — there is no separate
 // non-probabilistic path.
-func certainOf(v View, rel string, t []int32, eps float64) (bool, error) {
-	c, err := confOf(v, rel, t)
+func Certain(v View, rel string, t []int32, eps float64) (bool, error) {
+	c, err := Conf(v, rel, t)
 	if err != nil {
 		return false, err
 	}
 	return c >= 1-eps, nil
 }
 
-// Conf computes the confidence of tuple t in relation rel (Figure 17)
-// natively on the arena's view: the sum of the probabilities of the worlds
-// whose rel contains t.
-func (a *Arena) Conf(rel string, t []int32) (float64, error) { return confOf(a, rel, t) }
-
-// PossibleP computes the possible tuples of rel with their confidences
-// (Figure 19) natively on the arena's view, sorted canonically. This is the
-// CONF() execution path: the arena's result relations and the components
-// they extend are read in place, with no WSD materialization.
-func (a *Arena) PossibleP(rel string) ([]TupleConf, error) { return possiblePOf(a, rel) }
-
-// PossibleMasses computes the pre-fold confidence table of rel on the
-// arena's view: per-tuple group masses, not yet folded. The shard layer
-// merges these across sub-stores before FoldMasses.
-func (a *Arena) PossibleMasses(rel string) ([]TupleMasses, error) { return possibleMassesOf(a, rel) }
-
-// Possible computes the tuples of rel appearing in at least one world
-// (Figure 18) natively on the arena's view, sorted canonically.
-func (a *Arena) Possible(rel string) ([][]int32, error) { return possibleOf(a, rel) }
-
-// Certain reports whether tuple t occurs in every world of rel — confidence
-// 1 within eps — natively on the arena's view.
-func (a *Arena) Certain(rel string, t []int32, eps float64) (bool, error) {
-	return certainOf(a, rel, t, eps)
-}
-
-// Conf computes the confidence of tuple t in relation rel natively on the
-// snapshot.
-func (sn *Snapshot) Conf(rel string, t []int32) (float64, error) { return confOf(sn, rel, t) }
-
-// PossibleP computes the confidence table of rel natively on the snapshot.
-func (sn *Snapshot) PossibleP(rel string) ([]TupleConf, error) { return possiblePOf(sn, rel) }
-
-// PossibleMasses computes the pre-fold confidence table of rel natively on
-// the snapshot.
-func (sn *Snapshot) PossibleMasses(rel string) ([]TupleMasses, error) {
-	return possibleMassesOf(sn, rel)
-}
-
-// Possible computes the possible tuples of rel natively on the snapshot.
-func (sn *Snapshot) Possible(rel string) ([][]int32, error) { return possibleOf(sn, rel) }
-
-// Certain reports whether tuple t occurs in every world of rel natively on
-// the snapshot.
-func (sn *Snapshot) Certain(rel string, t []int32, eps float64) (bool, error) {
-	return certainOf(sn, rel, t, eps)
-}
-
-// Conf computes the confidence of tuple t in relation rel natively on the
-// live store; concurrent readers should go through Snapshot.
-func (s *Store) Conf(rel string, t []int32) (float64, error) { return confOf(s, rel, t) }
-
-// PossibleP computes the confidence table of rel natively on the live store.
-func (s *Store) PossibleP(rel string) ([]TupleConf, error) { return possiblePOf(s, rel) }
-
-// Possible computes the possible tuples of rel natively on the live store.
-func (s *Store) Possible(rel string) ([][]int32, error) { return possibleOf(s, rel) }
-
-// Certain reports whether tuple t occurs in every world of rel natively on
-// the live store.
-func (s *Store) Certain(rel string, t []int32, eps float64) (bool, error) {
-	return certainOf(s, rel, t, eps)
-}
+// PossibleMasses is the free function on the arena's view; the benchmark's
+// traced run steps it by this name.
+func (a *Arena) PossibleMasses(rel string) ([]TupleMasses, error) { return PossibleMasses(a, rel) }

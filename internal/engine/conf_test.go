@@ -57,14 +57,14 @@ func TestNativeConfidenceMatchesOracleRandom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			native, err := s.PossibleP(rel)
+			native, err := PossibleP(s, rel)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			diffPossibleP(t, label, native, oracle)
 
 			// Possible is the confidence table minus the confidences.
-			poss, err := s.Possible(rel)
+			poss, err := Possible(s, rel)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -79,7 +79,7 @@ func TestNativeConfidenceMatchesOracleRandom(t *testing.T) {
 
 			// Conf and Certain per possible tuple, plus one absent tuple.
 			for _, tc := range native {
-				got, err := s.Conf(rel, tc.Tuple)
+				got, err := Conf(s, rel, tc.Tuple)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -90,7 +90,7 @@ func TestNativeConfidenceMatchesOracleRandom(t *testing.T) {
 				if d := got - want; d > confEps || d < -confEps {
 					t.Fatalf("%s: Conf(%v) = %g, oracle %g", label, tc.Tuple, got, want)
 				}
-				gotCert, err := s.Certain(rel, tc.Tuple, 1e-9)
+				gotCert, err := Certain(s, rel, tc.Tuple, 1e-9)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -107,7 +107,7 @@ func TestNativeConfidenceMatchesOracleRandom(t *testing.T) {
 			for i := range missing {
 				missing[i] = 99
 			}
-			got, err := s.Conf(rel, missing)
+			got, err := Conf(s, rel, missing)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -136,7 +136,7 @@ func TestNativeConfidenceMatchesWorldEnumeration(t *testing.T) {
 					conf[tup.Key()] += ws.Probs[i]
 				}
 			}
-			native, err := s.PossibleP(rel)
+			native, err := PossibleP(s, rel)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -174,7 +174,7 @@ func TestNativeConfidenceOnArenaResults(t *testing.T) {
 		}
 		for _, res := range []string{"sel", "proj"} {
 			label := fmt.Sprintf("seed %d result %s", seed, res)
-			native, err := ar.PossibleP(res)
+			native, err := PossibleP(ar, res)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

@@ -78,7 +78,7 @@ func TestDifferenceMatchesWorldEnumeration(t *testing.T) {
 				conf[tup.Key()] += want.Probs[i]
 			}
 		}
-		native, err := ar.PossibleP("res")
+		native, err := PossibleP(ar, "res")
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

@@ -161,6 +161,17 @@ func TestStoreBasics(t *testing.T) {
 	if err := s.SetUncertain("R", 1, "B", nil, nil); err == nil {
 		t.Fatal("empty or-set must fail")
 	}
+	if err := s.SetUncertain("R", 1, "B", []int32{4, -7}, nil); err == nil {
+		t.Fatal("negative or-set value must fail")
+	}
+	// A refused SetUncertain leaves nothing behind: no component mapped to a
+	// still-certain field.
+	if err := s.Validate(1e-9); err != nil {
+		t.Fatalf("store invalid after refused SetUncertain calls: %v", err)
+	}
+	if got := s.NumComponents(); got != 1 {
+		t.Fatalf("%d components after refused SetUncertain calls, want 1", got)
+	}
 }
 
 func TestSelectCertainOnly(t *testing.T) {

@@ -35,7 +35,7 @@ const MaxConfWorkers = 16
 // groups) worth fanning out; below it a single sweep wins.
 const parallelThreshold = 256
 
-// possibleMassesParallel is possibleMassesOf with the sweep striped over a
+// possibleMassesParallel is PossibleMasses with the sweep striped over a
 // worker pool: worker w scores certain-row chunk w and every group g with
 // index ≡ w (mod workers). The merged result is identical to the serial one.
 func possibleMassesParallel(v View, rel string, workers int) ([]TupleMasses, error) {
@@ -154,14 +154,4 @@ func FoldMassTable(g *Guard, tms []TupleMasses) ([]TupleConf, error) { return fo
 // PossibleP.
 func (a *Arena) PossibleMassesParallel(rel string, workers int) ([]TupleMasses, error) {
 	return possibleMassesParallel(a, rel, workers)
-}
-
-// PossiblePParallel computes the confidence table of rel on the snapshot
-// with a parallel group sweep; byte-identical to PossibleP.
-func (sn *Snapshot) PossiblePParallel(rel string, workers int) ([]TupleConf, error) {
-	tms, err := possibleMassesParallel(sn, rel, workers)
-	if err != nil {
-		return nil, err
-	}
-	return foldAll(guardOf(sn), tms)
 }

@@ -18,7 +18,7 @@ func poolWorkload(ar *Arena, rel string) (string, error) {
 	if _, err := ar.Project("proj", "sel", r.Attrs[0], r.Attrs[1]); err != nil {
 		return "", err
 	}
-	tcs, err := ar.PossibleP("proj")
+	tcs, err := PossibleP(ar, "proj")
 	if err != nil {
 		return "", err
 	}

@@ -235,9 +235,6 @@ func (s *Store) Relations() []string {
 	return out
 }
 
-// Component returns the component with the given id, or nil.
-func (s *Store) Component(cid int32) *Component { return s.comps[cid] }
-
 // ComponentOf returns the component defining field f, or nil.
 func (s *Store) ComponentOf(f FieldID) *Component {
 	cid, ok := s.fieldComp[f]
@@ -277,12 +274,14 @@ func (s *Store) SetUncertain(rel string, row int, attr string, values []int32, p
 	if probs != nil && len(probs) != len(values) {
 		return fmt.Errorf("engine: %d probabilities for %d values", len(probs), len(values))
 	}
-	f := FieldID{Rel: r.id, Row: int32(row), Attr: ai}
-	c := s.newComponent([]FieldID{f})
-	for i, v := range values {
+	for _, v := range values {
 		if v < 0 {
 			return fmt.Errorf("engine: negative value %d in or-set", v)
 		}
+	}
+	f := FieldID{Rel: r.id, Row: int32(row), Attr: ai}
+	c := s.newComponent([]FieldID{f})
+	for i, v := range values {
 		p := 1 / float64(len(values))
 		if probs != nil {
 			p = probs[i]
@@ -423,30 +422,6 @@ func appendFieldKey(buf []byte, v int32, absent bool) []byte {
 		v = -2
 	}
 	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-// addField appends a new field column to component c with the given values
-// and absence bits (one entry per component row).
-//
-//maybms:unguarded update-path mutation under the store lock; queries run on snapshots and arenas
-func (s *Store) addField(c *Component, f FieldID, vals []int32, absent []bool) error {
-	if len(c.Fields) >= MaxCompFields {
-		return fmt.Errorf("engine: component %d is full", c.ID)
-	}
-	if len(vals) != len(c.Rows) || len(absent) != len(c.Rows) {
-		return fmt.Errorf("engine: addField: %d values for %d rows", len(vals), len(c.Rows))
-	}
-	col := len(c.Fields)
-	c.Fields = append(c.Fields, f)
-	c.pos[f] = col
-	for i := range c.Rows {
-		c.Rows[i].Vals = append(c.Rows[i].Vals, vals[i])
-		if absent[i] {
-			c.Rows[i].Absent = c.Rows[i].Absent.Set(col)
-		}
-	}
-	s.fieldComp[f] = c.ID
-	return nil
 }
 
 // Clone deep-copies the store: templates, components and indexes. Used by

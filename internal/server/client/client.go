@@ -437,7 +437,9 @@ func (c *Conn) Materialize(res, text string, args ...any) (engine.Stats, error) 
 	return st, nil
 }
 
-// DropRelation removes a user relation from the server's store.
+// DropRelation removes a user relation from the server's store. OK means the
+// drop is committed (and, on a durable server, logged); an unknown relation
+// or a commit the log could not capture comes back as a *server.WireError.
 func (c *Conn) DropRelation(rel string) error {
 	var w server.WBuf
 	w.Str(rel)

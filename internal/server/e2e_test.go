@@ -370,6 +370,30 @@ func TestGlobalBudgetQueue(t *testing.T) {
 		t.Fatalf("dial holder: %v", err)
 	}
 	defer holder.Close()
+	// While the holder's query runs and its cursor opens, the ledger is
+	// sampled continuously. The mid-flight reservation becomes the cursor's
+	// charge, so the only legal decrease is the release of a reservation's
+	// excess over the result — landing on need, never below it, where the
+	// finished result would be unaccounted and its bytes up for grabs.
+	dipped := make(chan int64, 1)
+	stop := make(chan struct{})
+	go func() {
+		var prev int64
+		for {
+			used := srv.GlobalUsed()
+			if used < prev && used < need {
+				dipped <- used
+				return
+			}
+			prev = used
+			select {
+			case <-stop:
+				dipped <- -1
+				return
+			default:
+			}
+		}
+	}()
 	held, err := holder.Query("SELECT * FROM R")
 	if err != nil {
 		t.Fatalf("holder query: %v", err)
@@ -379,6 +403,10 @@ func TestGlobalBudgetQueue(t *testing.T) {
 	}
 	if used := srv.GlobalUsed(); used != need {
 		t.Fatalf("global ledger holds %d bytes, want %d", used, need)
+	}
+	close(stop)
+	if low := <-dipped; low >= 0 {
+		t.Fatalf("global ledger dropped to %d bytes between query end and cursor open (the result needs %d)", low, need)
 	}
 
 	waiter, err := client.Dial(addr)

@@ -118,8 +118,8 @@ func (s *session) beginRequest() (context.Context, time.Time) {
 	return ctx, deadline
 }
 
-// endRequest retires the request begun by beginRequest and returns its
-// mid-flight memory reservation.
+// endRequest retires a request begun by beginRequest that leaves no cursor
+// behind, returning its mid-flight memory reservation.
 func (s *session) endRequest() {
 	s.clearInflight()
 	s.settleReserved()
@@ -137,10 +137,9 @@ var errMidBudget = errors.New("memory budget exceeded mid-query")
 // alone could never fit the global budget reject immediately (ErrMemBudget);
 // global contention queues until other sessions free memory, bounded by the
 // request deadline (ErrTimeout) — while queued, the query holds still, so a
-// CANCEL takes effect only once the wait resolves. Reservations are settled
-// (released) when the request finishes; an admitted result is then
-// re-charged through the normal cursor-open path. Called from engine worker
-// goroutines.
+// CANCEL takes effect only once the wait resolves. When the request finishes
+// the reservation becomes the cursor's charge (chargeCursor) or is released
+// (settleReserved). Called from engine worker goroutines.
 func (s *session) memGrow(delta int64, deadline time.Time) error {
 	if delta <= 0 {
 		return nil
@@ -169,8 +168,34 @@ func (s *session) memGrow(delta int64, deadline time.Time) error {
 	return nil
 }
 
-// settleReserved returns the in-flight reservation to the global ledger once
-// the request is done (successful results are re-admitted at cursor open).
+// chargeCursor turns the request's mid-flight reservation into the charge of
+// its finished result: the bytes the query already holds on the global
+// ledger stay held, and only the difference to mem is acquired (queueing to
+// the deadline, as mid-flight growth does) or released — a result is never
+// unaccounted between the end of its query and its cursor, and never queues
+// behind bytes it held itself. On error nothing stays charged.
+func (s *session) chargeCursor(mem int64, deadline time.Time) error {
+	s.curMu.Lock()
+	held := s.reserved
+	s.reserved = 0
+	s.curMu.Unlock()
+	if mem <= held {
+		s.srv.global.release(held - mem)
+		return nil
+	}
+	err := errOverBudget
+	if mem <= s.srv.cfg.GlobalBudget {
+		err = s.srv.global.acquire(mem-held, deadline)
+	}
+	if err != nil {
+		s.srv.global.release(held)
+	}
+	return err
+}
+
+// settleReserved returns the in-flight reservation to the global ledger: the
+// request failed, or its result lives in the store (MATERIALIZE) rather than
+// in a cursor.
 func (s *session) settleReserved() {
 	s.curMu.Lock()
 	n := s.reserved
@@ -407,10 +432,9 @@ func (s *session) dispatch(op byte, payload []byte) (byte, []byte, *protoErr) {
 		if err := r.Done(); err != nil {
 			return 0, nil, perr(ErrProtocol, "DROP: %v", err)
 		}
-		if s.srv.db.Schema(rel) == nil {
-			return 0, nil, perr(ErrSQL, "unknown relation %q", rel)
+		if err := s.srv.db.DropRelation(rel); err != nil {
+			return 0, nil, perr(execErrCode(err), "%v", err)
 		}
-		s.srv.db.DropRelation(rel)
 		return OpOK, nil, nil
 	case OpCatalog:
 		if err := r.Done(); err != nil {
@@ -460,21 +484,23 @@ func (s *session) exec(r *RBuf) (byte, []byte, *protoErr) {
 	}
 	ctx, deadline := s.beginRequest()
 	rows, err := st.QueryContext(ctx, args...)
-	s.endRequest()
 	if err != nil {
+		s.endRequest()
 		return 0, nil, perr(execErrCode(err), "%v", err)
 	}
+	s.clearInflight()
 	// Admission: the result is measured, then charged against the session
 	// budget (reject — the session holds too much) and the global ledger
 	// (queue until other sessions free memory, bounded by the deadline).
 	mem := rows.MemUsage()
 	if s.mem.Load()+mem > s.srv.cfg.SessionBudget {
 		rows.Close() //nolint:errcheck // releasing the rejected result
+		s.settleReserved()
 		return 0, nil, perr(ErrMemBudget,
 			"result needs %d bytes; session holds %d of its %d-byte budget (close cursors or narrow the query)",
 			mem, s.mem.Load(), s.srv.cfg.SessionBudget)
 	}
-	if err := s.srv.global.acquire(mem, deadline); err != nil {
+	if err := s.chargeCursor(mem, deadline); err != nil {
 		rows.Close() //nolint:errcheck // releasing the rejected result
 		code := ErrMemBudget
 		if errors.Is(err, errQueueTimeout) {

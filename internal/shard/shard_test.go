@@ -121,7 +121,7 @@ func TestDifferentialPossibleP(t *testing.T) {
 				t.Fatalf("seed %d n=%d: Validate: %v", seed, n, err)
 			}
 			for _, rel := range relNames(st) {
-				want, err := authority.PossibleP(rel)
+				want, err := engine.PossibleP(authority, rel)
 				if err != nil {
 					t.Fatalf("seed %d: authority PossibleP(%s): %v", seed, rel, err)
 				}
@@ -267,7 +267,7 @@ func TestResyncUnderReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	want, err := authority.PossibleP("R0")
+	want, err := engine.PossibleP(authority, "R0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,20 +278,26 @@ func TestResyncUnderReaders(t *testing.T) {
 	requireSameTable(t, "after resyncs", want, got)
 }
 
-// TestParallelFoldIdentity: the engine's striped sweep (PossiblePParallel)
-// must be byte-identical to the serial fold — it backs the morsel-parallel
+// TestParallelFoldIdentity: the engine's striped sweep
+// (Arena.PossibleMassesParallel) must be byte-identical to the serial fold — it backs the morsel-parallel
 // confidence path on non-distributable plans.
 func TestParallelFoldIdentity(t *testing.T) {
 	st := randState(rand.New(rand.NewSource(19)), 2, 600)
 	authority := mustImport(t, st)
 	sn := authority.Snapshot()
 	for _, rel := range relNames(st) {
-		want, err := sn.PossibleP(rel)
+		want, err := engine.PossibleP(sn, rel)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ar := engine.AcquireArena(sn)
+		defer engine.ReleaseArena(ar)
 		for _, w := range []int{0, 1, 3, 8} {
-			got, err := sn.PossiblePParallel(rel, w)
+			tms, err := ar.PossibleMassesParallel(rel, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := engine.FoldMassTable(nil, tms)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -107,15 +107,10 @@ func (s *Store) Snapshots() []*engine.Snapshot {
 	return snaps
 }
 
-// Each runs f for every shard on the store's worker pool and returns the
-// first error. All shards see the same consistent snapshot set.
-func (s *Store) Each(f func(shard int, sn *engine.Snapshot) error) error {
-	return EachSnapshot(s.Snapshots(), s.workers, f)
-}
-
 // EachSnapshot fans f out over an already-taken snapshot set on a pool of
-// the given width; it is the scheduler under both Each and the sql layer's
-// sharded executor (which must pin one snapshot set per query).
+// the given width; it is the scheduler under the store's own confidence
+// methods and the sql layer's executor (which must pin one snapshot set per
+// query).
 func EachSnapshot(snaps []*engine.Snapshot, workers int, f func(shard int, sn *engine.Snapshot) error) error {
 	return EachSnapshotCtx(context.Background(), snaps, workers, f)
 }
@@ -206,7 +201,7 @@ func (s *Store) PossibleMasses(rel string) ([]engine.TupleMasses, error) {
 	snaps := s.Snapshots()
 	parts := make([][]engine.TupleMasses, len(snaps))
 	err := EachSnapshot(snaps, s.workers, func(i int, sn *engine.Snapshot) error {
-		tms, err := sn.PossibleMasses(rel)
+		tms, err := engine.PossibleMasses(sn, rel)
 		if err != nil {
 			return err
 		}

@@ -1,0 +1,278 @@
+package sql
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"os"
+
+	"maybms/internal/engine"
+	"maybms/internal/storage"
+)
+
+// The commit protocol. A catalog change is a storage.WALRecord: each of the
+// six mutators below builds one and hands it to commit, and WAL replay
+// (durable.go) hands the records it reads to the same apply — so the store a
+// restart rebuilds is produced by the code that produced the live one. The
+// README's "Commit protocol" table has one row per record type.
+
+// applied is what apply hands back to the mutator that built the record.
+type applied struct {
+	result *Result          // MATERIALIZE: the installed result
+	loaded storage.LoadInfo // LOAD CSV: what the file held
+}
+
+// commit is the one path by which a live session changes the catalog: writer
+// lock, apply the record to the store, append it to the log, re-balance the
+// shard set. The store changes before the log does, and the append fsyncs
+// before commit returns. When the append fails the caller always gets the
+// error, and the store never silently keeps a change a restart would lose:
+// a record with an inverse is undone, one without marks the DB diverged.
+// A diverged DB keeps answering queries but refuses Checkpoint and every
+// further commit — a record logged on top of a change the log never saw
+// could fail to replay — until a restart returns it to the logged state.
+// An in-memory DB has no log.
+func (db *DB) commit(ctx context.Context, rec *storage.WALRecord) (applied, error) {
+	db.writer.Lock()
+	defer db.writer.Unlock()
+	if db.durErr != nil {
+		return applied{}, fmt.Errorf("sql: %s refused: store diverged from WAL (%v); restart to return to the logged state", describe(rec), db.durErr)
+	}
+	out, err := db.apply(ctx, rec)
+	if err != nil {
+		return applied{}, err
+	}
+	if db.dur != nil {
+		if err := db.dur.WAL().Append(rec); err != nil {
+			err = fmt.Errorf("sql: logging %s: %w", describe(rec), err)
+			if uerr := db.undo(rec); uerr != nil {
+				db.durErr = fmt.Errorf("%w (%v)", err, uerr)
+			}
+			return applied{}, err
+		}
+	}
+	// The shard set is derived state: a failed re-balance disables sharding
+	// (queries fall back to the authority — correct, just not parallel) and
+	// records why; the commit itself stands.
+	if sh := db.shardStore(); sh != nil {
+		if err := sh.Resync(); err != nil {
+			db.mu.Lock()
+			db.shards = nil
+			db.shardErr = fmt.Errorf("sql: shard re-balance failed, sharding disabled: %w", err)
+			db.mu.Unlock()
+		}
+	}
+	return out, nil
+}
+
+// apply performs one record's store mutation; callers hold db.writer. It is
+// the whole difference between two consecutive committed states, live and on
+// replay alike, and it never touches the log or the shard set. An error
+// means the record is not committed, and the store is unchanged — except by
+// a chase that finds the data inconsistent, which stops part-way through its
+// in-place rewrite.
+func (db *DB) apply(ctx context.Context, rec *storage.WALRecord) (out applied, err error) {
+	switch rec.Type {
+	case storage.RecMaterialize:
+		out.result, err = db.materialize(ctx, rec)
+	case storage.RecDrop:
+		if db.store.Rel(rec.Name) == nil {
+			return out, fmt.Errorf("sql: DROP: unknown relation %q", rec.Name)
+		}
+		db.store.DropRelation(rec.Name)
+	case storage.RecRename:
+		err = db.store.RenameRelation(rec.Name, rec.NewName)
+	case storage.RecChase:
+		err = db.store.ChaseEGDsOpt(rec.Rel, rec.Deps, engine.ChaseOptions{
+			AssumeClean: rec.AssumeClean,
+			Refined:     rec.Refined,
+		})
+	case storage.RecSetUncertain:
+		err = db.store.SetUncertain(rec.Rel, int(rec.Row), rec.Attr, rec.Values, rec.Probs)
+	case storage.RecLoadCSV:
+		out.loaded, err = db.loadCSV(rec)
+	default:
+		err = fmt.Errorf("sql: unknown WAL record type %d", rec.Type)
+	}
+	return out, err
+}
+
+// errNoInverse is undo's answer for a record whose mutation discards state.
+var errNoInverse = errors.New("the change cannot be undone: the store has diverged from its log")
+
+// undo reverses an applied record the log refused; callers hold db.writer.
+// MATERIALIZE and LOAD CSV installed a relation nothing else can reference
+// yet, and RENAME swapped two names, so they have inverses; DROP, CHASE and
+// SET UNCERTAIN overwrite the state they replace.
+func (db *DB) undo(rec *storage.WALRecord) error {
+	switch rec.Type {
+	case storage.RecMaterialize:
+		db.store.DropRelation(rec.Res)
+		return nil
+	case storage.RecLoadCSV:
+		db.store.DropRelation(rec.Rel)
+		return nil
+	case storage.RecRename:
+		return db.store.RenameRelation(rec.NewName, rec.Name)
+	}
+	return errNoInverse
+}
+
+// describe names a record in error messages.
+func describe(rec *storage.WALRecord) string {
+	switch rec.Type {
+	case storage.RecMaterialize:
+		return "MATERIALIZE " + rec.Res
+	case storage.RecDrop:
+		return "DROP " + rec.Name
+	case storage.RecRename:
+		return "RENAME " + rec.Name + " TO " + rec.NewName
+	case storage.RecChase:
+		return "CHASE " + rec.Rel
+	case storage.RecSetUncertain:
+		return "SET UNCERTAIN " + rec.Rel
+	case storage.RecLoadCSV:
+		return "LOAD CSV " + rec.Path
+	}
+	return fmt.Sprintf("record type %d", rec.Type)
+}
+
+// materialize is apply's MATERIALIZE arm: the statement runs on a snapshot +
+// arena like any query, and only the arena's final commit writes the store
+// (copy-on-write, so concurrent readers on older snapshots are unaffected).
+// Replay re-runs the logged statement, which reproduces the original result
+// because the engine's operators are deterministic.
+func (db *DB) materialize(ctx context.Context, rec *storage.WALRecord) (*Result, error) {
+	stmt, err := db.Prepare(rec.Query)
+	if err != nil {
+		return nil, err
+	}
+	if stmt.st.Mode != ModePlain {
+		return nil, fmt.Errorf("sql: Materialize requires a plain query (no CONF()/POSSIBLE/CERTAIN)")
+	}
+	if TestHookExec != nil {
+		TestHookExec(rec.Query)
+	}
+	snap, tpl, err := db.templateFor(stmt)
+	if err != nil {
+		return nil, err
+	}
+	if snap.Rel(rec.Res) != nil {
+		return nil, fmt.Errorf("sql: result relation %q already exists in the store (drop it first or pick another name)", rec.Res)
+	}
+	// Writers always run on the authority: the commit below lands there.
+	out, err := execute(ctx, []*engine.Snapshot{snap}, 1, tpl, rec.Args)
+	if err != nil {
+		return nil, err
+	}
+	ar := out.segs[0].arena
+	out.segs = nil
+	defer engine.ReleaseArena(ar)
+	if err := ar.RenameRelation(out.Relation, rec.Res); err != nil {
+		return nil, fmt.Errorf("sql: installing result: %w", err)
+	}
+	out.Relation = rec.Res
+	if err := ar.Commit(); err != nil {
+		return nil, fmt.Errorf("sql: installing result: %w", err)
+	}
+	return out, nil
+}
+
+// loadCSV is apply's LOAD CSV arm. The record stands for the file: a record
+// read back from the log carries the file's CRC32 and row count, and a file
+// that no longer matches is refused rather than trusted to rebuild the store
+// the log continued from; a record fresh from IngestCSV carries neither yet
+// (a load never has zero rows) and is stamped with what was read.
+func (db *DB) loadCSV(rec *storage.WALRecord) (storage.LoadInfo, error) {
+	f, err := os.Open(rec.Path)
+	if err != nil {
+		return storage.LoadInfo{}, fmt.Errorf("sql: ingest: %w", err)
+	}
+	defer f.Close()
+	sum := crc32.NewIEEE()
+	rs, comps, info, err := storage.LoadCSVState(io.TeeReader(f, sum), rec.Path, rec.Rel)
+	if err != nil {
+		return storage.LoadInfo{}, err
+	}
+	if rec.Rows == 0 {
+		rec.Sum, rec.Rows = sum.Sum32(), int64(info.Rows)
+	} else if sum.Sum32() != rec.Sum || int64(info.Rows) != rec.Rows {
+		return storage.LoadInfo{}, fmt.Errorf(
+			"sql: LOAD CSV %s: file changed since it was logged (checksum %08x/%d rows, logged %08x/%d); restore the original file or checkpoint-and-drop the relation",
+			rec.Path, sum.Sum32(), info.Rows, rec.Sum, rec.Rows)
+	}
+	return info, db.store.InstallRelation(rs, comps)
+}
+
+// Materialize executes a plain statement and installs its result relation
+// under res in the store's user namespace, for workloads that feed one
+// query's result into the FROM clause of the next. The caller owns dropping
+// res. A clear error is returned if res already exists.
+func (db *DB) Materialize(res, query string, args ...any) (*Result, error) {
+	return db.MaterializeContext(context.Background(), res, query, args...)
+}
+
+// MaterializeContext is Materialize honoring ctx: cancellation or deadline
+// expiry stops the execution at its next engine checkpoint, before anything
+// is committed or logged, and releases the writer lock and the arena. The
+// returned error chains engine.ErrCanceled and the context's own error.
+func (db *DB) MaterializeContext(ctx context.Context, res, query string, args ...any) (*Result, error) {
+	vals, err := valuesOf(args)
+	if err != nil {
+		return nil, err
+	}
+	out, err := db.commit(ctx, &storage.WALRecord{Type: storage.RecMaterialize, Res: res, Query: query, Args: vals})
+	return out.result, err
+}
+
+// DropRelation removes a user relation from the store. Components are
+// trimmed copy-on-write, so queries running on older snapshots are
+// unaffected.
+func (db *DB) DropRelation(rel string) error {
+	_, err := db.commit(context.Background(), &storage.WALRecord{Type: storage.RecDrop, Name: rel})
+	return err
+}
+
+// RenameRelation renames a relation in the store's catalog.
+func (db *DB) RenameRelation(old, new string) error {
+	_, err := db.commit(context.Background(), &storage.WALRecord{Type: storage.RecRename, Name: old, NewName: new})
+	return err
+}
+
+// Chase runs the engine's chase over rel under the given dependencies; on a
+// durable DB a restart replays the cleaning instead of losing it.
+func (db *DB) Chase(rel string, deps []engine.EGD, opts engine.ChaseOptions) error {
+	_, err := db.commit(context.Background(), &storage.WALRecord{
+		Type:        storage.RecChase,
+		Rel:         rel,
+		Deps:        deps,
+		AssumeClean: opts.AssumeClean,
+		Refined:     opts.Refined,
+	})
+	return err
+}
+
+// SetUncertain replaces the field (rel, row, attr) by an or-set of values
+// with probabilities (nil probs = uniform).
+func (db *DB) SetUncertain(rel string, row int, attr string, values []int32, probs []float64) error {
+	_, err := db.commit(context.Background(), &storage.WALRecord{
+		Type:   storage.RecSetUncertain,
+		Rel:    rel,
+		Row:    int32(row),
+		Attr:   attr,
+		Values: values,
+		Probs:  probs,
+	})
+	return err
+}
+
+// IngestCSV bulk-loads a CSV file as a new relation rel. The commit is a
+// single LOAD CSV record carrying the file's CRC32 and row count — the log
+// stays O(1) in the data size — so on a durable DB the file must outlive the
+// log (until the next Checkpoint captures the loaded state in a snapshot).
+func (db *DB) IngestCSV(path, rel string) (storage.LoadInfo, error) {
+	out, err := db.commit(context.Background(), &storage.WALRecord{Type: storage.RecLoadCSV, Rel: rel, Path: path})
+	return out.loaded, err
+}

@@ -1,32 +1,26 @@
 package sql
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 
 	"maybms/internal/engine"
 	"maybms/internal/storage"
 )
 
-// The durability hooks: a DB opened through Restore or InitDir is backed by
-// a storage.Dir — every catalog commit (Materialize, DropRelation,
-// RenameRelation, Chase) is appended to the directory's write-ahead log
-// before the commit returns, and Checkpoint compacts the log into a fresh
-// snapshot. A DB opened through plain Open has no directory and logs
-// nothing; the hooks are free for it.
-//
-// Replay goes through the same session methods that wrote the log: a
-// MATERIALIZE record re-prepares and re-runs its statement on the restored
-// store, which reproduces the original result because the engine's
-// operators are deterministic. The Dir is attached only after replay
-// finishes, so replayed commits are not logged again.
+// Durable directories: a DB opened through Restore, InitDir or CreateDir is
+// backed by a storage.Dir — commit (commit.go) appends every catalog change
+// to the directory's write-ahead log before it returns, and Checkpoint
+// compacts the log into a fresh snapshot. A DB opened through plain Open has
+// no directory and logs nothing. Replay applies the logged records to the
+// restored store with the same apply that wrote them; the Dir is attached to
+// the DB only afterwards.
 
 // Restore opens the durable store in dir: the newest snapshot is loaded,
-// the write-ahead log is replayed over it through the session API, and the
-// returned DB logs every further commit to the directory. The second result
+// the write-ahead log is replayed over it, and the returned DB logs every
+// further commit to the directory. The second result
 // is the number of WAL records replayed. A directory with no snapshot
 // returns storage.ErrNoSnapshot (wrapped); build a store and call InitDir.
 func Restore(dir string) (*DB, int, error) {
@@ -148,175 +142,19 @@ func (db *DB) Checkpoint() error {
 	return db.dur.Checkpoint(db.store)
 }
 
-// RenameRelation renames a relation in the store's catalog and logs the
-// commit. If the log cannot capture it, the rename is undone — like a
-// failed MATERIALIZE, the store never diverges from what a replay rebuilds.
-func (db *DB) RenameRelation(old, new string) error {
-	db.writer.Lock()
-	defer db.writer.Unlock()
-	if err := db.store.RenameRelation(old, new); err != nil {
-		return err
-	}
-	if err := db.logCommit(&storage.WALRecord{Type: storage.RecRename, Name: old, NewName: new}); err != nil {
-		if rerr := db.store.RenameRelation(new, old); rerr != nil {
-			// Rename-back cannot really fail (the names just swapped), but
-			// if it does the commit stands unlogged: record the divergence
-			// so Checkpoint refuses to compact a log that is short.
-			db.durErr = fmt.Errorf("logging RENAME %s TO %s (rename-back also failed: %v): %w", old, new, rerr, err)
-		}
-		return fmt.Errorf("sql: logging RENAME: %w", err)
-	}
-	db.resyncShards()
-	return nil
-}
-
-// Chase runs the engine's chase over rel under the given dependencies and
-// logs the commit, so a restart replays the cleaning instead of losing it.
-func (db *DB) Chase(rel string, deps []engine.EGD, opts engine.ChaseOptions) error {
-	db.writer.Lock()
-	defer db.writer.Unlock()
-	if err := db.store.ChaseEGDsOpt(rel, deps, opts); err != nil {
-		return err
-	}
-	if err := db.logCommit(&storage.WALRecord{
-		Type:        storage.RecChase,
-		Rel:         rel,
-		Deps:        deps,
-		AssumeClean: opts.AssumeClean,
-		Refined:     opts.Refined,
-	}); err != nil {
-		// The chase is already committed and cannot be undone. Like a DROP
-		// whose logging fails, remember the divergence so Checkpoint (and
-		// whoever reads its error) sees that the log is missing a commit.
-		db.durErr = fmt.Errorf("logging CHASE %s: %w", rel, err)
-	}
-	db.resyncShards()
-	return nil
-}
-
-// SetUncertain replaces the field (rel, row, attr) by an or-set of values
-// with probabilities (nil probs = uniform) and logs the commit, so durable
-// CSV boots that add uncertainty after the load survive a restart without a
-// first checkpoint.
-func (db *DB) SetUncertain(rel string, row int, attr string, values []int32, probs []float64) error {
-	db.writer.Lock()
-	defer db.writer.Unlock()
-	if err := db.store.SetUncertain(rel, row, attr, values, probs); err != nil {
-		return err
-	}
-	if err := db.logCommit(&storage.WALRecord{
-		Type:   storage.RecSetUncertain,
-		Rel:    rel,
-		Row:    int32(row),
-		Attr:   attr,
-		Values: values,
-		Probs:  probs,
-	}); err != nil {
-		// The or-set is already committed and cannot be undone; remember the
-		// divergence so Checkpoint refuses to compact a log that is short.
-		db.durErr = fmt.Errorf("logging SET UNCERTAIN %s: %w", rel, err)
-	}
-	db.resyncShards()
-	return nil
-}
-
-// IngestCSV bulk-loads a CSV file as a new relation rel and logs the commit
-// as a single LOAD CSV record carrying the file's CRC32 and row count — the
-// log stays O(1) in the data size, and replay re-reads the file and verifies
-// both before trusting it. The file must therefore outlive the log (until
-// the next Checkpoint captures the loaded state in a snapshot).
-func (db *DB) IngestCSV(path, rel string) (storage.LoadInfo, error) {
-	db.writer.Lock()
-	defer db.writer.Unlock()
-	return db.ingestCSVLocked(path, rel, nil)
-}
-
-// ingestCSVLocked loads path into rel; callers hold db.writer. A non-nil
-// replay record means this is WAL replay: the file's checksum and row count
-// must match what was logged, and nothing is re-logged (db.dur is nil during
-// replay anyway).
-func (db *DB) ingestCSVLocked(path, rel string, replay *storage.WALRecord) (storage.LoadInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return storage.LoadInfo{}, fmt.Errorf("sql: ingest: %w", err)
-	}
-	defer f.Close()
-	sum := crc32.NewIEEE()
-	rs, comps, info, err := storage.LoadCSVState(io.TeeReader(f, sum), path, rel)
-	if err != nil {
-		return storage.LoadInfo{}, err
-	}
-	if replay != nil && (sum.Sum32() != replay.Sum || int64(info.Rows) != replay.Rows) {
-		return storage.LoadInfo{}, fmt.Errorf(
-			"sql: replaying LOAD CSV %s: file changed since it was logged (checksum %08x/%d rows, logged %08x/%d); restore the original file or checkpoint-and-drop the relation",
-			path, sum.Sum32(), info.Rows, replay.Sum, replay.Rows)
-	}
-	if err := db.store.InstallRelation(rs, comps); err != nil {
-		return storage.LoadInfo{}, err
-	}
-	if err := db.logCommit(&storage.WALRecord{
-		Type: storage.RecLoadCSV,
-		Rel:  rel,
-		Path: path,
-		Sum:  sum.Sum32(),
-		Rows: int64(info.Rows),
-	}); err != nil {
-		// Undo the install so the store never diverges from what a replay
-		// would rebuild.
-		db.store.DropRelation(rel)
-		return storage.LoadInfo{}, fmt.Errorf("sql: logging LOAD CSV: %w", err)
-	}
-	db.resyncShards()
-	return info, nil
-}
-
-// logCommit appends one record to the DB's log; callers hold db.writer. A
-// no-op without a durable directory.
-func (db *DB) logCommit(rec *storage.WALRecord) error {
-	if db.dur == nil {
-		return nil
-	}
-	return db.dur.WAL().Append(rec)
-}
-
-// replayWAL replays the directory's log through the session API. db.dur is
-// still nil here, so the replayed commits are not re-logged.
+// replayWAL applies the directory's log to the DB's store, record by
+// record, and returns how many it applied. Nothing is logged or re-balanced:
+// replay calls apply, not commit.
 func (db *DB) replayWAL(d *storage.Dir) (int, error) {
 	f, err := os.Open(d.WALPath())
 	if err != nil {
 		return 0, fmt.Errorf("sql: opening WAL for replay: %w", err)
 	}
 	defer f.Close()
-	return storage.ReplayWAL(f, db.applyWALRecord)
-}
-
-// applyWALRecord applies one replayed commit through the session methods.
-func (db *DB) applyWALRecord(rec *storage.WALRecord) error {
-	switch rec.Type {
-	case storage.RecMaterialize:
-		args := make([]any, len(rec.Args))
-		for i, v := range rec.Args {
-			args[i] = v
-		}
-		_, err := db.Materialize(rec.Res, rec.Query, args...)
+	db.writer.Lock()
+	defer db.writer.Unlock()
+	return storage.ReplayWAL(f, func(rec *storage.WALRecord) error {
+		_, err := db.apply(context.Background(), rec)
 		return err
-	case storage.RecDrop:
-		db.DropRelation(rec.Name)
-		return nil
-	case storage.RecRename:
-		return db.RenameRelation(rec.Name, rec.NewName)
-	case storage.RecChase:
-		return db.Chase(rec.Rel, rec.Deps, engine.ChaseOptions{
-			AssumeClean: rec.AssumeClean,
-			Refined:     rec.Refined,
-		})
-	case storage.RecSetUncertain:
-		return db.SetUncertain(rec.Rel, int(rec.Row), rec.Attr, rec.Values, rec.Probs)
-	case storage.RecLoadCSV:
-		db.writer.Lock()
-		defer db.writer.Unlock()
-		_, err := db.ingestCSVLocked(rec.Path, rec.Rel, rec)
-		return err
-	}
-	return fmt.Errorf("sql: unknown WAL record type %d", rec.Type)
+	})
 }

@@ -3,6 +3,7 @@ package sql_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -10,6 +11,8 @@ import (
 	"maybms/internal/census"
 	"maybms/internal/engine"
 	"maybms/internal/relation"
+	"maybms/internal/server"
+	"maybms/internal/server/client"
 	"maybms/internal/sql"
 	"maybms/internal/storage"
 )
@@ -143,6 +146,134 @@ func TestChaseLogged(t *testing.T) {
 	}
 	if got := db2.Stats("R"); got != want {
 		t.Fatalf("chase replay stats %+v, want %+v", got, want)
+	}
+}
+
+// TestLiveVsReplayAllRecordTypes: a scripted session commits every record
+// type on a 2-shard durable DB — with refused commits in between, which must
+// leave no trace — and a restart must rebuild it exactly: replay runs the same
+// apply the session did, so the flat store state, the shard partition and the
+// record count all match what was acknowledged.
+func TestLiveVsReplayAllRecordTypes(t *testing.T) {
+	dir := t.TempDir()
+	db, err := sql.CreateDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnableSharding(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	acked := 0
+	commit := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		acked++
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s was acknowledged", what)
+		}
+	}
+	_, err = db.IngestCSV(writeCSV(t, bootCSV), "R")
+	commit("LOAD CSV", err)
+	commit("SET UNCERTAIN", db.SetUncertain("R", 3, "AGE", []int32{9, 4}, []float64{0.75, 0.25}))
+	refused("SET UNCERTAIN on an uncertain field", db.SetUncertain("R", 3, "AGE", []int32{1}, nil))
+	commit("CHASE", db.Chase("R", []engine.EGD{{
+		Premise:    []engine.Atom{{Attr: "SEX", Theta: relation.EQ, C: 2}},
+		Conclusion: engine.Atom{Attr: "AGE", Theta: relation.NE, C: 7},
+	}}, engine.ChaseOptions{}))
+	_, err = db.Materialize("Q", "SELECT AGE, SEX FROM R WHERE YEARSCH = ?", 17)
+	commit("MATERIALIZE", err)
+	_, err = db.Materialize("Q", "SELECT AGE FROM R")
+	refused("MATERIALIZE over an existing name", err)
+	commit("RENAME", db.RenameRelation("Q", "Kept"))
+	refused("RENAME of a missing relation", db.RenameRelation("Q", "Other"))
+	_, err = db.Materialize("Tmp", "SELECT SEX FROM Kept WHERE AGE = 5")
+	commit("MATERIALIZE", err)
+	commit("DROP", db.DropRelation("Tmp"))
+	refused("DROP of a missing relation", db.DropRelation("Tmp"))
+	if err := db.ValidateShards(); err != nil {
+		t.Fatal(err)
+	}
+	wantState := db.Snapshot().ExportState()
+	wantShards := db.ShardFingerprints()
+	// Close without Checkpoint: the directory holds only the log.
+	db.Close()
+
+	db2, replayed, err := sql.Restore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if replayed != acked {
+		t.Fatalf("replayed %d records, want the %d acknowledged commits", replayed, acked)
+	}
+	if got := db2.Snapshot().ExportState(); !reflect.DeepEqual(got, wantState) {
+		t.Fatalf("replayed store state differs from the live one:\n%+v\nwant:\n%+v", got, wantState)
+	}
+	if err := db2.EnableSharding(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := db2.ShardFingerprints(); len(got) != 2 || !reflect.DeepEqual(got, wantShards) {
+		t.Fatalf("shard fingerprints after replay %08x, live (re-balanced commit by commit) %08x", got, wantShards)
+	}
+}
+
+// TestWireCommitLogFailure: no wire opcode acknowledges a commit the log did
+// not capture. With the log dead, MATERIALIZE and DROP both answer the same
+// typed error frame instead of MATERIALIZED / OK, and a restart rebuilds what
+// was acknowledged — the relation the refused DROP named is still there.
+func TestWireCommitLogFailure(t *testing.T) {
+	dir := t.TempDir()
+	db, err := sql.InitDir(dir, prepared(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Materialize("Q", "SELECT AGE FROM R WHERE AGE = 1"); err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(db, server.Config{Logf: func(string, ...any) {}})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := client.Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if err := sql.KillLog(db); err != nil {
+		t.Fatal(err)
+	}
+	wireCode := func(what string, err error) uint16 {
+		t.Helper()
+		var werr *server.WireError
+		if !errors.As(err, &werr) {
+			t.Fatalf("%s with a dead log: got %v, want an error frame", what, err)
+		}
+		return werr.Code
+	}
+	_, err = c.Materialize("Q2", "SELECT AGE FROM R WHERE AGE = 2")
+	want := wireCode("MATERIALIZE", err)
+	if got := wireCode("DROP", c.DropRelation("Q")); got != want {
+		t.Fatalf("DROP with a dead log answered wire code %d, MATERIALIZE %d", got, want)
+	}
+	c.Close()
+	srv.Close()
+	db.Close()
+
+	db2, replayed, err := sql.Restore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if replayed != 1 || db2.Schema("Q") == nil || db2.Schema("Q2") != nil {
+		t.Fatalf("restart replayed %d records to catalog %v, want the 1 acknowledged MATERIALIZE of Q", replayed, db2.Relations())
 	}
 }
 

@@ -469,17 +469,6 @@ func compileEngine(st *Stmt, cat catalog) (*EnginePlan, error) {
 	return plan, nil
 }
 
-// PlanEngine compiles a statement and binds it to the result name res in one
-// step, the one-shot path. Statements with parameters must go through
-// CompileEngine + Bind (or the session API) instead.
-func PlanEngine(st *Stmt, cat Catalog, res string) (*EnginePlan, error) {
-	tpl, err := CompileEngine(st, cat)
-	if err != nil {
-		return nil, err
-	}
-	return tpl.Bind(res, nil)
-}
-
 type eplanner struct {
 	cat   catalog
 	ops   []EngineOp

@@ -23,8 +23,9 @@ import (
 // private Arena, and hands the arena to the Rows iterator — so any number
 // of SELECTs run truly in parallel, sharing nothing but immutable state,
 // and Rows.Close releases the whole result by dropping the arena. Catalog
-// writers (Materialize, DropRelation) serialize on the DB's writer lock and
-// commit copy-on-write, so they are safe to run while readers stream.
+// writers all go through commit (commit.go): they serialize on the DB's
+// writer lock and commit copy-on-write, so they are safe to run while
+// readers stream.
 
 // DB is a session over one engine store. Statement execution takes no lock:
 // each Query runs on a snapshot + arena of its own. A small mutex guards
@@ -35,8 +36,8 @@ type DB struct {
 	// mu guards plans and closed.
 	mu    sync.Mutex
 	plans map[string]*EnginePlan // statement text → compiled template
-	// writer serializes catalog writers (Materialize, DropRelation); the
-	// store's copy-on-write commit keeps concurrent snapshot readers safe.
+	// writer serializes catalog writers (commit, Checkpoint); the store's
+	// copy-on-write commit keeps concurrent snapshot readers safe.
 	writer sync.Mutex
 	closed bool
 	// cacheHits/cacheMisses count plan-cache lookups across the DB's
@@ -44,8 +45,8 @@ type DB struct {
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
 	// dur is the durable directory backing this DB, or nil for an in-memory
-	// session; durErr records a commit the log failed to capture (see
-	// durable.go). Both are guarded by writer.
+	// session; durErr records a commit the log failed to capture and that
+	// could not be undone (see commit). Both are guarded by writer.
 	dur    *storage.Dir
 	durErr error
 	// shards is the derived sharded-execution structure (nil = off;
@@ -170,70 +171,6 @@ func (db *DB) QueryContext(ctx context.Context, query string, args ...any) (*Row
 	return stmt.QueryContext(ctx, args...)
 }
 
-// Materialize executes a plain statement and installs its result relation
-// under res in the store's user namespace, for workloads that feed one
-// query's result into the FROM clause of the next. The query itself runs on
-// a snapshot + arena like any other; only the final commit writes the store
-// (copy-on-write, so concurrent readers on older snapshots are unaffected).
-// The caller owns dropping res. A clear error is returned if res already
-// exists.
-func (db *DB) Materialize(res, query string, args ...any) (*Result, error) {
-	return db.MaterializeContext(context.Background(), res, query, args...)
-}
-
-// MaterializeContext is Materialize honoring ctx: cancellation or deadline
-// expiry stops the execution at its next engine checkpoint, before anything
-// is committed or logged, and releases the writer lock and the arena. The
-// returned error chains engine.ErrCanceled and the context's own error.
-func (db *DB) MaterializeContext(ctx context.Context, res, query string, args ...any) (*Result, error) {
-	stmt, err := db.Prepare(query)
-	if err != nil {
-		return nil, err
-	}
-	if stmt.st.Mode != ModePlain {
-		return nil, fmt.Errorf("sql: Materialize requires a plain query (no CONF()/POSSIBLE/CERTAIN)")
-	}
-	vals, err := valuesOf(args)
-	if err != nil {
-		return nil, err
-	}
-	db.writer.Lock()
-	defer db.writer.Unlock()
-	if TestHookExec != nil {
-		TestHookExec(query)
-	}
-	snap, tpl, err := db.templateFor(stmt)
-	if err != nil {
-		return nil, err
-	}
-	if snap.Rel(res) != nil {
-		return nil, fmt.Errorf("sql: result relation %q already exists in the store (drop it first or pick another name)", res)
-	}
-	// Writers always run on the authority: the commit below lands there.
-	out, err := execute(ctx, []*engine.Snapshot{snap}, 1, tpl, vals)
-	if err != nil {
-		return nil, err
-	}
-	ar := out.segs[0].arena
-	out.segs = nil
-	defer engine.ReleaseArena(ar)
-	if err := ar.RenameRelation(out.Relation, res); err != nil {
-		return nil, fmt.Errorf("sql: installing result: %w", err)
-	}
-	out.Relation = res
-	if err := ar.Commit(); err != nil {
-		return nil, fmt.Errorf("sql: installing result: %w", err)
-	}
-	if err := db.logCommit(&storage.WALRecord{Type: storage.RecMaterialize, Res: res, Query: query, Args: vals}); err != nil {
-		// The log could not capture the commit; undo it so the store never
-		// diverges from what a replay would rebuild.
-		db.store.DropRelation(res)
-		return nil, fmt.Errorf("sql: logging MATERIALIZE: %w", err)
-	}
-	db.resyncShards()
-	return out, nil
-}
-
 // Explain renders the Section 5 SQL rewriting of the statement's engine
 // plan (the EXPLAIN keyword is optional). On a sharded DB it appends the
 // execution strategy and per-shard statistics of the plan's base relations.
@@ -308,25 +245,6 @@ func (db *DB) Schema(rel string) []string {
 // Placeholders returns the number of uncertain fields of a relation.
 func (db *DB) Placeholders(rel string) int {
 	return db.store.Snapshot().TotalPlaceholders(rel)
-}
-
-// DropRelation removes a user relation from the store. Components are
-// trimmed copy-on-write, so queries running on older snapshots are
-// unaffected.
-func (db *DB) DropRelation(rel string) {
-	db.writer.Lock()
-	defer db.writer.Unlock()
-	existed := db.store.Snapshot().Rel(rel) != nil
-	db.store.DropRelation(rel)
-	if !existed {
-		return
-	}
-	if err := db.logCommit(&storage.WALRecord{Type: storage.RecDrop, Name: rel}); err != nil {
-		// The drop is already committed and cannot be undone; remember the
-		// divergence so Checkpoint refuses to compact a log that is short.
-		db.durErr = fmt.Errorf("logging DROP %s: %w", rel, err)
-	}
-	db.resyncShards()
 }
 
 // templateFor takes a fresh snapshot and returns the statement's compiled

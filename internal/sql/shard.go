@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"fmt"
 	"runtime"
 
 	"maybms/internal/engine"
@@ -18,8 +17,8 @@ import (
 // queries still get a morsel-parallel confidence sweep.
 //
 // The shard set is derived state: every catalog commit re-partitions it
-// (resyncShards), and queries in flight keep the snapshots of the set they
-// started on.
+// (the one Resync call, in commit), and queries in flight keep the snapshots
+// of the set they started on.
 
 // AutoShardRows is the template-row threshold above which EnableSharding(0,
 // 0) turns sharding on: below it, partitioning overhead dominates.
@@ -118,23 +117,6 @@ func (db *DB) shardStore() *shard.Store {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.shards
-}
-
-// resyncShards re-partitions the shard set after a catalog commit; callers
-// hold db.writer, so the authority state it exports is the committed one. A
-// failed re-balance disables sharding (queries fall back to the authority —
-// correct, just not parallel) and records why.
-func (db *DB) resyncShards() {
-	sh := db.shardStore()
-	if sh == nil {
-		return
-	}
-	if err := sh.Resync(); err != nil {
-		db.mu.Lock()
-		db.shards = nil
-		db.shardErr = fmt.Errorf("sql: shard re-balance failed, sharding disabled: %w", err)
-		db.mu.Unlock()
-	}
 }
 
 // distributable reports whether the plan runs shard-local: every operator

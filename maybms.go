@@ -246,10 +246,11 @@ var (
 // structured: Store.Snapshot returns an O(1) copy-on-write, read-only view
 // of the catalog and component space; NewArena opens a private result space
 // over it, and the relational operators (Select, Project, Rename, Join,
-// Product, Union, Difference) plus the native across-world operators (Conf, PossibleP,
-// Possible, Certain — computed directly on the columnar representation, no
-// WSD materialization) run as Arena methods — reading shared state, writing
-// only the arena. Any number of arenas evaluate concurrently over one
+// Product, Union, Difference) run as Arena methods — reading shared state,
+// writing only the arena. The native across-world operators (EngineConf,
+// EnginePossibleP, EnginePossible, EngineCertain — computed directly on the
+// columnar representation, no WSD materialization) are functions over any
+// view of it: a Store, a StoreSnapshot or a StoreArena. Any number of arenas evaluate concurrently over one
 // store; dropping an arena releases its results, Arena.Commit installs
 // them. StoreToWSD/StoreToWSDOf bridge engine state to the WSD model, for
 // small data and as the confidence oracle.
@@ -265,8 +266,7 @@ type (
 	StoreStats = engine.Stats
 	// EngineTupleConf pairs a possible tuple (native int32 encoding) with
 	// its confidence: the answer rows of the engine-native across-world
-	// operators Conf/PossibleP/Possible/Certain on Arena, Snapshot and
-	// Store.
+	// operators EngineConf/EnginePossibleP/EnginePossible/EngineCertain.
 	EngineTupleConf = engine.TupleConf
 	// EnginePred is a predicate over template rows.
 	EnginePred = engine.Pred
@@ -285,9 +285,15 @@ var (
 	// are dead; a reset arena is indistinguishable from a fresh one.
 	AcquireArena = engine.AcquireArena
 	ReleaseArena = engine.ReleaseArena
-	EngineEq     = engine.Eq
-	EngineNe     = engine.Ne
-	EngineGt     = engine.Gt
+	// The Section 6 operators, native on a Store, StoreSnapshot or
+	// StoreArena.
+	EngineConf      = engine.Conf
+	EnginePossibleP = engine.PossibleP
+	EnginePossible  = engine.Possible
+	EngineCertain   = engine.Certain
+	EngineEq        = engine.Eq
+	EngineNe        = engine.Ne
+	EngineGt        = engine.Gt
 	// StoreToWSD converts a whole store, StoreToWSDOf the named relations of
 	// a Store, StoreSnapshot or StoreArena, into a WSD.
 	StoreToWSD   = bridge.ToWSD
@@ -360,10 +366,9 @@ const (
 	SQLCertain  = sql.ModeCertain
 )
 
-// ParseSQL parses one statement; PlanSQL compiles it into engine operators;
-// Explain renders the Section 5 SQL rewriting of the plan.
+// ParseSQL parses one statement; Explain renders the Section 5 SQL rewriting
+// of its plan.
 var (
 	ParseSQL = sql.Parse
-	PlanSQL  = sql.PlanEngine
 	Explain  = sql.Explain
 )

@@ -228,12 +228,8 @@ func TestFacadeSQLFrontend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := PlanSQL(st, s, "P")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Ops) != 2 {
-		t.Fatalf("plan has %d ops, want select+project", len(plan.Ops))
+	if st.Mode != SQLPlain {
+		t.Fatalf("parsed mode = %v, want plain", st.Mode)
 	}
 	db := Open(s)
 	defer db.Close()
