@@ -99,6 +99,7 @@ func (s *Store) ChaseEGDsOpt(rel string, deps []EGD, opt ChaseOptions) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.detachLocked()
+	s.rewrites++
 	return s.chaseEGDs(rel, deps, opt)
 }
 

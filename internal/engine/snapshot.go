@@ -20,6 +20,9 @@ package engine
 //   - Mutators that rewrite shared objects in place (SetUncertain, the
 //     chase) are load-time operations: they must not run while snapshots
 //     are live. Snapshots taken afterwards observe their effects, as usual.
+//     Each one bumps the store's rewrite counter, which a snapshot records
+//     (Snapshot.Rewrites): state derived from an older snapshot — the shard
+//     set — knows from a changed count that it cannot be patched.
 
 // Snapshot is a read-only, point-in-time view of a store's catalog and
 // component space. It is safe for concurrent use by any number of readers
@@ -32,6 +35,7 @@ type Snapshot struct {
 	relID     map[string]int32
 	comps     map[int32]*Component
 	fieldComp map[FieldID]int32
+	rewrites  uint64
 }
 
 // Snapshot returns a read-only view of the store's current catalog and
@@ -47,8 +51,22 @@ func (s *Store) Snapshot() *Snapshot {
 		relID:     s.relID,
 		comps:     s.comps,
 		fieldComp: s.fieldComp,
+		rewrites:  s.rewrites,
 	}
 }
+
+// Rewrites returns the number of in-place mutations (SetUncertain, chase
+// runs) the store had seen when the snapshot was taken. Two snapshots of one
+// store with equal counts differ only by object-copy-on-write catalog
+// changes: a relation or component they share by pointer is unchanged.
+func (sn *Snapshot) Rewrites() uint64 { return sn.rewrites }
+
+// NumRelSlots returns the size of the relation id space: RelByID resolves
+// ids below it, to nil for a dropped relation.
+func (sn *Snapshot) NumRelSlots() int { return len(sn.rels) }
+
+// CompByID returns the component with the given id, or nil.
+func (sn *Snapshot) CompByID(id int32) *Component { return sn.comps[id] }
 
 // detachLocked clones the store's containers if a snapshot shares them, so
 // the next mutation leaves live snapshots untouched. Callers hold s.mu.

@@ -135,6 +135,12 @@ type Store struct {
 	fieldComp map[FieldID]int32
 	// scratchSeq numbers the scratch relations handed out by NewScratch.
 	scratchSeq int64
+	// rewrites counts the mutators that edit shared relations and components
+	// in place (SetUncertain, the chase). Between two snapshots with equal
+	// counts every change was object-copy-on-write, so comparing their
+	// relations and components by pointer is a complete diff (DeriveStore's
+	// callers rely on it); across a changed count nothing can be assumed.
+	rewrites uint64
 }
 
 // NewStore creates an empty store.
@@ -254,6 +260,7 @@ func (s *Store) SetUncertain(rel string, row int, attr string, values []int32, p
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.detachLocked()
+	s.rewrites++
 	r := s.Rel(rel)
 	if r == nil {
 		return fmt.Errorf("engine: unknown relation %q", rel)

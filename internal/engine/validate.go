@@ -11,32 +11,8 @@ func (s *Store) Validate(eps float64) error {
 		if c.ID != cid {
 			return fmt.Errorf("engine: component id mismatch %d vs %d", c.ID, cid)
 		}
-		if len(c.Fields) > MaxCompFields {
-			return fmt.Errorf("engine: component %d has %d fields", cid, len(c.Fields))
-		}
-		for i, f := range c.Fields {
-			if c.pos[f] != i {
-				return fmt.Errorf("engine: component %d field index broken", cid)
-			}
-			if s.fieldComp[f] != cid {
-				return fmt.Errorf("engine: field %v maps to wrong component", f)
-			}
-			r := s.RelByID(f.Rel)
-			if r == nil {
-				return fmt.Errorf("engine: component %d references dropped relation", cid)
-			}
-			if r.Cols[f.Attr][f.Row] != Placeholder {
-				return fmt.Errorf("engine: field %v not a placeholder in template", f)
-			}
-		}
-		total := c.TotalP()
-		if total < 1-eps || total > 1+eps {
-			return fmt.Errorf("engine: component %d probabilities sum to %g", cid, total)
-		}
-		for _, row := range c.Rows {
-			if len(row.Vals) != len(c.Fields) {
-				return fmt.Errorf("engine: component %d row arity mismatch", cid)
-			}
+		if err := s.validateComp(c, eps); err != nil {
+			return err
 		}
 	}
 	for f, cid := range s.fieldComp {
@@ -52,14 +28,62 @@ func (s *Store) Validate(eps float64) error {
 		if r == nil {
 			continue
 		}
-		for row, attrs := range r.uncertain {
-			for _, a := range attrs {
-				if r.Cols[a][row] != Placeholder {
-					return fmt.Errorf("engine: %s row %d attr %d marked uncertain but certain", r.Name, row, a)
-				}
-				if _, ok := s.fieldComp[FieldID{Rel: r.id, Row: row, Attr: a}]; !ok {
-					return fmt.Errorf("engine: %s row %d attr %d has no component", r.Name, row, a)
-				}
+		if err := s.validateRel(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateComp checks one registered component against the store: its
+// position index, the field→component index, that every field is a
+// placeholder cell of a live relation, row arity and probability mass.
+//
+//maybms:unguarded invariant check on the update path (import, shard re-balance), bounded by one component
+func (s *Store) validateComp(c *Component, eps float64) error {
+	if len(c.Fields) > MaxCompFields {
+		return fmt.Errorf("engine: component %d has %d fields", c.ID, len(c.Fields))
+	}
+	for i, f := range c.Fields {
+		if c.pos[f] != i {
+			return fmt.Errorf("engine: component %d field index broken", c.ID)
+		}
+		if s.fieldComp[f] != c.ID {
+			return fmt.Errorf("engine: field %v maps to wrong component", f)
+		}
+		r := s.RelByID(f.Rel)
+		if r == nil {
+			return fmt.Errorf("engine: component %d references dropped relation", c.ID)
+		}
+		if int(f.Attr) >= len(r.Cols) || f.Row < 0 || int(f.Row) >= r.NumRows() {
+			return fmt.Errorf("engine: field %v outside relation %s", f, r.Name)
+		}
+		if r.Cols[f.Attr][f.Row] != Placeholder {
+			return fmt.Errorf("engine: field %v not a placeholder in template", f)
+		}
+	}
+	total := c.TotalP()
+	if total < 1-eps || total > 1+eps {
+		return fmt.Errorf("engine: component %d probabilities sum to %g", c.ID, total)
+	}
+	for _, row := range c.Rows {
+		if len(row.Vals) != len(c.Fields) {
+			return fmt.Errorf("engine: component %d row arity mismatch", c.ID)
+		}
+	}
+	return nil
+}
+
+// validateRel checks one relation's uncertainty index against its template
+// and the store's field→component index.
+func (s *Store) validateRel(r *Relation) error {
+	for row, attrs := range r.uncertain {
+		for _, a := range attrs {
+			if r.Cols[a][row] != Placeholder {
+				return fmt.Errorf("engine: %s row %d attr %d marked uncertain but certain", r.Name, row, a)
+			}
+			if _, ok := s.fieldComp[FieldID{Rel: r.id, Row: row, Attr: a}]; !ok {
+				return fmt.Errorf("engine: %s row %d attr %d has no component", r.Name, row, a)
 			}
 		}
 	}

@@ -14,20 +14,16 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"sort"
-	"sync"
 
 	"maybms/internal/engine"
 )
 
-// unitKey packs a (relation id, row) pair; ascending key order is ascending
-// (rel, row) order, which makes the unit enumeration deterministic.
-func unitKey(rel, row int32) uint64 {
-	return uint64(uint32(rel))<<32 | uint64(uint32(row))
-}
-
 // partition is the computed assignment of every template row to a shard,
 // with the order-preserving local renumbering that builds the sub-stores.
+// It is a pure function of the authority's state: no input but the
+// snapshot's relations and components, no dependence on component order.
 type partition struct {
 	n int
 	// rowShard[rel][row] is the shard owning the row; localRow[rel][row] its
@@ -38,170 +34,95 @@ type partition struct {
 	// unsharded store's.
 	rowShard [][]int32
 	localRow [][]int32
-	rows     []int // rows assigned per shard
-	units    int
 }
 
-// computePartition groups rows into connectivity units via union-find over
-// the state's components and deals units greedily onto the least-loaded
-// shard, in deterministic unit order (ascending minimal member key).
-func computePartition(st *engine.StoreState, n int) *partition {
-	parent := make(map[uint64]uint64)
-	var find func(x uint64) uint64
-	find = func(x uint64) uint64 {
-		p, ok := parent[x]
-		if !ok || p == x {
-			return x
-		}
-		root := find(p)
-		parent[x] = root
-		return root
-	}
-	union := func(x, y uint64) {
-		rx, ry := find(x), find(y)
-		if rx != ry {
-			parent[rx] = ry
-		}
-	}
-	for _, cs := range st.Comps {
-		first := unitKey(cs.Fields[0].Rel, cs.Fields[0].Row)
-		for _, f := range cs.Fields[1:] {
-			union(first, unitKey(f.Rel, f.Row))
+// computePartition groups rows into connectivity units and places each unit
+// by a unit-local rule: a unit lives on shard (row mod n) of its minimal
+// (rel, row) member. A row no component touches is its own unit, so it never
+// moves; a commit moves exactly the rows whose unit's minimal member
+// changed — the rows it linked to an earlier unit. (A least-loaded deal
+// balances skewed multi-row units better, but one extra row in an early unit
+// re-deals every later one, so no layout would survive a commit.)
+//
+// Union-find runs on one dense array over all rows in (rel, row) order,
+// linking the larger root under the smaller, so a unit's root is its minimal
+// member and rows without component fields stay their own roots untouched.
+// Only rowShard is filled in; renumber derives localRow per relation.
+func computePartition(sn *engine.Snapshot, n int) (*partition, error) {
+	slots := sn.NumRelSlots()
+	base := make([]int, slots+1)
+	for ri := 0; ri < slots; ri++ {
+		base[ri+1] = base[ri]
+		if r := sn.RelByID(int32(ri)); r != nil {
+			base[ri+1] += r.NumRows()
 		}
 	}
-
-	p := &partition{
-		n:        n,
-		rowShard: make([][]int32, len(st.Rels)),
-		localRow: make([][]int32, len(st.Rels)),
-		rows:     make([]int, n),
+	total := base[slots]
+	if total > math.MaxInt32 {
+		return nil, fmt.Errorf("shard: %d template rows exceed the partitioner's 32-bit row index", total)
 	}
-	// Enumerate units in ascending (rel, row) scan order: the first row of a
-	// unit names it. Count sizes first, then deal units onto shards.
-	unitOf := make(map[uint64]int)
-	var sizes []int
-	for ri, rs := range st.Rels {
-		if rs == nil {
+	parent := make([]int32, total)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	sn.EachComp(func(c *engine.Component) {
+		a := find(int32(base[c.Fields[0].Rel]) + c.Fields[0].Row)
+		for _, f := range c.Fields[1:] {
+			b := find(int32(base[f.Rel]) + f.Row)
+			if b < a {
+				a, b = b, a
+			}
+			parent[b] = a
+		}
+	})
+	// One pass in (rel, row) order: a root takes row mod n (carried as a
+	// wrapping counter), any other row its root's shard — already decided,
+	// the root being the unit's minimal member.
+	shard := make([]int32, total)
+	p := &partition{n: n, rowShard: make([][]int32, slots), localRow: make([][]int32, slots)}
+	for ri := 0; ri < slots; ri++ {
+		if sn.RelByID(int32(ri)) == nil {
 			continue
 		}
-		rows := 0
-		if len(rs.Cols) > 0 {
-			rows = len(rs.Cols[0])
-		}
-		p.rowShard[ri] = make([]int32, rows)
-		p.localRow[ri] = make([]int32, rows)
-		for row := 0; row < rows; row++ {
-			root := find(unitKey(int32(ri), int32(row)))
-			u, ok := unitOf[root]
-			if !ok {
-				u = len(sizes)
-				unitOf[root] = u
-				sizes = append(sizes, 0)
+		lo, hi := base[ri], base[ri+1]
+		k := int32(0)
+		for x := int32(lo); x < int32(hi); x++ {
+			if root := find(x); root != x {
+				shard[x] = shard[root]
+			} else {
+				shard[x] = k
 			}
-			sizes[u]++
-			// Stash the unit ordinal; the shard index replaces it below.
-			p.rowShard[ri][row] = int32(u)
-		}
-	}
-	p.units = len(sizes)
-	shardOf := make([]int32, len(sizes))
-	for u, size := range sizes {
-		best := 0
-		for k := 1; k < n; k++ {
-			if p.rows[k] < p.rows[best] {
-				best = k
+			if k++; k == int32(n) {
+				k = 0
 			}
 		}
-		shardOf[u] = int32(best)
-		p.rows[best] += size
+		p.rowShard[ri] = shard[lo:hi:hi]
 	}
-	// Replace unit ordinals with shard indexes and assign local row numbers
-	// in global row order.
-	local := make([]int32, n)
-	for ri, rs := range p.rowShard {
-		if rs == nil {
-			continue
-		}
-		for k := range local {
-			local[k] = 0
-		}
-		for row := range rs {
-			k := shardOf[rs[row]]
-			rs[row] = k
-			p.localRow[ri][row] = local[k]
-			local[k]++
-		}
-	}
-	return p
+	return p, nil
 }
 
-// buildStates slices the flat state into one StoreState per shard: every
-// relation slot is present in every shard (ids stay aligned with the
-// authority), rows are filtered by ownership in order, and components are
-// copied with their field rows remapped to local numbering. Component ids
-// and local-world rows are shared with the authority state (read-only).
-func buildStates(st *engine.StoreState, p *partition) []*engine.StoreState {
-	out := make([]*engine.StoreState, p.n)
-	for k := range out {
-		out[k] = &engine.StoreState{
-			Rels:       make([]*engine.RelState, len(st.Rels)),
-			NextCID:    st.NextCID,
-			ScratchSeq: st.ScratchSeq,
-		}
+// renumber fills localRow[ri] from rowShard[ri] and returns, per shard, the
+// ascending global rows it owns of the relation.
+func (p *partition) renumber(ri int) [][]int32 {
+	owner := p.rowShard[ri]
+	local := make([]int32, len(owner))
+	rows := make([][]int32, p.n)
+	for k := range rows {
+		rows[k] = make([]int32, 0, len(owner)/p.n+1)
 	}
-	var wg sync.WaitGroup
-	for k := 0; k < p.n; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			sk := out[k]
-			for ri, rs := range st.Rels {
-				if rs == nil {
-					continue
-				}
-				cols := make([][]int32, len(rs.Cols))
-				for a, col := range rs.Cols {
-					kept := make([]int32, 0, len(col)/p.n+1)
-					owner := p.rowShard[ri]
-					for row, v := range col {
-						if owner[row] == int32(k) {
-							kept = append(kept, v)
-						}
-					}
-					cols[a] = kept
-				}
-				sk.Rels[ri] = &engine.RelState{Name: rs.Name, Attrs: rs.Attrs, Cols: cols}
-			}
-			for _, cs := range st.Comps {
-				f0 := cs.Fields[0]
-				if p.rowShard[f0.Rel][f0.Row] != int32(k) {
-					continue
-				}
-				fields := make([]engine.FieldID, len(cs.Fields))
-				for i, f := range cs.Fields {
-					fields[i] = engine.FieldID{Rel: f.Rel, Row: p.localRow[f.Rel][f.Row], Attr: f.Attr}
-				}
-				sk.Comps = append(sk.Comps, &engine.CompState{ID: cs.ID, Fields: fields, Rows: cs.Rows})
-			}
-		}(k)
+	for row, k := range owner {
+		local[row] = int32(len(rows[k]))
+		rows[k] = append(rows[k], int32(row))
 	}
-	wg.Wait()
-	return out
-}
-
-// validatePartition re-checks the invariant on the computed assignment:
-// every component's fields resolve to a single shard.
-func validatePartition(st *engine.StoreState, p *partition) error {
-	for _, cs := range st.Comps {
-		k := p.rowShard[cs.Fields[0].Rel][cs.Fields[0].Row]
-		for _, f := range cs.Fields[1:] {
-			if p.rowShard[f.Rel][f.Row] != k {
-				return fmt.Errorf("shard: component %d spans shards %d and %d (field %v)",
-					cs.ID, k, p.rowShard[f.Rel][f.Row], f)
-			}
-		}
-	}
-	return nil
+	p.localRow[ri] = local
+	return rows
 }
 
 // sortedCompIDs returns the component ids of a state in ascending order

@@ -2,8 +2,12 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"maybms/internal/engine"
@@ -152,11 +156,20 @@ func TestCrossRelationCoLocation(t *testing.T) {
 	if cross == 0 {
 		t.Fatalf("generator produced no cross-relation components; the test would be vacuous")
 	}
+	sn := mustImport(t, st).Snapshot()
 	for _, n := range []int{2, 3, 8} {
-		p := computePartition(st, n)
-		if err := validatePartition(st, p); err != nil {
+		p, err := computePartition(sn, n)
+		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
+		sn.EachComp(func(c *engine.Component) {
+			k := p.rowShard[c.Fields[0].Rel][c.Fields[0].Row]
+			for _, f := range c.Fields[1:] {
+				if got := p.rowShard[f.Rel][f.Row]; got != k {
+					t.Errorf("n=%d: component %d spans shards %d and %d (field %v)", n, c.ID, k, got, f)
+				}
+			}
+		})
 	}
 }
 
@@ -164,16 +177,20 @@ func TestCrossRelationCoLocation(t *testing.T) {
 // time (the assignment drives fingerprints and restore byte-identity).
 func TestPartitionDeterministic(t *testing.T) {
 	st := randState(rand.New(rand.NewSource(7)), 3, 100)
-	a := computePartition(st, 4)
-	b := computePartition(st, 4)
+	authority := mustImport(t, st)
+	a, err := computePartition(authority.Snapshot(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := computePartition(authority.Snapshot(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for ri := range a.rowShard {
-		for row := range a.rowShard[ri] {
-			if a.rowShard[ri][row] != b.rowShard[ri][row] || a.localRow[ri][row] != b.localRow[ri][row] {
-				t.Fatalf("rel %d row %d: nondeterministic assignment", ri, row)
-			}
+		if !slices.Equal(a.rowShard[ri], b.rowShard[ri]) {
+			t.Fatalf("rel %d: nondeterministic assignment", ri)
 		}
 	}
-	authority := mustImport(t, st)
 	s1, err := New(authority, 4, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -216,9 +233,13 @@ func TestValidateDetectsDrift(t *testing.T) {
 	}
 }
 
-// TestResyncUnderReaders hammers Resync while readers fold confidence — the
-// commit/re-balance-while-readers-hold-snapshots case, meaningful under
-// -race. Readers must never observe an error or a non-exact table.
+// TestResyncUnderReaders runs commits and their Resync — the delta path, plus
+// one in-place mutation that forces a full rebuild — while readers fold
+// confidence, meaningful under -race: kept relations and components are
+// shared between sub-store generations. Each reader pins a snapshot set,
+// folds it, holds it across at least three further generations and folds it
+// again: the pre-commit answer must come back bit-identical, and no reader
+// may ever observe an error.
 func TestResyncUnderReaders(t *testing.T) {
 	st := randState(rand.New(rand.NewSource(11)), 2, 50)
 	authority := mustImport(t, st)
@@ -226,56 +247,102 @@ func TestResyncUnderReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fold := func(snaps []*engine.Snapshot) ([]engine.TupleConf, error) {
+		tms, err := possibleMasses(snaps, 2, "R0")
+		if err != nil {
+			return nil, err
+		}
+		return engine.FoldMassTable(nil, tms)
+	}
+	const readers = 3
 	stop := make(chan struct{})
+	var held [readers]atomic.Int64 // hold-across-generations cycles completed
 	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
+	for g := 0; g < readers; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
 			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := sh.PossibleP("R0"); err != nil {
+				snaps, gen := sh.Snapshots(), sh.Generation()
+				before, err := fold(snaps)
+				if err != nil {
 					t.Errorf("reader: %v", err)
 					return
 				}
+				for sh.Generation() < gen+3 {
+					select {
+					case <-stop:
+						return
+					default:
+						runtime.Gosched()
+					}
+				}
+				after, err := fold(snaps)
+				if err != nil {
+					t.Errorf("reader, %d generations on: %v", sh.Generation()-gen, err)
+					return
+				}
+				if !slices.Equal(tableBits(before), tableBits(after)) {
+					t.Errorf("reader: a pinned snapshot set changed its answer across generations %d..%d", gen, sh.Generation())
+					return
+				}
+				held[g].Add(1)
 			}
-		}()
+		}(g)
 	}
-	certainRow := -1
 	r0 := authority.Rel("R0")
-	for row := 0; row < r0.NumRows(); row++ {
-		if r0.Cols[0][row] != engine.Placeholder {
-			certainRow = row
+	certainRow := slices.IndexFunc(r0.Cols[0], func(v int32) bool { return v != engine.Placeholder })
+	commits := 0
+	for i := 0; i < 2000; i++ {
+		done := i >= 20
+		for g := range held {
+			done = done && held[g].Load() >= 2
+		}
+		if done {
 			break
 		}
-	}
-	for i := 0; i < 20; i++ {
-		if certainRow >= 0 && i == 5 {
-			// One catalog-shaped commit mid-stream: a new uncertain field.
+		switch {
+		case i == 5 && certainRow >= 0:
+			// One in-place mutation mid-stream: a new uncertain field.
 			if err := authority.SetUncertain("R0", certainRow, "A", []int32{1, 2, 3}, nil); err != nil {
 				t.Errorf("SetUncertain: %v", err)
 			}
+		case authority.Rel("Q") == nil:
+			if !commitArena(authority, func(a *engine.Arena) error {
+				_, err := a.Select("Q", "R0", engine.Gt("A", 10))
+				return err
+			}) {
+				t.Errorf("commit %d: select did not commit", i)
+			}
+		default:
+			authority.DropRelation("Q")
 		}
 		if err := sh.Resync(); err != nil {
 			t.Errorf("Resync %d: %v", i, err)
 			break
 		}
+		commits++
 	}
 	close(stop)
 	wg.Wait()
-	want, err := engine.PossibleP(authority, "R0")
-	if err != nil {
-		t.Fatal(err)
+	for g := range held {
+		if held[g].Load() < 2 {
+			t.Errorf("reader %d held a snapshot set across three generations %d times in %d commits, want ≥ 2", g, held[g].Load(), commits)
+		}
 	}
-	got, err := sh.PossibleP("R0")
-	if err != nil {
-		t.Fatal(err)
+	requireDeltaEqualsFull(t, "after resyncs", authority, sh)
+}
+
+// tableBits flattens a confidence table for exact comparison.
+func tableBits(tcs []engine.TupleConf) []uint64 {
+	var out []uint64
+	for _, tc := range tcs {
+		for _, v := range tc.Tuple {
+			out = append(out, uint64(v))
+		}
+		out = append(out, math.Float64bits(tc.Conf))
 	}
-	requireSameTable(t, "after resyncs", want, got)
+	return out
 }
 
 // TestParallelFoldIdentity: the engine's striped sweep

@@ -6,26 +6,78 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sync"
+	"time"
 
 	"maybms/internal/engine"
 )
 
 // Store partitions an authority engine.Store into N independent sub-stores.
 // The authority remains the system of record — every commit still lands
-// there (and in the WAL) — and the sub-stores are a derived, rebuildable
-// execution structure: Resync re-partitions from the authority's current
-// snapshot and swaps the sub-store set atomically, so readers holding
-// snapshots of the old set keep a consistent view while new queries see the
-// new one.
+// there (and in the WAL) — and the sub-stores are a derived execution
+// structure, a pure function of the authority's state: Resync brings them up
+// to date after a commit, rebuilding only what the commit changed, and swaps
+// the sub-store set atomically, so readers holding snapshots of the old set
+// keep a consistent view while new queries see the new one.
 type Store struct {
 	authority *engine.Store
 	n         int
 	workers   int
 
-	mu   sync.RWMutex
-	subs []*engine.Store
-	gen  int64 // bumped per Resync; Explain reports it
+	// build serialises Resync, which carries state from one call to the
+	// next: last is what subs was built from (nil before the first build).
+	build sync.Mutex
+	last  *layout
+
+	mu    sync.RWMutex
+	subs  []*engine.Store
+	stats ResyncStats // of the Resync that built subs; Generation counts them
+}
+
+// layout is the input a sub-store set was built from: the authority snapshot
+// and the partition computed for it.
+type layout struct {
+	snap *engine.Snapshot
+	part *partition
+}
+
+// holds reports whether relation slot ri of the layout is the object r dealt
+// the same way — the condition for keeping every shard's copy of it. A nil
+// layout (nothing built yet, or the authority was rewritten in place since)
+// holds nothing, which makes the from-scratch build the same code as a
+// delta.
+func (l *layout) holds(ri int, r *engine.Relation, owner []int32) bool {
+	return l != nil && l.snap.RelByID(int32(ri)) == r && slices.Equal(l.part.rowShard[ri], owner)
+}
+
+// ResyncStats describes one Resync: what it could keep of the previous
+// sub-store set and what it rebuilt. Everything but Duration is a
+// deterministic function of the authority's commit history.
+type ResyncStats struct {
+	Generation int64 // completed Resyncs, this one included
+	// Full is set when nothing could be kept: the first build, or the
+	// authority was rewritten in place (SetUncertain, chase) since the last.
+	Full bool
+	// Relations and components count authority objects: kept means every
+	// shard's copy was reused, rebuilt that it was sliced/remapped and
+	// validated anew. CellsCopied is the template cells of rebuilt relations.
+	RelsKept, RelsRebuilt   int
+	CompsKept, CompsRebuilt int
+	CellsCopied             int64
+	ShardRows               []int // template rows per shard, all relations
+	Duration                time.Duration
+}
+
+// String renders the statistics as EXPLAIN prints them; everything before
+// the trailing duration is deterministic.
+func (st ResyncStats) String() string {
+	kind := "delta"
+	if st.Full {
+		kind = "full"
+	}
+	return fmt.Sprintf("%s, relations %d kept %d rebuilt, components %d kept %d rebuilt, %d cells copied, rows per shard %v, %s",
+		kind, st.RelsKept, st.RelsRebuilt, st.CompsKept, st.CompsRebuilt, st.CellsCopied, st.ShardRows, st.Duration.Round(time.Microsecond))
 }
 
 // New partitions authority into n sub-stores (n ≥ 1) executed by a pool of
@@ -54,31 +106,109 @@ func (s *Store) Workers() int { return s.workers }
 
 // Generation returns the number of completed Resyncs (the re-balance
 // counter; Explain reports it).
-func (s *Store) Generation() int64 {
+func (s *Store) Generation() int64 { return s.LastResync().Generation }
+
+// LastResync returns the statistics of the Resync that built the current
+// sub-store set.
+func (s *Store) LastResync() ResyncStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.gen
+	return s.stats
 }
 
-// Resync re-partitions the authority's current state and swaps the
-// sub-store set in — the re-balance step after a commit. The per-shard
-// stores are rebuilt in parallel; readers holding snapshots of the old
-// sub-stores are unaffected (the swap is just a pointer exchange).
+// Resync brings the sub-store set up to date with the authority's current
+// state and swaps it in — the re-balance step after a commit. The partition
+// is recomputed (O(rows) int32 work) and diffed against the one the current
+// set was built from: the engine's catalog mutators replace objects instead
+// of editing them, so a relation that is the same object dealt the same way
+// keeps every shard's copy of it, a component that is the same object over
+// such relations keeps its copy, and only the rest is sliced, remapped and
+// validated. The in-place mutators (SetUncertain, the chase) are invisible
+// to an identity diff; the authority counts them, and a changed count means
+// nothing is kept. Readers holding snapshots of the old sub-stores are
+// unaffected (the swap is a pointer exchange; kept objects are immutable).
 func (s *Store) Resync() error {
-	st := s.authority.ExportState()
-	p := computePartition(st, s.n)
-	if err := validatePartition(st, p); err != nil {
+	s.build.Lock()
+	defer s.build.Unlock()
+	start := time.Now()
+	sn := s.authority.Snapshot()
+	p, err := computePartition(sn, s.n)
+	if err != nil {
 		return err
 	}
-	states := buildStates(st, p)
+	prev := s.last
+	if prev != nil && prev.snap.Rewrites() != sn.Rewrites() {
+		prev = nil
+	}
+	prevSubs := make([]*engine.Snapshot, s.n) // nil: nothing to keep from
+	if prev != nil {
+		prevSubs = s.Snapshots()
+	}
+	stats := ResyncStats{Full: prev == nil, ShardRows: make([]int, s.n)}
+
+	slots := sn.NumRelSlots()
+	plans := make([]engine.Derivation, s.n)
+	for k := range plans {
+		plans[k].Rels = make([]engine.DerivedRel, slots)
+	}
+	kept := make([]bool, slots)
+	for ri := 0; ri < slots; ri++ {
+		r := sn.RelByID(int32(ri))
+		if r == nil {
+			continue
+		}
+		if kept[ri] = prev.holds(ri, r, p.rowShard[ri]); kept[ri] {
+			p.rowShard[ri], p.localRow[ri] = prev.part.rowShard[ri], prev.part.localRow[ri]
+			for k := range plans {
+				plans[k].Rels[ri].Keep = true
+			}
+			stats.RelsKept++
+			continue
+		}
+		// computePartition's rows are views of one scratch array; own them.
+		p.rowShard[ri] = slices.Clone(p.rowShard[ri])
+		for k, rows := range p.renumber(ri) {
+			plans[k].Rels[ri].Rows = rows
+		}
+		stats.RelsRebuilt++
+		stats.CellsCopied += int64(r.NumRows()) * int64(len(r.Cols))
+	}
+	// Components follow their rows. The partitioning invariant is re-checked
+	// on the way: every field of a component resolves to one shard.
+	var spans error
+	sn.EachComp(func(c *engine.Component) {
+		k := p.rowShard[c.Fields[0].Rel][c.Fields[0].Row]
+		keep := prev != nil && prev.snap.CompByID(c.ID) == c
+		for _, f := range c.Fields {
+			if other := p.rowShard[f.Rel][f.Row]; other != k && spans == nil {
+				spans = fmt.Errorf("shard: component %d spans shards %d and %d (field %v)", c.ID, k, other, f)
+			}
+			keep = keep && kept[f.Rel]
+		}
+		dc := engine.DerivedComp{ID: c.ID}
+		if keep {
+			stats.CompsKept++
+		} else {
+			dc.Fields = make([]engine.FieldID, len(c.Fields))
+			for i, f := range c.Fields {
+				dc.Fields[i] = engine.FieldID{Rel: f.Rel, Row: p.localRow[f.Rel][f.Row], Attr: f.Attr}
+			}
+			stats.CompsRebuilt++
+		}
+		plans[k].Comps = append(plans[k].Comps, dc)
+	})
+	if spans != nil {
+		return spans
+	}
+
 	subs := make([]*engine.Store, s.n)
 	errs := make([]error, s.n)
 	var wg sync.WaitGroup
-	for k := range states {
+	for k := range plans {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			subs[k], errs[k] = engine.ImportState(states[k])
+			subs[k], errs[k] = engine.DeriveStore(sn, prevSubs[k], plans[k])
 		}(k)
 	}
 	wg.Wait()
@@ -87,9 +217,19 @@ func (s *Store) Resync() error {
 			return fmt.Errorf("shard: rebuilding shard %d: %w", k, err)
 		}
 	}
+	for k, sub := range subs {
+		for ri := 0; ri < slots; ri++ {
+			if r := sub.RelByID(int32(ri)); r != nil {
+				stats.ShardRows[k] += r.NumRows()
+			}
+		}
+	}
+	s.last = &layout{snap: sn, part: p}
 	s.mu.Lock()
+	stats.Generation = s.stats.Generation + 1
+	stats.Duration = time.Since(start)
 	s.subs = subs
-	s.gen++
+	s.stats = stats
 	s.mu.Unlock()
 	return nil
 }
@@ -198,9 +338,13 @@ feed:
 // multiset per tuple equals the unsharded store's (the groups are
 // partitioned, never split), so folding gives byte-identical confidences.
 func (s *Store) PossibleMasses(rel string) ([]engine.TupleMasses, error) {
-	snaps := s.Snapshots()
+	return possibleMasses(s.Snapshots(), s.workers, rel)
+}
+
+// possibleMasses is PossibleMasses over an already-pinned snapshot set.
+func possibleMasses(snaps []*engine.Snapshot, workers int, rel string) ([]engine.TupleMasses, error) {
 	parts := make([][]engine.TupleMasses, len(snaps))
-	err := EachSnapshot(snaps, s.workers, func(i int, sn *engine.Snapshot) error {
+	err := EachSnapshot(snaps, workers, func(i int, sn *engine.Snapshot) error {
 		tms, err := engine.PossibleMasses(sn, rel)
 		if err != nil {
 			return err
@@ -249,14 +393,24 @@ func (s *Store) RelInfo(rel string) []Info {
 	return out
 }
 
-// Validate re-checks the cross-shard invariants against the authority's
-// current state: the row partition conserves every relation, each component
-// lives on exactly one shard, and no component id appears twice across the
-// sub-store set. The per-shard internal invariants were already re-validated
-// by ImportState on every Resync.
+// Validate re-checks the shard set against the authority's current state:
+// every sub-store's own invariants (engine.Store.Validate — Resync validates
+// only what it rebuilds, this covers the kept objects too), the row
+// partition conserves every relation, each component lives on exactly one
+// shard, and no component id appears twice across the sub-store set. It is
+// the out-of-band check, not part of the commit path.
 func (s *Store) Validate() error {
 	st := s.authority.ExportState()
-	snaps := s.Snapshots()
+	s.mu.RLock()
+	subs := s.subs
+	s.mu.RUnlock()
+	snaps := make([]*engine.Snapshot, len(subs))
+	for i, sub := range subs {
+		if err := sub.Validate(1e-6); err != nil {
+			return fmt.Errorf("shard: shard %d: %w", i, err)
+		}
+		snaps[i] = sub.Snapshot()
+	}
 	for ri, rs := range st.Rels {
 		if rs == nil {
 			continue

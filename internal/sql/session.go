@@ -173,7 +173,8 @@ func (db *DB) QueryContext(ctx context.Context, query string, args ...any) (*Row
 
 // Explain renders the Section 5 SQL rewriting of the statement's engine
 // plan (the EXPLAIN keyword is optional). On a sharded DB it appends the
-// execution strategy and per-shard statistics of the plan's base relations.
+// execution strategy, what the last re-balance kept and rebuilt, and
+// per-shard statistics of the plan's base relations.
 func (db *DB) Explain(query string) (string, error) {
 	snap := db.store.Snapshot()
 	db.mu.Lock()
@@ -204,8 +205,9 @@ func (db *DB) Explain(query string) (string, error) {
 	} else if tpl.Mode != ModePlain {
 		strategy = "authority store, confidence fold striped over the worker pool"
 	}
-	out += fmt.Sprintf("-- sharded: %d shards, %d workers, re-balance generation %d: %s\n",
-		sh.N(), sh.Workers(), sh.Generation(), strategy)
+	last := sh.LastResync()
+	out += fmt.Sprintf("-- sharded: %d shards, %d workers, re-balance generation %d: %s; last re-balance %s\n",
+		sh.N(), sh.Workers(), last.Generation, strategy, last)
 	for _, b := range tpl.bases {
 		for _, info := range sh.RelInfo(b.name) {
 			out += fmt.Sprintf("--   %s[shard %d]: %d rows, %d components (%d or-sets >1), |C| %d\n",

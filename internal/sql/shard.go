@@ -16,9 +16,10 @@ import (
 // correlated provenance — and are placed on the authority store, where mode
 // queries still get a morsel-parallel confidence sweep.
 //
-// The shard set is derived state: every catalog commit re-partitions it
-// (the one Resync call, in commit), and queries in flight keep the snapshots
-// of the set they started on.
+// The shard set is derived state, a pure function of the store's: every
+// catalog commit re-balances it (the one Resync call, in commit), which
+// rebuilds only the relations and components the commit replaced or moved,
+// and queries in flight keep the snapshots of the set they started on.
 
 // AutoShardRows is the template-row threshold above which EnableSharding(0,
 // 0) turns sharding on: below it, partitioning overhead dominates.
@@ -28,7 +29,7 @@ const AutoShardRows = 200000
 // pool of the given worker count (0 workers derives the default from
 // GOMAXPROCS with a clamp). n == 0 decides automatically from the store's
 // size and the host's core count; n == 1 disables sharding. The shard set
-// re-partitions on every subsequent catalog commit.
+// is re-balanced on every subsequent catalog commit.
 func (db *DB) EnableSharding(n, workers int) error {
 	db.writer.Lock()
 	defer db.writer.Unlock()
@@ -140,7 +141,7 @@ func (p *EnginePlan) distributable() bool {
 // use there: the shard set for a distributable plan whose shard snapshots
 // all carry the plan's catalog, the authority snapshot otherwise — sharding
 // off, a join/product/difference plan, or a commit that raced the query (the
-// shard set re-partitions after the authority commits, so for a moment it is
+// shard set is re-balanced after the authority commits, so for a moment it is
 // stale; snap was taken after the commit and is current).
 func (db *DB) placement(snap *engine.Snapshot, tpl *EnginePlan) ([]*engine.Snapshot, int) {
 	sh := db.shardStore()

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"maybms/internal/engine"
@@ -246,45 +248,97 @@ func TestShardedDifferential(t *testing.T) {
 }
 
 // TestShardedCommitWhileReading exercises commit + re-balance while readers
-// hold sharded snapshots, under -race: Materialize/Drop loops against
-// concurrent distributable queries.
+// hold sharded snapshots, under -race: Materialize/Drop loops — each a delta
+// re-balance that keeps every shard's copy of R — against concurrent
+// distributable queries. Each reader also opens a plain result (its rows
+// live in arenas over the shard snapshots it started on), holds it across at
+// least three further re-balance generations and only then scans it: the
+// pre-commit answer must still come out.
 func TestShardedCommitWhileReading(t *testing.T) {
 	store := shardedStore(t, 9, 300)
 	db := Open(store)
 	if err := db.EnableSharding(4, 2); err != nil {
 		t.Fatal(err)
 	}
+	const held = "SELECT A, B FROM R WHERE A < 15"
+	wantHeld := rowsAsStrings(t, mustQuery(t, db, held))
+	sh := db.shardStore()
+	const readers = 3
 	stop := make(chan struct{})
+	var cycles [readers]atomic.Int64
 	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
+	for g := 0; g < readers; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
 			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				rows, err := db.Query("SELECT CONF() FROM R WHERE A < 15")
+				rows, err := db.Query(held)
 				if err != nil {
 					t.Errorf("reader: %v", err)
 					return
 				}
+				for gen := sh.Generation(); sh.Generation() < gen+3; {
+					select {
+					case <-stop:
+						rows.Close()
+						return
+					default:
+					}
+					conf, err := db.Query("SELECT CONF() FROM R WHERE A < 15")
+					if err != nil {
+						rows.Close()
+						t.Errorf("reader: %v", err)
+						return
+					}
+					conf.Close()
+				}
+				var got []string
+				var a, b relation.Value
+				for rows.Next() {
+					if err := rows.Scan(&a, &b); err != nil {
+						t.Errorf("reader: scanning a held result: %v", err)
+					}
+					got = append(got, fmt.Sprintf("%s|%s|", a, b))
+				}
 				rows.Close()
+				sort.Strings(got)
+				if !slices.Equal(got, wantHeld) {
+					t.Errorf("reader: a result held across three re-balances has %d rows, want the pre-commit %d", len(got), len(wantHeld))
+					return
+				}
+				cycles[g].Add(1)
 			}
-		}()
+		}(g)
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 1000; i++ {
+		done := i >= 10
+		for g := range cycles {
+			done = done && cycles[g].Load() >= 1
+		}
+		if done {
+			break
+		}
 		res := fmt.Sprintf("M%d", i)
 		if _, err := db.Materialize(res, "SELECT A, B FROM R WHERE A < 10"); err != nil {
 			t.Errorf("Materialize %s: %v", res, err)
 			break
 		}
-		db.DropRelation(res)
+		if err := db.DropRelation(res); err != nil {
+			t.Errorf("Drop %s: %v", res, err)
+			break
+		}
+		if st := sh.LastResync(); st.Full || st.CellsCopied != 0 {
+			t.Errorf("re-balance after DROP %s: %+v, want a delta copying nothing", res, st)
+			break
+		}
 	}
 	close(stop)
 	wg.Wait()
+	for g := range cycles {
+		if cycles[g].Load() < 1 {
+			t.Errorf("reader %d never held a result across three re-balance generations", g)
+		}
+	}
 	if err := db.ValidateShards(); err != nil {
 		t.Fatal(err)
 	}
@@ -324,27 +378,61 @@ func TestAutoShardingThreshold(t *testing.T) {
 	}
 }
 
-// TestShardedExplain: EXPLAIN on a sharded session reports the strategy and
-// per-shard statistics.
+// TestShardedExplain: EXPLAIN on a sharded session reports the strategy, the
+// last re-balance's counts (golden, the duration masked) and per-shard
+// statistics.
 func TestShardedExplain(t *testing.T) {
 	db := Open(shardedStore(t, 2, 200))
 	if err := db.EnableSharding(2, 1); err != nil {
 		t.Fatal(err)
 	}
-	out, err := db.Explain("SELECT CONF() FROM R WHERE A < 15")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"sharded: 2 shards", "morsel-parallel", "R[shard 0]", "R[shard 1]"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("EXPLAIN output missing %q:\n%s", want, out)
+	shardLine := func(query string) string {
+		t.Helper()
+		out, err := db.Explain(query)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, want := range []string{"R[shard 0]", "R[shard 1]"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("EXPLAIN output missing %q:\n%s", want, out)
+			}
+		}
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "-- sharded: ") {
+				return line[:strings.LastIndex(line, ", ")] + ", <duration>"
+			}
+		}
+		t.Fatalf("EXPLAIN output has no sharded line:\n%s", out)
+		return ""
 	}
-	out, err = db.Explain("SELECT x.A FROM R AS x, S AS y WHERE x.A = y.A")
+	conf := "SELECT CONF() FROM R WHERE A < 15"
+	st := db.Stats("R")
+	if got, want := shardLine(conf), fmt.Sprintf("-- sharded: 2 shards, 1 workers, re-balance generation 1: morsel-parallel across shards; "+
+		"last re-balance full, relations 0 kept 2 rebuilt, components 0 kept %d rebuilt, 1200 cells copied, rows per shard [200 200], <duration>",
+		st.NumComp+db.Stats("S").NumComp); got != want {
+		t.Fatalf("EXPLAIN after boot:\n got %s\nwant %s", got, want)
+	}
+	// A materialized selection of R is the only thing the next re-balance
+	// copies; its rows follow the R rows they are correlated with only where
+	// they carry a placeholder, so the deal may be uneven — this line is
+	// where that shows.
+	res, err := db.Materialize("M", "SELECT A, B FROM R WHERE A < 10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "authority") {
-		t.Fatalf("EXPLAIN of a join should report authority fallback:\n%s", out)
+	last := db.shardStore().LastResync()
+	if last.Full || last.RelsKept != 2 || last.RelsRebuilt != 1 || last.CellsCopied != int64(2*res.Stats.RSize) {
+		t.Fatalf("re-balance after MATERIALIZE: %+v, want a delta copying M's %d rows x 2 columns", last, res.Stats.RSize)
+	}
+	if got, want := shardLine(conf), fmt.Sprintf("-- sharded: 2 shards, 1 workers, re-balance generation 2: morsel-parallel across shards; "+
+		"last re-balance delta, relations 2 kept 1 rebuilt, components %d kept %d rebuilt, %d cells copied, rows per shard %v, <duration>",
+		last.CompsKept, last.CompsRebuilt, 2*res.Stats.RSize, last.ShardRows); got != want {
+		t.Fatalf("EXPLAIN after MATERIALIZE:\n got %s\nwant %s", got, want)
+	}
+	if last.CompsKept+last.CompsRebuilt != st.NumComp+db.Stats("S").NumComp || last.CompsRebuilt == 0 || last.CompsRebuilt >= st.NumComp {
+		t.Fatalf("re-balance after MATERIALIZE: %+v, want only the components M extends rebuilt", last)
+	}
+	if got := shardLine("SELECT x.A FROM R AS x, S AS y WHERE x.A = y.A"); !strings.Contains(got, "authority") {
+		t.Fatalf("EXPLAIN of a join should report authority fallback:\n%s", got)
 	}
 }
