@@ -2,6 +2,7 @@ package census
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"maybms/internal/engine"
@@ -308,4 +309,38 @@ func tinyStore(t *testing.T) *engine.Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestAddNoiseAllocation: a load loop on a store no snapshot has seen edits
+// the relation in place — the noise costs its or-sets, a fraction of one
+// copy of the relation — and once a snapshot holds the relation, each column
+// the noise touches is copied once, not once per or-set.
+func TestAddNoiseAllocation(t *testing.T) {
+	const rows = 100000
+	relBytes := uint64(rows * len(Attrs) * 4)
+	noise := func(snapshot bool) uint64 {
+		s, err := NewStore("R", rows, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snapshot {
+			s.Snapshot()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n, err := AddNoise(s, "R", 0.001, 2)
+		runtime.ReadMemStats(&after)
+		if err != nil || n < rows*len(Attrs)/2000 {
+			t.Fatalf("AddNoise: %d or-sets, %v", n, err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	inPlace, shared := noise(false), noise(true)
+	t.Logf("relation %d bytes; AddNoise allocated %d in place, %d after a snapshot", relBytes, inPlace, shared)
+	if inPlace > relBytes/2 {
+		t.Errorf("AddNoise on an unshared store allocated %d bytes; the relation is %d", inPlace, relBytes)
+	}
+	if shared-inPlace > relBytes+relBytes/10 {
+		t.Errorf("AddNoise after a snapshot allocated %d bytes more, want at most one copy of the relation (%d)", shared-inPlace, relBytes)
+	}
 }

@@ -7,7 +7,7 @@ import (
 	"maybms/internal/worlds"
 )
 
-// Evaluator rewrites relational algebra queries (the worlds.Query AST) into
+// Evaluator translates relational algebra queries (the worlds.Query AST) into
 // sequences of WSD operations: the Q ↦ Q̂ translation of Section 4. The
 // result of each subquery is materialized as an auxiliary relation inside
 // the same WSD, which keeps it correlated with the inputs; auxiliary

@@ -43,7 +43,7 @@ type Arena struct {
 	// their union, hiding them from EachComp.
 	origins  map[int32][]int32
 	shadowed map[int32]bool
-	// dirty marks arena components that diverged from their origins
+	// dirty marks arena components that differ from their origins
 	// (extended, composed, or trimmed); Commit installs only these.
 	dirty      map[int32]bool
 	scratchSeq int64
@@ -116,17 +116,8 @@ func (a *Arena) addRelation(name string, attrs []string, cols [][]int32) (*Relat
 	if a.Rel(name) != nil {
 		return nil, fmt.Errorf("engine: relation %q already exists", name)
 	}
-	if len(cols) != len(attrs) {
-		return nil, fmt.Errorf("engine: %d columns for %d attributes", len(cols), len(attrs))
-	}
-	n := -1
-	for i, c := range cols {
-		if n < 0 {
-			n = len(c)
-		}
-		if len(c) != n {
-			return nil, fmt.Errorf("engine: column %s has %d rows, want %d", attrs[i], len(c), n)
-		}
+	if err := checkColumns(attrs, cols); err != nil {
+		return nil, err
 	}
 	r := &Relation{
 		id:        int32(-len(a.rels) - 1),
@@ -160,16 +151,18 @@ func (a *Arena) RenameRelation(old, new string) error {
 }
 
 // DropRelation removes an arena relation and projects its fields away from
-// the arena's components. Snapshot relations are untouched (they are not
-// the arena's to drop).
+// the arena's components, in ascending row order like Store.DropRelation.
+// Snapshot relations are untouched (they are not the arena's to drop).
+//
+//maybms:deterministic the trimmed components' field order is committed to the store
 func (a *Arena) DropRelation(name string) {
 	id, ok := a.relID[name]
 	if !ok {
 		return
 	}
 	r := a.rels[-id-1]
-	for row, attrs := range r.uncertain {
-		for _, at := range attrs {
+	for _, row := range r.uncertainRows() {
+		for _, at := range r.uncertain[row] {
 			f := FieldID{Rel: id, Row: row, Attr: at}
 			cid, ok := a.fieldComp[f]
 			if !ok {
@@ -261,20 +254,9 @@ func (a *Arena) mergeComps(fields ...FieldID) (*Component, error) {
 	if len(cs) == 1 {
 		return cs[0], nil
 	}
-	total := 0
-	for _, c := range cs {
-		total += len(c.Fields)
-	}
-	if total > MaxCompFields {
-		return nil, fmt.Errorf("engine: composing %d fields exceeds limit %d", total, MaxCompFields)
-	}
-	merged := cs[0]
-	for _, c := range cs[1:] {
-		if len(merged.Rows)*len(c.Rows) > MaxCompRows {
-			return nil, fmt.Errorf("engine: composing components would exceed %d local worlds (the exponential join blow-up of Section 4); rewrite the query or lower the density", MaxCompRows)
-		}
-		merged = composeComponents(merged, c)
-		compressComponent(merged)
+	merged, err := composeAll(cs)
+	if err != nil {
+		return nil, err
 	}
 	a.nextCID--
 	merged.ID = a.nextCID

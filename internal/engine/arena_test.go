@@ -8,6 +8,7 @@ import (
 
 	"maybms/internal/bridge"
 	. "maybms/internal/engine"
+	"maybms/internal/relation"
 )
 
 // arenaStore builds a small store with composed-component potential: two
@@ -157,13 +158,48 @@ func TestArenaCommitInstallsResult(t *testing.T) {
 	}
 }
 
+// flatState renders an exported state by value, so two renderings differ
+// exactly when a cell, field or local world does.
+func flatState(st *StoreState) string {
+	var b strings.Builder
+	for i, r := range st.Rels {
+		if r != nil {
+			fmt.Fprintf(&b, "rel %d %+v\n", i, *r)
+		}
+	}
+	for _, c := range st.Comps {
+		fmt.Fprintf(&b, "comp %+v\n", *c)
+	}
+	fmt.Fprintf(&b, "next %d", st.NextCID)
+	return b.String()
+}
+
 // TestSnapshotFrozenAcrossWrites checks the copy-on-write contract: a
 // snapshot keeps resolving its frozen catalog while the store commits new
-// results, drops and renames relations.
+// results, drops and renames relations, turns fields into or-sets and
+// chases — every mutator — and Rollback returns the store to it.
 func TestSnapshotFrozenAcrossWrites(t *testing.T) {
 	s := arenaStore(t)
 	snap := s.Snapshot()
 	statsBefore := snap.Stats("R")
+	flatBefore := flatState(snap.ExportState())
+
+	// Writer: a new or-set, then a chase that removes A = 2 from row 0's.
+	if err := s.SetUncertain("R", 1, "B", []int32{20, 21}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetUncertain("R", 1, "A", []int32{2, 5}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ChaseEGDs("R", []EGD{{
+		Premise:    []Atom{{Attr: "A", Theta: relation.EQ, C: 2}},
+		Conclusion: Atom{Attr: "B", Theta: relation.NE, C: 10},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats("R"); got == statsBefore {
+		t.Fatalf("the or-sets and the chase left R's stats at %+v", got)
+	}
 
 	// Writer: commit a result, drop it, rename a base relation.
 	a := NewArena(s.Snapshot())
@@ -188,6 +224,9 @@ func TestSnapshotFrozenAcrossWrites(t *testing.T) {
 	if got := snap.Stats("R"); got != statsBefore {
 		t.Fatalf("snapshot stats drifted: %+v, want %+v", got, statsBefore)
 	}
+	if got := flatState(snap.ExportState()); got != flatBefore {
+		t.Fatalf("a mutator edited an object the snapshot holds:\n%s\nwant:\n%s", got, flatBefore)
+	}
 	// A query over the old snapshot still runs.
 	b := NewArena(snap)
 	if _, err := b.Join("j", "R", "S", "A", "C"); err != nil {
@@ -195,6 +234,21 @@ func TestSnapshotFrozenAcrossWrites(t *testing.T) {
 	}
 	if err := s.Validate(1e-9); err != nil {
 		t.Fatal(err)
+	}
+
+	// Rollback: the store is the snapshot's state again, and writable.
+	s.Rollback(snap)
+	if got := flatState(s.ExportState()); got != flatBefore {
+		t.Fatalf("after Rollback:\n%s\nwant:\n%s", got, flatBefore)
+	}
+	if err := s.SetUncertain("R", 1, "B", []int32{20, 21}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(1e-9); err != nil {
+		t.Fatal(err)
+	}
+	if got := flatState(snap.ExportState()); got != flatBefore {
+		t.Fatalf("a write after Rollback edited the snapshot:\n%s\nwant:\n%s", got, flatBefore)
 	}
 }
 

@@ -3,7 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"maybms/internal/relation"
 )
@@ -57,7 +57,7 @@ func (d EGD) HoldsRow(get func(attr string) (int32, error)) (bool, error) {
 	return applyOp(d.Conclusion.Theta, v, d.Conclusion.C), nil
 }
 
-// ChaseEGDs enforces the dependencies on relation rel in place (the chase of
+// ChaseEGDs enforces the dependencies on relation rel (the chase of
 // Figure 24 restricted to single-tuple EGDs, on the uniform encoding):
 // local worlds in which a present tuple violates a dependency are removed
 // and the surviving probabilities renormalized. A certain violating tuple —
@@ -92,14 +92,15 @@ type ChaseOptions struct {
 	AssumeClean bool
 }
 
-// ChaseEGDsOpt is ChaseEGDs with explicit options. The chase rewrites
-// components in place; like SetUncertain it is a load-time operation and
-// must not run while snapshots of this store are live.
+// ChaseEGDsOpt is ChaseEGDs with explicit options. The relation and the
+// components the chase changes are replaced, not edited, so live snapshots
+// keep the unchased state — and an error leaves the dependencies enforced on
+// the rows visited before it: Rollback to a snapshot taken before the call
+// restores the store.
 func (s *Store) ChaseEGDsOpt(rel string, deps []EGD, opt ChaseOptions) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.detachLocked()
-	s.rewrites++
 	return s.chaseEGDs(rel, deps, opt)
 }
 
@@ -144,7 +145,7 @@ func (s *Store) chaseEGDs(rel string, deps []EGD, opt ChaseOptions) error {
 		if err := add(d.Conclusion.Attr); err != nil {
 			return err
 		}
-		if err := s.chaseOne(r, d, idx, opt); err != nil {
+		if err := s.chaseOne(r.id, d, idx, opt); err != nil {
 			return err
 		}
 	}
@@ -152,20 +153,26 @@ func (s *Store) chaseEGDs(rel string, deps []EGD, opt ChaseOptions) error {
 }
 
 //maybms:unguarded chase runs on the update path (INSERT repair) under the store lock, fail-fast bounded by MaxCompRows
-func (s *Store) chaseOne(r *Relation, d EGD, idx map[string]uint16, opt ChaseOptions) error {
+func (s *Store) chaseOne(rel int32, d EGD, idx map[string]uint16, opt ChaseOptions) error {
+	r := s.rels[rel] // the current object: an earlier dependency may have replaced it
 	rows := chaseRows(r, idx, opt)
+	// The dependency's attributes in ascending order: the order fields are
+	// materialized and composed in reaches component ids and field lists.
+	attrs := make([]uint16, 0, len(idx))
+	for _, ai := range idx {
+		attrs = append(attrs, ai)
+	}
+	slices.Sort(attrs)
 	for _, row := range rows {
 		i := int(row)
 		// Partition the dependency's attributes into certain and uncertain.
 		var uncFields []FieldID
 		uncAttr := make(map[uint16]bool)
-		for _, ai := range idx {
+		for _, ai := range attrs {
 			if r.Cols[ai][i] == Placeholder {
 				f := FieldID{Rel: r.id, Row: row, Attr: ai}
-				if !uncAttr[ai] {
-					uncAttr[ai] = true
-					uncFields = append(uncFields, f)
-				}
+				uncAttr[ai] = true
+				uncFields = append(uncFields, f)
 			}
 		}
 		if len(uncFields) == 0 {
@@ -192,12 +199,11 @@ func (s *Store) chaseOne(r *Relation, d EGD, idx map[string]uint16, opt ChaseOpt
 		// #comp>1 tracks ≈1% of the or-sets at every density, which only
 		// composition with certain partners produces.)
 		if !opt.Refined {
-			for _, ai := range idx {
-				if r.Cols[ai][i] != Placeholder {
-					if err := s.materializeCertain(r, row, ai); err != nil {
-						return err
-					}
+			for _, ai := range attrs {
+				if v := r.Cols[ai][i]; v != Placeholder {
 					f := FieldID{Rel: r.id, Row: row, Attr: ai}
+					s.newComponent([]FieldID{f}).Rows = []CompRow{{Vals: []int32{v}, P: 1}}
+					r = s.markUncertain(r, row, ai)
 					uncAttr[ai] = true
 					uncFields = append(uncFields, f)
 				}
@@ -230,9 +236,12 @@ func (s *Store) chaseOne(r *Relation, d EGD, idx map[string]uint16, opt ChaseOpt
 		for _, f := range presenceFields {
 			presenceCols = append(presenceCols, comp.Pos(f))
 		}
-		kept := comp.Rows[:0]
+		// Until a local world is removed the component is only read; the
+		// first removal makes it writable, and the survivors are compacted
+		// over the copy's own rows.
+		var kept []CompRow
 		removed := false
-		for w := range comp.Rows {
+		for w := 0; w < len(comp.Rows); w++ {
 			crow := &comp.Rows[w]
 			// An absent tuple satisfies every dependency vacuously.
 			present := true
@@ -262,16 +271,25 @@ func (s *Store) chaseOne(r *Relation, d EGD, idx map[string]uint16, opt ChaseOpt
 				}
 			}
 			if violated {
-				removed = true
+				if !removed {
+					removed = true
+					comp = s.ownComp(comp)
+					kept = comp.Rows[:w]
+				}
 				continue
 			}
-			kept = append(kept, *crow)
+			if removed {
+				kept = append(kept, *crow)
+			}
+		}
+		if !removed {
+			continue
 		}
 		comp.Rows = kept
 		if len(comp.Rows) == 0 {
 			return fmt.Errorf("%w: no value combination for tuple %d satisfies %v", ErrInconsistent, i, d)
 		}
-		if removed && !renormalize(comp) {
+		if !renormalize(comp) {
 			return fmt.Errorf("%w: zero probability mass left for tuple %d", ErrInconsistent, i)
 		}
 	}
@@ -289,9 +307,10 @@ func chaseRows(r *Relation, idx map[string]uint16, opt ChaseOptions) []int32 {
 		}
 		return out
 	}
-	out := make([]int32, 0, len(r.uncertain))
-	for row, attrs := range r.uncertain {
-		for _, a := range attrs {
+	all := r.uncertainRows()
+	out := all[:0]
+	for _, row := range all {
+		for _, a := range r.uncertain[row] {
 			relevant := false
 			for _, ai := range idx {
 				if ai == a {
@@ -305,24 +324,7 @@ func chaseRows(r *Relation, idx map[string]uint16, opt ChaseOptions) []int32 {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// materializeCertain converts a certain template field into a placeholder
-// backed by a fresh single-value component (probability 1), so it can be
-// composed with other components during the chase.
-func (s *Store) materializeCertain(r *Relation, row int32, ai uint16) error {
-	v := r.Cols[ai][row]
-	if v == Placeholder {
-		return nil
-	}
-	f := FieldID{Rel: r.id, Row: row, Attr: ai}
-	c := s.newComponent([]FieldID{f})
-	c.Rows = append(c.Rows, CompRow{Vals: []int32{v}, P: 1})
-	r.Cols[ai][row] = Placeholder
-	r.uncertain[row] = append(r.uncertain[row], ai)
-	return nil
 }
 
 // egdPossiblyViolated checks whether the dependency can be violated by some

@@ -44,7 +44,10 @@ type DerivedComp struct {
 // built — so a wrong renumbering errors out here instead of inside an
 // operator.
 func DeriveStore(src, prev *Snapshot, d Derivation) (*Store, error) {
+	e := new(epoch)
 	s := &Store{
+		epoch:     e,
+		detached:  e,
 		rels:      make([]*Relation, len(src.rels)),
 		relID:     make(map[string]int32, len(src.relID)),
 		comps:     make(map[int32]*Component, len(d.Comps)),
@@ -120,11 +123,7 @@ func DeriveStore(src, prev *Snapshot, d Derivation) (*Store, error) {
 			return nil, fmt.Errorf("engine: derive: %w", err)
 		}
 	}
-	// As in ExportState: the sequences live on the store and only grow.
-	src.store.mu.Lock()
-	s.nextCID = src.store.nextCID
-	s.scratchSeq = src.store.scratchSeq
-	src.store.mu.Unlock()
+	s.nextCID, s.scratchSeq = src.nextCID, src.scratchSeq
 	return s, nil
 }
 

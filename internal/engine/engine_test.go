@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -460,6 +461,58 @@ func TestDropRelationCleansComponents(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDropRelationOrder: a component holding two fields of a dropped relation
+// loses them by swap-removal, so the survivors' order depends on the order
+// the fields leave in. It must be the same on every run — it reaches
+// snapshot bytes and shard fingerprints — for the store's DropRelation and
+// the arena's alike.
+func TestDropRelationOrder(t *testing.T) {
+	ph := Placeholder
+	layouts := map[string]int{}
+	for run := 0; run < 200; run++ {
+		row := func(v int32, p float64) CompRow { return CompRow{Vals: []int32{v, v, v, v}, P: p} }
+		s, err := ImportState(&StoreState{
+			Rels: []*RelState{
+				{Name: "T", Attrs: []string{"A"}, Cols: [][]int32{{ph, ph}}},
+				{Name: "R", Attrs: []string{"A"}, Cols: [][]int32{{ph, ph}}},
+			},
+			Comps: []*CompState{{
+				ID:     1,
+				Fields: []FieldID{{Rel: 0, Row: 0}, {Rel: 0, Row: 1}, {Rel: 1, Row: 0}, {Rel: 1, Row: 1}},
+				Rows:   []CompRow{row(1, 0.5), row(2, 0.5)},
+			}},
+			NextCID: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The arena extends the component with two results' field copies
+		// and drops the first: q2's survivors are committed in some order.
+		Commit(t, s, func(a *Arena) error {
+			if _, err := a.Select("q1", "R", Gt("A", 0)); err != nil {
+				return err
+			}
+			if _, err := a.Select("q2", "R", Gt("A", 0)); err != nil {
+				return err
+			}
+			a.DropRelation("q1")
+			return nil
+		})
+		s.DropRelation("T")
+		if err := s.Validate(1e-9); err != nil {
+			t.Fatal(err)
+		}
+		st := s.ExportState()
+		if len(st.Comps) != 1 {
+			t.Fatalf("%d components, want 1", len(st.Comps))
+		}
+		layouts[fmt.Sprint(st.Comps[0].Fields)]++
+	}
+	if len(layouts) != 1 {
+		t.Fatalf("one state, dropped the same way, exported %d field layouts: %v", len(layouts), layouts)
+	}
 }
 
 func TestStatsAfterNoise(t *testing.T) {

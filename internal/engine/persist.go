@@ -71,13 +71,7 @@ func (sn *Snapshot) ExportState() *StoreState {
 		c := sn.comps[id]
 		st.Comps = append(st.Comps, &CompState{ID: c.ID, Fields: c.Fields, Rows: c.Rows})
 	}
-	// The component and scratch sequences live on the store, not the
-	// snapshot; both only ever grow, so reading the current value keeps the
-	// restored store's id space ahead of everything the snapshot contains.
-	sn.store.mu.Lock()
-	st.NextCID = sn.store.nextCID
-	st.ScratchSeq = sn.store.scratchSeq
-	sn.store.mu.Unlock()
+	st.NextCID, st.ScratchSeq = sn.nextCID, sn.scratchSeq
 	return st
 }
 
@@ -119,29 +113,9 @@ func ImportState(st *StoreState) (*Store, error) {
 			}
 			seen[a] = true
 		}
-		r := &Relation{
-			id:        int32(i),
-			Name:      rs.Name,
-			Attrs:     rs.Attrs,
-			Cols:      rs.Cols,
-			uncertain: make(map[int32][]uint16),
-		}
-		n := -1
-		for a, col := range rs.Cols {
-			if n < 0 {
-				n = len(col)
-			}
-			if len(col) != n {
-				return nil, fmt.Errorf("engine: import: relation %q column %s has %d rows, want %d", rs.Name, rs.Attrs[a], len(col), n)
-			}
-			for row, v := range col {
-				if v < Placeholder {
-					return nil, fmt.Errorf("engine: import: relation %q has invalid value %d", rs.Name, v)
-				}
-				if v == Placeholder {
-					r.uncertain[int32(row)] = append(r.uncertain[int32(row)], uint16(a))
-				}
-			}
+		r, err := relationOf(int32(i), rs, s.epoch)
+		if err != nil {
+			return nil, fmt.Errorf("engine: import: %w", err)
 		}
 		s.relID[rs.Name] = r.id
 		s.rels[i] = r
@@ -162,7 +136,7 @@ func ImportState(st *StoreState) (*Store, error) {
 		if len(cs.Rows) == 0 {
 			return nil, fmt.Errorf("engine: import: component %d has no local worlds", cs.ID)
 		}
-		c := &Component{ID: cs.ID, Fields: cs.Fields, Rows: cs.Rows, pos: make(map[FieldID]int, len(cs.Fields))}
+		c := &Component{ID: cs.ID, Fields: cs.Fields, Rows: cs.Rows, pos: make(map[FieldID]int, len(cs.Fields)), born: s.epoch}
 		for i, f := range cs.Fields {
 			if _, dup := c.pos[f]; dup {
 				return nil, fmt.Errorf("engine: import: component %d lists field %v twice", cs.ID, f)
@@ -185,6 +159,35 @@ func ImportState(st *StoreState) (*Store, error) {
 		return nil, fmt.Errorf("engine: import: %w", err)
 	}
 	return s, nil
+}
+
+// relationOf builds the relation object of a flat state under the given id,
+// deriving its uncertainty index; ragged columns and values below
+// Placeholder are errors.
+func relationOf(id int32, rs *RelState, born *epoch) (*Relation, error) {
+	r := &Relation{
+		id:        id,
+		Name:      rs.Name,
+		Attrs:     rs.Attrs,
+		Cols:      rs.Cols,
+		uncertain: make(map[int32][]uint16),
+		born:      born,
+	}
+	n := r.NumRows()
+	for a, col := range rs.Cols {
+		if len(col) != n {
+			return nil, fmt.Errorf("relation %q column %s has %d rows, want %d", rs.Name, rs.Attrs[a], len(col), n)
+		}
+		for row, v := range col {
+			if v < Placeholder {
+				return nil, fmt.Errorf("relation %q has invalid value %d", rs.Name, v)
+			}
+			if v == Placeholder {
+				r.uncertain[int32(row)] = append(r.uncertain[int32(row)], uint16(a))
+			}
+		}
+	}
+	return r, nil
 }
 
 // InstallRelation installs a bulk-loaded relation — a flat RelState plus the
@@ -212,30 +215,11 @@ func (s *Store) InstallRelation(rs *RelState, comps []*CompState) error {
 		return fmt.Errorf("engine: install: relation %q has %d columns for %d attributes", rs.Name, len(rs.Cols), len(rs.Attrs))
 	}
 	relID := int32(len(s.rels))
-	r := &Relation{
-		id:        relID,
-		Name:      rs.Name,
-		Attrs:     rs.Attrs,
-		Cols:      rs.Cols,
-		uncertain: make(map[int32][]uint16),
+	r, err := relationOf(relID, rs, s.epoch)
+	if err != nil {
+		return fmt.Errorf("engine: install: %w", err)
 	}
-	n := -1
-	for a, col := range rs.Cols {
-		if n < 0 {
-			n = len(col)
-		}
-		if len(col) != n {
-			return fmt.Errorf("engine: install: relation %q column %s has %d rows, want %d", rs.Name, rs.Attrs[a], len(col), n)
-		}
-		for row, v := range col {
-			if v < Placeholder {
-				return fmt.Errorf("engine: install: relation %q has invalid value %d", rs.Name, v)
-			}
-			if v == Placeholder {
-				r.uncertain[int32(row)] = append(r.uncertain[int32(row)], uint16(a))
-			}
-		}
-	}
+	n := r.NumRows()
 	// Check the components against the relation (and each other) before
 	// registering anything: the checks mirror ImportState's, scoped to the
 	// installed relation. Field Rel values are rewritten to the new id, so a
@@ -257,7 +241,7 @@ func (s *Store) InstallRelation(rs *RelState, comps []*CompState) error {
 			return fmt.Errorf("engine: install: component %d has no local worlds", cs.ID)
 		}
 		id := s.nextCID + int32(i) + 1
-		c := &Component{ID: id, Fields: make([]FieldID, len(cs.Fields)), Rows: cs.Rows, pos: make(map[FieldID]int, len(cs.Fields))}
+		c := &Component{ID: id, Fields: make([]FieldID, len(cs.Fields)), Rows: cs.Rows, pos: make(map[FieldID]int, len(cs.Fields)), born: s.epoch}
 		var mass float64
 		for _, row := range cs.Rows {
 			if len(row.Vals) != len(cs.Fields) {

@@ -1,28 +1,31 @@
 package engine
 
+import (
+	"maps"
+	"slices"
+)
+
 // This file implements the read side of the store's concurrency model: an
 // immutable Snapshot of the catalog and component space, produced in O(1) by
 // copy-on-write. Queries run against snapshots and write their results into
 // per-session Arenas (arena.go), so independent SELECTs never contend on the
 // store and never mutate shared components.
 //
-// The contract has three parts:
+// The contract has two parts:
 //
-//   - Snapshot() is O(1): it hands out the store's live containers and marks
-//     them shared. The first catalog mutation afterwards detaches — clones
-//     the containers (not the relations or components themselves) — so live
-//     snapshots keep reading a consistent frozen view.
-//   - Store mutators that only restructure the catalog (AddRelation,
-//     RenameRelation, DropRelation, Arena.Commit) are object-COW: they
-//     replace map entries with fresh objects instead of editing shared ones,
-//     and are therefore safe to run concurrently with snapshot readers (one
-//     writer at a time; the session API serializes writers).
-//   - Mutators that rewrite shared objects in place (SetUncertain, the
-//     chase) are load-time operations: they must not run while snapshots
-//     are live. Snapshots taken afterwards observe their effects, as usual.
-//     Each one bumps the store's rewrite counter, which a snapshot records
-//     (Snapshot.Rewrites): state derived from an older snapshot — the shard
-//     set — knows from a changed count that it cannot be patched.
+//   - Snapshot() is O(1): it hands out the store's live containers and
+//     starts a new store epoch. The first mutation afterwards detaches —
+//     clones the containers (not the relations or components themselves) —
+//     so live snapshots keep reading a consistent frozen view.
+//   - Every store mutator (AddRelation, InstallRelation, RenameRelation,
+//     DropRelation, SetUncertain, the chase, Arena.Commit) is object-COW: a
+//     relation, column or component a snapshot may hold is replaced by a
+//     fresh object, never edited; only objects created in the current epoch
+//     — which no snapshot can reach — are edited in place. Mutators are
+//     therefore safe to run concurrently with snapshot readers (one writer
+//     at a time; the session API serializes writers), two snapshots of one
+//     store differ exactly in the objects they do not share by pointer, and
+//     Rollback to a snapshot undoes everything since in O(1).
 
 // Snapshot is a read-only, point-in-time view of a store's catalog and
 // component space. It is safe for concurrent use by any number of readers
@@ -35,7 +38,9 @@ type Snapshot struct {
 	relID     map[string]int32
 	comps     map[int32]*Component
 	fieldComp map[FieldID]int32
-	rewrites  uint64
+	// The id sequences at acquisition: ahead of everything the view holds.
+	nextCID    int32
+	scratchSeq int64
 }
 
 // Snapshot returns a read-only view of the store's current catalog and
@@ -44,22 +49,31 @@ type Snapshot struct {
 func (s *Store) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cowShared = true
+	s.epoch = new(epoch)
 	return &Snapshot{
-		store:     s,
-		rels:      s.rels,
-		relID:     s.relID,
-		comps:     s.comps,
-		fieldComp: s.fieldComp,
-		rewrites:  s.rewrites,
+		store:      s,
+		rels:       s.rels,
+		relID:      s.relID,
+		comps:      s.comps,
+		fieldComp:  s.fieldComp,
+		nextCID:    s.nextCID,
+		scratchSeq: s.scratchSeq,
 	}
 }
 
-// Rewrites returns the number of in-place mutations (SetUncertain, chase
-// runs) the store had seen when the snapshot was taken. Two snapshots of one
-// store with equal counts differ only by object-copy-on-write catalog
-// changes: a relation or component they share by pointer is unchanged.
-func (sn *Snapshot) Rewrites() uint64 { return sn.rewrites }
+// Rollback returns the store to the state sn captured — catalog, component
+// space and component id sequence — discarding every mutation since, in
+// O(1): the mutators replaced what sn holds instead of editing it. sn must
+// be a snapshot of this store; it stays valid.
+func (s *Store) Rollback(sn *Snapshot) {
+	if sn.store != s {
+		panic("engine: Rollback to a snapshot of another store")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.rels, s.relID, s.comps, s.fieldComp, s.nextCID = sn.rels, sn.relID, sn.comps, sn.fieldComp, sn.nextCID
+	s.epoch = new(epoch) // the containers are sn's again: detach before writing
+}
 
 // NumRelSlots returns the size of the relation id space: RelByID resolves
 // ids below it, to nil for a dropped relation.
@@ -71,26 +85,14 @@ func (sn *Snapshot) CompByID(id int32) *Component { return sn.comps[id] }
 // detachLocked clones the store's containers if a snapshot shares them, so
 // the next mutation leaves live snapshots untouched. Callers hold s.mu.
 func (s *Store) detachLocked() {
-	if !s.cowShared {
+	if s.detached == s.epoch {
 		return
 	}
-	s.cowShared = false
-	s.rels = append([]*Relation(nil), s.rels...)
-	relID := make(map[string]int32, len(s.relID))
-	for k, v := range s.relID {
-		relID[k] = v
-	}
-	s.relID = relID
-	comps := make(map[int32]*Component, len(s.comps))
-	for k, v := range s.comps {
-		comps[k] = v
-	}
-	s.comps = comps
-	fieldComp := make(map[FieldID]int32, len(s.fieldComp))
-	for k, v := range s.fieldComp {
-		fieldComp[k] = v
-	}
-	s.fieldComp = fieldComp
+	s.detached = s.epoch
+	s.rels = slices.Clone(s.rels)
+	s.relID = maps.Clone(s.relID)
+	s.comps = maps.Clone(s.comps)
+	s.fieldComp = maps.Clone(s.fieldComp)
 }
 
 // Rel returns the named relation, or nil.
@@ -152,12 +154,9 @@ func (sn *Snapshot) TotalPlaceholders(rel string) int { return totalPlaceholders
 func cloneComponent(c *Component) *Component {
 	nc := &Component{
 		ID:     c.ID,
-		Fields: append([]FieldID(nil), c.Fields...),
+		Fields: slices.Clone(c.Fields),
 		Rows:   make([]CompRow, len(c.Rows)),
-		pos:    make(map[FieldID]int, len(c.pos)),
-	}
-	for f, i := range c.pos {
-		nc.pos[f] = i
+		pos:    maps.Clone(c.pos),
 	}
 	for i, row := range c.Rows {
 		nc.Rows[i] = CompRow{

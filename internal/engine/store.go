@@ -14,7 +14,9 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -55,6 +57,8 @@ type Component struct {
 	Fields []FieldID
 	Rows   []CompRow
 	pos    map[FieldID]int
+	// born is the store epoch that created the object (see Store.epoch).
+	born *epoch
 }
 
 // Pos returns the column index of field f, or -1.
@@ -91,6 +95,11 @@ type Relation struct {
 	Cols  [][]int32
 	// uncertain lists, per row, the attribute indexes holding placeholders.
 	uncertain map[int32][]uint16
+	// born is the store epoch that created the object (see Store.epoch);
+	// sharedCols marks the columns it still shares with the object it was
+	// copied from (none for a relation built from scratch).
+	born       *epoch
+	sharedCols Bitset
 }
 
 // NumRows returns the number of template rows.
@@ -114,18 +123,41 @@ func (r *Relation) AttrIndex(name string) (uint16, error) {
 // UncertainRows returns the number of rows with at least one placeholder.
 func (r *Relation) UncertainRows() int { return len(r.uncertain) }
 
+// uncertainRows returns the rows with at least one placeholder, ascending.
+//
+//maybms:deterministic callers' results reach snapshot bytes and shard fingerprints
+func (r *Relation) uncertainRows() []int32 {
+	rows := make([]int32, 0, len(r.uncertain))
+	for row := range r.uncertain {
+		rows = append(rows, row)
+	}
+	slices.Sort(rows)
+	return rows
+}
+
+// epoch names one interval between two snapshots of a store. Epochs are
+// compared by address, so an object one store created is never mistaken for
+// another's (derived stores share relations and components).
+type epoch struct{ _ byte }
+
 // Store holds the template relations and the shared component store. Reads
 // that must be safe against concurrent catalog writers go through Snapshot
 // (see snapshot.go); writers serialize externally (the session API holds
 // one writer at a time) and the store's own mutex only coordinates snapshot
 // acquisition with the copy-on-write detach.
 type Store struct {
-	// mu guards cowShared and the container pointers during Snapshot,
-	// detachLocked and Commit. It is not a general read/write lock: direct
-	// reads of a store that is being written concurrently are the caller's
-	// responsibility (use snapshots).
-	mu        sync.Mutex
-	cowShared bool
+	// mu guards the epoch and the container pointers during Snapshot,
+	// Rollback, detachLocked and Commit. It is not a general read/write
+	// lock: direct reads of a store that is being written concurrently are
+	// the caller's responsibility (use snapshots).
+	mu sync.Mutex
+	// epoch is the one ownership rule of every mutator: a container,
+	// relation or component stamped with the current epoch was created since
+	// the last Snapshot, so no snapshot can reach it and it is edited in
+	// place; anything else is replaced by a copy before it changes. Snapshot
+	// starts a new epoch; detached is the epoch that copied the containers.
+	epoch    *epoch
+	detached *epoch
 
 	rels    []*Relation
 	relID   map[string]int32
@@ -135,17 +167,14 @@ type Store struct {
 	fieldComp map[FieldID]int32
 	// scratchSeq numbers the scratch relations handed out by NewScratch.
 	scratchSeq int64
-	// rewrites counts the mutators that edit shared relations and components
-	// in place (SetUncertain, the chase). Between two snapshots with equal
-	// counts every change was object-copy-on-write, so comparing their
-	// relations and components by pointer is a complete diff (DeriveStore's
-	// callers rely on it); across a changed count nothing can be assumed.
-	rewrites uint64
 }
 
 // NewStore creates an empty store.
 func NewStore() *Store {
+	e := new(epoch)
 	return &Store{
+		epoch:     e,
+		detached:  e,
 		relID:     make(map[string]int32),
 		comps:     make(map[int32]*Component),
 		fieldComp: make(map[FieldID]int32),
@@ -162,17 +191,8 @@ func (s *Store) AddRelation(name string, attrs []string, cols [][]int32) (*Relat
 	if _, dup := s.relID[name]; dup {
 		return nil, fmt.Errorf("engine: relation %q already exists", name)
 	}
-	if len(cols) != len(attrs) {
-		return nil, fmt.Errorf("engine: %d columns for %d attributes", len(cols), len(attrs))
-	}
-	n := -1
-	for i, c := range cols {
-		if n < 0 {
-			n = len(c)
-		}
-		if len(c) != n {
-			return nil, fmt.Errorf("engine: column %s has %d rows, want %d", attrs[i], len(c), n)
-		}
+	if err := checkColumns(attrs, cols); err != nil {
+		return nil, err
 	}
 	r := &Relation{
 		id:        int32(len(s.rels)),
@@ -180,10 +200,25 @@ func (s *Store) AddRelation(name string, attrs []string, cols [][]int32) (*Relat
 		Attrs:     append([]string(nil), attrs...),
 		Cols:      cols,
 		uncertain: make(map[int32][]uint16),
+		born:      s.epoch,
 	}
 	s.relID[name] = r.id
 	s.rels = append(s.rels, r)
 	return r, nil
+}
+
+// checkColumns reports a column count that differs from the attribute count
+// or columns of unequal length.
+func checkColumns(attrs []string, cols [][]int32) error {
+	if len(cols) != len(attrs) {
+		return fmt.Errorf("engine: %d columns for %d attributes", len(cols), len(attrs))
+	}
+	for i, c := range cols {
+		if len(c) != len(cols[0]) {
+			return fmt.Errorf("engine: column %s has %d rows, want %d", attrs[i], len(c), len(cols[0]))
+		}
+	}
+	return nil
 }
 
 // NewScratch returns a fresh relation name for query intermediates and
@@ -255,12 +290,12 @@ func (s *Store) NumComponents() int { return len(s.comps) }
 
 // SetUncertain replaces the field (rel, row, attr) by an or-set of values
 // with probabilities (nil probs means uniform), creating a fresh component.
-// The field must currently be certain.
+// The field must currently be certain. The relation is replaced, not edited
+// (see markUncertain), so live snapshots keep the certain field.
 func (s *Store) SetUncertain(rel string, row int, attr string, values []int32, probs []float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.detachLocked()
-	s.rewrites++
 	r := s.Rel(rel)
 	if r == nil {
 		return fmt.Errorf("engine: unknown relation %q", rel)
@@ -295,14 +330,53 @@ func (s *Store) SetUncertain(rel string, row int, attr string, values []int32, p
 		}
 		c.Rows = append(c.Rows, CompRow{Vals: []int32{v}, P: p})
 	}
-	r.Cols[ai][row] = Placeholder
-	r.uncertain[int32(row)] = append(r.uncertain[int32(row)], ai)
+	s.markUncertain(r, int32(row), ai)
 	return nil
+}
+
+// markUncertain turns the certain template cell (row, ai) of r into a
+// placeholder and returns the object that now holds relation r.id: r itself
+// when the current epoch created it, else a copy installed in its place. The
+// copy has its own uncertainty index and shares r's columns until one is
+// written.
+func (s *Store) markUncertain(r *Relation, row int32, ai uint16) *Relation {
+	if r.born != s.epoch {
+		nr := *r
+		nr.born = s.epoch
+		nr.Cols = slices.Clone(r.Cols)
+		nr.uncertain = maps.Clone(r.uncertain)
+		nr.sharedCols = nil
+		for a := range nr.Cols {
+			nr.sharedCols = nr.sharedCols.Set(a)
+		}
+		r = &nr
+		s.rels[r.id] = r
+	}
+	if r.sharedCols.Get(int(ai)) {
+		r.Cols[ai] = slices.Clone(r.Cols[ai])
+		r.sharedCols.Clear(int(ai))
+	}
+	r.Cols[ai][row] = Placeholder
+	// The copied index shares its attribute lists: never append in place.
+	r.uncertain[row] = append(slices.Clip(r.uncertain[row]), ai)
+	return r
+}
+
+// ownComp returns component c for a rewrite of its local worlds: c itself
+// when the current epoch created it, else a copy installed in its place
+// under the same id, with its own Rows (fields and values stay shared).
+func (s *Store) ownComp(c *Component) *Component {
+	if c.born == s.epoch {
+		return c
+	}
+	nc := &Component{ID: c.ID, Fields: c.Fields, Rows: slices.Clone(c.Rows), pos: c.pos, born: s.epoch}
+	s.comps[c.ID] = nc
+	return nc
 }
 
 func (s *Store) newComponent(fields []FieldID) *Component {
 	s.nextCID++
-	c := &Component{ID: s.nextCID, Fields: fields, pos: make(map[FieldID]int, len(fields))}
+	c := &Component{ID: s.nextCID, Fields: fields, pos: make(map[FieldID]int, len(fields)), born: s.epoch}
 	for i, f := range fields {
 		c.pos[f] = i
 		s.fieldComp[f] = c.ID
@@ -329,6 +403,27 @@ func (s *Store) mergeComps(fields ...FieldID) (*Component, error) {
 	if len(cs) == 1 {
 		return cs[0], nil
 	}
+	merged, err := composeAll(cs)
+	if err != nil {
+		return nil, err
+	}
+	s.nextCID++
+	merged.ID = s.nextCID
+	merged.born = s.epoch
+	s.comps[merged.ID] = merged
+	for _, c := range cs {
+		delete(s.comps, c.ID)
+	}
+	for _, f := range merged.Fields {
+		s.fieldComp[f] = merged.ID
+	}
+	return merged, nil
+}
+
+// composeAll composes two or more components into one fresh component,
+// compressing after every step, or fails if the result would exceed
+// MaxCompFields or MaxCompRows.
+func composeAll(cs []*Component) (*Component, error) {
 	total := 0
 	for _, c := range cs {
 		total += len(c.Fields)
@@ -343,15 +438,6 @@ func (s *Store) mergeComps(fields ...FieldID) (*Component, error) {
 		}
 		merged = composeComponents(merged, c)
 		compressComponent(merged)
-	}
-	s.nextCID++
-	merged.ID = s.nextCID
-	s.comps[merged.ID] = merged
-	for _, c := range cs {
-		delete(s.comps, c.ID)
-	}
-	for _, f := range merged.Fields {
-		s.fieldComp[f] = merged.ID
 	}
 	return merged, nil
 }
@@ -437,16 +523,16 @@ func appendFieldKey(buf []byte, v int32, absent bool) []byte {
 //
 //maybms:unguarded deep copy on the update path (test fixtures, import); no query guard exists
 func (s *Store) Clone() *Store {
+	e := new(epoch)
 	c := &Store{
+		epoch:      e,
+		detached:   e,
 		rels:       make([]*Relation, len(s.rels)),
-		relID:      make(map[string]int32, len(s.relID)),
+		relID:      maps.Clone(s.relID),
 		comps:      make(map[int32]*Component, len(s.comps)),
 		nextCID:    s.nextCID,
-		fieldComp:  make(map[FieldID]int32, len(s.fieldComp)),
+		fieldComp:  maps.Clone(s.fieldComp),
 		scratchSeq: s.scratchSeq,
-	}
-	for name, id := range s.relID {
-		c.relID[name] = id
 	}
 	for i, r := range s.rels {
 		if r == nil {
@@ -455,39 +541,23 @@ func (s *Store) Clone() *Store {
 		nr := &Relation{
 			id:        r.id,
 			Name:      r.Name,
-			Attrs:     append([]string(nil), r.Attrs...),
+			Attrs:     slices.Clone(r.Attrs),
 			Cols:      make([][]int32, len(r.Cols)),
 			uncertain: make(map[int32][]uint16, len(r.uncertain)),
+			born:      e,
 		}
 		for j, col := range r.Cols {
-			nr.Cols[j] = append([]int32(nil), col...)
+			nr.Cols[j] = slices.Clone(col)
 		}
 		for row, attrs := range r.uncertain {
-			nr.uncertain[row] = append([]uint16(nil), attrs...)
+			nr.uncertain[row] = slices.Clone(attrs)
 		}
 		c.rels[i] = nr
 	}
 	for cid, comp := range s.comps {
-		nc := &Component{
-			ID:     comp.ID,
-			Fields: append([]FieldID(nil), comp.Fields...),
-			Rows:   make([]CompRow, len(comp.Rows)),
-			pos:    make(map[FieldID]int, len(comp.pos)),
-		}
-		for f, i := range comp.pos {
-			nc.pos[f] = i
-		}
-		for i, row := range comp.Rows {
-			nc.Rows[i] = CompRow{
-				Vals:   append([]int32(nil), row.Vals...),
-				Absent: row.Absent.Clone(),
-				P:      row.P,
-			}
-		}
+		nc := cloneComponent(comp)
+		nc.born = e
 		c.comps[cid] = nc
-	}
-	for f, cid := range s.fieldComp {
-		c.fieldComp[f] = cid
 	}
 	return c
 }
@@ -495,7 +565,10 @@ func (s *Store) Clone() *Store {
 // DropRelation removes a relation and projects its fields away from the
 // component store (components left with no fields are deleted). Affected
 // components are replaced by trimmed copies rather than edited in place, so
-// live snapshots keep their frozen view.
+// live snapshots keep their frozen view. Fields leave in ascending row
+// order: the swap-removal makes the surviving field order depend on it.
+//
+//maybms:deterministic the trimmed components' field order reaches snapshot bytes and shard fingerprints
 func (s *Store) DropRelation(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -506,8 +579,8 @@ func (s *Store) DropRelation(name string) {
 	}
 	r := s.rels[id]
 	cloned := make(map[int32]bool)
-	for row, attrs := range r.uncertain {
-		for _, a := range attrs {
+	for _, row := range r.uncertainRows() {
+		for _, a := range r.uncertain[row] {
 			f := FieldID{Rel: id, Row: row, Attr: a}
 			cid, ok := s.fieldComp[f]
 			if !ok {

@@ -140,16 +140,18 @@ func randomCommit(r *rand.Rand, authority *engine.Store, next *int) string {
 			}
 		}
 	case op == 8 && len(bases) > 0:
-		// The chase stops part-way through its in-place rewrite when the data
-		// is inconsistent; rehearse on a clone so the authority stays valid.
 		rel := bases[r.Intn(len(bases))]
 		deps := []engine.EGD{{
 			Premise:    []engine.Atom{{Attr: "A", Theta: relation.LT, C: int32(5 + r.Intn(10))}},
 			Conclusion: engine.Atom{Attr: "B", Theta: relation.LT, C: int32(25 + r.Intn(15))},
 		}}
-		if authority.Clone().ChaseEGDs(rel, deps) == nil && authority.ChaseEGDs(rel, deps) == nil {
+		// A chase that finds the data inconsistent stops part-way; the
+		// snapshot taken before it is the way back.
+		pre := authority.Snapshot()
+		if authority.ChaseEGDs(rel, deps) == nil {
 			return "chase"
 		}
+		authority.Rollback(pre)
 	}
 	return ""
 }
@@ -186,8 +188,12 @@ func TestDeltaEqualsFull(t *testing.T) {
 				}
 				ctx := fmt.Sprintf("seed %d n=%d step %d (%s)", seed, n, step, op)
 				st := sh.LastResync()
-				if inPlace := op == "set-uncertain" || op == "chase"; st.Full != inPlace {
-					t.Fatalf("%s: full rebuild = %v", ctx, st.Full)
+				if st.Full {
+					t.Fatalf("%s: full rebuild", ctx)
+				}
+				// SetUncertain replaces one relation, the chase at most one.
+				if (op == "set-uncertain" || op == "chase") && st.RelsRebuilt > 1 {
+					t.Fatalf("%s: stats %+v, want every untouched relation kept", ctx, st)
 				}
 				// A commit that adds one relation but rebuilds more re-assigned
 				// an existing one: rows moved between shards.
@@ -293,8 +299,8 @@ func TestJoinCommitMovesRows(t *testing.T) {
 
 // TestResyncReusesUntouchedRelations: across MATERIALIZE + DROP of a
 // selection over R0, every shard's copy of R0 is the same object, and the
-// counters say only the result's cells were copied; an in-place mutation
-// forces the full rebuild.
+// counters say only the result's cells were copied; SetUncertain rebuilds the
+// one relation it replaces and a chase that removes nothing rebuilds none.
 func TestResyncReusesUntouchedRelations(t *testing.T) {
 	authority := mustImport(t, randState(rand.New(rand.NewSource(5)), 2, 200))
 	sh, err := New(authority, 3, 1)
@@ -359,13 +365,19 @@ func TestResyncReusesUntouchedRelations(t *testing.T) {
 	if err := sh.Resync(); err != nil {
 		t.Fatal(err)
 	}
-	if st := sh.LastResync(); !st.Full || st.RelsKept != 0 || st.CompsKept != 0 {
-		t.Fatalf("after SetUncertain: stats %+v, want a full rebuild", st)
+	after := copies()
+	if st := sh.LastResync(); st.Full || st.RelsKept != 1 || st.RelsRebuilt != 1 || st.CompsKept == 0 {
+		t.Fatalf("after SetUncertain: stats %+v, want a delta rebuilding R0 alone", st)
+	}
+	for i := 0; i < len(after); i += 2 {
+		if after[i] == before[i] || after[i+1] != before[i+1] {
+			t.Fatalf("after SetUncertain: shard %d kept its copy of R0 or rebuilt R1", i/2)
+		}
 	}
 	requireDeltaEqualsFull(t, "after SetUncertain", authority, sh)
 
-	// B < 40 holds for every generated value: the chase rewrites nothing it
-	// could trip over, but it still runs as an in-place mutator.
+	// B < 40 holds for every generated value: the chase removes no local
+	// world, so it replaces nothing.
 	deps := []engine.EGD{{
 		Premise:    []engine.Atom{{Attr: "A", Theta: relation.LT, C: 3}},
 		Conclusion: engine.Atom{Attr: "B", Theta: relation.LT, C: 40},
@@ -376,8 +388,11 @@ func TestResyncReusesUntouchedRelations(t *testing.T) {
 	if err := sh.Resync(); err != nil {
 		t.Fatal(err)
 	}
-	if st := sh.LastResync(); !st.Full {
-		t.Fatalf("after chase: stats %+v, want a full rebuild", st)
+	if st := sh.LastResync(); st.Full || st.RelsRebuilt != 0 || st.CellsCopied != 0 {
+		t.Fatalf("after chase: stats %+v, want nothing re-sliced", st)
+	}
+	if !slices.Equal(copies(), after) {
+		t.Fatalf("after chase: a shard's copy of R0 or R1 was rebuilt")
 	}
 	requireDeltaEqualsFull(t, "after chase", authority, sh)
 }

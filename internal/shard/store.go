@@ -44,9 +44,8 @@ type layout struct {
 
 // holds reports whether relation slot ri of the layout is the object r dealt
 // the same way — the condition for keeping every shard's copy of it. A nil
-// layout (nothing built yet, or the authority was rewritten in place since)
-// holds nothing, which makes the from-scratch build the same code as a
-// delta.
+// layout (nothing built yet) holds nothing, which makes the from-scratch
+// build the same code as a delta.
 func (l *layout) holds(ri int, r *engine.Relation, owner []int32) bool {
 	return l != nil && l.snap.RelByID(int32(ri)) == r && slices.Equal(l.part.rowShard[ri], owner)
 }
@@ -56,8 +55,7 @@ func (l *layout) holds(ri int, r *engine.Relation, owner []int32) bool {
 // deterministic function of the authority's commit history.
 type ResyncStats struct {
 	Generation int64 // completed Resyncs, this one included
-	// Full is set when nothing could be kept: the first build, or the
-	// authority was rewritten in place (SetUncertain, chase) since the last.
+	// Full is set on the first build, when there is nothing to keep.
 	Full bool
 	// Relations and components count authority objects: kept means every
 	// shard's copy was reused, rebuilt that it was sliced/remapped and
@@ -119,14 +117,13 @@ func (s *Store) LastResync() ResyncStats {
 // Resync brings the sub-store set up to date with the authority's current
 // state and swaps it in — the re-balance step after a commit. The partition
 // is recomputed (O(rows) int32 work) and diffed against the one the current
-// set was built from: the engine's catalog mutators replace objects instead
-// of editing them, so a relation that is the same object dealt the same way
-// keeps every shard's copy of it, a component that is the same object over
-// such relations keeps its copy, and only the rest is sliced, remapped and
-// validated. The in-place mutators (SetUncertain, the chase) are invisible
-// to an identity diff; the authority counts them, and a changed count means
-// nothing is kept. Readers holding snapshots of the old sub-stores are
-// unaffected (the swap is a pointer exchange; kept objects are immutable).
+// set was built from: the engine's mutators replace objects instead of
+// editing them (engine/snapshot.go), so a relation that is the same object
+// dealt the same way keeps every shard's copy of it, a component that is the
+// same object over such relations keeps its copy, and only the rest is
+// sliced, remapped and validated. Readers holding snapshots of the old
+// sub-stores are unaffected (the swap is a pointer exchange; kept objects
+// are immutable).
 func (s *Store) Resync() error {
 	s.build.Lock()
 	defer s.build.Unlock()
@@ -137,9 +134,6 @@ func (s *Store) Resync() error {
 		return err
 	}
 	prev := s.last
-	if prev != nil && prev.snap.Rewrites() != sn.Rewrites() {
-		prev = nil
-	}
 	prevSubs := make([]*engine.Snapshot, s.n) // nil: nothing to keep from
 	if prev != nil {
 		prevSubs = s.Snapshots()

@@ -2,7 +2,6 @@ package sql
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -27,31 +26,23 @@ type applied struct {
 // commit is the one path by which a live session changes the catalog: writer
 // lock, apply the record to the store, append it to the log, re-balance the
 // shard set. The store changes before the log does, and the append fsyncs
-// before commit returns. When the append fails the caller always gets the
-// error, and the store never silently keeps a change a restart would lose:
-// a record with an inverse is undone, one without marks the DB diverged.
-// A diverged DB keeps answering queries but refuses Checkpoint and every
-// further commit — a record logged on top of a change the log never saw
-// could fail to replay — until a restart returns it to the logged state.
-// An in-memory DB has no log.
+// before commit returns. The snapshot taken before apply is the undo log:
+// when apply or the append fails the caller gets the error and the store is
+// rolled back to it, so the live store is always the one a restart would
+// replay. An in-memory DB has no log.
 func (db *DB) commit(ctx context.Context, rec *storage.WALRecord) (applied, error) {
 	db.writer.Lock()
 	defer db.writer.Unlock()
-	if db.durErr != nil {
-		return applied{}, fmt.Errorf("sql: %s refused: store diverged from WAL (%v); restart to return to the logged state", describe(rec), db.durErr)
-	}
+	pre := db.store.Snapshot()
 	out, err := db.apply(ctx, rec)
-	if err != nil {
-		return applied{}, err
-	}
-	if db.dur != nil {
-		if err := db.dur.WAL().Append(rec); err != nil {
+	if err == nil && db.dur != nil {
+		if err = db.dur.WAL().Append(rec); err != nil {
 			err = fmt.Errorf("sql: logging %s: %w", describe(rec), err)
-			if uerr := db.undo(rec); uerr != nil {
-				db.durErr = fmt.Errorf("%w (%v)", err, uerr)
-			}
-			return applied{}, err
 		}
+	}
+	if err != nil {
+		db.store.Rollback(pre)
+		return applied{}, err
 	}
 	// The shard set is derived state: a failed re-balance disables sharding
 	// (queries fall back to the authority — correct, just not parallel) and
@@ -70,9 +61,7 @@ func (db *DB) commit(ctx context.Context, rec *storage.WALRecord) (applied, erro
 // apply performs one record's store mutation; callers hold db.writer. It is
 // the whole difference between two consecutive committed states, live and on
 // replay alike, and it never touches the log or the shard set. An error
-// means the record is not committed, and the store is unchanged — except by
-// a chase that finds the data inconsistent, which stops part-way through its
-// in-place rewrite.
+// means the record is not committed; commit rolls back whatever it changed.
 func (db *DB) apply(ctx context.Context, rec *storage.WALRecord) (out applied, err error) {
 	switch rec.Type {
 	case storage.RecMaterialize:
@@ -97,27 +86,6 @@ func (db *DB) apply(ctx context.Context, rec *storage.WALRecord) (out applied, e
 		err = fmt.Errorf("sql: unknown WAL record type %d", rec.Type)
 	}
 	return out, err
-}
-
-// errNoInverse is undo's answer for a record whose mutation discards state.
-var errNoInverse = errors.New("the change cannot be undone: the store has diverged from its log")
-
-// undo reverses an applied record the log refused; callers hold db.writer.
-// MATERIALIZE and LOAD CSV installed a relation nothing else can reference
-// yet, and RENAME swapped two names, so they have inverses; DROP, CHASE and
-// SET UNCERTAIN overwrite the state they replace.
-func (db *DB) undo(rec *storage.WALRecord) error {
-	switch rec.Type {
-	case storage.RecMaterialize:
-		db.store.DropRelation(rec.Res)
-		return nil
-	case storage.RecLoadCSV:
-		db.store.DropRelation(rec.Rel)
-		return nil
-	case storage.RecRename:
-		return db.store.RenameRelation(rec.NewName, rec.Name)
-	}
-	return errNoInverse
 }
 
 // describe names a record in error messages.

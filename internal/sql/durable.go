@@ -136,9 +136,6 @@ func (db *DB) Checkpoint() error {
 	if db.dur == nil {
 		return fmt.Errorf("sql: Checkpoint on an in-memory DB (open with Restore or InitDir)")
 	}
-	if db.durErr != nil {
-		return fmt.Errorf("sql: store diverged from WAL (%v); refusing to checkpoint a log that is already short — fix the disk and restart", db.durErr)
-	}
 	return db.dur.Checkpoint(db.store)
 }
 

@@ -4,15 +4,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"maybms/internal/engine"
+	"maybms/internal/relation"
 	"maybms/internal/storage"
 )
 
 // These tests are internal to the package so they can put a fault-injecting
-// filesystem under a live session (db.dur) and observe db.durErr.
+// filesystem under a live session (db.dur).
 
 // faultyDurableDB is InitDir over a FaultFS: a two-relation store with one
 // or-set, snapshotted, every further commit logged through ffs.
@@ -61,10 +63,10 @@ func logicalState(t *testing.T, db *DB) string {
 }
 
 // TestCommitLogFailure kills the log's fsync under one commit of each record
-// type. No type may acknowledge the commit. A type with an inverse leaves the
-// store exactly as logged, and the next commit goes through and replays; a
-// type without one marks the DB diverged — Checkpoint and the next commit are
-// refused — and a restart returns to the logged state.
+// type on a 2-shard DB. No type may acknowledge the commit, and every type
+// is rolled back: the store is exactly as logged, Checkpoint and the next
+// commit go through, and the live store — flat state and shard fingerprints —
+// is byte-for-byte the one a restart replays.
 func TestCommitLogFailure(t *testing.T) {
 	csvPath := filepath.Join(t.TempDir(), "l.csv")
 	if err := os.WriteFile(csvPath, []byte("X,Y\n1,2|3\n4,5\n"), 0o644); err != nil {
@@ -73,61 +75,64 @@ func TestCommitLogFailure(t *testing.T) {
 	cases := []struct {
 		name   string
 		commit func(db *DB) error
-		undone bool
 	}{
-		{"MATERIALIZE", func(db *DB) error { _, err := db.Materialize("Q", "SELECT A FROM R WHERE B = 5"); return err }, true},
-		{"LOAD CSV", func(db *DB) error { _, err := db.IngestCSV(csvPath, "L"); return err }, true},
-		{"RENAME", func(db *DB) error { return db.RenameRelation("R", "S") }, true},
-		{"DROP", func(db *DB) error { return db.DropRelation("T") }, false},
-		{"CHASE", func(db *DB) error { return db.Chase("R", nil, engine.ChaseOptions{}) }, false},
-		{"SET UNCERTAIN", func(db *DB) error { return db.SetUncertain("R", 0, "A", []int32{1, 2}, nil) }, false},
+		{"MATERIALIZE", func(db *DB) error { _, err := db.Materialize("Q", "SELECT A FROM R WHERE B = 5"); return err }},
+		{"LOAD CSV", func(db *DB) error { _, err := db.IngestCSV(csvPath, "L"); return err }},
+		{"RENAME", func(db *DB) error { return db.RenameRelation("R", "S") }},
+		{"DROP", func(db *DB) error { return db.DropRelation("T") }},
+		{"CHASE", func(db *DB) error {
+			return db.Chase("R", []engine.EGD{{
+				Premise:    []engine.Atom{{Attr: "A", Theta: relation.EQ, C: 2}},
+				Conclusion: engine.Atom{Attr: "B", Theta: relation.NE, C: 7},
+			}}, engine.ChaseOptions{})
+		}},
+		{"SET UNCERTAIN", func(db *DB) error { return db.SetUncertain("R", 0, "A", []int32{1, 2}, nil) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			db, ffs, dir := faultyDurableDB(t)
+			if err := db.EnableSharding(2, 0); err != nil {
+				t.Fatal(err)
+			}
 			logged := logicalState(t, db)
+			loggedState := FlatState(db.Snapshot().ExportState())
 			ffs.FailAt(storage.OpSync, 1, nil)
 			if err := tc.commit(db); err == nil {
 				t.Fatalf("%s acknowledged a commit the log did not capture", tc.name)
 			}
-			want, wantReplayed := logged, 0
-			if tc.undone {
-				if db.durErr != nil {
-					t.Fatalf("undone %s still recorded a divergence: %v", tc.name, db.durErr)
-				}
-				if got := logicalState(t, db); got != logged {
-					t.Fatalf("failed %s left the store changed:\n%s\nwant:\n%s", tc.name, got, logged)
-				}
-				// The log's tail is clean: the next commit is logged and
-				// replays.
-				if _, err := db.Materialize("Next", "SELECT C FROM T"); err != nil {
-					t.Fatalf("commit after an undone %s: %v", tc.name, err)
-				}
-				want, wantReplayed = logicalState(t, db), 1
-			} else {
-				if db.durErr == nil {
-					t.Fatalf("unlogged %s was not recorded as a divergence", tc.name)
-				}
-				if err := db.Checkpoint(); err == nil {
-					t.Fatalf("Checkpoint compacted a log that is missing a %s", tc.name)
-				}
-				if _, err := db.Materialize("Next", "SELECT C FROM T"); err == nil || !strings.Contains(err.Error(), "diverged") {
-					t.Fatalf("commit on a diverged DB: got %v, want a refusal", err)
-				}
+			if got := logicalState(t, db); got != logged {
+				t.Fatalf("failed %s left the store changed:\n%s\nwant:\n%s", tc.name, got, logged)
 			}
+			if got := FlatState(db.Snapshot().ExportState()); got != loggedState {
+				t.Fatalf("failed %s left the flat state changed:\n%s\nwant:\n%s", tc.name, got, loggedState)
+			}
+			// Nothing is owed to the log: it compacts, and its tail is clean —
+			// the next commit is logged and replays.
+			if err := db.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint after a rolled-back %s: %v", tc.name, err)
+			}
+			if _, err := db.Materialize("Next", "SELECT C FROM T"); err != nil {
+				t.Fatalf("commit after a rolled-back %s: %v", tc.name, err)
+			}
+			wantState, wantShards := db.Snapshot().ExportState(), db.ShardFingerprints()
 			db.Close()
-			// A restart returns to what the log captured: for a diverged DB
-			// that is the state before the commit its caller was told failed.
+
 			db2, replayed, err := Restore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer db2.Close()
-			if replayed != wantReplayed {
-				t.Fatalf("replayed %d records, want %d", replayed, wantReplayed)
+			if replayed != 1 {
+				t.Fatalf("replayed %d records, want the 1 acknowledged", replayed)
 			}
-			if got := logicalState(t, db2); got != want {
-				t.Fatalf("restored state:\n%s\nwant the acknowledged state:\n%s", got, want)
+			if got := db2.Snapshot().ExportState(); !reflect.DeepEqual(got, wantState) {
+				t.Fatalf("restored state:\n%+v\nwant the live one:\n%+v", got, wantState)
+			}
+			if err := db2.EnableSharding(2, 0); err != nil {
+				t.Fatal(err)
+			}
+			if got := db2.ShardFingerprints(); !reflect.DeepEqual(got, wantShards) {
+				t.Fatalf("shard fingerprints after restart %08x, live %08x", got, wantShards)
 			}
 		})
 	}

@@ -149,6 +149,55 @@ func TestChaseLogged(t *testing.T) {
 	}
 }
 
+// TestChaseAtomic: a chase that filters the components of rows 0 and 2 and
+// then meets a certain violator in row 3 fails as a whole — the store is
+// exactly what it was, nothing is logged, the next commit goes through and a
+// restart replays the acknowledged records only.
+func TestChaseAtomic(t *testing.T) {
+	dir := t.TempDir()
+	db, err := sql.CreateDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnableSharding(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.IngestCSV(writeCSV(t, "A,B\n1|2,5\n3,5|6\n2|4,5\n2,5\n"), "R"); err != nil {
+		t.Fatal(err)
+	}
+	before, shardsBefore := sql.FlatState(db.Snapshot().ExportState()), db.ShardFingerprints()
+	err = db.Chase("R", []engine.EGD{{
+		Premise:    []engine.Atom{{Attr: "A", Theta: relation.EQ, C: 2}},
+		Conclusion: engine.Atom{Attr: "B", Theta: relation.NE, C: 5},
+	}}, engine.ChaseOptions{})
+	if !errors.Is(err, engine.ErrInconsistent) {
+		t.Fatalf("Chase over a certain violator: %v, want ErrInconsistent", err)
+	}
+	if got := sql.FlatState(db.Snapshot().ExportState()); got != before {
+		t.Fatalf("the failed chase left the store changed:\n%s\nwant:\n%s", got, before)
+	}
+	if got := db.ShardFingerprints(); !reflect.DeepEqual(got, shardsBefore) {
+		t.Fatalf("the failed chase moved the shard set: %08x, want %08x", got, shardsBefore)
+	}
+	if err := db.SetUncertain("R", 3, "A", []int32{2, 3}, nil); err != nil {
+		t.Fatalf("commit after the failed chase: %v", err)
+	}
+	want := db.Snapshot().ExportState()
+	db.Close()
+
+	db2, replayed, err := sql.Restore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if replayed != 2 {
+		t.Fatalf("replayed %d records, want the LOAD CSV and the SET UNCERTAIN", replayed)
+	}
+	if got := db2.Snapshot().ExportState(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed store state differs from the live one:\n%s\nwant:\n%s", sql.FlatState(got), sql.FlatState(want))
+	}
+}
+
 // TestLiveVsReplayAllRecordTypes: a scripted session commits every record
 // type on a 2-shard durable DB — with refused commits in between, which must
 // leave no trace — and a restart must rebuild it exactly: replay runs the same

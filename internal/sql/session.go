@@ -45,10 +45,8 @@ type DB struct {
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
 	// dur is the durable directory backing this DB, or nil for an in-memory
-	// session; durErr records a commit the log failed to capture and that
-	// could not be undone (see commit). Both are guarded by writer.
-	dur    *storage.Dir
-	durErr error
+	// session. Guarded by writer.
+	dur *storage.Dir
 	// shards is the derived sharded-execution structure (nil = off;
 	// EnableSharding builds it, every commit re-balances it) and shardErr
 	// why it was disabled, if a re-balance failed. Guarded by mu.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -52,6 +53,15 @@ func shardedStore(t *testing.T, seed int64, rows int) *engine.Store {
 // comparison is the contract.
 func rowsAsStrings(t *testing.T, rows *Rows) []string {
 	t.Helper()
+	out, err := drainRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// drainRows is rowsAsStrings for goroutines that may not call t.Fatal.
+func drainRows(rows *Rows) ([]string, error) {
 	defer rows.Close()
 	ncols := len(rows.Columns())
 	var out []string
@@ -62,7 +72,7 @@ func rowsAsStrings(t *testing.T, rows *Rows) []string {
 			dest[i] = &vals[i]
 		}
 		if err := rows.Scan(dest...); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		var sb strings.Builder
 		for _, v := range vals {
@@ -71,7 +81,7 @@ func rowsAsStrings(t *testing.T, rows *Rows) []string {
 		out = append(out, sb.String())
 	}
 	sort.Strings(out)
-	return out
+	return out, nil
 }
 
 // modeTable drains a mode result into (tuple, conf-bits) pairs.
@@ -354,6 +364,161 @@ func TestShardedCommitWhileReading(t *testing.T) {
 		if want[i] != got[i] {
 			t.Fatalf("answer %d: %s, want %s", i, got[i], want[i])
 		}
+	}
+}
+
+// TestMutatorsUnderReaders runs SET UNCERTAIN + CHASE commits on a 2-shard
+// DB against readers, under -race. Each reader pins a snapshot set (the
+// shards' and the authority's) and opens a plain result, holds both across
+// at least three further re-balance generations, and must then read what it
+// pinned: the mutators replace what a snapshot holds, they never edit it.
+// The same holds for a writer that lost the race: an arena over a snapshot
+// the mutators have since left behind cannot commit.
+func TestMutatorsUnderReaders(t *testing.T) {
+	store := shardedStore(t, 11, 300)
+	db := Open(store)
+	if err := db.EnableSharding(2, 2); err != nil {
+		t.Fatal(err)
+	}
+	sh := db.shardStore()
+	const held = "SELECT A, B FROM R WHERE A < 15"
+	// Every alternative the writer adds is 41; the chase removes it again.
+	deps := []engine.EGD{{
+		Premise:    []engine.Atom{{Attr: "A", Theta: relation.EQ, C: 41}},
+		Conclusion: engine.Atom{Attr: "B", Theta: relation.LT, C: 0},
+	}}
+	// answers maps a re-balance generation to held's answer on it; only the
+	// writer commits, and it records the answer before its next commit.
+	var answers sync.Map
+	record := func() { answers.Store(sh.Generation(), rowsAsStrings(t, mustQuery(t, db, held))) }
+	record()
+	render := func(snaps []*engine.Snapshot) string {
+		var b strings.Builder
+		for _, sn := range snaps {
+			b.WriteString(FlatState(sn.ExportState()))
+		}
+		return b.String()
+	}
+
+	const readers = 3
+	stop := make(chan struct{})
+	var cycles [readers]atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				gen := sh.Generation()
+				snaps := append(sh.Snapshots(), db.Snapshot())
+				pinned := render(snaps)
+				rows, err := db.Query(held)
+				if err != nil {
+					t.Errorf("reader: %v", err)
+					return
+				}
+				if sh.Generation() != gen {
+					rows.Close() // a commit landed in between: no single generation to check against
+					continue
+				}
+				for sh.Generation() < gen+3 {
+					select {
+					case <-stop:
+						rows.Close()
+						return
+					default:
+						runtime.Gosched()
+					}
+				}
+				got, err := drainRows(rows)
+				if err != nil {
+					t.Errorf("reader: scanning a held result: %v", err)
+					return
+				}
+				want, _ := answers.Load(gen)
+				if !slices.Equal(got, want.([]string)) {
+					t.Errorf("reader: a result of generation %d held across three re-balances has %d rows, want the pre-commit %d", gen, len(got), len(want.([]string)))
+					return
+				}
+				if render(snaps) != pinned {
+					t.Errorf("reader: a snapshot set pinned at generation %d changed under it", gen)
+					return
+				}
+				cycles[g].Add(1)
+			}
+		}(g)
+	}
+	r := store.Rel("R")
+	commits := 0
+	for row := 0; row < r.NumRows(); row++ {
+		done := commits >= 10
+		for g := range cycles {
+			done = done && cycles[g].Load() >= 1
+		}
+		if done {
+			break
+		}
+		if r.Cols[0][row] == engine.Placeholder {
+			continue
+		}
+		if err := db.SetUncertain("R", row, "A", []int32{r.Cols[0][row], 41}, nil); err != nil {
+			t.Errorf("SetUncertain row %d: %v", row, err)
+			break
+		}
+		record()
+		if err := db.Chase("R", deps, engine.ChaseOptions{}); err != nil {
+			t.Errorf("Chase after row %d: %v", row, err)
+			break
+		}
+		record()
+		if st := sh.LastResync(); st.Full || st.RelsKept != 1 {
+			t.Errorf("re-balance after CHASE: %+v, want a delta keeping S", st)
+			break
+		}
+		commits += 2
+	}
+	close(stop)
+	wg.Wait()
+	for g := range cycles {
+		if cycles[g].Load() < 1 {
+			t.Errorf("reader %d never held a snapshot set across three re-balance generations", g)
+		}
+	}
+	if err := db.ValidateShards(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A writer that lost the race: its arena extended R's components before
+	// a SET UNCERTAIN replaced R, or before a CHASE replaced a component.
+	staleArena := func() *engine.Arena {
+		ar := engine.NewArena(db.Snapshot())
+		if _, err := ar.Select("Z", "R", engine.Gt("A", -1)); err != nil {
+			t.Fatal(err)
+		}
+		return ar
+	}
+	row := slices.IndexFunc(db.Snapshot().Rel("R").Cols[1], func(v int32) bool { return v != engine.Placeholder })
+	ar := staleArena()
+	if err := db.SetUncertain("R", row, "B", []int32{1, 41}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := ar.Commit(); err == nil || !strings.Contains(err.Error(), "conflicts") {
+		t.Fatalf("commit of an arena older than a SET UNCERTAIN on R: %v, want a conflict", err)
+	}
+	ar = staleArena()
+	if err := db.Chase("R", []engine.EGD{{
+		Premise:    []engine.Atom{{Attr: "B", Theta: relation.EQ, C: 41}},
+		Conclusion: engine.Atom{Attr: "C", Theta: relation.LT, C: 0},
+	}}, engine.ChaseOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ar.Commit(); err == nil || !strings.Contains(err.Error(), "conflicts") {
+		t.Fatalf("commit of an arena older than a CHASE on R: %v, want a conflict", err)
 	}
 }
 

@@ -101,7 +101,7 @@ func (b *BulkLoader) Build() (*engine.Store, error) {
 
 // State returns the accumulated relation and components in flat export form,
 // for installing into an existing store with engine.Store.InstallRelation
-// (field Rel references are 0; InstallRelation rewrites them). The loader
+// (field Rel references are 0; InstallRelation remaps them). The loader
 // must not be reused after State.
 func (b *BulkLoader) State() (*engine.RelState, []*engine.CompState, error) {
 	if b.nrows == 0 {
