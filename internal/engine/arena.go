@@ -120,11 +120,10 @@ func (a *Arena) addRelation(name string, attrs []string, cols [][]int32) (*Relat
 		return nil, err
 	}
 	r := &Relation{
-		id:        int32(-len(a.rels) - 1),
-		Name:      name,
-		Attrs:     append([]string(nil), attrs...),
-		Cols:      cols,
-		uncertain: make(map[int32][]uint16),
+		id:    int32(-len(a.rels) - 1),
+		Name:  name,
+		Attrs: append([]string(nil), attrs...),
+		Cols:  cols,
 	}
 	a.rels = append(a.rels, r)
 	a.relID[name] = r.id
@@ -151,7 +150,7 @@ func (a *Arena) RenameRelation(old, new string) error {
 }
 
 // DropRelation removes an arena relation and projects its fields away from
-// the arena's components, in ascending row order like Store.DropRelation.
+// the arena's components, in index order like Store.DropRelation.
 // Snapshot relations are untouched (they are not the arena's to drop).
 //
 //maybms:deterministic the trimmed components' field order is committed to the store
@@ -161,8 +160,8 @@ func (a *Arena) DropRelation(name string) {
 		return
 	}
 	r := a.rels[-id-1]
-	for _, row := range r.uncertainRows() {
-		for _, at := range r.uncertain[row] {
+	for i, row := range r.unc.rows {
+		for _, at := range r.unc.at(i) {
 			f := FieldID{Rel: id, Row: row, Attr: at}
 			cid, ok := a.fieldComp[f]
 			if !ok {
@@ -276,34 +275,124 @@ func (a *Arena) mergeComps(fields ...FieldID) (*Component, error) {
 	return merged, nil
 }
 
-// addField appends a new field column to arena component c, with the given
-// values and absence bits (one entry per component row). c must have been
-// obtained through compFor or mergeComps (arena components only).
-func (a *Arena) addField(c *Component, f FieldID, vals []int32, absent []bool) error {
+// Result building, shared by every operator: gather the kept columns at the
+// surviving rows, then copy the placeholder fields of those rows into the
+// components of their sources, under the presence masks the operator
+// decided.
+
+// addField makes result field (row, attr) of out a placeholder defined by a
+// new column of arena component c, whose value and absence at local world w
+// are at(w). c must have been obtained through compFor or mergeComps, and
+// (row, attr) must follow out's other placeholders in index order.
+func (a *Arena) addField(out *Relation, row int32, attr uint16, c *Component, at func(w int) (int32, bool)) error {
 	if c.ID >= 0 {
 		return fmt.Errorf("engine: addField on non-arena component %d", c.ID)
 	}
 	if len(c.Fields) >= MaxCompFields {
 		return fmt.Errorf("engine: component %d is full", c.ID)
 	}
-	if len(vals) != len(c.Rows) || len(absent) != len(c.Rows) {
-		return fmt.Errorf("engine: addField: %d values for %d rows", len(vals), len(c.Rows))
-	}
+	f := FieldID{Rel: out.id, Row: row, Attr: attr}
 	col := len(c.Fields)
 	c.Fields = append(c.Fields, f)
 	c.pos[f] = col
-	for i := range c.Rows {
+	for w := range c.Rows {
 		if err := a.tick(); err != nil {
 			return err
 		}
-		c.Rows[i].Vals = append(c.Rows[i].Vals, vals[i])
-		if absent[i] {
-			c.Rows[i].Absent = c.Rows[i].Absent.Set(col)
+		v, absent := at(w)
+		c.Rows[w].Vals = append(c.Rows[w].Vals, v)
+		if absent {
+			c.Rows[w].Absent = c.Rows[w].Absent.Set(col)
 		}
 	}
 	a.fieldComp[f] = c.ID
 	a.dirty[c.ID] = true
+	out.Cols[attr][row] = Placeholder
+	out.unc.add(row, attr)
 	return nil
+}
+
+// presence is a per-local-world mask over one component.
+type presence struct {
+	comp *Component
+	pass []bool
+}
+
+func (m presence) fails(c *Component, w int) bool { return m.comp == c && !m.pass[w] }
+
+// gather registers res with the columns order of r gathered at the source
+// rows sel (nil = every row), a batch of guardPeriod rows at a time.
+func (a *Arena) gather(res string, r *Relation, order []uint16, sel []int32) (*Relation, error) {
+	m := len(sel)
+	if sel == nil {
+		m = r.NumRows()
+	}
+	names := make([]string, len(order))
+	cols := make([][]int32, len(order))
+	for i, at := range order {
+		names[i] = r.Attrs[at]
+		cols[i] = make([]int32, m)
+	}
+	out, err := a.addRelation(res, names, cols)
+	if err != nil {
+		return nil, err
+	}
+	for lo := 0; lo < m; lo += guardPeriod {
+		hi := min(lo+guardPeriod, m)
+		if err := a.guard.tickN(hi - lo); err != nil {
+			return nil, err
+		}
+		for i, at := range order {
+			src, dst := r.Cols[at], cols[i][lo:hi]
+			if sel == nil {
+				copy(dst, src[lo:hi])
+				continue
+			}
+			for k, row := range sel[lo:hi] {
+				dst[k] = src[row]
+			}
+		}
+	}
+	return out, nil
+}
+
+// extendRow copies the kept placeholder fields of source row u.src of r into
+// result row u.j of out, whose attributes are order. Each copy joins its
+// field's component, absent where the field is, where u.keep fails and — for
+// the attributes in u.inSel — where cond fails. When no copy carries u.keep,
+// the first attribute becomes a placeholder holding its certain value,
+// absent where u.keep fails.
+func (a *Arena) extendRow(out, r *Relation, u *urow, order []uint16, cond presence) error {
+	carried := false
+	for di, at := range order {
+		if !containsAttr(u.attrs, at) {
+			continue
+		}
+		c := cond
+		if !containsAttr(u.inSel, at) {
+			c = presence{}
+		}
+		if err := a.extendField(out, FieldID{Rel: r.id, Row: u.src, Attr: at}, u.j, uint16(di), c, u.keep); err != nil {
+			return err
+		}
+		carried = true
+	}
+	if carried || u.keep.comp == nil {
+		return nil
+	}
+	v := out.Cols[0][u.j]
+	return a.addField(out, u.j, 0, u.keep.comp, func(w int) (int32, bool) { return v, !u.keep.pass[w] })
+}
+
+// extendField makes result field (row, attr) of out a copy of placeholder
+// field src, absent where src is and where m1 or m2 fails.
+func (a *Arena) extendField(out *Relation, src FieldID, row int32, attr uint16, m1, m2 presence) error {
+	c := a.compFor(src)
+	col := c.Pos(src)
+	return a.addField(out, row, attr, c, func(w int) (int32, bool) {
+		cw := &c.Rows[w]
+		return cw.Vals[col], cw.IsAbsent(col) || m1.fails(c, w) || m2.fails(c, w)
+	})
 }
 
 // Commit installs the arena's relations and modified components into the

@@ -13,7 +13,8 @@ import (
 // checkpoints inside every operator and fold loop. The checkpoints are
 // counter-amortized — one atomic increment per unit of work, a real
 // context/budget check every guardPeriod units — so the uncancelled fast
-// path pays an atomic add per row, not a channel read.
+// path pays an atomic add per row, not a channel read. Column kernels tick
+// once per batch of guardPeriod rows (tickN), so they check once per batch.
 //
 // The Guard also carries the mid-flight memory hook: at every real check it
 // probes the arena's retained bytes and reports growth to the serving
@@ -78,6 +79,19 @@ func (g *Guard) Tick() error {
 		return nil
 	}
 	if g.n.Add(1)%guardPeriod != 0 {
+		return nil
+	}
+	return g.Check()
+}
+
+// tickN is Tick for a batch of n units of work: one atomic add, and a real
+// Check whenever the count crosses a multiple of guardPeriod.
+func (g *Guard) tickN(n int) error {
+	if g == nil {
+		return nil
+	}
+	v := g.n.Add(uint64(n))
+	if v/guardPeriod == (v-uint64(n))/guardPeriod {
 		return nil
 	}
 	return g.Check()

@@ -163,6 +163,14 @@ func (s *Store) chaseOne(rel int32, d EGD, idx map[string]uint16, opt ChaseOptio
 		attrs = append(attrs, ai)
 	}
 	slices.Sort(attrs)
+	// The cells materialized below are indexed in one merge on the way out:
+	// one insert each would shift the index per cell.
+	var marked placeholderCells
+	defer func() {
+		if len(marked) > 0 {
+			r.unc = r.unc.with(marked)
+		}
+	}()
 	for _, row := range rows {
 		i := int(row)
 		// Partition the dependency's attributes into certain and uncertain.
@@ -204,6 +212,7 @@ func (s *Store) chaseOne(rel int32, d EGD, idx map[string]uint16, opt ChaseOptio
 					f := FieldID{Rel: r.id, Row: row, Attr: ai}
 					s.newComponent([]FieldID{f}).Rows = []CompRow{{Vals: []int32{v}, P: 1}}
 					r = s.markUncertain(r, row, ai)
+					marked.note(int(row), int(ai))
 					uncAttr[ai] = true
 					uncFields = append(uncFields, f)
 				}
@@ -212,7 +221,7 @@ func (s *Store) chaseOne(rel int32, d EGD, idx map[string]uint16, opt ChaseOptio
 		// Fields of this tuple that record absence must join the composed
 		// component: a dependency holds vacuously for absent tuples.
 		var presenceFields []FieldID
-		for _, a := range r.uncertain[row] {
+		for _, a := range r.unc.of(row) {
 			if uncAttr[a] {
 				continue
 			}
@@ -307,10 +316,9 @@ func chaseRows(r *Relation, idx map[string]uint16, opt ChaseOptions) []int32 {
 		}
 		return out
 	}
-	all := r.uncertainRows()
-	out := all[:0]
-	for _, row := range all {
-		for _, a := range r.uncertain[row] {
+	var out []int32
+	for i, row := range r.unc.rows {
+		for _, a := range r.unc.at(i) {
 			relevant := false
 			for _, ai := range idx {
 				if ai == a {

@@ -27,7 +27,7 @@ import "fmt"
 //     appendFieldKey byte-trick and guarded by MaxCompRows — the inherent
 //     blow-up of Section 4 surfaces as an error, not as memory exhaustion;
 //   - evaluation is one sweep per composed component, writing a presence
-//     mask that the shared materialize machinery turns into ⊥ marks on the
+//     mask that the shared extendRow machinery turns into ⊥ marks on the
 //     result fields.
 //
 // Unlike the across-world operators, Difference is compositional: it adopts
@@ -70,15 +70,17 @@ func (a *Arena) Difference(res, l, r string) (*Relation, error) {
 		return string(key)
 	}
 	certR := make(map[string][]int32)
-	var uncR []int32
+	var certRows, uncR []int32
 	rn := rr.NumRows()
-	for j := 0; j < rn; j++ {
+	for j, k := 0, 0; j < rn; j++ {
 		rj := int32(j)
-		if len(rr.uncertain[rj]) == 0 {
-			certR[certKey(rr, rj)] = append(certR[certKey(rr, rj)], rj)
-		} else {
+		if k < len(rr.unc.rows) && rr.unc.rows[k] == rj {
 			uncR = append(uncR, rj)
+			k++
+			continue
 		}
+		certRows = append(certRows, rj)
+		certR[certKey(rr, rj)] = append(certR[certKey(rr, rj)], rj)
 	}
 
 	// compatible prunes a (left slot, right slot) pair on templates and
@@ -143,7 +145,7 @@ func (a *Arena) Difference(res, l, r string) (*Relation, error) {
 		li := int32(i)
 		m := &matches[i]
 		m.src = li
-		lUnc := lr.uncertain[li]
+		lUnc := lr.unc.of(li)
 		if len(lUnc) == 0 {
 			if len(certR[certKey(lr, li)]) > 0 {
 				m.dropped = true
@@ -153,9 +155,8 @@ func (a *Arena) Difference(res, l, r string) (*Relation, error) {
 			// A left slot with placeholders scans the certain right rows for
 			// template-compatible tuples; there are at most a handful of
 			// uncertain left slots per density, so the scan stays linear.
-			for j := 0; j < rn; j++ {
-				rj := int32(j)
-				if len(rr.uncertain[rj]) == 0 && compatible(li, rj) {
+			for _, rj := range certRows {
+				if compatible(li, rj) {
 					m.certCands = append(m.certCands, rj)
 				}
 			}
@@ -172,7 +173,7 @@ func (a *Arena) Difference(res, l, r string) (*Relation, error) {
 			m.fields = append(m.fields, FieldID{Rel: lr.id, Row: li, Attr: at})
 		}
 		for _, rj := range m.uncCands {
-			for _, at := range rr.uncertain[rj] {
+			for _, at := range rr.unc.of(rj) {
 				f := FieldID{Rel: rr.id, Row: rj, Attr: at}
 				if lr.id == rr.id && containsField(m.fields, f) {
 					continue // self-difference: the slot's fields appear on both sides
@@ -190,7 +191,7 @@ func (a *Arena) Difference(res, l, r string) (*Relation, error) {
 	// Phase 2: evaluate the presence mask of every matched slot — present
 	// where the left tuple is present and no candidate equals it — and plan
 	// the surviving slots.
-	var plans []rowPlan
+	var plans []urow
 	for i := 0; i < ln; i++ {
 		if err := a.tick(); err != nil {
 			return nil, err
@@ -200,7 +201,7 @@ func (a *Arena) Difference(res, l, r string) (*Relation, error) {
 			continue
 		}
 		if len(m.fields) == 0 && len(m.certCands) == 0 {
-			plans = append(plans, rowPlan{src: m.src})
+			plans = append(plans, urow{src: m.src})
 			continue
 		}
 		var comp *Component
@@ -212,7 +213,7 @@ func (a *Arena) Difference(res, l, r string) (*Relation, error) {
 				cols[f] = comp.Pos(f)
 			}
 		}
-		lUnc := lr.uncertain[m.src]
+		lUnc := lr.unc.of(m.src)
 		// lval reads attribute ai of the left tuple at local world w;
 		// ok is false when the field is absent there.
 		lval := func(w int, ai uint16) (int32, bool) {
@@ -296,38 +297,33 @@ func (a *Arena) Difference(res, l, r string) (*Relation, error) {
 		if !any {
 			continue // deleted in every world
 		}
-		plans = append(plans, rowPlan{src: m.src, pass: pass, comp: comp})
+		plans = append(plans, urow{src: m.src, keep: presence{comp, pass}})
 	}
 
-	out, err := a.materialize(res, lr, nil, plans)
+	// Fully certain left slots whose deletion depends on uncertain right
+	// tuples have no field of their own to carry the mask: extendRow gives
+	// them a carrier, like Project's ⊥-propagation.
+	sel := make([]int32, len(plans))
+	for j := range plans {
+		sel[j] = plans[j].src
+	}
+	order := allAttrs(lr)
+	out, err := a.gather(res, lr, order, sel)
 	if err != nil {
 		return nil, err
 	}
-	// Fully certain left slots whose deletion depends on uncertain right
-	// tuples have no field of their own to carry the mask: like Project's
-	// ⊥-propagation, the first attribute becomes a placeholder with a
-	// constant value, absent where a right tuple matches.
-	for j, pl := range plans {
+	for j := range plans {
+		u := &plans[j]
 		if err := a.tick(); err != nil {
 			return nil, err
 		}
-		if pl.pass == nil || len(lr.uncertain[pl.src]) != 0 {
+		u.j, u.attrs = int32(j), lr.unc.of(u.src)
+		if u.attrs == nil && u.keep.comp == nil {
 			continue
 		}
-		comp := pl.comp
-		vals := make([]int32, len(comp.Rows))
-		absent := make([]bool, len(comp.Rows))
-		cert := out.Cols[0][j]
-		for w := range comp.Rows {
-			vals[w] = cert
-			absent[w] = !pl.pass[w]
-		}
-		dstF := FieldID{Rel: out.id, Row: int32(j), Attr: 0}
-		if err := a.addField(comp, dstF, vals, absent); err != nil {
+		if err := a.extendRow(out, lr, u, order, presence{}); err != nil {
 			return nil, err
 		}
-		out.Cols[0][j] = Placeholder
-		out.uncertain[int32(j)] = append(out.uncertain[int32(j)], 0)
 	}
 	return out, nil
 }

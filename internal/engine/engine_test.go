@@ -239,11 +239,15 @@ func TestSelectChainAgainstOracle(t *testing.T) {
 
 func TestProjectAgainstOracle(t *testing.T) {
 	// σ then π dropping the selection attribute: the engine analog of the
-	// Figure 15 resurrection pitfall.
+	// Figure 15 resurrection pitfall. The fused SelectProject on a copy of
+	// the store must match the two steps: same Stats, and — the stores carry
+	// non-uniform probabilities, so a different composition or local-world
+	// order would show — bit-identical pre-fold masses.
 	rng := rand.New(rand.NewSource(107))
 	attrsAll := []string{"A", "B", "C"}
 	for trial := 0; trial < 60; trial++ {
 		s := randStore(rng)
+		fused := s.Clone()
 		w, err := bridge.ToWSD(s)
 		if err != nil {
 			t.Fatal(err)
@@ -264,6 +268,25 @@ func TestProjectAgainstOracle(t *testing.T) {
 		Commit(t, s, func(a *Arena) error { _, err := a.Project("P2", "P1", keep...); return err })
 		if err := s.Validate(1e-9); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+		Commit(t, fused, func(a *Arena) error { _, err := a.SelectProject("P2", "R", p, keep...); return err })
+		if err := fused.Validate(1e-9); err != nil {
+			t.Fatalf("trial %d: fused: %v", trial, err)
+		}
+		if got, want := fused.Stats("P2"), s.Stats("P2"); got != want {
+			t.Fatalf("trial %d: fused stats %+v, two-step %+v", trial, got, want)
+		}
+		got, err := PossibleMasses(fused, "P2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := PossibleMasses(s, "P2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// %v prints the shortest decimal that round-trips: bit-exact.
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: fused masses %v, two-step %v", trial, got, want)
 		}
 		q := worlds.Project{
 			Q:     worlds.Select{Q: worlds.Base{Rel: "R"}, Pred: toRelPred(p)},

@@ -169,29 +169,14 @@ func (a *Arena) Join(res, l, r, onL, onR string) (*Relation, error) {
 		return nil, err
 	}
 	ext := func(srcRel *Relation, srcRow int32, attrOffset, dstRow int, pp plannedPair) error {
-		for _, at := range srcRel.uncertain[srcRow] {
+		for _, at := range srcRel.unc.of(srcRow) {
 			if err := a.tick(); err != nil {
 				return err
 			}
 			srcF := FieldID{Rel: srcRel.id, Row: srcRow, Attr: at}
-			comp := a.compFor(srcF)
-			col := comp.Pos(srcF)
-			vals := make([]int32, len(comp.Rows))
-			absent := make([]bool, len(comp.Rows))
-			for w := range comp.Rows {
-				vals[w] = comp.Rows[w].Vals[col]
-				absent[w] = comp.Rows[w].IsAbsent(col)
-				if pp.pass != nil && comp == pp.comp && !pp.pass[w] {
-					absent[w] = true
-				}
-			}
-			di := attrOffset + int(at)
-			dstF := FieldID{Rel: out.id, Row: int32(dstRow), Attr: uint16(di)}
-			if err := a.addField(comp, dstF, vals, absent); err != nil {
+			if err := a.extendField(out, srcF, int32(dstRow), uint16(attrOffset)+at, presence{pp.comp, pp.pass}, presence{}); err != nil {
 				return err
 			}
-			out.Cols[di][dstRow] = Placeholder
-			out.uncertain[int32(dstRow)] = append(out.uncertain[int32(dstRow)], uint16(di))
 		}
 		return nil
 	}

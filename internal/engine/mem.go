@@ -32,10 +32,7 @@ func (a *Arena) MemUsage() int64 {
 		for _, c := range r.Cols {
 			n += int64(cap(c)) * 4
 		}
-		n += int64(len(r.uncertain)) * mapEntryOverhead
-		for _, attrs := range r.uncertain {
-			n += int64(cap(attrs)) * 2
-		}
+		n += int64(cap(r.unc.rows)+cap(r.unc.off))*4 + int64(cap(r.unc.attrs))*2
 	}
 	for _, c := range a.comps {
 		if c == nil {

@@ -1,191 +1,35 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// This file implements the relational operators on the columnar UWSDT
-// store: selection (with arbitrary predicates over one tuple), projection,
-// renaming, and equi-join (in join.go). The rewritten operators follow
-// Section 5: results are new template relations whose placeholders share
-// the component space with their inputs, and tuple absence is tracked by
-// per-(field, local world) presence — the uniform encoding of worlds of
-// different sizes.
+// This file implements selection, projection and renaming on the columnar
+// UWSDT store — thin calls into one fused operator, selectProject. The
+// rewritten operators follow Section 5: results are new template relations
+// whose placeholders share the component space with their inputs, and tuple
+// absence is tracked by per-(field, local world) presence — the uniform
+// encoding of worlds of different sizes.
+//
+// The read path is the paper's ordinary relational processing on the
+// template plus a small correction for the placeholders: the condition runs
+// column-at-a-time over the template into a selection vector, the rows whose
+// referenced fields are placeholders — found by walking the relation's
+// row-sorted uncertainty index — are decided per local world, and only the
+// kept columns are gathered at the surviving rows (arena.go builds results).
 //
 // Operators are Arena methods: they read base data through the arena's
 // snapshot and write result templates and extended component rows into the
 // arena, leaving the shared store untouched — which is what lets many
 // sessions run SELECTs concurrently.
 
-type rowPlan struct {
-	src  int32
-	pass []bool     // per local world of comp: present and condition true; nil = certain presence
-	comp *Component // merged component of the referenced uncertain fields
-}
-
 // Select computes res := σ_p(src). Rows whose referenced fields are certain
 // are filtered directly on the template; rows with uncertain referenced
 // fields keep one presence bit per local world of the (possibly composed)
 // component holding those fields.
 func (a *Arena) Select(res, src string, p Pred) (*Relation, error) {
-	r := a.Rel(src)
-	if r == nil {
-		return nil, fmt.Errorf("engine: unknown relation %q", src)
-	}
-	if a.Rel(res) != nil {
-		return nil, fmt.Errorf("engine: relation %q already exists", res)
-	}
-	cp, err := p.Compile(r)
-	if err != nil {
-		return nil, err
-	}
-	predAttrs := cp.Attrs()
-
-	// Phase 1: compose, per row, the components of the uncertain fields the
-	// condition references (σ(AθB) and multi-attribute conditions entangle
-	// them). All composition happens before evaluation so local-world
-	// indexes stay stable.
-	for row, uattrs := range r.uncertain {
-		var fields []FieldID
-		for _, at := range predAttrs {
-			if containsAttr(uattrs, at) {
-				fields = append(fields, FieldID{Rel: r.id, Row: row, Attr: at})
-			}
-		}
-		if len(fields) > 1 {
-			if _, err := a.mergeComps(fields...); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Phase 2: evaluate the condition per row (and per local world for rows
-	// with referenced uncertain fields).
-	var plans []rowPlan
-	n := r.NumRows()
-	for i := 0; i < n; i++ {
-		if err := a.tick(); err != nil {
-			return nil, err
-		}
-		row := int32(i)
-		uattrs := r.uncertain[row]
-		var refUnc []uint16
-		for _, at := range predAttrs {
-			if containsAttr(uattrs, at) {
-				refUnc = append(refUnc, at)
-			}
-		}
-		if len(refUnc) == 0 {
-			if cp.Eval(func(ai uint16) int32 { return r.Cols[ai][i] }) {
-				plans = append(plans, rowPlan{src: row})
-			}
-			continue
-		}
-		comp := a.compFor(FieldID{Rel: r.id, Row: row, Attr: refUnc[0]})
-		cols := make(map[uint16]int, len(refUnc))
-		for _, at := range refUnc {
-			cols[at] = comp.Pos(FieldID{Rel: r.id, Row: row, Attr: at})
-		}
-		pass := make([]bool, len(comp.Rows))
-		any := false
-		for w := range comp.Rows {
-			crow := &comp.Rows[w]
-			absent := false
-			for _, at := range refUnc {
-				if crow.IsAbsent(cols[at]) {
-					absent = true
-					break
-				}
-			}
-			if absent {
-				continue
-			}
-			ok := cp.Eval(func(ai uint16) int32 {
-				if ci, isU := cols[ai]; isU {
-					return crow.Vals[ci]
-				}
-				return r.Cols[ai][i]
-			})
-			if ok {
-				pass[w] = true
-				any = true
-			}
-		}
-		if any {
-			plans = append(plans, rowPlan{src: row, pass: pass, comp: comp})
-		}
-	}
-	return a.materialize(res, r, nil, plans)
-}
-
-// materialize builds the result template from the planned source rows and
-// extends the arena's components with the result fields. attrOrder selects
-// and orders the source attributes (nil = all, source order). For plans
-// with a presence mask, the copies of the row's uncertain fields living in
-// the plan's component are marked absent at failing local worlds.
-func (a *Arena) materialize(res string, r *Relation, attrOrder []uint16, plans []rowPlan) (*Relation, error) {
-	if attrOrder == nil {
-		attrOrder = make([]uint16, len(r.Attrs))
-		for i := range attrOrder {
-			attrOrder[i] = uint16(i)
-		}
-	}
-	attrs := make([]string, len(attrOrder))
-	for i, at := range attrOrder {
-		attrs[i] = r.Attrs[at]
-	}
-	cols := make([][]int32, len(attrOrder))
-	for i := range cols {
-		cols[i] = make([]int32, len(plans))
-	}
-	for j, pl := range plans {
-		if err := a.tick(); err != nil {
-			return nil, err
-		}
-		for i, at := range attrOrder {
-			cols[i][j] = r.Cols[at][pl.src]
-		}
-	}
-	out, err := a.addRelation(res, attrs, cols)
-	if err != nil {
-		return nil, err
-	}
-	// Position of each source attribute in the result (or -1 if dropped).
-	dstOf := make([]int, len(r.Attrs))
-	for i := range dstOf {
-		dstOf[i] = -1
-	}
-	for i, at := range attrOrder {
-		dstOf[at] = i
-	}
-	for j, pl := range plans {
-		if err := a.tick(); err != nil {
-			return nil, err
-		}
-		for _, at := range r.uncertain[pl.src] {
-			di := dstOf[at]
-			if di < 0 {
-				continue // dropped attribute; Project handles ⊥ propagation
-			}
-			srcF := FieldID{Rel: r.id, Row: pl.src, Attr: at}
-			comp := a.compFor(srcF)
-			col := comp.Pos(srcF)
-			vals := make([]int32, len(comp.Rows))
-			absent := make([]bool, len(comp.Rows))
-			for w := range comp.Rows {
-				vals[w] = comp.Rows[w].Vals[col]
-				absent[w] = comp.Rows[w].IsAbsent(col)
-				if pl.pass != nil && comp == pl.comp && !pl.pass[w] {
-					absent[w] = true
-				}
-			}
-			dstF := FieldID{Rel: out.id, Row: int32(j), Attr: uint16(di)}
-			if err := a.addField(comp, dstF, vals, absent); err != nil {
-				return nil, err
-			}
-			out.Cols[di][j] = Placeholder
-			out.uncertain[int32(j)] = append(out.uncertain[int32(j)], uint16(di))
-		}
-	}
-	return out, nil
+	return a.selectProject(res, src, p, nil)
 }
 
 // Project computes res := π_attrs(src), keeping one result row per source
@@ -194,6 +38,46 @@ func (a *Arena) materialize(res string, r *Relation, attrOrder []uint16, plans [
 // the kept fields — composing components when necessary — so deleted tuples
 // are not resurrected (the ⊥-propagation of Figure 9 in uniform encoding).
 func (a *Arena) Project(res, src string, attrs ...string) (*Relation, error) {
+	return a.SelectProject(res, src, nil, attrs...)
+}
+
+// SelectProject computes res := π_attrs(σ_p(src)) in one pass (a nil p
+// selects every row). The result is Select into a temporary, Project of it
+// and dropping the temporary — same template, components and local worlds,
+// up to the order of fields within a component — but only the kept columns
+// are gathered and only the components of kept and presence-carrying fields
+// are adopted.
+func (a *Arena) SelectProject(res, src string, p Pred, attrs ...string) (*Relation, error) {
+	if len(attrs) == 0 {
+		return nil, fmt.Errorf("engine: empty projection")
+	}
+	return a.selectProject(res, src, p, attrs)
+}
+
+// urow is a result row whose source row holds placeholders, with the masks
+// the copies of its fields carry.
+type urow struct {
+	j, src int32
+	attrs  []uint16 // the source row's placeholder attributes
+	// ref are those the condition reads: the row is decided per local world
+	// of their component. inSel are the placeholder attributes sharing that
+	// component at the decision — their copies carry the condition — and
+	// failing says it fails in some local world.
+	ref, inSel []uint16
+	failing    bool
+	// drop are the dropped attributes whose copies would carry absence; keep
+	// is their presence, carried by the kept copies in its component or, when
+	// none is kept, by a carrier field.
+	drop []uint16
+	keep presence
+}
+
+// selectProject computes π_attrs(σ_p(src)) as res; nil p selects every row,
+// nil attrs keeps every attribute. Compositions happen in the two-step
+// order — σ's per row, then π's per surviving row — before any mask is
+// evaluated, so local-world indexes stay stable and the components equal the
+// two-step ones.
+func (a *Arena) selectProject(res, src string, p Pred, attrs []string) (*Relation, error) {
 	r := a.Rel(src)
 	if r == nil {
 		return nil, fmt.Errorf("engine: unknown relation %q", src)
@@ -201,117 +85,211 @@ func (a *Arena) Project(res, src string, attrs ...string) (*Relation, error) {
 	if a.Rel(res) != nil {
 		return nil, fmt.Errorf("engine: relation %q already exists", res)
 	}
-	order := make([]uint16, len(attrs))
-	keep := make(map[uint16]bool, len(attrs))
-	for i, at := range attrs {
-		ai, err := r.AttrIndex(at)
-		if err != nil {
-			return nil, err
-		}
-		if keep[ai] {
-			return nil, fmt.Errorf("engine: duplicate projection attribute %q", at)
-		}
-		order[i] = ai
-		keep[ai] = true
-	}
-
-	// Phase 1: for every row whose dropped uncertain fields can mark the
-	// tuple absent, compose their components with those of the kept
-	// uncertain fields of the row.
-	type propagate struct {
-		row     int32
-		dropped []FieldID // dropped fields carrying absence
-		kept    []FieldID // kept uncertain fields
-	}
-	var props []propagate
-	for row, uattrs := range r.uncertain {
-		if err := a.tick(); err != nil {
-			return nil, err
-		}
-		var pr propagate
-		pr.row = row
-		for _, at := range uattrs {
-			f := FieldID{Rel: r.id, Row: row, Attr: at}
-			if keep[at] {
-				pr.kept = append(pr.kept, f)
-				continue
+	order := allAttrs(r)
+	if attrs != nil {
+		order = make([]uint16, len(attrs))
+		for i, at := range attrs {
+			ai, err := r.AttrIndex(at)
+			if err != nil {
+				return nil, err
 			}
-			if a.fieldHasAbsence(f) {
-				pr.dropped = append(pr.dropped, f)
+			if containsAttr(order[:i], ai) {
+				return nil, fmt.Errorf("engine: duplicate projection attribute %q", at)
 			}
+			order[i] = ai
 		}
-		if len(pr.dropped) == 0 {
-			continue
-		}
-		if _, err := a.mergeComps(append(append([]FieldID{}, pr.dropped...), pr.kept...)...); err != nil {
+	}
+	x := &r.unc
+	var cp CompiledPred
+	var refs []urow // rows whose condition reads placeholders
+	var sel []int32 // surviving source rows, ascending; nil = every row
+	if p != nil {
+		var err error
+		if cp, err = p.Compile(r); err != nil {
 			return nil, err
 		}
-		props = append(props, pr)
-	}
-
-	// Phase 2: materialize all rows (no filtering in projection).
-	plans := make([]rowPlan, r.NumRows())
-	for i := range plans {
-		plans[i] = rowPlan{src: int32(i)}
-	}
-	// Rows needing ⊥ propagation get a presence mask over the merged
-	// component: present where no dropped field is absent.
-	planOf := make(map[int32]*rowPlan, len(props))
-	for i := range plans {
-		planOf[plans[i].src] = &plans[i]
-	}
-	for _, pr := range props {
-		if err := a.tick(); err != nil {
-			return nil, err
-		}
-		comp := a.compFor(pr.dropped[0])
-		pass := make([]bool, len(comp.Rows))
-		for w := range comp.Rows {
-			ok := true
-			for _, f := range pr.dropped {
-				if comp.Rows[w].IsAbsent(comp.Pos(f)) {
-					ok = false
-					break
+		// σ(AθB) and multi-attribute conditions entangle the components of
+		// the placeholders they read: compose them, row by row.
+		predAttrs := cp.Attrs()
+		for i, row := range x.rows {
+			u := urow{src: row, attrs: x.at(i)}
+			for _, at := range u.attrs {
+				if containsAttr(predAttrs, at) {
+					u.ref = append(u.ref, at)
 				}
 			}
-			pass[w] = ok
+			if u.ref == nil {
+				continue
+			}
+			if err := a.tick(); err != nil {
+				return nil, err
+			}
+			if len(u.ref) > 1 {
+				if _, err := a.mergeComps(r.fields(row, u.ref)...); err != nil {
+					return nil, err
+				}
+			}
+			refs = append(refs, u)
 		}
-		pl := planOf[pr.row]
-		pl.pass = pass
-		pl.comp = comp
+		// The kernels would decide those rows on their sentinels: decide
+		// them per local world (a rejected row keeps inSel nil) for filter
+		// to overrule the kernels with.
+		for k := range refs {
+			u := &refs[k]
+			if err := a.tick(); err != nil {
+				return nil, err
+			}
+			comp := a.compFor(FieldID{Rel: r.id, Row: u.src, Attr: u.ref[0]})
+			pass := condMask(r, cp, u.src, u.ref, comp)
+			if !slices.Contains(pass, true) {
+				continue
+			}
+			u.failing = slices.Contains(pass, false)
+			for _, at := range u.attrs {
+				if a.ComponentOf(FieldID{Rel: r.id, Row: u.src, Attr: at}) == comp {
+					u.inSel = append(u.inSel, at)
+				}
+			}
+		}
+		if sel, err = a.filter(r, cp, refs); err != nil {
+			return nil, err
+		}
 	}
-	out, err := a.materialize(res, r, order, plans)
+
+	// The result rows with placeholders: the index rows that survived.
+	var rows []urow
+	for i, k := 0, 0; i < len(x.rows); i++ {
+		row, j := x.rows[i], int(x.rows[i])
+		if sel != nil {
+			var ok bool
+			if j, ok = slices.BinarySearch(sel, row); !ok {
+				continue
+			}
+		}
+		u := urow{j: int32(j), src: row, attrs: x.at(i)}
+		for k < len(refs) && refs[k].src < row {
+			k++
+		}
+		if k < len(refs) && refs[k].src == row {
+			u.ref, u.inSel, u.failing = refs[k].ref, refs[k].inSel, refs[k].failing
+		}
+		rows = append(rows, u)
+	}
+
+	// π's ⊥-propagation: a dropped field carrying absence — its own, or the
+	// condition's — joins the component of the row's kept fields.
+	if len(order) < len(r.Attrs) {
+		for k := range rows {
+			u := &rows[k]
+			if err := a.tick(); err != nil {
+				return nil, err
+			}
+			for _, at := range u.attrs {
+				if !containsAttr(order, at) && ((u.failing && containsAttr(u.inSel, at)) || a.fieldHasAbsence(FieldID{Rel: r.id, Row: u.src, Attr: at})) {
+					u.drop = append(u.drop, at)
+				}
+			}
+			if u.drop == nil {
+				continue
+			}
+			fields := r.fields(u.src, u.drop)
+			for _, at := range u.attrs {
+				if containsAttr(order, at) {
+					fields = append(fields, FieldID{Rel: r.id, Row: u.src, Attr: at})
+				}
+			}
+			if _, err := a.mergeComps(fields...); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	out, err := a.gather(res, r, order, sel)
 	if err != nil {
 		return nil, err
 	}
-	// Rows with absence-carrying dropped fields but no kept uncertain field
-	// need a presence carrier: the first kept attribute becomes a
-	// placeholder with a constant value, absent where the tuple is absent.
-	for _, pr := range props {
+	for k := range rows {
+		u := &rows[k]
 		if err := a.tick(); err != nil {
 			return nil, err
 		}
-		if len(pr.kept) > 0 {
-			continue
+		var cond presence
+		if u.ref != nil {
+			cond.comp = a.compFor(FieldID{Rel: r.id, Row: u.src, Attr: u.ref[0]})
+			cond.pass = condMask(r, cp, u.src, u.ref, cond.comp)
 		}
-		j := pr.row // materialize keeps all rows in order for Project
-		comp := a.compFor(pr.dropped[0])
-		pass := planOf[pr.row].pass
-		vals := make([]int32, len(comp.Rows))
-		absent := make([]bool, len(comp.Rows))
-		cert := out.Cols[0][j]
-		for w := range comp.Rows {
-			vals[w] = cert
-			absent[w] = !pass[w]
+		if u.drop != nil {
+			// cond.pass indexes m's local worlds wherever it is read: a
+			// dropped inSel field merged the condition's component into m.
+			m := a.compFor(FieldID{Rel: r.id, Row: u.src, Attr: u.drop[0]})
+			u.keep = presence{comp: m, pass: make([]bool, len(m.Rows))}
+			for w, crow := range m.Rows {
+				u.keep.pass[w] = true
+				for _, at := range u.drop {
+					if crow.IsAbsent(m.Pos(FieldID{Rel: r.id, Row: u.src, Attr: at})) || (containsAttr(u.inSel, at) && !cond.pass[w]) {
+						u.keep.pass[w] = false
+						break
+					}
+				}
+			}
 		}
-		dstF := FieldID{Rel: out.id, Row: j, Attr: 0}
-		if err := a.addField(comp, dstF, vals, absent); err != nil {
+		if err := a.extendRow(out, r, u, order, cond); err != nil {
 			return nil, err
 		}
-		out.Cols[0][j] = Placeholder
-		out.uncertain[j] = append(out.uncertain[j], 0)
 	}
 	return out, nil
+}
+
+// filter runs a compiled condition's column kernels over the template of r,
+// a batch of guardPeriod rows at a time, overrules them on the rows of refs
+// with their per-local-world decisions, and returns the selection vector of
+// the rows kept.
+func (a *Arena) filter(r *Relation, cp CompiledPred, refs []urow) ([]int32, error) {
+	n := r.NumRows()
+	sel := make([]int32, 0, min(n, guardPeriod))
+	for lo, k := 0, 0; lo < n; lo += guardPeriod {
+		hi := min(lo+guardPeriod, n)
+		if err := a.guard.tickN(hi - lo); err != nil {
+			return nil, err
+		}
+		base := len(sel)
+		for i := lo; i < hi; i++ {
+			sel = append(sel, int32(i))
+		}
+		sel = sel[:base+len(cp.Filter(r.Cols, sel[base:]))]
+		for ; k < len(refs) && int(refs[k].src) < hi; k++ {
+			i, kept := slices.BinarySearch(sel[base:], refs[k].src)
+			if pass := refs[k].inSel != nil; pass && !kept {
+				sel = slices.Insert(sel, base+i, refs[k].src)
+			} else if !pass && kept {
+				sel = slices.Delete(sel, base+i, base+i+1)
+			}
+		}
+	}
+	return sel, nil
+}
+
+// condMask decides the condition on row of r per local world of comp, the
+// component of the row's placeholder fields ref: pass[w] when every ref
+// field is present at w and the condition holds there.
+//
+//maybms:unguarded bounded single-component probe; the operator loops that call it tick per row
+func condMask(r *Relation, cp CompiledPred, row int32, ref []uint16, comp *Component) []bool {
+	pos := make([]int, len(ref))
+	for k, at := range ref {
+		pos[k] = comp.Pos(FieldID{Rel: r.id, Row: row, Attr: at})
+	}
+	pass := make([]bool, len(comp.Rows))
+	for w := range comp.Rows {
+		crow := &comp.Rows[w]
+		pass[w] = !slices.ContainsFunc(pos, crow.IsAbsent) && cp.Eval(func(ai uint16) int32 {
+			if k := slices.Index(ref, ai); k >= 0 {
+				return crow.Vals[pos[k]]
+			}
+			return r.Cols[ai][row]
+		})
+	}
+	return pass
 }
 
 // fieldHasAbsence reports whether field f is absent in some local world.
@@ -343,28 +321,43 @@ func (a *Arena) Rename(res, src string, oldNew map[string]string) (*Relation, er
 	if r == nil {
 		return nil, fmt.Errorf("engine: unknown relation %q", src)
 	}
-	for old := range oldNew {
-		if _, err := r.AttrIndex(old); err != nil {
+	names := slices.Clone(r.Attrs)
+	for old, n := range oldNew {
+		ai, err := r.AttrIndex(old)
+		if err != nil {
 			return nil, err
 		}
+		names[ai] = n
 	}
-	out, err := a.Project(res, src, r.Attrs...)
+	for i, n := range names {
+		if slices.Contains(names[:i], n) {
+			return nil, fmt.Errorf("engine: rename produces duplicate attribute %q", n)
+		}
+	}
+	out, err := a.selectProject(res, src, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	for i, at := range out.Attrs {
-		if n, ok := oldNew[at]; ok {
-			out.Attrs[i] = n
-		}
-	}
-	seen := map[string]bool{}
-	for _, at := range out.Attrs {
-		if seen[at] {
-			return nil, fmt.Errorf("engine: rename produces duplicate attribute %q", at)
-		}
-		seen[at] = true
-	}
+	out.Attrs = names
 	return out, nil
+}
+
+// allAttrs returns the attribute indexes of r in order.
+func allAttrs(r *Relation) []uint16 {
+	out := make([]uint16, len(r.Attrs))
+	for i := range out {
+		out[i] = uint16(i)
+	}
+	return out
+}
+
+// fields returns the fields of row at the given attributes.
+func (r *Relation) fields(row int32, attrs []uint16) []FieldID {
+	out := make([]FieldID, len(attrs))
+	for i, at := range attrs {
+		out[i] = FieldID{Rel: r.id, Row: row, Attr: at}
+	}
+	return out
 }
 
 func containsAttr(xs []uint16, a uint16) bool {

@@ -10,7 +10,7 @@ import (
 // can serialize without knowing the engine's invariants, and an importer
 // that rebuilds a live store from such a view, re-deriving every redundant
 // index (field→component map, per-component position maps, per-relation
-// uncertainty lists) and re-checking every invariant — a corrupt or
+// uncertainty indexes) and re-checking every invariant — a corrupt or
 // hand-crafted state errors out instead of producing a store that fails
 // later, deep inside an operator.
 
@@ -80,7 +80,7 @@ func (s *Store) ExportState() *StoreState { return s.Snapshot().ExportState() }
 
 // ImportState rebuilds a live store from a flat state: relations and
 // components are installed, the derived indexes (field→component, position
-// maps, uncertainty lists) are reconstructed, and the full invariant set is
+// maps, uncertainty indexes) are reconstructed, and the full invariant set is
 // re-validated. The store takes ownership of the state's slices. Any
 // inconsistency — dangling field references, duplicate names or ids,
 // ragged columns, probabilities that do not sum to one — is an error, so a
@@ -165,15 +165,9 @@ func ImportState(st *StoreState) (*Store, error) {
 // deriving its uncertainty index; ragged columns and values below
 // Placeholder are errors.
 func relationOf(id int32, rs *RelState, born *epoch) (*Relation, error) {
-	r := &Relation{
-		id:        id,
-		Name:      rs.Name,
-		Attrs:     rs.Attrs,
-		Cols:      rs.Cols,
-		uncertain: make(map[int32][]uint16),
-		born:      born,
-	}
+	r := &Relation{id: id, Name: rs.Name, Attrs: rs.Attrs, Cols: rs.Cols, born: born}
 	n := r.NumRows()
+	var cells placeholderCells
 	for a, col := range rs.Cols {
 		if len(col) != n {
 			return nil, fmt.Errorf("relation %q column %s has %d rows, want %d", rs.Name, rs.Attrs[a], len(col), n)
@@ -183,10 +177,11 @@ func relationOf(id int32, rs *RelState, born *epoch) (*Relation, error) {
 				return nil, fmt.Errorf("relation %q has invalid value %d", rs.Name, v)
 			}
 			if v == Placeholder {
-				r.uncertain[int32(row)] = append(r.uncertain[int32(row)], uint16(a))
+				cells.note(row, a)
 			}
 		}
 	}
+	r.unc = new(uncIndex).with(cells)
 	return r, nil
 }
 
@@ -224,10 +219,7 @@ func (s *Store) InstallRelation(rs *RelState, comps []*CompState) error {
 	// registering anything: the checks mirror ImportState's, scoped to the
 	// installed relation. Field Rel values are rewritten to the new id, so a
 	// loader built against a single-relation store (Rel 0) installs cleanly.
-	placeholders := 0
-	for _, attrs := range r.uncertain {
-		placeholders += len(attrs)
-	}
+	placeholders := len(r.unc.attrs)
 	covered := make(map[FieldID]bool, placeholders)
 	built := make([]*Component, 0, len(comps))
 	for i, cs := range comps {

@@ -19,11 +19,17 @@ type Pred interface {
 }
 
 // CompiledPred evaluates against a row accessor returning the value of an
-// attribute index.
+// attribute index, or column-at-a-time against a whole template.
 type CompiledPred interface {
 	Eval(get func(attr uint16) int32) bool
 	// Attrs returns the referenced attribute indexes, sorted, deduplicated.
 	Attrs() []uint16
+	// Filter narrows the selection vector sel — ascending rows of the
+	// template cols — to the rows satisfying the condition, in place, and
+	// returns the kept prefix. Placeholder cells compare as their sentinel
+	// value: a row whose referenced fields are uncertain must be decided per
+	// local world by the caller.
+	Filter(cols [][]int32, sel []int32) []int32
 }
 
 func applyOp(theta relation.Op, a, b int32) bool {
@@ -71,6 +77,40 @@ type compiledConst struct {
 func (p compiledConst) Eval(get func(uint16) int32) bool { return applyOp(p.theta, get(p.ai), p.c) }
 func (p compiledConst) Attrs() []uint16                  { return []uint16{p.ai} }
 
+// Filter implements CompiledPred. Each θ is one of three comparisons or its
+// negation: every loop stores each row and advances past the kept ones,
+// with no branch on θ inside.
+func (p compiledConst) Filter(cols [][]int32, sel []int32) []int32 {
+	col, c, k := cols[p.ai], p.c, 0
+	switch p.theta {
+	case relation.EQ, relation.NE:
+		want := p.theta == relation.EQ
+		for _, i := range sel {
+			sel[k] = i
+			if (col[i] == c) == want {
+				k++
+			}
+		}
+	case relation.LT, relation.GE:
+		want := p.theta == relation.LT
+		for _, i := range sel {
+			sel[k] = i
+			if (col[i] < c) == want {
+				k++
+			}
+		}
+	case relation.LE, relation.GT:
+		want := p.theta == relation.LE
+		for _, i := range sel {
+			sel[k] = i
+			if (col[i] <= c) == want {
+				k++
+			}
+		}
+	}
+	return sel[:k]
+}
+
 // AttrAttr is the atom A θ B over two attributes of the same tuple.
 type AttrAttr struct {
 	A     string
@@ -100,6 +140,38 @@ type compiledAttrAttr struct {
 
 func (p compiledAttrAttr) Eval(get func(uint16) int32) bool {
 	return applyOp(p.theta, get(p.a), get(p.b))
+}
+
+// Filter implements CompiledPred, like compiledConst.Filter.
+func (p compiledAttrAttr) Filter(cols [][]int32, sel []int32) []int32 {
+	a, b, k := cols[p.a], cols[p.b], 0
+	switch p.theta {
+	case relation.EQ, relation.NE:
+		want := p.theta == relation.EQ
+		for _, i := range sel {
+			sel[k] = i
+			if (a[i] == b[i]) == want {
+				k++
+			}
+		}
+	case relation.LT, relation.GE:
+		want := p.theta == relation.LT
+		for _, i := range sel {
+			sel[k] = i
+			if (a[i] < b[i]) == want {
+				k++
+			}
+		}
+	case relation.LE, relation.GT:
+		want := p.theta == relation.LE
+		for _, i := range sel {
+			sel[k] = i
+			if (a[i] <= b[i]) == want {
+				k++
+			}
+		}
+	}
+	return sel[:k]
 }
 
 func (p compiledAttrAttr) Attrs() []uint16 {
@@ -164,6 +236,36 @@ func (p compiledList) Eval(get func(uint16) int32) bool {
 }
 
 func (p compiledList) Attrs() []uint16 { return p.attrs }
+
+// Filter narrows sel kid by kid for a conjunction; a disjunction runs every
+// kid on a copy and keeps the rows some kid kept, found by merge-walking the
+// kids' ascending survivors against sel.
+func (p compiledList) Filter(cols [][]int32, sel []int32) []int32 {
+	if p.conj {
+		for _, k := range p.kids {
+			sel = k.Filter(cols, sel)
+		}
+		return sel
+	}
+	hit := make([]bool, len(sel))
+	buf := make([]int32, len(sel))
+	for _, k := range p.kids {
+		yes := k.Filter(cols, append(buf[:0], sel...))
+		for i, j := 0, 0; j < len(yes); i++ {
+			if sel[i] == yes[j] {
+				hit[i] = true
+				j++
+			}
+		}
+	}
+	out := sel[:0]
+	for i, row := range sel {
+		if hit[i] {
+			out = append(out, row)
+		}
+	}
+	return out
+}
 
 func joinPreds(ps []Pred, sep string) string {
 	parts := make([]string, len(ps))

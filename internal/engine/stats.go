@@ -62,8 +62,8 @@ func statsOf(v View, rel string) Stats {
 	}
 	st := Stats{RSize: r.NumRows()}
 	fieldsPerComp := make(map[*Component]int)
-	for row, attrs := range r.uncertain {
-		for _, a := range attrs {
+	for i, row := range r.unc.rows {
+		for _, a := range r.unc.at(i) {
 			f := FieldID{Rel: r.id, Row: row, Attr: a}
 			c := v.ComponentOf(f)
 			if c == nil {
@@ -95,8 +95,8 @@ func (s *Store) ComponentSizeHistogram(rel string) map[int]int {
 		return nil
 	}
 	fieldsPerComp := make(map[int32]int)
-	for row, attrs := range r.uncertain {
-		for _, a := range attrs {
+	for i, row := range r.unc.rows {
+		for _, a := range r.unc.at(i) {
 			f := FieldID{Rel: r.id, Row: row, Attr: a}
 			if cid, ok := s.fieldComp[f]; ok {
 				fieldsPerComp[cid]++
@@ -128,9 +128,5 @@ func totalPlaceholders(v View, rel string) int {
 	if r == nil {
 		return 0
 	}
-	n := 0
-	for _, attrs := range r.uncertain {
-		n += len(attrs)
-	}
-	return n
+	return len(r.unc.attrs)
 }

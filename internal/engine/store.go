@@ -93,8 +93,8 @@ type Relation struct {
 	Name  string
 	Attrs []string
 	Cols  [][]int32
-	// uncertain lists, per row, the attribute indexes holding placeholders.
-	uncertain map[int32][]uint16
+	// unc indexes the placeholder cells by row (uindex.go).
+	unc uncIndex
 	// born is the store epoch that created the object (see Store.epoch);
 	// sharedCols marks the columns it still shares with the object it was
 	// copied from (none for a relation built from scratch).
@@ -121,19 +121,7 @@ func (r *Relation) AttrIndex(name string) (uint16, error) {
 }
 
 // UncertainRows returns the number of rows with at least one placeholder.
-func (r *Relation) UncertainRows() int { return len(r.uncertain) }
-
-// uncertainRows returns the rows with at least one placeholder, ascending.
-//
-//maybms:deterministic callers' results reach snapshot bytes and shard fingerprints
-func (r *Relation) uncertainRows() []int32 {
-	rows := make([]int32, 0, len(r.uncertain))
-	for row := range r.uncertain {
-		rows = append(rows, row)
-	}
-	slices.Sort(rows)
-	return rows
-}
+func (r *Relation) UncertainRows() int { return len(r.unc.rows) }
 
 // epoch names one interval between two snapshots of a store. Epochs are
 // compared by address, so an object one store created is never mistaken for
@@ -195,12 +183,11 @@ func (s *Store) AddRelation(name string, attrs []string, cols [][]int32) (*Relat
 		return nil, err
 	}
 	r := &Relation{
-		id:        int32(len(s.rels)),
-		Name:      name,
-		Attrs:     append([]string(nil), attrs...),
-		Cols:      cols,
-		uncertain: make(map[int32][]uint16),
-		born:      s.epoch,
+		id:    int32(len(s.rels)),
+		Name:  name,
+		Attrs: append([]string(nil), attrs...),
+		Cols:  cols,
+		born:  s.epoch,
 	}
 	s.relID[name] = r.id
 	s.rels = append(s.rels, r)
@@ -330,21 +317,22 @@ func (s *Store) SetUncertain(rel string, row int, attr string, values []int32, p
 		}
 		c.Rows = append(c.Rows, CompRow{Vals: []int32{v}, P: p})
 	}
-	s.markUncertain(r, int32(row), ai)
+	r = s.markUncertain(r, int32(row), ai)
+	r.unc.insert(int32(row), ai)
 	return nil
 }
 
 // markUncertain turns the certain template cell (row, ai) of r into a
-// placeholder and returns the object that now holds relation r.id: r itself
-// when the current epoch created it, else a copy installed in its place. The
-// copy has its own uncertainty index and shares r's columns until one is
-// written.
+// placeholder — the caller indexes it — and returns the object that now
+// holds relation r.id: r itself when the current epoch created it, else a
+// copy installed in its place. The copy has its own uncertainty index and
+// shares r's columns until one is written.
 func (s *Store) markUncertain(r *Relation, row int32, ai uint16) *Relation {
 	if r.born != s.epoch {
 		nr := *r
 		nr.born = s.epoch
 		nr.Cols = slices.Clone(r.Cols)
-		nr.uncertain = maps.Clone(r.uncertain)
+		nr.unc = r.unc.clone()
 		nr.sharedCols = nil
 		for a := range nr.Cols {
 			nr.sharedCols = nr.sharedCols.Set(a)
@@ -357,8 +345,6 @@ func (s *Store) markUncertain(r *Relation, row int32, ai uint16) *Relation {
 		r.sharedCols.Clear(int(ai))
 	}
 	r.Cols[ai][row] = Placeholder
-	// The copied index shares its attribute lists: never append in place.
-	r.uncertain[row] = append(slices.Clip(r.uncertain[row]), ai)
 	return r
 }
 
@@ -539,18 +525,15 @@ func (s *Store) Clone() *Store {
 			continue
 		}
 		nr := &Relation{
-			id:        r.id,
-			Name:      r.Name,
-			Attrs:     slices.Clone(r.Attrs),
-			Cols:      make([][]int32, len(r.Cols)),
-			uncertain: make(map[int32][]uint16, len(r.uncertain)),
-			born:      e,
+			id:    r.id,
+			Name:  r.Name,
+			Attrs: slices.Clone(r.Attrs),
+			Cols:  make([][]int32, len(r.Cols)),
+			unc:   r.unc.clone(),
+			born:  e,
 		}
 		for j, col := range r.Cols {
 			nr.Cols[j] = slices.Clone(col)
-		}
-		for row, attrs := range r.uncertain {
-			nr.uncertain[row] = slices.Clone(attrs)
 		}
 		c.rels[i] = nr
 	}
@@ -565,8 +548,9 @@ func (s *Store) Clone() *Store {
 // DropRelation removes a relation and projects its fields away from the
 // component store (components left with no fields are deleted). Affected
 // components are replaced by trimmed copies rather than edited in place, so
-// live snapshots keep their frozen view. Fields leave in ascending row
-// order: the swap-removal makes the surviving field order depend on it.
+// live snapshots keep their frozen view. Fields leave in index order
+// (ascending row, then attribute): the swap-removal makes the surviving field
+// order depend on it.
 //
 //maybms:deterministic the trimmed components' field order reaches snapshot bytes and shard fingerprints
 func (s *Store) DropRelation(name string) {
@@ -579,8 +563,8 @@ func (s *Store) DropRelation(name string) {
 	}
 	r := s.rels[id]
 	cloned := make(map[int32]bool)
-	for _, row := range r.uncertainRows() {
-		for _, a := range r.uncertain[row] {
+	for i, row := range r.unc.rows {
+		for _, a := range r.unc.at(i) {
 			f := FieldID{Rel: id, Row: row, Attr: a}
 			cid, ok := s.fieldComp[f]
 			if !ok {

@@ -51,14 +51,17 @@ func tupleLevelView(v View, rel string) (*tupleView, error) {
 	if r == nil {
 		return nil, fmt.Errorf("engine: unknown relation %q", rel)
 	}
-	tv := &tupleView{rel: r}
+	unc := &r.unc
 	n := r.NumRows()
-	for i := 0; i < n; i++ {
-		if len(r.uncertain[int32(i)]) == 0 {
-			tv.certain = append(tv.certain, int32(i))
+	tv := &tupleView{rel: r, certain: make([]int32, 0, n-len(unc.rows))}
+	for i, k := 0, 0; i < n; i++ {
+		if k < len(unc.rows) && unc.rows[k] == int32(i) {
+			k++
+			continue
 		}
+		tv.certain = append(tv.certain, int32(i))
 	}
-	if len(r.uncertain) == 0 {
+	if len(unc.rows) == 0 {
 		return tv, nil
 	}
 
@@ -70,11 +73,11 @@ func tupleLevelView(v View, rel string) (*tupleView, error) {
 	guard := guardOf(v)
 	restricted := make(map[*Component]*Component)
 	rowsOf := make(map[*Component][]int32)
-	for row, attrs := range r.uncertain {
+	for i, row := range unc.rows {
 		if err := guard.Tick(); err != nil {
 			return nil, err
 		}
-		for _, a := range attrs {
+		for _, a := range unc.at(i) {
 			f := FieldID{Rel: r.id, Row: row, Attr: a}
 			c := v.ComponentOf(f)
 			if c == nil {
@@ -101,7 +104,7 @@ func tupleLevelView(v View, rel string) (*tupleView, error) {
 
 	// Union-find over template rows: rows sharing a component belong to one
 	// group, and transitively so through chains of shared components.
-	parent := make(map[int32]int32, len(r.uncertain))
+	parent := make(map[int32]int32, len(unc.rows))
 	var find func(x int32) int32
 	find = func(x int32) int32 {
 		p, ok := parent[x]
@@ -128,15 +131,11 @@ func tupleLevelView(v View, rel string) (*tupleView, error) {
 		compsOf[find(rows[0])] = append(compsOf[find(rows[0])], restricted[c])
 	}
 	groupOf := make(map[int32]*tlGroup)
-	for i := 0; i < n; i++ {
+	for i, row := range unc.rows {
 		if err := guard.Tick(); err != nil {
 			return nil, err
 		}
-		row := int32(i)
-		uattrs := r.uncertain[row]
-		if len(uattrs) == 0 {
-			continue
-		}
+		uattrs := unc.at(i)
 		root := find(row)
 		g := groupOf[root]
 		if g == nil {
@@ -177,6 +176,8 @@ func tupleLevelView(v View, rel string) (*tupleView, error) {
 // probabilities — the engine-native marginalization the WSD bridge used to
 // perform through relation.Value maps. It ticks g per local world: the
 // component may hold up to MaxCompRows of them (nil guard ticks for free).
+// The kept fields are sorted, so the copy — and the group composition order
+// it keys — does not depend on the order operators added them to c.
 func restrictToRel(g *Guard, c *Component, rel int32) (*Component, error) {
 	var keep []int
 	for i, f := range c.Fields {
@@ -184,6 +185,7 @@ func restrictToRel(g *Guard, c *Component, rel int32) (*Component, error) {
 			keep = append(keep, i)
 		}
 	}
+	sort.Slice(keep, func(i, j int) bool { return lessFieldID(c.Fields[keep[i]], c.Fields[keep[j]]) })
 	rc := &Component{ID: c.ID, Fields: make([]FieldID, len(keep)), pos: make(map[FieldID]int, len(keep))}
 	for i, col := range keep {
 		rc.Fields[i] = c.Fields[col]

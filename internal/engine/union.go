@@ -33,27 +33,15 @@ func (a *Arena) Union(res, l, r string) (*Relation, error) {
 		return nil, err
 	}
 	ext := func(src *Relation, offset int) error {
-		for row, attrs := range src.uncertain {
-			for _, at := range attrs {
+		for i, row := range src.unc.rows {
+			for _, at := range src.unc.at(i) {
 				if err := a.tick(); err != nil {
 					return err
 				}
 				srcF := FieldID{Rel: src.id, Row: row, Attr: at}
-				comp := a.compFor(srcF)
-				col := comp.Pos(srcF)
-				vals := make([]int32, len(comp.Rows))
-				absent := make([]bool, len(comp.Rows))
-				for w := range comp.Rows {
-					vals[w] = comp.Rows[w].Vals[col]
-					absent[w] = comp.Rows[w].IsAbsent(col)
-				}
-				dstRow := int32(offset) + row
-				dstF := FieldID{Rel: out.id, Row: dstRow, Attr: at}
-				if err := a.addField(comp, dstF, vals, absent); err != nil {
+				if err := a.extendField(out, srcF, int32(offset)+row, at, presence{}, presence{}); err != nil {
 					return err
 				}
-				out.Cols[at][dstRow] = Placeholder
-				out.uncertain[dstRow] = append(out.uncertain[dstRow], at)
 			}
 		}
 		return nil
@@ -112,26 +100,14 @@ func (a *Arena) Product(res, l, r string) (*Relation, error) {
 		return nil, err
 	}
 	ext := func(srcRel *Relation, srcRow int32, attrOffset uint16, dstRow int) error {
-		for _, at := range srcRel.uncertain[srcRow] {
+		for _, at := range srcRel.unc.of(srcRow) {
 			if err := a.tick(); err != nil {
 				return err
 			}
 			srcF := FieldID{Rel: srcRel.id, Row: srcRow, Attr: at}
-			comp := a.compFor(srcF)
-			col := comp.Pos(srcF)
-			vals := make([]int32, len(comp.Rows))
-			absent := make([]bool, len(comp.Rows))
-			for w := range comp.Rows {
-				vals[w] = comp.Rows[w].Vals[col]
-				absent[w] = comp.Rows[w].IsAbsent(col)
-			}
-			di := attrOffset + at
-			dstF := FieldID{Rel: out.id, Row: int32(dstRow), Attr: di}
-			if err := a.addField(comp, dstF, vals, absent); err != nil {
+			if err := a.extendField(out, srcF, int32(dstRow), attrOffset+at, presence{}, presence{}); err != nil {
 				return err
 			}
-			out.Cols[di][dstRow] = Placeholder
-			out.uncertain[int32(dstRow)] = append(out.uncertain[int32(dstRow)], di)
 		}
 		return nil
 	}

@@ -77,8 +77,19 @@ func (s *Store) validateComp(c *Component, eps float64) error {
 // validateRel checks one relation's uncertainty index against its template
 // and the store's field→component index.
 func (s *Store) validateRel(r *Relation) error {
-	for row, attrs := range r.uncertain {
-		for _, a := range attrs {
+	x := &r.unc
+	if len(x.rows) > 0 && (len(x.off) != len(x.rows)+1 || x.off[0] != 0 || int(x.off[len(x.rows)]) != len(x.attrs)) {
+		return fmt.Errorf("engine: %s uncertainty index is malformed", r.Name)
+	}
+	for i, row := range x.rows {
+		if row < 0 || int(row) >= r.NumRows() || (i > 0 && row <= x.rows[i-1]) || x.off[i+1] <= x.off[i] {
+			return fmt.Errorf("engine: %s uncertainty index row %d out of order or range", r.Name, row)
+		}
+		attrs := x.at(i)
+		for k, a := range attrs {
+			if int(a) >= len(r.Cols) || (k > 0 && a <= attrs[k-1]) {
+				return fmt.Errorf("engine: %s row %d attr %d out of order or range", r.Name, row, a)
+			}
 			if r.Cols[a][row] != Placeholder {
 				return fmt.Errorf("engine: %s row %d attr %d marked uncertain but certain", r.Name, row, a)
 			}

@@ -3,6 +3,7 @@ package sql
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"maybms/internal/engine"
@@ -67,6 +68,58 @@ func TestMemGuardAbortsMidQuery(t *testing.T) {
 	if engine.ArenaReleases() == before {
 		t.Fatal("guard-aborted query did not release its pooled arena")
 	}
+}
+
+// TestCancelMidScan: a fused SELECT a FROM R WHERE … over a store many
+// batches long stops inside its column scan when the context is canceled
+// there — the kernels check the guard once per batch of rows — with the typed
+// error and every pooled arena returned. countCtx cancels at its limit-th
+// Err call once the execution has started; with no limit it counts the
+// checkpoints an uncanceled run passes.
+func TestCancelMidScan(t *testing.T) {
+	db := Open(shardedStore(t, 17, 50000))
+	run := func(limit int64) (int64, error) {
+		ctx := &countCtx{Context: context.Background(), limit: limit}
+		TestHookExec = func(string) { ctx.armed.Store(true) }
+		defer func() { TestHookExec = nil }()
+		_, err := db.QueryContext(ctx, "SELECT B FROM R WHERE A < 20")
+		return ctx.calls.Load(), err
+	}
+	total, err := run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total < 40 {
+		t.Fatalf("an uncanceled run passed %d checkpoints, want one per batch of a 50k-row scan", total)
+	}
+	acquired, released := engine.ArenaAcquires(), engine.ArenaReleases()
+	calls, err := run(5)
+	if !errors.Is(err, engine.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled mid-scan: got %v, want ErrCanceled + context.Canceled", err)
+	}
+	if calls != 5 {
+		t.Fatalf("the query ran on to checkpoint %d after the cancel at 5 (of %d)", calls, total)
+	}
+	if engine.ArenaAcquires()-acquired != engine.ArenaReleases()-released {
+		t.Fatal("query canceled mid-scan did not release its pooled arena")
+	}
+}
+
+type countCtx struct {
+	context.Context
+	armed atomic.Bool
+	calls atomic.Int64
+	limit int64
+}
+
+func (c *countCtx) Err() error {
+	if !c.armed.Load() {
+		return nil
+	}
+	if n := c.calls.Add(1); c.limit > 0 && n >= c.limit {
+		return context.Canceled
+	}
+	return nil
 }
 
 // TestShardedQueryCanceled: cancellation crosses the shard scheduler — the

@@ -1,6 +1,8 @@
 package sql
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"maybms/internal/bridge"
@@ -63,27 +65,102 @@ func runHandBuilt(t *testing.T, s *engine.Store, name, res string) {
 	}
 }
 
-// TestCensusSQLStatsMatchHandBuilt is the acceptance check for the SQL
-// frontend: every Figure 29 query expressed in SQL produces, on the engine
-// store, byte-identical representation statistics to the hand-built
-// census.Run plan for the same seed.
-func TestCensusSQLStatsMatchHandBuilt(t *testing.T) {
-	store, orSets := prepareCensus(t, 3000, 0.004, 7)
-	if orSets == 0 {
-		t.Fatal("prepared store has no or-sets; the comparison would be vacuous")
+// carrierShapes are selections whose projection drops every field the
+// condition reads — when those are uncertain, a fused Select→Project must
+// carry the row's presence on a kept field — each with its hand-built
+// Select-then-Project plan over R.
+var carrierShapes = []struct {
+	sql  string
+	hand func(a *engine.Arena, res string) error
+}{
+	{"SELECT POWSTATE FROM R WHERE CITIZEN = 0", func(a *engine.Arena, res string) error {
+		return selectThenProject(a, res, engine.Eq("CITIZEN", 0), "POWSTATE")
+	}},
+	{"SELECT POWSTATE, MARITAL FROM R WHERE FERTIL > 4", func(a *engine.Arena, res string) error {
+		return selectThenProject(a, res, engine.Gt("FERTIL", 4), "POWSTATE", "MARITAL")
+	}},
+	{"SELECT IMMIGR FROM R WHERE ENGLISH = 3 OR CITIZEN <> 0", func(a *engine.Arena, res string) error {
+		return selectThenProject(a, res, engine.Or{engine.Eq("ENGLISH", 3), engine.Ne("CITIZEN", 0)}, "IMMIGR")
+	}},
+}
+
+func selectThenProject(a *engine.Arena, res string, p engine.Pred, attrs ...string) error {
+	tmp := res + "\x00σ"
+	if _, err := a.Select(tmp, "R", p); err != nil {
+		return err
 	}
-	for _, name := range census.QueryNames {
-		hand := store.Clone()
-		viaSQL := store.Clone()
-		runHandBuilt(t, hand, name, "res")
-		runCensusSQL(t, viaSQL, name, "res")
-		want := hand.Stats("res")
-		got := viaSQL.Stats("res")
-		if got != want {
-			t.Fatalf("%s: SQL stats %+v diverge from hand-built %+v", name, got, want)
+	defer a.DropRelation(tmp)
+	_, err := a.Project(res, tmp, attrs...)
+	return err
+}
+
+// TestCensusSQLStatsMatchHandBuilt is the acceptance check for the SQL
+// frontend and its fused Select→Project: every Figure 29 query expressed in
+// SQL — plus the carrier shapes — produces, on the engine store, identical
+// representation statistics and bit-identical pre-fold confidence masses to
+// the hand-built two-step plan for the same seed, at densities from the
+// paper's 0.1% up to 10% (where rows with several or-sets, and so
+// compositions, are common).
+func TestCensusSQLStatsMatchHandBuilt(t *testing.T) {
+	for _, density := range []float64{0.001, 0.02, 0.1} {
+		store, orSets := prepareCensus(t, 3000, density, 7)
+		if orSets == 0 {
+			t.Fatal("prepared store has no or-sets; the comparison would be vacuous")
 		}
-		if err := viaSQL.Validate(1e-9); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		for _, name := range census.QueryNames {
+			hand := store.Clone()
+			viaSQL := store.Clone()
+			runHandBuilt(t, hand, name, "res")
+			runCensusSQL(t, viaSQL, name, "res")
+			sameResult(t, fmt.Sprintf("%s at density %g", name, density), hand, viaSQL)
+		}
+		for _, sh := range carrierShapes {
+			hand := store.Clone()
+			viaSQL := store.Clone()
+			ar := engine.NewArena(hand.Snapshot())
+			if err := sh.hand(ar, "res"); err != nil {
+				t.Fatalf("%s: hand-built: %v", sh.sql, err)
+			}
+			if err := ar.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := execSQL(viaSQL, sh.sql, "res"); err != nil {
+				t.Fatalf("%s: %v", sh.sql, err)
+			}
+			sameResult(t, fmt.Sprintf("%q at density %g", sh.sql, density), hand, viaSQL)
+		}
+	}
+}
+
+// sameResult compares relation res of two stores: Stats, validity, and the
+// pre-fold mass tables bit for bit.
+func sameResult(t *testing.T, what string, hand, viaSQL *engine.Store) {
+	t.Helper()
+	if got, want := viaSQL.Stats("res"), hand.Stats("res"); got != want {
+		t.Fatalf("%s: SQL stats %+v diverge from hand-built %+v", what, got, want)
+	}
+	if err := viaSQL.Validate(1e-9); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	want, err := engine.PossibleMasses(hand, "res")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := engine.PossibleMasses(viaSQL, "res")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d possible tuples, hand-built %d", what, len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		same := engine.CompareTuples(g.Tuple, w.Tuple) == 0 && g.Certain == w.Certain && len(g.Masses) == len(w.Masses)
+		for k := 0; same && k < len(g.Masses); k++ {
+			same = math.Float64bits(g.Masses[k]) == math.Float64bits(w.Masses[k])
+		}
+		if !same {
+			t.Fatalf("%s: tuple %d masses %+v, hand-built %+v", what, i, g, w)
 		}
 	}
 }
@@ -106,20 +183,31 @@ func TestCensusSQLStatsMatchAfterChase(t *testing.T) {
 	}
 }
 
-// TestCensusSQLAgainstOracle closes the loop on a tiny store: the SQL
+// TestCensusSQLAgainstOracle closes the loop on tiny stores: the SQL
 // frontend on the engine must agree with naive per-world evaluation of the
-// same SQL for each single-relation Figure 29 query.
+// same SQL for each single-relation Figure 29 query and carrier shape, at
+// each density. Per-world evaluation enumerates the product of all or-set
+// sizes, so the row count shrinks as the density grows to keep a handful
+// of or-sets.
 func TestCensusSQLAgainstOracle(t *testing.T) {
-	for _, name := range []string{"Q1", "Q2", "Q3", "Q4", "Q6"} {
-		// Keep the noise low: per-world evaluation enumerates the product of
-		// all or-set sizes, so a handful of or-sets is already thousands of
-		// worlds.
-		s, err := census.NewStore("R", 30, 3)
+	queries := []string{CensusSQL["Q1"], CensusSQL["Q2"], CensusSQL["Q3"], CensusSQL["Q4"], CensusSQL["Q6"]}
+	for _, sh := range carrierShapes {
+		queries = append(queries, sh.sql)
+	}
+	for _, c := range []struct {
+		density float64
+		rows    int
+	}{{0.002, 30}, {0.02, 5}, {0.1, 1}} {
+		s, err := census.NewStore("R", c.rows, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := census.AddNoise(s, "R", 0.002, 4); err != nil {
+		n, err := census.AddNoise(s, "R", c.density, 4)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if n == 0 || n > 8 {
+			t.Fatalf("density %g: %d or-sets, want 1-8 for a tractable oracle", c.density, n)
 		}
 		w, err := bridge.ToWSD(s)
 		if err != nil {
@@ -129,23 +217,26 @@ func TestCensusSQLAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := Parse(CensusSQL[name])
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want, err := ExecWorlds(st, ws, "P")
-		if err != nil {
-			t.Fatalf("%s: per-world: %v", name, err)
-		}
-		if _, err := execSQL(s, CensusSQL[name], "P"); err != nil {
-			t.Fatalf("%s: engine: %v", name, err)
-		}
-		got, err := bridge.RepRelation(s, "P", 1<<22)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !got.Equal(want.WorldSet, 1e-9) {
-			t.Fatalf("%s: engine SQL result diverges from per-world SQL result", name)
+		for _, q := range queries {
+			st, err := Parse(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			want, err := ExecWorlds(st, ws, "P")
+			if err != nil {
+				t.Fatalf("%s: per-world: %v", q, err)
+			}
+			db := s.Clone()
+			if _, err := execSQL(db, q, "P"); err != nil {
+				t.Fatalf("%s: engine: %v", q, err)
+			}
+			got, err := bridge.RepRelation(db, "P", 1<<22)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			if !got.Equal(want.WorldSet, 1e-9) {
+				t.Fatalf("%s at density %g: engine SQL result diverges from per-world SQL result", q, c.density)
+			}
 		}
 	}
 }

@@ -110,8 +110,11 @@ func describe(rec *storage.WALRecord) string {
 // materialize is apply's MATERIALIZE arm: the statement runs on a snapshot +
 // arena like any query, and only the arena's final commit writes the store
 // (copy-on-write, so concurrent readers on older snapshots are unaffected).
-// Replay re-runs the logged statement, which reproduces the original result
-// because the engine's operators are deterministic.
+// Replay re-runs the logged statement and reproduces the original state
+// byte for byte: the operators visit rows in the order of each relation's
+// uncertainty index, never map order, so the components they compose and
+// the ids Commit assigns repeat — TestLiveVsReplayNoisyCensus checks it on
+// a noisy census store, where many rows compose.
 func (db *DB) materialize(ctx context.Context, rec *storage.WALRecord) (*Result, error) {
 	stmt, err := db.Prepare(rec.Query)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"maybms/internal/bench"
@@ -268,6 +269,62 @@ func TestLiveVsReplayAllRecordTypes(t *testing.T) {
 	}
 	if got := db2.ShardFingerprints(); len(got) != 2 || !reflect.DeepEqual(got, wantShards) {
 		t.Fatalf("shard fingerprints after replay %08x, live (re-balanced commit by commit) %08x", got, wantShards)
+	}
+}
+
+// TestLiveVsReplayNoisyCensus: MATERIALIZE of Figure 29's Q2 and Q3 on a
+// noisy census store — density 0.02, where the operators compose components
+// for many rows — replays to the live state byte for byte. The component ids
+// the arena hands out, and so the store ids Commit assigns, follow the order
+// the operators visit rows: the uncertainty index's row order, where it used
+// to be map order.
+func TestLiveVsReplayNoisyCensus(t *testing.T) {
+	store, err := census.NewStore("R", 20000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := census.AddNoise(store, "R", 0.02, 4); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	db, err := sql.InitDir(dir, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnableSharding(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"Q2", "Q3"} {
+		if _, err := db.Materialize(strings.ToLower(q), census.SQL[q]); err != nil {
+			t.Fatalf("MATERIALIZE %s: %v", q, err)
+		}
+	}
+	want := sql.FlatState(db.Snapshot().ExportState())
+	wantShards := db.ShardFingerprints()
+	db.Close() // no Checkpoint: the two commits live only in the log
+
+	db2, replayed, err := sql.Restore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if replayed != 2 {
+		t.Fatalf("replayed %d records, want the 2 MATERIALIZEs", replayed)
+	}
+	if got := sql.FlatState(db2.Snapshot().ExportState()); got != want {
+		g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+		for i := 0; i < len(g) && i < len(w); i++ {
+			if g[i] != w[i] {
+				t.Fatalf("replayed state differs from the live one at line %d:\n%.300s\nwant:\n%.300s", i, g[i], w[i])
+			}
+		}
+		t.Fatalf("replayed state has %d lines, live %d", len(g), len(w))
+	}
+	if err := db2.EnableSharding(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := db2.ShardFingerprints(); !reflect.DeepEqual(got, wantShards) {
+		t.Fatalf("shard fingerprints after replay %08x, live %08x", got, wantShards)
 	}
 }
 

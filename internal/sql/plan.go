@@ -390,8 +390,10 @@ func (p *EnginePlan) Bind(res string, args []relation.Value) (*EnginePlan, error
 }
 
 // Run executes the plan's operators on an arena — results never touch the
-// shared store. On error every relation already created by the plan is
-// dropped.
+// shared store. A selection whose result only the next step — a projection —
+// reads runs fused with it (Arena.SelectProject), so its temporary is never
+// materialized; the plan's shape (Ops, EXPLAIN) is unchanged. On error every
+// relation already created by the plan is dropped.
 func (p *EnginePlan) Run(s *engine.Arena) error {
 	if p.template {
 		return fmt.Errorf("sql: plan is a template; Bind it first")
@@ -403,11 +405,18 @@ func (p *EnginePlan) Run(s *engine.Arena) error {
 		}
 		return err
 	}
-	for _, op := range p.Ops {
+	for i := 0; i < len(p.Ops); i++ {
+		op := p.Ops[i]
 		var err error
 		switch op.Kind {
 		case OpSelect:
-			_, err = s.Select(op.Res, op.Src, op.Pred)
+			if !p.feedsProjection(i) {
+				_, err = s.Select(op.Res, op.Src, op.Pred)
+				break
+			}
+			i++
+			_, err = s.SelectProject(p.Ops[i].Res, op.Src, op.Pred, p.Ops[i].Attrs...)
+			op = p.Ops[i]
 		case OpProject:
 			_, err = s.Project(op.Res, op.Src, op.Attrs...)
 		case OpRename:
@@ -431,7 +440,22 @@ func (p *EnginePlan) Run(s *engine.Arena) error {
 	return nil
 }
 
-// DropTemps drops the plan's intermediate relations, newest first.
+// feedsProjection reports whether step i's result is read only by step i+1,
+// a projection.
+func (p *EnginePlan) feedsProjection(i int) bool {
+	if i+1 >= len(p.Ops) || p.Ops[i+1].Kind != OpProject || p.Ops[i+1].Src != p.Ops[i].Res {
+		return false
+	}
+	for _, op := range p.Ops[i+2:] {
+		if op.Src == p.Ops[i].Res || op.Src2 == p.Ops[i].Res {
+			return false
+		}
+	}
+	return true
+}
+
+// DropTemps drops the plan's intermediate relations, newest first (a fused
+// selection's was never created).
 func (p *EnginePlan) DropTemps(s *engine.Arena) {
 	for i := len(p.Temps) - 1; i >= 0; i-- {
 		s.DropRelation(p.Temps[i])
