@@ -68,7 +68,6 @@ type Conn struct {
 	fetch  int
 	closed atomic.Bool
 	banner string
-	proto  uint16
 
 	dialTimeout time.Duration
 	retry       retryPolicy
@@ -181,11 +180,10 @@ func (c *Conn) connect(ctx context.Context, addr string) error {
 	}
 	r := server.RBuf{B: payload}
 	v := r.U16()
-	if v == 0 || v > server.ProtoVersion {
+	if v != server.ProtoVersion {
 		nc.Close()
-		return fmt.Errorf("client: server speaks protocol version %d, want ≤ %d", v, server.ProtoVersion)
+		return fmt.Errorf("client: server answered protocol version %d; this client reads only version %d ROWS pages", v, server.ProtoVersion)
 	}
-	c.proto = v
 	c.banner = r.Str()
 	return nil
 }
@@ -208,19 +206,21 @@ func (c *Conn) Close() error {
 // round sends one request frame and reads the response, translating OpErr
 // into *server.WireError. Callers pass the expected response opcode.
 func (c *Conn) round(op byte, payload []byte, want byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.roundLocked(op, payload, want)
+	return c.roundInto(op, payload, want, nil)
 }
 
-func (c *Conn) roundLocked(op byte, payload []byte, want byte) ([]byte, error) {
+// roundInto is round reading the response into buf's storage when it is
+// large enough (see server.ReadFrameInto).
+func (c *Conn) roundInto(op byte, payload []byte, want byte, buf []byte) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed.Load() {
 		return nil, fmt.Errorf("client: connection is closed")
 	}
 	if err := c.writeFrame(op, payload); err != nil {
 		return nil, fmt.Errorf("client: writing request: %w", err)
 	}
-	rop, rpayload, err := server.ReadFrame(c.br)
+	rop, rpayload, err := server.ReadFrameInto(c.br, buf)
 	if err != nil {
 		return nil, fmt.Errorf("client: reading response: %w", err)
 	}
@@ -267,12 +267,8 @@ func (c *Conn) roundRetry(op byte, payload []byte, want byte) ([]byte, error) {
 // connection (a server-side no-op when none is). It is the one request meant
 // to be issued from another goroutine while a Query round is blocked waiting
 // for its response; the canceled Query then returns a *server.WireError with
-// code ErrCanceled. Cancel itself gets no response frame. The server must
-// speak protocol v2.
+// code ErrCanceled. Cancel itself gets no response frame.
 func (c *Conn) Cancel() error {
-	if c.proto < 2 {
-		return fmt.Errorf("client: server protocol version %d predates CANCEL", c.proto)
-	}
 	if err := c.writeFrame(server.OpCancel, nil); err != nil {
 		return fmt.Errorf("client: sending CANCEL: %w", err)
 	}

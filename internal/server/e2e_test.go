@@ -1,9 +1,12 @@
 package server_test
 
 import (
+	"bufio"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -60,10 +63,18 @@ type scanner interface {
 }
 
 func renderAll(rows scanner, hasConf bool) (string, error) {
-	defer rows.Close()
 	var sb strings.Builder
-	sb.WriteString(strings.Join(rows.Columns(), ","))
-	sb.WriteByte('\n')
+	err := renderTo(&sb, rows, hasConf)
+	return sb.String(), err
+}
+
+// renderTo is renderAll writing to w, so a result too large to hold as one
+// string can be compared by digest.
+func renderTo(w io.Writer, rows scanner, hasConf bool) error {
+	defer rows.Close()
+	bw := bufio.NewWriter(w)
+	bw.WriteString(strings.Join(rows.Columns(), ","))
+	bw.WriteByte('\n')
 	vals := make([]relation.Value, len(rows.Columns()))
 	dests := make([]any, len(vals))
 	for i := range vals {
@@ -71,20 +82,25 @@ func renderAll(rows scanner, hasConf bool) (string, error) {
 	}
 	for rows.Next() {
 		if err := rows.Scan(dests...); err != nil {
-			return "", err
+			return err
 		}
-		for i, v := range vals {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(v.String())
-		}
-		if hasConf {
-			fmt.Fprintf(&sb, " @%.12g", rows.Conf())
-		}
-		sb.WriteByte('\n')
+		renderRow(bw, vals, hasConf, rows.Conf())
 	}
-	return sb.String(), nil
+	return bw.Flush()
+}
+
+// renderRow is one line of renderTo: the values, then the confidence.
+func renderRow(w *bufio.Writer, vals []relation.Value, hasConf bool, conf float64) {
+	for i, v := range vals {
+		if i > 0 {
+			w.WriteByte(',')
+		}
+		w.WriteString(v.String())
+	}
+	if hasConf {
+		fmt.Fprintf(w, " @%.12g", conf)
+	}
+	w.WriteByte('\n')
 }
 
 // The e2e queries cover the three result shapes: a plain template result
@@ -99,16 +115,9 @@ var e2eQueries = []struct {
 	{"SELECT POSSIBLE YEARSCH, CITIZEN FROM R WHERE YEARSCH = 17", false},
 }
 
-// TestConcurrentClientsByteIdentical runs 8 concurrent client connections
-// and checks every remote result is byte-identical to the same statement run
-// in-process — across plain, CONF() and POSSIBLE results, and across small
-// FETCH batches that force multi-frame streaming.
-func TestConcurrentClientsByteIdentical(t *testing.T) {
-	db := sql.Open(testStore(t, 2000))
-	defer db.Close()
-	_, addr := startServer(t, db, server.Config{})
-
-	// The in-process reference, computed once per query.
+// localRenders runs every e2e query in-process: the reference renders.
+func localRenders(t *testing.T, db *sql.DB) []string {
+	t.Helper()
 	want := make([]string, len(e2eQueries))
 	for i, q := range e2eQueries {
 		rows, err := db.Query(q.text)
@@ -120,51 +129,241 @@ func TestConcurrentClientsByteIdentical(t *testing.T) {
 			t.Fatalf("local render %s: %v", q.text, err)
 		}
 	}
+	return want
+}
 
-	const conns = 8
-	var wg sync.WaitGroup
-	errc := make(chan error, conns)
-	for w := 0; w < conns; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Odd workers use a tiny FETCH batch so results cross the wire in
-			// many frames; even workers use the default single-frame path.
-			opts := []client.Option{}
-			if w%2 == 1 {
-				opts = append(opts, client.WithFetchBatch(3))
+// TestConcurrentClientsByteIdentical runs 9 concurrent client connections
+// and checks every remote result is byte-identical to the same statement run
+// in-process — across plain (with '?' fields), CONF() and POSSIBLE results,
+// across FETCH batches of 1, 3 and the default, and across 1 and 3 shards
+// (a plain page ends early at each shard segment's boundary).
+func TestConcurrentClientsByteIdentical(t *testing.T) {
+	db := sql.Open(testStore(t, 2000))
+	defer db.Close()
+	_, addr := startServer(t, db, server.Config{})
+
+	for _, shards := range []int{1, 3} {
+		if shards > 1 {
+			if err := db.EnableSharding(shards, shards); err != nil {
+				t.Fatal(err)
 			}
-			c, err := client.Dial(addr, opts...)
-			if err != nil {
-				errc <- fmt.Errorf("worker %d: dial: %w", w, err)
-				return
-			}
-			defer c.Close()
-			for rep := 0; rep < 3; rep++ {
-				for i, q := range e2eQueries {
-					rows, err := c.Query(q.text)
-					if err != nil {
-						errc <- fmt.Errorf("worker %d: %s: %w", w, q.text, err)
-						return
-					}
-					got, err := renderAll(rows, q.hasConf)
-					if err != nil {
-						errc <- fmt.Errorf("worker %d: render %s: %w", w, q.text, err)
-						return
-					}
-					if got != want[i] {
-						errc <- fmt.Errorf("worker %d: %s: remote result differs from in-process:\nremote:\n%s\nlocal:\n%s",
-							w, q.text, got, want[i])
-						return
+		}
+		want := localRenders(t, db)
+		if !strings.Contains(want[0], "?") {
+			t.Fatalf("plain reference carries no '?' field:\n%s", want[0])
+		}
+		const conns = 9
+		var wg sync.WaitGroup
+		errc := make(chan error, conns)
+		for w := 0; w < conns; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				// Workers cycle through the default batch and tiny ones, so
+				// results cross the wire in one page per segment or in many.
+				opts := []client.Option{}
+				if batch := []int{0, 3, 1}[w%3]; batch > 0 {
+					opts = append(opts, client.WithFetchBatch(batch))
+				}
+				c, err := client.Dial(addr, opts...)
+				if err != nil {
+					errc <- fmt.Errorf("worker %d: dial: %w", w, err)
+					return
+				}
+				defer c.Close()
+				for rep := 0; rep < 3; rep++ {
+					for i, q := range e2eQueries {
+						rows, err := c.Query(q.text)
+						if err != nil {
+							errc <- fmt.Errorf("worker %d: %s: %w", w, q.text, err)
+							return
+						}
+						got, err := renderAll(rows, q.hasConf)
+						if err != nil {
+							errc <- fmt.Errorf("worker %d: render %s: %w", w, q.text, err)
+							return
+						}
+						if got != want[i] {
+							errc <- fmt.Errorf("%d shards, worker %d: %s: remote result differs from in-process:\nremote:\n%s\nlocal:\n%s",
+								shards, w, q.text, got, want[i])
+							return
+						}
 					}
 				}
-			}
-		}(w)
+			}(w)
+		}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Error(err)
+		}
 	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
+}
+
+// renderV2 runs text over a raw protocol-v2 session — HELLO at version 2,
+// PREPARE, EXEC, FETCH until done — and renders the ROWS frames, decoded in
+// the v2 row layout, the way renderTo renders a Rows.
+func renderV2(t *testing.T, addr, text string, hasConf bool, maxRows uint32, out io.Writer) {
+	t.Helper()
+	r := dialRaw(t, addr)
+	r.c.SetDeadline(time.Now().Add(time.Minute))
+	round := func(op byte, w server.WBuf, want byte) *server.RBuf {
+		t.Helper()
+		r.write(frame(op, w.B))
+		rop, payload, ok := r.readFrame()
+		if !ok || rop != want {
+			t.Fatalf("op 0x%02x: answered 0x%02x (ok=%v): %q", op, rop, ok, payload)
+		}
+		return &server.RBuf{B: payload}
+	}
+	hello := server.WBuf{B: []byte(server.Magic)}
+	hello.U16(2)
+	if v := round(server.OpHello, hello, server.OpHelloOK).U16(); v != 2 {
+		t.Fatalf("handshake settled on version %d, want 2", v)
+	}
+	var w server.WBuf
+	w.Str(text)
+	stmt := round(server.OpPrepare, w, server.OpPrepared).U32()
+	w = server.WBuf{}
+	w.U32(stmt)
+	w.U16(0)
+	ex := round(server.OpExec, w, server.OpExecOK)
+	cursor := ex.U32()
+	ex.U8()
+	total := int(ex.U32())
+	ex.Stats()
+	cols := make([]string, ex.U16())
+	for i := range cols {
+		cols[i] = ex.Str()
+	}
+	if err := ex.Done(); err != nil {
+		t.Fatalf("EXEC_OK: %v", err)
+	}
+	bw := bufio.NewWriter(out)
+	bw.WriteString(strings.Join(cols, ","))
+	bw.WriteByte('\n')
+	vals := make([]relation.Value, len(cols))
+	for got, done := 0, false; !done; {
+		w = server.WBuf{}
+		w.U32(cursor)
+		w.U32(maxRows)
+		p := round(server.OpFetch, w, server.OpRows)
+		done = p.U8() == 1
+		conf := p.U8() == 1
+		n := int(p.U32())
+		if n == 0 && !done {
+			t.Fatalf("empty ROWS page before the cursor's end (%d of %d rows)", got, total)
+		}
+		for i := 0; i < n; i++ {
+			for j := range vals {
+				vals[j] = p.Value()
+			}
+			var c float64
+			if conf {
+				c = p.F64()
+			}
+			renderRow(bw, vals, hasConf, c)
+		}
+		if err := p.Done(); err != nil {
+			t.Fatalf("ROWS payload: %v", err)
+		}
+		got += n
+		if done && got != total {
+			t.Fatalf("cursor done after %d of %d rows", got, total)
+		}
+	}
+	bw.Flush()
+}
+
+// TestV2SessionKeepsRowLayout is the older-client contract: a session that
+// negotiates protocol v2 still receives ROWS in the v2 row layout, and the
+// results it decodes are byte-identical to the in-process ones — sharded or
+// not, whatever the page size.
+func TestV2SessionKeepsRowLayout(t *testing.T) {
+	db := sql.Open(testStore(t, 2000))
+	defer db.Close()
+	_, addr := startServer(t, db, server.Config{})
+	for _, shards := range []int{1, 3} {
+		if shards > 1 {
+			if err := db.EnableSharding(shards, shards); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := localRenders(t, db)
+		for i, q := range e2eQueries {
+			for _, maxRows := range []uint32{0, 3} {
+				var sb strings.Builder
+				renderV2(t, addr, q.text, q.hasConf, maxRows, &sb)
+				if sb.String() != want[i] {
+					t.Fatalf("%d shards, FETCH %d: %s: v2 result differs from in-process:\nv2:\n%s\nlocal:\n%s",
+						shards, maxRows, q.text, sb.String(), want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestFetchBatchBoundedByFrameBytes: with the server's row cap lifted far
+// past what fits in MaxFrame, a result larger than one frame must still
+// drain completely — the server caps each page by bytes too — and match the
+// in-process result, for a v3 client and for a v2 session alike.
+func TestFetchBatchBoundedByFrameBytes(t *testing.T) {
+	const rows, ncols = 600_000, 8
+	if rows*ncols*4 <= server.MaxFrame {
+		t.Fatal("the result fits in one frame; grow it")
+	}
+	attrs := make([]string, ncols)
+	cols := make([][]int32, ncols)
+	for c := range cols {
+		attrs[c] = fmt.Sprintf("A%d", c)
+		cols[c] = make([]int32, rows)
+		for i := range cols[c] {
+			cols[c][i] = int32((i*(c+7) + c) % 100_003)
+		}
+	}
+	s := engine.NewStore()
+	if _, err := s.AddRelation("R", attrs, cols); err != nil {
+		t.Fatal(err)
+	}
+	db := sql.Open(s)
+	defer db.Close()
+	_, addr := startServer(t, db, server.Config{FetchBatch: 1 << 20})
+
+	const text = "SELECT * FROM R"
+	digest := func(render func(w io.Writer) error) string {
+		h := sha256.New()
+		if err := render(h); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%x", h.Sum(nil))
+	}
+	want := digest(func(w io.Writer) error {
+		local, err := db.Query(text)
+		if err != nil {
+			return err
+		}
+		return renderTo(w, local, false)
+	})
+	c, err := client.Dial(addr, client.WithFetchBatch(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	got := digest(func(w io.Writer) error {
+		remote, err := c.Query(text)
+		if err != nil {
+			return err
+		}
+		if err := renderTo(w, remote, false); err != nil {
+			return err
+		}
+		return remote.Err()
+	})
+	if got != want {
+		t.Fatalf("v3 result digest %s, in-process %s", got, want)
+	}
+	if v2 := digest(func(w io.Writer) error { renderV2(t, addr, text, false, 1<<20, w); return nil }); v2 != want {
+		t.Fatalf("v2 result digest %s, in-process %s", v2, want)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"maybms/internal/engine"
 	"maybms/internal/relation"
@@ -21,10 +22,12 @@ import (
 
 // Magic opens every connection (the OpHello payload) and ProtoVersion is the
 // frame-format version negotiated by the handshake. A server refuses
-// versions above its own; additions to the protocol bump the version.
+// versions above its own and answers older ones in their own layouts;
+// additions to the protocol bump the version. v2 added OpCancel and the
+// ErrCanceled error code; v3 sends ROWS as columnar pages (appendPage).
 const (
 	Magic        = "MYBM"
-	ProtoVersion = 2 // v2 adds OpCancel and the ErrCanceled error code
+	ProtoVersion = 3
 )
 
 // MaxFrame bounds a frame's declared payload length. A length above it is a
@@ -57,7 +60,7 @@ const (
 	OpHelloOK      byte = 0x81 // u16 version, str banner
 	OpPrepared     byte = 0x82 // u32 stmt, u16 nparams, u16 ncols, cols
 	OpExecOK       byte = 0x83 // u32 cursor, u8 mode, u32 nrows, stats, u16 ncols, cols
-	OpRows         byte = 0x84 // u8 done, u8 hasConf, u32 n, rows
+	OpRows         byte = 0x84 // u8 done, u8 hasConf, u32 n, page (v3) or rows (v1/v2)
 	OpExplained    byte = 0x87 // str text
 	OpMaterialized byte = 0x88 // stats
 	OpCatalogR     byte = 0x8A // u32 nrels, per rel: str name, u16 nattrs, attrs, stats, u32 placeholders
@@ -124,6 +127,80 @@ const (
 	tagPlaceholder byte = 3
 )
 
+// RowsHeader is the fixed head of a ROWS payload: u8 done, u8 hasConf, u32 n.
+const RowsHeader = 6
+
+// RowBytes bounds the bytes one row adds to a ROWS payload: exactly 4 per
+// column (plus 8 for the confidence) in a v3 page; in the v1/v2 row layout at
+// most 9 per column, a tag and an i64 (a '?' takes the tag alone).
+func RowBytes(ncols int, hasConf bool, proto uint16) int {
+	cell := 4
+	if proto < 3 {
+		cell = 9
+	}
+	n := cell * ncols
+	if hasConf {
+		n += 8
+	}
+	return n
+}
+
+// appendRowsHeader appends the ROWS head with done = 0; the caller patches
+// byte 0 on the last page.
+func appendRowsHeader(b []byte, hasConf bool, n int) []byte {
+	var conf byte
+	if hasConf {
+		conf = 1
+	}
+	b = append(b, 0, conf)
+	return binary.BigEndian.AppendUint32(b, uint32(n))
+}
+
+// appendPage appends a v3 ROWS payload: the header, then each column as n
+// packed big-endian i32 engine codes (a '?' field is the reserved code -1),
+// then n f64 confidences when hasConf. cols and confs are a sql.Rows block.
+func appendPage(b []byte, hasConf bool, n int, cols [][]int32, confs []float64) []byte {
+	b = appendRowsHeader(b, hasConf, n)
+	off := len(b)
+	body := RowBytes(len(cols), hasConf, 3) * n
+	b = slices.Grow(b, body)[:off+body]
+	for _, col := range cols {
+		out := b[off : off+4*n]
+		for i, v := range col[:n] {
+			binary.BigEndian.PutUint32(out[4*i:], uint32(v))
+		}
+		off += 4 * n
+	}
+	if hasConf {
+		out := b[off : off+8*n]
+		for i, f := range confs[:n] {
+			binary.BigEndian.PutUint64(out[8*i:], math.Float64bits(f))
+		}
+	}
+	return b
+}
+
+// appendRowPage appends the v1/v2 ROWS payload of the same block: the
+// header, then per row each field as a value (tagInt + i64, or
+// tagPlaceholder for '?') and the f64 confidence when hasConf.
+func appendRowPage(b []byte, hasConf bool, n int, cols [][]int32, confs []float64) []byte {
+	w := WBuf{B: appendRowsHeader(b, hasConf, n)}
+	for i := 0; i < n; i++ {
+		for _, col := range cols {
+			if v := col[i]; v == engine.Placeholder {
+				w.U8(tagPlaceholder)
+			} else {
+				w.U8(tagInt)
+				w.I64(int64(v))
+			}
+		}
+		if hasConf {
+			w.F64(confs[i])
+		}
+	}
+	return w.B
+}
+
 // WriteFrame writes one frame: u32 big-endian length (opcode + payload),
 // the opcode byte, the payload.
 func WriteFrame(w io.Writer, op byte, payload []byte) error {
@@ -140,22 +217,35 @@ func WriteFrame(w io.Writer, op byte, payload []byte) error {
 // ReadFrame reads one frame. A declared length of zero (no opcode) or above
 // MaxFrame is returned as an error before anything is allocated or read.
 func ReadFrame(r io.Reader) (op byte, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return ReadFrameInto(r, nil)
+}
+
+// ReadFrameInto is ReadFrame reading the payload into buf's storage when
+// its capacity suffices; the payload then aliases buf, so passing the
+// previous payload back reuses it.
+func ReadFrameInto(r io.Reader, buf []byte) (op byte, payload []byte, err error) {
+	var hdr [5]byte
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr[:4])
 	if n == 0 {
 		return 0, nil, fmt.Errorf("frame length 0 (missing opcode)")
 	}
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("frame length %d exceeds the %d-byte limit", n, MaxFrame)
 	}
-	buf := make([]byte, n)
+	if cap(buf) < int(n-1) {
+		buf = make([]byte, n-1)
+	}
+	buf = buf[:n-1]
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+		return 0, nil, fmt.Errorf("truncated frame: %w", err)
+	}
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, nil, fmt.Errorf("truncated frame: %w", err)
 	}
-	return buf[0], buf[1:], nil
+	return hdr[4], buf, nil
 }
 
 // WBuf builds a frame payload in the field encodings of

@@ -344,6 +344,13 @@ func FuzzProtocolStream(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add(frame(server.OpExec, []byte{0, 0, 0, 1, 0, 2, 1}))
+	// A whole v3 FETCH exchange: statement 1 opens cursor 1, drained by FETCH
+	// into one columnar page.
+	var prep server.WBuf
+	prep.Str("SELECT * FROM R WHERE A = 1")
+	exchange := append(hello(), frame(server.OpPrepare, prep.B)...)
+	exchange = append(exchange, frame(server.OpExec, []byte{0, 0, 0, 1, 0, 0})...)
+	f.Add(append(exchange, frame(server.OpFetch, []byte{0, 0, 0, 1, 0, 0, 0, 0})...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		addr := fuzzAddr(t)

@@ -30,8 +30,8 @@ type Config struct {
 	// the write deadline of the response. Default 30s.
 	RequestTimeout time.Duration
 	// FetchBatch caps rows per OpRows frame regardless of what the client
-	// asks for, bounding response frames the same way MaxFrame bounds
-	// requests. Default 4096.
+	// asks for; a frame also never holds more rows than fit in MaxFrame.
+	// Default 4096.
 	FetchBatch int
 	// Logf receives one line per connection-level event (accepted, rejected,
 	// protocol errors). Nil logs through the standard logger; use a no-op

@@ -8,12 +8,12 @@ import (
 	"io"
 	"net"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"maybms/internal/engine"
-	"maybms/internal/relation"
 	"maybms/internal/sql"
 )
 
@@ -30,6 +30,13 @@ type session struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
+	// proto is the protocol version the handshake settled on; it picks the
+	// ROWS page layout.
+	proto uint16
+	// page is the ROWS payload buffer, reused from one FETCH to the next (a
+	// response is written out before the next request is read); a buffer
+	// grown past maxKeptPage is not kept.
+	page []byte
 
 	stmts      map[uint32]*sql.Prepared
 	cursors    map[uint32]*cursor
@@ -59,9 +66,6 @@ type cursor struct {
 	fetched int
 	total   int
 	mem     int64
-	// dests is the Scan scratch, one *relation.Value per column.
-	vals  []relation.Value
-	dests []any
 }
 
 func newSession(srv *Server, conn net.Conn) *session {
@@ -359,8 +363,10 @@ func (s *session) handshake() *protoErr {
 	if version > ProtoVersion {
 		return perr(ErrProtocol, "protocol version %d not supported (server speaks %d)", version, ProtoVersion)
 	}
-	// Echo the client's (validated) version: a v1 client on a v2 server keeps
-	// its v1 contract — CANCEL simply never arrives from it.
+	// Echo the client's (validated) version: an older client keeps its exact
+	// contract — a v1 client never sends CANCEL, a v1/v2 client gets ROWS
+	// pages in the row layout.
+	s.proto = version
 	var w WBuf
 	w.U16(version)
 	w.Str("maybmsd")
@@ -516,11 +522,6 @@ func (s *session) exec(r *RBuf) (byte, []byte, *protoErr) {
 	c := &cursor{
 		rows: rows, cols: cols, hasConf: res.Mode != sql.ModePlain,
 		total: rows.Len(), mem: mem,
-		vals: make([]relation.Value, len(cols)),
-	}
-	c.dests = make([]any, len(cols))
-	for i := range c.vals {
-		c.dests[i] = &c.vals[i]
 	}
 	s.nextCursor++
 	cid := s.nextCursor
@@ -538,11 +539,18 @@ func (s *session) exec(r *RBuf) (byte, []byte, *protoErr) {
 	return OpExecOK, w.B, nil
 }
 
+// maxKeptPage bounds the page buffer a session keeps between FETCHes: a
+// default-sized page (4096 rows of 50 columns is 800 KiB) is reused, a
+// near-MaxFrame one is not held by an idle session.
+const maxKeptPage = 1 << 20
+
 // fetch streams the next batch of a cursor: at most min(asked, FetchBatch)
-// tuples per frame, so a huge result crosses the wire in bounded frames and
-// is never rendered into one response buffer. An exhausted cursor reports
-// done and is closed server-side (its arena returns to the pool at once);
-// the client treats done as an implicit CLOSE_CURSOR.
+// tuples per frame, and never more than fit in MaxFrame, so a huge result
+// crosses the wire in bounded frames and is never rendered into one response
+// buffer. A batch is one sql.Rows block, so it ends early at a shard
+// segment's boundary. An exhausted cursor reports done and is closed
+// server-side (its arena returns to the pool at once); the client treats
+// done as an implicit CLOSE_CURSOR.
 func (s *session) fetch(r *RBuf) (byte, []byte, *protoErr) {
 	id := r.U32()
 	asked := int(r.U32())
@@ -556,37 +564,27 @@ func (s *session) fetch(r *RBuf) (byte, []byte, *protoErr) {
 	if asked <= 0 || asked > s.srv.cfg.FetchBatch {
 		asked = s.srv.cfg.FetchBatch
 	}
-	var w WBuf
-	w.U8(0) // done flag, patched below
-	if c.hasConf {
-		w.U8(1)
-	} else {
-		w.U8(0)
+	// MaxFrame counts the opcode byte too.
+	rowBytes := RowBytes(len(c.cols), c.hasConf, s.proto)
+	if rowBytes > 0 {
+		asked = min(asked, (MaxFrame-1-RowsHeader)/rowBytes)
 	}
-	countAt := len(w.B)
-	w.U32(0) // row count, patched below
-	n := 0
-	for n < asked && c.rows.Next() {
-		if err := c.rows.Scan(c.dests...); err != nil {
-			// Unreachable on the engine path (every template value scans into
-			// *relation.Value), but a future backend may fail mid-row.
-			return 0, nil, perr(ErrInternal, "scanning row %d: %v", c.fetched+n, err)
-		}
-		for _, v := range c.vals {
-			w.Value(v)
-		}
-		if c.hasConf {
-			w.F64(c.rows.Conf())
-		}
-		n++
+	n, cols, confs := c.rows.NextBlock(asked)
+	payload := slices.Grow(s.page[:0], RowsHeader+n*rowBytes)
+	if s.proto >= 3 {
+		payload = appendPage(payload, c.hasConf, n, cols, confs)
+	} else {
+		payload = appendRowPage(payload, c.hasConf, n, cols, confs)
+	}
+	if cap(payload) <= maxKeptPage {
+		s.page = payload
 	}
 	c.fetched += n
-	putU32(w.B[countAt:], uint32(n))
 	if c.fetched >= c.total {
-		w.B[0] = 1
+		payload[0] = 1
 		s.closeCursor(id, c)
 	}
-	return OpRows, w.B, nil
+	return OpRows, payload, nil
 }
 
 func (s *session) materialize(r *RBuf) (byte, []byte, *protoErr) {
@@ -665,12 +663,4 @@ func (s *session) cleanup() {
 		s.closeCursor(id, c)
 	}
 	s.conn.Close()
-}
-
-// putU32 patches a big-endian u32 in place (reserved payload slots).
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
 }

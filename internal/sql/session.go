@@ -349,6 +349,11 @@ type Rows struct {
 	result *Result
 	idx    int
 	closed bool
+	// block and blockConfs are NextBlock's reused output: column slice
+	// headers (and, for a mode result, the gathered columns) of the last
+	// block handed out.
+	block      [][]int32
+	blockConfs []float64
 }
 
 // Columns returns the output attribute names.
@@ -485,14 +490,65 @@ func (r *Rows) current() (tuple []int32, rel *engine.Relation, row int) {
 	if r.result.Mode != ModePlain {
 		return r.result.Tuples[r.idx].Tuple, nil, 0
 	}
-	row = r.idx
+	rel, row = r.segAt(r.idx)
+	return nil, rel, row
+}
+
+// segAt locates plain-result row i: its segment relation and the row within
+// it (nil past the end). Empty segments are skipped.
+func (r *Rows) segAt(i int) (*engine.Relation, int) {
 	for _, seg := range r.result.segs {
-		if row < seg.rel.NumRows() {
-			return nil, seg.rel, row
+		if i < seg.rel.NumRows() {
+			return seg.rel, i
 		}
-		row -= seg.rel.NumRows()
+		i -= seg.rel.NumRows()
 	}
-	return nil, nil, 0
+	return nil, 0
+}
+
+// NextBlock advances past the next n ≤ max rows and returns them column by
+// column in the engine's encoding (a '?' field is engine.Placeholder), with
+// their confidences for a CONF()/POSSIBLE/CERTAIN result (nil for a plain
+// one). A plain block is a zero-copy window on one segment's columns, so it
+// never crosses a segment boundary and may hold fewer than max rows; a mode
+// block is gathered from the answer tuples. n is 0 only once the rows are
+// exhausted (or closed). The slices stay valid until the next NextBlock or
+// Close. Afterwards the last row of the block is the current row.
+func (r *Rows) NextBlock(max int) (n int, cols [][]int32, confs []float64) {
+	start := r.idx + 1
+	if r.closed || max <= 0 || start >= r.Len() {
+		return 0, nil, nil
+	}
+	ncols := len(r.result.Attrs)
+	if cap(r.block) < ncols {
+		r.block = make([][]int32, ncols)
+	}
+	cols = r.block[:ncols]
+	if r.result.Mode == ModePlain {
+		rel, row := r.segAt(start)
+		n = min(max, rel.NumRows()-row)
+		for c := range cols {
+			cols[c] = rel.Cols[c][row : row+n : row+n]
+		}
+		r.idx += n
+		return n, cols, nil
+	}
+	tuples := r.result.Tuples[start:min(start+max, len(r.result.Tuples))]
+	n = len(tuples)
+	for c := range cols {
+		col := cols[c][:0]
+		for _, tc := range tuples {
+			col = append(col, tc.Tuple[c])
+		}
+		cols[c] = col
+	}
+	confs = r.blockConfs[:0]
+	for _, tc := range tuples {
+		confs = append(confs, tc.Conf)
+	}
+	r.blockConfs = confs
+	r.idx += n
+	return n, cols, confs
 }
 
 // Close releases the result by returning its arenas to the engine's pool —

@@ -109,6 +109,52 @@ func modeTable(t *testing.T, rows *Rows) []string {
 	return out
 }
 
+// TestRowsNextBlock: draining a result in blocks yields the rows, order and
+// confidences of Next/Scan, for plain (multi-segment) and mode results alike.
+func TestRowsNextBlock(t *testing.T) {
+	db := Open(shardedStore(t, 4, 500))
+	if err := db.EnableSharding(3, 3); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range shardDiffQueries {
+		rows, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := modeTable(t, rows)
+		if rows, err = db.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for {
+			n, cols, confs := rows.NextBlock(7)
+			if n == 0 {
+				break
+			}
+			for i := 0; i < n; i++ {
+				var sb strings.Builder
+				for _, col := range cols {
+					v := relation.Int(int64(col[i]))
+					if col[i] == engine.Placeholder {
+						v = relation.Placeholder()
+					}
+					fmt.Fprintf(&sb, "%s|", v)
+				}
+				var conf float64
+				if confs != nil {
+					conf = confs[i]
+				}
+				fmt.Fprintf(&sb, "%016x", math.Float64bits(conf))
+				got = append(got, sb.String())
+			}
+		}
+		rows.Close()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: NextBlock drained %d rows, Next/Scan %d, or they differ", q, len(got), len(want))
+		}
+	}
+}
+
 var shardDiffQueries = []string{
 	// Distributable: run morsel-parallel across the shards.
 	"SELECT * FROM R",
