@@ -9,11 +9,13 @@
 //	conf_single_pass single_pass_ns per size (lower is better)
 //	conf_native      native_ns per size (lower is better)
 //	except_native    native_ns per size (lower is better)
-//	parallel         qps per (workers, mode) point (higher is better)
-//	server_qps       qps per connection count (higher is better)
 //	bulk_load        ingest rows/s per size (higher is better)
 //	snapshot_restore restore_ns per size (lower is better)
-//	shard_scaling    elapsed_ns per shard count (lower is better)
+//
+// Only files measured on the same host are compared: each file records the
+// host that measured it (cores, GOMAXPROCS, Go version), and when the two
+// hosts differ, or a file records none, benchdiff prints both and gates
+// nothing — a ratio across hosts is not a measurement.
 //
 // Entries present in only one file are reported but never fail the run
 // (series appear and disappear as figures are added) — each skipped point
@@ -23,28 +25,36 @@
 // A zero or negative measurement on either side of a gated point — a
 // malformed or truncated results file — is reported and skipped rather than
 // divided into a NaN/Inf ratio that would read as a spurious pass or fail.
-// The parallel, server_qps and shard_scaling series only measure real
-// scaling on multi-core hosts; each point records the core count of the host
-// that measured it, and a point is gated only when both baseline and
-// candidate were measured on at least -mincores cores (default 2) —
-// otherwise it is reported but skipped, so a starved host cannot fail the
-// job on scheduler noise (files from before the cores field fall back to
-// the diffing host's count).
 //
 // Usage:
 //
-//	benchdiff -old baseline.json -new BENCH_results.json [-threshold 0.25] [-mincores 2]
+//	benchdiff -old baseline.json -new BENCH_results.json [-threshold 0.25]
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 )
 
+// host is the measuring machine a results file records.
+type host struct {
+	Cores      int    `json:"cores"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+}
+
+func (h *host) String() string {
+	if h == nil {
+		return "none recorded"
+	}
+	return fmt.Sprintf("cores=%d gomaxprocs=%d %s", h.Cores, h.GOMAXPROCS, h.Go)
+}
+
 type results struct {
+	Host     *host `json:"host"`
 	Prepared []struct {
 		Query   string  `json:"query"`
 		Rows    int     `json:"rows"`
@@ -71,21 +81,6 @@ type results struct {
 		Density  float64 `json:"density"`
 		NativeNS int64   `json:"native_ns"`
 	} `json:"except_native"`
-	Parallel []struct {
-		Workers int     `json:"workers"`
-		Mode    string  `json:"mode"`
-		Rows    int     `json:"rows"`
-		Density float64 `json:"density"`
-		QPS     float64 `json:"qps"`
-		Cores   int     `json:"cores"`
-	} `json:"parallel"`
-	ServerQPS []struct {
-		Conns   int     `json:"conns"`
-		Rows    int     `json:"rows"`
-		Density float64 `json:"density"`
-		QPS     float64 `json:"qps"`
-		Cores   int     `json:"cores"`
-	} `json:"server_qps"`
 	BulkLoad []struct {
 		Rows       int     `json:"rows"`
 		Density    float64 `json:"density"`
@@ -96,13 +91,14 @@ type results struct {
 		Density   float64 `json:"density"`
 		RestoreNS int64   `json:"restore_ns"`
 	} `json:"snapshot_restore"`
-	ShardScaling []struct {
-		Shards    int     `json:"shards"`
-		Rows      int     `json:"rows"`
-		Density   float64 `json:"density"`
-		ElapsedNS int64   `json:"elapsed_ns"`
-		Cores     int     `json:"cores"`
-	} `json:"shard_scaling"`
+}
+
+// point is one gated measurement: a latency in ns (lower is better) or, when
+// rate is set, a throughput (higher is better).
+type point struct {
+	series, key string
+	value       float64
+	rate        bool
 }
 
 // cfg renders the workload parameters of a point; it is part of every
@@ -113,23 +109,114 @@ func cfg(rows int, density float64) string {
 	return fmt.Sprintf("%d@%.4g%%", rows, density*100)
 }
 
+// points flattens the gated series of a results file, in file order.
+func (r *results) points() []point {
+	var out []point
+	for _, p := range r.Prepared {
+		out = append(out, point{"prepared", p.Query + " " + cfg(p.Rows, p.Density), float64(p.MeanNS), false})
+	}
+	for _, p := range r.Conf {
+		out = append(out, point{"conf_bridge", cfg(p.Rows, p.Density), float64(p.ScopedNS), false})
+	}
+	for _, p := range r.ConfPass {
+		out = append(out, point{"conf_single_pass", cfg(p.Rows, p.Density), float64(p.SinglePassNS), false})
+	}
+	for _, p := range r.ConfNative {
+		out = append(out, point{"conf_native", cfg(p.Rows, p.Density), float64(p.NativeNS), false})
+	}
+	for _, p := range r.ExceptNative {
+		out = append(out, point{"except_native", cfg(p.Rows, p.Density), float64(p.NativeNS), false})
+	}
+	for _, p := range r.BulkLoad {
+		out = append(out, point{"bulk_load", cfg(p.Rows, p.Density), p.RowsPerSec, true})
+	}
+	for _, p := range r.SnapshotRestore {
+		out = append(out, point{"snapshot_restore", cfg(p.Rows, p.Density), float64(p.RestoreNS), false})
+	}
+	return out
+}
+
+func parse(data []byte) (*results, error) {
+	var r results
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
 func load(path string) (*results, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var r results
-	if err := json.Unmarshal(data, &r); err != nil {
+	r, err := parse(data)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &r, nil
+	return r, nil
+}
+
+// compare reports every candidate point against the baseline on w and
+// returns how many regressed more than threshold. Files measured on
+// different hosts, or without a host record, are not compared at all.
+func compare(w io.Writer, oldR, newR *results, oldName string, threshold float64) int {
+	if oldR.Host == nil || newR.Host == nil || *oldR.Host != *newR.Host {
+		fmt.Fprintf(w, "baseline host:  %s\ncandidate host: %s\n", oldR.Host, newR.Host)
+		fmt.Fprintln(w, "benchdiff: not comparable: nothing gated")
+		return 0
+	}
+	baseline := make(map[string]float64)
+	for _, p := range oldR.points() {
+		baseline[p.series+" "+p.key] = p.value
+	}
+	regressed := 0
+	// A point the baseline lacks is reported and skipped (series and
+	// configurations appear and disappear across revisions), and named again
+	// in the end-of-run summary.
+	missing := make(map[string]int)
+	var missingOrder []string
+	for _, p := range newR.points() {
+		base, ok := baseline[p.series+" "+p.key]
+		switch {
+		case !ok:
+			if missing[p.series] == 0 {
+				missingOrder = append(missingOrder, p.series)
+			}
+			missing[p.series]++
+			fmt.Fprintf(w, "%-18s %-28s (no baseline for this %s point)\n", p.series, p.key, p.series)
+		case base <= 0 || p.value <= 0:
+			// Dividing by a non-positive measurement would turn a broken
+			// results file into a 0/NaN/Inf ratio — a spurious pass or fail
+			// instead of a visible data problem.
+			fmt.Fprintf(w, "%-18s %-28s (skipped: non-positive value — baseline %g, candidate %g)\n", p.series, p.key, base, p.value)
+		default:
+			// ratio > 1 means the candidate is slower; a throughput is
+			// slower when it is lower, so its ratio is inverted.
+			ratio := p.value / base
+			if p.rate {
+				ratio = base / p.value
+			}
+			verdict := "ok"
+			if ratio > 1+threshold {
+				verdict = "REGRESSED"
+				regressed++
+			}
+			fmt.Fprintf(w, "%-18s %-28s %+7.1f%%  %s\n", p.series, p.key, (ratio-1)*100, verdict)
+		}
+	}
+	for _, series := range missingOrder {
+		fmt.Fprintf(w, "benchdiff: series %s: %d point(s) had no baseline in %s (skipped, not gated)\n", series, missing[series], oldName)
+	}
+	if regressed == 0 {
+		fmt.Fprintln(w, "benchdiff: no regression beyond threshold")
+	}
+	return regressed
 }
 
 func main() {
 	oldPath := flag.String("old", "", "baseline results file")
 	newPath := flag.String("new", "BENCH_results.json", "candidate results file")
 	threshold := flag.Float64("threshold", 0.25, "maximum tolerated slowdown (0.25 = 25%)")
-	minCores := flag.Int("mincores", 2, "minimum CPU cores for gating the parallel series (below: report, never fail)")
 	flag.Parse()
 	if *oldPath == "" {
 		fmt.Fprintln(os.Stderr, "benchdiff: -old is required")
@@ -140,201 +227,10 @@ func main() {
 	newR, err := load(*newPath)
 	fail(err)
 
-	regressed := 0
-	// check compares one point; ratio > 1 means the candidate is slower.
-	check := func(series, key string, ratio float64) {
-		verdict := "ok"
-		if ratio > 1+*threshold {
-			verdict = "REGRESSED"
-			regressed++
-		}
-		fmt.Printf("%-18s %-28s %+7.1f%%  %s\n", series, key, (ratio-1)*100, verdict)
-	}
-	// noBaseline reports a point the baseline file lacks, naming the series
-	// both on the point's line and in the end-of-run summary.
-	missing := make(map[string]int)
-	var missingOrder []string
-	noBaseline := func(series, key string) {
-		if missing[series] == 0 {
-			missingOrder = append(missingOrder, series)
-		}
-		missing[series]++
-		fmt.Printf("%-18s %-28s (no baseline for this %s point)\n", series, key, series)
-	}
-	// checkNS gates one nanosecond-metric point against its baseline map. A
-	// missing baseline is reported and skipped (series and configurations
-	// appear and disappear across revisions); a zero or negative ns on
-	// either side is reported and skipped too — dividing by it would turn a
-	// broken results file into a 0/NaN/Inf ratio, i.e. a spurious pass or a
-	// spurious failure, instead of a visible data problem.
-	checkNS := func(series string, baseline map[string]int64, key string, newNS int64) {
-		base, ok := baseline[key]
-		switch {
-		case !ok:
-			noBaseline(series, key)
-		case base <= 0 || newNS <= 0:
-			fmt.Printf("%-18s %-28s (skipped: non-positive ns — baseline %d, candidate %d)\n", series, key, base, newNS)
-		default:
-			check(series, key, float64(newNS)/float64(base))
-		}
-	}
-
-	oldPrepared := make(map[string]int64)
-	for _, p := range oldR.Prepared {
-		oldPrepared[p.Query+" "+cfg(p.Rows, p.Density)] = p.MeanNS
-	}
-	for _, p := range newR.Prepared {
-		checkNS("prepared", oldPrepared, p.Query+" "+cfg(p.Rows, p.Density), p.MeanNS)
-	}
-	oldConf := make(map[string]int64)
-	for _, p := range oldR.Conf {
-		oldConf[cfg(p.Rows, p.Density)] = p.ScopedNS
-	}
-	for _, p := range newR.Conf {
-		checkNS("conf_bridge", oldConf, cfg(p.Rows, p.Density), p.ScopedNS)
-	}
-	oldPass := make(map[string]int64)
-	for _, p := range oldR.ConfPass {
-		oldPass[cfg(p.Rows, p.Density)] = p.SinglePassNS
-	}
-	for _, p := range newR.ConfPass {
-		checkNS("conf_single_pass", oldPass, cfg(p.Rows, p.Density), p.SinglePassNS)
-	}
-	oldNative := make(map[string]int64)
-	for _, p := range oldR.ConfNative {
-		oldNative[cfg(p.Rows, p.Density)] = p.NativeNS
-	}
-	for _, p := range newR.ConfNative {
-		checkNS("conf_native", oldNative, cfg(p.Rows, p.Density), p.NativeNS)
-	}
-	oldExcept := make(map[string]int64)
-	for _, p := range oldR.ExceptNative {
-		oldExcept[cfg(p.Rows, p.Density)] = p.NativeNS
-	}
-	for _, p := range newR.ExceptNative {
-		checkNS("except_native", oldExcept, cfg(p.Rows, p.Density), p.NativeNS)
-	}
-	// Minimum-core guard: parallel throughput measured on a starved host
-	// reflects the scheduler, not the engine. Each point records the core
-	// count of the host that measured it (files from before the field fall
-	// back to this host's count); a point is gated only when both sides
-	// were measured on at least -mincores cores, and reported otherwise.
-	cores := func(recorded int) int {
-		if recorded > 0 {
-			return recorded
-		}
-		return runtime.NumCPU()
-	}
-	type parBase struct {
-		qps   float64
-		cores int
-	}
-	oldPar := make(map[string]parBase)
-	for _, p := range oldR.Parallel {
-		oldPar[fmt.Sprintf("w=%d/%s %s", p.Workers, p.Mode, cfg(p.Rows, p.Density))] = parBase{p.QPS, cores(p.Cores)}
-	}
-	for _, p := range newR.Parallel {
-		key := fmt.Sprintf("w=%d/%s %s", p.Workers, p.Mode, cfg(p.Rows, p.Density))
-		base, ok := oldPar[key]
-		switch {
-		case !ok:
-			noBaseline("parallel", key)
-		case base.qps <= 0 || p.QPS <= 0:
-			// A zero qps on either side is a broken measurement; inverting
-			// it would gate on a 0 or Inf ratio.
-			fmt.Printf("%-18s %-28s (skipped: non-positive qps — baseline %.1f, candidate %.1f)\n", "parallel", key, base.qps, p.QPS)
-		case cores(p.Cores) < *minCores || base.cores < *minCores:
-			fmt.Printf("%-18s %-28s (skipped: measured below %d cores)\n", "parallel", key, *minCores)
-		default:
-			// Throughput: slower means lower qps, so invert the ratio.
-			check("parallel", key, base.qps/p.QPS)
-		}
-	}
-
-	// The server_qps series measures network throughput with concurrent
-	// clients; like parallel it is only trustworthy on multi-core hosts, so
-	// it reuses the same -mincores guard and the inverted throughput ratio.
-	oldSrv := make(map[string]parBase)
-	for _, p := range oldR.ServerQPS {
-		oldSrv[fmt.Sprintf("c=%d %s", p.Conns, cfg(p.Rows, p.Density))] = parBase{p.QPS, cores(p.Cores)}
-	}
-	for _, p := range newR.ServerQPS {
-		key := fmt.Sprintf("c=%d %s", p.Conns, cfg(p.Rows, p.Density))
-		base, ok := oldSrv[key]
-		switch {
-		case !ok:
-			noBaseline("server_qps", key)
-		case base.qps <= 0 || p.QPS <= 0:
-			fmt.Printf("%-18s %-28s (skipped: non-positive qps — baseline %.1f, candidate %.1f)\n", "server_qps", key, base.qps, p.QPS)
-		case cores(p.Cores) < *minCores || base.cores < *minCores:
-			fmt.Printf("%-18s %-28s (skipped: measured below %d cores)\n", "server_qps", key, *minCores)
-		default:
-			check("server_qps", key, base.qps/p.QPS)
-		}
-	}
-
-	// The bulk_load series is a throughput (rows/s): like qps, slower means a
-	// lower rate, so the gating ratio is inverted.
-	oldBulk := make(map[string]float64)
-	for _, p := range oldR.BulkLoad {
-		oldBulk[cfg(p.Rows, p.Density)] = p.RowsPerSec
-	}
-	for _, p := range newR.BulkLoad {
-		key := cfg(p.Rows, p.Density)
-		base, ok := oldBulk[key]
-		switch {
-		case !ok:
-			noBaseline("bulk_load", key)
-		case base <= 0 || p.RowsPerSec <= 0:
-			fmt.Printf("%-18s %-28s (skipped: non-positive rows/s — baseline %.0f, candidate %.0f)\n", "bulk_load", key, base, p.RowsPerSec)
-		default:
-			check("bulk_load", key, base/p.RowsPerSec)
-		}
-	}
-	// The snapshot_restore series is a latency, gated like the ns series.
-	oldRestore := make(map[string]int64)
-	for _, p := range oldR.SnapshotRestore {
-		oldRestore[cfg(p.Rows, p.Density)] = p.RestoreNS
-	}
-	for _, p := range newR.SnapshotRestore {
-		checkNS("snapshot_restore", oldRestore, cfg(p.Rows, p.Density), p.RestoreNS)
-	}
-	// The shard_scaling series is a latency (elapsed_ns per shard count),
-	// but sharded points above one shard only show real scaling on
-	// multi-core hosts — they reuse the parallel series' -mincores guard.
-	// The 1-shard baseline point is pure single-threaded latency and is
-	// gated unconditionally, like the other ns series.
-	type shardBase struct {
-		ns    int64
-		cores int
-	}
-	oldShard := make(map[string]shardBase)
-	for _, p := range oldR.ShardScaling {
-		oldShard[fmt.Sprintf("s=%d %s", p.Shards, cfg(p.Rows, p.Density))] = shardBase{p.ElapsedNS, cores(p.Cores)}
-	}
-	for _, p := range newR.ShardScaling {
-		key := fmt.Sprintf("s=%d %s", p.Shards, cfg(p.Rows, p.Density))
-		base, ok := oldShard[key]
-		switch {
-		case !ok:
-			noBaseline("shard_scaling", key)
-		case base.ns <= 0 || p.ElapsedNS <= 0:
-			fmt.Printf("%-18s %-28s (skipped: non-positive ns — baseline %d, candidate %d)\n", "shard_scaling", key, base.ns, p.ElapsedNS)
-		case p.Shards > 1 && (cores(p.Cores) < *minCores || base.cores < *minCores):
-			fmt.Printf("%-18s %-28s (skipped: measured below %d cores)\n", "shard_scaling", key, *minCores)
-		default:
-			check("shard_scaling", key, float64(p.ElapsedNS)/float64(base.ns))
-		}
-	}
-
-	for _, series := range missingOrder {
-		fmt.Printf("benchdiff: series %s: %d point(s) had no baseline in %s (skipped, not gated)\n", series, missing[series], *oldPath)
-	}
-	if regressed > 0 {
+	if regressed := compare(os.Stdout, oldR, newR, *oldPath, *threshold); regressed > 0 {
 		fmt.Fprintf(os.Stderr, "benchdiff: %d series regressed more than %.0f%%\n", regressed, *threshold*100)
 		os.Exit(1)
 	}
-	fmt.Println("benchdiff: no regression beyond threshold")
 }
 
 func fail(err error) {

@@ -1,29 +1,21 @@
 // Command census-experiment regenerates the tables and series behind the
 // paper's evaluation (Section 9): Figure 26 (chase times), Figure 27 (UWSDT
 // characteristics), Figure 28 (component size distribution) and Figure 30
-// (query evaluation times, with the 0% one-world baseline). Two extra
-// figures measure the session API: "prepared" runs the Figure 29 queries as
-// prepared statements through DB/Stmt/Rows (plan once, run many, including
-// a parameterized plan bound with different values per run), "conf"
-// compares the scoped CONF() bridge (only components reachable from the
-// result) against converting the whole store, the single-pass confidence
+// (query evaluation times, with the 0% one-world baseline). Further figures
+// measure the engine paths built on them: "prepared" runs the Figure 29
+// queries as prepared statements through DB/Stmt/Rows (plan once, run many,
+// including a parameterized plan bound with different values per run),
+// "conf" compares the scoped CONF() bridge (only components reachable from
+// the result) against converting the whole store, the single-pass confidence
 // computation against the per-tuple rescan it replaced, and the native
 // columnar confidence path (conf_native, no WSD at all) against the scoped
-// bridge, "parallel"
-// measures concurrent SELECT throughput of the snapshot/arena engine
-// against PR 2's lock-serialized execution model at 1, 2 and 4 workers, and
-// "except" compares the native difference operator (engine-path EXCEPT,
-// except_native) against per-world evaluation of the same statement over
-// enumerated world-sets, and "server" pushes the same prepared Q1 through
-// maybmsd's wire protocol (internal/server) at 1–8 client connections —
-// end-to-end network throughput against the in-process parallel ceiling.
-// "load" measures bulk ingest (internal/storage's BulkLoader against the
-// row-at-a-time path it replaced) and "restore" measures loading a binary
-// snapshot against re-ingesting and re-chasing the same store. "shard"
-// measures the census CONF query morsel-parallel across 1/2/4/8 shards
-// partitioned by component connectivity (-rows sets the relation size, up
-// to 1M), checking the sharded answers byte-identical to the unsharded
-// fold.
+// bridge, "except" compares the native difference operator (engine-path
+// EXCEPT, except_native) against per-world evaluation of the same statement
+// over enumerated world-sets, "load" measures bulk ingest (internal/storage's
+// BulkLoader against the row-at-a-time path it replaced) and "restore"
+// measures loading a binary snapshot against re-ingesting and re-chasing the
+// same store. Throughput and latency of the served path are measured by the
+// benchmark/ module against the real maybmsd binary, not here.
 //
 // Usage:
 //
@@ -32,7 +24,7 @@
 //	census-experiment -fig 30 -json results.json
 //	census-experiment -fig prepared -reps 10
 //	census-experiment -fig conf
-//	census-experiment -fig prepared,conf,parallel,except -queries 400
+//	census-experiment -fig prepared,conf,except
 //
 // Densities are fractions (0.001 = 0.1%). The paper's sweep is 0.1M–12.5M
 // tuples at densities 0.005%–0.1%; defaults here are laptop-scale.
@@ -40,6 +32,8 @@
 // Besides the printed tables, the measurements of every figure that ran are
 // written as machine-readable JSON (default BENCH_results.json; -json ""
 // disables) so the performance trajectory can be tracked across revisions.
+// The file's "host" object records the measuring host; cmd/benchdiff gates
+// only results measured on the same host.
 package main
 
 import (
@@ -47,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -58,6 +53,7 @@ import (
 // benchJSON is the machine-readable result file: one entry per measurement,
 // durations in nanoseconds and fractional milliseconds.
 type benchJSON struct {
+	Host      hostJSON         `json:"host"`
 	Seed      int64            `json:"seed"`
 	Sizes     []int            `json:"sizes"`
 	Densities []float64        `json:"densities"`
@@ -71,37 +67,22 @@ type benchJSON struct {
 	// ConfNative is the PR 4 series: confidence computed natively on the
 	// columnar engine vs the WSD bridge, on the same materialized result.
 	ConfNative []confNativeJSON `json:"conf_native,omitempty"`
-	Parallel   []parallelJSON   `json:"parallel,omitempty"` // concurrent SELECT throughput
 	// ExceptNative is the PR 5 series: EXCEPT run natively on the columnar
 	// engine (engine.Difference) vs the per-world evaluator it replaced.
 	ExceptNative []exceptJSON `json:"except_native,omitempty"`
-	// ServerQPS is the PR 6 series: the same prepared Q1 as the parallel
-	// series, but through maybmsd's wire protocol — end-to-end network
-	// throughput at increasing client connection counts.
-	ServerQPS []serverJSON `json:"server_qps,omitempty"`
 	// BulkLoad and SnapshotRestore are the PR 7 durability series: the bulk
 	// loader against the row-at-a-time ingest it replaced, and a snapshot
 	// restore against re-ingest + re-chase.
 	BulkLoad        []bulkLoadJSON `json:"bulk_load,omitempty"`
 	SnapshotRestore []restoreJSON  `json:"snapshot_restore,omitempty"`
-	// ShardScaling is the PR 8 series: the census CONF query morsel-parallel
-	// across 1/2/4/8 shards (partitioned by component connectivity), answers
-	// byte-identical to the unsharded fold.
-	ShardScaling []shardJSON `json:"shard_scaling,omitempty"`
 }
 
-type shardJSON struct {
-	Shards    int     `json:"shards"`
-	Workers   int     `json:"workers"`
-	Rows      int     `json:"rows"`
-	Density   float64 `json:"density"`
-	Answers   int     `json:"answers"`
-	ElapsedNS int64   `json:"elapsed_ns"`
-	ElapsedMS float64 `json:"elapsed_ms"`
-	Speedup   float64 `json:"speedup"`
-	// Cores is runtime.GOMAXPROCS on the measuring host; benchdiff skips
-	// gating points measured below its -mincores threshold.
-	Cores int `json:"cores"`
+// hostJSON identifies the machine and toolchain that measured a results
+// file: timings from different hosts are not comparable.
+type hostJSON struct {
+	Cores      int    `json:"cores"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
 }
 
 type bulkLoadJSON struct {
@@ -125,18 +106,6 @@ type restoreJSON struct {
 	Speedup    float64 `json:"speedup"`
 }
 
-type serverJSON struct {
-	Conns     int     `json:"conns"`
-	Rows      int     `json:"rows"`
-	Density   float64 `json:"density"`
-	Queries   int     `json:"queries"`
-	ElapsedNS int64   `json:"elapsed_ns"`
-	QPS       float64 `json:"qps"`
-	// Cores is runtime.NumCPU on the measuring host; benchdiff skips
-	// gating points measured below its -mincores threshold.
-	Cores int `json:"cores"`
-}
-
 type exceptJSON struct {
 	Rows       int     `json:"rows"`
 	Density    float64 `json:"density"`
@@ -146,19 +115,6 @@ type exceptJSON struct {
 	NativeNS   int64   `json:"native_ns"`
 	PerWorldNS int64   `json:"per_world_ns"`
 	Speedup    float64 `json:"speedup"`
-}
-
-type parallelJSON struct {
-	Workers   int     `json:"workers"`
-	Mode      string  `json:"mode"` // "parallel" (snapshot/arena) or "serialized" (PR 2 model)
-	Rows      int     `json:"rows"`
-	Density   float64 `json:"density"`
-	Queries   int     `json:"queries"`
-	ElapsedNS int64   `json:"elapsed_ns"`
-	QPS       float64 `json:"qps"`
-	// Cores is runtime.NumCPU on the measuring host; benchdiff skips
-	// gating points measured below its -mincores threshold.
-	Cores int `json:"cores"`
 }
 
 type confNativeJSON struct {
@@ -234,13 +190,11 @@ type queryJSON struct {
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 func main() {
-	fig := flag.String("fig", "all", "comma-separated figures to regenerate: 26, 27, 28, 30, prepared, conf, parallel, except, server, load, restore, shard or all")
+	fig := flag.String("fig", "all", "comma-separated figures to regenerate: 26, 27, 28, 30, prepared, conf, except, load, restore or all")
 	sizesFlag := flag.String("sizes", "", "comma-separated relation sizes (default 100000,250000,500000,1000000)")
 	densFlag := flag.String("densities", "", "comma-separated densities as fractions (default 0.00005,0.0001,0.0005,0.001)")
 	seed := flag.Int64("seed", 42, "random seed")
 	reps := flag.Int("reps", 5, "executions per prepared statement (-fig prepared)")
-	queries := flag.Int("queries", 200, "executions per throughput measurement (-fig parallel)")
-	shardRows := flag.Int("rows", 0, "relation size for -fig shard, up to 1000000 (0 = largest configured size)")
 	jsonPath := flag.String("json", "BENCH_results.json", "write machine-readable results to this file (empty disables)")
 	flag.Parse()
 
@@ -257,13 +211,16 @@ func main() {
 		fail(err)
 	}
 
-	out := benchJSON{Seed: *seed, Sizes: sizes, Densities: densities}
+	out := benchJSON{
+		Host: hostJSON{Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), Go: runtime.Version()},
+		Seed: *seed, Sizes: sizes, Densities: densities,
+	}
 	wanted := make(map[string]bool)
-	known := map[string]bool{"all": true, "26": true, "27": true, "28": true, "30": true, "prepared": true, "conf": true, "parallel": true, "except": true, "server": true, "load": true, "restore": true, "shard": true}
+	known := map[string]bool{"all": true, "26": true, "27": true, "28": true, "30": true, "prepared": true, "conf": true, "except": true, "load": true, "restore": true}
 	for _, f := range strings.Split(*fig, ",") {
 		f = strings.TrimSpace(f)
 		if !known[f] {
-			fmt.Fprintf(os.Stderr, "census-experiment: unknown figure %q (want 26, 27, 28, 30, prepared, conf, parallel, except, server, load, restore, shard or all)\n", f)
+			fmt.Fprintf(os.Stderr, "census-experiment: unknown figure %q (want 26, 27, 28, 30, prepared, conf, except, load, restore or all)\n", f)
 			os.Exit(2)
 		}
 		wanted[f] = true
@@ -383,25 +340,6 @@ func main() {
 			})
 		}
 	}
-	if run("parallel") {
-		// Throughput runs at the first configured size and highest density:
-		// the point is the scaling across workers, not another size sweep.
-		points, err := bench.ParallelQueries(sizes[0], densities[len(densities)-1], *seed, *queries, []int{1, 2, 4})
-		fail(err)
-		bench.PrintParallel(os.Stdout, points)
-		fmt.Println()
-		for _, p := range points {
-			mode := "parallel"
-			if p.Serialized {
-				mode = "serialized"
-			}
-			out.Parallel = append(out.Parallel, parallelJSON{
-				Workers: p.Workers, Mode: mode, Rows: p.Rows, Density: p.Density,
-				Queries: p.Queries, ElapsedNS: p.Elapsed.Nanoseconds(), QPS: p.QPS,
-				Cores: p.Cores,
-			})
-		}
-	}
 	if run("except") {
 		// EXCEPT runs at the conf_bridge sizes: small enough that the
 		// per-world baseline can enumerate its world-set, large enough that
@@ -422,22 +360,6 @@ func main() {
 				ResultRows: p.ResultRows,
 				NativeNS:   p.Native.Nanoseconds(), PerWorldNS: p.PerWorld.Nanoseconds(),
 				Speedup: float64(p.PerWorld) / float64(p.Native),
-			})
-		}
-	}
-	if run("server") {
-		// Server throughput runs at the parallel series' configuration so
-		// the in-process qps is directly comparable: the gap between the
-		// two series is the cost of the wire protocol.
-		points, err := bench.ServerQueries(sizes[0], densities[len(densities)-1], *seed, *queries, []int{1, 2, 4, 8})
-		fail(err)
-		bench.PrintServer(os.Stdout, points)
-		fmt.Println()
-		for _, p := range points {
-			out.ServerQPS = append(out.ServerQPS, serverJSON{
-				Conns: p.Conns, Rows: p.Rows, Density: p.Density,
-				Queries: p.Queries, ElapsedNS: p.Elapsed.Nanoseconds(), QPS: p.QPS,
-				Cores: p.Cores,
 			})
 		}
 	}
@@ -464,27 +386,6 @@ func main() {
 				Rows: p.Rows, Density: p.Density, OrSets: p.OrSets, Bytes: p.Bytes,
 				RestoreNS: p.Restore.Nanoseconds(), RestoreMS: ms(p.Restore),
 				ReingestNS: p.Reingest.Nanoseconds(), Speedup: p.Speedup,
-			})
-		}
-	}
-	if run("shard") {
-		// Shard scaling runs at one size (-rows; default the largest
-		// configured) and the highest density: the point is the scaling
-		// across shard counts, with the byte-identity of the sharded
-		// answers checked inside the measurement.
-		rows := *shardRows
-		if rows == 0 {
-			rows = sizes[len(sizes)-1]
-		}
-		points, err := bench.ShardScaling(rows, densities[len(densities)-1], *seed, []int{1, 2, 4, 8}, *reps)
-		fail(err)
-		bench.PrintShardScaling(os.Stdout, points)
-		fmt.Println()
-		for _, p := range points {
-			out.ShardScaling = append(out.ShardScaling, shardJSON{
-				Shards: p.Shards, Workers: p.Workers, Rows: p.Rows, Density: p.Density,
-				Answers: p.Answers, ElapsedNS: p.Elapsed.Nanoseconds(), ElapsedMS: ms(p.Elapsed),
-				Speedup: p.Speedup, Cores: p.Cores,
 			})
 		}
 	}

@@ -7,7 +7,7 @@
 //
 //	wsdcli [-rows 100000] [-density 0.0001] [-seed 42] [-queries Q1,Q3] [-skip-chase]
 //	wsdcli -sql [-rows 10000] [-density 0.0001]          # interactive SQL REPL
-//	wsdcli -exec "SELECT CONF() FROM R WHERE YEARSCH = 17"
+//	wsdcli -exec "SELECT CONF() FROM R WHERE YEARSCH = 17"   # exits 1 if any statement fails
 //	wsdcli -connect 127.0.0.1:5439 [-sql | -exec ...]    # same REPL over a maybmsd server
 //
 // With -sql the binary prepares (and optionally chases) the census relation
@@ -33,6 +33,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -71,7 +72,10 @@ func main() {
 		fmt.Printf("connected to %s (%s)\n", *connect, conn.Banner())
 		repl := newREPL(remoteBackend{conn}, *limit)
 		if *exec != "" {
-			repl.run(strings.NewReader(*exec), false)
+			if !repl.run(strings.NewReader(*exec), false) {
+				conn.Close()
+				os.Exit(1)
+			}
 			return
 		}
 		fmt.Println("remote SQL REPL — end statements with ';', \\q quits")
@@ -97,7 +101,9 @@ func main() {
 
 	if *exec != "" {
 		repl := newREPL(&localBackend{db: sql.Open(p.Store)}, *limit)
-		repl.run(strings.NewReader(*exec), false)
+		if !repl.run(strings.NewReader(*exec), false) {
+			os.Exit(1)
+		}
 		return
 	}
 	if *sqlMode {
@@ -305,15 +311,28 @@ func newREPL(b backend, limit int) *repl {
 	return &repl{db: b, limit: limit, stmts: make(map[string]stmt)}
 }
 
+// errQuit is what meta returns for \q.
+var errQuit = errors.New("quit")
+
 // run reads semicolon-terminated statements (and backslash meta commands)
-// and executes them through the session.
-func (r *repl) run(in io.Reader, interactive bool) {
+// and executes them through the session. A failing statement or meta command
+// prints its error and the session carries on; run reports whether every one
+// succeeded.
+func (r *repl) run(in io.Reader, interactive bool) bool {
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
 	prompt := func() {
 		if interactive {
 			fmt.Print("sql> ")
+		}
+	}
+	succeeded := true
+	// report prints a failure and records it for the result.
+	report := func(err error) {
+		if err != nil {
+			fmt.Println(err)
+			succeeded = false
 		}
 	}
 	prompt()
@@ -326,9 +345,11 @@ func (r *repl) run(in io.Reader, interactive bool) {
 				continue
 			}
 			if strings.HasPrefix(trimmed, "\\") {
-				if !r.meta(trimmed) {
-					return
+				err := r.meta(trimmed)
+				if err == errQuit {
+					return succeeded
 				}
+				report(err)
 				prompt()
 				continue
 			}
@@ -344,7 +365,7 @@ func (r *repl) run(in io.Reader, interactive bool) {
 			if strings.TrimSpace(rest) != "" {
 				buf.WriteString(rest)
 			}
-			r.runOne(stmtText)
+			report(r.runOne(stmtText))
 		}
 		if buf.Len() == 0 {
 			prompt()
@@ -354,12 +375,13 @@ func (r *repl) run(in io.Reader, interactive bool) {
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "wsdcli: reading input:", err)
-		return
+		return false
 	}
 	// A trailing statement without ';' still runs (convenient for -exec).
 	if strings.TrimSpace(buf.String()) != "" {
-		r.runOne(buf.String())
+		report(r.runOne(buf.String()))
 	}
+	return succeeded
 }
 
 // splitStatement cuts the input at the first semicolon outside quotes.
@@ -378,17 +400,16 @@ func splitStatement(input string) (stmt, rest string, ok bool) {
 	return "", input, false
 }
 
-// meta executes a backslash command; it returns false to quit.
-func (r *repl) meta(cmd string) bool {
+// meta executes a backslash command; it returns errQuit to quit.
+func (r *repl) meta(cmd string) error {
 	fields := strings.Fields(cmd)
 	switch fields[0] {
 	case "\\q", "\\quit":
-		return false
+		return errQuit
 	case "\\d":
 		rels, err := r.db.Catalog()
 		if err != nil {
-			fmt.Println(err)
-			break
+			return err
 		}
 		for _, ri := range rels {
 			fmt.Printf("  %s(%s)  |R|=%d placeholders=%d\n",
@@ -396,13 +417,11 @@ func (r *repl) meta(cmd string) bool {
 		}
 	case "\\stats":
 		if len(fields) < 2 {
-			fmt.Println("usage: \\stats REL")
-			break
+			return errors.New("usage: \\stats REL")
 		}
 		rels, err := r.db.Catalog()
 		if err != nil {
-			fmt.Println(err)
-			break
+			return err
 		}
 		found := false
 		for _, ri := range rels {
@@ -412,32 +431,28 @@ func (r *repl) meta(cmd string) bool {
 			}
 		}
 		if !found {
-			fmt.Printf("unknown relation %q\n", fields[1])
+			return fmt.Errorf("unknown relation %q", fields[1])
 		}
 	case "\\prepare":
 		rest := strings.TrimSpace(strings.TrimPrefix(cmd, fields[0]))
 		name, text, ok := strings.Cut(rest, " ")
 		if !ok || strings.TrimSpace(text) == "" {
-			fmt.Println("usage: \\prepare NAME SELECT ...")
-			break
+			return errors.New("usage: \\prepare NAME SELECT ...")
 		}
 		stmt, err := r.db.Prepare(strings.TrimSuffix(strings.TrimSpace(text), ";"))
 		if err != nil {
-			fmt.Println(err)
-			break
+			return err
 		}
 		r.stmts[name] = stmt
 		fmt.Printf("prepared %s: %d parameter(s), columns (%s)\n",
 			name, stmt.NumParams(), strings.Join(stmt.Columns(), ", "))
 	case "\\exec":
 		if len(fields) < 2 {
-			fmt.Println("usage: \\exec NAME [ARGS]")
-			break
+			return errors.New("usage: \\exec NAME [ARGS]")
 		}
 		stmt, ok := r.stmts[fields[1]]
 		if !ok {
-			fmt.Printf("no prepared statement %q (try \\prepare)\n", fields[1])
-			break
+			return fmt.Errorf("no prepared statement %q (try \\prepare)", fields[1])
 		}
 		args := make([]any, 0, len(fields)-2)
 		for _, f := range fields[2:] {
@@ -450,10 +465,9 @@ func (r *repl) meta(cmd string) bool {
 		start := time.Now()
 		rows, err := stmt.Query(args...)
 		if err != nil {
-			fmt.Println(err)
-			break
+			return err
 		}
-		r.printRows(rows, time.Since(start))
+		return r.printRows(rows, time.Since(start))
 	case "\\stmts":
 		names := make([]string, 0, len(r.stmts))
 		for name := range r.stmts {
@@ -467,73 +481,65 @@ func (r *repl) meta(cmd string) bool {
 		rest := strings.TrimSpace(strings.TrimPrefix(cmd, fields[0]))
 		name, text, ok := strings.Cut(rest, " ")
 		if !ok || strings.TrimSpace(text) == "" {
-			fmt.Println("usage: \\materialize REL SELECT ...")
-			break
+			return errors.New("usage: \\materialize REL SELECT ...")
 		}
 		st, err := r.db.Materialize(name, strings.TrimSuffix(strings.TrimSpace(text), ";"))
 		if err != nil {
-			fmt.Println(err)
-			break
+			return err
 		}
 		fmt.Printf("materialized %s\n", name)
 		printStats(st, name, "stored")
 	case "\\save":
 		if len(fields) != 2 {
-			fmt.Println("usage: \\save PATH")
-			break
+			return errors.New("usage: \\save PATH")
 		}
 		if err := r.db.Save(fields[1]); err != nil {
-			fmt.Println(err)
-			break
+			return err
 		}
 		fmt.Printf("saved snapshot to %s\n", fields[1])
 	case "\\restore":
 		if len(fields) != 2 {
-			fmt.Println("usage: \\restore PATH")
-			break
+			return errors.New("usage: \\restore PATH")
 		}
 		if err := r.db.Restore(fields[1]); err != nil {
-			fmt.Println(err)
-			break
+			return err
 		}
 		// The old session — and every statement prepared on it — is gone.
 		r.stmts = make(map[string]stmt)
 		fmt.Printf("restored store from %s\n", fields[1])
 	default:
-		fmt.Printf("unknown command %s (try \\d, \\stats REL, \\prepare, \\exec, \\stmts, \\materialize, \\save, \\restore, \\q)\n", fields[0])
+		return fmt.Errorf("unknown command %s (try \\d, \\stats REL, \\prepare, \\exec, \\stmts, \\materialize, \\save, \\restore, \\q)", fields[0])
 	}
-	return true
+	return nil
 }
 
 // runOne executes a single statement through the session, printing the
 // result.
-func (r *repl) runOne(text string) {
+func (r *repl) runOne(text string) error {
 	text = strings.TrimSpace(text)
 	if text == "" {
-		return
+		return nil
 	}
 	if st, err := sql.Parse(text); err == nil && st.Explain {
 		out, err := r.db.Explain(text)
 		if err != nil {
-			fmt.Println(err)
-			return
+			return err
 		}
 		fmt.Print(out)
-		return
+		return nil
 	}
 	start := time.Now()
 	rows, err := r.db.Query(text)
 	if err != nil {
-		fmt.Println(err)
-		return
+		return err
 	}
-	r.printRows(rows, time.Since(start))
+	return r.printRows(rows, time.Since(start))
 }
 
 // printRows renders a result: across-world answers as tuples with
 // confidences, plain results as representation statistics plus up to limit
 // decoded template rows ('?' marks uncertain fields).
-func (r *repl) printRows(rows resultRows, elapsed time.Duration) {
+func (r *repl) printRows(rows resultRows, elapsed time.Duration) error {
 	defer rows.Close()
 	vals := make([]relation.Value, len(rows.Columns()))
 	dests := make([]any, len(vals))
@@ -562,8 +568,7 @@ func (r *repl) printRows(rows resultRows, elapsed time.Duration) {
 				break
 			}
 			if err := rows.Scan(dests...); err != nil {
-				fmt.Println(err)
-				return
+				return err
 			}
 			line, _ := render()
 			if mode == sql.ModeConf {
@@ -573,33 +578,30 @@ func (r *repl) printRows(rows resultRows, elapsed time.Duration) {
 			}
 			n++
 		}
-		if err := rows.Err(); err != nil {
-			fmt.Println(err)
-		}
-		return
+		return rows.Err()
 	}
 	fmt.Printf("evaluated in %s\n", elapsed.Round(time.Microsecond))
 	printStats(rows.Stats(), "result", "result")
 	if rows.Len() > r.limit {
-		return
+		return nil
 	}
 	fmt.Printf("  (%s)\n", strings.Join(rows.Columns(), ", "))
 	uncertain := false
 	for rows.Next() {
 		if err := rows.Scan(dests...); err != nil {
-			fmt.Println(err)
-			return
+			return err
 		}
 		line, unc := render()
 		uncertain = uncertain || unc
 		fmt.Printf("  (%s)\n", line)
 	}
 	if err := rows.Err(); err != nil {
-		fmt.Println(err)
+		return err
 	}
 	if uncertain {
 		fmt.Println("  ('?' fields are uncertain; use SELECT POSSIBLE or SELECT CONF() to decode)")
 	}
+	return nil
 }
 
 func printStats(st engine.Stats, rel, label string) {

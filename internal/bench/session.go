@@ -3,9 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"maybms/internal/bridge"
@@ -185,136 +182,6 @@ func PrintConfBridge(w io.Writer, points []ConfBridgePoint) {
 		fmt.Fprintf(w, "%12d %9.3f%% %12d %12s %12s %9.1fx\n",
 			p.Rows, p.Density*100, p.ResultRows,
 			p.Scoped.Round(time.Microsecond), p.Full.Round(time.Microsecond), speedup)
-	}
-}
-
-// ParallelPoint is one concurrent-throughput measurement: a fixed batch of
-// prepared-statement executions pushed through one DB by Workers
-// goroutines. Serialized recreates PR 2's execution model — every Query
-// wrapped in one global mutex, the store-wide write lock the snapshot/arena
-// engine removed — as the baseline the speedup is measured against.
-type ParallelPoint struct {
-	Workers    int
-	Serialized bool
-	Rows       int
-	Density    float64
-	Queries    int
-	Elapsed    time.Duration
-	QPS        float64
-	// Cores records runtime.NumCPU at measurement time: throughput from a
-	// starved host measures the scheduler, and regression gating
-	// (cmd/benchdiff -mincores) skips points measured below its threshold.
-	Cores int
-}
-
-// ParallelQueries measures SELECT throughput at each worker count, with and
-// without the serializing lock, over a chased census store. Every execution
-// runs the same prepared Figure 29 Q1 through Stmt.Query (snapshot + arena)
-// and closes its Rows; the serialized variant additionally funnels the
-// executions through one mutex. True parallel speedup requires multiple
-// CPUs — on a single-core host both modes converge to the same throughput.
-func ParallelQueries(rows int, density float64, seed int64, queries int, workerCounts []int) ([]ParallelPoint, error) {
-	p, err := Prepare(rows, density, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.Store.ChaseEGDs("R", census.Dependencies()); err != nil {
-		return nil, err
-	}
-	db := sql.Open(p.Store)
-	defer db.Close()
-	stmt, err := db.Prepare(census.SQL["Q1"])
-	if err != nil {
-		return nil, err
-	}
-	// Warm up: one execution outside the measurement.
-	if rows, err := stmt.Query(); err != nil {
-		return nil, err
-	} else if err := rows.Close(); err != nil {
-		return nil, err
-	}
-	var out []ParallelPoint
-	for _, w := range workerCounts {
-		for _, serialized := range []bool{true, false} {
-			elapsed, err := runQueryBatch(stmt, queries, w, serialized)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ParallelPoint{
-				Workers: w, Serialized: serialized, Rows: rows, Density: density,
-				Queries: queries, Elapsed: elapsed,
-				QPS:   float64(queries) / elapsed.Seconds(),
-				Cores: runtime.NumCPU(),
-			})
-		}
-	}
-	return out, nil
-}
-
-// runQueryBatch executes n queries spread over the given number of
-// goroutines, optionally serialized behind one mutex.
-func runQueryBatch(stmt *sql.Prepared, n, workers int, serialized bool) (time.Duration, error) {
-	var (
-		gate sync.Mutex
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	errs := make(chan error, workers)
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for next.Add(1) <= int64(n) {
-				if serialized {
-					gate.Lock()
-				}
-				rows, err := stmt.Query()
-				if err == nil {
-					err = rows.Close()
-				}
-				if serialized {
-					gate.Unlock()
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	for err := range errs {
-		return 0, err
-	}
-	return elapsed, nil
-}
-
-// PrintParallel renders the concurrent-throughput table with the speedup of
-// the lock-free engine over the serialized baseline at each worker count.
-func PrintParallel(w io.Writer, points []ParallelPoint) {
-	fmt.Fprintln(w, "Concurrent queries — snapshot/arena engine vs lock-serialized execution")
-	fmt.Fprintf(w, "%8s %-11s %12s %10s %8s %12s %12s %8s\n",
-		"workers", "mode", "tuples", "density", "queries", "elapsed", "qps", "speedup")
-	serialQPS := map[int]float64{}
-	for _, p := range points {
-		if p.Serialized {
-			serialQPS[p.Workers] = p.QPS
-		}
-	}
-	for _, p := range points {
-		mode := "parallel"
-		speedup := ""
-		if p.Serialized {
-			mode = "serialized"
-		} else if base := serialQPS[p.Workers]; base > 0 {
-			speedup = fmt.Sprintf("%7.2fx", p.QPS/base)
-		}
-		fmt.Fprintf(w, "%8d %-11s %12d %9.3f%% %8d %12s %12.1f %8s\n",
-			p.Workers, mode, p.Rows, p.Density*100, p.Queries,
-			p.Elapsed.Round(time.Microsecond), p.QPS, speedup)
 	}
 }
 

@@ -36,14 +36,14 @@ func renderRows(rows *Rows) (string, error) {
 	return b.String(), nil
 }
 
-// TestParallelQueriesByteIdentical is the tentpole's concurrency test: N
+// TestConcurrentQueriesByteIdentical is the read path's concurrency test: N
 // goroutines run a mix of plain, join and CONF() statements against one DB
 // — truly in parallel, on snapshots and arenas of their own — and every
 // execution must render byte-identical to the serial reference. Afterwards
 // (all arenas closed) the shared store's catalog and per-relation component
 // statistics must be exactly what they were before any query ran. Run under
 // -race this also verifies the lock-free read path.
-func TestParallelQueriesByteIdentical(t *testing.T) {
+func TestConcurrentQueriesByteIdentical(t *testing.T) {
 	s := tinyStore(t)
 	db := Open(s)
 	queries := []string{
