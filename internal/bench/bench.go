@@ -2,7 +2,10 @@
 // relation size and placeholder density that regenerate the data behind
 // Figure 26 (chase times), Figure 27 (UWSDT characteristics after chase and
 // after each query), Figure 28 (component size distribution) and Figure 30
-// (query evaluation times, including the 0% one-world baseline).
+// (query evaluation times, including the 0% one-world baseline). These are
+// the only series it times: the served paths built on the engine (prepared
+// statements, native confidence, ingest, restore) are measured by the
+// benchmark/ module against the real maybmsd binary.
 package bench
 
 import (

@@ -77,3 +77,16 @@ func BenchmarkArenaPossibleMasses(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkArenaDifference is native EXCEPT on the same store: R minus its
+// CITIZEN = 0 selection, so a quarter of R's rows are candidates for removal
+// and the uncertain ones compose with their counterparts.
+func BenchmarkArenaDifference(b *testing.B) {
+	benchArena(b, func(a *Arena) error {
+		if _, err := a.Select("sel", "R", Eq("CITIZEN", 0)); err != nil {
+			return err
+		}
+		_, err := a.Difference("res", "R", "sel")
+		return err
+	})
+}

@@ -65,7 +65,7 @@ func decodePage(payload []byte, ncols, remaining int, colOff []int) (page, error
 		return page{}, fmt.Errorf("%d rows with only %d still owed", n, remaining)
 	}
 	p := page{data: payload, n: n, done: done == 1, hasConf: conf == 1}
-	rowBytes := server.RowBytes(ncols, p.hasConf, server.ProtoVersion)
+	rowBytes := server.RowBytes(ncols, p.hasConf)
 	if body := len(payload) - server.RowsHeader; body != n*rowBytes {
 		return page{}, fmt.Errorf("%d rows of %d bytes need %d bytes, payload has %d", n, rowBytes, n*rowBytes, body)
 	}

@@ -102,7 +102,7 @@ func FuzzRowsPage(f *testing.F) {
 		if p.n > int(remaining) {
 			t.Fatalf("accepted %d rows with %d owed", p.n, remaining)
 		}
-		if want := server.RowsHeader + p.n*server.RowBytes(int(ncols), p.hasConf, server.ProtoVersion); len(payload) != want {
+		if want := server.RowsHeader + p.n*server.RowBytes(int(ncols), p.hasConf); len(payload) != want {
 			t.Fatalf("accepted a %d-byte payload for %d rows (want %d bytes)", len(payload), p.n, want)
 		}
 		for row := 0; row < p.n; row++ {

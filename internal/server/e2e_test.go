@@ -200,113 +200,10 @@ func TestConcurrentClientsByteIdentical(t *testing.T) {
 	}
 }
 
-// renderV2 runs text over a raw protocol-v2 session — HELLO at version 2,
-// PREPARE, EXEC, FETCH until done — and renders the ROWS frames, decoded in
-// the v2 row layout, the way renderTo renders a Rows.
-func renderV2(t *testing.T, addr, text string, hasConf bool, maxRows uint32, out io.Writer) {
-	t.Helper()
-	r := dialRaw(t, addr)
-	r.c.SetDeadline(time.Now().Add(time.Minute))
-	round := func(op byte, w server.WBuf, want byte) *server.RBuf {
-		t.Helper()
-		r.write(frame(op, w.B))
-		rop, payload, ok := r.readFrame()
-		if !ok || rop != want {
-			t.Fatalf("op 0x%02x: answered 0x%02x (ok=%v): %q", op, rop, ok, payload)
-		}
-		return &server.RBuf{B: payload}
-	}
-	hello := server.WBuf{B: []byte(server.Magic)}
-	hello.U16(2)
-	if v := round(server.OpHello, hello, server.OpHelloOK).U16(); v != 2 {
-		t.Fatalf("handshake settled on version %d, want 2", v)
-	}
-	var w server.WBuf
-	w.Str(text)
-	stmt := round(server.OpPrepare, w, server.OpPrepared).U32()
-	w = server.WBuf{}
-	w.U32(stmt)
-	w.U16(0)
-	ex := round(server.OpExec, w, server.OpExecOK)
-	cursor := ex.U32()
-	ex.U8()
-	total := int(ex.U32())
-	ex.Stats()
-	cols := make([]string, ex.U16())
-	for i := range cols {
-		cols[i] = ex.Str()
-	}
-	if err := ex.Done(); err != nil {
-		t.Fatalf("EXEC_OK: %v", err)
-	}
-	bw := bufio.NewWriter(out)
-	bw.WriteString(strings.Join(cols, ","))
-	bw.WriteByte('\n')
-	vals := make([]relation.Value, len(cols))
-	for got, done := 0, false; !done; {
-		w = server.WBuf{}
-		w.U32(cursor)
-		w.U32(maxRows)
-		p := round(server.OpFetch, w, server.OpRows)
-		done = p.U8() == 1
-		conf := p.U8() == 1
-		n := int(p.U32())
-		if n == 0 && !done {
-			t.Fatalf("empty ROWS page before the cursor's end (%d of %d rows)", got, total)
-		}
-		for i := 0; i < n; i++ {
-			for j := range vals {
-				vals[j] = p.Value()
-			}
-			var c float64
-			if conf {
-				c = p.F64()
-			}
-			renderRow(bw, vals, hasConf, c)
-		}
-		if err := p.Done(); err != nil {
-			t.Fatalf("ROWS payload: %v", err)
-		}
-		got += n
-		if done && got != total {
-			t.Fatalf("cursor done after %d of %d rows", got, total)
-		}
-	}
-	bw.Flush()
-}
-
-// TestV2SessionKeepsRowLayout is the older-client contract: a session that
-// negotiates protocol v2 still receives ROWS in the v2 row layout, and the
-// results it decodes are byte-identical to the in-process ones — sharded or
-// not, whatever the page size.
-func TestV2SessionKeepsRowLayout(t *testing.T) {
-	db := sql.Open(testStore(t, 2000))
-	defer db.Close()
-	_, addr := startServer(t, db, server.Config{})
-	for _, shards := range []int{1, 3} {
-		if shards > 1 {
-			if err := db.EnableSharding(shards, shards); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want := localRenders(t, db)
-		for i, q := range e2eQueries {
-			for _, maxRows := range []uint32{0, 3} {
-				var sb strings.Builder
-				renderV2(t, addr, q.text, q.hasConf, maxRows, &sb)
-				if sb.String() != want[i] {
-					t.Fatalf("%d shards, FETCH %d: %s: v2 result differs from in-process:\nv2:\n%s\nlocal:\n%s",
-						shards, maxRows, q.text, sb.String(), want[i])
-				}
-			}
-		}
-	}
-}
-
 // TestFetchBatchBoundedByFrameBytes: with the server's row cap lifted far
 // past what fits in MaxFrame, a result larger than one frame must still
 // drain completely — the server caps each page by bytes too — and match the
-// in-process result, for a v3 client and for a v2 session alike.
+// in-process result.
 func TestFetchBatchBoundedByFrameBytes(t *testing.T) {
 	const rows, ncols = 600_000, 8
 	if rows*ncols*4 <= server.MaxFrame {
@@ -360,10 +257,7 @@ func TestFetchBatchBoundedByFrameBytes(t *testing.T) {
 		return remote.Err()
 	})
 	if got != want {
-		t.Fatalf("v3 result digest %s, in-process %s", got, want)
-	}
-	if v2 := digest(func(w io.Writer) error { renderV2(t, addr, text, false, 1<<20, w); return nil }); v2 != want {
-		t.Fatalf("v2 result digest %s, in-process %s", v2, want)
+		t.Fatalf("remote result digest %s, in-process %s", got, want)
 	}
 }
 

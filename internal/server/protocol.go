@@ -21,10 +21,10 @@ import (
 )
 
 // Magic opens every connection (the OpHello payload) and ProtoVersion is the
-// frame-format version negotiated by the handshake. A server refuses
-// versions above its own and answers older ones in their own layouts;
-// additions to the protocol bump the version. v2 added OpCancel and the
-// ErrCanceled error code; v3 sends ROWS as columnar pages (appendPage).
+// frame-format version the handshake checks. A server speaks exactly one
+// version and refuses every other; changes to the protocol bump it. v2 added
+// OpCancel and the ErrCanceled error code; v3 sends ROWS as columnar pages
+// (appendPage).
 const (
 	Magic        = "MYBM"
 	ProtoVersion = 3
@@ -60,7 +60,7 @@ const (
 	OpHelloOK      byte = 0x81 // u16 version, str banner
 	OpPrepared     byte = 0x82 // u32 stmt, u16 nparams, u16 ncols, cols
 	OpExecOK       byte = 0x83 // u32 cursor, u8 mode, u32 nrows, stats, u16 ncols, cols
-	OpRows         byte = 0x84 // u8 done, u8 hasConf, u32 n, page (v3) or rows (v1/v2)
+	OpRows         byte = 0x84 // u8 done, u8 hasConf, u32 n, page
 	OpExplained    byte = 0x87 // str text
 	OpMaterialized byte = 0x88 // stats
 	OpCatalogR     byte = 0x8A // u32 nrels, per rel: str name, u16 nattrs, attrs, stats, u32 placeholders
@@ -130,39 +130,28 @@ const (
 // RowsHeader is the fixed head of a ROWS payload: u8 done, u8 hasConf, u32 n.
 const RowsHeader = 6
 
-// RowBytes bounds the bytes one row adds to a ROWS payload: exactly 4 per
-// column (plus 8 for the confidence) in a v3 page; in the v1/v2 row layout at
-// most 9 per column, a tag and an i64 (a '?' takes the tag alone).
-func RowBytes(ncols int, hasConf bool, proto uint16) int {
-	cell := 4
-	if proto < 3 {
-		cell = 9
-	}
-	n := cell * ncols
+// RowBytes is the bytes one row adds to a ROWS page: 4 per column, plus 8
+// for the confidence.
+func RowBytes(ncols int, hasConf bool) int {
+	n := 4 * ncols
 	if hasConf {
 		n += 8
 	}
 	return n
 }
 
-// appendRowsHeader appends the ROWS head with done = 0; the caller patches
-// byte 0 on the last page.
-func appendRowsHeader(b []byte, hasConf bool, n int) []byte {
+// appendPage appends a ROWS payload: the header with done = 0 (the caller
+// patches byte 0 on the last page), then each column as n packed big-endian
+// i32 engine codes (a '?' field is the reserved code -1), then n f64
+// confidences when hasConf. cols and confs are a sql.Rows block.
+func appendPage(b []byte, hasConf bool, n int, cols [][]int32, confs []float64) []byte {
 	var conf byte
 	if hasConf {
 		conf = 1
 	}
-	b = append(b, 0, conf)
-	return binary.BigEndian.AppendUint32(b, uint32(n))
-}
-
-// appendPage appends a v3 ROWS payload: the header, then each column as n
-// packed big-endian i32 engine codes (a '?' field is the reserved code -1),
-// then n f64 confidences when hasConf. cols and confs are a sql.Rows block.
-func appendPage(b []byte, hasConf bool, n int, cols [][]int32, confs []float64) []byte {
-	b = appendRowsHeader(b, hasConf, n)
+	b = binary.BigEndian.AppendUint32(append(b, 0, conf), uint32(n))
 	off := len(b)
-	body := RowBytes(len(cols), hasConf, 3) * n
+	body := RowBytes(len(cols), hasConf) * n
 	b = slices.Grow(b, body)[:off+body]
 	for _, col := range cols {
 		out := b[off : off+4*n]
@@ -178,27 +167,6 @@ func appendPage(b []byte, hasConf bool, n int, cols [][]int32, confs []float64) 
 		}
 	}
 	return b
-}
-
-// appendRowPage appends the v1/v2 ROWS payload of the same block: the
-// header, then per row each field as a value (tagInt + i64, or
-// tagPlaceholder for '?') and the f64 confidence when hasConf.
-func appendRowPage(b []byte, hasConf bool, n int, cols [][]int32, confs []float64) []byte {
-	w := WBuf{B: appendRowsHeader(b, hasConf, n)}
-	for i := 0; i < n; i++ {
-		for _, col := range cols {
-			if v := col[i]; v == engine.Placeholder {
-				w.U8(tagPlaceholder)
-			} else {
-				w.U8(tagInt)
-				w.I64(int64(v))
-			}
-		}
-		if hasConf {
-			w.F64(confs[i])
-		}
-	}
-	return w.B
 }
 
 // WriteFrame writes one frame: u32 big-endian length (opcode + payload),

@@ -171,6 +171,12 @@ func TestProtocolRobustness(t *testing.T) {
 		r.expectErr(server.ErrProtocol)
 	})
 
+	t.Run("old protocol version", func(t *testing.T) {
+		r := dialRaw(t, addr)
+		r.write(frame(server.OpHello, append([]byte(server.Magic), 0, 2)))
+		r.expectErr(server.ErrProtocol)
+	})
+
 	t.Run("first frame not HELLO", func(t *testing.T) {
 		r := dialRaw(t, addr)
 		r.write(frame(server.OpPing, nil))

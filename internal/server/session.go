@@ -30,9 +30,6 @@ type session struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
-	// proto is the protocol version the handshake settled on; it picks the
-	// ROWS page layout.
-	proto uint16
 	// page is the ROWS payload buffer, reused from one FETCH to the next (a
 	// response is written out before the next request is read); a buffer
 	// grown past maxKeptPage is not kept.
@@ -360,15 +357,11 @@ func (s *session) handshake() *protoErr {
 	if err := r.Done(); err != nil || magic != Magic {
 		return perr(ErrProtocol, "bad handshake (not a %s client?)", Magic)
 	}
-	if version > ProtoVersion {
+	if version != ProtoVersion {
 		return perr(ErrProtocol, "protocol version %d not supported (server speaks %d)", version, ProtoVersion)
 	}
-	// Echo the client's (validated) version: an older client keeps its exact
-	// contract — a v1 client never sends CANCEL, a v1/v2 client gets ROWS
-	// pages in the row layout.
-	s.proto = version
 	var w WBuf
-	w.U16(version)
+	w.U16(ProtoVersion)
 	w.Str("maybmsd")
 	if !s.reply(OpHelloOK, w.B) {
 		return perr(ErrProtocol, "handshake reply failed").asFatal()
@@ -565,17 +558,13 @@ func (s *session) fetch(r *RBuf) (byte, []byte, *protoErr) {
 		asked = s.srv.cfg.FetchBatch
 	}
 	// MaxFrame counts the opcode byte too.
-	rowBytes := RowBytes(len(c.cols), c.hasConf, s.proto)
+	rowBytes := RowBytes(len(c.cols), c.hasConf)
 	if rowBytes > 0 {
 		asked = min(asked, (MaxFrame-1-RowsHeader)/rowBytes)
 	}
 	n, cols, confs := c.rows.NextBlock(asked)
 	payload := slices.Grow(s.page[:0], RowsHeader+n*rowBytes)
-	if s.proto >= 3 {
-		payload = appendPage(payload, c.hasConf, n, cols, confs)
-	} else {
-		payload = appendRowPage(payload, c.hasConf, n, cols, confs)
-	}
+	payload = appendPage(payload, c.hasConf, n, cols, confs)
 	if cap(payload) <= maxKeptPage {
 		s.page = payload
 	}
