@@ -241,18 +241,7 @@ func (b *localBackend) Restore(path string) error {
 	return nil
 }
 
-func (b *localBackend) Catalog() ([]client.RelInfo, error) {
-	out := make([]client.RelInfo, 0)
-	for _, name := range b.db.Relations() {
-		out = append(out, client.RelInfo{
-			Name:         name,
-			Attrs:        b.db.Schema(name),
-			Stats:        b.db.Stats(name),
-			Placeholders: b.db.Placeholders(name),
-		})
-	}
-	return out, nil
-}
+func (b *localBackend) Catalog() ([]client.RelInfo, error) { return b.db.Catalog(), nil }
 
 // remoteBackend runs the session over the wire.
 type remoteBackend struct{ c *client.Conn }

@@ -444,12 +444,7 @@ func (c *Conn) DropRelation(rel string) error {
 }
 
 // RelInfo describes one relation of the server's catalog.
-type RelInfo struct {
-	Name         string
-	Attrs        []string
-	Stats        engine.Stats
-	Placeholders int
-}
+type RelInfo = sql.RelInfo
 
 // Catalog lists the server's user relations with schema and representation
 // statistics.

@@ -600,18 +600,17 @@ func (s *session) materialize(r *RBuf) (byte, []byte, *protoErr) {
 
 func (s *session) catalog() (byte, []byte, *protoErr) {
 	db := s.srv.db
-	rels := db.Relations()
+	rels := db.Catalog()
 	var w WBuf
 	w.U32(uint32(len(rels)))
-	for _, name := range rels {
-		w.Str(name)
-		attrs := db.Schema(name)
-		w.U16(uint16(len(attrs)))
-		for _, a := range attrs {
+	for _, ri := range rels {
+		w.Str(ri.Name)
+		w.U16(uint16(len(ri.Attrs)))
+		for _, a := range ri.Attrs {
 			w.Str(a)
 		}
-		w.Stats(db.Stats(name))
-		w.U32(uint32(db.Placeholders(name)))
+		w.Stats(ri.Stats)
+		w.U32(uint32(ri.Placeholders))
 	}
 	return OpCatalogR, w.B, nil
 }

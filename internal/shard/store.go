@@ -13,26 +13,34 @@ import (
 	"maybms/internal/engine"
 )
 
-// Store partitions an authority engine.Store into N independent sub-stores.
-// The authority remains the system of record — every commit still lands
-// there (and in the WAL) — and the sub-stores are a derived execution
-// structure, a pure function of the authority's state: Resync brings them up
-// to date after a commit, rebuilding only what the commit changed, and swaps
-// the sub-store set atomically, so readers holding snapshots of the old set
-// keep a consistent view while new queries see the new one.
+// Set is one sub-store set: N independent sub-stores partitioning one
+// authority snapshot, and the statistics of the re-balance that built them.
+// The authority remains the system of record — every commit lands there
+// (and in the WAL) — and a set is a derived execution structure, a pure
+// function of the snapshot it was built from. A Set never changes: Next
+// derives its successor for a later authority state, rebuilding only what
+// changed, so a caller can build a re-balance, decide against it, and keep
+// the set it had.
+type Set struct {
+	n, workers int
+	from       *layout            // what the set was built from; nil for an empty set
+	subs       []*engine.Store    // never written after the build
+	snaps      []*engine.Snapshot // one per sub-store, taken at the build
+	stats      ResyncStats        // of the re-balance that built the set
+}
+
+// Store is a handle on the current Set over one authority store: Resync
+// derives the next set after the authority changed and swaps it in, so
+// readers holding snapshots of the old set keep a consistent view while new
+// queries see the new one.
 type Store struct {
 	authority *engine.Store
-	n         int
-	workers   int
 
-	// build serialises Resync, which carries state from one call to the
-	// next: last is what subs was built from (nil before the first build).
+	// build serialises Resync, which derives the next set from the current.
 	build sync.Mutex
-	last  *layout
 
-	mu    sync.RWMutex
-	subs  []*engine.Store
-	stats ResyncStats // of the Resync that built subs; Generation counts them
+	mu  sync.RWMutex
+	set *Set
 }
 
 // layout is the input a sub-store set was built from: the authority snapshot
@@ -50,11 +58,11 @@ func (l *layout) holds(ri int, r *engine.Relation, owner []int32) bool {
 	return l != nil && l.snap.RelByID(int32(ri)) == r && slices.Equal(l.part.rowShard[ri], owner)
 }
 
-// ResyncStats describes one Resync: what it could keep of the previous
+// ResyncStats describes one re-balance: what it could keep of the previous
 // sub-store set and what it rebuilt. Everything but Duration is a
 // deterministic function of the authority's commit history.
 type ResyncStats struct {
-	Generation int64 // completed Resyncs, this one included
+	Generation int64 // completed re-balances, this one included
 	// Full is set on the first build, when there is nothing to keep.
 	Full bool
 	// Relations and components count authority objects: kept means every
@@ -78,10 +86,11 @@ func (st ResyncStats) String() string {
 		kind, st.RelsKept, st.RelsRebuilt, st.CompsKept, st.CompsRebuilt, st.CellsCopied, st.ShardRows, st.Duration.Round(time.Microsecond))
 }
 
-// New partitions authority into n sub-stores (n ≥ 1) executed by a pool of
-// the given worker count (0 derives the default from GOMAXPROCS with a
-// clamp, see engine.DefaultConfWorkers).
-func New(authority *engine.Store, n, workers int) (*Store, error) {
+// NewSet returns the empty set of n shards (n ≥ 1) executed by a pool of the
+// given worker count (0 derives the default from GOMAXPROCS with a clamp, see
+// engine.DefaultConfWorkers). It holds no sub-stores; its Next is the first,
+// full build.
+func NewSet(n, workers int) (*Set, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: %d shards (want ≥ 1)", n)
 	}
@@ -91,57 +100,106 @@ func New(authority *engine.Store, n, workers int) (*Store, error) {
 	if workers > engine.MaxConfWorkers {
 		workers = engine.MaxConfWorkers
 	}
-	s := &Store{authority: authority, n: n, workers: workers}
-	if err := s.Resync(); err != nil {
+	return &Set{n: n, workers: workers}, nil
+}
+
+// New partitions authority into n sub-stores (n ≥ 1) executed by a pool of
+// the given worker count (see NewSet).
+func New(authority *engine.Store, n, workers int) (*Store, error) {
+	set, err := NewSet(n, workers)
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	if set, err = set.Next(authority.Snapshot()); err != nil {
+		return nil, err
+	}
+	return &Store{authority: authority, set: set}, nil
 }
 
-// N returns the shard count, Workers the worker-pool size.
-func (s *Store) N() int       { return s.n }
-func (s *Store) Workers() int { return s.workers }
-
-// Generation returns the number of completed Resyncs (the re-balance
-// counter; Explain reports it).
-func (s *Store) Generation() int64 { return s.LastResync().Generation }
-
-// LastResync returns the statistics of the Resync that built the current
-// sub-store set.
-func (s *Store) LastResync() ResyncStats {
+// Current returns the sub-store set new queries see.
+func (s *Store) Current() *Set {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.stats
+	return s.set
 }
 
-// Resync brings the sub-store set up to date with the authority's current
-// state and swaps it in — the re-balance step after a commit. The partition
-// is recomputed (O(rows) int32 work) and diffed against the one the current
-// set was built from: the engine's mutators replace objects instead of
-// editing them (engine/snapshot.go), so a relation that is the same object
-// dealt the same way keeps every shard's copy of it, a component that is the
-// same object over such relations keeps its copy, and only the rest is
-// sliced, remapped and validated. Readers holding snapshots of the old
-// sub-stores are unaffected (the swap is a pointer exchange; kept objects
-// are immutable).
+// Resync re-balances the current set to the authority's current state
+// (Set.Next) and swaps the result in. Readers holding snapshots of the old
+// set are unaffected: the swap is a pointer exchange, and kept objects are
+// immutable.
 func (s *Store) Resync() error {
 	s.build.Lock()
 	defer s.build.Unlock()
-	start := time.Now()
-	sn := s.authority.Snapshot()
-	p, err := computePartition(sn, s.n)
+	next, err := s.Current().Next(s.authority.Snapshot())
 	if err != nil {
 		return err
 	}
-	prev := s.last
-	prevSubs := make([]*engine.Snapshot, s.n) // nil: nothing to keep from
-	if prev != nil {
-		prevSubs = s.Snapshots()
+	s.mu.Lock()
+	s.set = next
+	s.mu.Unlock()
+	return nil
+}
+
+// N, Workers, Generation, LastResync, Snapshots, RelInfo and Fingerprints
+// describe the current set (see the Set methods).
+func (s *Store) N() int                        { return s.Current().n }
+func (s *Store) Workers() int                  { return s.Current().workers }
+func (s *Store) Generation() int64             { return s.Current().stats.Generation }
+func (s *Store) LastResync() ResyncStats       { return s.Current().stats }
+func (s *Store) Snapshots() []*engine.Snapshot { return s.Current().Snapshots() }
+func (s *Store) RelInfo(rel string) []Info     { return s.Current().RelInfo(rel) }
+func (s *Store) Fingerprints() []uint32        { return s.Current().Fingerprints() }
+
+// Validate re-checks the current set against the authority's current state
+// (Set.Validate): an authority changed without a Resync fails it.
+func (s *Store) Validate() error { return s.Current().Validate(s.authority.Snapshot()) }
+
+// PossibleP computes the Figure 19 confidence table of rel morsel-parallel
+// across the current set's shards: each shard's pre-fold table covers its
+// own groups, and the merged mass multiset per tuple equals the unsharded
+// store's (the groups are partitioned, never split), so the fold is
+// byte-identical to the unsharded engine's PossibleP.
+func (s *Store) PossibleP(rel string) ([]engine.TupleConf, error) {
+	set := s.Current()
+	tms, err := possibleMasses(set.snaps, set.workers, rel)
+	if err != nil {
+		return nil, err
 	}
-	stats := ResyncStats{Full: prev == nil, ShardRows: make([]int, s.n)}
+	return engine.FoldMassTable(nil, tms)
+}
+
+// N returns the shard count, Workers the worker-pool size.
+func (t *Set) N() int       { return t.n }
+func (t *Set) Workers() int { return t.workers }
+
+// LastResync returns the statistics of the re-balance that built the set;
+// its Generation counts the re-balances since the first build.
+func (t *Set) LastResync() ResyncStats { return t.stats }
+
+// Snapshots returns one snapshot per shard — a mutually consistent read
+// view of the set. The slice is shared and clipped: appending to it copies.
+func (t *Set) Snapshots() []*engine.Snapshot { return slices.Clip(t.snaps) }
+
+// Next derives the set for authority snapshot sn from t, which it leaves
+// untouched. The partition is recomputed (O(rows) int32 work) and diffed
+// against the one t was built from: the engine's mutators replace objects
+// instead of editing them (engine/snapshot.go), so a relation that is the
+// same object dealt the same way keeps every shard's copy of it, a
+// component that is the same object over such relations keeps its copy,
+// and only the rest is sliced, remapped and validated.
+func (t *Set) Next(sn *engine.Snapshot) (*Set, error) {
+	start := time.Now()
+	p, err := computePartition(sn, t.n)
+	if err != nil {
+		return nil, err
+	}
+	prev := t.from
+	prevSubs := make([]*engine.Snapshot, t.n) // nil: nothing to keep from
+	copy(prevSubs, t.snaps)
+	stats := ResyncStats{Full: prev == nil, ShardRows: make([]int, t.n)}
 
 	slots := sn.NumRelSlots()
-	plans := make([]engine.Derivation, s.n)
+	plans := make([]engine.Derivation, t.n)
 	for k := range plans {
 		plans[k].Rels = make([]engine.DerivedRel, slots)
 	}
@@ -192,53 +250,38 @@ func (s *Store) Resync() error {
 		plans[k].Comps = append(plans[k].Comps, dc)
 	})
 	if spans != nil {
-		return spans
+		return nil, spans
 	}
 
-	subs := make([]*engine.Store, s.n)
-	errs := make([]error, s.n)
+	next := &Set{n: t.n, workers: t.workers, from: &layout{snap: sn, part: p},
+		subs: make([]*engine.Store, t.n), snaps: make([]*engine.Snapshot, t.n)}
+	errs := make([]error, t.n)
 	var wg sync.WaitGroup
 	for k := range plans {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			subs[k], errs[k] = engine.DeriveStore(sn, prevSubs[k], plans[k])
+			next.subs[k], errs[k] = engine.DeriveStore(sn, prevSubs[k], plans[k])
 		}(k)
 	}
 	wg.Wait()
 	for k, err := range errs {
 		if err != nil {
-			return fmt.Errorf("shard: rebuilding shard %d: %w", k, err)
+			return nil, fmt.Errorf("shard: rebuilding shard %d: %w", k, err)
 		}
 	}
-	for k, sub := range subs {
+	for k, sub := range next.subs {
+		next.snaps[k] = sub.Snapshot()
 		for ri := 0; ri < slots; ri++ {
 			if r := sub.RelByID(int32(ri)); r != nil {
 				stats.ShardRows[k] += r.NumRows()
 			}
 		}
 	}
-	s.last = &layout{snap: sn, part: p}
-	s.mu.Lock()
-	stats.Generation = s.stats.Generation + 1
+	stats.Generation = t.stats.Generation + 1
 	stats.Duration = time.Since(start)
-	s.subs = subs
-	s.stats = stats
-	s.mu.Unlock()
-	return nil
-}
-
-// Snapshots returns one O(1) copy-on-write snapshot per shard — a mutually
-// consistent read view of the current sub-store set.
-func (s *Store) Snapshots() []*engine.Snapshot {
-	s.mu.RLock()
-	subs := s.subs
-	s.mu.RUnlock()
-	snaps := make([]*engine.Snapshot, len(subs))
-	for i, sub := range subs {
-		snaps[i] = sub.Snapshot()
-	}
-	return snaps
+	next.stats = stats
+	return next, nil
 }
 
 // EachSnapshot fans f out over an already-taken snapshot set on a pool of
@@ -327,15 +370,8 @@ feed:
 	return engine.Canceled(ctx.Err())
 }
 
-// PossibleMasses computes the pre-fold confidence table of rel across all
-// shards: each shard's table covers its own groups, and the merged mass
-// multiset per tuple equals the unsharded store's (the groups are
-// partitioned, never split), so folding gives byte-identical confidences.
-func (s *Store) PossibleMasses(rel string) ([]engine.TupleMasses, error) {
-	return possibleMasses(s.Snapshots(), s.workers, rel)
-}
-
-// possibleMasses is PossibleMasses over an already-pinned snapshot set.
+// possibleMasses is the pre-fold confidence table of rel over a pinned
+// snapshot set, merged across the shards.
 func possibleMasses(snaps []*engine.Snapshot, workers int, rel string) ([]engine.TupleMasses, error) {
 	parts := make([][]engine.TupleMasses, len(snaps))
 	err := EachSnapshot(snaps, workers, func(i int, sn *engine.Snapshot) error {
@@ -354,16 +390,6 @@ func possibleMasses(snaps []*engine.Snapshot, workers int, rel string) ([]engine
 	return engine.MergeMasses(nil, parts)
 }
 
-// PossibleP computes the Figure 19 confidence table of rel morsel-parallel
-// across the shards; byte-identical to the unsharded engine's PossibleP.
-func (s *Store) PossibleP(rel string) ([]engine.TupleConf, error) {
-	tms, err := s.PossibleMasses(rel)
-	if err != nil {
-		return nil, err
-	}
-	return engine.FoldMassTable(nil, tms)
-}
-
 // Info describes one shard's slice of a relation for EXPLAIN.
 type Info struct {
 	Shard int
@@ -374,10 +400,9 @@ type Info struct {
 // RelInfo returns per-shard row counts and representation statistics of rel
 // (nil entries for shards where the relation is unknown — cannot happen for
 // authority-cataloged relations, every shard carries every relation slot).
-func (s *Store) RelInfo(rel string) []Info {
-	snaps := s.Snapshots()
-	out := make([]Info, len(snaps))
-	for i, sn := range snaps {
+func (t *Set) RelInfo(rel string) []Info {
+	out := make([]Info, len(t.snaps))
+	for i, sn := range t.snaps {
 		out[i] = Info{Shard: i}
 		if r := sn.Rel(rel); r != nil {
 			out[i].Rows = r.NumRows()
@@ -387,23 +412,18 @@ func (s *Store) RelInfo(rel string) []Info {
 	return out
 }
 
-// Validate re-checks the shard set against the authority's current state:
-// every sub-store's own invariants (engine.Store.Validate — Resync validates
-// only what it rebuilds, this covers the kept objects too), the row
-// partition conserves every relation, each component lives on exactly one
-// shard, and no component id appears twice across the sub-store set. It is
-// the out-of-band check, not part of the commit path.
-func (s *Store) Validate() error {
-	st := s.authority.ExportState()
-	s.mu.RLock()
-	subs := s.subs
-	s.mu.RUnlock()
-	snaps := make([]*engine.Snapshot, len(subs))
-	for i, sub := range subs {
+// Validate re-checks the set against authority snapshot sn: every
+// sub-store's own invariants (engine.Store.Validate — Next validates only
+// what it rebuilds, this covers the kept objects too), the row partition
+// conserves every relation, each component lives on exactly one shard, and
+// no component id appears twice across the sub-store set. It is the
+// out-of-band check, not part of the commit path.
+func (t *Set) Validate(sn *engine.Snapshot) error {
+	st := sn.ExportState()
+	for i, sub := range t.subs {
 		if err := sub.Validate(1e-6); err != nil {
 			return fmt.Errorf("shard: shard %d: %w", i, err)
 		}
-		snaps[i] = sub.Snapshot()
 	}
 	for ri, rs := range st.Rels {
 		if rs == nil {
@@ -414,8 +434,8 @@ func (s *Store) Validate() error {
 			want = len(rs.Cols[0])
 		}
 		got := 0
-		for _, sn := range snaps {
-			r := sn.Rel(rs.Name)
+		for _, sub := range t.snaps {
+			r := sub.Rel(rs.Name)
 			if r == nil {
 				return fmt.Errorf("shard: relation %q missing from a shard", rs.Name)
 			}
@@ -427,8 +447,8 @@ func (s *Store) Validate() error {
 	}
 	owner := make(map[int32]int)
 	total := 0
-	for i, sn := range snaps {
-		ids := sortedCompIDs(sn.ExportState())
+	for i, sub := range t.snaps {
+		ids := sortedCompIDs(sub.ExportState())
 		total += len(ids)
 		for _, id := range ids {
 			if prev, dup := owner[id]; dup {
@@ -453,18 +473,15 @@ func (s *Store) Validate() error {
 // their local worlds. Two boots of the same durable directory with the same
 // shard count log identical fingerprints; the CI persistence-smoke job
 // diffs them across a kill -9 restart.
-func (s *Store) Fingerprints() []uint32 {
-	s.mu.RLock()
-	subs := s.subs
-	s.mu.RUnlock()
-	out := make([]uint32, len(subs))
+func (t *Set) Fingerprints() []uint32 {
+	out := make([]uint32, len(t.snaps))
 	var wg sync.WaitGroup
-	for i, sub := range subs {
+	for i, sn := range t.snaps {
 		wg.Add(1)
-		go func(i int, sub *engine.Store) {
+		go func(i int, sn *engine.Snapshot) {
 			defer wg.Done()
-			out[i] = fingerprintState(sub.ExportState())
-		}(i, sub)
+			out[i] = fingerprintState(sn.ExportState())
+		}(i, sn)
 	}
 	wg.Wait()
 	return out

@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"maybms/internal/engine"
+	"maybms/internal/shard"
 	"maybms/internal/storage"
 )
 
@@ -23,45 +24,79 @@ type applied struct {
 	loaded storage.LoadInfo // LOAD CSV: what the file held
 }
 
-// commit is the one path by which a live session changes the catalog: writer
-// lock, apply the record to the store, append it to the log, re-balance the
-// shard set. The store changes before the log does, and the append fsyncs
-// before commit returns. The snapshot taken before apply is the undo log:
-// when apply or the append fails the caller gets the error and the store is
-// rolled back to it, so the live store is always the one a restart would
-// replay. An in-memory DB has no log.
+// view is one published read state: the snapshot of a committed store state
+// and, on a sharded DB, the shard set built from that very snapshot (nil
+// when sharding is off). A view never changes. Readers load the DB's current
+// one and read only it, so a query, an EXPLAIN or a CATALOG reply sees one
+// state whatever commits land meanwhile.
+type view struct {
+	snap   *engine.Snapshot
+	shards *shard.Set
+}
+
+// advance returns the view of the live store's current state: a fresh
+// snapshot and, when shards is set, those shards re-balanced to it. Callers
+// hold db.writer (or own the DB alone, as Open does).
+func (db *DB) advance(shards *shard.Set) (*view, error) {
+	v := &view{snap: db.store.Snapshot()}
+	if shards != nil {
+		var err error
+		if v.shards, err = shards.Next(v.snap); err != nil {
+			return nil, fmt.Errorf("sql: re-balancing the shard set: %w", err)
+		}
+	}
+	return v, nil
+}
+
+// publish makes the live store's current state the one readers see, with
+// shards (nil: sharding off) re-balanced to it; on error nothing is
+// published. Open, WAL replay and EnableSharding publish through it; commit
+// runs its two halves around the log append.
+func (db *DB) publish(shards *shard.Set) error {
+	v, err := db.advance(shards)
+	if err != nil {
+		return err
+	}
+	db.view.Store(v)
+	return nil
+}
+
+// commit is the one path by which a live session changes the catalog:
+// writer lock, apply the record to the live store, re-balance the shard set
+// to the result, append the record to the log (the append fsyncs), and only
+// then publish. Readers keep the previous view until that last step, so none
+// of them sees a change the log has not captured, or a shard set that
+// disagrees with its store. Any failure — apply, re-balance or append —
+// rolls the live store back to the published snapshot and publishes
+// nothing, so the live store is always the one a restart would replay. An
+// in-memory DB has no log.
 func (db *DB) commit(ctx context.Context, rec *storage.WALRecord) (applied, error) {
 	db.writer.Lock()
 	defer db.writer.Unlock()
-	pre := db.store.Snapshot()
+	pub := db.view.Load()
 	out, err := db.apply(ctx, rec)
+	var next *view
+	if err == nil {
+		next, err = db.advance(pub.shards)
+	}
 	if err == nil && db.dur != nil {
 		if err = db.dur.WAL().Append(rec); err != nil {
 			err = fmt.Errorf("sql: logging %s: %w", describe(rec), err)
 		}
 	}
 	if err != nil {
-		db.store.Rollback(pre)
+		db.store.Rollback(pub.snap)
 		return applied{}, err
 	}
-	// The shard set is derived state: a failed re-balance disables sharding
-	// (queries fall back to the authority — correct, just not parallel) and
-	// records why; the commit itself stands.
-	if sh := db.shardStore(); sh != nil {
-		if err := sh.Resync(); err != nil {
-			db.mu.Lock()
-			db.shards = nil
-			db.shardErr = fmt.Errorf("sql: shard re-balance failed, sharding disabled: %w", err)
-			db.mu.Unlock()
-		}
-	}
+	db.view.Store(next)
 	return out, nil
 }
 
-// apply performs one record's store mutation; callers hold db.writer. It is
-// the whole difference between two consecutive committed states, live and on
-// replay alike, and it never touches the log or the shard set. An error
-// means the record is not committed; commit rolls back whatever it changed.
+// apply performs one record's store mutation; callers hold db.writer, and
+// the live store is the published one when it starts. It is the whole
+// difference between two consecutive committed states, live and on replay
+// alike, and it never touches the log or the shard set. An error means the
+// record is not committed; commit rolls back whatever it changed.
 func (db *DB) apply(ctx context.Context, rec *storage.WALRecord) (out applied, err error) {
 	switch rec.Type {
 	case storage.RecMaterialize:
@@ -126,15 +161,15 @@ func (db *DB) materialize(ctx context.Context, rec *storage.WALRecord) (*Result,
 	if TestHookExec != nil {
 		TestHookExec(rec.Query)
 	}
-	snap, tpl, err := db.templateFor(stmt)
+	v, tpl, err := db.templateFor(stmt)
 	if err != nil {
 		return nil, err
 	}
-	if snap.Rel(rec.Res) != nil {
+	if v.snap.Rel(rec.Res) != nil {
 		return nil, fmt.Errorf("sql: result relation %q already exists in the store (drop it first or pick another name)", rec.Res)
 	}
 	// Writers always run on the authority: the commit below lands there.
-	out, err := execute(ctx, []*engine.Snapshot{snap}, 1, tpl, rec.Args)
+	out, err := execute(ctx, []*engine.Snapshot{v.snap}, 1, tpl, rec.Args)
 	if err != nil {
 		return nil, err
 	}

@@ -113,10 +113,11 @@ func CreateDir(dir string) (*DB, error) {
 	return db, nil
 }
 
-// Snapshot returns an O(1) copy-on-write snapshot of the session's store,
-// making a DB a storage.Snapshotable: storage.Save(db, w) serializes the
-// committed state without blocking readers or writers.
-func (db *DB) Snapshot() *engine.Snapshot { return db.store.Snapshot() }
+// Snapshot returns the DB's published snapshot: the last committed state,
+// the one every reader sees. It makes a DB a storage.Snapshotable:
+// storage.Save(db, w) serializes that state without blocking readers or
+// writers.
+func (db *DB) Snapshot() *engine.Snapshot { return db.view.Load().snap }
 
 // DataDir returns the DB's durable directory path, or "" for an in-memory
 // session.
@@ -140,8 +141,8 @@ func (db *DB) Checkpoint() error {
 }
 
 // replayWAL applies the directory's log to the DB's store, record by
-// record, and returns how many it applied. Nothing is logged or re-balanced:
-// replay calls apply, not commit.
+// record, publishing after each one as commit does, and returns how many it
+// applied. Nothing is logged: replay calls apply, not commit.
 func (db *DB) replayWAL(d *storage.Dir) (int, error) {
 	f, err := os.Open(d.WALPath())
 	if err != nil {
@@ -151,7 +152,9 @@ func (db *DB) replayWAL(d *storage.Dir) (int, error) {
 	db.writer.Lock()
 	defer db.writer.Unlock()
 	return storage.ReplayWAL(f, func(rec *storage.WALRecord) error {
-		_, err := db.apply(context.Background(), rec)
-		return err
+		if _, err := db.apply(context.Background(), rec); err != nil {
+			return err
+		}
+		return db.publish(db.view.Load().shards)
 	})
 }

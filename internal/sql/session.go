@@ -9,7 +9,6 @@ import (
 
 	"maybms/internal/engine"
 	"maybms/internal/relation"
-	"maybms/internal/shard"
 	"maybms/internal/storage"
 )
 
@@ -18,26 +17,30 @@ import (
 // cached per DB, keyed by statement text); Query binds ? parameters and
 // returns a Rows pull iterator.
 //
-// Execution is snapshot/arena structured: Stmt.Query acquires an O(1)
-// copy-on-write Snapshot of the store, runs the plan's operators on a
-// private Arena, and hands the arena to the Rows iterator — so any number
-// of SELECTs run truly in parallel, sharing nothing but immutable state,
-// and Rows.Close releases the whole result by dropping the arena. Catalog
-// writers all go through commit (commit.go): they serialize on the DB's
-// writer lock and commit copy-on-write, so they are safe to run while
-// readers stream.
+// Execution is snapshot/arena structured: Stmt.Query loads the DB's
+// published view (one atomic pointer to an immutable snapshot and shard
+// set), runs the plan's operators on a private Arena, and hands the arena to
+// the Rows iterator — so any number of SELECTs run truly in parallel,
+// sharing nothing but immutable state, and Rows.Close releases the whole
+// result by dropping the arena. Catalog writers all go through commit
+// (commit.go): they serialize on the DB's writer lock, commit copy-on-write
+// and publish a new view only once the change is logged.
 
 // DB is a session over one engine store. Statement execution takes no lock:
-// each Query runs on a snapshot + arena of its own. A small mutex guards
-// the plan cache; a writer mutex serializes catalog mutations. A DB is safe
-// for concurrent use by multiple goroutines.
+// each Query runs on the published view and an arena of its own. A small
+// mutex guards the plan cache; a writer mutex serializes catalog mutations.
+// A DB is safe for concurrent use by multiple goroutines.
 type DB struct {
 	store *engine.Store
+	// view is what readers see, the last published state; only writers
+	// store it, holding writer.
+	view atomic.Pointer[view]
 	// mu guards plans and closed.
 	mu    sync.Mutex
 	plans map[string]*EnginePlan // statement text → compiled template
-	// writer serializes catalog writers (commit, Checkpoint); the store's
-	// copy-on-write commit keeps concurrent snapshot readers safe.
+	// writer serializes catalog writers (commit, Checkpoint,
+	// EnableSharding); the store's copy-on-write commit keeps readers of
+	// published snapshots safe.
 	writer sync.Mutex
 	closed bool
 	// cacheHits/cacheMisses count plan-cache lookups across the DB's
@@ -47,11 +50,6 @@ type DB struct {
 	// dur is the durable directory backing this DB, or nil for an in-memory
 	// session. Guarded by writer.
 	dur *storage.Dir
-	// shards is the derived sharded-execution structure (nil = off;
-	// EnableSharding builds it, every commit re-balances it) and shardErr
-	// why it was disabled, if a re-balance failed. Guarded by mu.
-	shards   *shard.Store
-	shardErr error
 }
 
 // CacheStats reports the DB's plan cache: resident compiled plans plus the
@@ -71,10 +69,15 @@ func (db *DB) CacheStats() CacheStats {
 	return CacheStats{Size: size, Hits: db.cacheHits.Load(), Misses: db.cacheMisses.Load()}
 }
 
-// Open wraps an engine store in a session. The caller keeps ownership of
-// the store; Close detaches without destroying it.
+// Open wraps an engine store in a session and publishes its current state.
+// The caller keeps ownership of the store; Close detaches without
+// destroying it. Change the store only through the DB from then on: readers
+// see what the DB last published, and a failed commit rolls the store back
+// to that state.
 func Open(store *engine.Store) *DB {
-	return &DB{store: store, plans: make(map[string]*EnginePlan)}
+	db := &DB{store: store, plans: make(map[string]*EnginePlan)}
+	db.publish(nil) // nothing to re-balance, so it cannot fail
+	return db
 }
 
 // Close detaches the session and closes the durable directory, if any. The
@@ -125,7 +128,7 @@ func (db *DB) Prepare(query string) (*Prepared, error) {
 	if st.Explain {
 		return nil, fmt.Errorf("sql: statement is EXPLAIN; use DB.Explain to render the rewriting")
 	}
-	snap := db.store.Snapshot()
+	snap := db.Snapshot()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if err := db.check(); err != nil {
@@ -174,18 +177,18 @@ func (db *DB) QueryContext(ctx context.Context, query string, args ...any) (*Row
 // execution strategy, what the last re-balance kept and rebuilt, and
 // per-shard statistics of the plan's base relations.
 func (db *DB) Explain(query string) (string, error) {
-	snap := db.store.Snapshot()
+	v := db.view.Load()
 	db.mu.Lock()
 	err := db.check()
 	db.mu.Unlock()
 	if err != nil {
 		return "", err
 	}
-	out, err := Explain(snap, query)
+	out, err := Explain(v.snap, query)
 	if err != nil {
 		return "", err
 	}
-	sh := db.shardStore()
+	sh := v.shards
 	if sh == nil {
 		return out, nil
 	}
@@ -193,7 +196,7 @@ func (db *DB) Explain(query string) (string, error) {
 	if err != nil {
 		return out, nil
 	}
-	tpl, err := compileEngine(st, catalogView{snap})
+	tpl, err := compileEngine(st, catalogView{v.snap})
 	if err != nil {
 		return out, nil
 	}
@@ -216,8 +219,11 @@ func (db *DB) Explain(query string) (string, error) {
 }
 
 // Relations lists the store's live user relations.
-func (db *DB) Relations() []string {
-	snap := db.store.Snapshot()
+func (db *DB) Relations() []string { return userRelations(db.Snapshot()) }
+
+// userRelations lists a snapshot's live relations but the NUL-prefixed plan
+// temporaries.
+func userRelations(snap *engine.Snapshot) []string {
 	var out []string
 	for _, name := range snap.Relations() {
 		if len(name) > 0 && name[0] != '\x00' {
@@ -227,15 +233,42 @@ func (db *DB) Relations() []string {
 	return out
 }
 
+// RelInfo describes one user relation: its attribute names, representation
+// statistics and number of uncertain fields.
+type RelInfo struct {
+	Name         string
+	Attrs        []string
+	Stats        engine.Stats
+	Placeholders int
+}
+
+// Catalog describes every live user relation, all read from one published
+// state: a commit landing meanwhile shows up in the next call whole, never
+// in part.
+func (db *DB) Catalog() []RelInfo {
+	snap := db.Snapshot()
+	names := userRelations(snap)
+	out := make([]RelInfo, len(names))
+	for i, name := range names {
+		out[i] = RelInfo{
+			Name:         name,
+			Attrs:        append([]string(nil), snap.Rel(name).Attrs...),
+			Stats:        snap.Stats(name),
+			Placeholders: snap.TotalPlaceholders(name),
+		}
+	}
+	return out
+}
+
 // Stats returns the representation statistics of a relation.
 func (db *DB) Stats(rel string) engine.Stats {
-	return db.store.Snapshot().Stats(rel)
+	return db.Snapshot().Stats(rel)
 }
 
 // Schema returns the attribute names of a relation, or nil if it does not
 // exist.
 func (db *DB) Schema(rel string) []string {
-	r := db.store.Snapshot().Rel(rel)
+	r := db.Snapshot().Rel(rel)
 	if r == nil {
 		return nil
 	}
@@ -244,26 +277,26 @@ func (db *DB) Schema(rel string) []string {
 
 // Placeholders returns the number of uncertain fields of a relation.
 func (db *DB) Placeholders(rel string) int {
-	return db.store.Snapshot().TotalPlaceholders(rel)
+	return db.Snapshot().TotalPlaceholders(rel)
 }
 
-// templateFor takes a fresh snapshot and returns the statement's compiled
-// plan, re-preparing it against the snapshot first if a base relation was
-// dropped or re-created with a different schema since compile time —
-// running a stale plan would return wrongly-labeled data.
-func (db *DB) templateFor(e *Prepared) (*engine.Snapshot, *EnginePlan, error) {
-	snap := db.store.Snapshot()
+// templateFor loads the published view and returns the statement's compiled
+// plan, re-preparing it against the view's snapshot first if a base
+// relation was dropped or re-created with a different schema since compile
+// time — running a stale plan would return wrongly-labeled data.
+func (db *DB) templateFor(e *Prepared) (*view, *EnginePlan, error) {
+	v := db.view.Load()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if err := db.check(); err != nil {
 		return nil, nil, err
 	}
-	if e.tpl.CatalogValid(snap) {
+	if e.tpl.CatalogValid(v.snap) {
 		db.cacheHits.Add(1)
-		return snap, e.tpl, nil
+		return v, e.tpl, nil
 	}
 	db.cacheMisses.Add(1)
-	tpl, err := compileEngine(e.st, catalogView{snap})
+	tpl, err := compileEngine(e.st, catalogView{v.snap})
 	if err != nil {
 		return nil, nil, fmt.Errorf("sql: re-preparing after catalog change: %w", err)
 	}
@@ -271,7 +304,7 @@ func (db *DB) templateFor(e *Prepared) (*engine.Snapshot, *EnginePlan, error) {
 	if db.plans != nil {
 		db.plans[e.text] = tpl
 	}
-	return snap, tpl, nil
+	return v, tpl, nil
 }
 
 // Prepared is a statement compiled once and executable many times with
@@ -321,11 +354,11 @@ func (p *Prepared) QueryContext(ctx context.Context, args ...any) (*Rows, error)
 	if TestHookExec != nil {
 		TestHookExec(p.text)
 	}
-	snap, tpl, err := p.db.templateFor(p)
+	v, tpl, err := p.db.templateFor(p)
 	if err != nil {
 		return nil, err
 	}
-	snaps, workers := p.db.placement(snap, tpl)
+	snaps, workers := v.placement(tpl)
 	res, err := execute(ctx, snaps, workers, tpl, vals)
 	if err != nil {
 		return nil, err

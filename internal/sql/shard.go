@@ -17,9 +17,10 @@ import (
 // queries still get a morsel-parallel confidence sweep.
 //
 // The shard set is derived state, a pure function of the store's: every
-// catalog commit re-balances it (the one Resync call, in commit), which
-// rebuilds only the relations and components the commit replaced or moved,
-// and queries in flight keep the snapshots of the set they started on.
+// catalog commit re-balances it before the commit is published (commit.go),
+// rebuilding only the relations and components the commit replaced or
+// moved, and one published view carries both, so queries always read a
+// shard set built from the store snapshot they see.
 
 // AutoShardRows is the template-row threshold above which EnableSharding(0,
 // 0) turns sharding on: below it, partitioning overhead dominates.
@@ -35,7 +36,7 @@ func (db *DB) EnableSharding(n, workers int) error {
 	defer db.writer.Unlock()
 	if n == 0 {
 		rows := 0
-		snap := db.store.Snapshot()
+		snap := db.Snapshot()
 		for _, name := range snap.Relations() {
 			if r := snap.Rel(name); r != nil {
 				rows += r.NumRows()
@@ -51,73 +52,42 @@ func (db *DB) EnableSharding(n, workers int) error {
 		}
 	}
 	if n <= 1 {
-		db.mu.Lock()
-		db.shards = nil
-		db.mu.Unlock()
-		return nil
+		return db.publish(nil)
 	}
-	sh, err := shard.New(db.store, n, workers)
+	set, err := shard.NewSet(n, workers)
 	if err != nil {
 		return err
 	}
-	db.mu.Lock()
-	db.shards = sh
-	db.mu.Unlock()
-	return nil
+	return db.publish(set)
 }
 
 // Sharding reports the DB's shard and worker-pool counts (1, 0 when
 // sharding is off).
 func (db *DB) Sharding() (shards, workers int) {
-	if sh := db.shardStore(); sh != nil {
+	if sh := db.view.Load().shards; sh != nil {
 		return sh.N(), sh.Workers()
 	}
 	return 1, 0
 }
 
-// ShardStats returns per-shard row counts and representation statistics of
-// rel; nil when sharding is off.
-func (db *DB) ShardStats(rel string) []shard.Info {
-	sh := db.shardStore()
-	if sh == nil {
-		return nil
-	}
-	return sh.RelInfo(rel)
-}
-
-// ShardFingerprints returns one deterministic CRC32 per shard over the
-// shard's state; nil when sharding is off. Two boots of the same durable
-// directory log identical lists — the persistence-smoke byte-identity check.
+// ShardFingerprints returns one deterministic CRC32 per shard of the
+// published shard set; nil when sharding is off. Two boots of the same
+// durable directory log identical lists — the persistence-smoke
+// byte-identity check.
 func (db *DB) ShardFingerprints() []uint32 {
-	sh := db.shardStore()
-	if sh == nil {
-		return nil
-	}
-	return sh.Fingerprints()
-}
-
-// ShardError reports why sharding was disabled, if a re-balance failed
-// (nil while sharding is healthy or simply off).
-func (db *DB) ShardError() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.shardErr
-}
-
-// ValidateShards re-checks the partitioning invariant against the store;
-// a no-op without sharding.
-func (db *DB) ValidateShards() error {
-	if sh := db.shardStore(); sh != nil {
-		return sh.Validate()
+	if sh := db.view.Load().shards; sh != nil {
+		return sh.Fingerprints()
 	}
 	return nil
 }
 
-// shardStore reads the current shard set under db.mu.
-func (db *DB) shardStore() *shard.Store {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.shards
+// ValidateShards re-checks the partitioning invariant of the published
+// shard set against the published store snapshot; a no-op without sharding.
+func (db *DB) ValidateShards() error {
+	if v := db.view.Load(); v.shards != nil {
+		return v.shards.Validate(v.snap)
+	}
+	return nil
 }
 
 // distributable reports whether the plan runs shard-local: every operator
@@ -137,26 +107,17 @@ func (p *EnginePlan) distributable() bool {
 	return true
 }
 
-// placement picks where a plan runs, and the worker-pool width execute may
-// use there: the shard set for a distributable plan whose shard snapshots
-// all carry the plan's catalog, the authority snapshot otherwise — sharding
-// off, a join/product/difference plan, or a commit that raced the query (the
-// shard set is re-balanced after the authority commits, so for a moment it is
-// stale; snap was taken after the commit and is current).
-func (db *DB) placement(snap *engine.Snapshot, tpl *EnginePlan) ([]*engine.Snapshot, int) {
-	sh := db.shardStore()
-	if sh == nil {
-		return []*engine.Snapshot{snap}, 1
+// placement picks where a plan runs on view v, and the worker-pool width
+// execute may use there: the shard set for a distributable plan, the
+// authority snapshot otherwise (sharding off, or a join/product/difference
+// plan). The view's shard set was built from its snapshot, so either
+// placement carries the catalog the plan was checked against.
+func (v *view) placement(tpl *EnginePlan) ([]*engine.Snapshot, int) {
+	if v.shards == nil {
+		return []*engine.Snapshot{v.snap}, 1
 	}
 	if tpl.distributable() {
-		snaps := sh.Snapshots()
-		current := true
-		for _, sn := range snaps {
-			current = current && tpl.CatalogValid(sn)
-		}
-		if current {
-			return snaps, sh.Workers()
-		}
+		return v.shards.Snapshots(), v.shards.Workers()
 	}
-	return []*engine.Snapshot{snap}, sh.Workers()
+	return []*engine.Snapshot{v.snap}, v.shards.Workers()
 }

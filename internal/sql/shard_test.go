@@ -172,21 +172,12 @@ var shardDiffQueries = []string{
 	"SELECT CONF() FROM R WHERE A < 10 EXCEPT SELECT * FROM S WHERE B > 3",
 }
 
-// staleSharded opens a session over store whose shard set no longer carries
-// the catalog — as if every query raced a commit's re-partition — so each
-// plan is placed on the authority snapshot of a sharded DB.
-func staleSharded(t *testing.T, store *engine.Store, n int) *DB {
-	t.Helper()
-	db := Open(store)
-	empty, err := shard.New(engine.NewStore(), n, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.mu.Lock()
-	db.shards = empty
-	db.mu.Unlock()
-	return db
-}
+// shardSet returns the shard set db publishes.
+func shardSet(db *DB) *shard.Set { return db.view.Load().shards }
+
+// generation returns the re-balance generation of the shard set db
+// publishes.
+func generation(db *DB) int64 { return shardSet(db).LastResync().Generation }
 
 // arenasOut returns how many arenas acquired since the marks are not yet
 // back in the pool, and how many were acquired.
@@ -196,9 +187,9 @@ func arenasOut(acquired, released uint64) (out, taken int) {
 }
 
 // TestShardedDifferential runs the same statements through every placement
-// of the one executor — an unsharded session, a sharded one, and a sharded
-// one whose shard set is stale (authority placement with the shard worker
-// pool) — over the same store. Plain results must agree as multisets with
+// of the one executor — an unsharded session and a sharded one, where
+// join/product/difference plans run on the authority with the shard worker
+// pool — over the same store. Plain results must agree as multisets with
 // identical Len and Stats, CONF/POSSIBLE/CERTAIN must be byte-identical, the
 // result must hold exactly the arenas of its placement (one segment, or one
 // per shard) and hand every one back on Close — drained or mid-iteration.
@@ -221,7 +212,6 @@ func TestShardedDifferential(t *testing.T) {
 				segs int
 			}{
 				{"sharded", sharded, n},
-				{"stale", staleSharded(t, store, n), 1},
 			}
 			for _, q := range shardDiffQueries {
 				for _, pl := range placements {
@@ -318,7 +308,6 @@ func TestShardedCommitWhileReading(t *testing.T) {
 	}
 	const held = "SELECT A, B FROM R WHERE A < 15"
 	wantHeld := rowsAsStrings(t, mustQuery(t, db, held))
-	sh := db.shardStore()
 	const readers = 3
 	stop := make(chan struct{})
 	var cycles [readers]atomic.Int64
@@ -333,7 +322,7 @@ func TestShardedCommitWhileReading(t *testing.T) {
 					t.Errorf("reader: %v", err)
 					return
 				}
-				for gen := sh.Generation(); sh.Generation() < gen+3; {
+				for gen := generation(db); generation(db) < gen+3; {
 					select {
 					case <-stop:
 						rows.Close()
@@ -383,7 +372,7 @@ func TestShardedCommitWhileReading(t *testing.T) {
 			t.Errorf("Drop %s: %v", res, err)
 			break
 		}
-		if st := sh.LastResync(); st.Full || st.CellsCopied != 0 {
+		if st := shardSet(db).LastResync(); st.Full || st.CellsCopied != 0 {
 			t.Errorf("re-balance after DROP %s: %+v, want a delta copying nothing", res, st)
 			break
 		}
@@ -426,7 +415,6 @@ func TestMutatorsUnderReaders(t *testing.T) {
 	if err := db.EnableSharding(2, 2); err != nil {
 		t.Fatal(err)
 	}
-	sh := db.shardStore()
 	const held = "SELECT A, B FROM R WHERE A < 15"
 	// Every alternative the writer adds is 41; the chase removes it again.
 	deps := []engine.EGD{{
@@ -436,7 +424,7 @@ func TestMutatorsUnderReaders(t *testing.T) {
 	// answers maps a re-balance generation to held's answer on it; only the
 	// writer commits, and it records the answer before its next commit.
 	var answers sync.Map
-	record := func() { answers.Store(sh.Generation(), rowsAsStrings(t, mustQuery(t, db, held))) }
+	record := func() { answers.Store(generation(db), rowsAsStrings(t, mustQuery(t, db, held))) }
 	record()
 	render := func(snaps []*engine.Snapshot) string {
 		var b strings.Builder
@@ -460,19 +448,22 @@ func TestMutatorsUnderReaders(t *testing.T) {
 					return
 				default:
 				}
-				gen := sh.Generation()
-				snaps := append(sh.Snapshots(), db.Snapshot())
+				// One published view: its shard set was built from its
+				// snapshot, so the generation names both.
+				v := db.view.Load()
+				gen := v.shards.LastResync().Generation
+				snaps := append(v.shards.Snapshots(), v.snap)
 				pinned := render(snaps)
 				rows, err := db.Query(held)
 				if err != nil {
 					t.Errorf("reader: %v", err)
 					return
 				}
-				if sh.Generation() != gen {
+				if generation(db) != gen {
 					rows.Close() // a commit landed in between: no single generation to check against
 					continue
 				}
-				for sh.Generation() < gen+3 {
+				for generation(db) < gen+3 {
 					select {
 					case <-stop:
 						rows.Close()
@@ -522,7 +513,7 @@ func TestMutatorsUnderReaders(t *testing.T) {
 			break
 		}
 		record()
-		if st := sh.LastResync(); st.Full || st.RelsKept != 1 {
+		if st := shardSet(db).LastResync(); st.Full || st.RelsKept != 1 {
 			t.Errorf("re-balance after CHASE: %+v, want a delta keeping S", st)
 			break
 		}
@@ -631,7 +622,7 @@ func TestShardedExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := db.shardStore().LastResync()
+	last := shardSet(db).LastResync()
 	if last.Full || last.RelsKept != 2 || last.RelsRebuilt != 1 || last.CellsCopied != int64(2*res.Stats.RSize) {
 		t.Fatalf("re-balance after MATERIALIZE: %+v, want a delta copying M's %d rows x 2 columns", last, res.Stats.RSize)
 	}
