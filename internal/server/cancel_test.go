@@ -329,76 +329,6 @@ func TestPanicContainment(t *testing.T) {
 	}
 }
 
-// TestClientRetryMemBudget: WithRetry re-sends an EXEC rejected by the memory
-// budget and succeeds once the holding cursor closes — opt-in backoff turning
-// a transient rejection into a slow success. Without retry the same sequence
-// fails immediately with the budget code.
-func TestClientRetryMemBudget(t *testing.T) {
-	db := sql.Open(testStore(t, 2000))
-	defer db.Close()
-	const query = "SELECT * FROM R WHERE YEARSCH = 17 AND CITIZEN = 0"
-
-	// Measure one result's charged bytes, then serve with a session budget
-	// that fits exactly one such result at a time.
-	msrv, maddr := startServer(t, db, server.Config{})
-	mc, err := client.Dial(maddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mrows, err := mc.Query(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultBytes := msrv.GlobalUsed()
-	if resultBytes == 0 {
-		t.Fatal("result charges no budget; test cannot exercise rejection")
-	}
-	mrows.Close()
-	mc.Close()
-
-	_, addr := startServer(t, db, server.Config{SessionBudget: resultBytes})
-	conn, err := client.Dial(addr, client.WithRetry(8, 20*time.Millisecond, 200*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	holder, err := conn.Query(query) // fills the session budget
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		holder.Close() // frees the budget mid-backoff
-	}()
-	start := time.Now()
-	rows, qerr := conn.Query(query) // rejected, retried, admitted
-	if qerr != nil {
-		t.Fatalf("query with retry: %v", qerr)
-	}
-	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
-		t.Fatalf("query succeeded in %v; it should have been rejected and retried", elapsed)
-	}
-	rows.Close()
-
-	// Control: without WithRetry the rejection surfaces immediately.
-	plain, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	holder2, err := plain.Query(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer holder2.Close()
-	_, qerr = plain.Query(query)
-	var werr *server.WireError
-	if !errors.As(qerr, &werr) || werr.Code != server.ErrMemBudget {
-		t.Fatalf("without retry: got %v, want wire code MEM_BUDGET", qerr)
-	}
-}
-
 // dirBytes reads every file of a durable directory, keyed by name.
 func dirBytes(t *testing.T, dir string) map[string]string {
 	t.Helper()

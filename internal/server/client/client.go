@@ -13,10 +13,7 @@ package client
 
 import (
 	"bufio"
-	"context"
-	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -32,29 +29,8 @@ import (
 // pulls per round trip.
 const DefaultFetch = 1024
 
-// DefaultDialTimeout bounds Dial when neither a context deadline nor
-// WithDialTimeout shortens it.
+// DefaultDialTimeout bounds Dial's TCP connect.
 const DefaultDialTimeout = 10 * time.Second
-
-// retryPolicy is the capped-exponential-backoff retry configured by
-// WithRetry; the zero value means no retries.
-type retryPolicy struct {
-	retries int
-	base    time.Duration
-	cap     time.Duration
-}
-
-// backoff returns the jittered delay before retry attempt n (0-based):
-// base·2ⁿ capped at cap, with up to 50% uniform jitter subtracted so
-// synchronized clients (a load spike that just saturated the server) spread
-// out instead of stampeding back in step.
-func (p retryPolicy) backoff(n int) time.Duration {
-	d := p.base << uint(n)
-	if d > p.cap || d <= 0 {
-		d = p.cap
-	}
-	return d - time.Duration(rand.Int63n(int64(d)/2+1))
-}
 
 // Conn is one connection to a maybmsd server. The mu serializes whole
 // request/response rounds; wmu serializes raw frame writes underneath it, so
@@ -68,9 +44,6 @@ type Conn struct {
 	fetch  int
 	closed atomic.Bool
 	banner string
-
-	dialTimeout time.Duration
-	retry       retryPolicy
 }
 
 // Option tunes Dial.
@@ -85,85 +58,21 @@ func WithFetchBatch(n int) Option {
 	}
 }
 
-// WithDialTimeout bounds the TCP connect (the default is
-// DefaultDialTimeout); a DialContext deadline still applies whichever is
-// sooner.
-func WithDialTimeout(d time.Duration) Option {
-	return func(c *Conn) {
-		if d > 0 {
-			c.dialTimeout = d
-		}
-	}
-}
-
-// WithRetry opts in to automatic retries of retryable failures: a connection
-// refused with ErrTooManyConns (retried by Dial/DialContext, reconnecting
-// each time) and a query rejected with ErrMemBudget (retried by Stmt.Query —
-// other sessions' cursors closing frees budget). Retries back off
-// exponentially from base, capped at max, with jitter; retries ≤ 0 disables
-// again, base/max ≤ 0 take defaults (50ms, 2s). Errors of any other code are
-// never retried.
-func WithRetry(retries int, base, max time.Duration) Option {
-	return func(c *Conn) {
-		if retries <= 0 {
-			c.retry = retryPolicy{}
-			return
-		}
-		if base <= 0 {
-			base = 50 * time.Millisecond
-		}
-		if max <= 0 {
-			max = 2 * time.Second
-		}
-		if max < base {
-			max = base
-		}
-		c.retry = retryPolicy{retries: retries, base: base, cap: max}
-	}
-}
-
-// retryableCode reports the wire codes WithRetry may retry: transient
-// resource rejections, where backing off genuinely helps.
-func retryableCode(code uint16) bool {
-	return code == server.ErrMemBudget || code == server.ErrTooManyConns
-}
-
 // Dial connects and performs the protocol handshake.
 func Dial(addr string, opts ...Option) (*Conn, error) {
-	return DialContext(context.Background(), addr, opts...)
-}
-
-// DialContext is Dial honoring ctx for the connect (and for the backoff
-// sleeps of a WithRetry dial). The context only bounds connection setup; it
-// does not govern later requests on the Conn.
-func DialContext(ctx context.Context, addr string, opts ...Option) (*Conn, error) {
-	c := &Conn{fetch: DefaultFetch, dialTimeout: DefaultDialTimeout}
+	c := &Conn{fetch: DefaultFetch}
 	for _, o := range opts {
 		o(c)
 	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		err := c.connect(ctx, addr)
-		if err == nil {
-			return c, nil
-		}
-		lastErr = err
-		var werr *server.WireError
-		if attempt >= c.retry.retries || !errors.As(err, &werr) || !retryableCode(werr.Code) {
-			return nil, lastErr
-		}
-		select {
-		case <-time.After(c.retry.backoff(attempt)):
-		case <-ctx.Done():
-			return nil, fmt.Errorf("client: dialing %s: %w (last error: %v)", addr, ctx.Err(), lastErr)
-		}
+	if err := c.connect(addr); err != nil {
+		return nil, err
 	}
+	return c, nil
 }
 
-// connect performs one TCP connect plus handshake attempt on c.
-func (c *Conn) connect(ctx context.Context, addr string) error {
-	d := net.Dialer{Timeout: c.dialTimeout}
-	nc, err := d.DialContext(ctx, "tcp", addr)
+// connect performs the TCP connect plus handshake on c.
+func (c *Conn) connect(addr string) error {
+	nc, err := net.DialTimeout("tcp", addr, DefaultDialTimeout)
 	if err != nil {
 		return fmt.Errorf("client: dialing %s: %w", addr, err)
 	}
@@ -246,21 +155,6 @@ func (c *Conn) writeFrame(op byte, payload []byte) error {
 		return err
 	}
 	return c.bw.Flush()
-}
-
-// roundRetry is round with the WithRetry policy applied to ErrMemBudget
-// responses (safe: a rejected EXEC opens no cursor, so re-sending it is
-// idempotent). Only Stmt.Query goes through here.
-func (c *Conn) roundRetry(op byte, payload []byte, want byte) ([]byte, error) {
-	for attempt := 0; ; attempt++ {
-		resp, err := c.round(op, payload, want)
-		var werr *server.WireError
-		if err == nil || attempt >= c.retry.retries ||
-			!errors.As(err, &werr) || werr.Code != server.ErrMemBudget {
-			return resp, err
-		}
-		time.Sleep(c.retry.backoff(attempt))
-	}
 }
 
 // Cancel asks the server to abort the EXEC currently in flight on this
@@ -353,7 +247,7 @@ func (s *Stmt) Query(args ...any) (*Rows, error) {
 	for _, v := range vals {
 		w.Value(v)
 	}
-	payload, err := s.c.roundRetry(server.OpExec, w.B, server.OpExecOK)
+	payload, err := s.c.round(server.OpExec, w.B, server.OpExecOK)
 	if err != nil {
 		return nil, err
 	}
