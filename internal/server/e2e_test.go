@@ -378,6 +378,70 @@ func TestRemoteCatalogExplainMaterialize(t *testing.T) {
 	}
 }
 
+// TestCatalogUnderCommits pins a CATALOG reply to one committed state: while
+// a writer cycles MATERIALIZE q / DROP q, every relation a reply lists must
+// carry its full schema and non-zero statistics. A reply assembled from
+// several reads lists a q that a DROP removed mid-reply with no attributes
+// and zero statistics.
+func TestCatalogUnderCommits(t *testing.T) {
+	db := sql.Open(testStore(t, 2000))
+	defer db.Close()
+	_, addr := startServer(t, db, server.Config{})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+
+	attrs := len(census.AttrNames())
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := db.Materialize("q", "SELECT * FROM R WHERE YEARSCH = 17"); err != nil {
+				t.Errorf("materialize: %v", err)
+				return
+			}
+			if err := db.DropRelation("q"); err != nil {
+				t.Errorf("drop: %v", err)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	listedQ := 0
+	for i := 0; i < 500; i++ {
+		rels, err := c.Catalog()
+		if err != nil {
+			t.Fatalf("catalog %d: %v", i, err)
+		}
+		for _, ri := range rels {
+			if ri.Name != "R" && ri.Name != "q" {
+				t.Fatalf("catalog %d lists unknown relation %q", i, ri.Name)
+			}
+			if len(ri.Attrs) != attrs || ri.Stats.RSize == 0 {
+				t.Fatalf("catalog %d lists %s with %d attributes and %+v, want %d attributes and non-zero statistics",
+					i, ri.Name, len(ri.Attrs), ri.Stats, attrs)
+			}
+			if ri.Name == "q" {
+				listedQ++
+			}
+		}
+	}
+	t.Logf("%d of 500 replies listed q", listedQ)
+}
+
 // TestSessionBudgetReject checks the per-session budget: a result larger
 // than the budget answers a typed ErrMemBudget frame, the rejected result's
 // arena is released, and the session keeps serving smaller queries.

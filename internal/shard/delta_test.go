@@ -16,17 +16,17 @@ import (
 // and a confidence table bit-identical to the unsharded engine's.
 func requireDeltaEqualsFull(t *testing.T, ctx string, authority *engine.Store, sh *Store) {
 	t.Helper()
-	if err := sh.Validate(); err != nil {
+	if err := sh.Current().Validate(authority.Snapshot()); err != nil {
 		t.Fatalf("%s: Validate: %v", ctx, err)
 	}
-	fresh, err := New(authority, sh.N(), 1)
+	fresh, err := New(authority, sh.Current().N(), 1)
 	if err != nil {
 		t.Fatalf("%s: fresh New: %v", ctx, err)
 	}
-	if got, want := sh.Fingerprints(), fresh.Fingerprints(); !slices.Equal(got, want) {
+	if got, want := sh.Current().Fingerprints(), fresh.Current().Fingerprints(); !slices.Equal(got, want) {
 		t.Fatalf("%s: fingerprints %08x, a fresh partition has %08x", ctx, got, want)
 	}
-	if got, want := sh.LastResync().ShardRows, fresh.LastResync().ShardRows; !slices.Equal(got, want) {
+	if got, want := sh.Current().LastResync().ShardRows, fresh.Current().LastResync().ShardRows; !slices.Equal(got, want) {
 		t.Fatalf("%s: rows per shard %v, a fresh partition has %v", ctx, got, want)
 	}
 	for _, rel := range authority.Relations() {
@@ -34,7 +34,7 @@ func requireDeltaEqualsFull(t *testing.T, ctx string, authority *engine.Store, s
 		if err != nil {
 			t.Fatalf("%s: authority PossibleP(%s): %v", ctx, rel, err)
 		}
-		got, err := sh.PossibleP(rel)
+		got, err := possibleP(sh.Current(), rel)
 		if err != nil {
 			t.Fatalf("%s: sharded PossibleP(%s): %v", ctx, rel, err)
 		}
@@ -187,7 +187,7 @@ func TestDeltaEqualsFull(t *testing.T) {
 					t.Fatalf("seed %d n=%d step %d (%s): Resync: %v", seed, n, step, op, err)
 				}
 				ctx := fmt.Sprintf("seed %d n=%d step %d (%s)", seed, n, step, op)
-				st := sh.LastResync()
+				st := sh.Current().LastResync()
 				if st.Full {
 					t.Fatalf("%s: full rebuild", ctx)
 				}
@@ -255,7 +255,7 @@ func TestJoinCommitMovesRows(t *testing.T) {
 	}
 	rowsOf := func(rel string) []int {
 		var out []int
-		for _, info := range sh.RelInfo(rel) {
+		for _, info := range sh.Current().RelInfo(rel) {
 			out = append(out, info.Rows)
 		}
 		return out
@@ -279,7 +279,7 @@ func TestJoinCommitMovesRows(t *testing.T) {
 	if sh.Snapshots()[0].Rel("L") != lBefore {
 		t.Fatalf("L was rebuilt although none of its rows moved")
 	}
-	st := sh.LastResync()
+	st := sh.Current().LastResync()
 	if st.Full || st.RelsKept != 1 || st.RelsRebuilt != 2 {
 		t.Fatalf("stats %+v, want a delta keeping L and rebuilding S and J", st)
 	}
@@ -291,7 +291,7 @@ func TestJoinCommitMovesRows(t *testing.T) {
 	if err := sh.Resync(); err != nil {
 		t.Fatal(err)
 	}
-	if st := sh.LastResync(); st.RelsRebuilt != 0 || st.CellsCopied != 0 {
+	if st := sh.Current().LastResync(); st.RelsRebuilt != 0 || st.CellsCopied != 0 {
 		t.Fatalf("stats after drop %+v, want nothing re-sliced", st)
 	}
 	requireDeltaEqualsFull(t, "after drop", authority, sh)
@@ -307,7 +307,7 @@ func TestResyncReusesUntouchedRelations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := sh.LastResync(); !st.Full || st.RelsKept != 0 || st.RelsRebuilt != 2 || st.Generation != 1 {
+	if st := sh.Current().LastResync(); !st.Full || st.RelsKept != 0 || st.RelsRebuilt != 2 || st.Generation != 1 {
 		t.Fatalf("first build: stats %+v", st)
 	}
 	copies := func() []*engine.Relation {
@@ -329,7 +329,7 @@ func TestResyncReusesUntouchedRelations(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := authority.Rel("Q")
-	st := sh.LastResync()
+	st := sh.Current().LastResync()
 	if st.Full || st.RelsKept != 2 || st.RelsRebuilt != 1 {
 		t.Fatalf("after MATERIALIZE: stats %+v, want a delta keeping R0 and R1", st)
 	}
@@ -348,7 +348,7 @@ func TestResyncReusesUntouchedRelations(t *testing.T) {
 	if err := sh.Resync(); err != nil {
 		t.Fatal(err)
 	}
-	st = sh.LastResync()
+	st = sh.Current().LastResync()
 	if st.Full || st.RelsKept != 2 || st.RelsRebuilt != 0 || st.CellsCopied != 0 || st.Generation != 3 {
 		t.Fatalf("after DROP: stats %+v, want nothing copied", st)
 	}
@@ -366,7 +366,7 @@ func TestResyncReusesUntouchedRelations(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := copies()
-	if st := sh.LastResync(); st.Full || st.RelsKept != 1 || st.RelsRebuilt != 1 || st.CompsKept == 0 {
+	if st := sh.Current().LastResync(); st.Full || st.RelsKept != 1 || st.RelsRebuilt != 1 || st.CompsKept == 0 {
 		t.Fatalf("after SetUncertain: stats %+v, want a delta rebuilding R0 alone", st)
 	}
 	for i := 0; i < len(after); i += 2 {
@@ -388,7 +388,7 @@ func TestResyncReusesUntouchedRelations(t *testing.T) {
 	if err := sh.Resync(); err != nil {
 		t.Fatal(err)
 	}
-	if st := sh.LastResync(); st.Full || st.RelsRebuilt != 0 || st.CellsCopied != 0 {
+	if st := sh.Current().LastResync(); st.Full || st.RelsRebuilt != 0 || st.CellsCopied != 0 {
 		t.Fatalf("after chase: stats %+v, want nothing re-sliced", st)
 	}
 	if !slices.Equal(copies(), after) {

@@ -92,6 +92,37 @@ func relNames(st *engine.StoreState) []string {
 	return out
 }
 
+// possibleMasses is the pre-fold confidence table of rel over a pinned
+// snapshot set, merged across the shards.
+func possibleMasses(snaps []*engine.Snapshot, workers int, rel string) ([]engine.TupleMasses, error) {
+	parts := make([][]engine.TupleMasses, len(snaps))
+	err := EachSnapshot(snaps, workers, func(i int, sn *engine.Snapshot) error {
+		tms, err := engine.PossibleMasses(sn, rel)
+		if err != nil {
+			return err
+		}
+		parts[i] = tms
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return engine.MergeMasses(nil, parts)
+}
+
+// possibleP computes the Figure 19 confidence table of rel across the set's
+// shards: each shard's pre-fold table covers its own groups, and the merged
+// mass multiset per tuple equals the unsharded store's (the groups are
+// partitioned, never split), so the fold is byte-identical to the unsharded
+// engine's PossibleP.
+func possibleP(set *Set, rel string) ([]engine.TupleConf, error) {
+	tms, err := possibleMasses(set.Snapshots(), set.Workers(), rel)
+	if err != nil {
+		return nil, err
+	}
+	return engine.FoldMassTable(nil, tms)
+}
+
 // requireSameTable asserts byte-identity of two confidence tables: same
 // tuples, and bit-equal float64 confidences.
 func requireSameTable(t *testing.T, ctx string, want, got []engine.TupleConf) {
@@ -121,7 +152,7 @@ func TestDifferentialPossibleP(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d n=%d: New: %v", seed, n, err)
 			}
-			if err := sh.Validate(); err != nil {
+			if err := sh.Current().Validate(authority.Snapshot()); err != nil {
 				t.Fatalf("seed %d n=%d: Validate: %v", seed, n, err)
 			}
 			for _, rel := range relNames(st) {
@@ -129,7 +160,7 @@ func TestDifferentialPossibleP(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: authority PossibleP(%s): %v", seed, rel, err)
 				}
-				got, err := sh.PossibleP(rel)
+				got, err := possibleP(sh.Current(), rel)
 				if err != nil {
 					t.Fatalf("seed %d n=%d: sharded PossibleP(%s): %v", seed, n, rel, err)
 				}
@@ -199,7 +230,7 @@ func TestPartitionDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, f2 := s1.Fingerprints(), s2.Fingerprints()
+	f1, f2 := s1.Current().Fingerprints(), s2.Current().Fingerprints()
 	for i := range f1 {
 		if f1[i] != f2[i] {
 			t.Fatalf("shard %d: fingerprint %08x vs %08x", i, f1[i], f2[i])
@@ -216,19 +247,19 @@ func TestValidateDetectsDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sh.Validate(); err != nil {
+	if err := sh.Current().Validate(authority.Snapshot()); err != nil {
 		t.Fatalf("fresh shard set: %v", err)
 	}
 	if _, err := authority.AddRelation("S", []string{"X"}, [][]int32{{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sh.Validate(); err == nil {
+	if err := sh.Current().Validate(authority.Snapshot()); err == nil {
 		t.Fatalf("Validate missed a drifted authority")
 	}
 	if err := sh.Resync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sh.Validate(); err != nil {
+	if err := sh.Current().Validate(authority.Snapshot()); err != nil {
 		t.Fatalf("after Resync: %v", err)
 	}
 }
@@ -263,13 +294,14 @@ func TestResyncUnderReaders(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for {
-				snaps, gen := sh.Snapshots(), sh.Generation()
+				set := sh.Current()
+				snaps, gen := set.Snapshots(), set.LastResync().Generation
 				before, err := fold(snaps)
 				if err != nil {
 					t.Errorf("reader: %v", err)
 					return
 				}
-				for sh.Generation() < gen+3 {
+				for sh.Current().LastResync().Generation < gen+3 {
 					select {
 					case <-stop:
 						return
@@ -279,11 +311,11 @@ func TestResyncUnderReaders(t *testing.T) {
 				}
 				after, err := fold(snaps)
 				if err != nil {
-					t.Errorf("reader, %d generations on: %v", sh.Generation()-gen, err)
+					t.Errorf("reader, %d generations on: %v", sh.Current().LastResync().Generation-gen, err)
 					return
 				}
 				if !slices.Equal(tableBits(before), tableBits(after)) {
-					t.Errorf("reader: a pinned snapshot set changed its answer across generations %d..%d", gen, sh.Generation())
+					t.Errorf("reader: a pinned snapshot set changed its answer across generations %d..%d", gen, sh.Current().LastResync().Generation)
 					return
 				}
 				held[g].Add(1)

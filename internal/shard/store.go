@@ -140,33 +140,9 @@ func (s *Store) Resync() error {
 	return nil
 }
 
-// N, Workers, Generation, LastResync, Snapshots, RelInfo and Fingerprints
-// describe the current set (see the Set methods).
-func (s *Store) N() int                        { return s.Current().n }
+// Workers and Snapshots describe the current set (see the Set methods).
 func (s *Store) Workers() int                  { return s.Current().workers }
-func (s *Store) Generation() int64             { return s.Current().stats.Generation }
-func (s *Store) LastResync() ResyncStats       { return s.Current().stats }
 func (s *Store) Snapshots() []*engine.Snapshot { return s.Current().Snapshots() }
-func (s *Store) RelInfo(rel string) []Info     { return s.Current().RelInfo(rel) }
-func (s *Store) Fingerprints() []uint32        { return s.Current().Fingerprints() }
-
-// Validate re-checks the current set against the authority's current state
-// (Set.Validate): an authority changed without a Resync fails it.
-func (s *Store) Validate() error { return s.Current().Validate(s.authority.Snapshot()) }
-
-// PossibleP computes the Figure 19 confidence table of rel morsel-parallel
-// across the current set's shards: each shard's pre-fold table covers its
-// own groups, and the merged mass multiset per tuple equals the unsharded
-// store's (the groups are partitioned, never split), so the fold is
-// byte-identical to the unsharded engine's PossibleP.
-func (s *Store) PossibleP(rel string) ([]engine.TupleConf, error) {
-	set := s.Current()
-	tms, err := possibleMasses(set.snaps, set.workers, rel)
-	if err != nil {
-		return nil, err
-	}
-	return engine.FoldMassTable(nil, tms)
-}
 
 // N returns the shard count, Workers the worker-pool size.
 func (t *Set) N() int       { return t.n }
@@ -368,26 +344,6 @@ feed:
 		return first
 	}
 	return engine.Canceled(ctx.Err())
-}
-
-// possibleMasses is the pre-fold confidence table of rel over a pinned
-// snapshot set, merged across the shards.
-func possibleMasses(snaps []*engine.Snapshot, workers int, rel string) ([]engine.TupleMasses, error) {
-	parts := make([][]engine.TupleMasses, len(snaps))
-	err := EachSnapshot(snaps, workers, func(i int, sn *engine.Snapshot) error {
-		tms, err := engine.PossibleMasses(sn, rel)
-		if err != nil {
-			return err
-		}
-		parts[i] = tms
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The store-level API carries no request context, so the merge runs
-	// unguarded (nil guard); the serving layer uses the ctx-aware sql path.
-	return engine.MergeMasses(nil, parts)
 }
 
 // Info describes one shard's slice of a relation for EXPLAIN.

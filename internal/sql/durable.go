@@ -141,8 +141,11 @@ func (db *DB) Checkpoint() error {
 }
 
 // replayWAL applies the directory's log to the DB's store, record by
-// record, publishing after each one as commit does, and returns how many it
-// applied. Nothing is logged: replay calls apply, not commit.
+// record, and returns how many it applied. Nothing is logged: replay calls
+// apply, not commit. No reader exists yet, so the state is published only
+// where apply reads it — before a MATERIALIZE, which compiles against the
+// published view — and once at the end; a snapshot per record would start a
+// store epoch per record and make every next mutation copy the catalog.
 func (db *DB) replayWAL(d *storage.Dir) (int, error) {
 	f, err := os.Open(d.WALPath())
 	if err != nil {
@@ -151,10 +154,18 @@ func (db *DB) replayWAL(d *storage.Dir) (int, error) {
 	defer f.Close()
 	db.writer.Lock()
 	defer db.writer.Unlock()
-	return storage.ReplayWAL(f, func(rec *storage.WALRecord) error {
-		if _, err := db.apply(context.Background(), rec); err != nil {
-			return err
+	shards := db.view.Load().shards
+	n, err := storage.ReplayWAL(f, func(rec *storage.WALRecord) error {
+		if rec.Type == storage.RecMaterialize {
+			if err := db.publish(shards); err != nil {
+				return err
+			}
 		}
-		return db.publish(db.view.Load().shards)
+		_, err := db.apply(context.Background(), rec)
+		return err
 	})
+	if err == nil && n > 0 {
+		err = db.publish(shards)
+	}
+	return n, err
 }
