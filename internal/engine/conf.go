@@ -63,16 +63,6 @@ func FoldMasses(ms []float64) float64 {
 	return c
 }
 
-// AppendTupleKey appends the canonical byte key of a native tuple to dst and
-// returns the extended slice. Equal tuples map to equal keys; the shard merge
-// layer uses it to intern tuples across per-shard confidence tables.
-func AppendTupleKey(dst []byte, t []int32) []byte {
-	for _, v := range t {
-		dst = appendFieldKey(dst, v, false)
-	}
-	return dst
-}
-
 // CompareTuples orders two native tuples lexicographically; it matches the
 // canonical order of relation.CompareTuples on all-integer tuples, so native
 // and bridge answer lists sort identically.
@@ -95,39 +85,33 @@ func CompareTuples(a, b []int32) int {
 }
 
 // tupleAccum interns tuples and accumulates per-tuple probability masses
-// with slice indexes: the byte key (appendFieldKey per attribute) resolves a
-// tuple to a dense index once, and the per-group sweep then works entirely
-// in slices — mass, a last-counted stamp, a touched list — instead of
-// map[string]float64 per component.
+// with slice indexes: a tupleTable keyed on the tuple's own int32 words
+// resolves a tuple to a dense index once, and the per-group sweep then works
+// entirely in slices — mass, a last-counted stamp, a touched list — instead
+// of map[string]float64 per component.
 type tupleAccum struct {
-	idx     map[string]int
-	tuples  [][]int32
+	tab     *tupleTable
 	certain []bool
 	masses  [][]float64
 	mass    []float64
 	stamp   []int // last (group, local world) epoch that counted the tuple
 	touched []int
-	keyBuf  []byte
 }
 
-func newTupleAccum() *tupleAccum {
-	return &tupleAccum{idx: make(map[string]int)}
+func newTupleAccum(arity int) *tupleAccum {
+	return &tupleAccum{tab: newTupleTable(arity)}
 }
 
 // intern returns the dense index of tuple t, adding it on first sight. The
 // returned index is stable; t is copied only when new.
 func (ac *tupleAccum) intern(t []int32) int {
-	ac.keyBuf = AppendTupleKey(ac.keyBuf[:0], t)
-	if i, ok := ac.idx[string(ac.keyBuf)]; ok {
-		return i
+	i, added := ac.tab.intern(t)
+	if added {
+		ac.certain = append(ac.certain, false)
+		ac.masses = append(ac.masses, nil)
+		ac.mass = append(ac.mass, 0)
+		ac.stamp = append(ac.stamp, -1)
 	}
-	i := len(ac.tuples)
-	ac.idx[string(ac.keyBuf)] = i
-	ac.tuples = append(ac.tuples, append([]int32(nil), t...))
-	ac.certain = append(ac.certain, false)
-	ac.masses = append(ac.masses, nil)
-	ac.mass = append(ac.mass, 0)
-	ac.stamp = append(ac.stamp, -1)
 	return i
 }
 
@@ -158,13 +142,20 @@ func (ac *tupleAccum) fold() {
 
 // sorted returns the interned tuples with their mass lists in canonical
 // order.
+//
+//maybms:unguarded linear copy of the interned table, one entry per distinct tuple; foldAll ticks per tuple
 func (ac *tupleAccum) sorted() []TupleMasses {
-	out := make([]TupleMasses, len(ac.tuples))
-	for i := range ac.tuples {
-		out[i] = TupleMasses{Tuple: ac.tuples[i], Certain: ac.certain[i], Masses: ac.masses[i]}
+	out := make([]TupleMasses, ac.tab.len())
+	for i := range out {
+		out[i] = TupleMasses{Tuple: ac.tab.tuple(i), Certain: ac.certain[i], Masses: ac.masses[i]}
 	}
-	sort.Slice(out, func(i, j int) bool { return CompareTuples(out[i].Tuple, out[j].Tuple) < 0 })
+	sortMasses(out)
 	return out
+}
+
+// sortMasses puts a table of distinct tuples in canonical order.
+func sortMasses(tms []TupleMasses) {
+	sort.Slice(tms, func(i, j int) bool { return CompareTuples(tms[i].Tuple, tms[j].Tuple) < 0 })
 }
 
 // foldAll turns sorted mass lists into the final confidence table. It
@@ -206,16 +197,24 @@ func groupTuple(r *Relation, g *tlGroup, tr tlRow, w int, buf []int32) (_ []int3
 }
 
 // internCertain interns the certain template rows of the view: present in
-// every world, confidence exactly 1, whatever the uncertain rows add.
-func (ac *tupleAccum) internCertain(r *Relation, rows []int32) {
-	tbuf := make([]int32, 0, len(r.Attrs))
-	for _, row := range rows {
-		tbuf = tbuf[:0]
-		for a := range r.Attrs {
-			tbuf = append(tbuf, r.Cols[a][row])
+// every world, confidence exactly 1, whatever the uncertain rows add. There
+// can be as many as the relation has rows, so the guard is ticked once per
+// batch of guardPeriod rows.
+func (ac *tupleAccum) internCertain(r *Relation, rows []int32, guard *Guard) error {
+	tbuf := make([]int32, len(r.Attrs))
+	for lo := 0; lo < len(rows); lo += guardPeriod {
+		hi := min(lo+guardPeriod, len(rows))
+		if err := guard.tickN(hi - lo); err != nil {
+			return err
 		}
-		ac.certain[ac.intern(tbuf)] = true
+		for _, row := range rows[lo:hi] {
+			for a, col := range r.Cols {
+				tbuf[a] = col[row]
+			}
+			ac.certain[ac.intern(tbuf)] = true
+		}
 	}
+	return nil
 }
 
 // sweepGroups scores every tuple each group can produce: one epoch per
@@ -260,9 +259,17 @@ func PossibleMasses(v View, rel string) ([]TupleMasses, error) {
 	if err != nil {
 		return nil, err
 	}
-	ac := newTupleAccum()
-	ac.internCertain(tv.rel, tv.certain)
-	if err := ac.sweepGroups(tv.rel, tv.groups, guardOf(v)); err != nil {
+	return tv.masses(guardOf(v))
+}
+
+// masses scores the whole view with one accumulator: the certain rows, then
+// every group.
+func (tv *tupleView) masses(guard *Guard) ([]TupleMasses, error) {
+	ac := newTupleAccum(len(tv.rel.Attrs))
+	if err := ac.internCertain(tv.rel, tv.certain, guard); err != nil {
+		return nil, err
+	}
+	if err := ac.sweepGroups(tv.rel, tv.groups, guard); err != nil {
 		return nil, err
 	}
 	return ac.sorted(), nil

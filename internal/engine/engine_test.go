@@ -243,10 +243,8 @@ func TestProjectAgainstOracle(t *testing.T) {
 	// the store must match the two steps: same Stats, and — the stores carry
 	// non-uniform probabilities, so a different composition or local-world
 	// order would show — bit-identical pre-fold masses.
-	rng := rand.New(rand.NewSource(107))
-	attrsAll := []string{"A", "B", "C"}
-	for trial := 0; trial < 60; trial++ {
-		s := randStore(rng)
+	check := func(trial int, s *Store, p Pred, keep []string) {
+		t.Helper()
 		fused := s.Clone()
 		w, err := bridge.ToWSD(s)
 		if err != nil {
@@ -256,15 +254,7 @@ func TestProjectAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := randPred(rng, attrsAll, 1)
 		Commit(t, s, func(a *Arena) error { _, err := a.Select("P1", "R", p); return err })
-		// Random non-empty projection.
-		perm := rng.Perm(3)
-		k := 1 + rng.Intn(3)
-		var keep []string
-		for _, i := range perm[:k] {
-			keep = append(keep, attrsAll[i])
-		}
 		Commit(t, s, func(a *Arena) error { _, err := a.Project("P2", "P1", keep...); return err })
 		if err := s.Validate(1e-9); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -293,6 +283,56 @@ func TestProjectAgainstOracle(t *testing.T) {
 			Attrs: keep,
 		}
 		oracleCompare(t, trial, in, s, "P2", q)
+	}
+
+	// Fixed shapes for the walk of the uncertain rows against the selection
+	// vector. R has placeholders at its first and last rows:
+	//
+	//	row  A      B  C
+	//	0    {0,1}  0  0
+	//	1    1      1  0
+	//	2    2      0  1
+	//	3    1      2  2
+	//	4    3      3  {0,2}
+	edges := []struct {
+		p    Pred
+		keep []string
+	}{
+		{AttrConst{Attr: "B", Theta: relation.LT, C: 3}, []string{"C"}}, // row 0 kept, row 4 after the last kept row
+		{AttrConst{Attr: "B", Theta: relation.LT, C: 3}, []string{"A", "B"}},
+		{Eq("B", 3), []string{"A"}},                 // only the last row, uncertain
+		{Eq("B", 9), []string{"A", "C"}},            // empty selection
+		{Eq("A", 2), []string{"B", "C"}},            // rejects every uncertain row
+		{Or{Eq("A", 0), Eq("C", 2)}, []string{"B"}}, // both kept in some local worlds
+	}
+	for i, e := range edges {
+		s := NewStore()
+		cols := [][]int32{{0, 1, 2, 1, 3}, {0, 1, 0, 2, 3}, {0, 0, 1, 2, 0}}
+		if _, err := s.AddRelation("R", []string{"A", "B", "C"}, cols); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetUncertain("R", 0, "A", []int32{0, 1}, []float64{0.3, 0.7}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetUncertain("R", 4, "C", []int32{0, 2}, []float64{0.6, 0.4}); err != nil {
+			t.Fatal(err)
+		}
+		check(-1-i, s, e.p, e.keep)
+	}
+
+	rng := rand.New(rand.NewSource(107))
+	attrsAll := []string{"A", "B", "C"}
+	for trial := 0; trial < 60; trial++ {
+		s := randStore(rng)
+		p := randPred(rng, attrsAll, 1)
+		// Random non-empty projection.
+		perm := rng.Perm(3)
+		k := 1 + rng.Intn(3)
+		var keep []string
+		for _, i := range perm[:k] {
+			keep = append(keep, attrsAll[i])
+		}
+		check(trial, s, p, keep)
 	}
 }
 

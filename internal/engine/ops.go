@@ -139,7 +139,9 @@ func (a *Arena) selectProject(res, src string, p Pred, attrs []string) (*Relatio
 			if err := a.tick(); err != nil {
 				return nil, err
 			}
-			comp := a.compFor(FieldID{Rel: r.id, Row: u.src, Attr: u.ref[0]})
+			// Read, do not adopt: a rejected row never extends its
+			// component, and a surviving one adopts it when it does.
+			comp := a.ComponentOf(FieldID{Rel: r.id, Row: u.src, Attr: u.ref[0]})
 			pass := condMask(r, cp, u.src, u.ref, comp)
 			if !slices.Contains(pass, true) {
 				continue
@@ -156,17 +158,24 @@ func (a *Arena) selectProject(res, src string, p Pred, attrs []string) (*Relatio
 		}
 	}
 
-	// The result rows with placeholders: the index rows that survived.
-	var rows []urow
-	for i, k := 0, 0; i < len(x.rows); i++ {
-		row, j := x.rows[i], int(x.rows[i])
+	// The result rows with placeholders: the index rows that survived,
+	// found by walking the index against the ascending selection vector.
+	rows := make([]urow, 0, survivors(x.rows, sel))
+	for i, s, k := 0, 0, 0; i < len(x.rows); i++ {
+		row, j := x.rows[i], x.rows[i]
 		if sel != nil {
-			var ok bool
-			if j, ok = slices.BinarySearch(sel, row); !ok {
+			for s < len(sel) && sel[s] < row {
+				s++
+			}
+			if s == len(sel) {
+				break
+			}
+			if sel[s] != row {
 				continue
 			}
+			j = int32(s)
 		}
-		u := urow{j: int32(j), src: row, attrs: x.at(i)}
+		u := urow{j: j, src: row, attrs: x.at(i)}
 		for k < len(refs) && refs[k].src < row {
 			k++
 		}
@@ -267,6 +276,24 @@ func (a *Arena) filter(r *Relation, cp CompiledPred, refs []urow) ([]int32, erro
 		}
 	}
 	return sel, nil
+}
+
+// survivors counts the rows of idx, ascending, that the ascending
+// selection vector sel keeps (nil keeps every row).
+func survivors(idx, sel []int32) int {
+	if sel == nil {
+		return len(idx)
+	}
+	n := 0
+	for i, s := 0, 0; i < len(idx) && s < len(sel); i++ {
+		for s < len(sel) && sel[s] < idx[i] {
+			s++
+		}
+		if s < len(sel) && sel[s] == idx[i] {
+			n++
+		}
+	}
+	return n
 }
 
 // condMask decides the condition on row of r per local world of comp, the

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 )
 
@@ -52,12 +51,7 @@ func possibleMassesParallel(v View, rel string, workers int) ([]TupleMasses, err
 	}
 	guard := guardOf(v)
 	if workers <= 1 || work < parallelThreshold {
-		ac := newTupleAccum()
-		ac.internCertain(tv.rel, tv.certain)
-		if err := ac.sweepGroups(tv.rel, tv.groups, guard); err != nil {
-			return nil, err
-		}
-		return ac.sorted(), nil
+		return tv.masses(guard)
 	}
 	// The workers share one guard: its tick counter and failure latch are
 	// atomic, so the first worker to hit a cancel or budget failure stops the
@@ -75,10 +69,13 @@ func possibleMassesParallel(v View, rel string, workers int) ([]TupleMasses, err
 					errs[w] = fmt.Errorf("engine: confidence fold worker panic: %v", p)
 				}
 			}()
-			ac := newTupleAccum()
+			ac := newTupleAccum(len(tv.rel.Attrs))
 			lo := len(tv.certain) * w / workers
 			hi := len(tv.certain) * (w + 1) / workers
-			ac.internCertain(tv.rel, tv.certain[lo:hi])
+			if err := ac.internCertain(tv.rel, tv.certain[lo:hi], guard); err != nil {
+				errs[w] = err
+				return
+			}
 			var groups []*tlGroup
 			for i := w; i < len(tv.groups); i += workers {
 				groups = append(groups, tv.groups[i])
@@ -106,10 +103,11 @@ func possibleMassesParallel(v View, rel string, workers int) ([]TupleMasses, err
 // tuple equals the unsharded one, so FoldMasses yields byte-identical
 // confidences.
 func MergeMasses(g *Guard, parts [][]TupleMasses) ([]TupleMasses, error) {
-	nonEmpty := 0
+	nonEmpty, arity := 0, 0
 	for _, p := range parts {
 		if len(p) > 0 {
 			nonEmpty++
+			arity = len(p[0].Tuple)
 		}
 	}
 	if nonEmpty <= 1 {
@@ -120,26 +118,25 @@ func MergeMasses(g *Guard, parts [][]TupleMasses) ([]TupleMasses, error) {
 		}
 		return nil, nil
 	}
-	idx := make(map[string]int)
+	tab := newTupleTable(arity)
 	var out []TupleMasses
-	var key []byte
 	for _, part := range parts {
 		for _, tm := range part {
 			if err := g.Tick(); err != nil {
 				return nil, err
 			}
-			key = AppendTupleKey(key[:0], tm.Tuple)
-			i, ok := idx[string(key)]
-			if !ok {
-				i = len(out)
-				idx[string(key)] = i
+			if len(tm.Tuple) != arity {
+				return nil, fmt.Errorf("engine: merging tuples of arity %d and %d", arity, len(tm.Tuple))
+			}
+			i, added := tab.intern(tm.Tuple)
+			if added {
 				out = append(out, TupleMasses{Tuple: tm.Tuple})
 			}
 			out[i].Certain = out[i].Certain || tm.Certain
 			out[i].Masses = append(out[i].Masses, tm.Masses...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return CompareTuples(out[i].Tuple, out[j].Tuple) < 0 })
+	sortMasses(out)
 	return out, nil
 }
 

@@ -3,6 +3,7 @@ package sql
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
@@ -102,6 +103,63 @@ func TestCancelMidScan(t *testing.T) {
 	}
 	if engine.ArenaAcquires()-acquired != engine.ArenaReleases()-released {
 		t.Fatal("query canceled mid-scan did not release its pooled arena")
+	}
+}
+
+// TestCancelMidIntern: SELECT POSSIBLE over a 50k-row result stops inside
+// the confidence pass that interns the result's certain rows — it ticks the
+// guard once per batch of rows — with the typed error and its arena
+// returned. The store holds no placeholders, so every checkpoint the
+// POSSIBLE query passes beyond those of the same plain query lies in that
+// pass; the cancel lands five checkpoints into it.
+func TestCancelMidIntern(t *testing.T) {
+	const rows = 50000
+	r := rand.New(rand.NewSource(23))
+	cols := [][]int32{make([]int32, rows), make([]int32, rows)}
+	for _, col := range cols {
+		for i := range col {
+			col[i] = int32(r.Intn(30))
+		}
+	}
+	s := engine.NewStore()
+	if _, err := s.AddRelation("R", []string{"A", "B"}, cols); err != nil {
+		t.Fatal(err)
+	}
+	db := Open(s)
+	run := func(query string, limit int64) (int64, error) {
+		ctx := &countCtx{Context: context.Background(), limit: limit}
+		TestHookExec = func(string) { ctx.armed.Store(true) }
+		defer func() { TestHookExec = nil }()
+		rs, err := db.QueryContext(ctx, query)
+		if err == nil {
+			rs.Close()
+		}
+		return ctx.calls.Load(), err
+	}
+	plain, err := run("SELECT A FROM R WHERE B < 30", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, err := run("SELECT POSSIBLE A FROM R WHERE B < 30", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total-plain < 40 {
+		t.Fatalf("POSSIBLE passed %d checkpoints beyond the plain query's %d, want one per batch of its 50k interned rows", total-plain, plain)
+	}
+	acquired, released := engine.ArenaAcquires(), engine.ArenaReleases()
+	limit := plain + 5
+	calls, err := run("SELECT POSSIBLE A FROM R WHERE B < 30", limit)
+	if !errors.Is(err, engine.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled mid-intern: got %v, want ErrCanceled + context.Canceled", err)
+	}
+	// The interning pass may be split among the sweep workers, each of
+	// which can reach a checkpoint before the first cancel is latched.
+	if calls < limit || calls >= limit+int64(engine.DefaultConfWorkers()) {
+		t.Fatalf("the query stopped at checkpoint %d, want the cancel at %d (of %d)", calls, limit, total)
+	}
+	if engine.ArenaAcquires()-acquired != engine.ArenaReleases()-released {
+		t.Fatal("query canceled mid-intern did not release its pooled arena")
 	}
 }
 
