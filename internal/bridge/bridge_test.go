@@ -31,7 +31,7 @@ func scopedStore(t *testing.T) *engine.Store {
 		t.Fatal(err)
 	}
 	ar := engine.NewArena(s.Snapshot())
-	if _, err := ar.Select("res", "R", engine.Gt("B", 15)); err != nil {
+	if err := ar.Select("res", "R", engine.Gt("B", 15)); err != nil {
 		t.Fatal(err)
 	}
 	if err := ar.Commit(); err != nil {

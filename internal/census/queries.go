@@ -36,7 +36,7 @@ var SQL = map[string]string{
 
 // Q1 computes σ_{YEARSCH=17 ∧ CITIZEN=0}(src): US citizens with PhD degree.
 func Q1(s *engine.Arena, src, res string) error {
-	_, err := s.Select(res, src, engine.And{engine.Eq("YEARSCH", 17), engine.Eq("CITIZEN", 0)})
+	err := s.Select(res, src, engine.And{engine.Eq("YEARSCH", 17), engine.Eq("CITIZEN", 0)})
 	return err
 }
 
@@ -44,11 +44,11 @@ func Q1(s *engine.Arena, src, res string) error {
 // birthplaces of citizens born outside the US who do not speak English well.
 func Q2(s *engine.Arena, src, res string) error {
 	tmp := res + "\x00σ"
-	if _, err := s.Select(tmp, src, engine.And{engine.Ne("CITIZEN", 0), engine.Gt("ENGLISH", 3)}); err != nil {
+	if err := s.Select(tmp, src, engine.And{engine.Ne("CITIZEN", 0), engine.Gt("ENGLISH", 3)}); err != nil {
 		return err
 	}
 	defer s.DropRelation(tmp)
-	_, err := s.Project(res, tmp, "POWSTATE", "CITIZEN", "IMMIGR")
+	err := s.Project(res, tmp, "POWSTATE", "CITIZEN", "IMMIGR")
 	return err
 }
 
@@ -58,22 +58,22 @@ func Q2(s *engine.Arena, src, res string) error {
 func Q3(s *engine.Arena, src, res string) error {
 	t1 := res + "\x00σ1"
 	t2 := res + "\x00σ2"
-	if _, err := s.Select(t1, src, engine.And{engine.Gt("FERTIL", 4), engine.Eq("MARITAL", 1)}); err != nil {
+	if err := s.Select(t1, src, engine.And{engine.Gt("FERTIL", 4), engine.Eq("MARITAL", 1)}); err != nil {
 		return err
 	}
 	defer s.DropRelation(t1)
-	if _, err := s.Select(t2, t1, engine.AttrAttr{A: "POWSTATE", Theta: relation.EQ, B: "POB"}); err != nil {
+	if err := s.Select(t2, t1, engine.AttrAttr{A: "POWSTATE", Theta: relation.EQ, B: "POB"}); err != nil {
 		return err
 	}
 	defer s.DropRelation(t2)
-	_, err := s.Project(res, t2, "POWSTATE", "MARITAL", "FERTIL")
+	err := s.Project(res, t2, "POWSTATE", "MARITAL", "FERTIL")
 	return err
 }
 
 // Q4 computes σ_{FERTIL=1 ∧ (RSPOUSE=1 ∨ RSPOUSE=2)}(src): married persons
 // with no children (the very unselective query).
 func Q4(s *engine.Arena, src, res string) error {
-	_, err := s.Select(res, src, engine.And{
+	err := s.Select(res, src, engine.And{
 		engine.Eq("FERTIL", 1),
 		engine.Or{engine.Eq("RSPOUSE", 1), engine.Eq("RSPOUSE", 2)},
 	})
@@ -88,19 +88,19 @@ func Q5(s *engine.Arena, q2, q3, res string) error {
 	b := res + "\x00r"
 	al := res + "\x00lδ"
 	bl := res + "\x00rδ"
-	if _, err := s.Select(a, q2, engine.Gt("POWSTATE", 50)); err != nil {
+	if err := s.Select(a, q2, engine.Gt("POWSTATE", 50)); err != nil {
 		return err
 	}
 	defer s.DropRelation(a)
-	if _, err := s.Rename(al, a, map[string]string{"POWSTATE": "P1"}); err != nil {
+	if err := s.Rename(al, a, map[string]string{"POWSTATE": "P1"}); err != nil {
 		return err
 	}
 	defer s.DropRelation(al)
-	if _, err := s.Select(b, q3, engine.Gt("POWSTATE", 50)); err != nil {
+	if err := s.Select(b, q3, engine.Gt("POWSTATE", 50)); err != nil {
 		return err
 	}
 	defer s.DropRelation(b)
-	if _, err := s.Rename(bl, b, map[string]string{"POWSTATE": "P2", "MARITAL": "MARITAL2", "FERTIL": "FERTIL2"}); err != nil {
+	if err := s.Rename(bl, b, map[string]string{"POWSTATE": "P2", "MARITAL": "MARITAL2", "FERTIL": "FERTIL2"}); err != nil {
 		return err
 	}
 	defer s.DropRelation(bl)
@@ -112,11 +112,11 @@ func Q5(s *engine.Arena, q2, q3, res string) error {
 // of persons speaking English "not well".
 func Q6(s *engine.Arena, src, res string) error {
 	tmp := res + "\x00σ"
-	if _, err := s.Select(tmp, src, engine.Eq("ENGLISH", 3)); err != nil {
+	if err := s.Select(tmp, src, engine.Eq("ENGLISH", 3)); err != nil {
 		return err
 	}
 	defer s.DropRelation(tmp)
-	_, err := s.Project(res, tmp, "POWSTATE", "POB")
+	err := s.Project(res, tmp, "POWSTATE", "POB")
 	return err
 }
 

@@ -11,7 +11,10 @@ import (
 // Product, Union, Difference) run as Arena methods: they read base data from the
 // snapshot and materialize results — template relations and extended or
 // composed component rows — into the arena, never touching the shared
-// store. Dropping the arena (letting it go out of scope) releases every
+// store. Select, Project and Rename leave their result pending as a
+// Selection, read in place over its source; it is built only when something
+// asks for it as a relation (Rel, RelByID, Commit, the next operator).
+// Dropping the arena (letting it go out of scope) releases every
 // result at once; Commit installs the arena's relations into the parent
 // store for workloads that feed one query's result into the next.
 //
@@ -47,6 +50,10 @@ type Arena struct {
 	// (extended, composed, or trimmed); Commit installs only these.
 	dirty      map[int32]bool
 	scratchSeq int64
+	// pending is the last operator's result while it is still a Selection;
+	// its relation is registered with empty columns until materialize builds
+	// it.
+	pending *Selection
 	// guard is the execution's cancellation/memory checkpoint (cancel.go);
 	// nil means never canceled.
 	guard *Guard
@@ -66,24 +73,36 @@ func NewArena(snap *Snapshot) *Arena {
 }
 
 // Rel returns the named relation — the arena's own first, then the
-// snapshot's — or nil.
+// snapshot's — or nil. A pending result is built first; Rel returns nil
+// when that fails (the guard canceled it), so callers that report errors
+// materialize before they look relations up.
 func (a *Arena) Rel(name string) *Relation {
 	if id, ok := a.relID[name]; ok {
-		return a.rels[-id-1]
+		return a.RelByID(id)
 	}
 	return a.snap.Rel(name)
 }
 
-// RelByID resolves a relation id: negative ids are arena relations.
+// RelByID resolves a relation id: negative ids are arena relations. A
+// pending result is built first, as by Rel.
 func (a *Arena) RelByID(id int32) *Relation {
 	if id < 0 {
 		i := int(-id - 1)
 		if i >= len(a.rels) {
 			return nil
 		}
+		if v := a.pending; v != nil && v.out.id == id && a.materialize() != nil {
+			return nil
+		}
 		return a.rels[i]
 	}
 	return a.snap.RelByID(id)
+}
+
+// has reports whether the name is taken, without building a pending result.
+func (a *Arena) has(name string) bool {
+	_, ok := a.relID[name]
+	return ok || a.snap.Rel(name) != nil
 }
 
 // Relations returns the names of the snapshot's relations plus the arena's
@@ -113,7 +132,7 @@ func (a *Arena) Stats(rel string) Stats { return statsOf(a, rel) }
 // addRelation registers a new arena relation (the operators' result
 // namespace); mirrors Store.AddRelation.
 func (a *Arena) addRelation(name string, attrs []string, cols [][]int32) (*Relation, error) {
-	if a.Rel(name) != nil {
+	if a.has(name) {
 		return nil, fmt.Errorf("engine: relation %q already exists", name)
 	}
 	if err := checkColumns(attrs, cols); err != nil {
@@ -140,7 +159,7 @@ func (a *Arena) RenameRelation(old, new string) error {
 		}
 		return fmt.Errorf("engine: unknown relation %q", old)
 	}
-	if a.Rel(new) != nil {
+	if a.has(new) {
 		return fmt.Errorf("engine: relation %q already exists", new)
 	}
 	delete(a.relID, old)
@@ -151,13 +170,20 @@ func (a *Arena) RenameRelation(old, new string) error {
 
 // DropRelation removes an arena relation and projects its fields away from
 // the arena's components, in index order like Store.DropRelation.
-// Snapshot relations are untouched (they are not the arena's to drop).
+// Snapshot relations are untouched (they are not the arena's to drop). A
+// pending result is built first — it may read the relation dropped — unless
+// it is the one dropped; the error is that of building it.
 //
 //maybms:deterministic the trimmed components' field order is committed to the store
-func (a *Arena) DropRelation(name string) {
+func (a *Arena) DropRelation(name string) error {
 	id, ok := a.relID[name]
 	if !ok {
-		return
+		return nil
+	}
+	if v := a.pending; v != nil && v.out.id == id {
+		a.pending = nil // never built: no field of it joined a component
+	} else if err := a.materialize(); err != nil {
+		return err
 	}
 	r := a.rels[-id-1]
 	for i, row := range r.unc.rows {
@@ -183,6 +209,7 @@ func (a *Arena) DropRelation(name string) {
 	}
 	a.rels[-id-1] = nil
 	delete(a.relID, name)
+	return nil
 }
 
 // compFor resolves the component defining field f for operator use,
@@ -278,7 +305,29 @@ func (a *Arena) mergeComps(fields ...FieldID) (*Component, error) {
 // Result building, shared by every operator: gather the kept columns at the
 // surviving rows, then copy the placeholder fields of those rows into the
 // components of their sources, under the presence masks the operator
-// decided.
+// decided. A Selection is built the same way, by materialize.
+
+// materialize builds the pending result, if any. Every operator
+// materializes before it starts, so a result joins its components before
+// the next operator composes or trims them: the components, their field
+// order and their local worlds are those of building every result at once.
+func (a *Arena) materialize() error {
+	v := a.pending
+	if v == nil {
+		return nil
+	}
+	a.pending = nil
+	if err := a.gather(v.out, v.src, v.order, v.sel); err != nil {
+		return err
+	}
+	return v.eachRow(func(u *urow) error {
+		if err := a.tick(); err != nil {
+			return err
+		}
+		cond, keep := v.masks(u, a.compFor)
+		return a.extendRow(v.out, v.src, u, v.order, cond, keep)
+	})
+}
 
 // addField makes result field (row, attr) of out a placeholder defined by a
 // new column of arena component c, whose value and absence at local world w
@@ -320,27 +369,22 @@ type presence struct {
 
 func (m presence) fails(c *Component, w int) bool { return m.comp == c && !m.pass[w] }
 
-// gather registers res with the columns order of r gathered at the source
-// rows sel (nil = every row), a batch of guardPeriod rows at a time.
-func (a *Arena) gather(res string, r *Relation, order []uint16, sel []int32) (*Relation, error) {
+// gather fills the columns of out with the columns order of r gathered at
+// the source rows sel (nil = every row), a batch of guardPeriod rows at a
+// time.
+func (a *Arena) gather(out, r *Relation, order []uint16, sel []int32) error {
 	m := len(sel)
 	if sel == nil {
 		m = r.NumRows()
 	}
-	names := make([]string, len(order))
-	cols := make([][]int32, len(order))
-	for i, at := range order {
-		names[i] = r.Attrs[at]
+	cols := out.Cols
+	for i := range order {
 		cols[i] = make([]int32, m)
-	}
-	out, err := a.addRelation(res, names, cols)
-	if err != nil {
-		return nil, err
 	}
 	for lo := 0; lo < m; lo += guardPeriod {
 		hi := min(lo+guardPeriod, m)
 		if err := a.guard.tickN(hi - lo); err != nil {
-			return nil, err
+			return err
 		}
 		for i, at := range order {
 			src, dst := r.Cols[at], cols[i][lo:hi]
@@ -353,16 +397,16 @@ func (a *Arena) gather(res string, r *Relation, order []uint16, sel []int32) (*R
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // extendRow copies the kept placeholder fields of source row u.src of r into
 // result row u.j of out, whose attributes are order. Each copy joins its
-// field's component, absent where the field is, where u.keep fails and — for
-// the attributes in u.inSel — where cond fails. When no copy carries u.keep,
+// field's component, absent where the field is, where keep fails and — for
+// the attributes in u.inSel — where cond fails. When no copy carries keep,
 // the first attribute becomes a placeholder holding its certain value,
-// absent where u.keep fails.
-func (a *Arena) extendRow(out, r *Relation, u *urow, order []uint16, cond presence) error {
+// absent where keep fails.
+func (a *Arena) extendRow(out, r *Relation, u *urow, order []uint16, cond, keep presence) error {
 	carried := false
 	for di, at := range order {
 		if !containsAttr(u.attrs, at) {
@@ -372,16 +416,16 @@ func (a *Arena) extendRow(out, r *Relation, u *urow, order []uint16, cond presen
 		if !containsAttr(u.inSel, at) {
 			c = presence{}
 		}
-		if err := a.extendField(out, FieldID{Rel: r.id, Row: u.src, Attr: at}, u.j, uint16(di), c, u.keep); err != nil {
+		if err := a.extendField(out, FieldID{Rel: r.id, Row: u.src, Attr: at}, u.j, uint16(di), c, keep); err != nil {
 			return err
 		}
 		carried = true
 	}
-	if carried || u.keep.comp == nil {
+	if carried || keep.comp == nil {
 		return nil
 	}
 	v := out.Cols[0][u.j]
-	return a.addField(out, u.j, 0, u.keep.comp, func(w int) (int32, bool) { return v, !u.keep.pass[w] })
+	return a.addField(out, u.j, 0, keep.comp, func(w int) (int32, bool) { return v, !keep.pass[w] })
 }
 
 // extendField makes result field (row, attr) of out a copy of placeholder
@@ -403,6 +447,9 @@ func (a *Arena) extendField(out *Relation, src FieldID, row int32, attr uint16, 
 // relation name is taken or the involved catalog entries changed since the
 // snapshot was taken. The arena must not be used after Commit.
 func (a *Arena) Commit() error {
+	if err := a.materialize(); err != nil {
+		return err
+	}
 	s := a.snap.store
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -52,13 +52,13 @@ func TestArenaLeavesStoreUntouched(t *testing.T) {
 	s := arenaStore(t)
 	before := storeFingerprint(s)
 	a := NewArena(s.Snapshot())
-	if _, err := a.Select("sel", "R", And{Gt("A", 1), Gt("B", 5)}); err != nil {
+	if err := a.Select("sel", "R", And{Gt("A", 1), Gt("B", 5)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Project("proj", "sel", "B"); err != nil {
+	if err := a.Project("proj", "sel", "B"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Rename("ren", "S", map[string]string{"C": "A2"}); err != nil {
+	if err := a.Rename("ren", "S", map[string]string{"C": "A2"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.Join("join", "proj", "ren", "B", "D"); err != nil {
@@ -87,10 +87,10 @@ func TestArenaLeavesStoreUntouched(t *testing.T) {
 // yields identical world-sets and statistics.
 func TestArenaMatchesCommitted(t *testing.T) {
 	mkChain := func(a *Arena) error {
-		if _, err := a.Select("sel", "R", Or{Eq("A", 2), Gt("B", 25)}); err != nil {
+		if err := a.Select("sel", "R", Or{Eq("A", 2), Gt("B", 25)}); err != nil {
 			return err
 		}
-		_, err := a.Project("res", "sel", "B")
+		err := a.Project("res", "sel", "B")
 		return err
 	}
 	a := NewArena(arenaStore(t).Snapshot())
@@ -124,7 +124,7 @@ func TestArenaMatchesCommitted(t *testing.T) {
 func TestArenaCommitInstallsResult(t *testing.T) {
 	s := arenaStore(t)
 	a := NewArena(s.Snapshot())
-	if _, err := a.Select("res", "R", Gt("A", 1)); err != nil {
+	if err := a.Select("res", "R", Gt("A", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Commit(); err != nil {
@@ -142,11 +142,11 @@ func TestArenaCommitInstallsResult(t *testing.T) {
 	}
 
 	b := NewArena(s.Snapshot())
-	if _, err := b.Select("res", "R", Gt("A", 0)); err == nil {
+	if err := b.Select("res", "R", Gt("A", 0)); err == nil {
 		t.Fatal("arena Select under a taken snapshot name must fail")
 	}
 	c := NewArena(s.Snapshot())
-	if _, err := c.Select("res2", "R", Gt("A", 0)); err != nil {
+	if err := c.Select("res2", "R", Gt("A", 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.RenameRelation("res2", "res"); err == nil {
@@ -203,7 +203,7 @@ func TestSnapshotFrozenAcrossWrites(t *testing.T) {
 
 	// Writer: commit a result, drop it, rename a base relation.
 	a := NewArena(s.Snapshot())
-	if _, err := a.Select("res", "R", Gt("B", 15)); err != nil {
+	if err := a.Select("res", "R", Gt("B", 15)); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Commit(); err != nil {
@@ -268,7 +268,7 @@ func TestConcurrentArenasOverOneSnapshot(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				a := NewArena(snap)
-				if _, err := a.Select("sel", "R", Gt("A", 1)); err != nil {
+				if err := a.Select("sel", "R", Gt("A", 1)); err != nil {
 					errs <- err
 					return
 				}

@@ -41,21 +41,21 @@ func benchArena(b *testing.B, op func(a *Arena) error) {
 
 func BenchmarkArenaSelect(b *testing.B) {
 	benchArena(b, func(a *Arena) error {
-		_, err := a.Select("res", "R", Eq("CITIZEN", 0))
+		err := a.Select("res", "R", Eq("CITIZEN", 0))
 		return err
 	})
 }
 
 func BenchmarkArenaProject(b *testing.B) {
 	benchArena(b, func(a *Arena) error {
-		_, err := a.Project("res", "R", "POWSTATE")
+		err := a.Project("res", "R", "POWSTATE")
 		return err
 	})
 }
 
 func BenchmarkArenaSelectProject(b *testing.B) {
 	benchArena(b, func(a *Arena) error {
-		_, err := a.SelectProject("res", "R", Eq("CITIZEN", 0), "POWSTATE")
+		err := a.SelectProject("res", "R", Eq("CITIZEN", 0), "POWSTATE")
 		return err
 	})
 }
@@ -66,7 +66,7 @@ func BenchmarkArenaPossibleMasses(b *testing.B) {
 		b.Fatal(err)
 	}
 	a := NewArena(snap)
-	if _, err := a.SelectProject("res", "R", Eq("CITIZEN", 0), "POWSTATE"); err != nil {
+	if err := a.SelectProject("res", "R", Eq("CITIZEN", 0), "POWSTATE"); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -83,7 +83,7 @@ func BenchmarkArenaPossibleMasses(b *testing.B) {
 // and the uncertain ones compose with their counterparts.
 func BenchmarkArenaDifference(b *testing.B) {
 	benchArena(b, func(a *Arena) error {
-		if _, err := a.Select("sel", "R", Eq("CITIZEN", 0)); err != nil {
+		if err := a.Select("sel", "R", Eq("CITIZEN", 0)); err != nil {
 			return err
 		}
 		_, err := a.Difference("res", "R", "sel")

@@ -368,6 +368,11 @@ func Certain(v View, rel string, t []int32, eps float64) (bool, error) {
 	return c >= 1-eps, nil
 }
 
-// PossibleMasses is the free function on the arena's view; the benchmark's
-// traced run steps it by this name.
-func (a *Arena) PossibleMasses(rel string) ([]TupleMasses, error) { return PossibleMasses(a, rel) }
+// PossibleMasses is the free function on the arena's view, after building
+// a pending result; the benchmark's traced run steps it by this name.
+func (a *Arena) PossibleMasses(rel string) ([]TupleMasses, error) {
+	if err := a.materialize(); err != nil {
+		return nil, err
+	}
+	return PossibleMasses(a, rel)
+}

@@ -166,10 +166,10 @@ func TestNativeConfidenceOnArenaResults(t *testing.T) {
 		rel := s.Relations()[0]
 		r := s.Rel(rel)
 		ar := NewArena(s.Snapshot())
-		if _, err := ar.Select("sel", rel, Gt(r.Attrs[0], 0)); err != nil {
+		if err := ar.Select("sel", rel, Gt(r.Attrs[0], 0)); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if _, err := ar.Project("proj", "sel", r.Attrs[0], r.Attrs[1]); err != nil {
+		if err := ar.Project("proj", "sel", r.Attrs[0], r.Attrs[1]); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, res := range []string{"sel", "proj"} {

@@ -40,6 +40,9 @@ import "fmt"
 // holds one tuple slot per l slot; slot i is present in a world exactly when
 // l's slot i is present and no r slot carries an equal tuple there.
 func (a *Arena) Difference(res, l, r string) (*Relation, error) {
+	if err := a.materialize(); err != nil {
+		return nil, err
+	}
 	lr, rr := a.Rel(l), a.Rel(r)
 	if lr == nil || rr == nil {
 		return nil, fmt.Errorf("engine: unknown relation in difference (%q, %q)", l, r)
@@ -191,7 +194,11 @@ func (a *Arena) Difference(res, l, r string) (*Relation, error) {
 	// Phase 2: evaluate the presence mask of every matched slot — present
 	// where the left tuple is present and no candidate equals it — and plan
 	// the surviving slots.
-	var plans []urow
+	type slot struct {
+		src  int32
+		keep presence
+	}
+	var plans []slot
 	for i := 0; i < ln; i++ {
 		if err := a.tick(); err != nil {
 			return nil, err
@@ -201,7 +208,7 @@ func (a *Arena) Difference(res, l, r string) (*Relation, error) {
 			continue
 		}
 		if len(m.fields) == 0 && len(m.certCands) == 0 {
-			plans = append(plans, urow{src: m.src})
+			plans = append(plans, slot{src: m.src})
 			continue
 		}
 		var comp *Component
@@ -297,7 +304,7 @@ func (a *Arena) Difference(res, l, r string) (*Relation, error) {
 		if !any {
 			continue // deleted in every world
 		}
-		plans = append(plans, urow{src: m.src, keep: presence{comp, pass}})
+		plans = append(plans, slot{src: m.src, keep: presence{comp, pass}})
 	}
 
 	// Fully certain left slots whose deletion depends on uncertain right
@@ -308,20 +315,22 @@ func (a *Arena) Difference(res, l, r string) (*Relation, error) {
 		sel[j] = plans[j].src
 	}
 	order := allAttrs(lr)
-	out, err := a.gather(res, lr, order, sel)
+	out, err := a.addRelation(res, lr.Attrs, make([][]int32, len(order)))
 	if err != nil {
 		return nil, err
 	}
-	for j := range plans {
-		u := &plans[j]
+	if err := a.gather(out, lr, order, sel); err != nil {
+		return nil, err
+	}
+	for j, p := range plans {
 		if err := a.tick(); err != nil {
 			return nil, err
 		}
-		u.j, u.attrs = int32(j), lr.unc.of(u.src)
-		if u.attrs == nil && u.keep.comp == nil {
+		u := urow{j: int32(j), src: p.src, attrs: lr.unc.of(p.src)}
+		if u.attrs == nil && p.keep.comp == nil {
 			continue
 		}
-		if err := a.extendRow(out, lr, u, order, presence{}); err != nil {
+		if err := a.extendRow(out, lr, &u, order, presence{}, p.keep); err != nil {
 			return nil, err
 		}
 	}

@@ -115,7 +115,7 @@ func TestDifferenceOnArenaResults(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 		ar := NewArena(s.Snapshot())
-		if _, err := ar.Select("sel", "R", pred); err != nil {
+		if err := ar.Select("sel", "R", pred); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		if _, err := ar.Difference("res", "L", "sel"); err != nil {

@@ -180,7 +180,7 @@ func TestSelectCertainOnly(t *testing.T) {
 	if _, err := s.AddRelation("R", []string{"A", "B"}, [][]int32{{1, 2, 3}, {10, 20, 30}}); err != nil {
 		t.Fatal(err)
 	}
-	Commit(t, s, func(a *Arena) error { _, err := a.Select("P", "R", Gt("A", 1)); return err })
+	Commit(t, s, func(a *Arena) error { err := a.Select("P", "R", Gt("A", 1)); return err })
 	out := s.Rel("P")
 	if out.NumRows() != 2 || out.Cols[1][0] != 20 {
 		t.Fatalf("select result wrong: %v", out.Cols)
@@ -203,7 +203,7 @@ func TestSelectAgainstOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := randPred(rng, []string{"A", "B", "C"}, 1+rng.Intn(2))
-		Commit(t, s, func(a *Arena) error { _, err := a.Select("P", "R", p); return err })
+		Commit(t, s, func(a *Arena) error { err := a.Select("P", "R", p); return err })
 		if err := s.Validate(1e-9); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -227,8 +227,8 @@ func TestSelectChainAgainstOracle(t *testing.T) {
 		}
 		p1 := randPred(rng, []string{"A", "B", "C"}, 1)
 		p2 := randPred(rng, []string{"A", "B", "C"}, 1)
-		Commit(t, s, func(a *Arena) error { _, err := a.Select("P1", "R", p1); return err })
-		Commit(t, s, func(a *Arena) error { _, err := a.Select("P2", "P1", p2); return err })
+		Commit(t, s, func(a *Arena) error { err := a.Select("P1", "R", p1); return err })
+		Commit(t, s, func(a *Arena) error { err := a.Select("P2", "P1", p2); return err })
 		if err := s.Validate(1e-9); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -242,10 +242,12 @@ func TestProjectAgainstOracle(t *testing.T) {
 	// Figure 15 resurrection pitfall. The fused SelectProject on a copy of
 	// the store must match the two steps: same Stats, and — the stores carry
 	// non-uniform probabilities, so a different composition or local-world
-	// order would show — bit-identical pre-fold masses.
+	// order would show — bit-identical pre-fold masses. So must π over a σ
+	// left in an arena temporary, built when the temporary is dropped, and
+	// the fused result read in place before it is built (CheckView).
 	check := func(trial int, s *Store, p Pred, keep []string) {
 		t.Helper()
-		fused := s.Clone()
+		fused, temp := s.Clone(), s.Clone()
 		w, err := bridge.ToWSD(s)
 		if err != nil {
 			t.Fatal(err)
@@ -254,29 +256,49 @@ func TestProjectAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		Commit(t, s, func(a *Arena) error { _, err := a.Select("P1", "R", p); return err })
-		Commit(t, s, func(a *Arena) error { _, err := a.Project("P2", "P1", keep...); return err })
+		Commit(t, s, func(a *Arena) error { err := a.Select("P1", "R", p); return err })
+		Commit(t, s, func(a *Arena) error { err := a.Project("P2", "P1", keep...); return err })
 		if err := s.Validate(1e-9); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		Commit(t, fused, func(a *Arena) error { _, err := a.SelectProject("P2", "R", p, keep...); return err })
-		if err := fused.Validate(1e-9); err != nil {
-			t.Fatalf("trial %d: fused: %v", trial, err)
-		}
-		if got, want := fused.Stats("P2"), s.Stats("P2"); got != want {
-			t.Fatalf("trial %d: fused stats %+v, two-step %+v", trial, got, want)
-		}
-		got, err := PossibleMasses(fused, "P2")
-		if err != nil {
-			t.Fatal(err)
-		}
+		Commit(t, fused, func(a *Arena) error {
+			if err := a.SelectProject("P2", "R", p, keep...); err != nil {
+				return err
+			}
+			CheckView(t, trial, a, "P2")
+			return nil
+		})
+		Commit(t, temp, func(a *Arena) error {
+			if err := a.Select("T", "R", p); err != nil {
+				return err
+			}
+			if err := a.Project("P2", "T", keep...); err != nil {
+				return err
+			}
+			return a.DropRelation("T")
+		})
 		want, err := PossibleMasses(s, "P2")
 		if err != nil {
 			t.Fatal(err)
 		}
-		// %v prints the shortest decimal that round-trips: bit-exact.
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("trial %d: fused masses %v, two-step %v", trial, got, want)
+		for _, c := range []struct {
+			name string
+			s    *Store
+		}{{"fused", fused}, {"over a temporary", temp}} {
+			if err := c.s.Validate(1e-9); err != nil {
+				t.Fatalf("trial %d: %s: %v", trial, c.name, err)
+			}
+			if got, want := c.s.Stats("P2"), s.Stats("P2"); got != want {
+				t.Fatalf("trial %d: %s stats %+v, two-step %+v", trial, c.name, got, want)
+			}
+			got, err := PossibleMasses(c.s, "P2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// %v prints the shortest decimal that round-trips: bit-exact.
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d: %s masses %v, two-step %v", trial, c.name, got, want)
+			}
 		}
 		q := worlds.Project{
 			Q:     worlds.Select{Q: worlds.Base{Rel: "R"}, Pred: toRelPred(p)},
@@ -348,9 +370,24 @@ func TestRenameAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		Commit(t, s, func(a *Arena) error { _, err := a.Rename("P", "R", map[string]string{"A": "X"}); return err })
+		// δ over a σ left in an arena temporary: built before the drop.
+		sel := s.Clone()
+		Commit(t, s, func(a *Arena) error { err := a.Rename("P", "R", map[string]string{"A": "X"}); return err })
 		oracleCompare(t, trial, in, s, "P",
 			worlds.Rename{Q: worlds.Base{Rel: "R"}, Old: "A", New: "X"})
+		Commit(t, sel, func(a *Arena) error {
+			if err := a.Select("T", "R", Gt("B", 0)); err != nil {
+				return err
+			}
+			if err := a.Rename("P", "T", map[string]string{"A": "X"}); err != nil {
+				return err
+			}
+			return a.DropRelation("T")
+		})
+		oracleCompare(t, trial, in, sel, "P", worlds.Rename{
+			Q:   worlds.Select{Q: worlds.Base{Rel: "R"}, Pred: toRelPred(Gt("B", 0))},
+			Old: "A", New: "X",
+		})
 	}
 }
 
@@ -390,6 +427,9 @@ func TestJoinAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// π over a join left in an arena temporary, the shape of a plain
+		// Q5: built before the drop.
+		proj := s.Clone()
 		Commit(t, s, func(a *Arena) error { _, err := a.Join("J", "L", "S", "B", "C"); return err })
 		if err := s.Validate(1e-9); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -399,6 +439,19 @@ func TestJoinAgainstOracle(t *testing.T) {
 			Pred: relation.AttrAttr{A: "B", Theta: relation.EQ, B: "C"},
 		}
 		oracleCompare(t, trial, in, s, "J", q)
+		Commit(t, proj, func(a *Arena) error {
+			if _, err := a.Join("J", "L", "S", "B", "C"); err != nil {
+				return err
+			}
+			if err := a.Project("P", "J", "A", "D"); err != nil {
+				return err
+			}
+			return a.DropRelation("J")
+		})
+		if err := proj.Validate(1e-9); err != nil {
+			t.Fatalf("trial %d: π over a join: %v", trial, err)
+		}
+		oracleCompare(t, trial, in, proj, "P", worlds.Project{Q: q, Attrs: []string{"A", "D"}})
 	}
 }
 
@@ -506,7 +559,7 @@ func TestChaseCertainViolation(t *testing.T) {
 func TestDropRelationCleansComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	s := randStore(rng)
-	Commit(t, s, func(a *Arena) error { _, err := a.Select("P", "R", Gt("A", 0)); return err })
+	Commit(t, s, func(a *Arena) error { err := a.Select("P", "R", Gt("A", 0)); return err })
 	if err := s.Validate(1e-9); err != nil {
 		t.Fatal(err)
 	}
@@ -554,10 +607,10 @@ func TestDropRelationOrder(t *testing.T) {
 		// The arena extends the component with two results' field copies
 		// and drops the first: q2's survivors are committed in some order.
 		Commit(t, s, func(a *Arena) error {
-			if _, err := a.Select("q1", "R", Gt("A", 0)); err != nil {
+			if err := a.Select("q1", "R", Gt("A", 0)); err != nil {
 				return err
 			}
-			if _, err := a.Select("q2", "R", Gt("A", 0)); err != nil {
+			if err := a.Select("q2", "R", Gt("A", 0)); err != nil {
 				return err
 			}
 			a.DropRelation("q1")
@@ -680,7 +733,7 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatalf("clone invalid: %v", err)
 	}
 	// Mutate the clone heavily; the original must be unaffected.
-	Commit(t, c, func(a *Arena) error { _, err := a.Select("P", "R", Gt("A", 0)); return err })
+	Commit(t, c, func(a *Arena) error { err := a.Select("P", "R", Gt("A", 0)); return err })
 	if err := c.ChaseEGDs("R", []EGD{{
 		Premise:    []Atom{{Attr: "A", Theta: relation.EQ, C: 0}},
 		Conclusion: Atom{Attr: "B", Theta: relation.NE, C: 0},

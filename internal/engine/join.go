@@ -8,6 +8,9 @@ import "fmt"
 // the two fields and keep one presence bit per local world (present and
 // values equal). The attribute sets must be disjoint (rename first).
 func (a *Arena) Join(res, l, r, onL, onR string) (*Relation, error) {
+	if err := a.materialize(); err != nil {
+		return nil, err
+	}
 	lr, rr := a.Rel(l), a.Rel(r)
 	if lr == nil || rr == nil {
 		return nil, fmt.Errorf("engine: unknown relation in join (%q, %q)", l, r)

@@ -150,5 +150,8 @@ func FoldMassTable(g *Guard, tms []TupleMasses) ([]TupleConf, error) { return fo
 // is identical to the serial one, so folding it is byte-identical to
 // PossibleP.
 func (a *Arena) PossibleMassesParallel(rel string, workers int) ([]TupleMasses, error) {
+	if err := a.materialize(); err != nil {
+		return nil, err
+	}
 	return possibleMassesParallel(a, rel, workers)
 }

@@ -57,6 +57,7 @@ func ReleaseArena(a *Arena) {
 func (a *Arena) Reset(snap *Snapshot) {
 	a.snap = snap
 	a.guard = nil
+	a.pending = nil
 	for i := range a.rels {
 		a.rels[i] = nil // release result templates to the GC, keep capacity
 	}

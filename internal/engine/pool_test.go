@@ -12,10 +12,10 @@ import (
 // through a channel (t.Fatal must not run off the test goroutine).
 func poolWorkload(ar *Arena, rel string) (string, error) {
 	r := ar.Rel(rel)
-	if _, err := ar.Select("sel", rel, Gt(r.Attrs[0], 0)); err != nil {
+	if err := ar.Select("sel", rel, Gt(r.Attrs[0], 0)); err != nil {
 		return "", err
 	}
-	if _, err := ar.Project("proj", "sel", r.Attrs[0], r.Attrs[1]); err != nil {
+	if err := ar.Project("proj", "sel", r.Attrs[0], r.Attrs[1]); err != nil {
 		return "", err
 	}
 	tcs, err := PossibleP(ar, "proj")
@@ -100,7 +100,7 @@ func TestArenaResetAfterCommit(t *testing.T) {
 	rel := s.Relations()[0]
 	ar := AcquireArena(s.Snapshot())
 	r := ar.Rel(rel)
-	if _, err := ar.Select("committed_sel", rel, Gt(r.Attrs[0], 0)); err != nil {
+	if err := ar.Select("committed_sel", rel, Gt(r.Attrs[0], 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := ar.Commit(); err != nil {
@@ -120,7 +120,7 @@ func TestArenaResetAfterCommit(t *testing.T) {
 	if len(ar2.rels) != 0 || len(ar2.relID) != 0 || len(ar2.comps) != 0 {
 		t.Fatal("reset arena carries stale session state")
 	}
-	if _, err := ar2.Select("sel2", "committed_sel", Gt(r.Attrs[0], 0)); err != nil {
+	if err := ar2.Select("sel2", "committed_sel", Gt(r.Attrs[0], 0)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,6 +6,9 @@ import "fmt"
 // Like the WSD union of Figure 9, the result holds one tuple slot per input
 // slot; duplicate tuples coincide when worlds are decoded (set semantics).
 func (a *Arena) Union(res, l, r string) (*Relation, error) {
+	if err := a.materialize(); err != nil {
+		return nil, err
+	}
 	lr, rr := a.Rel(l), a.Rel(r)
 	if lr == nil || rr == nil {
 		return nil, fmt.Errorf("engine: unknown relation in union (%q, %q)", l, r)
@@ -60,6 +63,9 @@ func (a *Arena) Union(res, l, r string) (*Relation, error) {
 // per pair of input slots, absent from a world whenever either input slot
 // is absent.
 func (a *Arena) Product(res, l, r string) (*Relation, error) {
+	if err := a.materialize(); err != nil {
+		return nil, err
+	}
 	lr, rr := a.Rel(l), a.Rel(r)
 	if lr == nil || rr == nil {
 		return nil, fmt.Errorf("engine: unknown relation in product (%q, %q)", l, r)

@@ -24,8 +24,8 @@ func TestUnionAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		Commit(t, s, func(a *Arena) error { _, err := a.Select("L", "R", p1); return err })
-		Commit(t, s, func(a *Arena) error { _, err := a.Select("S", "R", p2); return err })
+		Commit(t, s, func(a *Arena) error { err := a.Select("L", "R", p1); return err })
+		Commit(t, s, func(a *Arena) error { err := a.Select("S", "R", p2); return err })
 		Commit(t, s, func(a *Arena) error { _, err := a.Union("U", "L", "S"); return err })
 		if err := s.Validate(1e-9); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

@@ -10,6 +10,7 @@ import (
 
 	"maybms/internal/engine"
 	"maybms/internal/server"
+	"maybms/internal/sql"
 )
 
 // rowsPayload builds a v3 ROWS payload: the header, then the cells column by
@@ -33,6 +34,16 @@ func rowsPayload(done bool, cols [][]int32, confs []float64) []byte {
 		b = binary.BigEndian.AppendUint64(b, math.Float64bits(f))
 	}
 	return b
+}
+
+// windowBlock is a non-contiguous window as sql.Rows.NextBlock hands one
+// out: rows 1, 3 and 4 of two columns, a placeholder among them, and the
+// window's last row a carrier (column 0 reads '?').
+var windowBlock = sql.Block{
+	N:        3,
+	Cols:     [][]int32{{10, 11, 12, 13, 14}, {20, -1, 22, -1, 24}},
+	Sel:      []int32{1, 3, 4},
+	Carriers: []int32{2},
 }
 
 func boolByte(b bool) byte {
@@ -65,6 +76,20 @@ func TestDecodePage(t *testing.T) {
 		}
 	}
 
+	// A page the server gathers through a window decodes to the window.
+	blk := windowBlock
+	w, err := decodePage(server.AppendPage(nil, false, blk), 2, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for row := 0; row < blk.N; row++ {
+		for c := range blk.Cols {
+			if got, want := w.cell(row, c), blk.At(row, c); got != want {
+				t.Fatalf("window cell(%d,%d) = %d, want %d", row, c, got, want)
+			}
+		}
+	}
+
 	good := rowsPayload(false, cols, nil)
 	for _, tc := range []struct {
 		name      string
@@ -94,6 +119,7 @@ func FuzzRowsPage(f *testing.F) {
 	f.Add(rowsPayload(false, [][]int32{{7}}, nil), uint16(1), uint32(10))
 	f.Add(rowsPayload(true, nil, nil), uint16(0), uint32(0))
 	f.Add([]byte{0, 0, 0xFF, 0xFF, 0xFF, 0xFF}, uint16(50), uint32(1<<31))
+	f.Add(server.AppendPage(nil, false, windowBlock), uint16(2), uint32(3))
 	f.Fuzz(func(t *testing.T, payload []byte, ncols uint16, remaining uint32) {
 		p, err := decodePage(payload, int(ncols), int(remaining), nil)
 		if err != nil {

@@ -104,8 +104,10 @@ func renderRow(w *bufio.Writer, vals []relation.Value, hasConf bool, conf float6
 }
 
 // The e2e queries cover the three result shapes: a plain template result
-// (arena-backed, streamed lazily), an across-world CONF() answer, and a
-// POSSIBLE decode.
+// (read in place from the snapshot, streamed lazily), an across-world
+// CONF() answer, and a POSSIBLE decode; and a plain result whose projection
+// drops an uncertain condition field, so some rows' first column is a
+// carrier placeholder the page patches in.
 var e2eQueries = []struct {
 	text    string
 	hasConf bool
@@ -113,6 +115,7 @@ var e2eQueries = []struct {
 	{"SELECT * FROM R WHERE YEARSCH = 17 AND CITIZEN = 0", false},
 	{"SELECT CONF() FROM R WHERE YEARSCH = 17", true},
 	{"SELECT POSSIBLE YEARSCH, CITIZEN FROM R WHERE YEARSCH = 17", false},
+	{"SELECT POWSTATE FROM R WHERE CITIZEN = 0", false},
 }
 
 // localRenders runs every e2e query in-process: the reference renders.
@@ -442,6 +445,129 @@ func TestCatalogUnderCommits(t *testing.T) {
 	t.Logf("%d of 500 replies listed q", listedQ)
 }
 
+// TestHeldCursorSurvivesWrites: a plain result is read at FETCH time from
+// its snapshot's columns, so it leans on the store's copy-on-write. A
+// cursor over SELECT * … WHERE, opened and read one row into, is held
+// across each kind of commit in turn — SET UNCERTAIN on a certain cell of a
+// selected row, a chase that rewrites the relation's components, RENAME and
+// DROP — and must then drain to the answer of just before the commit: in
+// process and over the wire a row per FETCH, on 1 and 2 shards.
+func TestHeldCursorSurvivesWrites(t *testing.T) {
+	// Every alternative SET UNCERTAIN adds is 41; the chase removes it again.
+	deps := []engine.EGD{{
+		Premise:    []engine.Atom{{Attr: "A", Theta: relation.EQ, C: 41}},
+		Conclusion: engine.Atom{Attr: "B", Theta: relation.LT, C: 0},
+	}}
+	for _, shards := range []int{1, 2} {
+		for _, wire := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d,wire=%v", shards, wire), func(t *testing.T) {
+				const rows = 300
+				cols := [][]int32{make([]int32, rows), make([]int32, rows), make([]int32, rows)}
+				for c, col := range cols {
+					for i := range col {
+						col[i] = int32((i*(7+c) + 3*c) % 30)
+					}
+				}
+				s := engine.NewStore()
+				if _, err := s.AddRelation("R", []string{"A", "B", "C"}, cols); err != nil {
+					t.Fatal(err)
+				}
+				for i := 5; i < rows; i += 11 {
+					if err := s.SetUncertain("R", i, "C", []int32{1, 2}, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				db := sql.Open(s)
+				defer db.Close()
+				if shards > 1 {
+					if err := db.EnableSharding(shards, shards); err != nil {
+						t.Fatal(err)
+					}
+				}
+				open := func(text string) (scanner, error) { return db.Query(text) }
+				if wire {
+					_, addr := startServer(t, db, server.Config{})
+					c, err := client.Dial(addr, client.WithFetchBatch(1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer c.Close()
+					open = func(text string) (scanner, error) { return c.Query(text) }
+				}
+				rel := "R"
+				steps := []struct {
+					name   string
+					commit func() error
+				}{
+					// Row 200 is selected (B = 13), certain and not yet read.
+					{"SET UNCERTAIN", func() error { return db.SetUncertain(rel, 200, "A", []int32{41, 3}, nil) }},
+					{"CHASE", func() error { return db.Chase(rel, deps, engine.ChaseOptions{}) }},
+					{"RENAME", func() error { return db.RenameRelation(rel, "Q") }},
+					{"DROP", func() error { return db.DropRelation(rel) }},
+				}
+				for _, st := range steps {
+					text := "SELECT * FROM " + rel + " WHERE B < 15"
+					ref, err := db.Query(text)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := renderAll(ref, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					held, err := open(text)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := renderAround(held, st.commit)
+					if err != nil {
+						t.Fatalf("%s: %v", st.name, err)
+					}
+					if got != want {
+						t.Fatalf("a cursor held across %s drained\n%s\nwant the pre-commit\n%s", st.name, got, want)
+					}
+					if st.name == "RENAME" {
+						rel = "Q"
+					}
+				}
+			})
+		}
+	}
+}
+
+// renderAround is renderAll committing between the first row and the rest.
+func renderAround(rows scanner, commit func() error) (string, error) {
+	defer rows.Close()
+	var sb strings.Builder
+	bw := bufio.NewWriter(&sb)
+	bw.WriteString(strings.Join(rows.Columns(), ","))
+	bw.WriteByte('\n')
+	vals := make([]relation.Value, len(rows.Columns()))
+	dests := make([]any, len(vals))
+	for i := range vals {
+		dests[i] = &vals[i]
+	}
+	for n := 0; rows.Next(); n++ {
+		if err := rows.Scan(dests...); err != nil {
+			return "", err
+		}
+		renderRow(bw, vals, false, 0)
+		if n == 0 {
+			if err := commit(); err != nil {
+				return "", err
+			}
+		}
+	}
+	err := bw.Flush()
+	return sb.String(), err
+}
+
+// bigResult is the budget tests' large result: every answer of a CONF()
+// over the whole relation, held as an answer list. A plain SELECT * FROM R
+// would not do — it reads the snapshot's columns in place and retains
+// almost nothing.
+const bigResult = "SELECT CONF() FROM R"
+
 // TestSessionBudgetReject checks the per-session budget: a result larger
 // than the budget answers a typed ErrMemBudget frame, the rejected result's
 // arena is released, and the session keeps serving smaller queries.
@@ -460,7 +586,7 @@ func TestSessionBudgetReject(t *testing.T) {
 		return rows.MemUsage()
 	}
 	const small = "SELECT CONF() FROM R WHERE YEARSCH = 17 AND CITIZEN = 0"
-	big, smallNeed := mem("SELECT * FROM R"), mem(small)
+	big, smallNeed := mem(bigResult), mem(small)
 	if smallNeed >= big {
 		t.Fatalf("probe: small result (%d bytes) not smaller than big (%d)", smallNeed, big)
 	}
@@ -473,7 +599,7 @@ func TestSessionBudgetReject(t *testing.T) {
 	defer c.Close()
 
 	releases := engine.ArenaReleases()
-	_, err = c.Query("SELECT * FROM R")
+	_, err = c.Query(bigResult)
 	var werr *server.WireError
 	if !errors.As(err, &werr) || werr.Code != server.ErrMemBudget {
 		t.Fatalf("oversized query: got %v, want ErrMemBudget wire error", err)
@@ -506,7 +632,7 @@ func TestGlobalBudgetQueue(t *testing.T) {
 	defer db.Close()
 
 	// Measure the footprint of the big query once, in-process.
-	probe, err := db.Query("SELECT * FROM R")
+	probe, err := db.Query(bigResult)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +677,7 @@ func TestGlobalBudgetQueue(t *testing.T) {
 			}
 		}
 	}()
-	held, err := holder.Query("SELECT * FROM R")
+	held, err := holder.Query(bigResult)
 	if err != nil {
 		t.Fatalf("holder query: %v", err)
 	}
@@ -577,7 +703,7 @@ func TestGlobalBudgetQueue(t *testing.T) {
 	}
 	done := make(chan res, 1)
 	go func() {
-		rows, err := waiter.Query("SELECT * FROM R")
+		rows, err := waiter.Query(bigResult)
 		done <- res{rows, err}
 	}()
 
@@ -608,7 +734,7 @@ func TestGlobalBudgetQueue(t *testing.T) {
 func TestGlobalBudgetTimeout(t *testing.T) {
 	db := sql.Open(testStore(t, 2000))
 	defer db.Close()
-	probe, err := db.Query("SELECT * FROM R")
+	probe, err := db.Query(bigResult)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,7 +751,7 @@ func TestGlobalBudgetTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer holder.Close()
-	held, err := holder.Query("SELECT * FROM R")
+	held, err := holder.Query(bigResult)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -638,7 +764,7 @@ func TestGlobalBudgetTimeout(t *testing.T) {
 	}
 	defer waiter.Close()
 	start := time.Now()
-	_, err = waiter.Query("SELECT * FROM R")
+	_, err = waiter.Query(bigResult)
 	var werr *server.WireError
 	if !errors.As(err, &werr) || werr.Code != server.ErrTimeout {
 		t.Fatalf("starved query: got %v, want ErrTimeout wire error", err)
@@ -656,7 +782,7 @@ func TestGlobalBudgetTimeout(t *testing.T) {
 	}
 	defer c2.Close()
 	start = time.Now()
-	_, err = c2.Query("SELECT * FROM R")
+	_, err = c2.Query(bigResult)
 	if !errors.As(err, &werr) || werr.Code != server.ErrMemBudget {
 		t.Fatalf("over-global-budget query: got %v, want ErrMemBudget", err)
 	}

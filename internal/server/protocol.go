@@ -18,13 +18,14 @@ import (
 
 	"maybms/internal/engine"
 	"maybms/internal/relation"
+	"maybms/internal/sql"
 )
 
 // Magic opens every connection (the OpHello payload) and ProtoVersion is the
 // frame-format version the handshake checks. A server speaks exactly one
 // version and refuses every other; changes to the protocol bump it. v2 added
 // OpCancel and the ErrCanceled error code; v3 sends ROWS as columnar pages
-// (appendPage).
+// (AppendPage).
 const (
 	Magic        = "MYBM"
 	ProtoVersion = 3
@@ -140,33 +141,80 @@ func RowBytes(ncols int, hasConf bool) int {
 	return n
 }
 
-// appendPage appends a ROWS payload: the header with done = 0 (the caller
-// patches byte 0 on the last page), then each column as n packed big-endian
-// i32 engine codes (a '?' field is the reserved code -1), then n f64
-// confidences when hasConf. cols and confs are a sql.Rows block.
-func appendPage(b []byte, hasConf bool, n int, cols [][]int32, confs []float64) []byte {
+// AppendPage appends a ROWS payload: the header with done = 0 (the caller
+// patches byte 0 on the last page), then each column as blk.N packed
+// big-endian i32 engine codes (a '?' field is the reserved code -1), then
+// blk.N f64 confidences when hasConf. blk is a sql.Rows block: each column
+// is gathered through its selection vector straight into the page, one pass
+// from the snapshot's column to the wire.
+func AppendPage(b []byte, hasConf bool, blk sql.Block) []byte {
 	var conf byte
 	if hasConf {
 		conf = 1
 	}
+	n := blk.N
 	b = binary.BigEndian.AppendUint32(append(b, 0, conf), uint32(n))
 	off := len(b)
-	body := RowBytes(len(cols), hasConf) * n
+	body := RowBytes(len(blk.Cols), hasConf) * n
 	b = slices.Grow(b, body)[:off+body]
-	for _, col := range cols {
-		out := b[off : off+4*n]
-		for i, v := range col[:n] {
-			binary.BigEndian.PutUint32(out[4*i:], uint32(v))
+	// The row loops need no cancellation checkpoint: fetch caps a block at
+	// FetchBatch rows.
+	cells := b[off : off+4*n*len(blk.Cols)]
+	if blk.Sel == nil {
+		for c, col := range blk.Cols {
+			out := cells[4*n*c : 4*n*(c+1)]
+			for i, v := range col[:n] {
+				putCell(out[4*i:4*i+4:4*i+4], uint32(v))
+			}
 		}
-		off += 4 * n
+	} else {
+		gatherCells(cells, blk.Cols, blk.Sel[:n])
 	}
+	for _, i := range blk.Carriers { // column 0 comes first
+		putCell(cells[4*i:4*i+4:4*i+4], placeholderCell)
+	}
+	off += len(cells)
 	if hasConf {
 		out := b[off : off+8*n]
-		for i, f := range confs[:n] {
+		for i, f := range blk.Confs[:n] {
 			binary.BigEndian.PutUint64(out[8*i:], math.Float64bits(f))
 		}
 	}
 	return b
+}
+
+// gatherCells stores rows sel of the columns cols into out, big-endian, one
+// column of len(sel) cells after another. Four columns go per pass over sel:
+// four independent streams of loads keep more cache misses in flight, which
+// measured about 1.35× faster than a column at a time.
+func gatherCells(out []byte, cols [][]int32, sel []int32) {
+	n := 4 * len(sel)
+	c := 0
+	for ; c+4 <= len(cols); c += 4 {
+		c0, c1, c2, c3 := cols[c], cols[c+1], cols[c+2], cols[c+3]
+		o0, o1, o2, o3 := out[n*c:n*(c+1)], out[n*(c+1):n*(c+2)], out[n*(c+2):n*(c+3)], out[n*(c+3):n*(c+4)]
+		for i, row := range sel {
+			putCell(o0[4*i:4*i+4:4*i+4], uint32(c0[row]))
+			putCell(o1[4*i:4*i+4:4*i+4], uint32(c1[row]))
+			putCell(o2[4*i:4*i+4:4*i+4], uint32(c2[row]))
+			putCell(o3[4*i:4*i+4:4*i+4], uint32(c3[row]))
+		}
+	}
+	for ; c < len(cols); c++ {
+		col, o := cols[c], out[n*c:n*(c+1)]
+		for i, row := range sel {
+			putCell(o[4*i:4*i+4:4*i+4], uint32(col[row]))
+		}
+	}
+}
+
+// placeholderCell is engine.Placeholder as a cell's bits.
+const placeholderCell = ^uint32(0)
+
+// putCell stores v big-endian in the 4-byte o: one byte-swapped store,
+// where PutUint32 on a longer slice measured about 1.5× slower.
+func putCell(o []byte, v uint32) {
+	o[0], o[1], o[2], o[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
 }
 
 // WriteFrame writes one frame: u32 big-endian length (opcode + payload),

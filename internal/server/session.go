@@ -562,13 +562,13 @@ func (s *session) fetch(r *RBuf) (byte, []byte, *protoErr) {
 	if rowBytes > 0 {
 		asked = min(asked, (MaxFrame-1-RowsHeader)/rowBytes)
 	}
-	n, cols, confs := c.rows.NextBlock(asked)
-	payload := slices.Grow(s.page[:0], RowsHeader+n*rowBytes)
-	payload = appendPage(payload, c.hasConf, n, cols, confs)
+	blk := c.rows.NextBlock(asked)
+	payload := slices.Grow(s.page[:0], RowsHeader+blk.N*rowBytes)
+	payload = AppendPage(payload, c.hasConf, blk)
 	if cap(payload) <= maxKeptPage {
 		s.page = payload
 	}
-	c.fetched += n
+	c.fetched += blk.N
 	if c.fetched >= c.total {
 		payload[0] = 1
 		s.closeCursor(id, c)

@@ -57,13 +57,13 @@ func commitArena(authority *engine.Store, ops func(a *engine.Arena) error) bool 
 // components, so the commit merges connectivity units across relations.
 func joinOf(authority *engine.Store, res, l, r string, cut int32) bool {
 	return commitArena(authority, func(a *engine.Arena) error {
-		if _, err := a.Select("\x00l", l, engine.Gt("A", cut)); err != nil {
+		if err := a.Select("\x00l", l, engine.Gt("A", cut)); err != nil {
 			return err
 		}
-		if _, err := a.Rename("\x00n", r, map[string]string{"A": "X", "B": "Y", "C": "Z"}); err != nil {
+		if err := a.Rename("\x00n", r, map[string]string{"A": "X", "B": "Y", "C": "Z"}); err != nil {
 			return err
 		}
-		if _, err := a.Select("\x00r", "\x00n", engine.Gt("X", cut)); err != nil {
+		if err := a.Select("\x00r", "\x00n", engine.Gt("X", cut)); err != nil {
 			return err
 		}
 		if _, err := a.Join(res, "\x00l", "\x00r", "A", "X"); err != nil {
@@ -95,7 +95,7 @@ func randomCommit(r *rand.Rand, authority *engine.Store, next *int) string {
 	case op == 0 && len(bases) > 0:
 		src, res := bases[r.Intn(len(bases))], fresh()
 		if commitArena(authority, func(a *engine.Arena) error {
-			_, err := a.Select(res, src, engine.Gt("B", int32(r.Intn(30))))
+			err := a.Select(res, src, engine.Gt("B", int32(r.Intn(30))))
 			return err
 		}) {
 			return "select"
@@ -103,7 +103,7 @@ func randomCommit(r *rand.Rand, authority *engine.Store, next *int) string {
 	case op == 1 && len(bases) > 0:
 		src, res := bases[r.Intn(len(bases))], fresh()
 		if commitArena(authority, func(a *engine.Arena) error {
-			_, err := a.Project(res, src, "A", "C")
+			err := a.Project(res, src, "A", "C")
 			return err
 		}) {
 			return "project"
@@ -320,7 +320,7 @@ func TestResyncReusesUntouchedRelations(t *testing.T) {
 	before := copies()
 
 	if !commitArena(authority, func(a *engine.Arena) error {
-		_, err := a.Select("Q", "R0", engine.Gt("A", 10))
+		err := a.Select("Q", "R0", engine.Gt("A", 10))
 		return err
 	}) {
 		t.Fatal("select did not commit")

@@ -341,7 +341,7 @@ func TestResyncUnderReaders(t *testing.T) {
 			}
 		case authority.Rel("Q") == nil:
 			if !commitArena(authority, func(a *engine.Arena) error {
-				_, err := a.Select("Q", "R0", engine.Gt("A", 10))
+				err := a.Select("Q", "R0", engine.Gt("A", 10))
 				return err
 			}) {
 				t.Errorf("commit %d: select did not commit", i)

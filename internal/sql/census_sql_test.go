@@ -86,11 +86,11 @@ var carrierShapes = []struct {
 
 func selectThenProject(a *engine.Arena, res string, p engine.Pred, attrs ...string) error {
 	tmp := res + "\x00σ"
-	if _, err := a.Select(tmp, "R", p); err != nil {
+	if err := a.Select(tmp, "R", p); err != nil {
 		return err
 	}
 	defer a.DropRelation(tmp)
-	_, err := a.Project(res, tmp, attrs...)
+	err := a.Project(res, tmp, attrs...)
 	return err
 }
 

@@ -20,8 +20,11 @@ const certainEps = 1e-9
 //
 // A plain result keeps one arena-owned segment per snapshot, in placement
 // order: the row partition distributes over the operators of a distributable
-// plan, so the segments concatenate. The returned Result owns the arenas;
-// Rows.Close (or Materialize) releases them. An across-world result
+// plan, so the segments concatenate. A segment is the plan's result as an
+// engine.Selection — when the last step is a selection, projection or
+// renaming over a base relation, the kept columns of the snapshot's relation
+// at a selection vector, never gathered. The returned Result owns the
+// arenas; Rows.Close (or Materialize) releases them. An across-world result
 // materializes nothing: each snapshot yields its pre-fold mass table and
 // releases its arena, the tables merge exactly (every group of independent
 // components lives in one part), and one canonical fold produces the
@@ -65,7 +68,14 @@ func execute(ctx context.Context, snaps []*engine.Snapshot, workers int, tpl *En
 		if err := plan.Run(ar); err != nil {
 			return err
 		}
-		plan.DropTemps(ar)
+		if err := plan.DropTemps(ar); err != nil {
+			return err
+		}
+		// No operator loop ticks after the last step: check once more, so
+		// the memory hook sees what the result retains.
+		if err := guard.Check(); err != nil {
+			return err
+		}
 		if i == 0 {
 			attrs = plan.OutAttrs
 		}
@@ -73,7 +83,7 @@ func execute(ctx context.Context, snaps []*engine.Snapshot, workers int, tpl *En
 			parts[i], err = ar.PossibleMassesParallel(scratch, sweepWorkers)
 			return err
 		}
-		segs[i] = resultSeg{arena: ar, rel: ar.Rel(scratch)}
+		segs[i] = resultSeg{arena: ar, out: ar.Selection(scratch)}
 		keep = true
 		return nil
 	})
@@ -85,10 +95,10 @@ func execute(ctx context.Context, snaps []*engine.Snapshot, workers int, tpl *En
 	}
 	out := &Result{Mode: tpl.Mode, Attrs: attrs}
 	if tpl.Mode == ModePlain {
-		out.Relation = segs[0].rel.Name
+		out.Relation = segs[0].out.Name()
 		out.segs = segs
 		for _, seg := range segs {
-			st := seg.arena.Stats(seg.rel.Name)
+			st := seg.out.Stats()
 			out.Stats.NumComp += st.NumComp
 			out.Stats.NumCompGT1 += st.NumCompGT1
 			out.Stats.CSize += st.CSize

@@ -401,7 +401,7 @@ func (p *EnginePlan) Run(s *engine.Arena) error {
 	var created []string
 	fail := func(err error) error {
 		for i := len(created) - 1; i >= 0; i-- {
-			s.DropRelation(created[i])
+			s.DropRelation(created[i]) //nolint:errcheck // Run already fails with err
 		}
 		return err
 	}
@@ -411,16 +411,16 @@ func (p *EnginePlan) Run(s *engine.Arena) error {
 		switch op.Kind {
 		case OpSelect:
 			if !p.feedsProjection(i) {
-				_, err = s.Select(op.Res, op.Src, op.Pred)
+				err = s.Select(op.Res, op.Src, op.Pred)
 				break
 			}
 			i++
-			_, err = s.SelectProject(p.Ops[i].Res, op.Src, op.Pred, p.Ops[i].Attrs...)
+			err = s.SelectProject(p.Ops[i].Res, op.Src, op.Pred, p.Ops[i].Attrs...)
 			op = p.Ops[i]
 		case OpProject:
-			_, err = s.Project(op.Res, op.Src, op.Attrs...)
+			err = s.Project(op.Res, op.Src, op.Attrs...)
 		case OpRename:
-			_, err = s.Rename(op.Res, op.Src, op.Renames)
+			err = s.Rename(op.Res, op.Src, op.Renames)
 		case OpJoin:
 			_, err = s.Join(op.Res, op.Src, op.Src2, op.OnL, op.OnR)
 		case OpProduct:
@@ -455,11 +455,15 @@ func (p *EnginePlan) feedsProjection(i int) bool {
 }
 
 // DropTemps drops the plan's intermediate relations, newest first (a fused
-// selection's was never created).
-func (p *EnginePlan) DropTemps(s *engine.Arena) {
+// selection's was never created). A result still pending over one of them
+// is built first; the error is that of building it.
+func (p *EnginePlan) DropTemps(s *engine.Arena) error {
 	for i := len(p.Temps) - 1; i >= 0; i-- {
-		s.DropRelation(p.Temps[i])
+		if err := s.DropRelation(p.Temps[i]); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // CompileEngine compiles a statement into a templated engine plan: names

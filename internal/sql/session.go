@@ -3,6 +3,7 @@ package sql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -369,24 +370,23 @@ func (p *Prepared) QueryContext(ctx context.Context, args ...any) (*Rows, error)
 // Rows is the pull iterator over one execution's result, in the shape of
 // database/sql: Next advances, Scan reads the current row, Close releases
 // the execution's result arenas. Plain-query rows are the result's template
-// tuples, read lazily from the arenas' columnar relations — no decoding
-// happens for rows never scanned — with uncertain fields scanning as '?'
-// placeholders into *relation.Value. CONF()/POSSIBLE/CERTAIN rows are the
-// across-world answers, decoded just as lazily, with Conf exposing the
-// current confidence.
+// tuples, read in place through each segment's engine.Selection — straight
+// from the snapshot's columns when the result was never built — with
+// uncertain fields scanning as '?' placeholders into *relation.Value.
+// CONF()/POSSIBLE/CERTAIN rows are the across-world answers, decoded
+// lazily, with Conf exposing the current confidence.
 type Rows struct {
 	// result holds the answers: the arena-owned segments of a plain query
-	// (private to this execution, so reading them needs no locks; Close frees
-	// them by releasing the arenas — the shared store was never touched) or
-	// the across-world tuple list.
+	// (private to this execution, or immutable snapshot state, so reading
+	// them needs no locks; Close frees them by releasing the arenas — the
+	// shared store was never touched) or the across-world tuple list.
 	result *Result
 	idx    int
 	closed bool
-	// block and blockConfs are NextBlock's reused output: column slice
-	// headers (and, for a mode result, the gathered columns) of the last
-	// block handed out.
-	block      [][]int32
-	blockConfs []float64
+	// block is NextBlock's reused output: the column slice headers (and,
+	// for a mode result, the gathered columns and confidences) and the
+	// carriers of the last block handed out.
+	block Block
 }
 
 // Columns returns the output attribute names.
@@ -403,7 +403,7 @@ func (r *Rows) Len() int {
 	}
 	n := 0
 	for _, seg := range r.result.segs {
-		n += seg.rel.NumRows()
+		n += seg.out.Len()
 	}
 	return n
 }
@@ -418,10 +418,11 @@ func (r *Rows) Next() bool {
 	return true
 }
 
-// Err returns the error that terminated iteration, if any. The result is
-// fully materialized and validated when Query returns, so iteration itself
-// cannot fail and Err is always nil today; it exists for the database/sql
-// idiom, and so a future streaming executor can surface errors through it.
+// Err returns the error that terminated iteration, if any. Every plan step
+// has run and been validated when Query returns, and the rows read
+// immutable columns in place, so iteration itself cannot fail and Err is
+// always nil today; it exists for the database/sql idiom, and so a future
+// streaming executor can surface errors through it.
 func (r *Rows) Err() error { return nil }
 
 // Conf returns the confidence of the current row (CONF() and CERTAIN
@@ -442,7 +443,8 @@ func (r *Rows) Result() *Result { return r.result }
 func (r *Rows) Mode() Mode { return r.result.Mode }
 
 // MemUsage estimates the bytes this result retains until Close: the result
-// arenas of a plain query (templates plus adopted components), or the
+// arenas of a plain query (built templates, selection vectors and row plans,
+// adopted components — not the snapshot columns a selection reads), or the
 // across-world answer list of a mode query. The serving layer charges this
 // against per-session and global memory budgets; 0 after Close.
 func (r *Rows) MemUsage() int64 {
@@ -480,11 +482,11 @@ func (r *Rows) Scan(dest ...any) error {
 	if len(dest) != len(cols) {
 		return fmt.Errorf("sql: Scan got %d destinations for %d columns", len(dest), len(cols))
 	}
-	tuple, rel, row := r.current()
+	tuple, out, row := r.current()
 	for i, d := range dest {
 		var v int32
-		if rel != nil {
-			v = rel.Cols[i][row]
+		if out != nil {
+			v = out.At(row, i)
 		} else {
 			v = tuple[i]
 		}
@@ -516,72 +518,106 @@ func (r *Rows) Scan(dest ...any) error {
 }
 
 // current locates the current row in the engine's encoding: the answer
-// tuple of a mode result, or the segment relation and the row within it of
-// a plain one (read lazily, column by column, by Scan). The caller has
+// tuple of a mode result, or the segment and the row within it of a plain
+// one (read in place, column by column, by Scan). The caller has
 // bounds-checked idx against Len.
-func (r *Rows) current() (tuple []int32, rel *engine.Relation, row int) {
+func (r *Rows) current() (tuple []int32, out *engine.Selection, row int) {
 	if r.result.Mode != ModePlain {
 		return r.result.Tuples[r.idx].Tuple, nil, 0
 	}
-	rel, row = r.segAt(r.idx)
-	return nil, rel, row
+	out, row = r.segAt(r.idx)
+	return nil, out, row
 }
 
-// segAt locates plain-result row i: its segment relation and the row within
-// it (nil past the end). Empty segments are skipped.
-func (r *Rows) segAt(i int) (*engine.Relation, int) {
+// segAt locates plain-result row i: its segment and the row within it (nil
+// past the end). Empty segments are skipped.
+func (r *Rows) segAt(i int) (*engine.Selection, int) {
 	for _, seg := range r.result.segs {
-		if i < seg.rel.NumRows() {
-			return seg.rel, i
+		if i < seg.out.Len() {
+			return seg.out, i
 		}
-		i -= seg.rel.NumRows()
+		i -= seg.out.Len()
 	}
 	return nil, 0
 }
 
-// NextBlock advances past the next n ≤ max rows and returns them column by
-// column in the engine's encoding (a '?' field is engine.Placeholder), with
-// their confidences for a CONF()/POSSIBLE/CERTAIN result (nil for a plain
-// one). A plain block is a zero-copy window on one segment's columns, so it
-// never crosses a segment boundary and may hold fewer than max rows; a mode
-// block is gathered from the answer tuples. n is 0 only once the rows are
-// exhausted (or closed). The slices stay valid until the next NextBlock or
-// Close. Afterwards the last row of the block is the current row.
-func (r *Rows) NextBlock(max int) (n int, cols [][]int32, confs []float64) {
+// Block is a window of rows in the engine's encoding (a '?' field is
+// engine.Placeholder), read in place: row i of column c is Cols[c][Sel[i]],
+// or Cols[c][i] when Sel is nil, except that the rows listed in Carriers
+// read engine.Placeholder in column 0 (engine.Selection.Carriers). Confs
+// are the rows' confidences for a CONF()/POSSIBLE/CERTAIN result, nil for a
+// plain one.
+type Block struct {
+	N        int
+	Cols     [][]int32
+	Sel      []int32
+	Carriers []int32
+	Confs    []float64
+}
+
+// At returns row i, column c of the block.
+func (b *Block) At(i, c int) int32 {
+	if c == 0 && slices.Contains(b.Carriers, int32(i)) {
+		return engine.Placeholder
+	}
+	if b.Sel != nil {
+		return b.Cols[c][b.Sel[i]]
+	}
+	return b.Cols[c][i]
+}
+
+// NextBlock advances past the next N ≤ max rows and returns them. A plain
+// block is a window on one segment's selection vector over the columns it
+// reads, so it never crosses a segment boundary and may hold fewer than max
+// rows; a mode block is gathered from the answer tuples. N is 0 only once
+// the rows are exhausted (or closed). The slices stay valid until the next
+// NextBlock or Close. Afterwards the last row of the block is the current
+// row.
+func (r *Rows) NextBlock(max int) Block {
 	start := r.idx + 1
 	if r.closed || max <= 0 || start >= r.Len() {
-		return 0, nil, nil
+		return Block{}
 	}
+	b := &r.block
 	ncols := len(r.result.Attrs)
-	if cap(r.block) < ncols {
-		r.block = make([][]int32, ncols)
+	if cap(b.Cols) < ncols {
+		b.Cols = make([][]int32, ncols)
 	}
-	cols = r.block[:ncols]
+	b.Cols, b.Carriers = b.Cols[:ncols], b.Carriers[:0]
 	if r.result.Mode == ModePlain {
-		rel, row := r.segAt(start)
-		n = min(max, rel.NumRows()-row)
-		for c := range cols {
-			cols[c] = rel.Cols[c][row : row+n : row+n]
+		out, row := r.segAt(start)
+		b.N, b.Sel = min(max, out.Len()-row), nil
+		if sel := out.Sel(); sel != nil {
+			copy(b.Cols, out.Cols())
+			b.Sel = sel[row : row+b.N : row+b.N]
+		} else {
+			for c, col := range out.Cols() {
+				b.Cols[c] = col[row : row+b.N : row+b.N]
+			}
 		}
-		r.idx += n
-		return n, cols, nil
+		carriers := out.Carriers()
+		i, _ := slices.BinarySearch(carriers, int32(row))
+		for ; i < len(carriers) && int(carriers[i]) < row+b.N; i++ {
+			b.Carriers = append(b.Carriers, carriers[i]-int32(row))
+		}
+		r.idx += b.N
+		return *b
 	}
 	tuples := r.result.Tuples[start:min(start+max, len(r.result.Tuples))]
-	n = len(tuples)
-	for c := range cols {
-		col := cols[c][:0]
+	b.N = len(tuples)
+	for c := range b.Cols {
+		col := b.Cols[c][:0]
 		for _, tc := range tuples {
 			col = append(col, tc.Tuple[c])
 		}
-		cols[c] = col
+		b.Cols[c] = col
 	}
-	confs = r.blockConfs[:0]
+	b.Confs = b.Confs[:0]
 	for _, tc := range tuples {
-		confs = append(confs, tc.Conf)
+		b.Confs = append(b.Confs, tc.Conf)
 	}
-	r.blockConfs = confs
-	r.idx += n
-	return n, cols, confs
+	r.idx += b.N
+	return *b
 }
 
 // Close releases the result by returning its arenas to the engine's pool —

@@ -127,22 +127,22 @@ func TestRowsNextBlock(t *testing.T) {
 		}
 		var got []string
 		for {
-			n, cols, confs := rows.NextBlock(7)
-			if n == 0 {
+			blk := rows.NextBlock(7)
+			if blk.N == 0 {
 				break
 			}
-			for i := 0; i < n; i++ {
+			for i := 0; i < blk.N; i++ {
 				var sb strings.Builder
-				for _, col := range cols {
-					v := relation.Int(int64(col[i]))
-					if col[i] == engine.Placeholder {
+				for c := range blk.Cols {
+					v := relation.Int(int64(blk.At(i, c)))
+					if blk.At(i, c) == engine.Placeholder {
 						v = relation.Placeholder()
 					}
 					fmt.Fprintf(&sb, "%s|", v)
 				}
 				var conf float64
-				if confs != nil {
-					conf = confs[i]
+				if blk.Confs != nil {
+					conf = blk.Confs[i]
 				}
 				fmt.Fprintf(&sb, "%016x", math.Float64bits(conf))
 				got = append(got, sb.String())
@@ -534,7 +534,7 @@ func TestMutatorsUnderReaders(t *testing.T) {
 	// a SET UNCERTAIN replaced R, or before a CHASE replaced a component.
 	staleArena := func() *engine.Arena {
 		ar := engine.NewArena(db.Snapshot())
-		if _, err := ar.Select("Z", "R", engine.Gt("A", -1)); err != nil {
+		if err := ar.Select("Z", "R", engine.Gt("A", -1)); err != nil {
 			t.Fatal(err)
 		}
 		return ar

@@ -114,14 +114,14 @@ type Result struct {
 	// non-probabilistic inputs the Conf fields are 0.
 	Tuples []engine.TupleConf
 
-	// segs holds the plain result: one arena-owned relation per snapshot the
-	// plan ran on (one for the authority, one per shard otherwise), walked in
-	// placement order. Rows.Close releases every segment's arena.
+	// segs holds the plain result: one arena-owned selection per snapshot
+	// the plan ran on (one for the authority, one per shard otherwise),
+	// walked in placement order. Rows.Close releases every segment's arena.
 	segs []resultSeg
 }
 
 // resultSeg is one snapshot's slice of a plain result.
 type resultSeg struct {
 	arena *engine.Arena
-	rel   *engine.Relation
+	out   *engine.Selection
 }

@@ -178,7 +178,7 @@ func TestFacadeEngineStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	ar := NewArena(s.Snapshot())
-	if _, err := ar.Select("P", "R", EngineEq("B", 9)); err != nil {
+	if err := ar.Select("P", "R", EngineEq("B", 9)); err != nil {
 		t.Fatal(err)
 	}
 	st := ar.Stats("P")
@@ -208,10 +208,10 @@ func TestFacadeChaseOptionsAndEngineChase(t *testing.T) {
 	}
 	// Engine predicates through the facade.
 	ar := NewArena(s.Snapshot())
-	if _, err := ar.Select("P", "R", EngineNe("A", 0)); err != nil {
+	if err := ar.Select("P", "R", EngineNe("A", 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ar.Select("P2", "R", EngineGt("B", 5)); err != nil {
+	if err := ar.Select("P2", "R", EngineGt("B", 5)); err != nil {
 		t.Fatal(err)
 	}
 }
