@@ -352,6 +352,7 @@ func (a *Arena) addField(out *Relation, row int32, attr uint16, c *Component, at
 		c.Rows[w].Vals = append(c.Rows[w].Vals, v)
 		if absent {
 			c.Rows[w].Absent = c.Rows[w].Absent.Set(col)
+			out.absence = true
 		}
 	}
 	a.fieldComp[f] = c.ID

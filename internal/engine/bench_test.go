@@ -11,9 +11,9 @@ import (
 // The operator layer of the read path on one conf_fold shard's shape: 50k
 // census rows x 50 columns with 0.1% or-set noise. The selection keeps
 // CITIZEN = 0 (about a quarter of the rows) and the projection keeps
-// POWSTATE; PossibleMasses folds that fused result. Each iteration runs on a
-// fresh arena over one snapshot, so adoption and composition are paid every
-// time, as per request.
+// POWSTATE; PossibleMasses folds that fused result as a mode query does,
+// reading it pending. Each iteration runs on a fresh arena over one
+// snapshot, so adoption and composition are paid every time, as per request.
 var benchSnap = sync.OnceValues(func() (*Snapshot, error) {
 	s, err := census.NewStore("R", 50000, 1)
 	if err != nil {
@@ -61,21 +61,13 @@ func BenchmarkArenaSelectProject(b *testing.B) {
 }
 
 func BenchmarkArenaPossibleMasses(b *testing.B) {
-	snap, err := benchSnap()
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := NewArena(snap)
-	if err := a.SelectProject("res", "R", Eq("CITIZEN", 0), "POWSTATE"); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PossibleMasses(a, "res"); err != nil {
-			b.Fatal(err)
+	benchArena(b, func(a *Arena) error {
+		if err := a.SelectProject("res", "R", Eq("CITIZEN", 0), "POWSTATE"); err != nil {
+			return err
 		}
-	}
+		_, err := a.PossibleMasses("res")
+		return err
+	})
 }
 
 // BenchmarkArenaDifference is native EXCEPT on the same store: R minus its

@@ -226,7 +226,7 @@ func (s *Store) chaseOne(rel int32, d EGD, idx map[string]uint16, opt ChaseOptio
 				continue
 			}
 			f := FieldID{Rel: r.id, Row: row, Attr: a}
-			if s.fieldHasAbsence(f) {
+			if r.absence && s.fieldHasAbsence(f) {
 				presenceFields = append(presenceFields, f)
 			}
 		}

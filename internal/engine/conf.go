@@ -15,10 +15,11 @@ import (
 //
 // The cost model is the point: building the tuple-level view touches only
 // the components reachable from the relation's own placeholders
-// (tuplelevel.go), and the sweep below scores all tuples in one pass with
+// (tuplelevel.go), reading a pending σ/π result in place rather than
+// building it, and the sweep below scores all tuples in one pass with
 // slice-indexed accumulators, so CONF() over a query result is priced by the
-// result — not by the base relations the query never touched, and not by a
-// per-tuple rescan.
+// uncertain part of the result — not by the base relations the query never
+// touched, not by copying the result, and not by a per-tuple rescan.
 
 // TupleConf pairs a possible tuple — in the engine's native int32 encoding —
 // with its confidence.
@@ -178,14 +179,15 @@ func foldAll(g *Guard, tms []TupleMasses) ([]TupleConf, error) {
 }
 
 // groupTuple materializes the tuple of row tr at local world w of its
-// group's component into buf; ok is false when the tuple is absent there
-// (some field has no value — the encoding of worlds of different sizes).
-func groupTuple(r *Relation, g *tlGroup, tr tlRow, w int, buf []int32) (_ []int32, ok bool) {
+// group's component into buf, reading its certain cells from cols; ok is
+// false when the tuple is absent there (some field has no value — the
+// encoding of worlds of different sizes).
+func groupTuple(cols [][]int32, g *tlGroup, tr tlRow, w int, buf []int32) (_ []int32, ok bool) {
 	crow := &g.comp.Rows[w]
 	buf = buf[:0]
 	for a, col := range tr.cols {
 		if col < 0 {
-			buf = append(buf, r.Cols[a][tr.row])
+			buf = append(buf, cols[a][tr.src])
 			continue
 		}
 		if crow.IsAbsent(col) {
@@ -196,25 +198,66 @@ func groupTuple(r *Relation, g *tlGroup, tr tlRow, w int, buf []int32) (_ []int3
 	return buf, true
 }
 
-// internCertain interns the certain template rows of the view: present in
-// every world, confidence exactly 1, whatever the uncertain rows add. There
-// can be as many as the relation has rows, so the guard is ticked once per
-// batch of guardPeriod rows.
-func (ac *tupleAccum) internCertain(r *Relation, rows []int32, guard *Guard) error {
-	tbuf := make([]int32, len(r.Attrs))
+// internCertain interns the certain rows of the view, rows of cols: present
+// in every world, confidence exactly 1, whatever the uncertain rows add.
+// There can be as many as the relation has rows, so the guard is ticked once
+// per batch of guardPeriod rows. When the tuples fit a dense mixed-radix key
+// no larger than the row count, a seen-bit per key admits each distinct
+// tuple to the table once; answers are typically far fewer than rows.
+func (ac *tupleAccum) internCertain(cols [][]int32, rows []int32, guard *Guard) error {
+	seen, stride := denseKeys(cols, rows)
+	tbuf := make([]int32, len(cols))
 	for lo := 0; lo < len(rows); lo += guardPeriod {
 		hi := min(lo+guardPeriod, len(rows))
 		if err := guard.tickN(hi - lo); err != nil {
 			return err
 		}
 		for _, row := range rows[lo:hi] {
-			for a, col := range r.Cols {
+			key := 0
+			for a, col := range cols {
 				tbuf[a] = col[row]
+				key += int(tbuf[a]) * stride[a]
+			}
+			if seen != nil {
+				if seen[key] {
+					continue
+				}
+				seen[key] = true
 			}
 			ac.certain[ac.intern(tbuf)] = true
 		}
 	}
 	return nil
+}
+
+// denseKeys sizes the dense key of the tuples of cols at rows: stride[a] is
+// the mixed-radix weight of column a, by the columns' maxima. seen is nil —
+// every row interns — when a value is negative or the key space would exceed
+// the row count.
+//
+//maybms:unguarded one linear max pass ahead of the interning loop, which ticks per batch of the same rows
+func denseKeys(cols [][]int32, rows []int32) (seen []bool, stride []int) {
+	stride = make([]int, len(cols))
+	if len(rows) == 0 {
+		return nil, stride
+	}
+	size := 1
+	for a := len(cols) - 1; a >= 0; a-- {
+		hi := int32(0)
+		for _, row := range rows {
+			v := cols[a][row]
+			if v < 0 {
+				return nil, make([]int, len(cols))
+			}
+			hi = max(hi, v)
+		}
+		stride[a] = size
+		size *= int(hi) + 1
+		if size > len(rows) {
+			return nil, make([]int, len(cols))
+		}
+	}
+	return make([]bool, size), stride
 }
 
 // sweepGroups scores every tuple each group can produce: one epoch per
@@ -224,8 +267,8 @@ func (ac *tupleAccum) internCertain(r *Relation, rows []int32, guard *Guard) err
 // accumulators and merged (mergeMasses). The guard is ticked once per
 // (group, local world) epoch — the sweep is the exponential part of
 // confidence computation, so this is where a cancel must land.
-func (ac *tupleAccum) sweepGroups(r *Relation, groups []*tlGroup, guard *Guard) error {
-	tbuf := make([]int32, 0, len(r.Attrs))
+func (ac *tupleAccum) sweepGroups(cols [][]int32, groups []*tlGroup, guard *Guard) error {
+	tbuf := make([]int32, 0, len(cols))
 	epoch := 0
 	for _, g := range groups {
 		for w := range g.comp.Rows {
@@ -234,7 +277,7 @@ func (ac *tupleAccum) sweepGroups(r *Relation, groups []*tlGroup, guard *Guard) 
 			}
 			p := g.comp.Rows[w].P
 			for _, tr := range g.rows {
-				t, ok := groupTuple(r, g, tr, w, tbuf)
+				t, ok := groupTuple(cols, g, tr, w, tbuf)
 				tbuf = t[:0]
 				if !ok {
 					continue
@@ -249,27 +292,43 @@ func (ac *tupleAccum) sweepGroups(r *Relation, groups []*tlGroup, guard *Guard) 
 }
 
 // PossibleMasses computes the pre-fold confidence table of rel natively on
-// any view (live store, snapshot, or an arena's result relations read in
-// place): the tuple-level view is built once and every tuple's per-group
+// any view (live store, snapshot, or an arena, whose pending result is read
+// in place): the tuple-level view is built once and every tuple's per-group
 // masses are collected in a single sweep over it, in canonical tuple order,
 // not yet folded. The shard layer merges these across sub-stores before
 // folding.
 func PossibleMasses(v View, rel string) ([]TupleMasses, error) {
-	tv, err := tupleLevelView(v, rel)
+	tv, err := viewOf(v, rel)
 	if err != nil {
 		return nil, err
 	}
 	return tv.masses(guardOf(v))
 }
 
+// viewOf builds the tuple-level view of rel as seen through v, building
+// nothing: an arena's relation is read as its Selection, a snapshot's or
+// store's as the identity selection.
+func viewOf(v View, rel string) (*tupleView, error) {
+	var s *Selection
+	if a, ok := v.(*Arena); ok {
+		s = a.Selection(rel)
+	} else if r := v.Rel(rel); r != nil {
+		s = identity(v, r)
+	}
+	if s == nil {
+		return nil, fmt.Errorf("engine: unknown relation %q", rel)
+	}
+	return tupleLevelView(s)
+}
+
 // masses scores the whole view with one accumulator: the certain rows, then
 // every group.
 func (tv *tupleView) masses(guard *Guard) ([]TupleMasses, error) {
-	ac := newTupleAccum(len(tv.rel.Attrs))
-	if err := ac.internCertain(tv.rel, tv.certain, guard); err != nil {
+	ac := newTupleAccum(len(tv.cols))
+	if err := ac.internCertain(tv.cols, tv.certain, guard); err != nil {
 		return nil, err
 	}
-	if err := ac.sweepGroups(tv.rel, tv.groups, guard); err != nil {
+	if err := ac.sweepGroups(tv.cols, tv.groups, guard); err != nil {
 		return nil, err
 	}
 	return ac.sorted(), nil
@@ -290,13 +349,12 @@ func PossibleP(v View, rel string) ([]TupleConf, error) {
 // natively on the view: the sum of the probabilities of the worlds whose rel
 // contains t.
 func Conf(v View, rel string, t []int32) (float64, error) {
-	tv, err := tupleLevelView(v, rel)
+	tv, err := viewOf(v, rel)
 	if err != nil {
 		return 0, err
 	}
-	r := tv.rel
-	if len(t) != len(r.Attrs) {
-		return 0, fmt.Errorf("engine: tuple arity %d, want %d", len(t), len(r.Attrs))
+	if len(t) != len(tv.cols) {
+		return 0, fmt.Errorf("engine: tuple arity %d, want %d", len(t), len(tv.cols))
 	}
 	for _, x := range t {
 		if x < 0 {
@@ -305,8 +363,8 @@ func Conf(v View, rel string, t []int32) (float64, error) {
 	}
 	for _, row := range tv.certain {
 		match := true
-		for a := range r.Attrs {
-			if r.Cols[a][row] != t[a] {
+		for a, col := range tv.cols {
+			if col[row] != t[a] {
 				match = false
 				break
 			}
@@ -325,7 +383,7 @@ func Conf(v View, rel string, t []int32) (float64, error) {
 				return 0, err
 			}
 			for _, tr := range g.rows {
-				tup, ok := groupTuple(r, g, tr, w, buf)
+				tup, ok := groupTuple(tv.cols, g, tr, w, buf)
 				buf = tup[:0]
 				if ok && CompareTuples(tup, t) == 0 {
 					mass += g.comp.Rows[w].P
@@ -368,11 +426,9 @@ func Certain(v View, rel string, t []int32, eps float64) (bool, error) {
 	return c >= 1-eps, nil
 }
 
-// PossibleMasses is the free function on the arena's view, after building
-// a pending result; the benchmark's traced run steps it by this name.
+// PossibleMasses is the free function on the arena's view: a pending result
+// is read in place, never built. The benchmark's traced run steps it by this
+// name.
 func (a *Arena) PossibleMasses(rel string) ([]TupleMasses, error) {
-	if err := a.materialize(); err != nil {
-		return nil, err
-	}
 	return PossibleMasses(a, rel)
 }

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"maybms/internal/bridge"
@@ -159,13 +160,68 @@ func TestNativeConfidenceMatchesWorldEnumeration(t *testing.T) {
 // TestNativeConfidenceOnArenaResults checks the native path on the surface
 // the query engine actually uses: operator results in an arena, whose
 // components extend and compose base components of the snapshot (producing
-// absence marks and cross-relation sharing organically).
+// absence marks and cross-relation sharing organically). A pending σ/π
+// result is read in place: its masses must equal, bit for bit, those of the
+// same result once built, and reading it must build nothing — for σ, π, σπ,
+// a σ whose condition reads two placeholders (so it composes) and a π that
+// drops the condition's attribute (so carriers appear).
 func TestNativeConfidenceOnArenaResults(t *testing.T) {
+	pendingCases := []struct {
+		name string
+		op   func(ar *Arena, rel string, at []string) error
+	}{
+		{"σ", func(ar *Arena, rel string, at []string) error { return ar.Select("res", rel, Gt(at[0], 0)) }},
+		{"π", func(ar *Arena, rel string, at []string) error { return ar.Project("res", rel, at[1]) }},
+		{"σπ", func(ar *Arena, rel string, at []string) error {
+			return ar.SelectProject("res", rel, Gt(at[0], 0), at[0], at[1])
+		}},
+		{"σ two placeholders", func(ar *Arena, rel string, at []string) error {
+			return ar.Select("res", rel, AttrAttr{A: at[0], Theta: relation.GE, B: at[1]})
+		}},
+		{"π drops the condition", func(ar *Arena, rel string, at []string) error {
+			return ar.SelectProject("res", rel, Gt(at[0], 1), at[1])
+		}},
+	}
+	carriers, twoRef := 0, 0
 	for seed := int64(200); seed < 220; seed++ {
 		s := RandomConfStore(t, seed)
 		rel := s.Relations()[0]
 		r := s.Rel(rel)
-		ar := NewArena(s.Snapshot())
+		snap := s.Snapshot()
+		for _, c := range pendingCases {
+			label := fmt.Sprintf("seed %d %s", seed, c.name)
+			ar := NewArena(snap)
+			if err := c.op(ar, rel, r.Attrs); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			carriers += len(ar.Selection("res").Carriers())
+			mem := ar.MemUsage()
+			pending, err := PossibleMasses(ar, "res")
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if got := ar.MemUsage(); got != mem {
+				t.Fatalf("%s: reading the pending result grew the arena from %d to %d bytes", label, mem, got)
+			}
+			if c.name == "σ two placeholders" {
+				// Only a row whose condition reads two placeholders brings
+				// a component into the arena before the result is built.
+				ar.EachComp(func(comp *Component) {
+					if comp.ID < 0 {
+						twoRef++
+					}
+				})
+			}
+			if ar.Rel("res") == nil {
+				t.Fatalf("%s: building the result failed", label)
+			}
+			built, err := PossibleMasses(ar, "res")
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			sameMasses(t, label, pending, built)
+		}
+		ar := NewArena(snap)
 		if err := ar.Select("sel", rel, Gt(r.Attrs[0], 0)); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -196,6 +252,28 @@ func TestNativeConfidenceOnArenaResults(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			diffPossibleP(t, label, native, oracle)
+		}
+	}
+	if carriers == 0 || twoRef == 0 {
+		t.Fatalf("the seeds gave %d carriers and %d rows reading two placeholders; both shapes must occur", carriers, twoRef)
+	}
+}
+
+// sameMasses fails unless two pre-fold tables hold the same tuples with
+// bit-identical masses.
+func sameMasses(t *testing.T, label string, got, want []TupleMasses) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d possible tuples, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		same := CompareTuples(g.Tuple, w.Tuple) == 0 && g.Certain == w.Certain && len(g.Masses) == len(w.Masses)
+		for k := 0; same && k < len(g.Masses); k++ {
+			same = math.Float64bits(g.Masses[k]) == math.Float64bits(w.Masses[k])
+		}
+		if !same {
+			t.Fatalf("%s: tuple %d masses %+v, want %+v", label, i, g, w)
 		}
 	}
 }

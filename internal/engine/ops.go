@@ -77,10 +77,13 @@ type urow struct {
 // first column becomes a placeholder to carry the presence of dropped
 // fields. Its fields join their components only when something asks for the
 // result as a relation (Arena.Rel, RelByID, Commit, or the next operator);
-// the result reader reads it as it stands. A Selection over a relation that
-// needs no building is the identity one.
+// the result reader and the tuple-level view of a mode query read it as it
+// stands. A Selection over a relation that needs no building is the
+// identity one.
 type Selection struct {
-	a *Arena
+	// view resolves components: the arena of an operator's result, or the
+	// view an identity selection reads.
+	view View
 	// out is the result relation, src the relation read (the same relation
 	// for the identity selection).
 	out, src *Relation
@@ -124,7 +127,7 @@ func (a *Arena) selectProject(res, src string, p Pred, attrs []string) error {
 			order[i] = ai
 		}
 	}
-	v := &Selection{a: a, src: r, order: order}
+	v := &Selection{view: a, src: r, order: order}
 	x := &r.unc
 	if p != nil {
 		var err error
@@ -184,7 +187,8 @@ func (a *Arena) selectProject(res, src string, p Pred, attrs []string) error {
 	}
 
 	// π's ⊥-propagation: a dropped field carrying absence — its own, or the
-	// condition's — joins the component of the row's kept fields.
+	// condition's — joins the component of the row's kept fields. Only a
+	// relation recording absence has fields worth probing for their own.
 	if len(order) < len(r.Attrs) {
 		var plans []urow
 		err := v.eachRow(func(u *urow) error {
@@ -192,7 +196,7 @@ func (a *Arena) selectProject(res, src string, p Pred, attrs []string) error {
 				return err
 			}
 			for _, at := range u.attrs {
-				if !containsAttr(order, at) && ((u.failing && containsAttr(u.inSel, at)) || a.fieldHasAbsence(FieldID{Rel: r.id, Row: u.src, Attr: at})) {
+				if !containsAttr(order, at) && ((u.failing && containsAttr(u.inSel, at)) || r.absence && a.fieldHasAbsence(FieldID{Rel: r.id, Row: u.src, Attr: at})) {
 					u.drop = append(u.drop, at)
 				}
 			}
@@ -272,9 +276,9 @@ func (v *Selection) eachRow(fn func(u *urow) error) error {
 // over the component of the fields the condition reads, keep — the
 // presence of the dropped fields — over theirs. comp resolves components:
 // compFor when the copies are about to join them, ComponentOf when they are
-// only counted; either way cond.pass indexes keep's local worlds wherever
-// it is read, since a dropped inSel field merged the condition's component
-// into keep's.
+// only counted or viewed; either way cond.pass indexes keep's local worlds
+// wherever it is read, since a dropped inSel field merged the condition's
+// component into keep's.
 //
 //maybms:unguarded bounded single-component probe; the loops that call it tick per row
 func (v *Selection) masks(u *urow, comp func(FieldID) *Component) (cond, keep presence) {
@@ -311,7 +315,13 @@ func (a *Arena) Selection(name string) *Selection {
 	if r == nil {
 		return nil
 	}
-	return &Selection{a: a, out: r, src: r, order: allAttrs(r), cols: r.Cols}
+	return identity(a, r)
+}
+
+// identity returns the Selection reading every row and attribute of the
+// built relation r of v.
+func identity(v View, r *Relation) *Selection {
+	return &Selection{view: v, out: r, src: r, order: allAttrs(r), cols: r.Cols}
 }
 
 // Name returns the result relation's name.
@@ -366,7 +376,7 @@ func (v *Selection) Stats() Stats {
 	}
 	fieldsPerComp := make(map[*Component]int)
 	_ = v.eachRow(func(u *urow) error {
-		cond, keep := v.masks(u, v.a.ComponentOf)
+		cond, keep := v.masks(u, v.view.ComponentOf)
 		carried := false
 		for _, at := range u.attrs {
 			if !kept[at] {
@@ -374,7 +384,7 @@ func (v *Selection) Stats() Stats {
 			}
 			carried = true
 			f := FieldID{Rel: r.id, Row: u.src, Attr: at}
-			c := v.a.ComponentOf(f)
+			c := v.view.ComponentOf(f)
 			if c == nil {
 				continue
 			}

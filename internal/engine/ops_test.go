@@ -38,6 +38,38 @@ func TestSelectAdoptsOnlyExtendedComponents(t *testing.T) {
 	}
 }
 
+// The absence gate: Validate rejects a relation that records no absence
+// while one of its fields is absent in some local world, and a relation that
+// records it has the absence propagated when π drops the field.
+func TestValidateRejectsUnrecordedAbsence(t *testing.T) {
+	s := NewStore()
+	if _, err := s.AddRelation("R", []string{"A", "B"}, [][]int32{{0, 1}, {2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetUncertain("R", 0, "A", []int32{5, 6}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(1e-9); err != nil {
+		t.Fatal(err)
+	}
+	c := s.ComponentOf(FieldID{Rel: 0, Row: 0, Attr: 0})
+	c.Rows[1].Absent = c.Rows[1].Absent.Set(0)
+	if err := s.Validate(1e-9); err == nil {
+		t.Fatal("Validate accepted an absent field of a relation recording no absence")
+	}
+	s.Rel("R").absence = true
+	if err := s.Validate(1e-9); err != nil {
+		t.Fatal(err)
+	}
+	a := NewArena(s.Snapshot())
+	if err := a.Project("P", "R", "B"); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Selection("P").Carriers(); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("carriers %v, want row 0 carrying A's absence", got)
+	}
+}
+
 // A wide_fetch-shaped result — a quarter of a 50-column relation, kept
 // whole, under a one-attribute condition — retains its selection vector and
 // a few row plans until it is built: at most 8 bytes a row beyond the

@@ -41,7 +41,7 @@ func possibleMassesParallel(v View, rel string, workers int) ([]TupleMasses, err
 	if workers <= 0 {
 		workers = DefaultConfWorkers()
 	}
-	tv, err := tupleLevelView(v, rel)
+	tv, err := viewOf(v, rel)
 	if err != nil {
 		return nil, err
 	}
@@ -69,10 +69,10 @@ func possibleMassesParallel(v View, rel string, workers int) ([]TupleMasses, err
 					errs[w] = fmt.Errorf("engine: confidence fold worker panic: %v", p)
 				}
 			}()
-			ac := newTupleAccum(len(tv.rel.Attrs))
+			ac := newTupleAccum(len(tv.cols))
 			lo := len(tv.certain) * w / workers
 			hi := len(tv.certain) * (w + 1) / workers
-			if err := ac.internCertain(tv.rel, tv.certain[lo:hi], guard); err != nil {
+			if err := ac.internCertain(tv.cols, tv.certain[lo:hi], guard); err != nil {
 				errs[w] = err
 				return
 			}
@@ -80,7 +80,7 @@ func possibleMassesParallel(v View, rel string, workers int) ([]TupleMasses, err
 			for i := w; i < len(tv.groups); i += workers {
 				groups = append(groups, tv.groups[i])
 			}
-			if err := ac.sweepGroups(tv.rel, groups, guard); err != nil {
+			if err := ac.sweepGroups(tv.cols, groups, guard); err != nil {
 				errs[w] = err
 				return
 			}
@@ -146,12 +146,9 @@ func MergeMasses(g *Guard, parts [][]TupleMasses) ([]TupleMasses, error) {
 func FoldMassTable(g *Guard, tms []TupleMasses) ([]TupleConf, error) { return foldAll(g, tms) }
 
 // PossibleMassesParallel is PossibleMasses with the group sweep striped over
-// a pool of workers (0 = DefaultConfWorkers, 1 = the serial sweep). The table
-// is identical to the serial one, so folding it is byte-identical to
-// PossibleP.
+// a pool of workers (0 = DefaultConfWorkers, 1 = the serial sweep); a pending
+// result is read in place. The table is identical to the serial one, so
+// folding it is byte-identical to PossibleP.
 func (a *Arena) PossibleMassesParallel(rel string, workers int) ([]TupleMasses, error) {
-	if err := a.materialize(); err != nil {
-		return nil, err
-	}
 	return possibleMassesParallel(a, rel, workers)
 }

@@ -148,6 +148,12 @@ func ImportState(st *StoreState) (*Store, error) {
 			s.fieldComp[f] = cs.ID
 		}
 		s.comps[cs.ID] = c
+		absent := absentCols(c)
+		for i, f := range c.Fields {
+			if r := s.RelByID(f.Rel); r != nil && absent.Get(i) {
+				r.absence = true
+			}
+		}
 	}
 	// Validate re-checks the cross-structure invariants the loops above
 	// cannot see locally: every placeholder field backed by a component,
@@ -260,6 +266,7 @@ func (s *Store) InstallRelation(rs *RelState, comps []*CompState) error {
 			c.pos[f] = j
 		}
 		built = append(built, c)
+		r.absence = r.absence || absentCols(c).Any()
 	}
 	if len(covered) != placeholders {
 		return fmt.Errorf("engine: install: relation %q has %d placeholder fields but %d component fields", rs.Name, placeholders, len(covered))

@@ -95,6 +95,14 @@ type Relation struct {
 	Cols  [][]int32
 	// unc indexes the placeholder cells by row (uindex.go).
 	unc uncIndex
+	// absence is false when no field of the relation is absent in any local
+	// world. Only addField writes absent bits, on a result field it creates,
+	// and it sets the flag; every other mutation moves or removes bits, so a
+	// set flag may be stale but a clear one never is. Copies of the relation
+	// copy it, ImportState and InstallRelation compute it from the components
+	// they install, and it is written only while the relation is private to
+	// its arena or store epoch.
+	absence bool
 	// born is the store epoch that created the object (see Store.epoch);
 	// sharedCols marks the columns it still shares with the object it was
 	// copied from (none for a relation built from scratch).
@@ -122,6 +130,11 @@ func (r *Relation) AttrIndex(name string) (uint16, error) {
 
 // UncertainRows returns the number of rows with at least one placeholder.
 func (r *Relation) UncertainRows() int { return len(r.unc.rows) }
+
+// RecordsAbsence reports whether some field of r may be absent in some local
+// world. False guarantees that none is: a projection then never probes r's
+// components for absence to propagate.
+func (r *Relation) RecordsAbsence() bool { return r.absence }
 
 // epoch names one interval between two snapshots of a store. Epochs are
 // compared by address, so an object one store created is never mistaken for
@@ -493,6 +506,22 @@ func compressComponent(c *Component) {
 	c.Rows = out
 }
 
+// absentCols returns the columns of c that are absent in some local world.
+//
+//maybms:unguarded one bounded pass over a component's absence words, on the update and validation paths
+func absentCols(c *Component) Bitset {
+	var cols Bitset
+	for _, row := range c.Rows {
+		for len(cols) < len(row.Absent) {
+			cols = append(cols, 0)
+		}
+		for w, word := range row.Absent {
+			cols[w] |= word
+		}
+	}
+	return cols
+}
+
 // appendFieldKey appends the canonical 4-byte encoding of one field state —
 // the value, or a -2 absent marker distinct from every real value (≥ 0) and
 // from Placeholder — used to merge indistinguishable local worlds.
@@ -525,12 +554,13 @@ func (s *Store) Clone() *Store {
 			continue
 		}
 		nr := &Relation{
-			id:    r.id,
-			Name:  r.Name,
-			Attrs: slices.Clone(r.Attrs),
-			Cols:  make([][]int32, len(r.Cols)),
-			unc:   r.unc.clone(),
-			born:  e,
+			id:      r.id,
+			Name:    r.Name,
+			Attrs:   slices.Clone(r.Attrs),
+			Cols:    make([][]int32, len(r.Cols)),
+			unc:     r.unc.clone(),
+			absence: r.absence,
+			born:    e,
 		}
 		for j, col := range r.Cols {
 			nr.Cols[j] = slices.Clone(col)

@@ -108,6 +108,7 @@ func RandomConfStore(t *testing.T, seed int64) *Store {
 			col := c.Pos(fid(f))
 			w := rng.Intn(len(c.Rows))
 			c.Rows[w].Absent = c.Rows[w].Absent.Set(col)
+			s.Rel(f.rel).absence = true
 		}
 	}
 	if err := s.Validate(1e-9); err != nil {
@@ -215,6 +216,7 @@ func RandomDiffStore(t *testing.T, seed int64) *Store {
 			col := c.Pos(fid(f))
 			w := rng.Intn(len(c.Rows))
 			c.Rows[w].Absent = c.Rows[w].Absent.Set(col)
+			s.Rel(f.rel).absence = true
 		}
 	}
 	if err := s.Validate(1e-9); err != nil {

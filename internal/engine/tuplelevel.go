@@ -9,25 +9,31 @@ import (
 // columnar representation: the native analogue of what the WSD bridge plus
 // confidence.tupleLevel used to materialize as a core.WSD. All fields of a
 // template row end up defined within a single component, so across-world
-// operators (conf.go) can score whole tuples per local world. The view is
-// computed on private copies of the reachable components — the snapshot,
-// arena and store are never modified — and its size depends only on the
-// relation's own placeholders: fields of other relations sharing a component
-// are marginalized away, not converted.
+// operators (conf.go) can score whole tuples per local world.
+//
+// The view reads the relation as a Selection (ops.go): the pending result of
+// σ, π or δ over its source, or the identity selection of a built relation.
+// A mode query over σ/π therefore never builds its result. Each component
+// reachable from the result's placeholders is restricted, straight from the
+// source component, to the copies the result would give it — under the
+// masks the operator decided — and the fields of every other relation are
+// marginalized away. The restricted components are private to the view: the
+// snapshot, arena and store are never modified, and the view's size depends
+// only on the result's own placeholders.
 
 // tlGroup is one independent factor of the tuple-level view: a composed,
-// marginalized component together with the template rows whose uncertain
+// marginalized component together with the result rows whose uncertain
 // fields it defines. Distinct groups are stochastically independent.
 type tlGroup struct {
 	comp *Component
 	rows []tlRow
 }
 
-// tlRow maps one template row of the viewed relation into its group's
-// component: cols[a] is the component column holding attribute a, or -1 when
-// the attribute is certain in the template.
+// tlRow maps one uncertain result row into its group's component: src is its
+// row in the view's columns, and cols[a] is the component column holding
+// attribute a, or -1 when the attribute is certain in the template.
 type tlRow struct {
-	row  int32
+	src  int32
 	cols []int
 }
 
@@ -35,181 +41,243 @@ type tlRow struct {
 // rows read straight off the template, its uncertain rows grouped by the
 // composed components defining them.
 type tupleView struct {
-	rel *Relation
-	// certain lists the template rows without placeholders (present in
-	// every world).
+	// cols are the relation's columns as its selection reads them (its
+	// source's, in result order).
+	cols [][]int32
+	// certain lists the rows of cols whose result rows hold no placeholder
+	// (present in every world).
 	certain []int32
 	groups  []*tlGroup
 }
 
-// tupleLevelView builds the tuple-level view of rel as seen through v. It
-// fails on unknown relations and when composing components would exceed the
-// MaxCompRows blow-up guard (the NP-hardness of Section 6 surfacing as an
-// error, exactly as on the store's own compositions).
-func tupleLevelView(v View, rel string) (*tupleView, error) {
-	r := v.Rel(rel)
-	if r == nil {
-		return nil, fmt.Errorf("engine: unknown relation %q", rel)
-	}
-	unc := &r.unc
-	n := r.NumRows()
-	tv := &tupleView{rel: r, certain: make([]int32, 0, n-len(unc.rows))}
-	for i, k := 0, 0; i < n; i++ {
-		if k < len(unc.rows) && unc.rows[k] == int32(i) {
-			k++
-			continue
-		}
-		tv.certain = append(tv.certain, int32(i))
-	}
-	if len(unc.rows) == 0 {
-		return tv, nil
-	}
+// tlCopy is one placeholder field of the result as its source component
+// would hold it: the copy of column col — or, for a carrier (col -1), of the
+// certain value val — absent where the source field is and where cond or
+// keep fails (nil masks never fail).
+type tlCopy struct {
+	f          FieldID // the result field
+	col        int
+	val        int32
+	cond, keep []bool
+}
 
-	// Restrict every reachable component to the fields of rel, marginalizing
-	// the rest: local worlds indistinguishable on the kept fields merge,
-	// summing their probabilities. Components are keyed by pointer — the
-	// arena overlay already resolves adopted copies — and the restricted
-	// copies are private to the view.
+// at returns the copy's value and absence at local world w, row, of its
+// source component.
+func (cp *tlCopy) at(row *CompRow, w int) (int32, bool) {
+	v, absent := cp.val, false
+	if cp.col >= 0 {
+		v, absent = row.Vals[cp.col], row.IsAbsent(cp.col)
+	}
+	return v, absent || cp.cond != nil && !cp.cond[w] || cp.keep != nil && !cp.keep[w]
+}
+
+// tlSource is a source component reachable from the result's placeholders,
+// with the copies the result gives it in result field order.
+type tlSource struct {
+	comp   *Component
+	copies []tlCopy
+}
+
+// tlPending is an uncertain result row awaiting its group: j is the result
+// row, src its source row, attrs its placeholder attributes (result
+// indexes), and first the source holding its first copy.
+type tlPending struct {
+	j, src int32
+	attrs  []uint16
+	first  int
+}
+
+// tupleLevelView builds the tuple-level view of the relation s reads. It
+// fails when a placeholder has no component and when composing components
+// would exceed the MaxCompRows blow-up guard (the NP-hardness of Section 6
+// surfacing as an error, exactly as on the store's own compositions).
+func tupleLevelView(s *Selection) (*tupleView, error) {
+	v, out := s.view, s.out
 	guard := guardOf(v)
-	restricted := make(map[*Component]*Component)
-	rowsOf := make(map[*Component][]int32)
-	for i, row := range unc.rows {
-		if err := guard.Tick(); err != nil {
-			return nil, err
+	tv := &tupleView{cols: s.cols}
+
+	// Walk the uncertain result rows and file every copy under its source
+	// component, with the masks materialize would give it. The copies of a
+	// row follow its result attributes and the rows come in result order, so
+	// every source lists its copies in result field order. Sources are
+	// numbered in order of first sight and joined, union-find style, when a
+	// row has copies in several: rows sharing a component belong to one
+	// group, and transitively so through chains of shared components.
+	var srcs []*tlSource
+	var parent []int
+	index := make(map[*Component]int)
+	file := func(c *Component, cp tlCopy) int {
+		i, ok := index[c]
+		if !ok {
+			i = len(srcs)
+			index[c] = i
+			srcs = append(srcs, &tlSource{comp: c})
+			parent = append(parent, i)
 		}
-		for _, a := range unc.at(i) {
-			f := FieldID{Rel: r.id, Row: row, Attr: a}
+		srcs[i].copies = append(srcs[i].copies, cp)
+		return i
+	}
+	var find func(x int) int
+	find = func(x int) int {
+		if parent[x] != x {
+			parent[x] = find(parent[x])
+		}
+		return parent[x]
+	}
+	var pending []tlPending
+	err := s.eachRow(func(u *urow) error {
+		if err := guard.Tick(); err != nil {
+			return err
+		}
+		cond, keep := s.masks(u, v.ComponentOf)
+		p := tlPending{j: u.j, src: u.src, first: -1}
+		for di, at := range s.order {
+			if !containsAttr(u.attrs, at) {
+				continue
+			}
+			f := FieldID{Rel: s.src.id, Row: u.src, Attr: at}
 			c := v.ComponentOf(f)
 			if c == nil {
-				return nil, fmt.Errorf("engine: field %v has no component", f)
+				return fmt.Errorf("engine: field %v has no component", f)
 			}
-			if _, ok := restricted[c]; !ok {
-				rc, err := restrictToRel(guard, c, r.id)
-				if err != nil {
-					return nil, err
-				}
-				restricted[c] = rc
+			cp := tlCopy{f: FieldID{Rel: out.id, Row: u.j, Attr: uint16(di)}, col: c.Pos(f)}
+			if cond.comp == c && containsAttr(u.inSel, at) {
+				cp.cond = cond.pass
 			}
+			if keep.comp == c {
+				cp.keep = keep.pass
+			}
+			i := file(c, cp)
+			if p.first < 0 {
+				p.first = i
+			} else {
+				parent[find(i)] = find(p.first)
+			}
+			p.attrs = append(p.attrs, uint16(di))
 		}
-	}
-	for c, rc := range restricted {
-		seen := make(map[int32]bool)
-		for _, f := range rc.Fields {
-			if !seen[f.Row] {
-				seen[f.Row] = true
-				rowsOf[c] = append(rowsOf[c], f.Row)
-			}
+		if p.first < 0 && keep.comp != nil {
+			// A carrier: the first column carries the presence of the
+			// dropped fields.
+			p.first = file(keep.comp, tlCopy{f: FieldID{Rel: out.id, Row: u.j}, col: -1, val: s.cols[0][u.src], keep: keep.pass})
+			p.attrs = []uint16{0}
 		}
+		if p.first >= 0 {
+			pending = append(pending, p)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	tv.certain = certainRows(s, pending)
 
-	// Union-find over template rows: rows sharing a component belong to one
-	// group, and transitively so through chains of shared components.
-	parent := make(map[int32]int32, len(unc.rows))
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		p, ok := parent[x]
-		if !ok || p == x {
-			parent[x] = x
-			return x
+	// Restrict every source to the result's copies, then compose each
+	// group's restricted components into one. Groups come in result row
+	// order and their components compose in the order of their first fields,
+	// so the floating-point combination order downstream is deterministic.
+	members := make([][]*Component, len(srcs))
+	for i, src := range srcs {
+		rc, err := src.restrict(guard)
+		if err != nil {
+			return nil, err
 		}
-		root := find(p)
-		parent[x] = root
-		return root
+		root := find(i)
+		members[root] = append(members[root], rc)
 	}
-	union := func(x, y int32) { parent[find(x)] = find(y) }
-	for _, rows := range rowsOf {
-		for _, row := range rows[1:] {
-			union(rows[0], row)
-		}
-	}
-
-	// Compose each group's restricted components into one. Iterate rows in
-	// template order so group order — and therefore the floating-point
-	// combination order downstream — is deterministic.
-	compsOf := make(map[int32][]*Component)
-	for c, rows := range rowsOf {
-		compsOf[find(rows[0])] = append(compsOf[find(rows[0])], restricted[c])
-	}
-	groupOf := make(map[int32]*tlGroup)
-	for i, row := range unc.rows {
+	groupOf := make([]*tlGroup, len(srcs))
+	for _, p := range pending {
 		if err := guard.Tick(); err != nil {
 			return nil, err
 		}
-		uattrs := unc.at(i)
-		root := find(row)
+		root := find(p.first)
 		g := groupOf[root]
 		if g == nil {
-			cs := compsOf[root]
-			// Deterministic composition order: sort by first field.
+			cs := members[root]
 			sort.Slice(cs, func(i, j int) bool { return lessFieldID(cs[i].Fields[0], cs[j].Fields[0]) })
-			merged := cs[0]
-			for _, c := range cs[1:] {
-				if len(merged.Rows)*len(c.Rows) > MaxCompRows {
-					return nil, fmt.Errorf("engine: tuple-level normalization of %q would exceed %d local worlds (the exponential blow-up of Section 6); compute confidence on a smaller result", rel, MaxCompRows)
-				}
-				merged = composeComponents(merged, c)
-				compressComponent(merged)
+			merged, err := composeAll(cs)
+			if err != nil {
+				return nil, fmt.Errorf("engine: tuple-level normalization of %q (Section 6): %w", out.Name, err)
 			}
 			g = &tlGroup{comp: merged}
 			groupOf[root] = g
 			tv.groups = append(tv.groups, g)
 		}
-		cols := make([]int, len(r.Attrs))
+		cols := make([]int, len(s.cols))
 		for a := range cols {
 			cols[a] = -1
 		}
-		for _, a := range uattrs {
-			f := FieldID{Rel: r.id, Row: row, Attr: a}
+		for _, a := range p.attrs {
+			f := FieldID{Rel: out.id, Row: p.j, Attr: a}
 			col := g.comp.Pos(f)
 			if col < 0 {
 				return nil, fmt.Errorf("engine: field %v missing from its composed component", f)
 			}
 			cols[a] = col
 		}
-		g.rows = append(g.rows, tlRow{row: row, cols: cols})
+		g.rows = append(g.rows, tlRow{src: p.src, cols: cols})
 	}
 	return tv, nil
 }
 
-// restrictToRel copies component c keeping only the fields of relation rel,
-// merging local worlds that become indistinguishable and summing their
-// probabilities — the engine-native marginalization the WSD bridge used to
-// perform through relation.Value maps. It ticks g per local world: the
-// component may hold up to MaxCompRows of them (nil guard ticks for free).
-// The kept fields are sorted, so the copy — and the group composition order
-// it keys — does not depend on the order operators added them to c.
-func restrictToRel(g *Guard, c *Component, rel int32) (*Component, error) {
-	var keep []int
-	for i, f := range c.Fields {
-		if f.Rel == rel {
-			keep = append(keep, i)
+// certainRows returns the source rows, in result order, of the result rows
+// of s missing from pending (which lists result rows ascending): those hold
+// no placeholder.
+//
+//maybms:unguarded linear walk of the selection vector, as long as the result; the interning pass that consumes it ticks per batch
+func certainRows(s *Selection, pending []tlPending) []int32 {
+	n := s.Len()
+	out := make([]int32, 0, n-len(pending))
+	for j, k := 0, 0; j < n; j++ {
+		if k < len(pending) && pending[k].j == int32(j) {
+			k++
+			continue
 		}
+		src := int32(j)
+		if s.sel != nil {
+			src = s.sel[j]
+		}
+		out = append(out, src)
 	}
-	sort.Slice(keep, func(i, j int) bool { return lessFieldID(c.Fields[keep[i]], c.Fields[keep[j]]) })
-	rc := &Component{ID: c.ID, Fields: make([]FieldID, len(keep)), pos: make(map[FieldID]int, len(keep))}
-	for i, col := range keep {
-		rc.Fields[i] = c.Fields[col]
-		rc.pos[c.Fields[col]] = i
+	return out
+}
+
+// restrict builds the component the result's copies form in the source
+// component once every other field is marginalized away: one column per
+// copy, in result field order, and the local worlds indistinguishable on
+// them merged in source order, their probabilities summed. This is what
+// materializing the result and dropping the other fields would leave, so
+// the groups, their composition order and the masses do not depend on
+// whether the result was built. It ticks g per local world: the component
+// may hold up to MaxCompRows of them (nil guard ticks for free).
+func (src *tlSource) restrict(g *Guard) (*Component, error) {
+	c, cps := src.comp, src.copies
+	rc := &Component{ID: c.ID, Fields: make([]FieldID, len(cps)), pos: make(map[FieldID]int, len(cps))}
+	for i := range cps {
+		rc.Fields[i] = cps[i].f
+		rc.pos[cps[i].f] = i
 	}
 	seen := make(map[string]int, len(c.Rows))
-	key := make([]byte, 0, 4*len(keep))
-	for _, row := range c.Rows {
+	key := make([]byte, 0, 4*len(cps))
+	for w := range c.Rows {
 		if err := g.Tick(); err != nil {
 			return nil, err
 		}
+		row := &c.Rows[w]
 		key = key[:0]
-		for _, col := range keep {
-			key = appendFieldKey(key, row.Vals[col], row.IsAbsent(col))
+		for i := range cps {
+			v, absent := cps[i].at(row, w)
+			key = appendFieldKey(key, v, absent)
 		}
 		if j, ok := seen[string(key)]; ok {
 			rc.Rows[j].P += row.P
 			continue
 		}
-		vals := make([]int32, len(keep))
+		vals := make([]int32, len(cps))
 		var absent Bitset
-		for i, col := range keep {
-			vals[i] = row.Vals[col]
-			if row.IsAbsent(col) {
+		for i := range cps {
+			v, abs := cps[i].at(row, w)
+			vals[i] = v
+			if abs {
 				absent = absent.Set(i)
 			}
 		}

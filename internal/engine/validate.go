@@ -37,13 +37,15 @@ func (s *Store) Validate(eps float64) error {
 
 // validateComp checks one registered component against the store: its
 // position index, the field→component index, that every field is a
-// placeholder cell of a live relation, row arity and probability mass.
+// placeholder cell of a live relation whose absence flag covers the field's
+// absent local worlds, row arity and probability mass.
 //
 //maybms:unguarded invariant check on the update path (import, shard re-balance), bounded by one component
 func (s *Store) validateComp(c *Component, eps float64) error {
 	if len(c.Fields) > MaxCompFields {
 		return fmt.Errorf("engine: component %d has %d fields", c.ID, len(c.Fields))
 	}
+	absent := absentCols(c)
 	for i, f := range c.Fields {
 		if c.pos[f] != i {
 			return fmt.Errorf("engine: component %d field index broken", c.ID)
@@ -60,6 +62,9 @@ func (s *Store) validateComp(c *Component, eps float64) error {
 		}
 		if r.Cols[f.Attr][f.Row] != Placeholder {
 			return fmt.Errorf("engine: field %v not a placeholder in template", f)
+		}
+		if absent.Get(i) && !r.absence {
+			return fmt.Errorf("engine: field %v is absent in a local world but relation %s records no absence", f, r.Name)
 		}
 	}
 	total := c.TotalP()

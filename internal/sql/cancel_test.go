@@ -110,9 +110,9 @@ func TestCancelMidScan(t *testing.T) {
 // the confidence pass that interns the result's certain rows — it ticks the
 // guard once per batch of rows — with the typed error and its arena
 // returned. The store holds no placeholders, so every checkpoint the
-// POSSIBLE query passes beyond those of materializing the same plain query
-// (which builds the result, as the confidence pass does first) lies in that
-// pass; the cancel lands five checkpoints into it.
+// POSSIBLE query passes beyond those of the same plain query (which runs the
+// filter and reads its result in place, as the confidence pass does after
+// it) lies in that pass; the cancel lands five checkpoints into it.
 func TestCancelMidIntern(t *testing.T) {
 	const rows = 50000
 	r := rand.New(rand.NewSource(23))
@@ -137,17 +137,10 @@ func TestCancelMidIntern(t *testing.T) {
 		}
 		return ctx.calls.Load(), err
 	}
-	ctx := &countCtx{Context: context.Background()}
-	TestHookExec = func(string) { ctx.armed.Store(true) }
-	_, err := db.MaterializeContext(ctx, "M", "SELECT A FROM R WHERE B < 30")
-	TestHookExec = nil
+	plain, err := run("SELECT A FROM R WHERE B < 30", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.DropRelation("M"); err != nil {
-		t.Fatal(err)
-	}
-	plain := ctx.calls.Load()
 	total, err := run("SELECT POSSIBLE A FROM R WHERE B < 30", 0)
 	if err != nil {
 		t.Fatal(err)

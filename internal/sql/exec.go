@@ -25,10 +25,11 @@ const certainEps = 1e-9
 // renaming over a base relation, the kept columns of the snapshot's relation
 // at a selection vector, never gathered. The returned Result owns the
 // arenas; Rows.Close (or Materialize) releases them. An across-world result
-// materializes nothing: each snapshot yields its pre-fold mass table and
-// releases its arena, the tables merge exactly (every group of independent
-// components lives in one part), and one canonical fold produces the
-// answers — which is what makes sharded CONF()/POSSIBLE/CERTAIN
+// materializes nothing: each snapshot reads the plan's pending result in
+// place into its pre-fold mass table — the result relation is never built —
+// and releases its arena, the tables merge exactly (every group of
+// independent components lives in one part), and one canonical fold produces
+// the answers — which is what makes sharded CONF()/POSSIBLE/CERTAIN
 // byte-identical to unsharded.
 func execute(ctx context.Context, snaps []*engine.Snapshot, workers int, tpl *EnginePlan, args []relation.Value) (*Result, error) {
 	segs := make([]resultSeg, len(snaps))

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sort"
@@ -12,9 +14,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"maybms/internal/census"
 	"maybms/internal/engine"
 	"maybms/internal/relation"
 	"maybms/internal/shard"
+	"maybms/internal/storage"
 )
 
 // shardedStore builds a store big enough to shard meaningfully: two
@@ -636,5 +640,243 @@ func TestShardedExplain(t *testing.T) {
 	}
 	if got := shardLine("SELECT x.A FROM R AS x, S AS y WHERE x.A = y.A"); !strings.Contains(got, "authority") {
 		t.Fatalf("EXPLAIN of a join should report authority fallback:\n%s", got)
+	}
+}
+
+// gateStore is a small store whose σ on A fails in some local worlds of
+// four rows: R(A, B, C) with or-sets on A and B, six in all, so the per-world
+// oracle stays tractable.
+func gateStore(t *testing.T) *engine.Store {
+	t.Helper()
+	s := engine.NewStore()
+	cols := [][]int32{
+		{1, 2, 1, 3, 1, 2, 1, 3, 2, 1},
+		{5, 6, 7, 5, 6, 7, 5, 6, 7, 5},
+		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+	}
+	if _, err := s.AddRelation("R", []string{"A", "B", "C"}, cols); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []struct {
+		row   int
+		attr  string
+		vals  []int32
+		probs []float64
+	}{
+		{0, "A", []int32{1, 2}, []float64{0.375, 0.625}},
+		{3, "A", []int32{1, 3, 4}, []float64{0.5, 0.125, 0.375}},
+		{6, "A", []int32{2, 1}, []float64{0.25, 0.75}},
+		{9, "A", []int32{1, 4}, nil},
+		{3, "B", []int32{5, 8}, []float64{0.625, 0.375}},
+		{7, "B", []int32{6, 5}, nil},
+	} {
+		if err := s.SetUncertain("R", u.row, u.attr, u.vals, u.probs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// TestAbsenceSurvivesCommit: a MATERIALIZEd σ whose condition fails in some
+// local worlds of its placeholders records absence, and the record survives
+// the commit, the shard re-balance and a save → restore. A later projection
+// that drops the absent attribute must still propagate the absence: its
+// carriers, Stats and POSSIBLE answers equal those of the two-step plan in
+// one arena (where the σ result is built in place) and the per-world oracle.
+func TestAbsenceSurvivesCommit(t *testing.T) {
+	const (
+		mat  = "SELECT * FROM R WHERE A = 1"
+		proj = "SELECT B FROM M"
+		poss = "SELECT POSSIBLE B FROM M"
+	)
+	base := gateStore(t)
+	ar := engine.NewArena(base.Snapshot())
+	if err := ar.Select("M", "R", engine.Eq("A", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ar.Project("res", "M", "B"); err != nil {
+		t.Fatal(err)
+	}
+	wantCarriers, wantStats := len(ar.Selection("res").Carriers()), ar.Selection("res").Stats()
+	if wantCarriers == 0 {
+		t.Fatal("the two-step plan has no carriers; the check would be vacuous")
+	}
+	tms, err := ar.PossibleMasses("res")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.FoldMassTable(nil, tms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Parse("SELECT POSSIBLE B FROM R WHERE A = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := ExecWorlds(st, worldSetOf(t, base), "P")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(oracle.Tuples) != len(want) {
+		t.Fatalf("two-step plan: %d answers, oracle %d", len(want), len(oracle.Tuples))
+	}
+	for i, tc := range want {
+		o := oracle.Tuples[i]
+		if relation.CompareTuples(relTuple(tc.Tuple), o.Tuple) != 0 || math.Abs(tc.Conf-o.Conf) > 1e-9 {
+			t.Fatalf("two-step plan answer %d: %v %g, oracle %v %g", i, tc.Tuple, tc.Conf, o.Tuple, o.Conf)
+		}
+	}
+
+	check := func(label string, db *DB) {
+		t.Helper()
+		if m := db.Snapshot().Rel("M"); m == nil || !m.RecordsAbsence() {
+			t.Fatalf("%s: the materialized σ does not record absence", label)
+		}
+		rows := mustQuery(t, db, proj)
+		carriers := 0
+		for _, seg := range rows.result.segs {
+			carriers += len(seg.out.Carriers())
+		}
+		stats := rows.Stats()
+		rows.Close()
+		if carriers != wantCarriers || stats != wantStats {
+			t.Fatalf("%s: %d carriers, Stats %+v; two-step plan %d, %+v", label, carriers, stats, wantCarriers, wantStats)
+		}
+		rows = mustQuery(t, db, poss)
+		got := rows.Result().Tuples
+		rows.Close()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d answers, two-step plan %d", label, len(got), len(want))
+		}
+		for i := range got {
+			if engine.CompareTuples(got[i].Tuple, want[i].Tuple) != 0 || math.Float64bits(got[i].Conf) != math.Float64bits(want[i].Conf) {
+				t.Fatalf("%s: answer %d %v %g, two-step plan %v %g", label, i, got[i].Tuple, got[i].Conf, want[i].Tuple, want[i].Conf)
+			}
+		}
+	}
+	open := func(db *DB, shards int) *DB {
+		t.Helper()
+		if shards > 1 {
+			if err := db.EnableSharding(shards, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	dir := t.TempDir()
+	for _, shards := range []int{1, 2} {
+		label := fmt.Sprintf("%d shards", shards)
+		db := open(Open(base.Clone()), shards)
+		if _, err := db.Materialize("M", mat); err != nil {
+			t.Fatal(err)
+		}
+		check(label, db)
+		if shards == 1 {
+			// Save: a checkpoint writes M's components, absent bits and all.
+			durable, err := InitDir(dir, base.Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := durable.Materialize("M", mat); err != nil {
+				t.Fatal(err)
+			}
+			if err := durable.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			durable.Close()
+		}
+		// Restore: nothing to replay, so M's record comes from its
+		// components alone.
+		restored, replayed, err := Restore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replayed != 0 {
+			t.Fatalf("restore replayed %d records after a checkpoint", replayed)
+		}
+		check(label+" after save → restore", open(restored, shards))
+		restored.Close()
+	}
+}
+
+// TestAbsenceGateStaysClear: base relations — CSV-ingested through the
+// catalog or bulk-loaded into a fresh store, and census-generated — record
+// no absence, and keep recording none across CHASE, SET UNCERTAIN and a
+// MATERIALIZE/DROP cycle, on the authority store and on every shard. Their
+// projections then skip the per-placeholder absence probes; a set flag there
+// would cost every mode query the probes again.
+func TestAbsenceGateStaysClear(t *testing.T) {
+	const csv = "A,B,C\n1|2,9|4,3\n1,5,2|7\n2|1,9,1\n3,9,4\n1,4|9,5\n2,6,6\n"
+	path := filepath.Join(t.TempDir(), "r.csv")
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	csvDeps := []engine.EGD{{
+		Premise:    []engine.Atom{{Attr: "A", Theta: relation.EQ, C: 1}},
+		Conclusion: engine.Atom{Attr: "B", Theta: relation.NE, C: 9},
+	}}
+	ingested := Open(engine.NewStore())
+	if _, err := ingested.IngestCSV(path, "R"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, _, err := storage.LoadCSV(f, path, "R")
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	generated, _ := prepareCensus(t, 2000, 0.004, 11)
+	for _, c := range []struct {
+		name string
+		db   *DB
+		deps []engine.EGD
+		// cond fails in some local world of a placeholder it reads.
+		cond string
+	}{
+		{"CSV ingested", ingested, csvDeps, "A = 2"},
+		{"CSV bulk-loaded", Open(loaded), csvDeps, "A = 2"},
+		{"census generated", Open(generated), census.Dependencies(), "YEARSCH = 17"},
+	} {
+		db := c.db
+		if err := db.EnableSharding(2, 2); err != nil {
+			t.Fatal(err)
+		}
+		clear := func(step string) {
+			t.Helper()
+			snaps := append([]*engine.Snapshot{db.Snapshot()}, shardSet(db).Snapshots()...)
+			for i, sn := range snaps {
+				if sn.Rel("R").RecordsAbsence() {
+					t.Fatalf("%s after %s: R records absence on snapshot %d (0 = authority)", c.name, step, i)
+				}
+			}
+		}
+		clear("load")
+		if err := db.Chase("R", c.deps, engine.ChaseOptions{}); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		clear("CHASE")
+		r := db.Snapshot().Rel("R")
+		row := slices.IndexFunc(r.Cols[2], func(v int32) bool { return v != engine.Placeholder })
+		if err := db.SetUncertain("R", row, r.Attrs[2], []int32{r.Cols[2][row], r.Cols[2][row] + 1}, nil); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		clear("SET UNCERTAIN")
+		if _, err := db.Materialize("M", "SELECT * FROM R WHERE "+c.cond); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !db.Snapshot().Rel("M").RecordsAbsence() {
+			t.Fatalf("%s: the σ on a failing placeholder condition records no absence", c.name)
+		}
+		clear("MATERIALIZE")
+		if err := db.DropRelation("M"); err != nil {
+			t.Fatal(err)
+		}
+		clear("DROP")
+		if err := db.ValidateShards(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 	}
 }

@@ -6,8 +6,9 @@
 // Figure 29 plans, and one executor (exec.go) runs the bound plan wherever
 // the session places it: on the authority snapshot or across the shard set.
 // The across-world constructs CONF(), POSSIBLE and CERTAIN are computed
-// natively on the columnar engine (engine.Arena.PossibleMasses over the
-// result relation — no core.WSD is constructed on the query path); EXPLAIN
+// natively on the columnar engine (engine.Arena.PossibleMassesParallel over
+// the pending result, read in place — neither the result relation nor a
+// core.WSD is constructed on the query path); EXPLAIN
 // emits the exact Section 5 SQL rewriting of every plan step via
 // internal/sqlrewrite. The naive per-world evaluation of the same
 // statements — the reference semantics — lives in this package's test
