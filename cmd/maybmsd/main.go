@@ -100,7 +100,11 @@ func main() {
 	if n, workers := db.Sharding(); n > 1 {
 		log.Printf("sharding: %d shards, %d fold workers (GOMAXPROCS %d, clamped to [1,%d])",
 			n, workers, runtime.GOMAXPROCS(0), engine.MaxConfWorkers)
-		for i, fp := range db.ShardFingerprints() {
+		fps, err := db.ShardFingerprints()
+		if err != nil {
+			log.Fatalf("fingerprinting the shard set: %v", err)
+		}
+		for i, fp := range fps {
 			log.Printf("shard %d: fingerprint %08x", i, fp)
 		}
 	} else {

@@ -126,8 +126,14 @@ func (a *Arena) NewScratch() string {
 }
 
 // Stats computes the representation statistics of one relation as seen
-// through the arena (arena results and snapshot relations alike).
-func (a *Arena) Stats(rel string) Stats { return statsOf(a, rel) }
+// through the arena (arena results and snapshot relations alike); a pending
+// result is counted in place, not built.
+func (a *Arena) Stats(rel string) Stats {
+	if v := a.Selection(rel); v != nil {
+		return v.Stats()
+	}
+	return Stats{}
+}
 
 // addRelation registers a new arena relation (the operators' result
 // namespace); mirrors Store.AddRelation.

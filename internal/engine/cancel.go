@@ -134,18 +134,6 @@ func (g *Guard) Check() error {
 	return err
 }
 
-// Canceled wraps a context error into the engine's cancellation chain:
-// errors.Is sees both ErrCanceled and cause. Layers that notice a done
-// context outside a guard (the shard scheduler, executors) wrap through here
-// so cancellation reads uniformly no matter which checkpoint caught it. A nil
-// cause returns nil.
-func Canceled(cause error) error {
-	if cause == nil {
-		return nil
-	}
-	return &cancelError{cause: cause}
-}
-
 // cancelError chains both ErrCanceled and the originating context error, so
 // callers can branch on either (the serving layer maps context.Canceled to
 // the CANCELED wire code and context.DeadlineExceeded to TIMEOUT).

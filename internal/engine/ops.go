@@ -366,7 +366,7 @@ func (v *Selection) At(i, c int) int32 {
 // extendRow gives it hold, and a carrier under the component of the
 // presence it carries.
 //
-//maybms:unguarded statistics probe like statsOf: one bounded pass per uncertain field
+//maybms:unguarded planner/EXPLAIN statistics probe, not a query answer path: one bounded pass per uncertain field
 func (v *Selection) Stats() Stats {
 	st := Stats{RSize: v.Len()}
 	r := v.src

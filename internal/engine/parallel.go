@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Morsel-parallel confidence: the tuple-level view's groups are independent
@@ -30,6 +31,55 @@ func DefaultConfWorkers() int {
 // MaxConfWorkers clamps worker pools: beyond this, merge overhead dominates.
 const MaxConfWorkers = 16
 
+// Fanout calls f(i) for every i in [0, n) on at most workers goroutines, the
+// caller's included (workers ≤ 0: DefaultConfWorkers). Indexes are claimed
+// in ascending order; once a call fails no further index is claimed, and
+// calls already running finish. A panicking call fails with an error naming
+// its index, so one poisoned call cannot kill the process. Fanout returns
+// the first failure. It cancels nothing itself: callers stop running calls
+// early through their Guard. It is the one worker pool of the engine, the
+// shard set and the SQL executor.
+func Fanout(n, workers int, f func(i int) error) error {
+	if workers <= 0 {
+		workers = DefaultConfWorkers()
+	}
+	var next atomic.Int64
+	var first atomic.Pointer[error]
+	call := func(i int) (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("engine: fan-out call %d panicked: %v", i, p)
+			}
+		}()
+		return f(i)
+	}
+	work := func() {
+		for first.Load() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			if err := call(i); err != nil {
+				first.CompareAndSwap(nil, &err)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if err := first.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
+
 // parallelThreshold is the minimum amount of scoring work (certain rows plus
 // groups) worth fanning out; below it a single sweep wins.
 const parallelThreshold = 256
@@ -55,43 +105,27 @@ func possibleMassesParallel(v View, rel string, workers int) ([]TupleMasses, err
 	}
 	// The workers share one guard: its tick counter and failure latch are
 	// atomic, so the first worker to hit a cancel or budget failure stops the
-	// whole pool within a checkpoint period. Worker panics are contained here
-	// and surface as an error — a poisoned fold must not kill the process.
+	// whole pool within a checkpoint period.
 	parts := make([][]TupleMasses, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[w] = fmt.Errorf("engine: confidence fold worker panic: %v", p)
-				}
-			}()
-			ac := newTupleAccum(len(tv.cols))
-			lo := len(tv.certain) * w / workers
-			hi := len(tv.certain) * (w + 1) / workers
-			if err := ac.internCertain(tv.cols, tv.certain[lo:hi], guard); err != nil {
-				errs[w] = err
-				return
-			}
-			var groups []*tlGroup
-			for i := w; i < len(tv.groups); i += workers {
-				groups = append(groups, tv.groups[i])
-			}
-			if err := ac.sweepGroups(tv.cols, groups, guard); err != nil {
-				errs[w] = err
-				return
-			}
-			parts[w] = ac.sorted()
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	err = Fanout(workers, workers, func(w int) error {
+		ac := newTupleAccum(len(tv.cols))
+		lo := len(tv.certain) * w / workers
+		hi := len(tv.certain) * (w + 1) / workers
+		if err := ac.internCertain(tv.cols, tv.certain[lo:hi], guard); err != nil {
+			return err
 		}
+		var groups []*tlGroup
+		for i := w; i < len(tv.groups); i += workers {
+			groups = append(groups, tv.groups[i])
+		}
+		if err := ac.sweepGroups(tv.cols, groups, guard); err != nil {
+			return err
+		}
+		parts[w] = ac.sorted()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return MergeMasses(guard, parts)
 }

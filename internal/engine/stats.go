@@ -52,39 +52,14 @@ func (s *Store) EachComp(fn func(*Component)) {
 // Stats computes the representation statistics of one relation.
 func (s *Store) Stats(rel string) Stats { return statsOf(s, rel) }
 
-// statsOf computes the statistics with one bounded pass per uncertain field.
-//
-//maybms:unguarded planner/EXPLAIN statistics probe, not a query answer path
+// statsOf computes the statistics of relation rel of v: those of the
+// identity selection over it (Selection.Stats).
 func statsOf(v View, rel string) Stats {
 	r := v.Rel(rel)
 	if r == nil {
 		return Stats{}
 	}
-	st := Stats{RSize: r.NumRows()}
-	fieldsPerComp := make(map[*Component]int)
-	for i, row := range r.unc.rows {
-		for _, a := range r.unc.at(i) {
-			f := FieldID{Rel: r.id, Row: row, Attr: a}
-			c := v.ComponentOf(f)
-			if c == nil {
-				continue
-			}
-			fieldsPerComp[c]++
-			col := c.Pos(f)
-			for _, crow := range c.Rows {
-				if !crow.IsAbsent(col) {
-					st.CSize++
-				}
-			}
-		}
-	}
-	st.NumComp = len(fieldsPerComp)
-	for _, n := range fieldsPerComp {
-		if n > 1 {
-			st.NumCompGT1++
-		}
-	}
-	return st
+	return identity(v, r).Stats()
 }
 
 // ComponentSizeHistogram returns, for one relation, how many components

@@ -139,7 +139,7 @@ func localRenders(t *testing.T, db *sql.DB) []string {
 // and checks every remote result is byte-identical to the same statement run
 // in-process — across plain (with '?' fields), CONF() and POSSIBLE results,
 // across FETCH batches of 1, 3 and the default, and across 1 and 3 shards
-// (a plain page ends early at each shard segment's boundary).
+// (plain results read the authority snapshot; mode results fan out).
 func TestConcurrentClientsByteIdentical(t *testing.T) {
 	db := sql.Open(testStore(t, 2000))
 	defer db.Close()
@@ -163,7 +163,7 @@ func TestConcurrentClientsByteIdentical(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				// Workers cycle through the default batch and tiny ones, so
-				// results cross the wire in one page per segment or in many.
+				// results cross the wire in one page or in many.
 				opts := []client.Option{}
 				if batch := []int{0, 3, 1}[w%3]; batch > 0 {
 					opts = append(opts, client.WithFetchBatch(batch))

@@ -540,8 +540,7 @@ const maxKeptPage = 1 << 20
 // fetch streams the next batch of a cursor: at most min(asked, FetchBatch)
 // tuples per frame, and never more than fit in MaxFrame, so a huge result
 // crosses the wire in bounded frames and is never rendered into one response
-// buffer. A batch is one sql.Rows block, so it ends early at a shard
-// segment's boundary. An exhausted cursor reports done and is closed
+// buffer. A batch is one sql.Rows block. An exhausted cursor reports done and is closed
 // server-side (its arena returns to the pool at once); the client treats
 // done as an implicit CLOSE_CURSOR.
 func (s *session) fetch(r *RBuf) (byte, []byte, *protoErr) {

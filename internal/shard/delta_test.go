@@ -23,7 +23,7 @@ func requireDeltaEqualsFull(t *testing.T, ctx string, authority *engine.Store, s
 	if err != nil {
 		t.Fatalf("%s: fresh New: %v", ctx, err)
 	}
-	if got, want := sh.Current().Fingerprints(), fresh.Current().Fingerprints(); !slices.Equal(got, want) {
+	if got, want := fingerprints(t, sh.Current()), fingerprints(t, fresh.Current()); !slices.Equal(got, want) {
 		t.Fatalf("%s: fingerprints %08x, a fresh partition has %08x", ctx, got, want)
 	}
 	if got, want := sh.Current().LastResync().ShardRows, fresh.Current().LastResync().ShardRows; !slices.Equal(got, want) {

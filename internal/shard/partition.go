@@ -1,6 +1,7 @@
 // Package shard partitions a world-set store into N independent sub-stores
-// keyed by component connectivity and runs queries and the confidence fold
-// morsel-parallel across them.
+// keyed by component connectivity, so that the confidence fold of a
+// distributable CONF()/POSSIBLE/CERTAIN plan runs across them in parallel
+// (plain queries read the authority snapshot).
 //
 // The partitioning invariant: a component never spans two shards. The
 // world-set decomposition is a product of independent factors, so the store

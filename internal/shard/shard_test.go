@@ -92,6 +92,16 @@ func relNames(st *engine.StoreState) []string {
 	return out
 }
 
+// fingerprints returns the set's per-shard fingerprints.
+func fingerprints(t *testing.T, set *Set) []uint32 {
+	t.Helper()
+	fps, err := set.Fingerprints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fps
+}
+
 // possibleMasses is the pre-fold confidence table of rel over a pinned
 // snapshot set, merged across the shards.
 func possibleMasses(snaps []*engine.Snapshot, workers int, rel string) ([]engine.TupleMasses, error) {
@@ -230,7 +240,7 @@ func TestPartitionDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, f2 := s1.Current().Fingerprints(), s2.Current().Fingerprints()
+	f1, f2 := fingerprints(t, s1.Current()), fingerprints(t, s2.Current())
 	for i := range f1 {
 		if f1[i] != f2[i] {
 			t.Fatalf("shard %d: fingerprint %08x vs %08x", i, f1[i], f2[i])

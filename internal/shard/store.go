@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -231,20 +230,14 @@ func (t *Set) Next(sn *engine.Snapshot) (*Set, error) {
 
 	next := &Set{n: t.n, workers: t.workers, from: &layout{snap: sn, part: p},
 		subs: make([]*engine.Store, t.n), snaps: make([]*engine.Snapshot, t.n)}
-	errs := make([]error, t.n)
-	var wg sync.WaitGroup
-	for k := range plans {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			next.subs[k], errs[k] = engine.DeriveStore(sn, prevSubs[k], plans[k])
-		}(k)
-	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("shard: rebuilding shard %d: %w", k, err)
+	err = engine.Fanout(t.n, t.workers, func(k int) (err error) {
+		if next.subs[k], err = engine.DeriveStore(sn, prevSubs[k], plans[k]); err != nil {
+			return fmt.Errorf("shard: rebuilding shard %d: %w", k, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for k, sub := range next.subs {
 		next.snaps[k] = sub.Snapshot()
@@ -261,89 +254,9 @@ func (t *Set) Next(sn *engine.Snapshot) (*Set, error) {
 }
 
 // EachSnapshot fans f out over an already-taken snapshot set on a pool of
-// the given width; it is the scheduler under the store's own confidence
-// methods and the sql layer's executor (which must pin one snapshot set per
-// query).
+// the given width (engine.Fanout).
 func EachSnapshot(snaps []*engine.Snapshot, workers int, f func(shard int, sn *engine.Snapshot) error) error {
-	return EachSnapshotCtx(context.Background(), snaps, workers, f)
-}
-
-// EachSnapshotCtx is EachSnapshot with first-failure abort: when ctx is
-// canceled or any shard returns an error (or panics), the queued shards are
-// never started and the pool drains as soon as the in-flight shards notice —
-// a canceled query stops consuming workers instead of grinding through the
-// remaining morsels. Worker panics are contained and surface as the returned
-// error, so one poisoned shard cannot kill the process.
-func EachSnapshotCtx(ctx context.Context, snaps []*engine.Snapshot, workers int, f func(shard int, sn *engine.Snapshot) error) error {
-	if workers <= 0 {
-		workers = engine.DefaultConfWorkers()
-	}
-	if workers > len(snaps) {
-		workers = len(snaps)
-	}
-	run := func(i int) (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("shard: worker panic on shard %d: %v", i, p)
-			}
-		}()
-		return f(i, snaps[i])
-	}
-	if workers <= 1 {
-		for i := range snaps {
-			if err := ctx.Err(); err != nil {
-				return engine.Canceled(err)
-			}
-			if err := run(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// abort releases the pool on first failure: the feeder stops handing out
-	// shards and the workers fall through their channel reads.
-	abortCtx, abort := context.WithCancel(ctx)
-	defer abort()
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var first error
-	fail := func(err error) {
-		mu.Lock()
-		if first == nil {
-			first = err
-		}
-		mu.Unlock()
-		abort()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if abortCtx.Err() != nil {
-					continue // drain without running: the query is dead
-				}
-				if err := run(i); err != nil {
-					fail(err)
-				}
-			}
-		}()
-	}
-feed:
-	for i := range snaps {
-		select {
-		case idx <- i:
-		case <-abortCtx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if first != nil {
-		return first
-	}
-	return engine.Canceled(ctx.Err())
+	return engine.Fanout(len(snaps), workers, func(i int) error { return f(i, snaps[i]) })
 }
 
 // Info describes one shard's slice of a relation for EXPLAIN.
@@ -428,19 +341,18 @@ func (t *Set) Validate(sn *engine.Snapshot) error {
 // flat state — relation names, attributes, columns, and components with
 // their local worlds. Two boots of the same durable directory with the same
 // shard count log identical fingerprints; the CI persistence-smoke job
-// diffs them across a kill -9 restart.
-func (t *Set) Fingerprints() []uint32 {
+// diffs them across a kill -9 restart. A shard whose hashing panics fails
+// the call.
+func (t *Set) Fingerprints() ([]uint32, error) {
 	out := make([]uint32, len(t.snaps))
-	var wg sync.WaitGroup
-	for i, sn := range t.snaps {
-		wg.Add(1)
-		go func(i int, sn *engine.Snapshot) {
-			defer wg.Done()
-			out[i] = fingerprintState(sn.ExportState())
-		}(i, sn)
+	err := engine.Fanout(len(t.snaps), t.workers, func(i int) error {
+		out[i] = fingerprintState(t.snaps[i].ExportState())
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	return out
+	return out, nil
 }
 
 // fingerprintState hashes a flat store state deterministically.

@@ -181,9 +181,10 @@ func (c *countCtx) Err() error {
 	return nil
 }
 
-// TestShardedQueryCanceled: cancellation crosses the shard scheduler — the
-// canceled context stops the fan-out before any shard runs, with the engine's
-// typed error, and the session keeps answering afterwards.
+// TestShardedQueryCanceled: a canceled context stops a plain query on a
+// sharded DB — which runs on the authority snapshot — at its eager
+// checkpoint, with the engine's typed error, and the session keeps answering
+// afterwards. The shard fan-out's cancel path is TestShardedModeQueryCanceled.
 func TestShardedQueryCanceled(t *testing.T) {
 	db := Open(shardedStore(t, 9, 3000))
 	if err := db.EnableSharding(4, 2); err != nil {
@@ -209,10 +210,12 @@ func TestShardedQueryCanceled(t *testing.T) {
 	}
 }
 
-// TestShardedMemGuardAborts: a mid-flight abort with shard workers already
-// running — every worker stops on the guard's error and every shard arena
-// goes back to the pool. The store is big enough that each shard crosses a
-// real (amortized) checkpoint after its result has started growing.
+// TestShardedMemGuardAborts: a mid-flight abort of a plain query on a
+// sharded DB, which runs on the authority snapshot — the query stops on the
+// guard's error and its arena goes back to the pool. The store is big enough
+// to cross a real (amortized) checkpoint after the result has started
+// growing. The shard fan-out under a memory guard is
+// TestShardedFoldUnderMemGuard.
 func TestShardedMemGuardAborts(t *testing.T) {
 	db := Open(shardedStore(t, 13, 20000))
 	if err := db.EnableSharding(4, 2); err != nil {
@@ -226,12 +229,13 @@ func TestShardedMemGuardAborts(t *testing.T) {
 		t.Fatalf("sharded guard abort: got %v, want the guard's error in the chain", err)
 	}
 	if engine.ArenaReleases() == before {
-		t.Fatal("aborted sharded query did not release shard arenas")
+		t.Fatal("aborted sharded query did not release its arena")
 	}
 }
 
-// TestShardedModeQueryCanceled covers the non-distributable (confidence fold)
-// sharded path, whose parallel fold threads the same guard.
+// TestShardedModeQueryCanceled covers the shard fan-out: a distributable
+// CONF() plan runs on every shard, and each shard's run checks the same
+// canceled context before any work.
 func TestShardedModeQueryCanceled(t *testing.T) {
 	db := Open(shardedStore(t, 11, 2000))
 	if err := db.EnableSharding(4, 2); err != nil {

@@ -168,13 +168,13 @@ func (db *DB) materialize(ctx context.Context, rec *storage.WALRecord) (*Result,
 	if v.snap.Rel(rec.Res) != nil {
 		return nil, fmt.Errorf("sql: result relation %q already exists in the store (drop it first or pick another name)", rec.Res)
 	}
-	// Writers always run on the authority: the commit below lands there.
+	// A plain plan runs on the authority, where the commit below lands.
 	out, err := execute(ctx, []*engine.Snapshot{v.snap}, 1, tpl, rec.Args)
 	if err != nil {
 		return nil, err
 	}
-	ar := out.segs[0].arena
-	out.segs = nil
+	ar := out.arena
+	out.arena, out.out = nil, nil
 	defer engine.ReleaseArena(ar)
 	if err := ar.RenameRelation(out.Relation, rec.Res); err != nil {
 		return nil, fmt.Errorf("sql: installing result: %w", err)

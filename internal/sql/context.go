@@ -21,8 +21,8 @@ type memGuardKey struct{}
 // execution under this context, onGrow is called with each positive chunk of
 // arena growth (amortized, not per-allocation). A non-nil error from onGrow
 // aborts the query at its next checkpoint. The hook may be called from
-// several goroutines (sharded execution probes one arena per shard) and must
-// be goroutine-safe.
+// several goroutines (a sharded mode query probes one arena per shard) and
+// must be goroutine-safe.
 func WithMemGuard(ctx context.Context, onGrow func(delta int64) error) context.Context {
 	return context.WithValue(ctx, memGuardKey{}, onGrow)
 }

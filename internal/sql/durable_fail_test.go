@@ -101,7 +101,7 @@ func TestCommitLogFailure(t *testing.T) {
 			if _, err := db.Materialize("Next", "SELECT C FROM T"); err != nil {
 				t.Fatalf("commit after a rolled-back %s: %v", tc.name, err)
 			}
-			wantState, wantShards := db.Snapshot().ExportState(), db.ShardFingerprints()
+			wantState, wantShards := db.Snapshot().ExportState(), shardFingerprints(t, db)
 			db.Close()
 
 			db2, replayed, err := Restore(dir)
@@ -118,7 +118,7 @@ func TestCommitLogFailure(t *testing.T) {
 			if err := db2.EnableSharding(2, 0); err != nil {
 				t.Fatal(err)
 			}
-			if got := db2.ShardFingerprints(); !reflect.DeepEqual(got, wantShards) {
+			if got := shardFingerprints(t, db2); !reflect.DeepEqual(got, wantShards) {
 				t.Fatalf("shard fingerprints after restart %08x, live %08x", got, wantShards)
 			}
 		})
@@ -231,4 +231,14 @@ func commitCases(t *testing.T) []struct {
 		}},
 		{"SET UNCERTAIN", func(db *DB) error { return db.SetUncertain("R", 0, "A", []int32{1, 2}, nil) }},
 	}
+}
+
+// shardFingerprints returns db's per-shard fingerprints.
+func shardFingerprints(t *testing.T, db *DB) []uint32 {
+	t.Helper()
+	fps, err := db.ShardFingerprints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fps
 }

@@ -166,7 +166,7 @@ func TestChaseAtomic(t *testing.T) {
 	if _, err := db.IngestCSV(writeCSV(t, "A,B\n1|2,5\n3,5|6\n2|4,5\n2,5\n"), "R"); err != nil {
 		t.Fatal(err)
 	}
-	before, shardsBefore := sql.FlatState(db.Snapshot().ExportState()), db.ShardFingerprints()
+	before, shardsBefore := sql.FlatState(db.Snapshot().ExportState()), shardFingerprints(t, db)
 	err = db.Chase("R", []engine.EGD{{
 		Premise:    []engine.Atom{{Attr: "A", Theta: relation.EQ, C: 2}},
 		Conclusion: engine.Atom{Attr: "B", Theta: relation.NE, C: 5},
@@ -177,7 +177,7 @@ func TestChaseAtomic(t *testing.T) {
 	if got := sql.FlatState(db.Snapshot().ExportState()); got != before {
 		t.Fatalf("the failed chase left the store changed:\n%s\nwant:\n%s", got, before)
 	}
-	if got := db.ShardFingerprints(); !reflect.DeepEqual(got, shardsBefore) {
+	if got := shardFingerprints(t, db); !reflect.DeepEqual(got, shardsBefore) {
 		t.Fatalf("the failed chase moved the shard set: %08x, want %08x", got, shardsBefore)
 	}
 	if err := db.SetUncertain("R", 3, "A", []int32{2, 3}, nil); err != nil {
@@ -249,7 +249,7 @@ func TestLiveVsReplayAllRecordTypes(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantState := db.Snapshot().ExportState()
-	wantShards := db.ShardFingerprints()
+	wantShards := shardFingerprints(t, db)
 	// Close without Checkpoint: the directory holds only the log.
 	db.Close()
 
@@ -267,7 +267,7 @@ func TestLiveVsReplayAllRecordTypes(t *testing.T) {
 	if err := db2.EnableSharding(2, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := db2.ShardFingerprints(); len(got) != 2 || !reflect.DeepEqual(got, wantShards) {
+	if got := shardFingerprints(t, db2); len(got) != 2 || !reflect.DeepEqual(got, wantShards) {
 		t.Fatalf("shard fingerprints after replay %08x, live (re-balanced commit by commit) %08x", got, wantShards)
 	}
 }
@@ -300,7 +300,7 @@ func TestLiveVsReplayNoisyCensus(t *testing.T) {
 		}
 	}
 	want := sql.FlatState(db.Snapshot().ExportState())
-	wantShards := db.ShardFingerprints()
+	wantShards := shardFingerprints(t, db)
 	db.Close() // no Checkpoint: the two commits live only in the log
 
 	db2, replayed, err := sql.Restore(dir)
@@ -323,7 +323,7 @@ func TestLiveVsReplayNoisyCensus(t *testing.T) {
 	if err := db2.EnableSharding(2, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := db2.ShardFingerprints(); !reflect.DeepEqual(got, wantShards) {
+	if got := shardFingerprints(t, db2); !reflect.DeepEqual(got, wantShards) {
 		t.Fatalf("shard fingerprints after replay %08x, live %08x", got, wantShards)
 	}
 }
@@ -449,4 +449,14 @@ func confLines(t *testing.T, db *sql.DB, q string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// shardFingerprints returns db's per-shard fingerprints.
+func shardFingerprints(t *testing.T, db *sql.DB) []uint32 {
+	t.Helper()
+	fps, err := db.ShardFingerprints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fps
 }

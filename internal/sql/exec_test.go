@@ -200,11 +200,11 @@ func TestExceptEngineNative(t *testing.T) {
 // tests that enumerate it through the bridge.
 func resultArena(t *testing.T, rows *Rows) *engine.Arena {
 	t.Helper()
-	segs := rows.Result().segs
-	if len(segs) != 1 {
-		t.Fatalf("result has %d segments, want 1", len(segs))
+	ar := rows.Result().arena
+	if ar == nil {
+		t.Fatal("result holds no arena")
 	}
-	return segs[0].arena
+	return ar
 }
 
 // TestExceptSelfEmpty checks R EXCEPT R: empty in every world, on both

@@ -201,11 +201,12 @@ func (db *DB) Explain(query string) (string, error) {
 	if err != nil {
 		return out, nil
 	}
-	strategy := "authority (plan has join/product/difference; components would entangle across shards)"
-	if tpl.distributable() {
+	strategy := "authority store, confidence fold striped over the worker pool (plan has join/product/difference)"
+	switch {
+	case tpl.Mode == ModePlain:
+		strategy = "authority (plain results read one snapshot)"
+	case tpl.distributable():
 		strategy = "morsel-parallel across shards"
-	} else if tpl.Mode != ModePlain {
-		strategy = "authority store, confidence fold striped over the worker pool"
 	}
 	last := sh.LastResync()
 	out += fmt.Sprintf("-- sharded: %d shards, %d workers, re-balance generation %d: %s; last re-balance %s\n",
@@ -338,7 +339,7 @@ func (p *Prepared) Close() error { return nil }
 
 // Query executes the statement with the given arguments (int and string
 // forms, or relation.Value). The result streams through a Rows iterator;
-// always Close it — that is what releases the result's arenas.
+// always Close it — that is what releases the result's arena.
 func (p *Prepared) Query(args ...any) (*Rows, error) {
 	return p.QueryContext(context.Background(), args...)
 }
@@ -369,17 +370,17 @@ func (p *Prepared) QueryContext(ctx context.Context, args ...any) (*Rows, error)
 
 // Rows is the pull iterator over one execution's result, in the shape of
 // database/sql: Next advances, Scan reads the current row, Close releases
-// the execution's result arenas. Plain-query rows are the result's template
-// tuples, read in place through each segment's engine.Selection — straight
-// from the snapshot's columns when the result was never built — with
+// the execution's result arena. Plain-query rows are the result's template
+// tuples, read in place through its engine.Selection — straight from the
+// authority snapshot's columns when the result was never built — with
 // uncertain fields scanning as '?' placeholders into *relation.Value.
 // CONF()/POSSIBLE/CERTAIN rows are the across-world answers, decoded
 // lazily, with Conf exposing the current confidence.
 type Rows struct {
-	// result holds the answers: the arena-owned segments of a plain query
+	// result holds the answers: the arena-owned selection of a plain query
 	// (private to this execution, or immutable snapshot state, so reading
-	// them needs no locks; Close frees them by releasing the arenas — the
-	// shared store was never touched) or the across-world tuple list.
+	// it needs no locks; Close frees it by releasing the arena — the shared
+	// store was never touched) or the across-world tuple list.
 	result *Result
 	idx    int
 	closed bool
@@ -401,11 +402,7 @@ func (r *Rows) Len() int {
 	if r.result.Mode != ModePlain {
 		return len(r.result.Tuples)
 	}
-	n := 0
-	for _, seg := range r.result.segs {
-		n += seg.out.Len()
-	}
-	return n
+	return r.result.out.Len()
 }
 
 // Next advances to the next row; it returns false when the rows are
@@ -443,7 +440,7 @@ func (r *Rows) Result() *Result { return r.result }
 func (r *Rows) Mode() Mode { return r.result.Mode }
 
 // MemUsage estimates the bytes this result retains until Close: the result
-// arenas of a plain query (built templates, selection vectors and row plans,
+// arena of a plain query (built templates, selection vectors and row plans,
 // adopted components — not the snapshot columns a selection reads), or the
 // across-world answer list of a mode query. The serving layer charges this
 // against per-session and global memory budgets; 0 after Close.
@@ -451,12 +448,8 @@ func (r *Rows) MemUsage() int64 {
 	if r.closed {
 		return 0
 	}
-	var n int64
-	for _, seg := range r.result.segs {
-		n += seg.arena.MemUsage()
-	}
 	// Per answer: the values, their slice header, the confidence.
-	return n + int64(len(r.result.Tuples))*int64(len(r.result.Attrs)*4+24+8)
+	return r.result.arena.MemUsage() + int64(len(r.result.Tuples))*int64(len(r.result.Attrs)*4+24+8)
 }
 
 // Stats returns the representation statistics of the result relation
@@ -466,7 +459,7 @@ func (r *Rows) Stats() engine.Stats { return r.result.Stats }
 // Scan copies the current row into dest: *int, *int32, *int64, *string or
 // *relation.Value per column. An uncertain template field scans only into a
 // *relation.Value (as the '?' placeholder); ask for POSSIBLE or CONF() to
-// decode it. Scan fails cleanly after Close: the rows' arenas are released
+// decode it. Scan fails cleanly after Close: the rows' arena is released
 // and there is nothing left to read.
 func (r *Rows) Scan(dest ...any) error {
 	if r.closed {
@@ -518,27 +511,14 @@ func (r *Rows) Scan(dest ...any) error {
 }
 
 // current locates the current row in the engine's encoding: the answer
-// tuple of a mode result, or the segment and the row within it of a plain
+// tuple of a mode result, or the selection and the row within it of a plain
 // one (read in place, column by column, by Scan). The caller has
 // bounds-checked idx against Len.
 func (r *Rows) current() (tuple []int32, out *engine.Selection, row int) {
 	if r.result.Mode != ModePlain {
 		return r.result.Tuples[r.idx].Tuple, nil, 0
 	}
-	out, row = r.segAt(r.idx)
-	return nil, out, row
-}
-
-// segAt locates plain-result row i: its segment and the row within it (nil
-// past the end). Empty segments are skipped.
-func (r *Rows) segAt(i int) (*engine.Selection, int) {
-	for _, seg := range r.result.segs {
-		if i < seg.out.Len() {
-			return seg.out, i
-		}
-		i -= seg.out.Len()
-	}
-	return nil, 0
+	return nil, r.result.out, r.idx
 }
 
 // Block is a window of rows in the engine's encoding (a '?' field is
@@ -566,11 +546,10 @@ func (b *Block) At(i, c int) int32 {
 	return b.Cols[c][i]
 }
 
-// NextBlock advances past the next N ≤ max rows and returns them. A plain
-// block is a window on one segment's selection vector over the columns it
-// reads, so it never crosses a segment boundary and may hold fewer than max
-// rows; a mode block is gathered from the answer tuples. N is 0 only once
-// the rows are exhausted (or closed). The slices stay valid until the next
+// NextBlock advances past the next N ≤ max rows and returns them: a plain
+// block is a window on the result's selection vector over the columns it
+// reads, a mode block is gathered from the answer tuples. N is max unless
+// fewer rows are left, and 0 only once the rows are exhausted (or closed). The slices stay valid until the next
 // NextBlock or Close. Afterwards the last row of the block is the current
 // row.
 func (r *Rows) NextBlock(max int) Block {
@@ -585,7 +564,7 @@ func (r *Rows) NextBlock(max int) Block {
 	}
 	b.Cols, b.Carriers = b.Cols[:ncols], b.Carriers[:0]
 	if r.result.Mode == ModePlain {
-		out, row := r.segAt(start)
+		out, row := r.result.out, start
 		b.N, b.Sel = min(max, out.Len()-row), nil
 		if sel := out.Sel(); sel != nil {
 			copy(b.Cols, out.Cols())
@@ -620,8 +599,8 @@ func (r *Rows) NextBlock(max int) Block {
 	return *b
 }
 
-// Close releases the result by returning its arenas to the engine's pool —
-// an O(1) detach each, with no writes to the shared store (whose catalog was
+// Close releases the result by returning its arena to the engine's pool —
+// an O(1) detach, with no writes to the shared store (whose catalog was
 // never touched by the query). Close is idempotent; Scan and Next fail/stop
 // after it.
 func (r *Rows) Close() error {
@@ -629,10 +608,8 @@ func (r *Rows) Close() error {
 		return nil
 	}
 	r.closed = true
-	for _, seg := range r.result.segs {
-		engine.ReleaseArena(seg.arena)
-	}
-	r.result.segs = nil
+	engine.ReleaseArena(r.result.arena)
+	r.result.arena, r.result.out = nil, nil
 	return nil
 }
 

@@ -8,13 +8,16 @@ import (
 )
 
 // Sharded execution: when a DB has sharding enabled, distributable
-// statements are placed on the shard set — execute runs the full plan over
-// each shard's slice of every base relation on a worker pool, and the
-// per-shard answers merge exactly (see execute and docs/sharding.md). Plans
-// containing Join/Product/Difference are not distributable — they entangle
-// components across inputs, so per-shard execution could double-count
-// correlated provenance — and are placed on the authority store, where mode
-// queries still get a morsel-parallel confidence sweep.
+// CONF()/POSSIBLE/CERTAIN statements are placed on the shard set — execute
+// runs the full plan over each shard's slice of every base relation on a
+// worker pool, and the per-shard mass tables merge exactly (see execute and
+// docs/sharding.md). Plans containing Join/Product/Difference are not
+// distributable — they entangle components across inputs, so per-shard
+// execution could double-count correlated provenance — and are placed on the
+// authority store, where their confidence sweep is striped over the pool
+// instead. A plain statement is per-row template work with nothing to
+// merge: it always reads the authority snapshot, so its rows come out in
+// the same order whatever the shard count.
 //
 // The shard set is derived state, a pure function of the store's: every
 // catalog commit re-balances it before the commit is published (commit.go),
@@ -73,12 +76,12 @@ func (db *DB) Sharding() (shards, workers int) {
 // ShardFingerprints returns one deterministic CRC32 per shard of the
 // published shard set; nil when sharding is off. Two boots of the same
 // durable directory log identical lists — the persistence-smoke
-// byte-identity check.
-func (db *DB) ShardFingerprints() []uint32 {
+// byte-identity check. An error is a shard that failed to hash.
+func (db *DB) ShardFingerprints() ([]uint32, error) {
 	if sh := db.view.Load().shards; sh != nil {
 		return sh.Fingerprints()
 	}
-	return nil
+	return nil, nil
 }
 
 // ValidateShards re-checks the partitioning invariant of the published
@@ -108,15 +111,17 @@ func (p *EnginePlan) distributable() bool {
 }
 
 // placement picks where a plan runs on view v, and the worker-pool width
-// execute may use there: the shard set for a distributable plan, the
-// authority snapshot otherwise (sharding off, or a join/product/difference
-// plan). The view's shard set was built from its snapshot, so either
+// execute may use there: the shard set for a distributable mode plan, the
+// authority snapshot otherwise (a plain plan, sharding off, or a
+// join/product/difference plan). The width is the shard set's pool on a
+// sharded DB and engine.DefaultConfWorkers otherwise, whatever the
+// placement. The view's shard set was built from its snapshot, so either
 // placement carries the catalog the plan was checked against.
 func (v *view) placement(tpl *EnginePlan) ([]*engine.Snapshot, int) {
 	if v.shards == nil {
-		return []*engine.Snapshot{v.snap}, 1
+		return []*engine.Snapshot{v.snap}, engine.DefaultConfWorkers()
 	}
-	if tpl.distributable() {
+	if tpl.Mode != ModePlain && tpl.distributable() {
 		return v.shards.Snapshots(), v.shards.Workers()
 	}
 	return []*engine.Snapshot{v.snap}, v.shards.Workers()

@@ -53,8 +53,8 @@ func shardedStore(t *testing.T, seed int64, rows int) *engine.Store {
 }
 
 // rowsAsStrings drains a plain result into a sorted multiset of row
-// renderings — sharded plain results are shard-grouped, so order-insensitive
-// comparison is the contract.
+// renderings, for comparisons against results that may order rows
+// differently (a materialized relation, the per-world oracle).
 func rowsAsStrings(t *testing.T, rows *Rows) []string {
 	t.Helper()
 	out, err := drainRows(rows)
@@ -66,6 +66,24 @@ func rowsAsStrings(t *testing.T, rows *Rows) []string {
 
 // drainRows is rowsAsStrings for goroutines that may not call t.Fatal.
 func drainRows(rows *Rows) ([]string, error) {
+	out, err := drainInOrder(rows)
+	sort.Strings(out)
+	return out, err
+}
+
+// rowsInOrder drains a plain result into its row renderings in the order
+// Next yields them.
+func rowsInOrder(t *testing.T, rows *Rows) []string {
+	t.Helper()
+	out, err := drainInOrder(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// drainInOrder is rowsInOrder for goroutines that may not call t.Fatal.
+func drainInOrder(rows *Rows) ([]string, error) {
 	defer rows.Close()
 	ncols := len(rows.Columns())
 	var out []string
@@ -84,7 +102,6 @@ func drainRows(rows *Rows) ([]string, error) {
 		}
 		out = append(out, sb.String())
 	}
-	sort.Strings(out)
 	return out, nil
 }
 
@@ -114,7 +131,8 @@ func modeTable(t *testing.T, rows *Rows) []string {
 }
 
 // TestRowsNextBlock: draining a result in blocks yields the rows, order and
-// confidences of Next/Scan, for plain (multi-segment) and mode results alike.
+// confidences of Next/Scan, for plain and mode results alike, on a sharded
+// DB.
 func TestRowsNextBlock(t *testing.T) {
 	db := Open(shardedStore(t, 4, 500))
 	if err := db.EnableSharding(3, 3); err != nil {
@@ -160,7 +178,8 @@ func TestRowsNextBlock(t *testing.T) {
 }
 
 var shardDiffQueries = []string{
-	// Distributable: run morsel-parallel across the shards.
+	// Distributable: the mode queries run morsel-parallel across the shards,
+	// the plain ones on the authority.
 	"SELECT * FROM R",
 	"SELECT A, B FROM R WHERE A < 15",
 	"SELECT A AS X FROM R WHERE B > 5 UNION SELECT A AS X FROM S WHERE C < 20",
@@ -192,11 +211,12 @@ func arenasOut(acquired, released uint64) (out, taken int) {
 
 // TestShardedDifferential runs the same statements through every placement
 // of the one executor — an unsharded session and a sharded one, where
-// join/product/difference plans run on the authority with the shard worker
-// pool — over the same store. Plain results must agree as multisets with
-// identical Len and Stats, CONF/POSSIBLE/CERTAIN must be byte-identical, the
-// result must hold exactly the arenas of its placement (one segment, or one
-// per shard) and hand every one back on Close — drained or mid-iteration.
+// plain and join/product/difference plans run on the authority with the
+// shard worker pool — over the same store. Plain results must agree row for
+// row, in order, with identical Len and Stats; CONF/POSSIBLE/CERTAIN must be
+// byte-identical. A plain result holds one arena and hands it back on Close,
+// drained or mid-iteration; a distributable mode query takes one arena per
+// shard while it runs and holds none once it returns.
 func TestShardedDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		store := shardedStore(t, seed, 150)
@@ -212,8 +232,8 @@ func TestShardedDifferential(t *testing.T) {
 			placements := []struct {
 				name string
 				db   *DB
-				// segs is the placement size of a distributable plan.
-				segs int
+				// shards is the placement size of a distributable mode plan.
+				shards int
 			}{
 				{"sharded", sharded, n},
 			}
@@ -231,12 +251,15 @@ func TestShardedDifferential(t *testing.T) {
 					mode, wantLen, wantStats := wantRows.Mode(), wantRows.Len(), wantRows.Stats()
 					render := modeTable
 					if mode == ModePlain {
-						render = rowsAsStrings
+						render = rowsInOrder
 					}
 					want := render(t, wantRows)
-					wantSegs := 1
-					if stmt.tpl.distributable() {
-						wantSegs = pl.segs
+					wantTaken, wantHeld := 1, 1
+					if mode != ModePlain {
+						wantHeld = 0 // answers are folded; every arena is already back
+						if stmt.tpl.distributable() {
+							wantTaken = pl.shards
+						}
 					}
 
 					acquired, released := engine.ArenaAcquires(), engine.ArenaReleases()
@@ -245,14 +268,11 @@ func TestShardedDifferential(t *testing.T) {
 						t.Fatalf("%s: %v", label, err)
 					}
 					out, taken := arenasOut(acquired, released)
-					if taken != wantSegs {
-						t.Fatalf("%s: execution acquired %d arenas, want %d", label, taken, wantSegs)
+					if taken != wantTaken {
+						t.Fatalf("%s: execution acquired %d arenas, want %d", label, taken, wantTaken)
 					}
-					if mode != ModePlain {
-						wantSegs = 0 // answers are folded; every arena is already back
-					}
-					if len(gotRows.result.segs) != wantSegs || out != wantSegs {
-						t.Fatalf("%s: %d segments holding %d arenas, want %d", label, len(gotRows.result.segs), out, wantSegs)
+					if held := gotRows.result.arena != nil; out != wantHeld || held != (wantHeld == 1) {
+						t.Fatalf("%s: result holds an arena %v, %d arenas out, want %d", label, held, out, wantHeld)
 					}
 					if gotRows.Len() != wantLen || gotRows.Stats() != wantStats {
 						t.Fatalf("%s: Len/Stats %d %+v, want %d %+v", label, gotRows.Len(), gotRows.Stats(), wantLen, wantStats)
@@ -270,8 +290,8 @@ func TestShardedDifferential(t *testing.T) {
 						t.Fatalf("%s: %d arenas still out after Close", label, out)
 					}
 
-					// Close part-way through: every segment is released, read or
-					// not, and the iteration ends.
+					// Close part-way through: the arena is released, read or not,
+					// and the iteration ends.
 					midRows, err := pl.db.Query(q)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
@@ -301,7 +321,7 @@ func TestShardedDifferential(t *testing.T) {
 // hold sharded snapshots, under -race: Materialize/Drop loops — each a delta
 // re-balance that keeps every shard's copy of R — against concurrent
 // distributable queries. Each reader also opens a plain result (its rows
-// live in arenas over the shard snapshots it started on), holds it across at
+// read the authority snapshot it started on), holds it across at
 // least three further re-balance generations and only then scans it: the
 // pre-commit answer must still come out.
 func TestShardedCommitWhileReading(t *testing.T) {
@@ -643,6 +663,24 @@ func TestShardedExplain(t *testing.T) {
 	}
 }
 
+// TestShardedExplainPlain: on a sharded session EXPLAIN places a plain plan,
+// distributable or not, on the authority.
+func TestShardedExplainPlain(t *testing.T) {
+	db := Open(shardedStore(t, 2, 200))
+	if err := db.EnableSharding(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"SELECT A, B FROM R WHERE A < 15", "SELECT x.A FROM R AS x, S AS y WHERE x.A = y.A"} {
+		out, err := db.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, "re-balance generation 1: authority (plain results read one snapshot); ") {
+			t.Fatalf("EXPLAIN %s does not place the plain plan on the authority:\n%s", q, out)
+		}
+	}
+}
+
 // gateStore is a small store whose σ on A fails in some local worlds of
 // four rows: R(A, B, C) with or-sets on A and B, six in all, so the per-world
 // oracle stays tractable.
@@ -733,10 +771,7 @@ func TestAbsenceSurvivesCommit(t *testing.T) {
 			t.Fatalf("%s: the materialized σ does not record absence", label)
 		}
 		rows := mustQuery(t, db, proj)
-		carriers := 0
-		for _, seg := range rows.result.segs {
-			carriers += len(seg.out.Carriers())
-		}
+		carriers := len(rows.result.out.Carriers())
 		stats := rows.Stats()
 		rows.Close()
 		if carriers != wantCarriers || stats != wantStats {

@@ -4,7 +4,8 @@
 // statement compiles into a sequence of native operators on the scalable
 // columnar engine (internal/engine) whose shapes mirror the hand-built
 // Figure 29 plans, and one executor (exec.go) runs the bound plan wherever
-// the session places it: on the authority snapshot or across the shard set.
+// the session places it: a plain query on the authority snapshot, a
+// distributable CONF()/POSSIBLE/CERTAIN query across the shard set.
 // The across-world constructs CONF(), POSSIBLE and CERTAIN are computed
 // natively on the columnar engine (engine.Arena.PossibleMassesParallel over
 // the pending result, read in place — neither the result relation nor a
@@ -107,22 +108,16 @@ type Result struct {
 	// arena-scoped scratch name of a query, or the installed name after
 	// Materialize (the caller owns dropping that one). Empty for mode queries.
 	Relation string
-	// Stats are the representation statistics of the plain result, summed
-	// over its segments.
+	// Stats are the representation statistics of the plain result.
 	Stats engine.Stats
 	// Tuples holds the answers of CONF()/POSSIBLE/CERTAIN queries in the
 	// engine's native encoding, sorted canonically. For ModePossible and
 	// non-probabilistic inputs the Conf fields are 0.
 	Tuples []engine.TupleConf
 
-	// segs holds the plain result: one arena-owned selection per snapshot
-	// the plan ran on (one for the authority, one per shard otherwise),
-	// walked in placement order. Rows.Close releases every segment's arena.
-	segs []resultSeg
-}
-
-// resultSeg is one snapshot's slice of a plain result.
-type resultSeg struct {
+	// arena holds the plain result out, read in place from the one snapshot
+	// the plan ran on; Rows.Close releases it. Both are nil for mode
+	// queries.
 	arena *engine.Arena
 	out   *engine.Selection
 }
