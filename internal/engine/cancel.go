@@ -117,21 +117,29 @@ func (g *Guard) Check() error {
 	if g.onGrow == nil {
 		return nil
 	}
-	g.memMu.Lock()
-	used := g.probe()
-	delta := used - g.lastMem
-	var err error
-	if delta > 0 {
-		err = g.onGrow(delta)
-		if err == nil {
-			g.lastMem = used
-		}
-	}
-	g.memMu.Unlock()
+	err := g.reportGrowth()
 	if err != nil {
 		g.failed.Store(&err)
 	}
 	return err
+}
+
+// reportGrowth probes the retained bytes and reports any growth to onGrow.
+// The unlock is deferred so a panicking probe or hook, which the caller's
+// fan-out turns into an error, does not strand the workers sharing g.
+func (g *Guard) reportGrowth() error {
+	g.memMu.Lock()
+	defer g.memMu.Unlock()
+	used := g.probe()
+	delta := used - g.lastMem
+	if delta <= 0 {
+		return nil
+	}
+	if err := g.onGrow(delta); err != nil {
+		return err
+	}
+	g.lastMem = used
+	return nil
 }
 
 // cancelError chains both ErrCanceled and the originating context error, so

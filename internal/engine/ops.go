@@ -375,41 +375,59 @@ func (v *Selection) Stats() Stats {
 		kept[at] = true
 	}
 	fieldsPerComp := make(map[*Component]int)
-	_ = v.eachRow(func(u *urow) error {
-		cond, keep := v.masks(u, v.view.ComponentOf)
-		carried := false
-		for _, at := range u.attrs {
-			if !kept[at] {
-				continue
+	// count adds field f's copy under its component and returns the local
+	// worlds where it is present and neither mask fails.
+	count := func(f FieldID, cond, keep presence) (cells int) {
+		c := v.view.ComponentOf(f)
+		if c == nil {
+			return 0
+		}
+		fieldsPerComp[c]++
+		col := c.Pos(f)
+		for w, crow := range c.Rows {
+			if !crow.IsAbsent(col) && !cond.fails(c, w) && !keep.fails(c, w) {
+				cells++
 			}
-			carried = true
-			f := FieldID{Rel: r.id, Row: u.src, Attr: at}
-			c := v.view.ComponentOf(f)
-			if c == nil {
-				continue
-			}
-			m1 := cond
-			if !containsAttr(u.inSel, at) {
-				m1 = presence{}
-			}
-			fieldsPerComp[c]++
-			col := c.Pos(f)
-			for w, crow := range c.Rows {
-				if !crow.IsAbsent(col) && !m1.fails(c, w) && !keep.fails(c, w) {
-					st.CSize++
+		}
+		return cells
+	}
+	if v.sel == nil && v.plans == nil {
+		// Every source row is kept and none carries a plan (an identity
+		// selection, or π over a relation recording no absence): no masks.
+		x := &r.unc
+		for i, row := range x.rows {
+			for _, at := range x.at(i) {
+				if kept[at] {
+					st.CSize += count(FieldID{Rel: r.id, Row: row, Attr: at}, presence{}, presence{})
 				}
 			}
 		}
-		if !carried && keep.comp != nil {
-			fieldsPerComp[keep.comp]++
-			for _, pass := range keep.pass {
-				if pass {
-					st.CSize++
+	} else {
+		_ = v.eachRow(func(u *urow) error {
+			cond, keep := v.masks(u, v.view.ComponentOf)
+			carried := false
+			for _, at := range u.attrs {
+				if !kept[at] {
+					continue
+				}
+				carried = true
+				m1 := cond
+				if !containsAttr(u.inSel, at) {
+					m1 = presence{}
+				}
+				st.CSize += count(FieldID{Rel: r.id, Row: u.src, Attr: at}, m1, keep)
+			}
+			if !carried && keep.comp != nil {
+				fieldsPerComp[keep.comp]++
+				for _, pass := range keep.pass {
+					if pass {
+						st.CSize++
+					}
 				}
 			}
-		}
-		return nil
-	})
+			return nil
+		})
+	}
 	st.NumComp = len(fieldsPerComp)
 	for _, n := range fieldsPerComp {
 		if n > 1 {

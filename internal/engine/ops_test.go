@@ -70,6 +70,33 @@ func TestValidateRejectsUnrecordedAbsence(t *testing.T) {
 	}
 }
 
+// π over a relation recording no absence keeps every row and gives none a
+// plan, so its Stats take the unmasked pass: only the kept attributes'
+// fields count, as in the relation π builds.
+func TestProjectionStatsCountOnlyKeptFields(t *testing.T) {
+	s := NewStore()
+	if _, err := s.AddRelation("R", []string{"A", "B"}, [][]int32{{0, 1, 2}, {3, 4, 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetUncertain("R", 0, "A", []int32{5, 6}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetUncertain("R", 1, "B", []int32{7, 8, 9}, nil); err != nil {
+		t.Fatal(err)
+	}
+	a := NewArena(s.Snapshot())
+	if err := a.Project("P", "R", "B"); err != nil {
+		t.Fatal(err)
+	}
+	if v := a.Selection("P"); v.Sel() != nil || v.plans != nil {
+		t.Fatal("π over a relation without absence filtered rows or planned them")
+	}
+	if st := a.Selection("P").Stats(); st != (Stats{NumComp: 1, CSize: 3, RSize: 3}) {
+		t.Fatalf("π_B stats %+v, want B's one component of three values", st)
+	}
+	CheckView(t, 0, a, "P")
+}
+
 // A wide_fetch-shaped result — a quarter of a 50-column relation, kept
 // whole, under a one-attribute condition — retains its selection vector and
 // a few row plans until it is built: at most 8 bytes a row beyond the

@@ -135,9 +135,10 @@ func TestCancelMidQuery(t *testing.T) {
 }
 
 // TestShardedCancelOverWire is the acceptance path on a sharded store: the
-// CANCEL frame crosses the wire, the session context, the shard scheduler and
-// the per-shard guard checkpoints — the fan-out aborts with the CANCELED wire
-// code and the same connection then serves byte-identical results.
+// CANCEL frame crosses the wire and the session context to the shard
+// fan-out of a distributable POSSIBLE plan, whose per-shard guard
+// checkpoints abort with the CANCELED wire code; every shard arena returns
+// to the pool, and the same connection then serves byte-identical results.
 func TestShardedCancelOverWire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20k-row sharded store setup is slow")
@@ -154,8 +155,9 @@ func TestShardedCancelOverWire(t *testing.T) {
 	}
 	defer conn.Close()
 
-	const victim = "SELECT * FROM R WHERE YEARSCH = 17"
+	const victim = "SELECT POSSIBLE POWSTATE, CITIZEN FROM R WHERE YEARSCH = 17"
 	entered, release := blockOnce(t, victim)
+	mark := markArenas()
 	errc := make(chan error, 1)
 	go func() {
 		rows, qerr := conn.Query(victim)
@@ -176,6 +178,7 @@ func TestShardedCancelOverWire(t *testing.T) {
 	if !errors.As(qerr, &werr) || werr.Code != server.ErrCanceled {
 		t.Fatalf("canceled sharded query: got %v, want wire code CANCELED", qerr)
 	}
+	mark.waitHome(t)
 
 	localRows, err := db.Query(victim)
 	if err != nil {

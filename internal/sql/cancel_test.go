@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -210,12 +211,12 @@ func TestShardedQueryCanceled(t *testing.T) {
 	}
 }
 
-// TestShardedMemGuardAborts: a mid-flight abort of a plain query on a
-// sharded DB, which runs on the authority snapshot — the query stops on the
-// guard's error and its arena goes back to the pool. The store is big enough
-// to cross a real (amortized) checkpoint after the result has started
-// growing. The shard fan-out under a memory guard is
-// TestShardedFoldUnderMemGuard.
+// TestShardedMemGuardAborts: a memory-guard abort inside the shard fan-out.
+// A distributable POSSIBLE plan runs on every shard of a 4-shard store, two
+// at a time; the guard refuses the first growth each shard run reports, so
+// the abort lands while the shard workers are running. The query stops on
+// the guard's error, the fan-out claims no shard after the first failure,
+// and every shard arena it acquired goes back to the pool.
 func TestShardedMemGuardAborts(t *testing.T) {
 	db := Open(shardedStore(t, 13, 20000))
 	if err := db.EnableSharding(4, 2); err != nil {
@@ -223,19 +224,23 @@ func TestShardedMemGuardAborts(t *testing.T) {
 	}
 	boom := errors.New("budget blown")
 	ctx := WithMemGuard(context.Background(), func(delta int64) error { return boom })
-	before := engine.ArenaReleases()
-	_, err := db.QueryContext(ctx, "SELECT * FROM R WHERE A < 25")
+	acquired, released := engine.ArenaAcquires(), engine.ArenaReleases()
+	_, err := db.QueryContext(ctx, "SELECT POSSIBLE A, B, C FROM R WHERE A < 25")
 	if !errors.Is(err, boom) {
 		t.Fatalf("sharded guard abort: got %v, want the guard's error in the chain", err)
 	}
-	if engine.ArenaReleases() == before {
-		t.Fatal("aborted sharded query did not release its arena")
+	took := engine.ArenaAcquires() - acquired
+	if took == 0 || took > 2 {
+		t.Fatalf("the fan-out acquired %d shard arenas, want one per worker (≤ 2 of 4): no claim after the first abort", took)
+	}
+	if engine.ArenaReleases()-released != took {
+		t.Fatalf("aborted sharded query released %d of its %d shard arenas", engine.ArenaReleases()-released, took)
 	}
 }
 
 // TestShardedModeQueryCanceled covers the shard fan-out: a distributable
 // CONF() plan runs on every shard, and each shard's run checks the same
-// canceled context before any work.
+// canceled context before any work; no shard arena stays out.
 func TestShardedModeQueryCanceled(t *testing.T) {
 	db := Open(shardedStore(t, 11, 2000))
 	if err := db.EnableSharding(4, 2); err != nil {
@@ -244,9 +249,101 @@ func TestShardedModeQueryCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	TestHookExec = func(string) { cancel() }
 	defer func() { TestHookExec = nil }()
+	acquired, released := engine.ArenaAcquires(), engine.ArenaReleases()
 	_, err := db.QueryContext(ctx, "SELECT CONF() FROM R WHERE A < 10")
 	if !errors.Is(err, engine.ErrCanceled) {
 		t.Fatalf("sharded mode-query cancel: got %v, want engine.ErrCanceled", err)
+	}
+	if engine.ArenaAcquires()-acquired != engine.ArenaReleases()-released {
+		t.Fatal("canceled sharded mode query did not release its shard arenas")
+	}
+}
+
+// TestShardedCancelMidRun: a cancel that lands while the shard workers are
+// scanning — at the eighth checkpoint of a POSSIBLE plan on a 4-shard store,
+// two shards at a time, each shard run passing more than eight — stops both
+// running workers at their next checkpoint, claims no further shard, and
+// returns every shard arena. countCtx counts the checkpoints (TestCancelMidScan).
+func TestShardedCancelMidRun(t *testing.T) {
+	const workers = 2
+	db := Open(shardedStore(t, 19, 40000))
+	if err := db.EnableSharding(4, workers); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT POSSIBLE A, B FROM R WHERE C < 25"
+	run := func(limit int64) (int64, error) {
+		ctx := &countCtx{Context: context.Background(), limit: limit}
+		TestHookExec = func(string) { ctx.armed.Store(true) }
+		defer func() { TestHookExec = nil }()
+		rs, err := db.QueryContext(ctx, q)
+		if err == nil {
+			rs.Close()
+		}
+		return ctx.calls.Load(), err
+	}
+	total, err := run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total < 4*12 {
+		t.Fatalf("an uncanceled run passed %d checkpoints, want more than 8 per shard of 10k rows", total)
+	}
+	acquired, released := engine.ArenaAcquires(), engine.ArenaReleases()
+	const limit = 8
+	calls, err := run(limit)
+	if !errors.Is(err, engine.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled mid-run: got %v, want ErrCanceled + context.Canceled", err)
+	}
+	if calls < limit || calls >= limit+workers {
+		t.Fatalf("the fan-out stopped at checkpoint %d, want the cancel at %d (of %d) plus at most one per other worker", calls, limit, total)
+	}
+	took := engine.ArenaAcquires() - acquired
+	if took > workers {
+		t.Fatalf("the fan-out acquired %d shard arenas, want ≤ %d: no claim after the cancel", took, workers)
+	}
+	if engine.ArenaReleases()-released != took {
+		t.Fatalf("query canceled mid-run released %d of its %d shard arenas", engine.ArenaReleases()-released, took)
+	}
+}
+
+// TestPlanPanicFailsQuery: a panic while a plan runs — here in the memory
+// hook, which each checkpoint that sees the arena grow calls — fails that
+// query with an error naming the panic, returns every arena it acquired,
+// and leaves the DB answering: plain and mode queries, unsharded and on
+// shards, and MATERIALIZE.
+func TestPlanPanicFailsQuery(t *testing.T) {
+	panicky := WithMemGuard(context.Background(), func(int64) error { panic("ledger defect") })
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "panicked: ledger defect") {
+			t.Fatalf("%s: got %v, want the panic as an error", what, err)
+		}
+	}
+	for _, shards := range []int{0, 4} {
+		db := Open(shardedStore(t, 21, 4000))
+		if shards > 0 {
+			if err := db.EnableSharding(shards, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range []string{"SELECT * FROM R WHERE A < 20", "SELECT POSSIBLE A, B FROM R WHERE A < 20"} {
+			acquired, released := engine.ArenaAcquires(), engine.ArenaReleases()
+			_, err := db.QueryContext(panicky, q)
+			check(q, err)
+			if engine.ArenaAcquires()-acquired != engine.ArenaReleases()-released {
+				t.Fatalf("%d shards %q: a panicking run did not release its arenas", shards, q)
+			}
+			mustQuery(t, db, q).Close()
+		}
+		acquired, released := engine.ArenaAcquires(), engine.ArenaReleases()
+		_, err := db.MaterializeContext(panicky, "T", "SELECT * FROM R WHERE A < 20")
+		check("MATERIALIZE", err)
+		if engine.ArenaAcquires()-acquired != engine.ArenaReleases()-released {
+			t.Fatalf("%d shards: a panicking MATERIALIZE did not release its arena", shards)
+		}
+		if _, err := db.Materialize("T", "SELECT * FROM R WHERE A < 20"); err != nil {
+			t.Fatalf("%d shards: MATERIALIZE after the panic: %v", shards, err)
+		}
 	}
 }
 

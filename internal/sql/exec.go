@@ -28,17 +28,29 @@ const certainEps = 1e-9
 // and releases its arena; the tables merge exactly (every group of
 // independent components lives in one part), and one canonical fold
 // produces the answers — which is what makes sharded CONF()/POSSIBLE/CERTAIN
-// byte-identical to unsharded. On one snapshot the pool stripes the
-// confidence sweep instead (byte-identical to the serial one).
+// byte-identical to unsharded. On one snapshot a pool wider than one (the
+// authority of a sharded DB) stripes the confidence sweep instead
+// (byte-identical to the serial one).
 func execute(ctx context.Context, snaps []*engine.Snapshot, workers int, tpl *EnginePlan, args []relation.Value) (*Result, error) {
 	res := &Result{Mode: tpl.Mode, Attrs: tpl.OutAttrs}
 	if tpl.Mode == ModePlain {
-		ar, scratch, err := run(ctx, snaps[0], tpl, args)
+		// A pool of one: the plain arm shares the fan-out's panic
+		// containment, so a defect in a plan fails its query, not the caller.
+		var ar *engine.Arena
+		err := engine.Fanout(1, 1, func(int) (err error) {
+			var scratch string
+			if ar, scratch, err = run(ctx, snaps[0], tpl, args); err != nil {
+				return err
+			}
+			res.out = ar.Selection(scratch)
+			res.Relation, res.Stats = scratch, res.out.Stats()
+			return nil
+		})
 		if err != nil {
+			engine.ReleaseArena(ar)
 			return nil, err
 		}
-		res.arena, res.out = ar, ar.Selection(scratch)
-		res.Relation, res.Stats = scratch, res.out.Stats()
+		res.arena = ar
 		return res, nil
 	}
 	parts := make([][]engine.TupleMasses, len(snaps))
@@ -84,12 +96,13 @@ func execute(ctx context.Context, snaps []*engine.Snapshot, workers int, tpl *En
 
 // run acquires a pooled arena over sn, binds the plan into it under a fresh
 // scratch name and runs it, then drops the plan's temporaries. It returns
-// the arena holding the result under scratch; on error the arena is already
-// back in the pool.
+// the arena holding the result under scratch; on error or panic the arena is
+// already back in the pool.
 func run(ctx context.Context, sn *engine.Snapshot, tpl *EnginePlan, args []relation.Value) (ar *engine.Arena, scratch string, err error) {
 	ar = engine.AcquireArena(sn)
+	ok := false
 	defer func() {
-		if err != nil {
+		if !ok {
 			engine.ReleaseArena(ar)
 			ar = nil
 		}
@@ -118,5 +131,6 @@ func run(ctx context.Context, sn *engine.Snapshot, tpl *EnginePlan, args []relat
 	// No operator loop ticks after the last step: check once more, so the
 	// memory hook sees what the result retains.
 	err = guard.Check()
+	ok = err == nil
 	return
 }

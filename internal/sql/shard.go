@@ -114,12 +114,13 @@ func (p *EnginePlan) distributable() bool {
 // execute may use there: the shard set for a distributable mode plan, the
 // authority snapshot otherwise (a plain plan, sharding off, or a
 // join/product/difference plan). The width is the shard set's pool on a
-// sharded DB and engine.DefaultConfWorkers otherwise, whatever the
-// placement. The view's shard set was built from its snapshot, so either
-// placement carries the catalog the plan was checked against.
+// sharded DB, whatever the placement, and 1 on an unsharded one: striping
+// an unsharded σ/π confidence sweep measured slower than the serial sweep
+// (ROADMAP item 1a). The view's shard set was built from its snapshot, so
+// either placement carries the catalog the plan was checked against.
 func (v *view) placement(tpl *EnginePlan) ([]*engine.Snapshot, int) {
 	if v.shards == nil {
-		return []*engine.Snapshot{v.snap}, engine.DefaultConfWorkers()
+		return []*engine.Snapshot{v.snap}, 1
 	}
 	if tpl.Mode != ModePlain && tpl.distributable() {
 		return v.shards.Snapshots(), v.shards.Workers()
