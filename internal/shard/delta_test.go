@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -395,4 +396,132 @@ func TestResyncReusesUntouchedRelations(t *testing.T) {
 		t.Fatalf("after chase: a shard's copy of R0 or R1 was rebuilt")
 	}
 	requireDeltaEqualsFull(t, "after chase", authority, sh)
+}
+
+// requireSameSet asserts that two shard sets over the same authority state
+// are the same function of it: per-shard states, fingerprints and rows per
+// shard, and re-balance statistics that cover every live relation and
+// component. The kept/rebuilt split is not compared: it describes the path
+// a set was derived along, not the set.
+func requireSameSet(t *testing.T, ctx string, got, want *Set) {
+	t.Helper()
+	for k, sn := range got.Snapshots() {
+		if g, w := sn.ExportState(), want.Snapshots()[k].ExportState(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: shard %d state differs:\n%+v\nwant:\n%+v", ctx, k, g, w)
+		}
+	}
+	if g, w := fingerprints(t, got), fingerprints(t, want); !slices.Equal(g, w) {
+		t.Fatalf("%s: fingerprints %08x, want %08x", ctx, g, w)
+	}
+	gs, ws := got.LastResync(), want.LastResync()
+	if !slices.Equal(gs.ShardRows, ws.ShardRows) ||
+		gs.RelsKept+gs.RelsRebuilt != ws.RelsKept+ws.RelsRebuilt ||
+		gs.CompsKept+gs.CompsRebuilt != ws.CompsKept+ws.CompsRebuilt {
+		t.Fatalf("%s: stats %+v, want the objects of %+v", ctx, gs, ws)
+	}
+}
+
+// requireSkipsEqualChain re-balances once from the set built k states back,
+// for every k in ks and every state that far along, and asserts the result
+// equals both the per-commit chain and a fresh build of the state: a set is
+// a pure function of the authority state, so a reader may skip the states
+// no one asked a set of.
+func requireSkipsEqualChain(t *testing.T, ctx string, n int, states []*engine.Snapshot, ks []int) {
+	t.Helper()
+	empty, err := NewSet(n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := make([]*Set, len(states))
+	for i, sn := range states {
+		from := empty
+		if i > 0 {
+			from = chain[i-1]
+		}
+		if chain[i], err = from.Next(sn); err != nil {
+			t.Fatalf("%s: chain step %d: %v", ctx, i, err)
+		}
+	}
+	for _, k := range ks {
+		for i := k; i < len(states); i++ {
+			at := fmt.Sprintf("%s: state %d from %d back", ctx, i, k)
+			skip, err := chain[i-k].Next(states[i])
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			fresh, err := empty.Next(states[i])
+			if err != nil {
+				t.Fatalf("%s: fresh build: %v", at, err)
+			}
+			if skip.LastResync().Full || skip.LastResync().Generation != chain[i-k].LastResync().Generation+1 {
+				t.Fatalf("%s: stats %+v, want a delta one generation on", at, skip.LastResync())
+			}
+			if k == 1 {
+				gs, cs := skip.LastResync(), chain[i].LastResync()
+				gs.Duration, cs.Duration = 0, 0
+				if !reflect.DeepEqual(gs, cs) {
+					t.Fatalf("%s: stats %+v, the chain's %+v", at, gs, cs)
+				}
+			}
+			requireSameSet(t, at+" vs chain", skip, chain[i])
+			requireSameSet(t, at+" vs fresh", skip, fresh)
+			if err := skip.Validate(states[i]); err != nil {
+				t.Fatalf("%s: Validate: %v", at, err)
+			}
+		}
+	}
+}
+
+// TestSkippedStatesEqualChain: deriving a set once across k ∈ {1, 2, 5}
+// commits equals deriving it commit by commit and building it afresh. The
+// scripted sequence covers a MATERIALIZE whose join merges units across
+// shards (S row 0 moves), SET UNCERTAIN, a CHASE that removes local worlds
+// of the merged component, and a DROP; seeded random sequences cover the
+// rest of randomCommit's kinds.
+func TestSkippedStatesEqualChain(t *testing.T) {
+	ks := []int{1, 2, 5}
+	authority := crossShardJoinStore(t)
+	states := []*engine.Snapshot{authority.Snapshot()}
+	step := func(what string, ok bool) {
+		t.Helper()
+		if !ok {
+			t.Fatalf("%s did not commit", what)
+		}
+		states = append(states, authority.Snapshot())
+	}
+	step("join", joinOf(authority, "J", "L", "S", 0))
+	step("select", commitArena(authority, func(a *engine.Arena) error { return a.Select("Q", "S", engine.Gt("B", 0)) }))
+	step("set-uncertain", authority.SetUncertain("L", 2, "B", []int32{11, 12}, nil) == nil)
+	worlds := func() (n int) {
+		authority.Snapshot().EachComp(func(c *engine.Component) { n += c.Size() })
+		return n
+	}
+	before := worlds()
+	step("chase", authority.ChaseEGDs("S", []engine.EGD{{
+		Premise:    []engine.Atom{{Attr: "A", Theta: relation.EQ, C: 9}},
+		Conclusion: engine.Atom{Attr: "B", Theta: relation.LT, C: 0},
+	}}) == nil)
+	if got := worlds(); got >= before {
+		t.Fatalf("the chase left %d of %d local worlds; it should remove S.A = 9", got, before)
+	}
+	step("drop", func() bool { authority.DropRelation("J"); return true }())
+	step("drop", func() bool { authority.DropRelation("Q"); return true }())
+	requireSkipsEqualChain(t, "script", 2, states, ks)
+
+	seeds := int64(20)
+	if testing.Short() {
+		seeds = 4
+	}
+	for seed := int64(0); seed < seeds; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		authority := mustImport(t, randState(r, 2, 14))
+		states := []*engine.Snapshot{authority.Snapshot()}
+		next := 0
+		for len(states) < 9 {
+			if randomCommit(r, authority, &next) != "" {
+				states = append(states, authority.Snapshot())
+			}
+		}
+		requireSkipsEqualChain(t, fmt.Sprintf("seed %d", seed), 3, states, ks)
+	}
 }

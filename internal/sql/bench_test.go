@@ -1,0 +1,37 @@
+package sql_test
+
+import (
+	"testing"
+
+	"maybms/internal/census"
+	"maybms/internal/sql"
+)
+
+// BenchmarkShardedCommit times q5_session's commit pair in memory: one
+// MATERIALIZE of Figure 29's Q2 and its DROP on a 50k-row census DB on two
+// shards, with no query reading the shard set in between. It uses only the
+// DB's exported surface, so it runs unchanged on older trees.
+//
+//	go test -run '^$' -bench ShardedCommit -benchmem ./internal/sql
+func BenchmarkShardedCommit(b *testing.B) {
+	s, err := census.NewStore("R", 50000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := census.AddNoise(s, "R", 0.001, 2); err != nil {
+		b.Fatal(err)
+	}
+	db := sql.Open(s)
+	if err := db.EnableSharding(2, 0); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Materialize("q2", census.SQL["Q2"]); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.DropRelation("q2"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

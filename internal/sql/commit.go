@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
+	"sync/atomic"
 
 	"maybms/internal/engine"
 	"maybms/internal/shard"
@@ -25,70 +27,84 @@ type applied struct {
 }
 
 // view is one published read state: the snapshot of a committed store state
-// and, on a sharded DB, the shard set built from that very snapshot (nil
-// when sharding is off). A view never changes. Readers load the DB's current
-// one and read only it, so a query, an EXPLAIN or a CATALOG reply sees one
-// state whatever commits land meanwhile.
+// and, on a sharded DB, the shard set of that snapshot. A view never changes
+// what it answers. Readers load the DB's current one and read only it, so a
+// query, an EXPLAIN or a CATALOG reply sees one state whatever commits land
+// meanwhile.
+//
+// The shard set is derived on first use, not by the commit: from is the
+// newest set built at or before snap (nil when sharding is off), and
+// shardSet re-balances it to snap once. A set is a pure function of the
+// state it was built from, so Next from any older set equals a fresh build,
+// and the states no reader asked a set of are never built.
 type view struct {
-	snap   *engine.Snapshot
-	shards *shard.Set
+	snap *engine.Snapshot
+	from *shard.Set
+	once sync.Once
+	set  atomic.Pointer[shard.Set] // snap's own set, once built
+	err  error                     // why it could not be built; set by once
 }
 
-// advance returns the view of the live store's current state: a fresh
-// snapshot and, when shards is set, those shards re-balanced to it. Callers
-// hold db.writer (or own the DB alone, as Open does).
-func (db *DB) advance(shards *shard.Set) (*view, error) {
-	v := &view{snap: db.store.Snapshot()}
-	if shards != nil {
-		var err error
-		if v.shards, err = shards.Next(v.snap); err != nil {
-			return nil, fmt.Errorf("sql: re-balancing the shard set: %w", err)
-		}
+// shardSet returns the view's shard set (nil when sharding is off),
+// deriving it from v.from on the first call; every caller gets the one
+// result, error included.
+func (v *view) shardSet() (*shard.Set, error) {
+	if sh := v.set.Load(); sh != nil || v.from == nil {
+		return sh, nil
 	}
-	return v, nil
+	v.once.Do(func() {
+		sh, err := v.from.Next(v.snap)
+		if err != nil {
+			v.err = fmt.Errorf("sql: re-balancing the shard set: %w", err)
+			return
+		}
+		v.set.Store(sh)
+	})
+	return v.set.Load(), v.err
 }
 
-// publish makes the live store's current state the one readers see, with
-// shards (nil: sharding off) re-balanced to it; on error nothing is
-// published. Open, WAL replay and EnableSharding publish through it; commit
-// runs its two halves around the log append.
-func (db *DB) publish(shards *shard.Set) error {
-	v, err := db.advance(shards)
-	if err != nil {
-		return err
+// newest returns the newest shard set built at or before v's state: v's own
+// once built, else the one v would derive it from.
+func (v *view) newest() *shard.Set {
+	if sh := v.set.Load(); sh != nil {
+		return sh
+	}
+	return v.from
+}
+
+// publish makes the live store's current state the one readers see; its
+// shard set derives on first use from the newest set built so far. Callers
+// hold db.writer (or own the DB alone, as Open does).
+func (db *DB) publish() {
+	v := &view{snap: db.store.Snapshot()}
+	if pub := db.view.Load(); pub != nil {
+		v.from = pub.newest()
 	}
 	db.view.Store(v)
-	return nil
 }
 
 // commit is the one path by which a live session changes the catalog:
-// writer lock, apply the record to the live store, re-balance the shard set
-// to the result, append the record to the log (the append fsyncs), and only
-// then publish. Readers keep the previous view until that last step, so none
-// of them sees a change the log has not captured, or a shard set that
-// disagrees with its store. Any failure — apply, re-balance or append —
-// rolls the live store back to the published snapshot and publishes
-// nothing, so the live store is always the one a restart would replay. An
-// in-memory DB has no log.
+// writer lock, apply the record to the live store, append the record to the
+// log (the append fsyncs), and only then publish. Readers keep the previous
+// view until that last step, so none of them sees a change the log has not
+// captured. Any failure — apply or append — rolls the live store back to
+// the published snapshot and publishes nothing, so the live store is always
+// the one a restart would replay. An in-memory DB has no log. The shard set
+// is not touched here: the first mode query on the new view derives it.
 func (db *DB) commit(ctx context.Context, rec *storage.WALRecord) (applied, error) {
 	db.writer.Lock()
 	defer db.writer.Unlock()
-	pub := db.view.Load()
 	out, err := db.apply(ctx, rec)
-	var next *view
-	if err == nil {
-		next, err = db.advance(pub.shards)
-	}
 	if err == nil && db.dur != nil {
 		if err = db.dur.WAL().Append(rec); err != nil {
 			err = fmt.Errorf("sql: logging %s: %w", describe(rec), err)
 		}
 	}
 	if err != nil {
-		db.store.Rollback(pub.snap)
+		db.store.Rollback(db.view.Load().snap)
 		return applied{}, err
 	}
-	db.view.Store(next)
+	db.publish()
 	return out, nil
 }
 

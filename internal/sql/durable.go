@@ -154,18 +154,15 @@ func (db *DB) replayWAL(d *storage.Dir) (int, error) {
 	defer f.Close()
 	db.writer.Lock()
 	defer db.writer.Unlock()
-	shards := db.view.Load().shards
 	n, err := storage.ReplayWAL(f, func(rec *storage.WALRecord) error {
 		if rec.Type == storage.RecMaterialize {
-			if err := db.publish(shards); err != nil {
-				return err
-			}
+			db.publish()
 		}
 		_, err := db.apply(context.Background(), rec)
 		return err
 	})
 	if err == nil && n > 0 {
-		err = db.publish(shards)
+		db.publish()
 	}
 	return n, err
 }

@@ -161,10 +161,9 @@ func (h syncHookFile) Sync() error {
 
 // TestReadersSeeOnlyLoggedCommits: a reader never sees a commit the log has
 // not captured. The log's fsync fails under one commit of each record type;
-// at every fsync of that commit — applied and re-balanced, not yet logged —
-// a reader takes the DB's snapshot, its relation list and a query answer,
-// and all three must still be the pre-commit state, unsharded and on two
-// shards.
+// at every fsync of that commit — applied, not yet logged — a reader takes
+// the DB's snapshot, its relation list and a query answer, and all three
+// must still be the pre-commit state, unsharded and on two shards.
 func TestReadersSeeOnlyLoggedCommits(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		for _, tc := range commitCases(t) {

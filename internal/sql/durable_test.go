@@ -268,7 +268,7 @@ func TestLiveVsReplayAllRecordTypes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := shardFingerprints(t, db2); len(got) != 2 || !reflect.DeepEqual(got, wantShards) {
-		t.Fatalf("shard fingerprints after replay %08x, live (re-balanced commit by commit) %08x", got, wantShards)
+		t.Fatalf("shard fingerprints after replay %08x, live (derived from the boot set across every commit) %08x", got, wantShards)
 	}
 }
 

@@ -28,9 +28,7 @@ const certainEps = 1e-9
 // and releases its arena; the tables merge exactly (every group of
 // independent components lives in one part), and one canonical fold
 // produces the answers — which is what makes sharded CONF()/POSSIBLE/CERTAIN
-// byte-identical to unsharded. On one snapshot a pool wider than one (the
-// authority of a sharded DB) stripes the confidence sweep instead
-// (byte-identical to the serial one).
+// byte-identical to unsharded.
 func execute(ctx context.Context, snaps []*engine.Snapshot, workers int, tpl *EnginePlan, args []relation.Value) (*Result, error) {
 	res := &Result{Mode: tpl.Mode, Attrs: tpl.OutAttrs}
 	if tpl.Mode == ModePlain {
@@ -54,17 +52,13 @@ func execute(ctx context.Context, snaps []*engine.Snapshot, workers int, tpl *En
 		return res, nil
 	}
 	parts := make([][]engine.TupleMasses, len(snaps))
-	sweep := 1
-	if len(snaps) == 1 {
-		sweep = workers
-	}
 	err := engine.Fanout(len(snaps), workers, func(i int) error {
 		ar, scratch, err := run(ctx, snaps[i], tpl, args)
 		if err != nil {
 			return err
 		}
 		defer engine.ReleaseArena(ar)
-		parts[i], err = ar.PossibleMassesParallel(scratch, sweep)
+		parts[i], err = ar.PossibleMasses(scratch)
 		return err
 	})
 	if err != nil {

@@ -77,7 +77,7 @@ func (db *DB) CacheStats() CacheStats {
 // to that state.
 func Open(store *engine.Store) *DB {
 	db := &DB{store: store, plans: make(map[string]*EnginePlan)}
-	db.publish(nil) // nothing to re-balance, so it cannot fail
+	db.publish()
 	return db
 }
 
@@ -175,8 +175,10 @@ func (db *DB) QueryContext(ctx context.Context, query string, args ...any) (*Row
 
 // Explain renders the Section 5 SQL rewriting of the statement's engine
 // plan (the EXPLAIN keyword is optional). On a sharded DB it appends the
-// execution strategy, what the last re-balance kept and rebuilt, and
-// per-shard statistics of the plan's base relations.
+// execution strategy, what the derivation of the view's shard set kept and
+// rebuilt (deriving it first if no query has; its "re-balance generation"
+// counts derivations, not commits), and per-shard statistics of the plan's
+// base relations.
 func (db *DB) Explain(query string) (string, error) {
 	v := db.view.Load()
 	db.mu.Lock()
@@ -189,7 +191,10 @@ func (db *DB) Explain(query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sh := v.shards
+	sh, err := v.shardSet()
+	if err != nil {
+		return "", err
+	}
 	if sh == nil {
 		return out, nil
 	}
@@ -201,7 +206,7 @@ func (db *DB) Explain(query string) (string, error) {
 	if err != nil {
 		return out, nil
 	}
-	strategy := "authority store, confidence fold striped over the worker pool (plan has join/product/difference)"
+	strategy := "authority store, serial confidence fold (plan has join/product/difference)"
 	switch {
 	case tpl.Mode == ModePlain:
 		strategy = "authority (plain results read one snapshot)"
@@ -360,7 +365,10 @@ func (p *Prepared) QueryContext(ctx context.Context, args ...any) (*Rows, error)
 	if err != nil {
 		return nil, err
 	}
-	snaps, workers := v.placement(tpl)
+	snaps, workers, err := v.placement(tpl)
+	if err != nil {
+		return nil, err
+	}
 	res, err := execute(ctx, snaps, workers, tpl, vals)
 	if err != nil {
 		return nil, err

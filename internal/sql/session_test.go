@@ -423,3 +423,42 @@ func TestSessionAliasUnion(t *testing.T) {
 	}
 	s.DropRelation("P")
 }
+
+// TestCatalogStatsFollowComponents: a relation's statistics are a function
+// of the components over it, not of its *engine.Relation. A MATERIALIZE
+// whose join composes components of R and S extends R's components, and its
+// DROP trims them without merging them back, while R stays the same object;
+// the CATALOG must report what a store rebuilt from the exported state
+// reports, so a statistics cache keyed by the relation object would be
+// stale here.
+func TestCatalogStatsFollowComponents(t *testing.T) {
+	db := Open(shardedStore(t, 3, 150))
+	before := db.Stats("R")
+	r := db.Snapshot().Rel("R")
+	if _, err := db.Materialize("J", "SELECT x.A, y.B FROM R AS x, S AS y WHERE x.A = y.A"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DropRelation("J"); err != nil {
+		t.Fatal(err)
+	}
+	if db.Snapshot().Rel("R") != r {
+		t.Fatal("R was replaced; the test needs the same relation object under changed components")
+	}
+	rebuilt, err := engine.ImportState(db.Snapshot().ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rebuilt.Snapshot().Stats("R")
+	if want == before {
+		t.Fatalf("R's statistics %+v did not change; the join composed no component of R", want)
+	}
+	for _, info := range db.Catalog() {
+		if info.Name == "R" {
+			if info.Stats != want {
+				t.Fatalf("CATALOG reports R as %+v, a rebuilt store as %+v", info.Stats, want)
+			}
+			return
+		}
+	}
+	t.Fatal("CATALOG does not list R")
+}

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"runtime"
 
 	"maybms/internal/engine"
@@ -13,17 +14,17 @@ import (
 // worker pool, and the per-shard mass tables merge exactly (see execute and
 // docs/sharding.md). Plans containing Join/Product/Difference are not
 // distributable — they entangle components across inputs, so per-shard
-// execution could double-count correlated provenance — and are placed on the
-// authority store, where their confidence sweep is striped over the pool
-// instead. A plain statement is per-row template work with nothing to
-// merge: it always reads the authority snapshot, so its rows come out in
-// the same order whatever the shard count.
+// execution could double-count correlated provenance — and run serially on
+// the authority store. A plain statement is per-row template work with
+// nothing to merge: it always reads the authority snapshot, so its rows come
+// out in the same order whatever the shard count.
 //
-// The shard set is derived state, a pure function of the store's: every
-// catalog commit re-balances it before the commit is published (commit.go),
-// rebuilding only the relations and components the commit replaced or
-// moved, and one published view carries both, so queries always read a
-// shard set built from the store snapshot they see.
+// The shard set is derived state, a pure function of the store's: a
+// published view derives its own set on the first query that reads it
+// (commit.go), from the newest set built before it, rebuilding only the
+// relations and components replaced or moved since; so queries always read
+// a shard set built from the store snapshot they see, and commits that no
+// mode query reads in between cost no re-balance.
 
 // AutoShardRows is the template-row threshold above which EnableSharding(0,
 // 0) turns sharding on: below it, partitioning overhead dominates.
@@ -32,8 +33,9 @@ const AutoShardRows = 200000
 // EnableSharding partitions the DB's store into n sub-stores executed by a
 // pool of the given worker count (0 workers derives the default from
 // GOMAXPROCS with a clamp). n == 0 decides automatically from the store's
-// size and the host's core count; n == 1 disables sharding. The shard set
-// is re-balanced on every subsequent catalog commit.
+// size and the host's core count; n == 1 disables sharding. The set is
+// built here, so a store that cannot be partitioned fails now; later
+// commits' sets are derived on first use.
 func (db *DB) EnableSharding(n, workers int) error {
 	db.writer.Lock()
 	defer db.writer.Unlock()
@@ -54,20 +56,26 @@ func (db *DB) EnableSharding(n, workers int) error {
 			n = 1
 		}
 	}
-	if n <= 1 {
-		return db.publish(nil)
+	v := &view{snap: db.store.Snapshot()}
+	if n > 1 {
+		set, err := shard.NewSet(n, workers)
+		if err != nil {
+			return err
+		}
+		if set, err = set.Next(v.snap); err != nil {
+			return fmt.Errorf("sql: re-balancing the shard set: %w", err)
+		}
+		v.from = set
+		v.set.Store(set)
 	}
-	set, err := shard.NewSet(n, workers)
-	if err != nil {
-		return err
-	}
-	return db.publish(set)
+	db.view.Store(v)
+	return nil
 }
 
 // Sharding reports the DB's shard and worker-pool counts (1, 0 when
 // sharding is off).
 func (db *DB) Sharding() (shards, workers int) {
-	if sh := db.view.Load().shards; sh != nil {
+	if sh := db.view.Load().from; sh != nil {
 		return sh.N(), sh.Workers()
 	}
 	return 1, 0
@@ -76,21 +84,25 @@ func (db *DB) Sharding() (shards, workers int) {
 // ShardFingerprints returns one deterministic CRC32 per shard of the
 // published shard set; nil when sharding is off. Two boots of the same
 // durable directory log identical lists — the persistence-smoke
-// byte-identity check. An error is a shard that failed to hash.
+// byte-identity check. An error is a shard that failed to hash, or a set
+// that could not be derived.
 func (db *DB) ShardFingerprints() ([]uint32, error) {
-	if sh := db.view.Load().shards; sh != nil {
-		return sh.Fingerprints()
+	sh, err := db.view.Load().shardSet()
+	if sh == nil {
+		return nil, err
 	}
-	return nil, nil
+	return sh.Fingerprints()
 }
 
 // ValidateShards re-checks the partitioning invariant of the published
 // shard set against the published store snapshot; a no-op without sharding.
 func (db *DB) ValidateShards() error {
-	if v := db.view.Load(); v.shards != nil {
-		return v.shards.Validate(v.snap)
+	v := db.view.Load()
+	sh, err := v.shardSet()
+	if sh == nil {
+		return err
 	}
-	return nil
+	return sh.Validate(v.snap)
 }
 
 // distributable reports whether the plan runs shard-local: every operator
@@ -111,19 +123,21 @@ func (p *EnginePlan) distributable() bool {
 }
 
 // placement picks where a plan runs on view v, and the worker-pool width
-// execute may use there: the shard set for a distributable mode plan, the
-// authority snapshot otherwise (a plain plan, sharding off, or a
-// join/product/difference plan). The width is the shard set's pool on a
-// sharded DB, whatever the placement, and 1 on an unsharded one: striping
-// an unsharded σ/π confidence sweep measured slower than the serial sweep
-// (ROADMAP item 1a). The view's shard set was built from its snapshot, so
-// either placement carries the catalog the plan was checked against.
-func (v *view) placement(tpl *EnginePlan) ([]*engine.Snapshot, int) {
-	if v.shards == nil {
-		return []*engine.Snapshot{v.snap}, 1
+// execute may use there: the view's shard set and its pool for a
+// distributable mode plan (deriving the set if no query has yet), the
+// authority snapshot at width 1 otherwise (a plain plan, sharding off, or a
+// join/product/difference plan). Striping a one-snapshot confidence sweep
+// over the pool measured no faster than the serial sweep, sharded or not
+// (ROADMAP item 1a). The view's shard set is built from its snapshot, so
+// either placement carries the catalog the plan was checked against. The
+// error is a shard set that could not be derived.
+func (v *view) placement(tpl *EnginePlan) ([]*engine.Snapshot, int, error) {
+	if v.from == nil || tpl.Mode == ModePlain || !tpl.distributable() {
+		return []*engine.Snapshot{v.snap}, 1, nil
 	}
-	if tpl.Mode != ModePlain && tpl.distributable() {
-		return v.shards.Snapshots(), v.shards.Workers()
+	sh, err := v.shardSet()
+	if err != nil {
+		return nil, 0, err
 	}
-	return []*engine.Snapshot{v.snap}, v.shards.Workers()
+	return sh.Snapshots(), sh.Workers(), nil
 }

@@ -195,8 +195,15 @@ var shardDiffQueries = []string{
 	"SELECT CONF() FROM R WHERE A < 10 EXCEPT SELECT * FROM S WHERE B > 3",
 }
 
-// shardSet returns the shard set db publishes.
-func shardSet(db *DB) *shard.Set { return db.view.Load().shards }
+// shardSet returns the shard set of the view db publishes, derived through
+// the accessor a mode query uses.
+func shardSet(db *DB) *shard.Set {
+	sh, err := db.view.Load().shardSet()
+	if err != nil {
+		panic(err)
+	}
+	return sh
+}
 
 // generation returns the re-balance generation of the shard set db
 // publishes.
@@ -211,8 +218,8 @@ func arenasOut(acquired, released uint64) (out, taken int) {
 
 // TestShardedDifferential runs the same statements through every placement
 // of the one executor — an unsharded session and a sharded one, where
-// plain and join/product/difference plans run on the authority with the
-// shard worker pool — over the same store. Plain results must agree row for
+// plain and join/product/difference plans run serially on the authority —
+// over the same store. Plain results must agree row for
 // row, in order, with identical Len and Stats; CONF/POSSIBLE/CERTAIN must be
 // byte-identical. A plain result holds one arena and hands it back on Close,
 // drained or mid-iteration; a distributable mode query takes one arena per
@@ -475,8 +482,13 @@ func TestMutatorsUnderReaders(t *testing.T) {
 				// One published view: its shard set was built from its
 				// snapshot, so the generation names both.
 				v := db.view.Load()
-				gen := v.shards.LastResync().Generation
-				snaps := append(v.shards.Snapshots(), v.snap)
+				sh, err := v.shardSet()
+				if err != nil {
+					t.Errorf("reader: %v", err)
+					return
+				}
+				gen := sh.LastResync().Generation
+				snaps := append(sh.Snapshots(), v.snap)
 				pinned := render(snaps)
 				rows, err := db.Query(held)
 				if err != nil {

@@ -7,7 +7,7 @@
 // the session places it: a plain query on the authority snapshot, a
 // distributable CONF()/POSSIBLE/CERTAIN query across the shard set.
 // The across-world constructs CONF(), POSSIBLE and CERTAIN are computed
-// natively on the columnar engine (engine.Arena.PossibleMassesParallel over
+// natively on the columnar engine (engine.Arena.PossibleMasses over
 // the pending result, read in place — neither the result relation nor a
 // core.WSD is constructed on the query path); EXPLAIN
 // emits the exact Section 5 SQL rewriting of every plan step via
