@@ -475,7 +475,7 @@ func (a *Arena) Commit() error {
 	sort.Slice(dirty, func(i, j int) bool { return dirty[i] > dirty[j] }) // creation order: -1, -2, ...
 	for _, cid := range dirty {
 		for _, orig := range a.origins[cid] {
-			if s.comps[orig] != a.snap.comps[orig] {
+			if s.idx.comp(orig) != a.snap.idx.comp(orig) {
 				return fmt.Errorf("engine: commit conflicts with a concurrent change to component %d", orig)
 			}
 		}
@@ -500,24 +500,21 @@ func (a *Arena) Commit() error {
 	for _, cid := range dirty {
 		c := a.comps[cid]
 		for _, orig := range a.origins[cid] {
-			delete(s.comps, orig)
+			s.idx.delComp(s.epoch, orig)
 		}
 		s.nextCID++
 		c.ID = s.nextCID
+		c.born = s.epoch // the arena is spent: the store owns c alone
 		for i, f := range c.Fields {
 			if f.Rel < 0 {
+				delete(c.pos, f)
 				f.Rel = relMap[f.Rel]
 				c.Fields[i] = f
+				c.pos[f] = i
 			}
+			s.idx.putField(s.epoch, f, c.ID)
 		}
-		c.pos = make(map[FieldID]int, len(c.Fields))
-		for i, f := range c.Fields {
-			c.pos[f] = i
-		}
-		s.comps[c.ID] = c
-		for _, f := range c.Fields {
-			s.fieldComp[f] = c.ID
-		}
+		s.idx.putComp(s.epoch, c)
 	}
 	a.snap = nil // poison: the arena is spent
 	return nil

@@ -46,12 +46,11 @@ type DerivedComp struct {
 func DeriveStore(src, prev *Snapshot, d Derivation) (*Store, error) {
 	e := new(epoch)
 	s := &Store{
-		epoch:     e,
-		detached:  e,
-		rels:      make([]*Relation, len(src.rels)),
-		relID:     make(map[string]int32, len(src.relID)),
-		comps:     make(map[int32]*Component, len(d.Comps)),
-		fieldComp: make(map[FieldID]int32, len(d.Comps)),
+		epoch:    e,
+		detached: e,
+		rels:     make([]*Relation, len(src.rels)),
+		relID:    make(map[string]int32, len(src.relID)),
+		idx:      new(compIndex),
 	}
 	var freshRels []*Relation
 	for id, r := range src.rels {
@@ -91,7 +90,7 @@ func DeriveStore(src, prev *Snapshot, d Derivation) (*Store, error) {
 				return nil, fmt.Errorf("engine: derive: nothing to keep for component %d", dc.ID)
 			}
 		} else {
-			sc := src.comps[dc.ID]
+			sc := src.idx.comp(dc.ID)
 			if sc == nil || len(dc.Fields) != len(sc.Fields) {
 				return nil, fmt.Errorf("engine: derive: component %d does not match the source", dc.ID)
 			}
@@ -101,20 +100,20 @@ func DeriveStore(src, prev *Snapshot, d Derivation) (*Store, error) {
 			}
 			fresh = append(fresh, c)
 		}
-		s.comps[c.ID] = c
+		s.idx.putComp(e, c)
 		for _, f := range c.Fields {
-			s.fieldComp[f] = c.ID
+			s.idx.putField(e, f, c.ID)
 		}
 		fields += len(c.Fields)
 	}
 	// Counting catches what per-entry duplicate probes would: an id listed
-	// twice, or a field claimed by two components, leaves a map short.
-	if len(s.comps) != len(d.Comps) || len(s.fieldComp) != fields {
+	// twice, or a field claimed by two components, leaves the index short.
+	if s.idx.ncomps != len(d.Comps) || s.idx.nfields != fields {
 		return nil, fmt.Errorf("engine: derive: duplicate component id or field (%d/%d components, %d/%d fields)",
-			len(s.comps), len(d.Comps), len(s.fieldComp), fields)
+			s.idx.ncomps, len(d.Comps), s.idx.nfields, fields)
 	}
 	for _, c := range fresh {
-		if err := s.validateComp(c, 1e-6); err != nil {
+		if err := s.validateComp(c, probTolerance); err != nil {
 			return nil, fmt.Errorf("engine: derive: %w", err)
 		}
 	}

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // This file is the engine half of the persistence contract with
@@ -61,16 +63,11 @@ func (sn *Snapshot) ExportState() *StoreState {
 		}
 		st.Rels[i] = &RelState{Name: r.Name, Attrs: r.Attrs, Cols: r.Cols}
 	}
-	ids := make([]int32, 0, len(sn.comps))
-	for id := range sn.comps {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	st.Comps = make([]*CompState, 0, len(ids))
-	for _, id := range ids {
-		c := sn.comps[id]
+	st.Comps = make([]*CompState, 0, sn.idx.ncomps)
+	sn.idx.eachComp(func(c *Component) {
 		st.Comps = append(st.Comps, &CompState{ID: c.ID, Fields: c.Fields, Rows: c.Rows})
-	}
+	})
+	slices.SortFunc(st.Comps, func(a, b *CompState) int { return cmp.Compare(a.ID, b.ID) })
 	st.NextCID, st.ScratchSeq = sn.nextCID, sn.scratchSeq
 	return st
 }
@@ -127,7 +124,7 @@ func ImportState(st *StoreState) (*Store, error) {
 		if cs.ID <= 0 || cs.ID > st.NextCID {
 			return nil, fmt.Errorf("engine: import: component id %d outside sequence bound %d", cs.ID, st.NextCID)
 		}
-		if _, dup := s.comps[cs.ID]; dup {
+		if s.idx.comp(cs.ID) != nil {
 			return nil, fmt.Errorf("engine: import: duplicate component id %d", cs.ID)
 		}
 		if len(cs.Fields) == 0 || len(cs.Fields) > MaxCompFields {
@@ -142,12 +139,11 @@ func ImportState(st *StoreState) (*Store, error) {
 				return nil, fmt.Errorf("engine: import: component %d lists field %v twice", cs.ID, f)
 			}
 			c.pos[f] = i
-			if _, dup := s.fieldComp[f]; dup {
+			if !s.idx.putField(s.epoch, f, cs.ID) {
 				return nil, fmt.Errorf("engine: import: field %v belongs to two components", f)
 			}
-			s.fieldComp[f] = cs.ID
 		}
-		s.comps[cs.ID] = c
+		s.idx.putComp(s.epoch, c)
 		absent := absentCols(c)
 		for i, f := range c.Fields {
 			if r := s.RelByID(f.Rel); r != nil && absent.Get(i) {
@@ -161,7 +157,7 @@ func ImportState(st *StoreState) (*Store, error) {
 	// relation, row arities, probability mass. The tolerance is looser than
 	// the test-suite's 1e-9 because serialized probabilities are bit-exact
 	// copies of values that were themselves only renormalized to ~1.
-	if err := s.Validate(1e-6); err != nil {
+	if err := s.Validate(probTolerance); err != nil {
 		return nil, fmt.Errorf("engine: import: %w", err)
 	}
 	return s, nil
@@ -247,7 +243,7 @@ func (s *Store) InstallRelation(rs *RelState, comps []*CompState) error {
 			}
 			mass += row.P
 		}
-		if mass < 1-1e-6 || mass > 1+1e-6 {
+		if math.Abs(mass-1) > probTolerance {
 			return fmt.Errorf("engine: install: component %d probabilities sum to %g", cs.ID, mass)
 		}
 		for j, f := range cs.Fields {
@@ -274,9 +270,9 @@ func (s *Store) InstallRelation(rs *RelState, comps []*CompState) error {
 	s.relID[rs.Name] = relID
 	s.rels = append(s.rels, r)
 	for _, c := range built {
-		s.comps[c.ID] = c
+		s.idx.putComp(s.epoch, c)
 		for _, f := range c.Fields {
-			s.fieldComp[f] = c.ID
+			s.idx.putField(s.epoch, f, c.ID)
 		}
 	}
 	s.nextCID += int32(len(built))

@@ -14,9 +14,12 @@ import (
 // The contract has two parts:
 //
 //   - Snapshot() is O(1): it hands out the store's live containers and
-//     starts a new store epoch. The first mutation afterwards detaches —
-//     clones the containers (not the relations or components themselves) —
-//     so live snapshots keep reading a consistent frozen view.
+//     starts a new store epoch. The first mutation afterwards detaches: it
+//     copies the relation slice, the name map and the root of the component
+//     index (index.go), not the index's parts, relations or components.
+//     A write then copies only the index parts it touches, each once per
+//     epoch, so live snapshots keep reading a consistent frozen view and a
+//     commit costs what it touches, not the size of the store.
 //   - Every store mutator (AddRelation, InstallRelation, RenameRelation,
 //     DropRelation, SetUncertain, the chase, Arena.Commit) is object-COW: a
 //     relation, column or component a snapshot may hold is replaced by a
@@ -33,11 +36,10 @@ import (
 // catalog writes. Obtain one with Store.Snapshot, run operators through a
 // NewArena over it.
 type Snapshot struct {
-	store     *Store
-	rels      []*Relation
-	relID     map[string]int32
-	comps     map[int32]*Component
-	fieldComp map[FieldID]int32
+	store *Store
+	rels  []*Relation
+	relID map[string]int32
+	idx   *compIndex
 	// The id sequences at acquisition: ahead of everything the view holds.
 	nextCID    int32
 	scratchSeq int64
@@ -45,7 +47,7 @@ type Snapshot struct {
 
 // Snapshot returns a read-only view of the store's current catalog and
 // component space. Acquisition is O(1): the containers are shared and the
-// store detaches (clones them) only on its next mutation.
+// store detaches only on its next mutation.
 func (s *Store) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -54,8 +56,7 @@ func (s *Store) Snapshot() *Snapshot {
 		store:      s,
 		rels:       s.rels,
 		relID:      s.relID,
-		comps:      s.comps,
-		fieldComp:  s.fieldComp,
+		idx:        s.idx,
 		nextCID:    s.nextCID,
 		scratchSeq: s.scratchSeq,
 	}
@@ -71,7 +72,7 @@ func (s *Store) Rollback(sn *Snapshot) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rels, s.relID, s.comps, s.fieldComp, s.nextCID = sn.rels, sn.relID, sn.comps, sn.fieldComp, sn.nextCID
+	s.rels, s.relID, s.idx, s.nextCID = sn.rels, sn.relID, sn.idx, sn.nextCID
 	s.epoch = new(epoch) // the containers are sn's again: detach before writing
 }
 
@@ -80,10 +81,12 @@ func (s *Store) Rollback(sn *Snapshot) {
 func (sn *Snapshot) NumRelSlots() int { return len(sn.rels) }
 
 // CompByID returns the component with the given id, or nil.
-func (sn *Snapshot) CompByID(id int32) *Component { return sn.comps[id] }
+func (sn *Snapshot) CompByID(id int32) *Component { return sn.idx.comp(id) }
 
-// detachLocked clones the store's containers if a snapshot shares them, so
-// the next mutation leaves live snapshots untouched. Callers hold s.mu.
+// detachLocked copies the store's containers if a snapshot shares them, so
+// the next mutation leaves live snapshots untouched: the relation slice and
+// name map, and the component index's root, whose parts are copied later,
+// one at a time, by the writes that touch them. Callers hold s.mu.
 func (s *Store) detachLocked() {
 	if s.detached == s.epoch {
 		return
@@ -91,8 +94,8 @@ func (s *Store) detachLocked() {
 	s.detached = s.epoch
 	s.rels = slices.Clone(s.rels)
 	s.relID = maps.Clone(s.relID)
-	s.comps = maps.Clone(s.comps)
-	s.fieldComp = maps.Clone(s.fieldComp)
+	idx := *s.idx
+	s.idx = &idx
 }
 
 // Rel returns the named relation, or nil.
@@ -113,20 +116,10 @@ func (sn *Snapshot) RelByID(id int32) *Relation {
 }
 
 // ComponentOf returns the component defining field f, or nil.
-func (sn *Snapshot) ComponentOf(f FieldID) *Component {
-	cid, ok := sn.fieldComp[f]
-	if !ok {
-		return nil
-	}
-	return sn.comps[cid]
-}
+func (sn *Snapshot) ComponentOf(f FieldID) *Component { return sn.idx.componentOf(f) }
 
 // EachComp visits every component of the snapshot.
-func (sn *Snapshot) EachComp(fn func(*Component)) {
-	for _, c := range sn.comps {
-		fn(c)
-	}
-}
+func (sn *Snapshot) EachComp(fn func(*Component)) { sn.idx.eachComp(fn) }
 
 // Relations returns the names of all live relations.
 func (sn *Snapshot) Relations() []string {
@@ -140,7 +133,7 @@ func (sn *Snapshot) Relations() []string {
 }
 
 // NumComponents returns the number of live components.
-func (sn *Snapshot) NumComponents() int { return len(sn.comps) }
+func (sn *Snapshot) NumComponents() int { return sn.idx.ncomps }
 
 // Stats computes the representation statistics of one relation.
 func (sn *Snapshot) Stats(rel string) Stats { return statsOf(sn, rel) }

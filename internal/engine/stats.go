@@ -43,11 +43,7 @@ func (s *Store) RelByID(id int32) *Relation {
 }
 
 // EachComp visits every live component.
-func (s *Store) EachComp(fn func(*Component)) {
-	for _, c := range s.comps {
-		fn(c)
-	}
-}
+func (s *Store) EachComp(fn func(*Component)) { s.idx.eachComp(fn) }
 
 // Stats computes the representation statistics of one relation.
 func (s *Store) Stats(rel string) Stats { return statsOf(s, rel) }
@@ -62,6 +58,67 @@ func statsOf(v View, rel string) Stats {
 	return identity(v, r).Stats()
 }
 
+// AllStats returns the statistics of every live relation, keyed by relation
+// id: each equals Stats of that relation, and all come from one pass over
+// the components rather than one pass over each relation's placeholders.
+// The work and the memory are those of the components and the live
+// relations; dropped relation ids cost nothing. Nothing is cached:
+// components merge and trim under relations that stay the same objects.
+func (sn *Snapshot) AllStats() map[int32]Stats {
+	// relAcc counts one relation; last is the component its fields were
+	// last counted under (component ids are positive), n how many of them
+	// that component holds.
+	type relAcc struct {
+		st      Stats
+		absence bool
+		last, n int32
+	}
+	accs := make(map[int32]*relAcc, len(sn.relID))
+	for _, id := range sn.relID {
+		r := sn.rels[id]
+		accs[id] = &relAcc{st: Stats{RSize: r.NumRows()}, absence: r.absence}
+	}
+	rel, a := int32(-1), (*relAcc)(nil)
+	sn.idx.eachComp(func(c *Component) {
+		for col, f := range c.Fields {
+			if f.Rel != rel {
+				rel, a = f.Rel, accs[f.Rel]
+			}
+			if a.last != c.ID {
+				a.last, a.n = c.ID, 0
+				a.st.NumComp++
+			}
+			if a.n++; a.n == 2 {
+				a.st.NumCompGT1++
+			}
+			a.st.CSize += presentWorlds(c, col, a.absence)
+		}
+	})
+	out := make(map[int32]Stats, len(accs))
+	for id, a := range accs {
+		out[id] = a.st
+	}
+	return out
+}
+
+// presentWorlds counts the local worlds of c in which field column col is
+// present; absence is the flag of the field's relation, clear when no field
+// of it is absent anywhere.
+//
+//maybms:unguarded catalog statistics, one bounded pass over a component's local worlds
+func presentWorlds(c *Component, col int, absence bool) int {
+	if !absence {
+		return len(c.Rows)
+	}
+	k := 0
+	for _, row := range c.Rows {
+		if !row.IsAbsent(col) {
+			k++
+		}
+	}
+	return k
+}
+
 // ComponentSizeHistogram returns, for one relation, how many components
 // define exactly k of its placeholders (the distribution of Figure 28).
 func (s *Store) ComponentSizeHistogram(rel string) map[int]int {
@@ -73,7 +130,7 @@ func (s *Store) ComponentSizeHistogram(rel string) map[int]int {
 	for i, row := range r.unc.rows {
 		for _, a := range r.unc.at(i) {
 			f := FieldID{Rel: r.id, Row: row, Attr: a}
-			if cid, ok := s.fieldComp[f]; ok {
+			if cid, ok := s.idx.compOf(f); ok {
 				fieldsPerComp[cid]++
 			}
 		}

@@ -24,6 +24,11 @@ import (
 // values must be ≥ 0.
 const Placeholder int32 = -1
 
+// probTolerance is how far a component's probabilities may sum from 1 where
+// the engine takes them from outside: SetUncertain, InstallRelation,
+// ImportState and DeriveStore refuse anything further off.
+const probTolerance = 1e-6
+
 // FieldID identifies one field of one tuple of one relation in the store.
 type FieldID struct {
 	Rel  int32  // relation id (store catalog index)
@@ -57,8 +62,12 @@ type Component struct {
 	Fields []FieldID
 	Rows   []CompRow
 	pos    map[FieldID]int
-	// born is the store epoch that created the object (see Store.epoch).
-	born *epoch
+	// born is the store epoch that created the object (see Store.epoch);
+	// sharedCells marks a copy that shares Fields, pos and its rows' value
+	// and absence arrays with the object it was copied from (ownComp): only
+	// its Rows slice is its own.
+	born        *epoch
+	sharedCells bool
 }
 
 // Pos returns the column index of field f, or -1.
@@ -160,12 +169,12 @@ type Store struct {
 	epoch    *epoch
 	detached *epoch
 
-	rels    []*Relation
-	relID   map[string]int32
-	comps   map[int32]*Component
+	rels  []*Relation
+	relID map[string]int32
+	// idx holds the components and maps every uncertain field to its
+	// component (index.go).
+	idx     *compIndex
 	nextCID int32
-	// fieldComp maps every uncertain field to its component id.
-	fieldComp map[FieldID]int32
 	// scratchSeq numbers the scratch relations handed out by NewScratch.
 	scratchSeq int64
 }
@@ -174,11 +183,10 @@ type Store struct {
 func NewStore() *Store {
 	e := new(epoch)
 	return &Store{
-		epoch:     e,
-		detached:  e,
-		relID:     make(map[string]int32),
-		comps:     make(map[int32]*Component),
-		fieldComp: make(map[FieldID]int32),
+		epoch:    e,
+		detached: e,
+		relID:    make(map[string]int32),
+		idx:      new(compIndex),
 	}
 }
 
@@ -277,21 +285,17 @@ func (s *Store) Relations() []string {
 }
 
 // ComponentOf returns the component defining field f, or nil.
-func (s *Store) ComponentOf(f FieldID) *Component {
-	cid, ok := s.fieldComp[f]
-	if !ok {
-		return nil
-	}
-	return s.comps[cid]
-}
+func (s *Store) ComponentOf(f FieldID) *Component { return s.idx.componentOf(f) }
 
 // NumComponents returns the number of live components.
-func (s *Store) NumComponents() int { return len(s.comps) }
+func (s *Store) NumComponents() int { return s.idx.ncomps }
 
 // SetUncertain replaces the field (rel, row, attr) by an or-set of values
 // with probabilities (nil probs means uniform), creating a fresh component.
-// The field must currently be certain. The relation is replaced, not edited
-// (see markUncertain), so live snapshots keep the certain field.
+// The field must currently be certain, and the probabilities finite,
+// non-negative and summing to 1 within probTolerance. The relation is
+// replaced, not edited (see markUncertain), so live snapshots keep the
+// certain field.
 func (s *Store) SetUncertain(rel string, row int, attr string, values []int32, probs []float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -313,8 +317,20 @@ func (s *Store) SetUncertain(rel string, row int, attr string, values []int32, p
 	if len(values) == 0 {
 		return fmt.Errorf("engine: empty or-set")
 	}
-	if probs != nil && len(probs) != len(values) {
-		return fmt.Errorf("engine: %d probabilities for %d values", len(probs), len(values))
+	if probs != nil {
+		if len(probs) != len(values) {
+			return fmt.Errorf("engine: %d probabilities for %d values", len(probs), len(values))
+		}
+		var mass float64
+		for _, p := range probs {
+			if p < 0 || math.IsNaN(p) || math.IsInf(p, 0) {
+				return fmt.Errorf("engine: invalid probability %g in or-set", p)
+			}
+			mass += p
+		}
+		if math.Abs(mass-1) > probTolerance {
+			return fmt.Errorf("engine: or-set probabilities sum to %g, want 1", mass)
+		}
 	}
 	for _, v := range values {
 		if v < 0 {
@@ -368,8 +384,21 @@ func (s *Store) ownComp(c *Component) *Component {
 	if c.born == s.epoch {
 		return c
 	}
-	nc := &Component{ID: c.ID, Fields: c.Fields, Rows: slices.Clone(c.Rows), pos: c.pos, born: s.epoch}
-	s.comps[c.ID] = nc
+	nc := &Component{ID: c.ID, Fields: c.Fields, Rows: slices.Clone(c.Rows), pos: c.pos, born: s.epoch, sharedCells: true}
+	s.idx.putComp(s.epoch, nc)
+	return nc
+}
+
+// ownCells returns component c for an edit of its fields and values: c
+// itself when the current epoch created it with cells of its own, else a
+// deep copy installed in its place under the same id.
+func (s *Store) ownCells(c *Component) *Component {
+	if c.born == s.epoch && !c.sharedCells {
+		return c
+	}
+	nc := cloneComponent(c)
+	nc.born = s.epoch
+	s.idx.putComp(s.epoch, nc)
 	return nc
 }
 
@@ -378,9 +407,9 @@ func (s *Store) newComponent(fields []FieldID) *Component {
 	c := &Component{ID: s.nextCID, Fields: fields, pos: make(map[FieldID]int, len(fields)), born: s.epoch}
 	for i, f := range fields {
 		c.pos[f] = i
-		s.fieldComp[f] = c.ID
+		s.idx.putField(s.epoch, f, c.ID)
 	}
-	s.comps[c.ID] = c
+	s.idx.putComp(s.epoch, c)
 	return c
 }
 
@@ -390,13 +419,13 @@ func (s *Store) mergeComps(fields ...FieldID) (*Component, error) {
 	seen := make(map[int32]bool)
 	var cs []*Component
 	for _, f := range fields {
-		cid, ok := s.fieldComp[f]
+		cid, ok := s.idx.compOf(f)
 		if !ok {
 			return nil, fmt.Errorf("engine: field %v has no component", f)
 		}
 		if !seen[cid] {
 			seen[cid] = true
-			cs = append(cs, s.comps[cid])
+			cs = append(cs, s.idx.comp(cid))
 		}
 	}
 	if len(cs) == 1 {
@@ -409,12 +438,12 @@ func (s *Store) mergeComps(fields ...FieldID) (*Component, error) {
 	s.nextCID++
 	merged.ID = s.nextCID
 	merged.born = s.epoch
-	s.comps[merged.ID] = merged
+	s.idx.putComp(s.epoch, merged)
 	for _, c := range cs {
-		delete(s.comps, c.ID)
+		s.idx.delComp(s.epoch, c.ID)
 	}
 	for _, f := range merged.Fields {
-		s.fieldComp[f] = merged.ID
+		s.idx.putField(s.epoch, f, merged.ID)
 	}
 	return merged, nil
 }
@@ -539,14 +568,14 @@ func appendFieldKey(buf []byte, v int32, absent bool) []byte {
 //maybms:unguarded deep copy on the update path (test fixtures, import); no query guard exists
 func (s *Store) Clone() *Store {
 	e := new(epoch)
+	idx := *s.idx
 	c := &Store{
 		epoch:      e,
 		detached:   e,
 		rels:       make([]*Relation, len(s.rels)),
 		relID:      maps.Clone(s.relID),
-		comps:      make(map[int32]*Component, len(s.comps)),
+		idx:        &idx,
 		nextCID:    s.nextCID,
-		fieldComp:  maps.Clone(s.fieldComp),
 		scratchSeq: s.scratchSeq,
 	}
 	for i, r := range s.rels {
@@ -567,18 +596,28 @@ func (s *Store) Clone() *Store {
 		}
 		c.rels[i] = nr
 	}
-	for cid, comp := range s.comps {
-		nc := cloneComponent(comp)
-		nc.born = e
-		c.comps[cid] = nc
+	for k := range idx.comps {
+		p := &idx.comps[k]
+		ents := make([]compEnt, len(p.ents))
+		for i, ce := range p.ents {
+			nc := cloneComponent(ce.c)
+			nc.born = e
+			ents[i] = compEnt{ce.id, nc}
+		}
+		p.ents, p.born = ents, e
+	}
+	for k := range idx.fields {
+		p := &idx.fields[k]
+		p.ents, p.born = slices.Clone(p.ents), e
 	}
 	return c
 }
 
 // DropRelation removes a relation and projects its fields away from the
-// component store (components left with no fields are deleted). Affected
-// components are replaced by trimmed copies rather than edited in place, so
-// live snapshots keep their frozen view. Fields leave in index order
+// component store (components left with no fields are deleted). A
+// component a snapshot may hold is replaced by a trimmed copy rather than
+// edited in place (ownCells), so live snapshots keep their frozen view; one
+// the current epoch created is trimmed in place. Fields leave in index order
 // (ascending row, then attribute): the swap-removal makes the surviving field
 // order depend on it.
 //
@@ -592,24 +631,18 @@ func (s *Store) DropRelation(name string) {
 		return
 	}
 	r := s.rels[id]
-	cloned := make(map[int32]bool)
 	for i, row := range r.unc.rows {
 		for _, a := range r.unc.at(i) {
 			f := FieldID{Rel: id, Row: row, Attr: a}
-			cid, ok := s.fieldComp[f]
+			cid, ok := s.idx.compOf(f)
 			if !ok {
 				continue
 			}
-			delete(s.fieldComp, f)
-			c := s.comps[cid]
-			if !cloned[cid] {
-				cloned[cid] = true
-				c = cloneComponent(c)
-				s.comps[cid] = c
-			}
+			s.idx.delField(s.epoch, f)
+			c := s.ownCells(s.idx.comp(cid))
 			dropFieldFromComp(c, f)
 			if len(c.Fields) == 0 {
-				delete(s.comps, cid)
+				s.idx.delComp(s.epoch, cid)
 			}
 		}
 	}

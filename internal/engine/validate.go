@@ -1,28 +1,40 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// Validate checks store invariants: field/component index agreement,
-// probability sums, bitmap width, and placeholder bookkeeping.
+// Validate checks store invariants: the component index's own layout,
+// field/component index agreement, probability sums, bitmap width, and
+// placeholder bookkeeping.
 //
 //maybms:unguarded debug invariant check, not on any query path
 func (s *Store) Validate(eps float64) error {
-	for cid, c := range s.comps {
-		if c.ID != cid {
-			return fmt.Errorf("engine: component id mismatch %d vs %d", c.ID, cid)
-		}
-		if err := s.validateComp(c, eps); err != nil {
-			return err
-		}
+	if err := s.idx.validate(); err != nil {
+		return err
 	}
-	for f, cid := range s.fieldComp {
-		c, ok := s.comps[cid]
-		if !ok {
-			return fmt.Errorf("engine: field %v maps to dead component %d", f, cid)
+	var err error
+	s.idx.eachComp(func(c *Component) {
+		if err == nil {
+			err = s.validateComp(c, eps)
 		}
-		if c.Pos(f) < 0 {
-			return fmt.Errorf("engine: field %v missing from its component", f)
+	})
+	if err != nil {
+		return err
+	}
+	s.idx.eachField(func(f FieldID, cid int32) {
+		if err != nil {
+			return
 		}
+		if c := s.idx.comp(cid); c == nil {
+			err = fmt.Errorf("engine: field %v maps to dead component %d", f, cid)
+		} else if c.Pos(f) < 0 {
+			err = fmt.Errorf("engine: field %v missing from its component", f)
+		}
+	})
+	if err != nil {
+		return err
 	}
 	for _, r := range s.rels {
 		if r == nil {
@@ -50,7 +62,7 @@ func (s *Store) validateComp(c *Component, eps float64) error {
 		if c.pos[f] != i {
 			return fmt.Errorf("engine: component %d field index broken", c.ID)
 		}
-		if s.fieldComp[f] != c.ID {
+		if cid, _ := s.idx.compOf(f); cid != c.ID {
 			return fmt.Errorf("engine: field %v maps to wrong component", f)
 		}
 		r := s.RelByID(f.Rel)
@@ -67,14 +79,18 @@ func (s *Store) validateComp(c *Component, eps float64) error {
 			return fmt.Errorf("engine: field %v is absent in a local world but relation %s records no absence", f, r.Name)
 		}
 	}
-	total := c.TotalP()
-	if total < 1-eps || total > 1+eps {
-		return fmt.Errorf("engine: component %d probabilities sum to %g", c.ID, total)
-	}
+	var total float64
 	for _, row := range c.Rows {
 		if len(row.Vals) != len(c.Fields) {
 			return fmt.Errorf("engine: component %d row arity mismatch", c.ID)
 		}
+		if row.P < 0 || math.IsNaN(row.P) || math.IsInf(row.P, 0) {
+			return fmt.Errorf("engine: component %d has a local world of probability %g", c.ID, row.P)
+		}
+		total += row.P
+	}
+	if math.Abs(total-1) > eps {
+		return fmt.Errorf("engine: component %d probabilities sum to %g", c.ID, total)
 	}
 	return nil
 }
@@ -98,10 +114,46 @@ func (s *Store) validateRel(r *Relation) error {
 			if r.Cols[a][row] != Placeholder {
 				return fmt.Errorf("engine: %s row %d attr %d marked uncertain but certain", r.Name, row, a)
 			}
-			if _, ok := s.fieldComp[FieldID{Rel: r.id, Row: row, Attr: a}]; !ok {
+			if _, ok := s.idx.compOf(FieldID{Rel: r.id, Row: row, Attr: a}); !ok {
 				return fmt.Errorf("engine: %s row %d attr %d has no component", r.Name, row, a)
 			}
 		}
+	}
+	return nil
+}
+
+// validate checks the index's layout: every entry in the part its key
+// hashes to, each part strictly ascending, the counts right, and every
+// component registered under its own id.
+func (x *compIndex) validate() error {
+	n := 0
+	for k := range x.comps {
+		ents := x.comps[k].ents
+		for i, ce := range ents {
+			if compPartOf(ce.id) != k || (i > 0 && ents[i-1].id >= ce.id) {
+				return fmt.Errorf("engine: component index part %d out of order at id %d", k, ce.id)
+			}
+			if ce.c == nil || ce.c.ID != ce.id {
+				return fmt.Errorf("engine: component id %d indexes another component", ce.id)
+			}
+		}
+		n += len(ents)
+	}
+	if n != x.ncomps {
+		return fmt.Errorf("engine: component index counts %d components, holds %d", x.ncomps, n)
+	}
+	n = 0
+	for k := range x.fields {
+		ents := x.fields[k].ents
+		for i, fe := range ents {
+			if fieldPartOf(fe.f) != k || (i > 0 && !fieldBefore(ents[i-1].f, fe.f)) {
+				return fmt.Errorf("engine: field index part %d out of order at field %v", k, fe.f)
+			}
+		}
+		n += len(ents)
+	}
+	if n != x.nfields {
+		return fmt.Errorf("engine: field index counts %d fields, holds %d", x.nfields, n)
 	}
 	return nil
 }

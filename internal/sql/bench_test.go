@@ -35,3 +35,28 @@ func BenchmarkShardedCommit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCatalog times one CATALOG reply on q5_session's catalog: the
+// 50k-row census DB after one MATERIALIZE of Figure 29's Q2. It uses only
+// the DB's exported surface, so it runs unchanged on older trees.
+//
+//	go test -run '^$' -bench Catalog -benchmem ./internal/sql
+func BenchmarkCatalog(b *testing.B) {
+	s, err := census.NewStore("R", 50000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := census.AddNoise(s, "R", 0.001, 2); err != nil {
+		b.Fatal(err)
+	}
+	db := sql.Open(s)
+	if _, err := db.Materialize("q2", census.SQL["Q2"]); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(db.Catalog()) != 2 {
+			b.Fatal("want R and q2 in the catalog")
+		}
+	}
+}

@@ -45,6 +45,10 @@ type view struct {
 	err  error                     // why it could not be built; set by once
 }
 
+// deriveShardSet re-balances a shard set to a snapshot; tests replace it
+// to make a derivation fail.
+var deriveShardSet = (*shard.Set).Next
+
 // shardSet returns the view's shard set (nil when sharding is off),
 // deriving it from v.from on the first call; every caller gets the one
 // result, error included.
@@ -53,7 +57,7 @@ func (v *view) shardSet() (*shard.Set, error) {
 		return sh, nil
 	}
 	v.once.Do(func() {
-		sh, err := v.from.Next(v.snap)
+		sh, err := deriveShardSet(v.from, v.snap)
 		if err != nil {
 			v.err = fmt.Errorf("sql: re-balancing the shard set: %w", err)
 			return

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -92,6 +93,37 @@ func TestWALReplayAfterKill(t *testing.T) {
 	}
 	if got := db2.Stats("Kept"); got != wantStats {
 		t.Fatalf("replayed MATERIALIZE stats %+v, want %+v", got, wantStats)
+	}
+}
+
+// TestReplayRefusesUnnormalisedSetUncertain: the engine refuses or-set
+// probabilities that do not sum to 1, on replay as live. A log holding such
+// a SET UNCERTAIN record (which only an older build could have written)
+// fails the restore with that error instead of installing the or-set.
+func TestReplayRefusesUnnormalisedSetUncertain(t *testing.T) {
+	dir := t.TempDir()
+	db, err := sql.InitDir(dir, prepared(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := slices.IndexFunc(db.Snapshot().Rel("R").Cols[0], func(v int32) bool { return v != engine.Placeholder })
+	attr := db.Schema("R")[0]
+	if err := db.SetUncertain("R", row, attr, []int32{1, 2}, []float64{0.3, 0.3}); err == nil || !strings.Contains(err.Error(), "sum to 0.6") {
+		t.Fatalf("live SET UNCERTAIN summing to 0.6: %v, want the engine's refusal", err)
+	}
+	db.Close()
+
+	d, err := storage.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &storage.WALRecord{Type: storage.RecSetUncertain, Rel: "R", Row: int32(row), Attr: attr, Values: []int32{1, 2}, Probs: []float64{0.3, 0.3}}
+	if err := d.WAL().Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	if _, _, err := sql.Restore(dir); err == nil || !strings.Contains(err.Error(), "sum to 0.6") {
+		t.Fatalf("restoring a log with an unnormalised SET UNCERTAIN: %v, want the engine's refusal", err)
 	}
 }
 

@@ -233,12 +233,16 @@ func (db *DB) Relations() []string { return userRelations(db.Snapshot()) }
 func userRelations(snap *engine.Snapshot) []string {
 	var out []string
 	for _, name := range snap.Relations() {
-		if len(name) > 0 && name[0] != '\x00' {
+		if isUserRelation(name) {
 			out = append(out, name)
 		}
 	}
 	return out
 }
+
+// isUserRelation reports whether name is a user relation's, not a scratch
+// name (those start with a NUL byte).
+func isUserRelation(name string) bool { return len(name) > 0 && name[0] != '\x00' }
 
 // RelInfo describes one user relation: its attribute names, representation
 // statistics and number of uncertain fields.
@@ -254,15 +258,19 @@ type RelInfo struct {
 // in part.
 func (db *DB) Catalog() []RelInfo {
 	snap := db.Snapshot()
-	names := userRelations(snap)
-	out := make([]RelInfo, len(names))
-	for i, name := range names {
-		out[i] = RelInfo{
-			Name:         name,
-			Attrs:        append([]string(nil), snap.Rel(name).Attrs...),
-			Stats:        snap.Stats(name),
-			Placeholders: snap.TotalPlaceholders(name),
+	stats := snap.AllStats()
+	out := make([]RelInfo, 0, len(stats))
+	for id := range snap.NumRelSlots() {
+		r := snap.RelByID(int32(id))
+		if r == nil || !isUserRelation(r.Name) {
+			continue
 		}
+		out = append(out, RelInfo{
+			Name:         r.Name,
+			Attrs:        append([]string(nil), r.Attrs...),
+			Stats:        stats[int32(id)],
+			Placeholders: snap.TotalPlaceholders(r.Name),
+		})
 	}
 	return out
 }

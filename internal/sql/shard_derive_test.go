@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"sync"
@@ -131,11 +132,12 @@ func TestFirstModeQueriesDeriveOnce(t *testing.T) {
 	}
 }
 
-// TestFailedDerivationFailsModeQueries: SET UNCERTAIN takes probabilities as
-// given, and a shard set refuses a component whose probabilities do not sum
-// to 1. The commit stands; every reader of the view's set fails with the
-// re-balance error, plain and authority-placed queries go on, and the next
-// view derives again from the last set built.
+// TestFailedDerivationFailsModeQueries: the derivation after a SET
+// UNCERTAIN fails (injected: the error a shard set gives for a component
+// whose probabilities do not sum to 1, which the engine itself refuses to
+// install). The commit stands; every reader of the view's set fails
+// with the re-balance error, plain and authority-placed queries go on, and
+// the next view derives again from the last set built.
 func TestFailedDerivationFailsModeQueries(t *testing.T) {
 	db := Open(shardedStore(t, 8, 200))
 	if err := db.EnableSharding(2, 2); err != nil {
@@ -147,7 +149,8 @@ func TestFailedDerivationFailsModeQueries(t *testing.T) {
 	requireSameAnswers(t, db, "SELECT CONF() FROM R WHERE A < 15")
 	gen := builtGeneration(db)
 	row := slices.IndexFunc(db.Snapshot().Rel("M").Cols[1], func(v int32) bool { return v != engine.Placeholder })
-	if err := db.SetUncertain("M", row, "B", []int32{1, 2}, []float64{0.3, 0.3}); err != nil {
+	failNextDerivation(errors.New("shard: rebuilding shard 0: engine: derive: engine: component 1 probabilities sum to 0.6"))
+	if err := db.SetUncertain("M", row, "B", []int32{1, 2}, []float64{0.3, 0.7}); err != nil {
 		t.Fatalf("SET UNCERTAIN: %v (the commit does not derive a shard set)", err)
 	}
 	const rebalance = "sql: re-balancing the shard set: "
