@@ -326,11 +326,12 @@ func (a *Arena) materialize() error {
 	if err := a.gather(v.out, v.src, v.order, v.sel); err != nil {
 		return err
 	}
+	ev := v.condEval()
 	return v.eachRow(func(u *urow) error {
 		if err := a.tick(); err != nil {
 			return err
 		}
-		cond, keep := v.masks(u, a.compFor)
+		cond, keep := v.masks(u, a.compFor, ev)
 		return a.extendRow(v.out, v.src, u, v.order, cond, keep)
 	})
 }
@@ -494,6 +495,7 @@ func (a *Arena) Commit() error {
 		nid := int32(len(s.rels))
 		relMap[int32(-i-1)] = nid
 		r.id = nid
+		r.posts = newPostSlots(len(r.Cols))
 		s.rels = append(s.rels, r)
 		s.relID[r.Name] = nid
 	}

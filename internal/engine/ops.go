@@ -15,9 +15,18 @@ import (
 // The read path is the paper's ordinary relational processing on the
 // template plus a small correction for the placeholders: the condition runs
 // column-at-a-time over the template into a selection vector, the rows whose
-// referenced fields are placeholders — found by walking the relation's
-// row-sorted uncertainty index — are decided per local world, and only the
-// kept columns are gathered at the surviving rows (arena.go builds results).
+// referenced fields are placeholders are decided per local world, and only
+// the kept columns are gathered at the surviving rows (arena.go builds
+// results). On a base relation the vector starts from lazily built value
+// postings (posting.go) — the candidate rows of the condition's most
+// selective atom, the remaining conjuncts run as kernels over them — and
+// the placeholder rows come from the postings' Placeholder entries. The
+// postings are built on first use, never persisted, shared by the snapshots
+// that share a column, and cost 4 B per row plus 4 B per value of the
+// column's span. The scan over every row is kept for arena results,
+// columns without a posting and conditions whose best atom keeps more than
+// half of the rows; otherwise the placeholder rows come from walking the
+// relation's row-sorted uncertainty index. Both give the same vector.
 //
 // Operators are Arena methods: they read base data through the arena's
 // snapshot and write result templates and extended component rows into the
@@ -135,19 +144,35 @@ func (a *Arena) selectProject(res, src string, p Pred, attrs []string) error {
 			return err
 		}
 		// σ(AθB) and multi-attribute conditions entangle the components of
-		// the placeholders they read: compose them, row by row.
+		// the placeholders they read: compose them, row by row. The rows
+		// are those the postings list under Placeholder for the attributes
+		// read, or, when one of them has no posting, the rows of the whole
+		// uncertainty index that hold one of them.
 		var refs []urow // rows whose condition reads placeholders
+		var refAttrs []uint16
 		predAttrs := v.cp.Attrs()
-		for i, row := range x.rows {
+		rows, indexed := placeholderRows(r, predAttrs)
+		if indexed {
+			refs = make([]urow, 0, len(rows)) // each of them is one
+		} else {
+			rows = x.rows
+		}
+		i := 0 // x.rows[i] is the row visited
+		for _, row := range rows {
+			for x.rows[i] != row {
+				i++
+			}
 			u := urow{src: row, attrs: x.at(i)}
+			n := len(refAttrs)
 			for _, at := range u.attrs {
 				if containsAttr(predAttrs, at) {
-					u.ref = append(u.ref, at)
+					refAttrs = append(refAttrs, at)
 				}
 			}
-			if u.ref == nil {
+			if len(refAttrs) == n {
 				continue
 			}
+			u.ref = refAttrs[n:len(refAttrs):len(refAttrs)]
 			if err := a.tick(); err != nil {
 				return err
 			}
@@ -161,6 +186,8 @@ func (a *Arena) selectProject(res, src string, p Pred, attrs []string) error {
 		// The kernels would decide those rows on their sentinels: decide
 		// them per local world (a rejected row keeps inSel nil) for filter
 		// to overrule the kernels with.
+		ev := v.condEval()
+		var pass []bool
 		for k := range refs {
 			u := &refs[k]
 			if err := a.tick(); err != nil {
@@ -169,7 +196,7 @@ func (a *Arena) selectProject(res, src string, p Pred, attrs []string) error {
 			// Read, do not adopt: a rejected row never extends its
 			// component, and a surviving one adopts it when it does.
 			comp := a.ComponentOf(FieldID{Rel: r.id, Row: u.src, Attr: u.ref[0]})
-			pass := condMask(r, v.cp, u.src, u.ref, comp)
+			pass = ev.mask(u.src, u.ref, comp, pass)
 			if !slices.Contains(pass, true) {
 				continue
 			}
@@ -278,14 +305,15 @@ func (v *Selection) eachRow(fn func(u *urow) error) error {
 // compFor when the copies are about to join them, ComponentOf when they are
 // only counted or viewed; either way cond.pass indexes keep's local worlds
 // wherever it is read, since a dropped inSel field merged the condition's
-// component into keep's.
+// component into keep's. ev is the loop's evaluator of v's condition; the
+// masks are fresh slices the caller may keep.
 //
 //maybms:unguarded bounded single-component probe; the loops that call it tick per row
-func (v *Selection) masks(u *urow, comp func(FieldID) *Component) (cond, keep presence) {
+func (v *Selection) masks(u *urow, comp func(FieldID) *Component, ev *condEval) (cond, keep presence) {
 	r := v.src
 	if u.ref != nil {
 		cond.comp = comp(FieldID{Rel: r.id, Row: u.src, Attr: u.ref[0]})
-		cond.pass = condMask(r, v.cp, u.src, u.ref, cond.comp)
+		cond.pass = ev.mask(u.src, u.ref, cond.comp, nil)
 	}
 	if u.drop == nil {
 		return cond, keep
@@ -403,8 +431,9 @@ func (v *Selection) Stats() Stats {
 			}
 		}
 	} else {
+		ev := v.condEval()
 		_ = v.eachRow(func(u *urow) error {
-			cond, keep := v.masks(u, v.view.ComponentOf)
+			cond, keep := v.masks(u, v.view.ComponentOf, ev)
 			carried := false
 			for _, at := range u.attrs {
 				if !kept[at] {
@@ -437,24 +466,42 @@ func (v *Selection) Stats() Stats {
 	return st
 }
 
-// filter runs a compiled condition's column kernels over the template of r,
-// a batch of guardPeriod rows at a time, overrules them on the rows of refs
-// with their per-local-world decisions, and returns the selection vector of
-// the rows kept.
+// filter runs a compiled condition over the template of r and returns the
+// selection vector of the rows kept. The rows come from drive's candidates
+// (the postings of the condition's most selective atom, with the remaining
+// conjuncts as kernels) or, failing that, from a scan of every row, a batch
+// of guardPeriod rows at a time; either way the kernels' verdicts on the
+// rows of refs are overruled by their per-local-world decisions.
 func (a *Arena) filter(r *Relation, cp CompiledPred, refs []urow) ([]int32, error) {
 	n := r.NumRows()
-	sel := make([]int32, 0, min(n, guardPeriod))
-	for lo, k := 0, 0; lo < n; lo += guardPeriod {
-		hi := min(lo+guardPeriod, n)
+	cand, kernel, driven := drive(r, cp)
+	m, size := n, min(n, guardPeriod)
+	if driven {
+		m, size = len(cand), len(cand)+len(refs) // as large as it gets
+	} else {
+		kernel = cp
+	}
+	sel := make([]int32, 0, size)
+	k := 0
+	for lo := 0; lo < m; lo += guardPeriod {
+		hi := min(lo+guardPeriod, m)
 		if err := a.guard.tickN(hi - lo); err != nil {
 			return nil, err
 		}
-		base := len(sel)
-		for i := lo; i < hi; i++ {
-			sel = append(sel, int32(i))
+		// The batch decides every row below bound.
+		base, bound := len(sel), int32(hi)
+		if driven {
+			sel = append(sel, cand[lo:hi]...)
+			if bound = int32(n); hi < m {
+				bound = cand[hi]
+			}
+		} else {
+			for i := lo; i < hi; i++ {
+				sel = append(sel, int32(i))
+			}
 		}
-		sel = sel[:base+len(cp.Filter(r.Cols, sel[base:]))]
-		for ; k < len(refs) && int(refs[k].src) < hi; k++ {
+		sel = sel[:base+len(kernel.Filter(r.Cols, sel[base:]))]
+		for ; k < len(refs) && refs[k].src < bound; k++ {
 			i, kept := slices.BinarySearch(sel[base:], refs[k].src)
 			if pass := refs[k].inSel != nil; pass && !kept {
 				sel = slices.Insert(sel, base+i, refs[k].src)
@@ -463,28 +510,59 @@ func (a *Arena) filter(r *Relation, cp CompiledPred, refs []urow) ([]int32, erro
 			}
 		}
 	}
+	// Only a driven selection without candidates leaves refs undecided.
+	for ; k < len(refs); k++ {
+		if refs[k].inSel != nil {
+			sel = append(sel, refs[k].src)
+		}
+	}
 	return sel, nil
 }
 
-// condMask decides the condition on row of r per local world of comp, the
-// component of the row's placeholder fields ref: pass[w] when every ref
-// field is present at w and the condition holds there.
+// condEval decides a compiled condition per local world on the rows whose
+// referenced fields are placeholders. Its row accessor is built once and
+// reads the local world cur points at, so one evaluator serves every row of
+// a loop.
+type condEval struct {
+	r   *Relation
+	cp  CompiledPred
+	row int32
+	ref []uint16
+	pos []int // the component columns of ref
+	cur *CompRow
+	get func(attr uint16) int32
+}
+
+// condEval returns an evaluator of v's condition, nil when v has none.
+func (v *Selection) condEval() *condEval {
+	if v.cp == nil {
+		return nil
+	}
+	e := &condEval{r: v.src, cp: v.cp}
+	e.get = func(ai uint16) int32 {
+		if k := slices.Index(e.ref, ai); k >= 0 {
+			return e.cur.Vals[e.pos[k]]
+		}
+		return e.r.Cols[ai][e.row]
+	}
+	return e
+}
+
+// mask decides the condition on row per local world of comp, the component
+// of the row's placeholder fields ref, into pass (reused when large
+// enough): pass[w] when every ref field is present at w and the condition
+// holds there.
 //
 //maybms:unguarded bounded single-component probe; the operator loops that call it tick per row
-func condMask(r *Relation, cp CompiledPred, row int32, ref []uint16, comp *Component) []bool {
-	pos := make([]int, len(ref))
-	for k, at := range ref {
-		pos[k] = comp.Pos(FieldID{Rel: r.id, Row: row, Attr: at})
+func (e *condEval) mask(row int32, ref []uint16, comp *Component, pass []bool) []bool {
+	e.row, e.ref, e.pos = row, ref, e.pos[:0]
+	for _, at := range ref {
+		e.pos = append(e.pos, comp.Pos(FieldID{Rel: e.r.id, Row: row, Attr: at}))
 	}
-	pass := make([]bool, len(comp.Rows))
+	pass = slices.Grow(pass[:0], len(comp.Rows))[:len(comp.Rows)]
 	for w := range comp.Rows {
-		crow := &comp.Rows[w]
-		pass[w] = !slices.ContainsFunc(pos, crow.IsAbsent) && cp.Eval(func(ai uint16) int32 {
-			if k := slices.Index(ref, ai); k >= 0 {
-				return crow.Vals[pos[k]]
-			}
-			return r.Cols[ai][row]
-		})
+		e.cur = &comp.Rows[w]
+		pass[w] = !slices.ContainsFunc(e.pos, e.cur.IsAbsent) && e.cp.Eval(e.get)
 	}
 	return pass
 }

@@ -40,6 +40,14 @@ const MaxConfWorkers = 16
 // early through their Guard. It is the one worker pool of the engine, the
 // shard set and the SQL executor.
 func Fanout(n, workers int, f func(i int) error) error {
+	return fanout(n, workers, f, nil)
+}
+
+// fanout is Fanout with a hook called right after the first failure is
+// published, before the failing worker claims again (nil: none). Tests
+// use it to tell the calls claimed after the publication from the ones
+// before.
+func fanout(n, workers int, f func(i int) error, published func()) error {
 	if workers <= 0 {
 		workers = DefaultConfWorkers()
 	}
@@ -59,8 +67,8 @@ func Fanout(n, workers int, f func(i int) error) error {
 			if i >= n {
 				return
 			}
-			if err := call(i); err != nil {
-				first.CompareAndSwap(nil, &err)
+			if err := call(i); err != nil && first.CompareAndSwap(nil, &err) && published != nil {
+				published()
 			}
 		}
 	}

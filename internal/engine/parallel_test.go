@@ -89,24 +89,34 @@ func TestFanoutEmpty(t *testing.T) {
 	}
 }
 
-// TestFanoutStopsOnError: the first failure stops further claims — far
-// fewer than n calls run — and is what Fanout returns.
+// TestFanoutStopsOnError: the first failure stops further claims — once it
+// is published, each worker starts at most the one call it had claimed
+// before it looked — and is what Fanout returns. Counting from the
+// publication, not from the failing call, keeps a failing worker that is
+// descheduled between its call and the publication from counting against
+// the bound.
 func TestFanoutStopsOnError(t *testing.T) {
-	const n = 10000
+	const n, workers = 10000, 2
 	boom := errors.New("boom")
-	var calls atomic.Int64
-	err := Fanout(n, 2, func(i int) error {
-		calls.Add(1)
+	var published atomic.Bool
+	var after atomic.Int64
+	err := fanout(n, workers, func(i int) error {
+		if published.Load() {
+			after.Add(1)
+		}
 		if i == 3 {
 			return boom
 		}
 		return nil
-	})
+	}, func() { published.Store(true) })
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the failing call's error", err)
 	}
-	if got := calls.Load(); got > 100 {
-		t.Fatalf("%d of %d calls ran after index 3 failed", got, n)
+	if !published.Load() {
+		t.Fatal("the failure was never published")
+	}
+	if got := after.Load(); got > workers-1 {
+		t.Fatalf("%d calls started after the failure was published, want at most %d", got, workers-1)
 	}
 }
 

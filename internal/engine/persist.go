@@ -167,7 +167,7 @@ func ImportState(st *StoreState) (*Store, error) {
 // deriving its uncertainty index; ragged columns and values below
 // Placeholder are errors.
 func relationOf(id int32, rs *RelState, born *epoch) (*Relation, error) {
-	r := &Relation{id: id, Name: rs.Name, Attrs: rs.Attrs, Cols: rs.Cols, born: born}
+	r := &Relation{id: id, Name: rs.Name, Attrs: rs.Attrs, Cols: rs.Cols, born: born, posts: newPostSlots(len(rs.Cols))}
 	n := r.NumRows()
 	var cells placeholderCells
 	for a, col := range rs.Cols {

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -111,6 +114,113 @@ func (p compiledConst) Filter(cols [][]int32, sel []int32) []int32 {
 	return sel[:k]
 }
 
+// valueRange is the closed range of values lo..hi.
+type valueRange struct{ lo, hi int32 }
+
+// atomRanges returns the ascending, disjoint ranges of the values v with
+// v θ c.
+func atomRanges(theta relation.Op, c int32) []valueRange {
+	switch theta {
+	case relation.EQ:
+		return []valueRange{{c, c}}
+	case relation.LE:
+		return []valueRange{{math.MinInt32, c}}
+	case relation.GE:
+		return []valueRange{{c, math.MaxInt32}}
+	}
+	// <, > and ≠: the values below c, above c, or both.
+	var rs []valueRange
+	if theta != relation.GT && c > math.MinInt32 {
+		rs = append(rs, valueRange{math.MinInt32, c - 1})
+	}
+	if theta != relation.LT && c < math.MaxInt32 {
+		rs = append(rs, valueRange{c + 1, math.MaxInt32})
+	}
+	return rs
+}
+
+// compiledRanges is a disjunction of atoms A θ c over one attribute A,
+// folded into the ascending, disjoint ranges of the values it keeps: one
+// pass over the column where the general disjunction runs every atom on a
+// copy of the batch and merges their survivors.
+type compiledRanges struct {
+	ai uint16
+	rs []valueRange
+}
+
+// valueRanges returns the attribute and the value ranges of an atom A θ c
+// or of a folded disjunction of such; false for any other condition.
+func valueRanges(cp CompiledPred) (uint16, []valueRange, bool) {
+	switch p := cp.(type) {
+	case compiledConst:
+		return p.ai, atomRanges(p.theta, p.c), true
+	case compiledRanges:
+		return p.ai, p.rs, true
+	}
+	return 0, nil, false
+}
+
+// foldRanges returns the disjunction of kids as one compiledRanges when
+// every kid is an atom A θ c, or such a disjunction, over one attribute.
+func foldRanges(kids []CompiledPred) (compiledRanges, bool) {
+	var out compiledRanges
+	for i, k := range kids {
+		ai, rs, ok := valueRanges(k)
+		if !ok || (i > 0 && ai != out.ai) {
+			return compiledRanges{}, false
+		}
+		out.ai, out.rs = ai, append(out.rs, rs...)
+	}
+	slices.SortFunc(out.rs, func(a, b valueRange) int { return cmp.Compare(a.lo, b.lo) })
+	rs := out.rs[:0]
+	for _, r := range out.rs {
+		if n := len(rs); n > 0 && int64(r.lo) <= int64(rs[n-1].hi)+1 {
+			rs[n-1].hi = max(rs[n-1].hi, r.hi)
+			continue
+		}
+		rs = append(rs, r)
+	}
+	out.rs = rs
+	return out, len(kids) > 0
+}
+
+// holds reports whether v lies in one of the ranges: lo ≤ v ≤ hi is one
+// unsigned comparison of v − lo against hi − lo.
+func (p compiledRanges) holds(v int32) bool {
+	for _, r := range p.rs {
+		if uint32(v)-uint32(r.lo) <= uint32(r.hi)-uint32(r.lo) {
+			return true
+		}
+	}
+	return false
+}
+
+func (p compiledRanges) Eval(get func(uint16) int32) bool { return p.holds(get(p.ai)) }
+func (p compiledRanges) Attrs() []uint16                  { return []uint16{p.ai} }
+
+// Filter implements CompiledPred; a single range runs without a branch on
+// the value, like compiledConst.Filter.
+func (p compiledRanges) Filter(cols [][]int32, sel []int32) []int32 {
+	col, k := cols[p.ai], 0
+	if len(p.rs) == 1 {
+		lo, span := uint32(p.rs[0].lo), uint32(p.rs[0].hi)-uint32(p.rs[0].lo)
+		for _, i := range sel {
+			sel[k] = i
+			if uint32(col[i])-lo <= span {
+				k++
+			}
+		}
+		return sel[:k]
+	}
+	for _, i := range sel {
+		sel[k] = i
+		if p.holds(col[i]) {
+			k++
+		}
+	}
+	return sel[:k]
+}
+
 // AttrAttr is the atom A θ B over two attributes of the same tuple.
 type AttrAttr struct {
 	A     string
@@ -204,6 +314,15 @@ type compiledList struct {
 	kids  []CompiledPred
 	conj  bool
 	attrs []uint16
+	// or is a disjunction's Filter scratch, allocated once per compilation
+	// and grown to the largest batch: a compiled disjunction is not safe for
+	// concurrent Filter calls.
+	or *orScratch
+}
+
+type orScratch struct {
+	hit []bool
+	buf []int32
 }
 
 func compileList(ps []Pred, r *Relation, conj bool) (CompiledPred, error) {
@@ -223,6 +342,12 @@ func compileList(ps []Pred, r *Relation, conj bool) (CompiledPred, error) {
 		}
 	}
 	sort.Slice(out.attrs, func(i, j int) bool { return out.attrs[i] < out.attrs[j] })
+	if !conj {
+		if rs, ok := foldRanges(out.kids); ok {
+			return rs, nil
+		}
+		out.or = new(orScratch)
+	}
 	return out, nil
 }
 
@@ -247,8 +372,10 @@ func (p compiledList) Filter(cols [][]int32, sel []int32) []int32 {
 		}
 		return sel
 	}
-	hit := make([]bool, len(sel))
-	buf := make([]int32, len(sel))
+	hit := slices.Grow(p.or.hit[:0], len(sel))[:len(sel)]
+	clear(hit)
+	buf := slices.Grow(p.or.buf[:0], len(sel))
+	p.or.hit, p.or.buf = hit, buf
 	for _, k := range p.kids {
 		yes := k.Filter(cols, append(buf[:0], sel...))
 		for i, j := 0, 0; j < len(yes); i++ {

@@ -117,6 +117,9 @@ type Relation struct {
 	// copied from (none for a relation built from scratch).
 	born       *epoch
 	sharedCols Bitset
+	// posts holds one lazily built value posting per column (posting.go),
+	// nil for arena results; a copy sharing a column shares its slot.
+	posts []*postSlot
 }
 
 // NumRows returns the number of template rows.
@@ -209,6 +212,7 @@ func (s *Store) AddRelation(name string, attrs []string, cols [][]int32) (*Relat
 		Attrs: append([]string(nil), attrs...),
 		Cols:  cols,
 		born:  s.epoch,
+		posts: newPostSlots(len(cols)),
 	}
 	s.relID[name] = r.id
 	s.rels = append(s.rels, r)
@@ -355,13 +359,17 @@ func (s *Store) SetUncertain(rel string, row int, attr string, values []int32, p
 // placeholder — the caller indexes it — and returns the object that now
 // holds relation r.id: r itself when the current epoch created it, else a
 // copy installed in its place. The copy has its own uncertainty index and
-// shares r's columns until one is written.
+// shares r's columns, and their postings, until one is written; the column
+// copied for the write gets a fresh posting slot. A column written in place
+// was created or copied in this epoch, so no snapshot reader has built its
+// posting.
 func (s *Store) markUncertain(r *Relation, row int32, ai uint16) *Relation {
 	if r.born != s.epoch {
 		nr := *r
 		nr.born = s.epoch
 		nr.Cols = slices.Clone(r.Cols)
 		nr.unc = r.unc.clone()
+		nr.posts = slices.Clone(r.posts)
 		nr.sharedCols = nil
 		for a := range nr.Cols {
 			nr.sharedCols = nr.sharedCols.Set(a)
@@ -372,6 +380,9 @@ func (s *Store) markUncertain(r *Relation, row int32, ai uint16) *Relation {
 	if r.sharedCols.Get(int(ai)) {
 		r.Cols[ai] = slices.Clone(r.Cols[ai])
 		r.sharedCols.Clear(int(ai))
+		if r.posts != nil {
+			r.posts[ai] = new(postSlot)
+		}
 	}
 	r.Cols[ai][row] = Placeholder
 	return r
@@ -590,6 +601,7 @@ func (s *Store) Clone() *Store {
 			unc:     r.unc.clone(),
 			absence: r.absence,
 			born:    e,
+			posts:   newPostSlots(len(r.Cols)),
 		}
 		for j, col := range r.Cols {
 			nr.Cols[j] = slices.Clone(col)

@@ -125,11 +125,12 @@ func tupleLevelView(s *Selection) (*tupleView, error) {
 		return parent[x]
 	}
 	var pending []tlPending
+	ev := s.condEval()
 	err := s.eachRow(func(u *urow) error {
 		if err := guard.Tick(); err != nil {
 			return err
 		}
-		cond, keep := s.masks(u, v.ComponentOf)
+		cond, keep := s.masks(u, v.ComponentOf, ev)
 		p := tlPending{j: u.j, src: u.src, first: -1}
 		for di, at := range s.order {
 			if !containsAttr(u.attrs, at) {

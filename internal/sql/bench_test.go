@@ -1,9 +1,11 @@
 package sql_test
 
 import (
+	"sync"
 	"testing"
 
 	"maybms/internal/census"
+	"maybms/internal/engine"
 	"maybms/internal/sql"
 )
 
@@ -58,5 +60,48 @@ func BenchmarkCatalog(b *testing.B) {
 		if len(db.Catalog()) != 2 {
 			b.Fatal("want R and q2 in the catalog")
 		}
+	}
+}
+
+// selectMixDB is select_mix's store: 100k census rows with 0.1% or-set noise
+// and the Figure 25 cleaning chase, as maybmsd serves it.
+var selectMixDB = sync.OnceValues(func() (*sql.DB, error) {
+	s, err := census.NewStore("R", 100000, 1)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := census.AddNoise(s, "R", 0.001, 2); err != nil {
+		return nil, err
+	}
+	if err := s.ChaseEGDsOpt("R", census.Dependencies(), engine.ChaseOptions{AssumeClean: true}); err != nil {
+		return nil, err
+	}
+	return sql.Open(s), nil
+})
+
+// BenchmarkSelectMix times each Figure 29 statement of select_mix in
+// process: DB.Query on one shard, the result drained block by block as the
+// server pages it. It uses only the DB's exported surface, so it runs
+// unchanged on older trees.
+//
+//	go test -run '^$' -bench SelectMix -benchmem ./internal/sql
+func BenchmarkSelectMix(b *testing.B) {
+	db, err := selectMixDB()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range []string{"Q1", "Q2", "Q3", "Q4", "Q6"} {
+		b.Run(q, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows, err := db.Query(census.SQL[q])
+				if err != nil {
+					b.Fatal(err)
+				}
+				for rows.NextBlock(1024).N > 0 {
+				}
+				rows.Close()
+			}
+		})
 	}
 }

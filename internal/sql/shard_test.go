@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"maybms/internal/census"
 	"maybms/internal/engine"
@@ -467,12 +468,16 @@ func TestMutatorsUnderReaders(t *testing.T) {
 
 	const readers = 3
 	stop := make(chan struct{})
+	// holding[g] is set while reader g holds a result of the current
+	// generation, exited[g] once reader g has returned.
 	var cycles [readers]atomic.Int64
+	var holding, exited [readers]atomic.Bool
 	var wg sync.WaitGroup
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			defer exited[g].Store(true)
 			for {
 				select {
 				case <-stop:
@@ -499,6 +504,7 @@ func TestMutatorsUnderReaders(t *testing.T) {
 					rows.Close() // a commit landed in between: no single generation to check against
 					continue
 				}
+				holding[g].Store(true)
 				for generation(db) < gen+3 {
 					select {
 					case <-stop:
@@ -508,6 +514,7 @@ func TestMutatorsUnderReaders(t *testing.T) {
 						runtime.Gosched()
 					}
 				}
+				holding[g].Store(false)
 				got, err := drainRows(rows)
 				if err != nil {
 					t.Errorf("reader: scanning a held result: %v", err)
@@ -526,22 +533,36 @@ func TestMutatorsUnderReaders(t *testing.T) {
 			}
 		}(g)
 	}
+	// The writer's script is fixed up front: six SET UNCERTAIN + CHASE
+	// pairs on rows whose A and B are both certain, so every CHASE drops
+	// the alternative it added and replaces R, whatever the readers do.
+	// Before each pair it waits until every reader holds a result; two
+	// pairs carry a held result past three re-balances.
 	r := store.Rel("R")
-	commits := 0
-	for row := 0; row < r.NumRows(); row++ {
-		done := commits >= 10
-		for g := range cycles {
-			done = done && cycles[g].Load() >= 1
+	var script []int
+	for row := 0; len(script) < 6; row++ {
+		if r.Cols[0][row] != engine.Placeholder && r.Cols[1][row] != engine.Placeholder {
+			script = append(script, row)
 		}
-		if done {
-			break
-		}
-		if r.Cols[0][row] == engine.Placeholder {
-			continue
+	}
+script:
+	for _, row := range script {
+		for deadline := time.Now().Add(time.Minute); ; runtime.Gosched() {
+			ready := true
+			for g := range holding {
+				ready = ready && (holding[g].Load() || exited[g].Load())
+			}
+			if ready {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Error("the readers held no result for a minute")
+				break script
+			}
 		}
 		if err := db.SetUncertain("R", row, "A", []int32{r.Cols[0][row], 41}, nil); err != nil {
 			t.Errorf("SetUncertain row %d: %v", row, err)
-			break
+			break script
 		}
 		record()
 		if err := db.Chase("R", deps, engine.ChaseOptions{}); err != nil {
@@ -553,7 +574,6 @@ func TestMutatorsUnderReaders(t *testing.T) {
 			t.Errorf("re-balance after CHASE: %+v, want a delta keeping S", st)
 			break
 		}
-		commits += 2
 	}
 	close(stop)
 	wg.Wait()
