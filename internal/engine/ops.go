@@ -15,18 +15,19 @@ import (
 // The read path is the paper's ordinary relational processing on the
 // template plus a small correction for the placeholders: the condition runs
 // column-at-a-time over the template into a selection vector, the rows whose
-// referenced fields are placeholders are decided per local world, and only
-// the kept columns are gathered at the surviving rows (arena.go builds
-// results). On a base relation the vector starts from lazily built value
-// postings (posting.go) — the candidate rows of the condition's most
-// selective atom, the remaining conjuncts run as kernels over them — and
-// the placeholder rows come from the postings' Placeholder entries. The
-// postings are built on first use, never persisted, shared by the snapshots
-// that share a column, and cost 4 B per row plus 4 B per value of the
-// column's span. The scan over every row is kept for arena results,
-// columns without a posting and conditions whose best atom keeps more than
-// half of the rows; otherwise the placeholder rows come from walking the
-// relation's row-sorted uncertainty index. Both give the same vector.
+// referenced fields are placeholders — found by walking the relation's
+// row-sorted uncertainty index — are decided per local world, and only the
+// kept columns are gathered at the surviving rows (arena.go builds results).
+// On a base relation the vector starts from lazily built value postings
+// (posting.go): the candidate rows of the condition's most selective
+// conjunct (an atom A θ c, or a disjunction of such over one attribute),
+// with the remaining conjuncts run as kernels over them. The postings are
+// built on first use under the query's guard, never persisted, shared by
+// the snapshots that share a column, and cost 4 B per row plus 4 B per
+// value of the column's span, outside any query's memory budget. The scan
+// over every row is kept for arena results, columns without a posting and
+// conditions whose best conjunct keeps more than half of the rows. Both
+// give the same vector.
 //
 // Operators are Arena methods: they read base data through the arena's
 // snapshot and write result templates and extended component rows into the
@@ -144,35 +145,19 @@ func (a *Arena) selectProject(res, src string, p Pred, attrs []string) error {
 			return err
 		}
 		// σ(AθB) and multi-attribute conditions entangle the components of
-		// the placeholders they read: compose them, row by row. The rows
-		// are those the postings list under Placeholder for the attributes
-		// read, or, when one of them has no posting, the rows of the whole
-		// uncertainty index that hold one of them.
+		// the placeholders they read: compose them, row by row.
 		var refs []urow // rows whose condition reads placeholders
-		var refAttrs []uint16
 		predAttrs := v.cp.Attrs()
-		rows, indexed := placeholderRows(r, predAttrs)
-		if indexed {
-			refs = make([]urow, 0, len(rows)) // each of them is one
-		} else {
-			rows = x.rows
-		}
-		i := 0 // x.rows[i] is the row visited
-		for _, row := range rows {
-			for x.rows[i] != row {
-				i++
-			}
+		for i, row := range x.rows {
 			u := urow{src: row, attrs: x.at(i)}
-			n := len(refAttrs)
 			for _, at := range u.attrs {
 				if containsAttr(predAttrs, at) {
-					refAttrs = append(refAttrs, at)
+					u.ref = append(u.ref, at)
 				}
 			}
-			if len(refAttrs) == n {
+			if u.ref == nil {
 				continue
 			}
-			u.ref = refAttrs[n:len(refAttrs):len(refAttrs)]
 			if err := a.tick(); err != nil {
 				return err
 			}
@@ -474,7 +459,7 @@ func (v *Selection) Stats() Stats {
 // rows of refs are overruled by their per-local-world decisions.
 func (a *Arena) filter(r *Relation, cp CompiledPred, refs []urow) ([]int32, error) {
 	n := r.NumRows()
-	cand, kernel, driven := drive(r, cp)
+	cand, kernel, driven := drive(r, cp, a.guard)
 	m, size := n, min(n, guardPeriod)
 	if driven {
 		m, size = len(cand), len(cand)+len(refs) // as large as it gets

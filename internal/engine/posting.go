@@ -3,6 +3,7 @@ package engine
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // Value postings: the index a selection on a base relation starts from, so
@@ -20,11 +21,13 @@ import (
 // Postings are built lazily, by the first selection that asks for one, on
 // columns of relations a snapshot holds (never on arena results), and are
 // never persisted: the snapshot format, the WAL and the wire are unaware of
-// them. A posting is immutable and keyed to its column slice: relation
-// copies that share a column share its slot, and every write that replaces
-// a column gives the copy a fresh slot (Store.markUncertain). The only
-// in-place column write, on a column created or copied in the current store
-// epoch, meets a slot no snapshot reader could have built.
+// them. The build ticks the guard of the query that asks, so a canceled
+// query stops it; the posting outlives that query and is not charged to
+// its memory budget. A posting is immutable and keyed to its column slice:
+// relation copies that share a column share its slot, and every write that
+// replaces a column gives the copy a fresh slot (Store.markUncertain). The
+// only in-place column write, on a column created or copied in the current
+// store epoch, meets a slot no snapshot reader could have built.
 
 const (
 	// postingMinRows is the smallest column that gets a posting: below it
@@ -48,9 +51,11 @@ type posting struct {
 }
 
 // postSlot builds one column's posting at most once; p stays nil for a
-// column that gets none.
+// column that gets none. A build stopped by its query's guard leaves the
+// slot unbuilt for the next reader.
 type postSlot struct {
-	once sync.Once
+	mu   sync.Mutex
+	done atomic.Bool // p is set: built, or nil for a column that gets none
 	p    *posting
 }
 
@@ -64,16 +69,30 @@ func newPostSlots(n int) []*postSlot {
 	return out
 }
 
-// posting returns the posting of column ai, building it on first use, or
-// nil when the column gets none: an arena result, a column under
-// postingMinRows rows or spanning more than postingMaxValues values. Safe
-// for concurrent use: concurrent first readers build it once.
-func (r *Relation) posting(ai uint16) *posting {
+// posting returns the posting of column ai, building it on first use and
+// ticking g for every row the build reads, or nil when the column gets
+// none: an arena result, a column under postingMinRows rows or spanning
+// more than postingMaxValues values. It is also nil when g stops the
+// build; the caller then scans, and the scan's first tick reports g's
+// error. Safe for concurrent use: concurrent first readers build it once.
+func (r *Relation) posting(ai uint16, g *Guard) *posting {
 	if r.posts == nil {
 		return nil
 	}
 	col, s := r.Cols[ai], r.posts[ai]
-	s.once.Do(func() { s.p = buildPosting(col) })
+	if !s.done.Load() {
+		s.mu.Lock()
+		if !s.done.Load() {
+			p, err := buildPosting(col, g)
+			if err != nil {
+				s.mu.Unlock()
+				return nil
+			}
+			s.p = p
+			s.done.Store(true)
+		}
+		s.mu.Unlock()
+	}
 	if s.p == nil || s.p.col != &col[0] {
 		return nil
 	}
@@ -81,31 +100,57 @@ func (r *Relation) posting(ai uint16) *posting {
 }
 
 // buildPosting indexes col by a two-pass counting sort: count every value,
-// turn the counts into offsets, then place every row.
-func buildPosting(col []int32) *posting {
+// turn the counts into offsets, then place every row. Each pass ticks g a
+// batch of guardPeriod rows at a time.
+func buildPosting(col []int32, g *Guard) (*posting, error) {
 	if len(col) < postingMinRows {
-		return nil
+		return nil, nil
 	}
 	lo, hi := col[0], col[0]
-	for _, v := range col {
-		lo, hi = min(lo, v), max(hi, v)
-	}
-	if int64(hi)-int64(lo) >= postingMaxValues {
-		return nil
+	err := inBatches(g, len(col), func(i, j int) {
+		for _, v := range col[i:j] {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+	})
+	if err != nil || int64(hi)-int64(lo) >= postingMaxValues {
+		return nil, err
 	}
 	p := &posting{col: &col[0], lo: lo, off: make([]int32, hi-lo+2), rows: make([]int32, len(col))}
-	for _, v := range col {
-		p.off[v-lo+1]++
+	err = inBatches(g, len(col), func(i, j int) {
+		for _, v := range col[i:j] {
+			p.off[v-lo+1]++
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	for v := 1; v < len(p.off); v++ {
 		p.off[v] += p.off[v-1]
 	}
 	next := append([]int32(nil), p.off[:len(p.off)-1]...)
-	for i, v := range col {
-		p.rows[next[v-lo]] = int32(i)
-		next[v-lo]++
+	err = inBatches(g, len(col), func(i, j int) {
+		for k, v := range col[i:j] {
+			p.rows[next[v-lo]] = int32(i + k)
+			next[v-lo]++
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	return p
+	return p, nil
+}
+
+// inBatches calls fn on the batches [i, j) of guardPeriod rows of n rows,
+// ticking g for each first.
+func inBatches(g *Guard, n int, fn func(i, j int)) error {
+	for i := 0; i < n; i += guardPeriod {
+		j := min(i+guardPeriod, n)
+		if err := g.tickN(j - i); err != nil {
+			return err
+		}
+		fn(i, j)
+	}
+	return nil
 }
 
 // span is the rows of a run of consecutive values of one posting, grouped
@@ -134,40 +179,32 @@ func (p *posting) between(a, b int64) span {
 
 // cover returns the spans whose rows together are exactly the rows cp's
 // kernels keep on r, and their total length, when postings can say: an
-// atom A θ c over a column with a posting, or a disjunction of such.
-func cover(r *Relation, cp CompiledPred) (spans []span, n int, ok bool) {
-	if ai, rs, isRange := valueRanges(cp); isRange {
-		post := r.posting(ai)
-		if post == nil {
-			return nil, 0, false
-		}
-		for _, v := range rs {
-			spans = append(spans, post.between(int64(v.lo), int64(v.hi)))
-		}
-	} else if l, isList := cp.(compiledList); isList && !l.conj {
-		for _, k := range l.kids {
-			ks, _, ok := cover(r, k)
-			if !ok {
-				return nil, 0, false
-			}
-			spans = append(spans, ks...)
-		}
-	} else {
+// atom A θ c, or a disjunction of such over one attribute folded into value
+// ranges, over a column with a posting.
+func cover(r *Relation, cp CompiledPred, g *Guard) (spans []span, n int, ok bool) {
+	ai, rs, ok := valueRanges(cp)
+	if !ok {
 		return nil, 0, false
 	}
-	for _, s := range spans {
+	post := r.posting(ai, g)
+	if post == nil {
+		return nil, 0, false
+	}
+	for _, v := range rs {
+		s := post.between(int64(v.lo), int64(v.hi))
+		spans = append(spans, s)
 		n += len(s.rows)
 	}
 	return spans, n, true
 }
 
 // drive picks how a selection of cp on r starts: from the candidate rows of
-// its atom (or disjunction of atoms) with the fewest rows in their
-// postings — ascending, read-only, every row cp's kernels keep among them —
-// with rest the conjuncts left to run over them; or, with ok false, from a
-// scan of every row, when no atom has a posting or even the best keeps more
-// than half of the rows.
-func drive(r *Relation, cp CompiledPred) (cand []int32, rest CompiledPred, ok bool) {
+// its conjunct with the fewest rows in its posting (see cover) —
+// ascending, read-only, every row cp's kernels keep among them — with rest
+// the conjuncts left to run over them; or, with ok false, from a scan of
+// every row, when no conjunct has a posting or even the best keeps more
+// than half of the rows. g is ticked by the postings built on the way.
+func drive(r *Relation, cp CompiledPred, g *Guard) (cand []int32, rest CompiledPred, ok bool) {
 	kids := []CompiledPred{cp}
 	if l, isList := cp.(compiledList); isList && l.conj {
 		kids = l.kids
@@ -175,7 +212,7 @@ func drive(r *Relation, cp CompiledPred) (cand []int32, rest CompiledPred, ok bo
 	best, bestN := -1, r.NumRows()/2+1
 	var spans []span
 	for k, kid := range kids {
-		if s, n, ok := cover(r, kid); ok && n < bestN {
+		if s, n, ok := cover(r, kid, g); ok && n < bestN {
 			best, bestN, spans = k, n, s
 		}
 	}
@@ -218,21 +255,4 @@ func readOut(spans []span, n, rows int) []int32 {
 		}
 	}
 	return out
-}
-
-// placeholderRows returns the rows of r holding a placeholder in one of
-// attrs, ascending, from the postings' Placeholder values; false when one
-// of the attributes has no posting.
-func placeholderRows(r *Relation, attrs []uint16) ([]int32, bool) {
-	spans := make([]span, len(attrs))
-	n := 0
-	for i, at := range attrs {
-		p := r.posting(at)
-		if p == nil {
-			return nil, false
-		}
-		spans[i] = p.between(int64(Placeholder), int64(Placeholder))
-		n += len(spans[i].rows)
-	}
-	return readOut(spans, n, r.NumRows()), true
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"slices"
 	"sync"
@@ -131,7 +133,7 @@ func checkSelection(t *testing.T, sn *Snapshot, rel string, p Pred) (driven bool
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, driven = drive(r, cp)
+	_, _, driven = drive(r, cp, nil)
 	got, want := NewArena(sn), NewArena(withoutPostings(sn))
 	for _, a := range []*Arena{got, want} {
 		if err := a.Select("x", rel, p); err != nil {
@@ -257,7 +259,9 @@ func TestSameAttributeDisjunction(t *testing.T) {
 }
 
 // TestDrivenSelectionTicksCandidates: a driven selection ticks its guard
-// for the candidate rows it touches, not for every row of its input.
+// for the candidate rows it touches, not for every row of its input, once
+// the postings it reads are built; the selection that builds them ticks
+// for every row each build pass reads.
 func TestDrivenSelectionTicksCandidates(t *testing.T) {
 	s := postingStore(t, 4, postingMinRows+1000)
 	sn := s.Snapshot()
@@ -271,10 +275,48 @@ func TestDrivenSelectionTicksCandidates(t *testing.T) {
 		return g.n.Load()
 	}
 	r := sn.Rel("R")
-	cand := len(r.posting(3).between(7, 7).rows)
-	driven, scan := ticks(sn), ticks(withoutPostings(sn))
+	first, scan := ticks(sn), ticks(withoutPostings(sn))
+	driven := ticks(sn)
+	cand := len(r.posting(3, nil).between(7, 7).rows)
 	if scan < uint64(r.NumRows()) || driven >= scan/10 || driven < uint64(cand) {
 		t.Fatalf("driven selection ticked %d, the scan %d, for %d candidates of %d rows", driven, scan, cand, r.NumRows())
+	}
+	// D's posting at least (building the store's selections built A's),
+	// three passes.
+	if first < driven+3*uint64(r.NumRows()) {
+		t.Fatalf("the selection building D's posting ticked %d, a later one %d, over %d rows", first, driven, r.NumRows())
+	}
+}
+
+// TestPostingBuildStopsOnGuard: a canceled query stops building a posting
+// at its first batch, its selection fails, and the slot stays unbuilt for
+// the next reader, which builds it.
+func TestPostingBuildStopsOnGuard(t *testing.T) {
+	s := postingStore(t, 6, postingMinRows+1000)
+	sn := s.Snapshot()
+	r := sn.Rel("R")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := NewGuard(ctx)
+	if p := r.posting(2, g); p != nil {
+		t.Fatal("a canceled build returned a posting")
+	}
+	if n := g.n.Load(); n > guardPeriod {
+		t.Fatalf("a canceled build ticked %d after its first batch", n)
+	}
+	if r.posts[2].done.Load() {
+		t.Fatal("a canceled build left its slot built")
+	}
+	a := NewArena(sn)
+	a.SetGuard(NewGuard(ctx))
+	if err := a.Select("x", "R", Eq("C", 1)); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("canceled selection: %v, want ErrCanceled", err)
+	}
+	if r.posts[2].done.Load() {
+		t.Fatal("a canceled selection left C's slot built")
+	}
+	if !checkSelection(t, sn, "R", Eq("C", 1)) || r.posting(2, nil) == nil {
+		t.Fatal("the next selection did not build C's posting")
 	}
 }
 
@@ -285,7 +327,7 @@ func TestPostingsLayout(t *testing.T) {
 	sn := s.Snapshot()
 	r := sn.Rel("R")
 	for ai, name := range r.Attrs {
-		p := r.posting(uint16(ai))
+		p := r.posting(uint16(ai), nil)
 		if name == "W" {
 			if p != nil {
 				t.Fatal("a column spanning 50000 values got a posting")
@@ -315,14 +357,14 @@ func TestPostingsLayout(t *testing.T) {
 	if _, err := small.AddRelation("S", []string{"A"}, [][]int32{make([]int32, postingMinRows-1)}); err != nil {
 		t.Fatal(err)
 	}
-	if small.Snapshot().Rel("S").posting(0) != nil {
+	if small.Snapshot().Rel("S").posting(0, nil) != nil {
 		t.Fatal("a column under postingMinRows rows got a posting")
 	}
 	a := NewArena(sn)
 	if err := a.Project("P", "R", "A"); err != nil {
 		t.Fatal(err)
 	}
-	if p := a.Rel("P"); p.posts != nil || p.posting(0) != nil {
+	if p := a.Rel("P"); p.posts != nil || p.posting(0, nil) != nil {
 		t.Fatal("an arena result has posting slots")
 	}
 }
@@ -431,36 +473,7 @@ func TestPostingBuiltOnce(t *testing.T) {
 		}
 	}
 	r := sn.Rel("R")
-	if p := r.posting(2); p == nil || r.posts[2].p != p {
+	if p := r.posting(2, nil); p == nil || r.posts[2].p != p {
 		t.Fatal("no single posting for C after the concurrent first selections")
-	}
-}
-
-// TestDisjunctionScratchReused: a compiled disjunction filters batch after
-// batch out of one scratch, with the answers of a fresh compilation.
-func TestDisjunctionScratchReused(t *testing.T) {
-	s := postingStore(t, 5, postingMinRows)
-	r := s.Snapshot().Rel("R")
-	p := Or{Eq("A", 2), And{Eq("B", 1), Or{AttrConst{"C", relation.LT, 3}, Eq("D", 7)}}}
-	cp, err := p.Compile(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lo := 0; lo < r.NumRows(); lo += 700 {
-		sel := make([]int32, 0, 700)
-		for i := lo; i < min(lo+700, r.NumRows()); i++ {
-			sel = append(sel, int32(i))
-		}
-		fresh, _ := p.Compile(r)
-		want := fresh.Filter(r.Cols, slices.Clone(sel))
-		if got := cp.Filter(r.Cols, sel); !slices.Equal(got, want) {
-			t.Fatalf("batch at %d: %v, want %v", lo, got, want)
-		}
-	}
-	if n := testing.AllocsPerRun(10, func() {
-		sel := []int32{0, 1, 2, 3, 4, 5, 6, 7}
-		cp.Filter(r.Cols, sel)
-	}); n > 1 {
-		t.Fatalf("a disjunction's Filter allocates %v times per batch", n)
 	}
 }

@@ -314,15 +314,6 @@ type compiledList struct {
 	kids  []CompiledPred
 	conj  bool
 	attrs []uint16
-	// or is a disjunction's Filter scratch, allocated once per compilation
-	// and grown to the largest batch: a compiled disjunction is not safe for
-	// concurrent Filter calls.
-	or *orScratch
-}
-
-type orScratch struct {
-	hit []bool
-	buf []int32
 }
 
 func compileList(ps []Pred, r *Relation, conj bool) (CompiledPred, error) {
@@ -346,7 +337,6 @@ func compileList(ps []Pred, r *Relation, conj bool) (CompiledPred, error) {
 		if rs, ok := foldRanges(out.kids); ok {
 			return rs, nil
 		}
-		out.or = new(orScratch)
 	}
 	return out, nil
 }
@@ -372,10 +362,8 @@ func (p compiledList) Filter(cols [][]int32, sel []int32) []int32 {
 		}
 		return sel
 	}
-	hit := slices.Grow(p.or.hit[:0], len(sel))[:len(sel)]
-	clear(hit)
-	buf := slices.Grow(p.or.buf[:0], len(sel))
-	p.or.hit, p.or.buf = hit, buf
+	hit := make([]bool, len(sel))
+	buf := make([]int32, len(sel))
 	for _, k := range p.kids {
 		yes := k.Filter(cols, append(buf[:0], sel...))
 		for i, j := 0, 0; j < len(yes); i++ {
