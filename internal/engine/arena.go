@@ -57,6 +57,12 @@ type Arena struct {
 	// guard is the execution's cancellation/memory checkpoint (cancel.go);
 	// nil means never canceled.
 	guard *Guard
+	// attrBuf and decBuf back the attribute lists and decisions of the
+	// selections' row plans, and refs is a selection stage's scratch; a
+	// pooled arena keeps their capacity across queries.
+	attrBuf []uint16
+	decBuf  []decision
+	refs    []urow
 }
 
 // NewArena creates an empty arena over a snapshot.
@@ -327,12 +333,13 @@ func (a *Arena) materialize() error {
 		return err
 	}
 	ev := v.condEval()
-	return v.eachRow(func(u *urow) error {
+	var m rowMasks
+	return v.eachRow(nil, func(u *urow) error {
 		if err := a.tick(); err != nil {
 			return err
 		}
-		cond, keep := v.masks(u, a.compFor, ev)
-		return a.extendRow(v.out, v.src, u, v.order, cond, keep)
+		m = v.masks(u, a.compFor, ev, m)
+		return a.extendRow(v.out, v.src, u, v.order, &m)
 	})
 }
 
@@ -377,6 +384,16 @@ type presence struct {
 
 func (m presence) fails(c *Component, w int) bool { return m.comp == c && !m.pass[w] }
 
+// anyFails reports whether one of the masks ms fails at local world w of c.
+func anyFails(ms []presence, c *Component, w int) bool {
+	for _, m := range ms {
+		if m.fails(c, w) {
+			return true
+		}
+	}
+	return false
+}
+
 // gather fills the columns of out with the columns order of r gathered at
 // the source rows sel (nil = every row), a batch of guardPeriod rows at a
 // time.
@@ -410,25 +427,23 @@ func (a *Arena) gather(out, r *Relation, order []uint16, sel []int32) error {
 
 // extendRow copies the kept placeholder fields of source row u.src of r into
 // result row u.j of out, whose attributes are order. Each copy joins its
-// field's component, absent where the field is, where keep fails and — for
-// the attributes in u.inSel — where cond fails. When no copy carries keep,
-// the first attribute becomes a placeholder holding its certain value,
-// absent where keep fails.
-func (a *Arena) extendRow(out, r *Relation, u *urow, order []uint16, cond, keep presence) error {
+// field's component, absent where the field is and where one of the masks
+// m gives it fails: keep, and the mask of every decision of u whose inSel
+// holds its attribute. When no copy carries keep, the first attribute
+// becomes a placeholder holding its certain value, absent where keep fails.
+func (a *Arena) extendRow(out, r *Relation, u *urow, order []uint16, m *rowMasks) error {
 	carried := false
+	var buf [4]presence
 	for di, at := range order {
 		if !containsAttr(u.attrs, at) {
 			continue
 		}
-		c := cond
-		if !containsAttr(u.inSel, at) {
-			c = presence{}
-		}
-		if err := a.extendField(out, FieldID{Rel: r.id, Row: u.src, Attr: at}, u.j, uint16(di), c, keep); err != nil {
+		if err := a.extendField(out, FieldID{Rel: r.id, Row: u.src, Attr: at}, u.j, uint16(di), m.of(u, at, buf[:0])...); err != nil {
 			return err
 		}
 		carried = true
 	}
+	keep := m.keep
 	if carried || keep.comp == nil {
 		return nil
 	}
@@ -437,13 +452,13 @@ func (a *Arena) extendRow(out, r *Relation, u *urow, order []uint16, cond, keep 
 }
 
 // extendField makes result field (row, attr) of out a copy of placeholder
-// field src, absent where src is and where m1 or m2 fails.
-func (a *Arena) extendField(out *Relation, src FieldID, row int32, attr uint16, m1, m2 presence) error {
+// field src, absent where src is and where one of the masks ms fails.
+func (a *Arena) extendField(out *Relation, src FieldID, row int32, attr uint16, ms ...presence) error {
 	c := a.compFor(src)
 	col := c.Pos(src)
 	return a.addField(out, row, attr, c, func(w int) (int32, bool) {
 		cw := &c.Rows[w]
-		return cw.Vals[col], cw.IsAbsent(col) || m1.fails(c, w) || m2.fails(c, w)
+		return cw.Vals[col], cw.IsAbsent(col) || anyFails(ms, c, w)
 	})
 }
 

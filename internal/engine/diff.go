@@ -330,7 +330,7 @@ func (a *Arena) Difference(res, l, r string) (*Relation, error) {
 		if u.attrs == nil && p.keep.comp == nil {
 			continue
 		}
-		if err := a.extendRow(out, lr, &u, order, presence{}, p.keep); err != nil {
+		if err := a.extendRow(out, lr, &u, order, &rowMasks{keep: p.keep}); err != nil {
 			return nil, err
 		}
 	}

@@ -177,7 +177,7 @@ func (a *Arena) Join(res, l, r, onL, onR string) (*Relation, error) {
 				return err
 			}
 			srcF := FieldID{Rel: srcRel.id, Row: srcRow, Attr: at}
-			if err := a.extendField(out, srcF, int32(dstRow), uint16(attrOffset)+at, presence{pp.comp, pp.pass}, presence{}); err != nil {
+			if err := a.extendField(out, srcF, int32(dstRow), uint16(attrOffset)+at, presence{pp.comp, pp.pass}); err != nil {
 				return err
 			}
 		}

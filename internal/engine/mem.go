@@ -52,10 +52,8 @@ func (a *Arena) MemUsage() int64 {
 	if v := a.pending; v != nil {
 		n += int64(cap(v.sel)+cap(v.carriers))*4 + int64(cap(v.cols))*24
 		n += int64(cap(v.plans)) * int64(unsafe.Sizeof(urow{}))
-		for _, u := range v.plans {
-			n += int64(cap(u.ref)+cap(u.inSel)+cap(u.drop)) * 2
-		}
 	}
+	n += int64(cap(a.attrBuf))*2 + int64(cap(a.decBuf))*int64(unsafe.Sizeof(decision{})) + int64(cap(a.refs))*int64(unsafe.Sizeof(urow{}))
 	n += int64(len(a.fieldComp)+len(a.relID)+len(a.origins)+len(a.shadowed)+len(a.dirty)) * mapEntryOverhead
 	return n
 }

@@ -29,6 +29,14 @@ import (
 // conditions whose best conjunct keeps more than half of the rows. Both
 // give the same vector.
 //
+// A chain of selections, each read only by the next, is one staged
+// operator (a Stages condition): the first stage starts as above, each
+// later one runs its kernels over the previous stage's vector, and a row
+// whose stage-k references are placeholders is decided per local world,
+// reading them as the chain's intermediate would hold them. The
+// intermediates are never built; the components, their local-world order
+// and every mask are those of the chain run step by step.
+//
 // Operators are Arena methods: they read base data through the arena's
 // snapshot and write result templates and extended component rows into the
 // arena, leaving the shared store untouched — which is what lets many
@@ -69,16 +77,25 @@ func (a *Arena) SelectProject(res, src string, p Pred, attrs ...string) error {
 type urow struct {
 	j, src int32
 	attrs  []uint16 // the source row's placeholder attributes
-	// ref are those the condition reads: the row is decided per local world
-	// of their component. inSel are the placeholder attributes sharing that
-	// component at the decision — their copies carry the condition — and
-	// failing says it fails in some local world.
-	ref, inSel []uint16
-	failing    bool
+	// dec are the row's decisions, one per stage whose condition reads its
+	// placeholders, in stage order.
+	dec []decision
 	// drop are the dropped attributes whose copies would carry absence; the
 	// kept copies in their component carry their presence or, when none is
 	// kept, a carrier field does.
 	drop []uint16
+}
+
+// decision is a row's verdict at one stage of the condition. ref are the
+// placeholder attributes the stage reads: the row is decided per local
+// world of their component. inSel are the placeholder attributes sharing
+// that component at the decision — their copies carry the stage's mask —
+// and failing says the stage fails in some local world. A rejected row
+// keeps inSel nil.
+type decision struct {
+	stage      int
+	ref, inSel []uint16
+	failing    bool
 }
 
 // Selection is a result of σ, π and δ read in place: the kept columns of
@@ -100,18 +117,20 @@ type Selection struct {
 	sel      []int32 // surviving source rows, ascending; nil = every row
 	order    []uint16
 	cols     [][]int32 // src's columns in result order
-	cp       CompiledPred
+	stages   []CompiledPred
 	// plans are the surviving rows with a condition or absence plan, in
-	// source order; the others copy their placeholders as they stand.
+	// source order; the others copy their placeholders as they stand. Their
+	// attribute lists and decisions are cut from the arena's backings.
 	plans    []urow
 	carriers []int32 // ascending result rows
 }
 
 // selectProject computes π_attrs(σ_p(src)) as res; nil p selects every row,
-// nil attrs keeps every attribute. Compositions happen in the two-step
-// order — σ's per row, then π's per surviving row — before any mask is
-// evaluated, so local-world indexes stay stable and the components equal the
-// two-step ones. The result is left pending as a Selection.
+// nil attrs keeps every attribute, and a Stages p runs its stages in turn.
+// Compositions happen in the order of the operators run one by one — each
+// stage's per row, then π's per surviving row — before any mask is
+// evaluated, so local-world indexes stay stable and the components equal
+// the step-by-step ones. The result is left pending as a Selection.
 func (a *Arena) selectProject(res, src string, p Pred, attrs []string) error {
 	if err := a.materialize(); err != nil {
 		return err
@@ -138,81 +157,42 @@ func (a *Arena) selectProject(res, src string, p Pred, attrs []string) error {
 		}
 	}
 	v := &Selection{view: a, src: r, order: order}
-	x := &r.unc
 	if p != nil {
-		var err error
-		if v.cp, err = p.Compile(r); err != nil {
-			return err
+		stages, ok := p.(Stages)
+		if !ok {
+			stages = Stages{p}
 		}
-		// σ(AθB) and multi-attribute conditions entangle the components of
-		// the placeholders they read: compose them, row by row.
-		var refs []urow // rows whose condition reads placeholders
-		predAttrs := v.cp.Attrs()
-		for i, row := range x.rows {
-			u := urow{src: row, attrs: x.at(i)}
-			for _, at := range u.attrs {
-				if containsAttr(predAttrs, at) {
-					u.ref = append(u.ref, at)
-				}
-			}
-			if u.ref == nil {
-				continue
-			}
-			if err := a.tick(); err != nil {
+		v.stages = make([]CompiledPred, len(stages))
+		for k, sp := range stages {
+			var err error
+			if v.stages[k], err = sp.Compile(r); err != nil {
 				return err
 			}
-			if len(u.ref) > 1 {
-				if _, err := a.mergeComps(r.fields(row, u.ref)...); err != nil {
-					return err
-				}
-			}
-			refs = append(refs, u)
 		}
-		// The kernels would decide those rows on their sentinels: decide
-		// them per local world (a rejected row keeps inSel nil) for filter
-		// to overrule the kernels with.
-		ev := v.condEval()
-		var pass []bool
-		for k := range refs {
-			u := &refs[k]
-			if err := a.tick(); err != nil {
+		for k := range v.stages {
+			if err := a.stage(v, k); err != nil {
 				return err
 			}
-			// Read, do not adopt: a rejected row never extends its
-			// component, and a surviving one adopts it when it does.
-			comp := a.ComponentOf(FieldID{Rel: r.id, Row: u.src, Attr: u.ref[0]})
-			pass = ev.mask(u.src, u.ref, comp, pass)
-			if !slices.Contains(pass, true) {
-				continue
-			}
-			u.failing = slices.Contains(pass, false)
-			for _, at := range u.attrs {
-				if a.ComponentOf(FieldID{Rel: r.id, Row: u.src, Attr: at}) == comp {
-					u.inSel = append(u.inSel, at)
-				}
-			}
-			v.plans = append(v.plans, *u)
-		}
-		if v.sel, err = a.filter(r, v.cp, refs); err != nil {
-			return err
 		}
 	}
 
-	// π's ⊥-propagation: a dropped field carrying absence — its own, or the
-	// condition's — joins the component of the row's kept fields. Only a
+	// π's ⊥-propagation: a dropped field carrying absence — its own, or a
+	// stage's — joins the component of the row's kept fields. Only a
 	// relation recording absence has fields worth probing for their own.
 	if len(order) < len(r.Attrs) {
 		var plans []urow
-		err := v.eachRow(func(u *urow) error {
+		err := v.eachRow(nil, func(u *urow) error {
 			if err := a.tick(); err != nil {
 				return err
 			}
+			start := len(a.attrBuf)
 			for _, at := range u.attrs {
-				if !containsAttr(order, at) && ((u.failing && containsAttr(u.inSel, at)) || r.absence && a.fieldHasAbsence(FieldID{Rel: r.id, Row: u.src, Attr: at})) {
-					u.drop = append(u.drop, at)
+				if !containsAttr(order, at) && (u.failsIn(at) || r.absence && a.fieldHasAbsence(FieldID{Rel: r.id, Row: u.src, Attr: at})) {
+					a.attrBuf = append(a.attrBuf, at)
 				}
 			}
-			if u.ref != nil || u.drop != nil {
+			u.drop = a.cut(start)
+			if u.dec != nil || u.drop != nil {
 				plans = append(plans, *u)
 			}
 			if u.drop == nil {
@@ -249,10 +229,128 @@ func (a *Arena) selectProject(res, src string, p Pred, attrs []string) error {
 	return nil
 }
 
+// stage runs stage k of v's condition over the rows the stages before it
+// kept (every row, for the first). σ(AθB) and multi-attribute conditions
+// entangle the components of the placeholders they read: those are
+// composed row by row, and then every row whose stage-k references are
+// placeholders is decided per local world — its references read as the
+// chain's intermediate would hold them, under the earlier decisions — for
+// filter to overrule the kernels with.
+func (a *Arena) stage(v *Selection, k int) error {
+	r, attrs := v.src, v.stages[k].Attrs()
+	refs := a.refs[:0] // the rows whose stage-k condition reads placeholders
+	defer func() { clear(refs); a.refs = refs[:0] }()
+	err := v.eachRow(attrs, func(u *urow) error {
+		start := len(a.attrBuf)
+		for _, at := range u.attrs {
+			if containsAttr(attrs, at) {
+				a.attrBuf = append(a.attrBuf, at)
+			}
+		}
+		ref := a.cut(start)
+		if ref == nil { // a condition reading no attribute: want was nil
+			return nil
+		}
+		if err := a.tick(); err != nil {
+			return err
+		}
+		if len(ref) > 1 {
+			if _, err := a.mergeComps(r.fields(u.src, ref)...); err != nil {
+				return err
+			}
+		}
+		n := len(a.decBuf)
+		a.decBuf = append(append(a.decBuf, u.dec...), decision{stage: k, ref: ref})
+		u.dec = a.decBuf[n:len(a.decBuf):len(a.decBuf)]
+		refs = append(refs, *u)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	ev := v.condEval()
+	var m rowMasks
+	for i := range refs {
+		u := &refs[i]
+		if err := a.tick(); err != nil {
+			return err
+		}
+		// Read, do not adopt: a rejected row never extends its component,
+		// and a surviving one adopts it when it does.
+		m = v.masks(u, a.ComponentOf, ev, m)
+		cond := m.conds[len(m.conds)-1]
+		if !slices.Contains(cond.pass, true) {
+			continue
+		}
+		d := &u.dec[len(u.dec)-1]
+		d.failing = slices.Contains(cond.pass, false)
+		start := len(a.attrBuf)
+		for _, at := range u.attrs {
+			if a.ComponentOf(FieldID{Rel: r.id, Row: u.src, Attr: at}) == cond.comp {
+				a.attrBuf = append(a.attrBuf, at)
+			}
+		}
+		d.inSel = a.cut(start)
+	}
+	sel, err := a.filter(v, k, refs)
+	if err != nil {
+		return err
+	}
+	v.sel, v.plans = sel, keptPlans(v.plans, refs, sel)
+	return nil
+}
+
+// cut returns the attributes appended to a.attrBuf since start, capped so
+// that an append to them copies; nil when there are none.
+func (a *Arena) cut(start int) []uint16 {
+	if len(a.attrBuf) == start {
+		return nil
+	}
+	return a.attrBuf[start:len(a.attrBuf):len(a.attrBuf)]
+}
+
+// keptPlans returns the plans of the rows sel keeps, in source order: those
+// of old, and for the rows refs decided those of refs, which hold old's
+// decisions too.
+func keptPlans(old, refs []urow, sel []int32) []urow {
+	out := make([]urow, 0, min(len(old)+len(refs), len(sel)))
+	s := 0
+	for len(old) > 0 || len(refs) > 0 {
+		var u urow
+		if len(refs) == 0 || len(old) > 0 && old[0].src < refs[0].src {
+			u, old = old[0], old[1:]
+		} else {
+			if len(old) > 0 && old[0].src == refs[0].src {
+				old = old[1:]
+			}
+			u, refs = refs[0], refs[1:]
+		}
+		for s < len(sel) && sel[s] < u.src {
+			s++
+		}
+		if s < len(sel) && sel[s] == u.src {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+// failsIn reports whether a decision whose inSel holds attribute at fails
+// in some local world: the copy of at carries absence.
+func (u *urow) failsIn(at uint16) bool {
+	for i := range u.dec {
+		if u.dec[i].failing && containsAttr(u.dec[i].inSel, at) {
+			return true
+		}
+	}
+	return false
+}
+
 // eachRow calls fn, in order, on every result row whose source row holds
-// placeholders, with its plan: the source's uncertainty index walked
-// against the ascending selection vector, the plans merged in.
-func (v *Selection) eachRow(fn func(u *urow) error) error {
+// placeholders — of one of the attributes want, unless want is nil — with
+// its plan: the source's uncertainty index walked against the ascending
+// selection vector, the plans merged in.
+func (v *Selection) eachRow(want []uint16, fn func(u *urow) error) error {
 	x, sel := &v.src.unc, v.sel
 	var u urow // one for the walk: fn may keep only a copy
 	for i, s, k := 0, 0, 0; i < len(x.rows); i++ {
@@ -269,13 +367,16 @@ func (v *Selection) eachRow(fn func(u *urow) error) error {
 			}
 			j = int32(s)
 		}
-		u = urow{j: j, src: row, attrs: x.at(i)}
+		attrs := x.at(i)
+		if want != nil && !intersects(attrs, want) {
+			continue
+		}
+		u = urow{j: j, src: row, attrs: attrs}
 		for k < len(v.plans) && v.plans[k].src < row {
 			k++
 		}
 		if k < len(v.plans) && v.plans[k].src == row {
-			p := &v.plans[k]
-			u.ref, u.inSel, u.failing, u.drop = p.ref, p.inSel, p.failing, p.drop
+			u.dec, u.drop = v.plans[k].dec, v.plans[k].drop
 		}
 		if err := fn(&u); err != nil {
 			return err
@@ -284,37 +385,71 @@ func (v *Selection) eachRow(fn func(u *urow) error) error {
 	return nil
 }
 
-// masks returns the presence masks the copies of row u's fields carry: cond
-// over the component of the fields the condition reads, keep — the
-// presence of the dropped fields — over theirs. comp resolves components:
-// compFor when the copies are about to join them, ComponentOf when they are
-// only counted or viewed; either way cond.pass indexes keep's local worlds
-// wherever it is read, since a dropped inSel field merged the condition's
-// component into keep's. ev is the loop's evaluator of v's condition; the
-// masks are fresh slices the caller may keep.
+// rowMasks are the presence masks the copies of one row's fields carry:
+// conds, one per decision of the row, over the component of the fields it
+// read, and keep — the presence of the dropped fields — over theirs.
+type rowMasks struct {
+	conds []presence
+	keep  presence
+}
+
+// masks returns the masks of row u. comp resolves components: compFor when
+// the copies are about to join them, ComponentOf when they are only counted
+// or viewed. Every mask reads its fields as the chain's intermediate would
+// hold them: absent where an earlier decision whose inSel holds them fails.
+// Such a decision's mask is over the same component, since a field in inSel
+// shares it — and so is every decision's mask that keep reads, since a
+// dropped inSel field merged its component into keep's. ev is the loop's
+// evaluator of v's condition. The masks reuse the slices of scratch, masks
+// of an earlier row; a caller that keeps them passes none.
 //
 //maybms:unguarded bounded single-component probe; the loops that call it tick per row
-func (v *Selection) masks(u *urow, comp func(FieldID) *Component, ev *condEval) (cond, keep presence) {
+func (v *Selection) masks(u *urow, comp func(FieldID) *Component, ev *condEval, scratch rowMasks) rowMasks {
 	r := v.src
-	if u.ref != nil {
-		cond.comp = comp(FieldID{Rel: r.id, Row: u.src, Attr: u.ref[0]})
-		cond.pass = ev.mask(u.src, u.ref, cond.comp, nil)
+	m := rowMasks{conds: scratch.conds[:0]}
+	for i := range u.dec {
+		c := comp(FieldID{Rel: r.id, Row: u.src, Attr: u.dec[i].ref[0]})
+		var pass []bool
+		if i < len(scratch.conds) {
+			pass = scratch.conds[i].pass
+		}
+		m.conds = append(m.conds, presence{comp: c, pass: ev.mask(u, i, c, m.conds, pass)})
 	}
 	if u.drop == nil {
-		return cond, keep
+		return m
 	}
-	m := comp(FieldID{Rel: r.id, Row: u.src, Attr: u.drop[0]})
-	keep = presence{comp: m, pass: make([]bool, len(m.Rows))}
-	for w, crow := range m.Rows {
-		keep.pass[w] = true
-		for _, at := range u.drop {
-			if crow.IsAbsent(m.Pos(FieldID{Rel: r.id, Row: u.src, Attr: at})) || (containsAttr(u.inSel, at) && !cond.pass[w]) {
-				keep.pass[w] = false
-				break
-			}
+	c := comp(FieldID{Rel: r.id, Row: u.src, Attr: u.drop[0]})
+	m.keep = presence{comp: c, pass: slices.Grow(scratch.keep.pass[:0], len(c.Rows))[:len(c.Rows)]}
+	var buf [4]presence
+	hide := buf[:0] // the masks of the decisions holding a dropped field
+	for i := range m.conds {
+		if intersects(u.dec[i].inSel, u.drop) {
+			hide = append(hide, m.conds[i])
 		}
 	}
-	return cond, keep
+	var posBuf [8]int
+	pos := posBuf[:0]
+	for _, at := range u.drop {
+		pos = append(pos, c.Pos(FieldID{Rel: r.id, Row: u.src, Attr: at}))
+	}
+	for w := range c.Rows {
+		m.keep.pass[w] = !slices.ContainsFunc(pos, c.Rows[w].IsAbsent) && !anyFails(hide, c, w)
+	}
+	return m
+}
+
+// of appends to ms the masks the copy of u's field at carries: those of the
+// decisions whose inSel holds at, and keep.
+func (m *rowMasks) of(u *urow, at uint16, ms []presence) []presence {
+	for i := range m.conds {
+		if containsAttr(u.dec[i].inSel, at) {
+			ms = append(ms, m.conds[i])
+		}
+	}
+	if m.keep.comp != nil {
+		ms = append(ms, m.keep)
+	}
+	return ms
 }
 
 // Selection returns the named relation as a Selection without building it:
@@ -389,8 +524,8 @@ func (v *Selection) Stats() Stats {
 	}
 	fieldsPerComp := make(map[*Component]int)
 	// count adds field f's copy under its component and returns the local
-	// worlds where it is present and neither mask fails.
-	count := func(f FieldID, cond, keep presence) (cells int) {
+	// worlds where it is present and none of its masks ms fails.
+	count := func(f FieldID, ms []presence) (cells int) {
 		c := v.view.ComponentOf(f)
 		if c == nil {
 			return 0
@@ -398,7 +533,7 @@ func (v *Selection) Stats() Stats {
 		fieldsPerComp[c]++
 		col := c.Pos(f)
 		for w, crow := range c.Rows {
-			if !crow.IsAbsent(col) && !cond.fails(c, w) && !keep.fails(c, w) {
+			if !crow.IsAbsent(col) && !anyFails(ms, c, w) {
 				cells++
 			}
 		}
@@ -411,29 +546,28 @@ func (v *Selection) Stats() Stats {
 		for i, row := range x.rows {
 			for _, at := range x.at(i) {
 				if kept[at] {
-					st.CSize += count(FieldID{Rel: r.id, Row: row, Attr: at}, presence{}, presence{})
+					st.CSize += count(FieldID{Rel: r.id, Row: row, Attr: at}, nil)
 				}
 			}
 		}
 	} else {
 		ev := v.condEval()
-		_ = v.eachRow(func(u *urow) error {
-			cond, keep := v.masks(u, v.view.ComponentOf, ev)
+		var m rowMasks
+		var ms []presence
+		_ = v.eachRow(nil, func(u *urow) error {
+			m = v.masks(u, v.view.ComponentOf, ev, m)
 			carried := false
 			for _, at := range u.attrs {
 				if !kept[at] {
 					continue
 				}
 				carried = true
-				m1 := cond
-				if !containsAttr(u.inSel, at) {
-					m1 = presence{}
-				}
-				st.CSize += count(FieldID{Rel: r.id, Row: u.src, Attr: at}, m1, keep)
+				ms = m.of(u, at, ms[:0])
+				st.CSize += count(FieldID{Rel: r.id, Row: u.src, Attr: at}, ms)
 			}
-			if !carried && keep.comp != nil {
-				fieldsPerComp[keep.comp]++
-				for _, pass := range keep.pass {
+			if !carried && m.keep.comp != nil {
+				fieldsPerComp[m.keep.comp]++
+				for _, pass := range m.keep.pass {
 					if pass {
 						st.CSize++
 					}
@@ -451,23 +585,28 @@ func (v *Selection) Stats() Stats {
 	return st
 }
 
-// filter runs a compiled condition over the template of r and returns the
-// selection vector of the rows kept. The rows come from drive's candidates
-// (the postings of the condition's most selective atom, with the remaining
-// conjuncts as kernels) or, failing that, from a scan of every row, a batch
-// of guardPeriod rows at a time; either way the kernels' verdicts on the
-// rows of refs are overruled by their per-local-world decisions.
-func (a *Arena) filter(r *Relation, cp CompiledPred, refs []urow) ([]int32, error) {
+// filter runs stage k of v's condition over the template of its source
+// and returns the selection vector of the rows kept. The first stage reads
+// drive's candidates (the postings of its most selective atom, with the
+// remaining conjuncts as kernels) or, failing that, every row; a later stage
+// reads the rows the stage before it kept. Either way the rows come a batch
+// of guardPeriod rows at a time, and the kernels' verdicts on the rows of
+// refs are overruled by their per-local-world decisions.
+func (a *Arena) filter(v *Selection, k int, refs []urow) ([]int32, error) {
+	r := v.src
 	n := r.NumRows()
-	cand, kernel, driven := drive(r, cp, a.guard)
+	cand, kernel, driven := v.sel, v.stages[k], k > 0
+	if k == 0 {
+		if c, rest, ok := drive(r, kernel, a.guard); ok {
+			cand, kernel, driven = c, rest, true
+		}
+	}
 	m, size := n, min(n, guardPeriod)
 	if driven {
 		m, size = len(cand), len(cand)+len(refs) // as large as it gets
-	} else {
-		kernel = cp
 	}
 	sel := make([]int32, 0, size)
-	k := 0
+	d := 0
 	for lo := 0; lo < m; lo += guardPeriod {
 		hi := min(lo+guardPeriod, m)
 		if err := a.guard.tickN(hi - lo); err != nil {
@@ -486,44 +625,45 @@ func (a *Arena) filter(r *Relation, cp CompiledPred, refs []urow) ([]int32, erro
 			}
 		}
 		sel = sel[:base+len(kernel.Filter(r.Cols, sel[base:]))]
-		for ; k < len(refs) && refs[k].src < bound; k++ {
-			i, kept := slices.BinarySearch(sel[base:], refs[k].src)
-			if pass := refs[k].inSel != nil; pass && !kept {
-				sel = slices.Insert(sel, base+i, refs[k].src)
+		for ; d < len(refs) && refs[d].src < bound; d++ {
+			i, kept := slices.BinarySearch(sel[base:], refs[d].src)
+			if pass := refs[d].dec[len(refs[d].dec)-1].inSel != nil; pass && !kept {
+				sel = slices.Insert(sel, base+i, refs[d].src)
 			} else if !pass && kept {
 				sel = slices.Delete(sel, base+i, base+i+1)
 			}
 		}
 	}
 	// Only a driven selection without candidates leaves refs undecided.
-	for ; k < len(refs); k++ {
-		if refs[k].inSel != nil {
-			sel = append(sel, refs[k].src)
+	for ; d < len(refs); d++ {
+		if refs[d].dec[len(refs[d].dec)-1].inSel != nil {
+			sel = append(sel, refs[d].src)
 		}
 	}
 	return sel, nil
 }
 
-// condEval decides a compiled condition per local world on the rows whose
-// referenced fields are placeholders. Its row accessor is built once and
-// reads the local world cur points at, so one evaluator serves every row of
-// a loop.
+// condEval decides the stages of a compiled condition per local world on
+// the rows whose referenced fields are placeholders. Its row accessor is
+// built once and reads the local world cur points at, so one evaluator
+// serves every row of a loop.
 type condEval struct {
-	r   *Relation
-	cp  CompiledPred
-	row int32
-	ref []uint16
-	pos []int // the component columns of ref
-	cur *CompRow
-	get func(attr uint16) int32
+	r      *Relation
+	stages []CompiledPred
+	row    int32
+	ref    []uint16
+	pos    []int      // the component columns of ref
+	hide   []presence // the earlier decisions' masks that hide one of ref
+	cur    *CompRow
+	get    func(attr uint16) int32
 }
 
 // condEval returns an evaluator of v's condition, nil when v has none.
 func (v *Selection) condEval() *condEval {
-	if v.cp == nil {
+	if v.stages == nil {
 		return nil
 	}
-	e := &condEval{r: v.src, cp: v.cp}
+	e := &condEval{r: v.src, stages: v.stages}
 	e.get = func(ai uint16) int32 {
 		if k := slices.Index(e.ref, ai); k >= 0 {
 			return e.cur.Vals[e.pos[k]]
@@ -533,21 +673,29 @@ func (v *Selection) condEval() *condEval {
 	return e
 }
 
-// mask decides the condition on row per local world of comp, the component
-// of the row's placeholder fields ref, into pass (reused when large
-// enough): pass[w] when every ref field is present at w and the condition
-// holds there.
+// mask decides decision i of row u — its stage's condition on the
+// placeholders ref — per local world of comp, their component, into pass
+// (reused when large enough): pass[w] when the condition holds at w and
+// every ref field is present there, in the source and under prior, the
+// masks of u's earlier decisions, wherever one's inSel holds it.
 //
 //maybms:unguarded bounded single-component probe; the operator loops that call it tick per row
-func (e *condEval) mask(row int32, ref []uint16, comp *Component, pass []bool) []bool {
-	e.row, e.ref, e.pos = row, ref, e.pos[:0]
-	for _, at := range ref {
-		e.pos = append(e.pos, comp.Pos(FieldID{Rel: e.r.id, Row: row, Attr: at}))
+func (e *condEval) mask(u *urow, i int, comp *Component, prior []presence, pass []bool) []bool {
+	d := &u.dec[i]
+	e.row, e.ref, e.pos, e.hide = u.src, d.ref, e.pos[:0], e.hide[:0]
+	for _, at := range d.ref {
+		e.pos = append(e.pos, comp.Pos(FieldID{Rel: e.r.id, Row: u.src, Attr: at}))
 	}
+	for j := range prior[:i] {
+		if intersects(u.dec[j].inSel, d.ref) {
+			e.hide = append(e.hide, prior[j])
+		}
+	}
+	cp := e.stages[d.stage]
 	pass = slices.Grow(pass[:0], len(comp.Rows))[:len(comp.Rows)]
 	for w := range comp.Rows {
 		e.cur = &comp.Rows[w]
-		pass[w] = !slices.ContainsFunc(e.pos, e.cur.IsAbsent) && e.cp.Eval(e.get)
+		pass[w] = !slices.ContainsFunc(e.pos, e.cur.IsAbsent) && !anyFails(e.hide, comp, w) && cp.Eval(e.get)
 	}
 	return pass
 }
@@ -620,6 +768,16 @@ func (r *Relation) fields(row int32, attrs []uint16) []FieldID {
 		out[i] = FieldID{Rel: r.id, Row: row, Attr: at}
 	}
 	return out
+}
+
+// intersects reports whether xs and ys share an attribute.
+func intersects(xs, ys []uint16) bool {
+	for _, x := range xs {
+		if containsAttr(ys, x) {
+			return true
+		}
+	}
+	return false
 }
 
 func containsAttr(xs []uint16, a uint16) bool {

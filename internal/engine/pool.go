@@ -64,6 +64,8 @@ func (a *Arena) Reset(snap *Snapshot) {
 	a.rels = a.rels[:0]
 	a.nextCID = 0
 	a.scratchSeq = 0
+	a.attrBuf = a.attrBuf[:0]
+	a.decBuf = a.decBuf[:0]
 	if a.relID == nil {
 		a.relID = make(map[string]int32)
 		a.comps = make(map[int32]*Component)

@@ -382,6 +382,21 @@ func (p compiledList) Filter(cols [][]int32, sel []int32) []int32 {
 	return out
 }
 
+// Stages is a chain of selections σ_{pk}(…σ_{p1}(src)), p1 first, which
+// Select and SelectProject run as one operator: each stage runs over the
+// rows the stages before it kept, and a row whose references are
+// placeholders is decided per local world at every stage that reads them.
+// The result equals the chain run as separate selections — components,
+// local-world order and masks — but no intermediate is built.
+type Stages []Pred
+
+// Compile implements Pred: compiled as one condition, outside the
+// operators that run its stages in turn, a chain is the conjunction of its
+// stages.
+func (p Stages) Compile(r *Relation) (CompiledPred, error) { return And(p).Compile(r) }
+
+func (p Stages) String() string { return joinPreds(p, " ; ") }
+
 func joinPreds(ps []Pred, sep string) string {
 	parts := make([]string, len(ps))
 	for i, p := range ps {

@@ -52,23 +52,23 @@ type tupleView struct {
 
 // tlCopy is one placeholder field of the result as its source component
 // would hold it: the copy of column col — or, for a carrier (col -1), of the
-// certain value val — absent where the source field is and where cond or
-// keep fails (nil masks never fail).
+// certain value val — absent where the source field is and where one of
+// its masks fails.
 type tlCopy struct {
-	f          FieldID // the result field
-	col        int
-	val        int32
-	cond, keep []bool
+	f     FieldID // the result field
+	col   int
+	val   int32
+	masks []presence
 }
 
 // at returns the copy's value and absence at local world w, row, of its
-// source component.
-func (cp *tlCopy) at(row *CompRow, w int) (int32, bool) {
+// source component c.
+func (cp *tlCopy) at(c *Component, row *CompRow, w int) (int32, bool) {
 	v, absent := cp.val, false
 	if cp.col >= 0 {
 		v, absent = row.Vals[cp.col], row.IsAbsent(cp.col)
 	}
-	return v, absent || cp.cond != nil && !cp.cond[w] || cp.keep != nil && !cp.keep[w]
+	return v, absent || anyFails(cp.masks, c, w)
 }
 
 // tlSource is a source component reachable from the result's placeholders,
@@ -126,11 +126,11 @@ func tupleLevelView(s *Selection) (*tupleView, error) {
 	}
 	var pending []tlPending
 	ev := s.condEval()
-	err := s.eachRow(func(u *urow) error {
+	err := s.eachRow(nil, func(u *urow) error {
 		if err := guard.Tick(); err != nil {
 			return err
 		}
-		cond, keep := s.masks(u, v.ComponentOf, ev)
+		m := s.masks(u, v.ComponentOf, ev, rowMasks{})
 		p := tlPending{j: u.j, src: u.src, first: -1}
 		for di, at := range s.order {
 			if !containsAttr(u.attrs, at) {
@@ -141,14 +141,7 @@ func tupleLevelView(s *Selection) (*tupleView, error) {
 			if c == nil {
 				return fmt.Errorf("engine: field %v has no component", f)
 			}
-			cp := tlCopy{f: FieldID{Rel: out.id, Row: u.j, Attr: uint16(di)}, col: c.Pos(f)}
-			if cond.comp == c && containsAttr(u.inSel, at) {
-				cp.cond = cond.pass
-			}
-			if keep.comp == c {
-				cp.keep = keep.pass
-			}
-			i := file(c, cp)
+			i := file(c, tlCopy{f: FieldID{Rel: out.id, Row: u.j, Attr: uint16(di)}, col: c.Pos(f), masks: m.of(u, at, nil)})
 			if p.first < 0 {
 				p.first = i
 			} else {
@@ -156,10 +149,10 @@ func tupleLevelView(s *Selection) (*tupleView, error) {
 			}
 			p.attrs = append(p.attrs, uint16(di))
 		}
-		if p.first < 0 && keep.comp != nil {
+		if p.first < 0 && m.keep.comp != nil {
 			// A carrier: the first column carries the presence of the
 			// dropped fields.
-			p.first = file(keep.comp, tlCopy{f: FieldID{Rel: out.id, Row: u.j}, col: -1, val: s.cols[0][u.src], keep: keep.pass})
+			p.first = file(m.keep.comp, tlCopy{f: FieldID{Rel: out.id, Row: u.j}, col: -1, val: s.cols[0][u.src], masks: []presence{m.keep}})
 			p.attrs = []uint16{0}
 		}
 		if p.first >= 0 {
@@ -266,7 +259,7 @@ func (src *tlSource) restrict(g *Guard) (*Component, error) {
 		row := &c.Rows[w]
 		key = key[:0]
 		for i := range cps {
-			v, absent := cps[i].at(row, w)
+			v, absent := cps[i].at(c, row, w)
 			key = appendFieldKey(key, v, absent)
 		}
 		if j, ok := seen[string(key)]; ok {
@@ -276,7 +269,7 @@ func (src *tlSource) restrict(g *Guard) (*Component, error) {
 		vals := make([]int32, len(cps))
 		var absent Bitset
 		for i := range cps {
-			v, abs := cps[i].at(row, w)
+			v, abs := cps[i].at(c, row, w)
 			vals[i] = v
 			if abs {
 				absent = absent.Set(i)

@@ -42,7 +42,7 @@ func (a *Arena) Union(res, l, r string) (*Relation, error) {
 					return err
 				}
 				srcF := FieldID{Rel: src.id, Row: row, Attr: at}
-				if err := a.extendField(out, srcF, int32(offset)+row, at, presence{}, presence{}); err != nil {
+				if err := a.extendField(out, srcF, int32(offset)+row, at); err != nil {
 					return err
 				}
 			}
@@ -111,7 +111,7 @@ func (a *Arena) Product(res, l, r string) (*Relation, error) {
 				return err
 			}
 			srcF := FieldID{Rel: srcRel.id, Row: srcRow, Attr: at}
-			if err := a.extendField(out, srcF, int32(dstRow), attrOffset+at, presence{}, presence{}); err != nil {
+			if err := a.extendField(out, srcF, int32(dstRow), attrOffset+at); err != nil {
 				return err
 			}
 		}

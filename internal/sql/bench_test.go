@@ -38,6 +38,34 @@ func BenchmarkShardedCommit(b *testing.B) {
 	}
 }
 
+// BenchmarkMaterializeQ3 times the writer-lock section of q5_session's
+// MATERIALIZE of Figure 29's Q3, a chain of two selections and a
+// projection, and its DROP, on a 50k-row census DB with 0.1% or-set noise.
+// It uses only the DB's exported surface, so it runs unchanged on older
+// trees.
+//
+//	go test -run '^$' -bench MaterializeQ3 -benchmem ./internal/sql
+func BenchmarkMaterializeQ3(b *testing.B) {
+	s, err := census.NewStore("R", 50000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := census.AddNoise(s, "R", 0.001, 2); err != nil {
+		b.Fatal(err)
+	}
+	db := sql.Open(s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Materialize("q3", census.SQL["Q3"]); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.DropRelation("q3"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCatalog times one CATALOG reply on q5_session's catalog: the
 // 50k-row census DB after one MATERIALIZE of Figure 29's Q2. It uses only
 // the DB's exported surface, so it runs unchanged on older trees.

@@ -240,3 +240,94 @@ func TestCensusSQLAgainstOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestStagedChainAgainstOracle runs mode and plain queries whose plans
+// hold a chain of selections — Q3's POWSTATE = POB step among them — which
+// run as one staged operator, on a census-shaped store small enough to
+// enumerate: or-sets on the attributes both stages read, one composed
+// across a row's fields, so that rows are decided per local world at both
+// stages and fail in some of them. CONF()/POSSIBLE/CERTAIN answers must
+// match per-world evaluation, and so must plain results.
+func TestStagedChainAgainstOracle(t *testing.T) {
+	attrs := []string{"POWSTATE", "POB", "FERTIL", "MARITAL", "CITIZEN"}
+	cols := [][]int32{
+		{6, 6, 7, 6, 9, 7, 6},
+		{6, 7, 7, 5, 9, 6, 6},
+		{5, 5, 6, 2, 5, 7, 5},
+		{1, 1, 1, 1, 2, 1, 1},
+		{0, 1, 0, 0, 1, 0, 1},
+	}
+	s := engine.NewStore()
+	if _, err := s.AddRelation("R", attrs, cols); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []struct {
+		row  int
+		attr string
+		vals []int32
+		p    []float64
+	}{
+		{0, "POWSTATE", []int32{6, 8}, []float64{0.3, 0.7}},
+		{1, "FERTIL", []int32{3, 5}, []float64{0.4, 0.6}},
+		{1, "POB", []int32{6, 7}, []float64{0.55, 0.45}},
+		{2, "MARITAL", []int32{1, 2}, []float64{0.8, 0.2}},
+		{2, "POB", []int32{7, 8}, nil},
+		{4, "MARITAL", []int32{1, 3}, []float64{0.25, 0.75}},
+		{5, "POB", []int32{6, 7}, []float64{0.35, 0.65}},
+	} {
+		if err := s.SetUncertain("R", o.row, o.attr, o.vals, o.p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Row 2's MARITAL and POB share one component.
+	base := s.Clone()
+	if _, err := execSQL(base, "SELECT * FROM R WHERE MARITAL = POB", "tmp"); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		"SELECT CONF() FROM R WHERE FERTIL > 4 AND MARITAL = 1 AND POWSTATE = POB",
+		"SELECT POSSIBLE POWSTATE, MARITAL, FERTIL FROM R WHERE FERTIL > 4 AND MARITAL = 1 AND POWSTATE = POB",
+		"SELECT CERTAIN POWSTATE FROM R WHERE FERTIL > 4 AND MARITAL = 1 AND POWSTATE = POB",
+		"SELECT CONF() FROM R WHERE CITIZEN = 0 AND POWSTATE = POB AND FERTIL > MARITAL",
+		"SELECT POSSIBLE CITIZEN FROM R WHERE FERTIL > 4 AND POWSTATE = POB AND MARITAL < POB",
+		"SELECT POWSTATE, MARITAL, FERTIL FROM R WHERE FERTIL > 4 AND MARITAL = 1 AND POWSTATE = POB",
+		"SELECT CITIZEN FROM R WHERE MARITAL = 1 AND POWSTATE = POB AND FERTIL > MARITAL",
+	}
+	for _, st := range []*engine.Store{s, base} {
+		ws := worldSetOf(t, st)
+		for _, q := range queries {
+			stmt, err := Parse(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			want, err := ExecWorlds(stmt, ws, "P")
+			if err != nil {
+				t.Fatalf("%s: per-world: %v", q, err)
+			}
+			db := st.Clone()
+			got, err := execSQL(db, q, "P")
+			if err != nil {
+				t.Fatalf("%s: engine: %v", q, err)
+			}
+			if got.Relation != "" {
+				rep, err := bridge.RepRelation(db, "P", 1<<22)
+				if err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+				if !rep.Equal(want.WorldSet, 1e-9) {
+					t.Fatalf("%s: engine result diverges from per-world evaluation", q)
+				}
+				continue
+			}
+			if len(got.Tuples) != len(want.Tuples) {
+				t.Fatalf("%s: %d tuples on engine path, %d per world", q, len(got.Tuples), len(want.Tuples))
+			}
+			for i := range got.Tuples {
+				g, w := got.Tuples[i], want.Tuples[i]
+				if !relTuple(g.Tuple).Equal(w.Tuple) || math.Abs(g.Conf-w.Conf) > 1e-9 {
+					t.Fatalf("%s: tuple %d: %v conf %g, per world %v conf %g", q, i, g.Tuple, g.Conf, w.Tuple, w.Conf)
+				}
+			}
+		}
+	}
+}

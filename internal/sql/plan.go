@@ -390,10 +390,12 @@ func (p *EnginePlan) Bind(res string, args []relation.Value) (*EnginePlan, error
 }
 
 // Run executes the plan's operators on an arena — results never touch the
-// shared store. A selection whose result only the next step — a projection —
-// reads runs fused with it (Arena.SelectProject), so its temporary is never
-// materialized; the plan's shape (Ops, EXPLAIN) is unchanged. On error every
-// relation already created by the plan is dropped.
+// shared store. A chain of selections, each read only by the next, runs as
+// one staged operator (engine.Stages), and so does a projection reading
+// only the chain's last result (Arena.SelectProject): the chain's
+// intermediates are never created. The plan's shape (Ops, EXPLAIN) is
+// unchanged. On error every relation already created by the plan is
+// dropped.
 func (p *EnginePlan) Run(s *engine.Arena) error {
 	if p.template {
 		return fmt.Errorf("sql: plan is a template; Bind it first")
@@ -410,13 +412,26 @@ func (p *EnginePlan) Run(s *engine.Arena) error {
 		var err error
 		switch op.Kind {
 		case OpSelect:
-			if !p.feedsProjection(i) {
-				err = s.Select(op.Res, op.Src, op.Pred)
-				break
+			src, pred := op.Src, op.Pred
+			j := i
+			for p.feedsNext(j, OpSelect) {
+				j++
 			}
-			i++
-			err = s.SelectProject(p.Ops[i].Res, op.Src, op.Pred, p.Ops[i].Attrs...)
-			op = p.Ops[i]
+			if j > i {
+				stages := make(engine.Stages, 0, j-i+1)
+				for _, st := range p.Ops[i : j+1] {
+					stages = append(stages, st.Pred)
+				}
+				pred, i = stages, j
+			}
+			if p.feedsNext(i, OpProject) {
+				i++
+				op = p.Ops[i]
+				err = s.SelectProject(op.Res, src, pred, op.Attrs...)
+			} else {
+				op = p.Ops[i]
+				err = s.Select(op.Res, src, pred)
+			}
 		case OpProject:
 			err = s.Project(op.Res, op.Src, op.Attrs...)
 		case OpRename:
@@ -440,10 +455,10 @@ func (p *EnginePlan) Run(s *engine.Arena) error {
 	return nil
 }
 
-// feedsProjection reports whether step i's result is read only by step i+1,
-// a projection.
-func (p *EnginePlan) feedsProjection(i int) bool {
-	if i+1 >= len(p.Ops) || p.Ops[i+1].Kind != OpProject || p.Ops[i+1].Src != p.Ops[i].Res {
+// feedsNext reports whether step i's result is read only by step i+1, of
+// the given kind.
+func (p *EnginePlan) feedsNext(i int, kind OpKind) bool {
+	if i+1 >= len(p.Ops) || p.Ops[i+1].Kind != kind || p.Ops[i+1].Src != p.Ops[i].Res {
 		return false
 	}
 	for _, op := range p.Ops[i+2:] {
@@ -454,8 +469,9 @@ func (p *EnginePlan) feedsProjection(i int) bool {
 	return true
 }
 
-// DropTemps drops the plan's intermediate relations, newest first (a fused
-// selection's was never created). A result still pending over one of them
+// DropTemps drops the plan's intermediate relations, newest first (those
+// of a staged chain of selections, or of a selection fused with its
+// projection, were never created). A result still pending over one of them
 // is built first; the error is that of building it.
 func (p *EnginePlan) DropTemps(s *engine.Arena) error {
 	for i := len(p.Temps) - 1; i >= 0; i-- {
