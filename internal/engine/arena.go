@@ -58,11 +58,16 @@ type Arena struct {
 	// nil means never canceled.
 	guard *Guard
 	// attrBuf and decBuf back the attribute lists and decisions of the
-	// selections' row plans, and refs is a selection stage's scratch; a
-	// pooled arena keeps their capacity across queries.
+	// selections' row plans, keptBuf their kept uncertain rows, and refs is
+	// a selection stage's scratch; a pooled arena keeps their capacity
+	// across queries.
 	attrBuf []uint16
 	decBuf  []decision
+	keptBuf []keptRow
 	refs    []urow
+	// onDecide, when set, sees every row a selection stage decides per
+	// local world: its stage and source row. Tests count decisions with it.
+	onDecide func(stage int, row int32)
 }
 
 // NewArena creates an empty arena over a snapshot.

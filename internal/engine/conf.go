@@ -198,23 +198,27 @@ func groupTuple(cols [][]int32, g *tlGroup, tr tlRow, w int, buf []int32) (_ []i
 	return buf, true
 }
 
-// internCertain interns the certain rows of the view, rows of cols: present
-// in every world, confidence exactly 1, whatever the uncertain rows add.
-// There can be as many as the relation has rows, so the guard is ticked once
-// per batch of guardPeriod rows. When the tuples fit a dense mixed-radix key
-// no larger than the row count, a seen-bit per key admits each distinct
-// tuple to the table once; answers are typically far fewer than rows.
-func (ac *tupleAccum) internCertain(cols [][]int32, rows []int32, guard *Guard) error {
-	seen, stride := denseKeys(cols, rows)
-	tbuf := make([]int32, len(cols))
-	for lo := 0; lo < len(rows); lo += guardPeriod {
-		hi := min(lo+guardPeriod, len(rows))
-		if err := guard.tickN(hi - lo); err != nil {
+// internCertain interns the certain rows among result rows [from, to) of
+// the view: present in every world, confidence exactly 1, whatever the
+// uncertain rows add. There can be as many as the relation has rows, so the
+// guard is ticked once per run of at most guardPeriod rows. When the tuples
+// fit a dense mixed-radix key no larger than the row count, a seen-bit per
+// key admits each distinct tuple to the table once; answers are typically
+// far fewer than rows.
+func (ac *tupleAccum) internCertain(tv *tupleView, from, to int, guard *Guard) error {
+	seen, stride := tv.denseKeys(from, to)
+	tbuf := make([]int32, len(tv.cols))
+	for it := tv.runs(from, to); ; {
+		rows, ok := it.next()
+		if !ok {
+			return nil
+		}
+		if err := guard.tickN(len(rows)); err != nil {
 			return err
 		}
-		for _, row := range rows[lo:hi] {
+		for _, row := range rows {
 			key := 0
-			for a, col := range cols {
+			for a, col := range tv.cols {
 				tbuf[a] = col[row]
 				key += int(tbuf[a]) * stride[a]
 			}
@@ -227,34 +231,42 @@ func (ac *tupleAccum) internCertain(cols [][]int32, rows []int32, guard *Guard) 
 			ac.certain[ac.intern(tbuf)] = true
 		}
 	}
-	return nil
 }
 
-// denseKeys sizes the dense key of the tuples of cols at rows: stride[a] is
-// the mixed-radix weight of column a, by the columns' maxima. seen is nil —
-// every row interns — when a value is negative or the key space would exceed
-// the row count.
+// denseKeys sizes the dense key of the certain tuples among result rows
+// [from, to): stride[a] is the mixed-radix weight of column a, by the
+// columns' maxima over the same runs internCertain reads. seen is nil —
+// every row interns — when a value is negative or the key space would
+// exceed the number of those rows.
 //
-//maybms:unguarded one linear max pass ahead of the interning loop, which ticks per batch of the same rows
-func denseKeys(cols [][]int32, rows []int32) (seen []bool, stride []int) {
-	stride = make([]int, len(cols))
-	if len(rows) == 0 {
+//maybms:unguarded one linear max pass ahead of the interning loop, which ticks per run of the same rows
+func (tv *tupleView) denseKeys(from, to int) (seen []bool, stride []int) {
+	stride = make([]int, len(tv.cols))
+	n := tv.numCertain(from, to)
+	if n == 0 {
 		return nil, stride
 	}
 	size := 1
-	for a := len(cols) - 1; a >= 0; a-- {
-		hi := int32(0)
-		for _, row := range rows {
-			v := cols[a][row]
-			if v < 0 {
-				return nil, make([]int, len(cols))
+	for a := len(tv.cols) - 1; a >= 0; a-- {
+		col := tv.cols[a]
+		lo, hi := int32(0), int32(0)
+		for it := tv.runs(from, to); ; {
+			rows, ok := it.next()
+			if !ok {
+				break
 			}
-			hi = max(hi, v)
+			for _, row := range rows {
+				v := col[row]
+				lo, hi = min(lo, v), max(hi, v)
+			}
+		}
+		if lo < 0 {
+			return nil, make([]int, len(tv.cols))
 		}
 		stride[a] = size
 		size *= int(hi) + 1
-		if size > len(rows) {
-			return nil, make([]int, len(cols))
+		if size > n {
+			return nil, make([]int, len(tv.cols))
 		}
 	}
 	return make([]bool, size), stride
@@ -325,7 +337,7 @@ func viewOf(v View, rel string) (*tupleView, error) {
 // every group.
 func (tv *tupleView) masses(guard *Guard) ([]TupleMasses, error) {
 	ac := newTupleAccum(len(tv.cols))
-	if err := ac.internCertain(tv.cols, tv.certain, guard); err != nil {
+	if err := ac.internCertain(tv, 0, tv.n, guard); err != nil {
 		return nil, err
 	}
 	if err := ac.sweepGroups(tv.cols, tv.groups, guard); err != nil {
@@ -361,19 +373,28 @@ func Conf(v View, rel string, t []int32) (float64, error) {
 			return 0, fmt.Errorf("engine: negative value %d in tuple", x)
 		}
 	}
-	for _, row := range tv.certain {
-		match := true
-		for a, col := range tv.cols {
-			if col[row] != t[a] {
-				match = false
-				break
+	guard := guardOf(v)
+	for it := tv.runs(0, tv.n); ; {
+		rows, ok := it.next()
+		if !ok {
+			break
+		}
+		if err := guard.tickN(len(rows)); err != nil {
+			return 0, err
+		}
+		for _, row := range rows {
+			match := true
+			for a, col := range tv.cols {
+				if col[row] != t[a] {
+					match = false
+					break
+				}
+			}
+			if match {
+				return 1, nil
 			}
 		}
-		if match {
-			return 1, nil
-		}
 	}
-	guard := guardOf(v)
 	var masses []float64
 	buf := make([]int32, 0, len(t))
 	for _, g := range tv.groups {

@@ -21,3 +21,12 @@ func IndexPartsFilled(s *Store) (comps, fields int) {
 func ValidateSnapshot(sn *Snapshot, eps float64) error {
 	return (&Store{rels: sn.rels, relID: sn.relID, idx: sn.idx}).Validate(eps)
 }
+
+// RecordDecisions makes the selection stages run on a report every row they
+// decide per local world; the returned function lists them as (stage,
+// source row) pairs in the order they were decided.
+func RecordDecisions(a *Arena) func() [][2]int32 {
+	var got [][2]int32
+	a.onDecide = func(stage int, row int32) { got = append(got, [2]int32{int32(stage), row}) }
+	return func() [][2]int32 { return got }
+}

@@ -3,9 +3,10 @@ package engine
 import "unsafe"
 
 // Result memory accounting. A session's result lives in its arena — the
-// built template relations, a pending Selection's vector and row plans,
-// plus the adopted/composed components — and the serving layer budgets that
-// memory per session and globally (internal/server). MemUsage is an
+// built template relations, a pending Selection's vector, row plans and
+// kept uncertain rows, plus the adopted/composed components — and the
+// serving layer budgets that memory per session and globally
+// (internal/server). MemUsage is an
 // estimate of the retained bytes, not a malloc-accurate count: it charges
 // the backing arrays (columns, selection vectors, row plans, component
 // value rows, bitsets) and a flat per-entry overhead for the maps, which is
@@ -54,6 +55,7 @@ func (a *Arena) MemUsage() int64 {
 		n += int64(cap(v.plans)) * int64(unsafe.Sizeof(urow{}))
 	}
 	n += int64(cap(a.attrBuf))*2 + int64(cap(a.decBuf))*int64(unsafe.Sizeof(decision{})) + int64(cap(a.refs))*int64(unsafe.Sizeof(urow{}))
+	n += int64(cap(a.keptBuf)) * int64(unsafe.Sizeof(keptRow{}))
 	n += int64(len(a.fieldComp)+len(a.relID)+len(a.origins)+len(a.shadowed)+len(a.dirty)) * mapEntryOverhead
 	return n
 }

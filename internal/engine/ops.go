@@ -37,6 +37,16 @@ import (
 // intermediates are never built; the components, their local-world order
 // and every mask are those of the chain run step by step.
 //
+// The uncertain rows cost what the query keeps. Each stage records, while
+// it filters, the rows of the source's uncertainty index its vector keeps
+// (the Selection's kept rows); the next stage, π, Stats, the tuple-level
+// view and the build walk those, and only the first stage walks the whole
+// index. A row whose stage is a conjunction is rejected on the template,
+// with no per-world decision, when a conjunct reading none of its
+// placeholders fails there: its cells are certain, so it fails in every
+// world. π composes a row's fields only when they span several
+// components; a single one is read in place.
+//
 // Operators are Arena methods: they read base data through the arena's
 // snapshot and write result templates and extended component rows into the
 // arena, leaving the shared store untouched — which is what lets many
@@ -115,15 +125,23 @@ type Selection struct {
 	// for the identity selection).
 	out, src *Relation
 	sel      []int32 // surviving source rows, ascending; nil = every row
-	order    []uint16
-	cols     [][]int32 // src's columns in result order
-	stages   []CompiledPred
+	// kept are the rows of src's uncertainty index that sel keeps, in
+	// order; with a nil sel the index is read as it stands. They are cut
+	// from the arena's backing.
+	kept   []keptRow
+	order  []uint16
+	cols   [][]int32 // src's columns in result order
+	stages []CompiledPred
 	// plans are the surviving rows with a condition or absence plan, in
 	// source order; the others copy their placeholders as they stand. Their
 	// attribute lists and decisions are cut from the arena's backings.
 	plans    []urow
 	carriers []int32 // ascending result rows
 }
+
+// keptRow is an uncertain row a selection keeps: i is its position in the
+// source's uncertainty index, j its result row.
+type keptRow struct{ i, j int32 }
 
 // selectProject computes π_attrs(σ_p(src)) as res; nil p selects every row,
 // nil attrs keeps every attribute, and a Stages p runs its stages in turn.
@@ -198,16 +216,22 @@ func (a *Arena) selectProject(res, src string, p Pred, attrs []string) error {
 			if u.drop == nil {
 				return nil
 			}
+			if !intersects(u.attrs, order) {
+				v.carriers = append(v.carriers, u.j)
+			}
+			// Compose only fields spanning several components: one is read
+			// in place, and adopted only when the result is built.
+			multi, err := a.spansComps(r, u, order)
+			if err != nil || !multi {
+				return err
+			}
 			fields := r.fields(u.src, u.drop)
 			for _, at := range u.attrs {
 				if containsAttr(order, at) {
 					fields = append(fields, FieldID{Rel: r.id, Row: u.src, Attr: at})
 				}
 			}
-			if len(fields) == len(u.drop) {
-				v.carriers = append(v.carriers, u.j)
-			}
-			_, err := a.mergeComps(fields...)
+			_, err = a.mergeComps(fields...)
 			return err
 		})
 		if err != nil {
@@ -229,13 +253,38 @@ func (a *Arena) selectProject(res, src string, p Pred, attrs []string) error {
 	return nil
 }
 
+// spansComps reports whether the fields π joins for row u of r — its
+// dropped fields carrying absence and its kept placeholders — lie in more
+// than one component.
+func (a *Arena) spansComps(r *Relation, u *urow, order []uint16) (bool, error) {
+	var first *Component
+	for _, at := range u.attrs {
+		if !containsAttr(u.drop, at) && !containsAttr(order, at) {
+			continue
+		}
+		f := FieldID{Rel: r.id, Row: u.src, Attr: at}
+		c := a.ComponentOf(f)
+		if c == nil {
+			return false, fmt.Errorf("engine: field %v has no component", f)
+		}
+		if first == nil {
+			first = c
+		} else if c != first {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
 // stage runs stage k of v's condition over the rows the stages before it
 // kept (every row, for the first). σ(AθB) and multi-attribute conditions
 // entangle the components of the placeholders they read: those are
 // composed row by row, and then every row whose stage-k references are
 // placeholders is decided per local world — its references read as the
 // chain's intermediate would hold them, under the earlier decisions — for
-// filter to overrule the kernels with.
+// filter to overrule the kernels with. A row that a conjunct reading none of
+// its placeholders rejects on the template fails in every local world and
+// is not decided per world.
 func (a *Arena) stage(v *Selection, k int) error {
 	r, attrs := v.src, v.stages[k].Attrs()
 	refs := a.refs[:0] // the rows whose stage-k condition reads placeholders
@@ -269,11 +318,21 @@ func (a *Arena) stage(v *Selection, k int) error {
 		return err
 	}
 	ev := v.condEval()
+	var conj []CompiledPred
+	if cl, ok := v.stages[k].(compiledList); ok && cl.conj {
+		conj = cl.kids
+	}
 	var m rowMasks
 	for i := range refs {
 		u := &refs[i]
 		if err := a.tick(); err != nil {
 			return err
+		}
+		if ev.rejects(conj, u) {
+			continue
+		}
+		if a.onDecide != nil {
+			a.onDecide(k, u.src)
 		}
 		// Read, do not adopt: a rejected row never extends its component,
 		// and a surviving one adopts it when it does.
@@ -292,11 +351,12 @@ func (a *Arena) stage(v *Selection, k int) error {
 		}
 		d.inSel = a.cut(start)
 	}
-	sel, err := a.filter(v, k, refs)
+	sel, kept, err := a.filter(v, k, refs)
 	if err != nil {
 		return err
 	}
-	v.sel, v.plans = sel, keptPlans(v.plans, refs, sel)
+	v.plans = keptPlans(v.plans, refs, kept, &r.unc)
+	v.sel, v.kept = sel, kept
 	return nil
 }
 
@@ -309,11 +369,11 @@ func (a *Arena) cut(start int) []uint16 {
 	return a.attrBuf[start:len(a.attrBuf):len(a.attrBuf)]
 }
 
-// keptPlans returns the plans of the rows sel keeps, in source order: those
-// of old, and for the rows refs decided those of refs, which hold old's
-// decisions too.
-func keptPlans(old, refs []urow, sel []int32) []urow {
-	out := make([]urow, 0, min(len(old)+len(refs), len(sel)))
+// keptPlans returns the plans of the uncertain rows kept keeps, rows of
+// x, in source order: those of old, and for the rows refs decided those of
+// refs, which hold old's decisions too.
+func keptPlans(old, refs []urow, kept []keptRow, x *uncIndex) []urow {
+	out := make([]urow, 0, min(len(old)+len(refs), len(kept)))
 	s := 0
 	for len(old) > 0 || len(refs) > 0 {
 		var u urow
@@ -325,10 +385,10 @@ func keptPlans(old, refs []urow, sel []int32) []urow {
 			}
 			u, refs = refs[0], refs[1:]
 		}
-		for s < len(sel) && sel[s] < u.src {
+		for s < len(kept) && x.rows[kept[s].i] < u.src {
 			s++
 		}
-		if s < len(sel) && sel[s] == u.src {
+		if s < len(kept) && x.rows[kept[s].i] == u.src {
 			out = append(out, u)
 		}
 	}
@@ -348,34 +408,28 @@ func (u *urow) failsIn(at uint16) bool {
 
 // eachRow calls fn, in order, on every result row whose source row holds
 // placeholders — of one of the attributes want, unless want is nil — with
-// its plan: the source's uncertainty index walked against the ascending
-// selection vector, the plans merged in.
+// its plan: the kept rows, or the source's uncertainty index when every row
+// is kept, with the plans merged in.
 func (v *Selection) eachRow(want []uint16, fn func(u *urow) error) error {
-	x, sel := &v.src.unc, v.sel
+	x, n := &v.src.unc, v.numUncertain()
 	var u urow // one for the walk: fn may keep only a copy
-	for i, s, k := 0, 0, 0; i < len(x.rows); i++ {
-		row, j := x.rows[i], x.rows[i]
-		if sel != nil {
-			for s < len(sel) && sel[s] < row {
-				s++
-			}
-			if s == len(sel) {
-				break
-			}
-			if sel[s] != row {
-				continue
-			}
-			j = int32(s)
+	for t, k := 0, 0; t < n; t++ {
+		i := t
+		if v.sel != nil {
+			i = int(v.kept[t].i)
 		}
 		attrs := x.at(i)
 		if want != nil && !intersects(attrs, want) {
 			continue
 		}
-		u = urow{j: j, src: row, attrs: attrs}
-		for k < len(v.plans) && v.plans[k].src < row {
+		u.src, u.j, u.attrs, u.dec, u.drop = x.rows[i], x.rows[i], attrs, nil, nil
+		if v.sel != nil {
+			u.j = v.kept[t].j
+		}
+		for k < len(v.plans) && v.plans[k].src < u.src {
 			k++
 		}
-		if k < len(v.plans) && v.plans[k].src == row {
+		if k < len(v.plans) && v.plans[k].src == u.src {
 			u.dec, u.drop = v.plans[k].dec, v.plans[k].drop
 		}
 		if err := fn(&u); err != nil {
@@ -383,6 +437,15 @@ func (v *Selection) eachRow(want []uint16, fn func(u *urow) error) error {
 		}
 	}
 	return nil
+}
+
+// numUncertain returns the number of result rows whose source row holds
+// placeholders.
+func (v *Selection) numUncertain() int {
+	if v.sel == nil {
+		return len(v.src.unc.rows)
+	}
+	return len(v.kept)
 }
 
 // rowMasks are the presence masks the copies of one row's fields carry:
@@ -586,15 +649,23 @@ func (v *Selection) Stats() Stats {
 }
 
 // filter runs stage k of v's condition over the template of its source
-// and returns the selection vector of the rows kept. The first stage reads
-// drive's candidates (the postings of its most selective atom, with the
-// remaining conjuncts as kernels) or, failing that, every row; a later stage
-// reads the rows the stage before it kept. Either way the rows come a batch
-// of guardPeriod rows at a time, and the kernels' verdicts on the rows of
-// refs are overruled by their per-local-world decisions.
-func (a *Arena) filter(v *Selection, k int, refs []urow) ([]int32, error) {
+// and returns the selection vector of the rows kept and the uncertain rows
+// among them. The first stage reads drive's candidates (the postings of its
+// most selective atom, with the remaining conjuncts as kernels) or, failing
+// that, every row; a later stage reads the rows the stage before it kept.
+// Either way the rows come a batch of guardPeriod rows at a time, the
+// kernels' verdicts on the rows of refs are overruled by their
+// per-local-world decisions, and the batch's uncertain rows — the source's
+// indexed rows, or the previous stage's kept ones — are merged against its
+// survivors.
+func (a *Arena) filter(v *Selection, k int, refs []urow) ([]int32, []keptRow, error) {
 	r := v.src
 	n := r.NumRows()
+	start := len(a.keptBuf)
+	km := keptMerge{x: &r.unc, n: len(r.unc.rows)}
+	if k > 0 {
+		km.prev, km.n = v.kept, len(v.kept)
+	}
 	cand, kernel, driven := v.sel, v.stages[k], k > 0
 	if k == 0 {
 		if c, rest, ok := drive(r, kernel, a.guard); ok {
@@ -610,7 +681,7 @@ func (a *Arena) filter(v *Selection, k int, refs []urow) ([]int32, error) {
 	for lo := 0; lo < m; lo += guardPeriod {
 		hi := min(lo+guardPeriod, m)
 		if err := a.guard.tickN(hi - lo); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// The batch decides every row below bound.
 		base, bound := len(sel), int32(hi)
@@ -633,14 +704,58 @@ func (a *Arena) filter(v *Selection, k int, refs []urow) ([]int32, error) {
 				sel = slices.Delete(sel, base+i, base+i+1)
 			}
 		}
+		a.keptBuf = km.add(a.keptBuf, sel, base, bound)
 	}
 	// Only a driven selection without candidates leaves refs undecided.
+	base := len(sel)
 	for ; d < len(refs); d++ {
 		if refs[d].dec[len(refs[d].dec)-1].inSel != nil {
 			sel = append(sel, refs[d].src)
 		}
 	}
-	return sel, nil
+	a.keptBuf = km.add(a.keptBuf, sel, base, int32(n))
+	var kept []keptRow
+	if end := len(a.keptBuf); end > start {
+		kept = a.keptBuf[start:end:end]
+	}
+	return sel, kept, nil
+}
+
+// keptMerge finds, batch by batch, the uncertain rows a stage keeps among
+// its candidates: the source's indexed rows for the first stage (prev nil),
+// the rows the previous stage kept (prev) for a later one; n counts them.
+type keptMerge struct {
+	x    *uncIndex
+	prev []keptRow
+	c, n int // the next candidate, and their count
+}
+
+// add appends to buf the candidates below bound that the batch's survivors
+// sel[base:] keep, with their result rows. It skips through sel eight rows
+// at a time: the survivors outnumber the uncertain rows.
+func (m *keptMerge) add(buf []keptRow, sel []int32, base int, bound int32) []keptRow {
+	c, s := m.c, base
+	for ; c < m.n; c++ {
+		i := int32(c)
+		if m.prev != nil {
+			i = m.prev[c].i
+		}
+		row := m.x.rows[i]
+		if row >= bound {
+			break
+		}
+		for s+8 <= len(sel) && sel[s+7] < row {
+			s += 8
+		}
+		for s < len(sel) && sel[s] < row {
+			s++
+		}
+		if s < len(sel) && sel[s] == row {
+			buf = append(buf, keptRow{i: i, j: int32(s)})
+		}
+	}
+	m.c = c
+	return buf
 }
 
 // condEval decides the stages of a compiled condition per local world on
@@ -671,6 +786,32 @@ func (v *Selection) condEval() *condEval {
 		return e.r.Cols[ai][e.row]
 	}
 	return e
+}
+
+// rejects reports whether one of the conjuncts conj that reads none of
+// u's placeholders fails on the template: its cells are certain, so u then
+// fails the stage in every local world, the verdict mask would reach.
+func (e *condEval) rejects(conj []CompiledPred, u *urow) bool {
+	e.row, e.ref = u.src, nil
+	for _, p := range conj {
+		if !readsAny(p, u.attrs) && !p.Eval(e.get) {
+			return true
+		}
+	}
+	return false
+}
+
+// readsAny reports whether condition p reads one of the attributes attrs.
+func readsAny(p CompiledPred, attrs []uint16) bool {
+	switch p := p.(type) {
+	case compiledConst:
+		return containsAttr(attrs, p.ai)
+	case compiledRanges:
+		return containsAttr(attrs, p.ai)
+	case compiledAttrAttr:
+		return containsAttr(attrs, p.a) || containsAttr(attrs, p.b)
+	}
+	return intersects(p.Attrs(), attrs)
 }
 
 // mask decides decision i of row u — its stage's condition on the

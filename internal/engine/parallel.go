@@ -94,7 +94,9 @@ const parallelThreshold = 256
 
 // possibleMassesParallel is PossibleMasses with the sweep striped over a
 // worker pool: worker w scores certain-row chunk w and every group g with
-// index ≡ w (mod workers). The merged result is identical to the serial one.
+// index ≡ w (mod workers), where chunk w holds the certain rows among the
+// w-th share of the result rows. The merged result is identical to the
+// serial one.
 func possibleMassesParallel(v View, rel string, workers int) ([]TupleMasses, error) {
 	if workers <= 0 {
 		workers = DefaultConfWorkers()
@@ -103,7 +105,7 @@ func possibleMassesParallel(v View, rel string, workers int) ([]TupleMasses, err
 	if err != nil {
 		return nil, err
 	}
-	work := len(tv.certain) + len(tv.groups)
+	work := tv.numCertain(0, tv.n) + len(tv.groups)
 	if workers > work {
 		workers = work
 	}
@@ -117,9 +119,8 @@ func possibleMassesParallel(v View, rel string, workers int) ([]TupleMasses, err
 	parts := make([][]TupleMasses, workers)
 	err = Fanout(workers, workers, func(w int) error {
 		ac := newTupleAccum(len(tv.cols))
-		lo := len(tv.certain) * w / workers
-		hi := len(tv.certain) * (w + 1) / workers
-		if err := ac.internCertain(tv.cols, tv.certain[lo:hi], guard); err != nil {
+		lo, hi := tv.n*w/workers, tv.n*(w+1)/workers
+		if err := ac.internCertain(tv, lo, hi, guard); err != nil {
 			return err
 		}
 		var groups []*tlGroup

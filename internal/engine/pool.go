@@ -66,6 +66,8 @@ func (a *Arena) Reset(snap *Snapshot) {
 	a.scratchSeq = 0
 	a.attrBuf = a.attrBuf[:0]
 	a.decBuf = a.decBuf[:0]
+	a.keptBuf = a.keptBuf[:0]
+	a.onDecide = nil
 	if a.relID == nil {
 		a.relID = make(map[string]int32)
 		a.comps = make(map[int32]*Component)

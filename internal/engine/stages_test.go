@@ -103,33 +103,41 @@ func checkStagesMatchChain(t *testing.T, label string, s *Store, rel string, sta
 		}
 		return nil
 	})
-	for _, st := range []*Store{staged, chained} {
+	checkSameResult(t, label, staged, chained, pending)
+}
+
+// checkSameResult checks that the relation res of stores got and want has
+// the same template, Stats and components up to field order with the same
+// local worlds, and that its masses — pending, read in place before got's
+// res was built, and built — are bit-identical to want's.
+func checkSameResult(t *testing.T, label string, got, want *Store, pending []TupleMasses) {
+	t.Helper()
+	for _, st := range []*Store{got, want} {
 		if err := st.Validate(1e-9); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 	}
-	if got, want := fmt.Sprint(staged.Rel("res").Cols), fmt.Sprint(chained.Rel("res").Cols); got != want {
-		t.Fatalf("%s: staged template %s, chained %s", label, got, want)
+	if g, w := fmt.Sprint(got.Rel("res").Cols), fmt.Sprint(want.Rel("res").Cols); g != w {
+		t.Fatalf("%s: template %s, want %s", label, g, w)
 	}
-	if got, want := staged.Stats("res"), chained.Stats("res"); got != want {
-		t.Fatalf("%s: staged stats %+v, chained %+v", label, got, want)
+	if g, w := got.Stats("res"), want.Stats("res"); g != w {
+		t.Fatalf("%s: stats %+v, want %+v", label, g, w)
 	}
-	got, want := compForms(staged), compForms(chained)
-	if !slices.Equal(got, want) {
-		t.Fatalf("%s: components differ\nstaged:  %q\nchained: %q", label, got, want)
+	if g, w := compForms(got), compForms(want); !slices.Equal(g, w) {
+		t.Fatalf("%s: components differ\ngot:  %q\nwant: %q", label, g, w)
 	}
-	wantM, err := PossibleMasses(chained, "res")
+	wantM, err := PossibleMasses(want, "res")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, m := range map[string][]TupleMasses{"pending": pending, "built": nil} {
 		if m == nil {
-			if m, err = PossibleMasses(staged, "res"); err != nil {
+			if m, err = PossibleMasses(got, "res"); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if len(m) != len(wantM) {
-			t.Fatalf("%s: %s staged result has %d possible tuples, chained %d", label, name, len(m), len(wantM))
+			t.Fatalf("%s: %s result has %d possible tuples, want %d", label, name, len(m), len(wantM))
 		}
 		for i := range m {
 			g, w := m[i], wantM[i]
@@ -138,7 +146,7 @@ func checkStagesMatchChain(t *testing.T, label string, s *Store, rel string, sta
 				same = math.Float64bits(g.Masses[k]) == math.Float64bits(w.Masses[k])
 			}
 			if !same {
-				t.Fatalf("%s: %s staged tuple %d masses %+v, chained %+v", label, name, i, g, w)
+				t.Fatalf("%s: %s tuple %d masses %+v, want %+v", label, name, i, g, w)
 			}
 		}
 	}
@@ -262,5 +270,135 @@ func TestStagesMatchChain(t *testing.T) {
 			keep = []string{"C", "W"}
 		}
 		checkStagesMatchChain(t, fmt.Sprintf("large %s trial %d: %v π%v", rel, trial, Stages(stages), keep), s, rel, stages, keep)
+	}
+}
+
+// conjPred draws a conjunction of two or three conjuncts over attrs, each
+// an atom A θ c with c below dom, an atom A θ B, or a disjunction of two
+// atoms over one attribute — so a row holding a placeholder in one
+// conjunct's attribute is often rejected by another on its certain cells.
+func conjPred(rng *rand.Rand, attrs []string, dom int) And {
+	atom := func(at string) Pred {
+		return AttrConst{Attr: at, Theta: relation.Op(rng.Intn(6)), C: int32(rng.Intn(dom))}
+	}
+	kids := make(And, 2+rng.Intn(2))
+	for i := range kids {
+		at := attrs[rng.Intn(len(attrs))]
+		switch rng.Intn(5) {
+		case 0:
+			kids[i] = AttrAttr{A: at, Theta: relation.Op(rng.Intn(6)), B: attrs[rng.Intn(len(attrs))]}
+		case 1:
+			kids[i] = Or{atom(at), atom(at)}
+		default:
+			kids[i] = atom(at)
+		}
+	}
+	return kids
+}
+
+// runStaged runs σ_{pk}(…σ_{p1}(rel)), with a final π onto keep unless keep
+// is nil, as one selection on a clone of s, and returns the clone after
+// the commit, the result's masses read in place before it was built, and
+// the rows the selection decided per local world.
+func runStaged(t *testing.T, s *Store, rel string, stages []Pred, keep []string) (*Store, []TupleMasses, [][2]int32) {
+	t.Helper()
+	var p Pred = Stages(stages)
+	if len(stages) == 1 {
+		p = stages[0]
+	}
+	out := s.Clone()
+	var pending []TupleMasses
+	var decided func() [][2]int32
+	Commit(t, out, func(a *Arena) error {
+		decided = RecordDecisions(a)
+		var err error
+		if keep == nil {
+			err = a.Select("res", rel, p)
+		} else {
+			err = a.SelectProject("res", rel, p, keep...)
+		}
+		if err != nil {
+			return err
+		}
+		pending, err = a.PossibleMasses("res")
+		return err
+	})
+	return out, pending, decided()
+}
+
+// templateRejects reports whether a conjunct of p reading none of row's
+// placeholders fails on r's template.
+func templateRejects(t *testing.T, r *Relation, p And, row int32) bool {
+	t.Helper()
+	get := func(a uint16) int32 { return r.Cols[a][row] }
+	for _, kid := range p {
+		cp, err := kid.Compile(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(cp.Attrs(), func(a uint16) bool { return get(a) == Placeholder }) && !cp.Eval(get) {
+			return true
+		}
+	}
+	return false
+}
+
+// A stage that is a conjunction decides per local world exactly the rows
+// whose conjuncts reading none of their placeholders hold on the template;
+// the others fail in every world without a decision. The result equals the
+// one of deciding every row per world — each stage wrapped as a one-kid
+// disjunction, which the operator decides row by row — bit for bit, and
+// the chain run step by step. Single stages and chains of two or three, on
+// small random stores and on one large enough for postings to drive the
+// first stage.
+func TestTemplateRejection(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	large := postingStore(t, 6, 6000)
+	var rejected [2][2]int // [large][staged]
+	for trial := 0; trial < 240; trial++ {
+		s, rel, dom, big := large, "R", 24, 1
+		if trial%4 != 3 {
+			s, rel, dom, big = RandomConfStore(t, int64(1000+trial)), "T0", 4, 0
+		}
+		attrs := s.Rel(rel).Attrs
+		stages := make([]Pred, 1+rng.Intn(3))
+		for k := range stages {
+			stages[k] = conjPred(rng, attrs, dom)
+		}
+		var keep []string
+		if rng.Intn(2) == 0 {
+			for _, i := range rng.Perm(len(attrs))[:1+rng.Intn(len(attrs))] {
+				keep = append(keep, attrs[i])
+			}
+		}
+		label := fmt.Sprintf("trial %d: %v π%v", trial, Stages(stages), keep)
+		checkStagesMatchChain(t, label, s, rel, stages, keep)
+
+		wrapped := make([]Pred, len(stages))
+		for k, p := range stages {
+			wrapped[k] = Or{p}
+		}
+		got, pending, decided := runStaged(t, s, rel, stages, keep)
+		want, _, all := runStaged(t, s, rel, wrapped, keep)
+		checkSameResult(t, label+" against per-world decisions", got, want, pending)
+		r := s.Rel(rel)
+		var expect [][2]int32
+		for _, d := range all {
+			if templateRejects(t, r, stages[d[0]].(And), d[1]) {
+				rejected[big][min(len(stages)-1, 1)]++
+				continue
+			}
+			expect = append(expect, d)
+		}
+		if !slices.Equal(decided, expect) {
+			t.Fatalf("%s: decided (stage, row) %v per local world, want %v", label, decided, expect)
+		}
+	}
+	for big := range rejected {
+		for staged, n := range rejected[big] {
+			if n == 0 {
+				t.Errorf("no row rejected on the template (large store %v, staged %v)", big == 1, staged == 1)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -19,7 +20,9 @@ import (
 // masks the operator decided — and the fields of every other relation are
 // marginalized away. The restricted components are private to the view: the
 // snapshot, arena and store are never modified, and the view's size depends
-// only on the result's own placeholders.
+// only on the result's own placeholders. The view walks the selection's
+// kept uncertain rows, and keeps its vector for the certain rows: those are
+// read run by run between the uncertain ones, never listed.
 
 // tlGroup is one independent factor of the tuple-level view: a composed,
 // marginalized component together with the result rows whose uncertain
@@ -42,12 +45,70 @@ type tlRow struct {
 // composed components defining them.
 type tupleView struct {
 	// cols are the relation's columns as its selection reads them (its
-	// source's, in result order).
+	// source's, in result order), and sel the selection's vector: result
+	// row j reads row sel[j] of them (row j when sel is nil). There are n
+	// result rows.
 	cols [][]int32
-	// certain lists the rows of cols whose result rows hold no placeholder
-	// (present in every world).
-	certain []int32
-	groups  []*tlGroup
+	sel  []int32
+	n    int
+	// uncertain lists the result rows, ascending, that hold a placeholder;
+	// every other result row is certain (present in every world).
+	uncertain []int32
+	groups    []*tlGroup
+}
+
+// numCertain returns the number of certain result rows in [from, to).
+func (tv *tupleView) numCertain(from, to int) int {
+	i, _ := slices.BinarySearch(tv.uncertain, int32(from))
+	j, _ := slices.BinarySearch(tv.uncertain, int32(to))
+	return to - from - (j - i)
+}
+
+// certainRuns walks the runs of certain result rows within [from, to), in
+// order, as the rows of cols they read, each at most guardPeriod rows long.
+// The runs lie between the uncertain rows, so no row is tested on its own.
+type certainRuns struct {
+	sel, unc  []int32
+	k, lo, to int     // the next uncertain row, and the result rows left
+	iota      []int32 // scratch for a view reading every row
+}
+
+// runs returns the walk over the runs of certain result rows in [from, to).
+func (tv *tupleView) runs(from, to int) certainRuns {
+	k, _ := slices.BinarySearch(tv.uncertain, int32(from))
+	return certainRuns{sel: tv.sel, unc: tv.uncertain, k: k, lo: from, to: to}
+}
+
+// next returns the rows of the next run; ok is false when there is none.
+// The rows are valid until the next call.
+func (it *certainRuns) next() (rows []int32, ok bool) {
+	for it.lo < it.to {
+		end := it.to
+		if it.k < len(it.unc) && int(it.unc[it.k]) < it.to {
+			end = int(it.unc[it.k])
+		}
+		lo, hi := it.lo, min(end, it.lo+guardPeriod)
+		if hi < end {
+			it.lo = hi
+		} else {
+			it.lo, it.k = end+1, it.k+1
+		}
+		if lo == hi {
+			continue
+		}
+		if it.sel != nil {
+			return it.sel[lo:hi], true
+		}
+		if it.iota == nil {
+			it.iota = make([]int32, guardPeriod)
+		}
+		rows = it.iota[:hi-lo]
+		for i := range rows {
+			rows[i] = int32(lo + i)
+		}
+		return rows, true
+	}
+	return nil, false
 }
 
 // tlCopy is one placeholder field of the result as its source component
@@ -94,7 +155,7 @@ type tlPending struct {
 func tupleLevelView(s *Selection) (*tupleView, error) {
 	v, out := s.view, s.out
 	guard := guardOf(v)
-	tv := &tupleView{cols: s.cols}
+	tv := &tupleView{cols: s.cols, sel: s.sel, n: s.Len()}
 
 	// Walk the uncertain result rows and file every copy under its source
 	// component, with the masks materialize would give it. The copies of a
@@ -124,7 +185,9 @@ func tupleLevelView(s *Selection) (*tupleView, error) {
 		}
 		return parent[x]
 	}
-	var pending []tlPending
+	nu := s.numUncertain()
+	pending := make([]tlPending, 0, nu)
+	tv.uncertain = make([]int32, 0, nu)
 	ev := s.condEval()
 	err := s.eachRow(nil, func(u *urow) error {
 		if err := guard.Tick(); err != nil {
@@ -157,13 +220,13 @@ func tupleLevelView(s *Selection) (*tupleView, error) {
 		}
 		if p.first >= 0 {
 			pending = append(pending, p)
+			tv.uncertain = append(tv.uncertain, u.j)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	tv.certain = certainRows(s, pending)
 
 	// Restrict every source to the result's copies, then compose each
 	// group's restricted components into one. Groups come in result row
@@ -211,28 +274,6 @@ func tupleLevelView(s *Selection) (*tupleView, error) {
 		g.rows = append(g.rows, tlRow{src: p.src, cols: cols})
 	}
 	return tv, nil
-}
-
-// certainRows returns the source rows, in result order, of the result rows
-// of s missing from pending (which lists result rows ascending): those hold
-// no placeholder.
-//
-//maybms:unguarded linear walk of the selection vector, as long as the result; the interning pass that consumes it ticks per batch
-func certainRows(s *Selection, pending []tlPending) []int32 {
-	n := s.Len()
-	out := make([]int32, 0, n-len(pending))
-	for j, k := 0, 0; j < n; j++ {
-		if k < len(pending) && pending[k].j == int32(j) {
-			k++
-			continue
-		}
-		src := int32(j)
-		if s.sel != nil {
-			src = s.sel[j]
-		}
-		out = append(out, src)
-	}
-	return out
 }
 
 // restrict builds the component the result's copies form in the source

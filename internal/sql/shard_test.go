@@ -533,21 +533,28 @@ func TestMutatorsUnderReaders(t *testing.T) {
 			}
 		}(g)
 	}
-	// The writer's script is fixed up front: six SET UNCERTAIN + CHASE
-	// pairs on rows whose A and B are both certain, so every CHASE drops
-	// the alternative it added and replaces R, whatever the readers do.
-	// Before each pair it waits until every reader holds a result; two
-	// pairs carry a held result past three re-balances.
+	// The writer commits SET UNCERTAIN + CHASE pairs on rows whose A and B
+	// are both certain, so every CHASE drops the alternative it added and
+	// replaces R, whatever the readers do. Before each pair it waits until
+	// every reader holds a result; two pairs carry a held result past three
+	// re-balances. It goes on until every reader has completed a cycle or
+	// exited, within a minute.
 	r := store.Rel("R")
-	var script []int
-	for row := 0; len(script) < 6; row++ {
-		if r.Cols[0][row] != engine.Placeholder && r.Cols[1][row] != engine.Placeholder {
-			script = append(script, row)
+	done := func() bool {
+		for g := range cycles {
+			if cycles[g].Load() < 1 && !exited[g].Load() {
+				return false
+			}
 		}
+		return true
 	}
+	deadline := time.Now().Add(time.Minute)
 script:
-	for _, row := range script {
-		for deadline := time.Now().Add(time.Minute); ; runtime.Gosched() {
+	for row := 0; !done() && row < r.NumRows(); row++ {
+		if r.Cols[0][row] == engine.Placeholder || r.Cols[1][row] == engine.Placeholder {
+			continue
+		}
+		for ; ; runtime.Gosched() {
 			ready := true
 			for g := range holding {
 				ready = ready && (holding[g].Load() || exited[g].Load())
