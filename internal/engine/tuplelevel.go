@@ -185,9 +185,7 @@ func tupleLevelView(s *Selection) (*tupleView, error) {
 		}
 		return parent[x]
 	}
-	nu := s.numUncertain()
-	pending := make([]tlPending, 0, nu)
-	tv.uncertain = make([]int32, 0, nu)
+	var pending []tlPending
 	ev := s.condEval()
 	err := s.eachRow(nil, func(u *urow) error {
 		if err := guard.Tick(); err != nil {
