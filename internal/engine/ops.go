@@ -411,7 +411,11 @@ func (u *urow) failsIn(at uint16) bool {
 // its plan: the kept rows, or the source's uncertainty index when every row
 // is kept, with the plans merged in.
 func (v *Selection) eachRow(want []uint16, fn func(u *urow) error) error {
-	x, n := &v.src.unc, v.numUncertain()
+	x := &v.src.unc
+	n := len(x.rows)
+	if v.sel != nil {
+		n = len(v.kept)
+	}
 	var u urow // one for the walk: fn may keep only a copy
 	for t, k := 0, 0; t < n; t++ {
 		i := t
@@ -437,15 +441,6 @@ func (v *Selection) eachRow(want []uint16, fn func(u *urow) error) error {
 		}
 	}
 	return nil
-}
-
-// numUncertain returns the number of result rows whose source row holds
-// placeholders.
-func (v *Selection) numUncertain() int {
-	if v.sel == nil {
-		return len(v.src.unc.rows)
-	}
-	return len(v.kept)
 }
 
 // rowMasks are the presence masks the copies of one row's fields carry:
