@@ -98,7 +98,7 @@ func main() {
 		log.Fatalf("enabling sharding (-shards %d): %v", *shards, err)
 	}
 	if n, workers := db.Sharding(); n > 1 {
-		log.Printf("sharding: %d shards, %d fold workers (GOMAXPROCS %d, clamped to [1,%d])",
+		log.Printf("sharding: %d shards, %d fan-out workers (GOMAXPROCS %d, clamped to [1,%d])",
 			n, workers, runtime.GOMAXPROCS(0), engine.MaxConfWorkers)
 		fps, err := db.ShardFingerprints()
 		if err != nil {

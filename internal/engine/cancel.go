@@ -3,17 +3,15 @@ package engine
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 )
 
 // Cooperative cancellation. Confidence computation is exponential in the
 // worst case (Section 6), so a query must be stoppable from outside: the
 // serving layer derives a context per request and the engine honors it at
 // checkpoints inside every operator and fold loop. The checkpoints are
-// counter-amortized — one atomic increment per unit of work, a real
+// counter-amortized — one counter increment per unit of work, a real
 // context/budget check every guardPeriod units — so the uncancelled fast
-// path pays an atomic add per row, not a channel read. Column kernels tick
+// path pays an increment per row, not a channel read. Column kernels tick
 // once per batch of guardPeriod rows (tickN), so they check once per batch.
 //
 // The Guard also carries the mid-flight memory hook: at every real check it
@@ -28,28 +26,26 @@ import (
 var ErrCanceled = errors.New("engine: query canceled")
 
 // guardPeriod is the tick count between real checks: large enough that the
-// per-row cost is one atomic add, small enough that a cancelled query stops
+// per-row cost is one increment, small enough that a cancelled query stops
 // within microseconds of work.
 const guardPeriod = 1024
 
-// Guard is the cancellation and resource checkpoint of one query execution.
-// It is attached to the arenas (and shared by the fold workers) of that
-// execution; a nil *Guard is valid everywhere and means "never canceled" —
-// plain library use pays nothing.
+// Guard is the cancellation and resource checkpoint of one arena's work, or
+// of the coordinator's merge and fold; a nil *Guard is valid everywhere and
+// means "never canceled" — plain library use pays nothing.
 //
-// A Guard is safe for concurrent use: sharded and fold-parallel execution
-// tick one guard from many goroutines.
+// A Guard has one owner: the goroutine running its arena's operators and
+// folds, or the coordinator. It is not safe for concurrent use; the arenas
+// of a sharded execution each get their own over the shared request context.
 type Guard struct {
-	ctx context.Context
-	n   atomic.Uint64
-	// memMu serializes the memory probe (probe, lastMem, onGrow).
-	memMu   sync.Mutex
+	ctx     context.Context
+	n       uint64
 	probe   func() int64
 	onGrow  func(delta int64) error
 	lastMem int64
-	// failed latches the first checkpoint error so every later Tick fails
-	// fast — parallel workers all stop on the first failure.
-	failed atomic.Pointer[error]
+	// failed latches the first checkpoint error so every later check fails
+	// with it.
+	failed error
 }
 
 // NewGuard returns a guard checking ctx at checkpoint cadence. A nil ctx
@@ -78,20 +74,22 @@ func (g *Guard) Tick() error {
 	if g == nil {
 		return nil
 	}
-	if g.n.Add(1)%guardPeriod != 0 {
+	g.n++
+	if g.n%guardPeriod != 0 {
 		return nil
 	}
 	return g.Check()
 }
 
-// tickN is Tick for a batch of n units of work: one atomic add, and a real
+// tickN is Tick for a batch of n units of work: one addition, and a real
 // Check whenever the count crosses a multiple of guardPeriod.
 func (g *Guard) tickN(n int) error {
 	if g == nil {
 		return nil
 	}
-	v := g.n.Add(uint64(n))
-	if v/guardPeriod == (v-uint64(n))/guardPeriod {
+	before := g.n
+	g.n += uint64(n)
+	if g.n/guardPeriod == before/guardPeriod {
 		return nil
 	}
 	return g.Check()
@@ -104,32 +102,24 @@ func (g *Guard) Check() error {
 	if g == nil {
 		return nil
 	}
-	if p := g.failed.Load(); p != nil {
-		return *p
+	if g.failed != nil {
+		return g.failed
 	}
 	if g.ctx != nil {
 		if cause := g.ctx.Err(); cause != nil {
-			var err error = &cancelError{cause: cause}
-			g.failed.Store(&err)
-			return err
+			g.failed = &cancelError{cause: cause}
+			return g.failed
 		}
 	}
 	if g.onGrow == nil {
 		return nil
 	}
-	err := g.reportGrowth()
-	if err != nil {
-		g.failed.Store(&err)
-	}
-	return err
+	g.failed = g.reportGrowth()
+	return g.failed
 }
 
 // reportGrowth probes the retained bytes and reports any growth to onGrow.
-// The unlock is deferred so a panicking probe or hook, which the caller's
-// fan-out turns into an error, does not strand the workers sharing g.
 func (g *Guard) reportGrowth() error {
-	g.memMu.Lock()
-	defer g.memMu.Unlock()
 	used := g.probe()
 	delta := used - g.lastMem
 	if delta <= 0 {

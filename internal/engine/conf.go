@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -169,13 +170,18 @@ func foldAll(g *Guard, tms []TupleMasses) ([]TupleConf, error) {
 		if err := g.Tick(); err != nil {
 			return nil, err
 		}
-		c := 1.0
-		if !tm.Certain {
-			c = FoldMasses(tm.Masses)
-		}
-		out[i] = TupleConf{Tuple: tm.Tuple, Conf: c}
+		out[i] = TupleConf{Tuple: tm.Tuple, Conf: tm.conf()}
 	}
 	return out, nil
+}
+
+// conf is the entry's confidence: exactly 1 when certain, its folded masses
+// otherwise.
+func (tm *TupleMasses) conf() float64 {
+	if tm.Certain {
+		return 1
+	}
+	return FoldMasses(tm.Masses)
 }
 
 // groupTuple materializes the tuple of row tr at local world w of its
@@ -198,17 +204,16 @@ func groupTuple(cols [][]int32, g *tlGroup, tr tlRow, w int, buf []int32) (_ []i
 	return buf, true
 }
 
-// internCertain interns the certain rows among result rows [from, to) of
-// the view: present in every world, confidence exactly 1, whatever the
-// uncertain rows add. There can be as many as the relation has rows, so the
-// guard is ticked once per run of at most guardPeriod rows. When the tuples
-// fit a dense mixed-radix key no larger than the row count, a seen-bit per
-// key admits each distinct tuple to the table once; answers are typically
-// far fewer than rows.
-func (ac *tupleAccum) internCertain(tv *tupleView, from, to int, guard *Guard) error {
-	seen, stride := tv.denseKeys(from, to)
+// internCertain interns the certain rows of the view: present in every
+// world, confidence exactly 1, whatever the uncertain rows add. There can be
+// as many as the relation has rows, so the guard is ticked once per run of
+// at most guardPeriod rows. When the tuples fit a dense mixed-radix key no
+// larger than the row count, a seen-bit per key admits each distinct tuple
+// to the table once; answers are typically far fewer than rows.
+func (ac *tupleAccum) internCertain(tv *tupleView, guard *Guard) error {
+	seen, stride := tv.denseKeys()
 	tbuf := make([]int32, len(tv.cols))
-	for it := tv.runs(from, to); ; {
+	for it := tv.runs(); ; {
 		rows, ok := it.next()
 		if !ok {
 			return nil
@@ -233,16 +238,15 @@ func (ac *tupleAccum) internCertain(tv *tupleView, from, to int, guard *Guard) e
 	}
 }
 
-// denseKeys sizes the dense key of the certain tuples among result rows
-// [from, to): stride[a] is the mixed-radix weight of column a, by the
-// columns' maxima over the same runs internCertain reads. seen is nil —
-// every row interns — when a value is negative or the key space would
-// exceed the number of those rows.
+// denseKeys sizes the dense key of the certain tuples: stride[a] is the
+// mixed-radix weight of column a, by the columns' maxima over the runs
+// internCertain reads. seen is nil — every row interns — when a value is
+// negative or the key space would exceed the number of certain rows.
 //
 //maybms:unguarded one linear max pass ahead of the interning loop, which ticks per run of the same rows
-func (tv *tupleView) denseKeys(from, to int) (seen []bool, stride []int) {
+func (tv *tupleView) denseKeys() (seen []bool, stride []int) {
 	stride = make([]int, len(tv.cols))
-	n := tv.numCertain(from, to)
+	n := tv.n - len(tv.uncertain)
 	if n == 0 {
 		return nil, stride
 	}
@@ -250,7 +254,7 @@ func (tv *tupleView) denseKeys(from, to int) (seen []bool, stride []int) {
 	for a := len(tv.cols) - 1; a >= 0; a-- {
 		col := tv.cols[a]
 		lo, hi := int32(0), int32(0)
-		for it := tv.runs(from, to); ; {
+		for it := tv.runs(); ; {
 			rows, ok := it.next()
 			if !ok {
 				break
@@ -272,17 +276,15 @@ func (tv *tupleView) denseKeys(from, to int) (seen []bool, stride []int) {
 	return make([]bool, size), stride
 }
 
-// sweepGroups scores every tuple each group can produce: one epoch per
-// (group, local world), fold at each group boundary. Each group must be swept
-// whole — the per-group mass is a sum in local-world order — but distinct
-// groups are independent, so disjoint group subsets can be swept by separate
-// accumulators and merged (mergeMasses). The guard is ticked once per
-// (group, local world) epoch — the sweep is the exponential part of
-// confidence computation, so this is where a cancel must land.
-func (ac *tupleAccum) sweepGroups(cols [][]int32, groups []*tlGroup, guard *Guard) error {
+// sweepGroups scores every tuple each group of the view can produce: one
+// epoch per (group, local world), fold at each group boundary. The guard is
+// ticked once per (group, local world) epoch — the sweep is the exponential
+// part of confidence computation, so this is where a cancel must land.
+func (ac *tupleAccum) sweepGroups(tv *tupleView, guard *Guard) error {
+	cols := tv.cols
 	tbuf := make([]int32, 0, len(cols))
 	epoch := 0
-	for _, g := range groups {
+	for _, g := range tv.groups {
 		for w := range g.comp.Rows {
 			if err := guard.Tick(); err != nil {
 				return err
@@ -337,10 +339,10 @@ func viewOf(v View, rel string) (*tupleView, error) {
 // every group.
 func (tv *tupleView) masses(guard *Guard) ([]TupleMasses, error) {
 	ac := newTupleAccum(len(tv.cols))
-	if err := ac.internCertain(tv, 0, tv.n, guard); err != nil {
+	if err := ac.internCertain(tv, guard); err != nil {
 		return nil, err
 	}
-	if err := ac.sweepGroups(tv.cols, tv.groups, guard); err != nil {
+	if err := ac.sweepGroups(tv, guard); err != nil {
 		return nil, err
 	}
 	return ac.sorted(), nil
@@ -359,7 +361,8 @@ func PossibleP(v View, rel string) ([]TupleConf, error) {
 
 // Conf computes the confidence of tuple t in relation rel (Figure 17)
 // natively on the view: the sum of the probabilities of the worlds whose rel
-// contains t.
+// contains t. It reads t's entry of the one sweep PossibleP folds, so the
+// two agree bit for bit; a tuple in no world has confidence 0.
 func Conf(v View, rel string, t []int32) (float64, error) {
 	tv, err := viewOf(v, rel)
 	if err != nil {
@@ -373,50 +376,15 @@ func Conf(v View, rel string, t []int32) (float64, error) {
 			return 0, fmt.Errorf("engine: negative value %d in tuple", x)
 		}
 	}
-	guard := guardOf(v)
-	for it := tv.runs(0, tv.n); ; {
-		rows, ok := it.next()
-		if !ok {
-			break
-		}
-		if err := guard.tickN(len(rows)); err != nil {
-			return 0, err
-		}
-		for _, row := range rows {
-			match := true
-			for a, col := range tv.cols {
-				if col[row] != t[a] {
-					match = false
-					break
-				}
-			}
-			if match {
-				return 1, nil
-			}
-		}
+	tms, err := tv.masses(guardOf(v))
+	if err != nil {
+		return 0, err
 	}
-	var masses []float64
-	buf := make([]int32, 0, len(t))
-	for _, g := range tv.groups {
-		mass := 0.0
-		for w := range g.comp.Rows {
-			if err := guard.Tick(); err != nil {
-				return 0, err
-			}
-			for _, tr := range g.rows {
-				tup, ok := groupTuple(tv.cols, g, tr, w, buf)
-				buf = tup[:0]
-				if ok && CompareTuples(tup, t) == 0 {
-					mass += g.comp.Rows[w].P
-					break
-				}
-			}
-		}
-		if mass != 0 {
-			masses = append(masses, mass)
-		}
+	i, ok := slices.BinarySearchFunc(tms, t, func(tm TupleMasses, t []int32) int { return CompareTuples(tm.Tuple, t) })
+	if !ok {
+		return 0, nil
 	}
-	return FoldMasses(masses), nil
+	return tms[i].conf(), nil
 }
 
 // Possible computes the tuples of rel appearing in at least one world

@@ -84,6 +84,9 @@ func TestNativeConfidenceMatchesOracleRandom(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
+				if math.Float64bits(got) != math.Float64bits(tc.Conf) {
+					t.Fatalf("%s: Conf(%v) = %v, PossibleP entry %v", label, tc.Tuple, got, tc.Conf)
+				}
 				want, err := confidence.Conf(w, rel, nativeToRelation(tc.Tuple))
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -164,7 +167,8 @@ func TestNativeConfidenceMatchesWorldEnumeration(t *testing.T) {
 // result is read in place: its masses must equal, bit for bit, those of the
 // same result once built, and reading it must build nothing — for σ, π, σπ,
 // a σ whose condition reads two placeholders (so it composes) and a π that
-// drops the condition's attribute (so carriers appear).
+// drops the condition's attribute (so carriers appear). Conf on the pending
+// result equals its tuple's PossibleP entry bit for bit.
 func TestNativeConfidenceOnArenaResults(t *testing.T) {
 	pendingCases := []struct {
 		name string
@@ -199,6 +203,19 @@ func TestNativeConfidenceOnArenaResults(t *testing.T) {
 			pending, err := PossibleMasses(ar, "res")
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
+			}
+			table, err := PossibleP(ar, "res")
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for _, tc := range table {
+				got, err := Conf(ar, "res", tc.Tuple)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if math.Float64bits(got) != math.Float64bits(tc.Conf) {
+					t.Fatalf("%s: Conf(%v) = %v on the pending result, PossibleP entry %v", label, tc.Tuple, got, tc.Conf)
+				}
 			}
 			if got := ar.MemUsage(); got != mem {
 				t.Fatalf("%s: reading the pending result grew the arena from %d to %d bytes", label, mem, got)

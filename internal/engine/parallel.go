@@ -7,14 +7,6 @@ import (
 	"sync/atomic"
 )
 
-// Morsel-parallel confidence: the tuple-level view's groups are independent
-// factors, so disjoint group subsets can be swept by separate accumulators on
-// separate goroutines and the per-tuple mass lists merged afterwards. Because
-// every group is swept whole by one worker (the per-group mass is a
-// local-world-ordered sum) and FoldMasses folds each tuple's mass multiset in
-// canonical order, the parallel result is byte-identical to the serial one —
-// the property the shard subsystem's differential tests pin down.
-
 // DefaultConfWorkers is the worker count used when a caller passes 0: derived
 // from GOMAXPROCS, clamped to [1, MaxConfWorkers].
 func DefaultConfWorkers() int {
@@ -88,63 +80,11 @@ func fanout(n, workers int, f func(i int) error, published func()) error {
 	return nil
 }
 
-// parallelThreshold is the minimum amount of scoring work (certain rows plus
-// groups) worth fanning out; below it a single sweep wins.
-const parallelThreshold = 256
-
-// possibleMassesParallel is PossibleMasses with the sweep striped over a
-// worker pool: worker w scores certain-row chunk w and every group g with
-// index ≡ w (mod workers), where chunk w holds the certain rows among the
-// w-th share of the result rows. The merged result is identical to the
-// serial one.
-func possibleMassesParallel(v View, rel string, workers int) ([]TupleMasses, error) {
-	if workers <= 0 {
-		workers = DefaultConfWorkers()
-	}
-	tv, err := viewOf(v, rel)
-	if err != nil {
-		return nil, err
-	}
-	work := tv.numCertain(0, tv.n) + len(tv.groups)
-	if workers > work {
-		workers = work
-	}
-	guard := guardOf(v)
-	if workers <= 1 || work < parallelThreshold {
-		return tv.masses(guard)
-	}
-	// The workers share one guard: its tick counter and failure latch are
-	// atomic, so the first worker to hit a cancel or budget failure stops the
-	// whole pool within a checkpoint period.
-	parts := make([][]TupleMasses, workers)
-	err = Fanout(workers, workers, func(w int) error {
-		ac := newTupleAccum(len(tv.cols))
-		lo, hi := tv.n*w/workers, tv.n*(w+1)/workers
-		if err := ac.internCertain(tv, lo, hi, guard); err != nil {
-			return err
-		}
-		var groups []*tlGroup
-		for i := w; i < len(tv.groups); i += workers {
-			groups = append(groups, tv.groups[i])
-		}
-		if err := ac.sweepGroups(tv.cols, groups, guard); err != nil {
-			return err
-		}
-		parts[w] = ac.sorted()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return MergeMasses(guard, parts)
-}
-
 // MergeMasses merges per-part pre-fold confidence tables — each produced by
-// PossibleMasses over a disjoint subset of the independent groups (a shard,
-// or a worker's stripe) — into one canonical table: equal tuples concatenate
-// their mass lists and OR their certain flags. The merged mass multiset per
-// tuple equals the unsharded one, so FoldMasses yields byte-identical
-// confidences.
+// PossibleMasses over a shard's disjoint subset of the independent groups —
+// into one canonical table: equal tuples concatenate their mass lists and OR
+// their certain flags. The merged mass multiset per tuple equals the
+// unsharded one, so FoldMasses yields byte-identical confidences.
 func MergeMasses(g *Guard, parts [][]TupleMasses) ([]TupleMasses, error) {
 	nonEmpty, arity := 0, 0
 	for _, p := range parts {
@@ -187,11 +127,3 @@ func MergeMasses(g *Guard, parts [][]TupleMasses) ([]TupleMasses, error) {
 // table (certain tuples are exactly 1), ticking g per tuple (nil is a
 // no-op guard).
 func FoldMassTable(g *Guard, tms []TupleMasses) ([]TupleConf, error) { return foldAll(g, tms) }
-
-// PossibleMassesParallel is PossibleMasses with the group sweep striped over
-// a pool of workers (0 = DefaultConfWorkers, 1 = the serial sweep); a pending
-// result is read in place. The table is identical to the serial one, so
-// folding it is byte-identical to PossibleP.
-func (a *Arena) PossibleMassesParallel(rel string, workers int) ([]TupleMasses, error) {
-	return possibleMassesParallel(a, rel, workers)
-}

@@ -272,7 +272,7 @@ func TestDrivenSelectionTicksCandidates(t *testing.T) {
 		if err := a.Select("x", "R", And{Eq("D", 7), Ne("A", 0)}); err != nil {
 			t.Fatal(err)
 		}
-		return g.n.Load()
+		return g.n
 	}
 	r := sn.Rel("R")
 	first, scan := ticks(sn), ticks(withoutPostings(sn))
@@ -301,7 +301,7 @@ func TestPostingBuildStopsOnGuard(t *testing.T) {
 	if p := r.posting(2, g); p != nil {
 		t.Fatal("a canceled build returned a posting")
 	}
-	if n := g.n.Load(); n > guardPeriod {
+	if n := g.n; n > guardPeriod {
 		t.Fatalf("a canceled build ticked %d after its first batch", n)
 	}
 	if r.posts[2].done.Load() {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -57,15 +56,8 @@ type tupleView struct {
 	groups    []*tlGroup
 }
 
-// numCertain returns the number of certain result rows in [from, to).
-func (tv *tupleView) numCertain(from, to int) int {
-	i, _ := slices.BinarySearch(tv.uncertain, int32(from))
-	j, _ := slices.BinarySearch(tv.uncertain, int32(to))
-	return to - from - (j - i)
-}
-
-// certainRuns walks the runs of certain result rows within [from, to), in
-// order, as the rows of cols they read, each at most guardPeriod rows long.
+// certainRuns walks the runs of certain result rows, in order, as the rows
+// of cols they read, each at most guardPeriod rows long.
 // The runs lie between the uncertain rows, so no row is tested on its own.
 type certainRuns struct {
 	sel, unc  []int32
@@ -73,10 +65,9 @@ type certainRuns struct {
 	iota      []int32 // scratch for a view reading every row
 }
 
-// runs returns the walk over the runs of certain result rows in [from, to).
-func (tv *tupleView) runs(from, to int) certainRuns {
-	k, _ := slices.BinarySearch(tv.uncertain, int32(from))
-	return certainRuns{sel: tv.sel, unc: tv.uncertain, k: k, lo: from, to: to}
+// runs returns the walk over the runs of certain result rows.
+func (tv *tupleView) runs() certainRuns {
+	return certainRuns{sel: tv.sel, unc: tv.uncertain, to: tv.n}
 }
 
 // next returns the rows of the next run; ok is false when there is none.

@@ -387,34 +387,6 @@ func tableBits(tcs []engine.TupleConf) []uint64 {
 	return out
 }
 
-// TestParallelFoldIdentity: the engine's striped sweep
-// (Arena.PossibleMassesParallel) must be byte-identical to the serial fold — it backs the morsel-parallel
-// confidence path on non-distributable plans.
-func TestParallelFoldIdentity(t *testing.T) {
-	st := randState(rand.New(rand.NewSource(19)), 2, 600)
-	authority := mustImport(t, st)
-	sn := authority.Snapshot()
-	for _, rel := range relNames(st) {
-		want, err := engine.PossibleP(sn, rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ar := engine.AcquireArena(sn)
-		defer engine.ReleaseArena(ar)
-		for _, w := range []int{0, 1, 3, 8} {
-			tms, err := ar.PossibleMassesParallel(rel, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := engine.FoldMassTable(nil, tms)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameTable(t, fmt.Sprintf("rel %s workers %d", rel, w), want, got)
-		}
-	}
-}
-
 // TestWorkerClamp pins the satellite fix: the default pool derives from
 // GOMAXPROCS and is clamped.
 func TestWorkerClamp(t *testing.T) {

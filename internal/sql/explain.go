@@ -54,7 +54,7 @@ func ExplainStmt(cat Catalog, st *Stmt) (string, error) {
 		fmt.Fprintf(&b, "-- %d bind parameter(s) rendered as the constant 0; the plan shape is identical for every binding\n", st.NumParams)
 	}
 	if st.Mode != ModePlain {
-		fmt.Fprintf(&b, "-- %s applies across worlds (Section 6) to the result below, via internal/confidence\n", st.Mode)
+		fmt.Fprintf(&b, "-- %s applies across worlds (Section 6) to the result below, via the engine's native confidence fold\n", st.Mode)
 	}
 	// maxRows tracks |R|max through the plan: the slot-id bound the union
 	// and product rewritings offset by.

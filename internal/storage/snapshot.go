@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"runtime"
 
 	"maybms/internal/engine"
 )
@@ -64,20 +63,9 @@ func Save(src Snapshotable, w io.Writer) error {
 	return SaveState(src.Snapshot().ExportState(), w)
 }
 
-// SaveState serializes an exported store state. Section payloads are
-// encoded and checksummed on a bounded parallel pipeline (big stores spend
-// their save time in column and component encoding, which is embarrassingly
-// parallel per section) but written strictly in section order, so the output
-// bytes are identical to a serial save.
+// SaveState serializes an exported store state. Sections are encoded in
+// order, each into one reused buffer, checksummed and written.
 func SaveState(st *engine.StoreState, w io.Writer) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	return saveStateWorkers(st, w, workers)
-}
-
-func saveStateWorkers(st *engine.StoreState, w io.Writer, workers int) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	jobs := sectionJobs(st)
 	// Header.
@@ -91,71 +79,25 @@ func saveStateWorkers(st *engine.StoreState, w io.Writer, workers int) error {
 	if _, err := bw.Write(hdr.b); err != nil {
 		return fmt.Errorf("storage: writing snapshot header: %w", err)
 	}
-	var crcs enc
-	write := func(kind uint32, payload []byte) error {
-		var sh enc
-		sh.u32(kind)
-		sh.u64(uint64(len(payload)))
-		if _, err := bw.Write(sh.b); err != nil {
+	var crcs, e, frame enc
+	for _, j := range jobs {
+		e.reset()
+		j.encode(&e)
+		crc := crc32.ChecksumIEEE(e.b)
+		crcs.u32(crc)
+		frame.reset()
+		frame.u32(j.kind)
+		frame.u64(uint64(len(e.b)))
+		if _, err := bw.Write(frame.b); err != nil {
 			return fmt.Errorf("storage: writing section header: %w", err)
 		}
-		if _, err := bw.Write(payload); err != nil {
+		if _, err := bw.Write(e.b); err != nil {
 			return fmt.Errorf("storage: writing section payload: %w", err)
 		}
-		crc := crc32.ChecksumIEEE(payload)
-		crcs.u32(crc)
-		var tail enc
-		tail.u32(crc)
-		if _, err := bw.Write(tail.b); err != nil {
+		frame.reset()
+		frame.u32(crc)
+		if _, err := bw.Write(frame.b); err != nil {
 			return fmt.Errorf("storage: writing section checksum: %w", err)
-		}
-		return nil
-	}
-	if workers <= 1 || len(jobs) < 8 {
-		var e enc
-		for _, j := range jobs {
-			e.reset()
-			j.encode(&e)
-			if err := write(j.kind, e.b); err != nil {
-				return err
-			}
-		}
-	} else {
-		// Ordered pipeline: a producer hands out one future per section in
-		// order and spawns its encoder; the consumer below awaits them in the
-		// same order. The futures channel's capacity bounds the encoded
-		// payloads in flight, so a huge store cannot balloon into one buffered
-		// payload per section.
-		type future struct {
-			kind uint32
-			ch   chan []byte
-		}
-		futs := make(chan future, 2*workers)
-		sem := make(chan struct{}, workers)
-		go func() {
-			for _, j := range jobs {
-				f := future{kind: j.kind, ch: make(chan []byte, 1)}
-				futs <- f
-				sem <- struct{}{}
-				go func() {
-					defer func() { <-sem }()
-					var e enc
-					j.encode(&e)
-					f.ch <- e.b
-				}()
-			}
-			close(futs)
-		}()
-		var err error
-		for f := range futs {
-			payload := <-f.ch
-			if err == nil {
-				err = write(f.kind, payload)
-			}
-			// Keep draining on error so the producer goroutine exits.
-		}
-		if err != nil {
-			return err
 		}
 	}
 	// Footer: seals the section list against boundary truncation.
@@ -173,9 +115,9 @@ func saveStateWorkers(st *engine.StoreState, w io.Writer, workers int) error {
 	return nil
 }
 
-// secJob is one section of a snapshot: its kind and a payload encoder. Jobs
-// are independent of each other, which is what lets SaveState encode them in
-// parallel; the emit order (META, RELHDRs by id, COLUMNs by (rel, attr),
+// secJob is one section of a snapshot: its kind and a payload encoder. The
+// header counts the sections before any is written, so they are listed
+// first; the emit order (META, RELHDRs by id, COLUMNs by (rel, attr),
 // COMPONENTs by id) is fixed by the format.
 type secJob struct {
 	kind   uint32

@@ -98,23 +98,56 @@ func saveBytes(t *testing.T, s *engine.Store) []byte {
 	return buf.Bytes()
 }
 
+// droppedSlotStore builds three relations with uncertain fields and drops
+// the middle one, leaving a nil catalog slot: components key relations by
+// id, so the slot must survive a round trip as an absent RELHDR.
+func droppedSlotStore(t *testing.T) *engine.Store {
+	t.Helper()
+	r := rand.New(rand.NewSource(11))
+	s := engine.NewStore()
+	attrs := []string{"A", "B", "C", "D"}
+	for _, name := range []string{"R", "S", "T"} {
+		cols := make([][]int32, len(attrs))
+		for a := range cols {
+			cols[a] = make([]int32, 400)
+			for row := range cols[a] {
+				cols[a][row] = int32(r.Intn(50))
+			}
+		}
+		if _, err := s.AddRelation(name, attrs, cols); err != nil {
+			t.Fatal(err)
+		}
+		for row := 0; row < 400; row += 7 {
+			if err := s.SetUncertain(name, row, attrs[row%len(attrs)], []int32{1, 2, 3}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s.DropRelation("S")
+	return s
+}
+
 // TestSaveLoadRoundTrip: save → load must validate, and re-saving the
 // loaded store must reproduce the exact bytes (the serialization is
 // canonical, which is what makes snapshot diffs meaningful).
 func TestSaveLoadRoundTrip(t *testing.T) {
+	inputs := make(map[string]*engine.Store)
 	for seed := int64(0); seed < 40; seed++ {
-		s := mustImport(t, randomState(seed))
+		inputs[fmt.Sprintf("seed %d", seed)] = mustImport(t, randomState(seed))
+	}
+	inputs["dropped relation"] = droppedSlotStore(t)
+	for name, s := range inputs {
 		b1 := saveBytes(t, s)
 		loaded, err := storage.Load(bytes.NewReader(b1))
 		if err != nil {
-			t.Fatalf("seed %d: Load: %v", seed, err)
+			t.Fatalf("%s: Load: %v", name, err)
 		}
 		if err := loaded.Validate(1e-9); err != nil {
-			t.Fatalf("seed %d: loaded store invalid: %v", seed, err)
+			t.Fatalf("%s: loaded store invalid: %v", name, err)
 		}
 		b2 := saveBytes(t, loaded)
 		if !bytes.Equal(b1, b2) {
-			t.Fatalf("seed %d: re-saved snapshot differs (%d vs %d bytes)", seed, len(b1), len(b2))
+			t.Fatalf("%s: re-saved snapshot differs (%d vs %d bytes)", name, len(b1), len(b2))
 		}
 	}
 }
