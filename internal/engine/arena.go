@@ -468,12 +468,12 @@ func (a *Arena) extendField(out *Relation, src FieldID, row int32, attr uint16, 
 }
 
 // Commit installs the arena's relations and modified components into the
-// parent store: relations get fresh store ids, dirty components replace
-// the snapshot components they cover, and the store's indexes are rewritten
-// under the store's copy-on-write discipline — live snapshots keep reading
-// their frozen view. Commit fails, leaving the store untouched, if a
-// relation name is taken or the involved catalog entries changed since the
-// snapshot was taken. The arena must not be used after Commit.
+// parent store: relations take the lowest free store ids (newRelID), dirty
+// components replace the snapshot components they cover, and the store's
+// indexes are rewritten under the store's copy-on-write discipline — live
+// snapshots keep reading their frozen view. Commit fails, leaving the store
+// untouched, if a relation name is taken or the involved catalog entries
+// changed since the snapshot was taken. The arena must not be used after Commit.
 func (a *Arena) Commit() error {
 	if err := a.materialize(); err != nil {
 		return err
@@ -500,6 +500,8 @@ func (a *Arena) Commit() error {
 				return fmt.Errorf("engine: commit conflicts with a concurrent change to component %d", orig)
 			}
 		}
+		// By pointer, not id: a slot freed by a DROP since the snapshot and
+		// taken by a new relation holds another object, so it conflicts.
 		for _, f := range a.comps[cid].Fields {
 			if f.Rel >= 0 && (int(f.Rel) >= len(s.rels) || s.rels[f.Rel] == nil || s.rels[f.Rel] != a.snap.RelByID(f.Rel)) {
 				return fmt.Errorf("engine: commit conflicts with a concurrent change to relation %d", f.Rel)
@@ -512,12 +514,10 @@ func (a *Arena) Commit() error {
 		if r == nil {
 			continue
 		}
-		nid := int32(len(s.rels))
-		relMap[int32(-i-1)] = nid
-		r.id = nid
+		r.id = s.newRelID()
+		relMap[int32(-i-1)] = r.id
 		r.posts = newPostSlots(len(r.Cols))
-		s.rels = append(s.rels, r)
-		s.relID[r.Name] = nid
+		s.setRel(r)
 	}
 	for _, cid := range dirty {
 		c := a.comps[cid]

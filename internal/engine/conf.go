@@ -97,6 +97,7 @@ type tupleAccum struct {
 	masses  [][]float64
 	mass    []float64
 	stamp   []int // last (group, local world) epoch that counted the tuple
+	group   int   // the current group's first epoch
 	touched []int
 }
 
@@ -118,15 +119,17 @@ func (ac *tupleAccum) intern(t []int32) int {
 }
 
 // add counts mass p for tuple index i at epoch e, at most once per epoch
-// (a local world listing a tuple in several slots counts it once).
+// (a local world listing a tuple in several slots counts it once). A stamp
+// older than the group's first epoch is the group's first touch; the mass
+// cannot tell, a zero-probability local world leaving it 0.
 func (ac *tupleAccum) add(i, e int, p float64) {
 	if ac.stamp[i] == e {
 		return
 	}
-	ac.stamp[i] = e
-	if ac.mass[i] == 0 {
+	if ac.stamp[i] < ac.group {
 		ac.touched = append(ac.touched, i)
 	}
+	ac.stamp[i] = e
 	ac.mass[i] += p
 }
 
@@ -285,6 +288,7 @@ func (ac *tupleAccum) sweepGroups(tv *tupleView, guard *Guard) error {
 	tbuf := make([]int32, 0, len(cols))
 	epoch := 0
 	for _, g := range tv.groups {
+		ac.group = epoch
 		for w := range g.comp.Rows {
 			if err := guard.Tick(); err != nil {
 				return err

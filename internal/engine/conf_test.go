@@ -295,6 +295,45 @@ func sameMasses(t *testing.T, label string, got, want []TupleMasses) {
 	}
 }
 
+// TestZeroProbabilityWorldCountsOnce: a tuple enters its group's mass list
+// once, however many local worlds of the group list it, and a local world
+// of probability 0 is no exception. The component's worlds (1, 7) p 0,
+// (5, 1) p 0.3 and (5, 5) p 0.7 put tuple (1) in the group twice, and its
+// confidence is exactly 0.3.
+func TestZeroProbabilityWorldCountsOnce(t *testing.T) {
+	s, err := ImportState(&StoreState{
+		Rels: []*RelState{{Name: "T", Attrs: []string{"A"}, Cols: [][]int32{{Placeholder, Placeholder}}}},
+		Comps: []*CompState{{ID: 1, Fields: []FieldID{{Rel: 0, Row: 0}, {Rel: 0, Row: 1}}, Rows: []CompRow{
+			{Vals: []int32{1, 7}, P: 0},
+			{Vals: []int32{5, 1}, P: 0.3},
+			{Vals: []int32{5, 5}, P: 0.7},
+		}}},
+		NextCID: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tms, err := PossibleMasses(s, "T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	confs, err := PossibleP(s, "T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tms) != 3 || len(confs) != 3 || tms[0].Tuple[0] != 1 {
+		t.Fatalf("possible tuples %v, want (1), (5), (7)", tms)
+	}
+	for _, tm := range tms {
+		if len(tm.Masses) != 1 {
+			t.Fatalf("tuple %v has masses %v, want one per group", tm.Tuple, tm.Masses)
+		}
+	}
+	if got := confs[0].Conf; math.Float64bits(got) != math.Float64bits(0.3) {
+		t.Fatalf("tuple (1) has confidence %v (bits %x), want 0.3", got, math.Float64bits(got))
+	}
+}
+
 func TestCompareTuples(t *testing.T) {
 	cases := []struct {
 		a, b []int32

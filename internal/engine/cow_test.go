@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -373,23 +374,104 @@ func TestDropRelationCopiesOncePerEpoch(t *testing.T) {
 	}
 }
 
+// TestDroppedSlotReuse: the next relation created after a DROP takes the
+// dropped relation's slot, and no reader meets it there. A snapshot taken
+// before the DROP resolves the slot to the old relation and the old
+// components; an arena over that snapshot, whose result shares a component
+// with the old relation's fields, fails to commit and leaves the store as
+// it was.
+func TestDroppedSlotReuse(t *testing.T) {
+	s := NewStore()
+	if _, err := s.AddRelation("R", []string{"A", "B"}, [][]int32{{1, 2, 3, 4}, {10, 20, 30, 40}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []int{0, 2} {
+		if err := s.SetUncertain("R", row, "A", []int32{0, 5}, []float64{0.25, 0.75}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	Commit(t, s, func(a *Arena) error { return a.Select("M", "R", Gt("A", 1)) })
+	if _, err := s.AddRelation("T", []string{"A"}, [][]int32{{7}}); err != nil {
+		t.Fatal(err)
+	}
+	const k = 1 // M's slot, below T's
+	if got := s.RelByID(k); got == nil || got.Name != "M" {
+		t.Fatalf("slot %d holds %v, want M", k, got)
+	}
+	sn := s.Snapshot()
+	want, err := PossibleP(sn, "M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := NewArena(sn)
+	if err := stale.Select("N", "M", Gt("A", 2)); err != nil {
+		t.Fatal(err)
+	}
+
+	s.DropRelation("M")
+	Commit(t, s, func(a *Arena) error { return a.Select("M2", "R", Eq("A", 5)) })
+	if got := s.Rel("M2"); got == nil || got != s.RelByID(k) {
+		t.Fatalf("the relation created after the DROP is not in the dropped slot %d", k)
+	}
+	if n := s.Snapshot().NumRelSlots(); n != 3 {
+		t.Fatalf("the store has %d relation slots, want 3", n)
+	}
+	if err := s.Validate(1e-9); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := sn.RelByID(k); got == nil || got.Name != "M" {
+		t.Fatalf("the old snapshot resolves slot %d to %v, want M", k, got)
+	}
+	got, err := PossibleP(sn, "M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("the old snapshot's M answers %v after its slot was reused, want %v", got, want)
+	}
+	if err := ValidateSnapshot(sn, 1e-9); err != nil {
+		t.Fatal(err)
+	}
+
+	before := flatState(s.ExportState())
+	if err := stale.Commit(); err == nil || !strings.Contains(err.Error(), "conflicts with a concurrent change") {
+		t.Fatalf("committing a result over the dropped relation: %v, want a conflict", err)
+	}
+	if got := flatState(s.ExportState()); got != before {
+		t.Fatalf("the refused commit changed the store:\n%s\nwant:\n%s", got, before)
+	}
+}
+
 // TestCommitCostIndependentOfStoreSize: a one-field SET UNCERTAIN right
 // after a snapshot copies the index parts it touches, not the index, so the
 // bytes it allocates barely grow with the store.
 func TestCommitCostIndependentOfStoreSize(t *testing.T) {
-	small, large := commitBytes(t, 10_000), commitBytes(t, 100_000)
+	small, large := commitBytes(t, 10_000, 0), commitBytes(t, 100_000, 0)
 	t.Logf("one-field commit after a snapshot: %d B at 10k rows, %d B at 100k rows", small, large)
 	if large >= 2*small {
 		t.Fatalf("the commit allocates %d B at 100k rows, %d B at 10k: it grows with the store", large, small)
 	}
 }
 
+// TestCommitCostIndependentOfDroppedRelations: a new relation takes the
+// slot a dropped one left, so the relation slice a commit's detach copies
+// holds the live relations, not every relation ever created.
+func TestCommitCostIndependentOfDroppedRelations(t *testing.T) {
+	few, many := commitBytes(t, 10_000, 10), commitBytes(t, 10_000, 10_000)
+	t.Logf("one-field commit after a snapshot: %d B after 10 create/drop cycles, %d B after 10k", few, many)
+	if many >= 2*few {
+		t.Fatalf("the commit allocates %d B after 10k create/drop cycles, %d B after 10: it grows with the relations dropped", many, few)
+	}
+}
+
 // commitBytes returns the fewest bytes a one-field SET UNCERTAIN allocates
 // right after a Snapshot, on a store whose n-row R has an or-set in every
-// 20th row (census density: 5k or-sets at 100k rows). The field is in a
-// small side relation, so the commit's own work is the same at every n and
-// only the store around it grows.
-func commitBytes(t *testing.T, n int) uint64 {
+// 20th row (census density: 5k or-sets at 100k rows) and which has created
+// and dropped a relation drops times, a snapshot between each. The field is
+// in a small side relation, so the commit's own work is the same at every n
+// and only the store around it grows.
+func commitBytes(t *testing.T, n, drops int) uint64 {
 	t.Helper()
 	s := NewStore()
 	if _, err := s.AddRelation("R", []string{"A", "B"}, [][]int32{make([]int32, n), make([]int32, n)}); err != nil {
@@ -403,6 +485,14 @@ func commitBytes(t *testing.T, n int) uint64 {
 	const rows = 8
 	if _, err := s.AddRelation("T", []string{"A"}, [][]int32{make([]int32, rows)}); err != nil {
 		t.Fatal(err)
+	}
+	for range drops {
+		s.Snapshot()
+		if _, err := s.AddRelation("X", []string{"A"}, [][]int32{{0}}); err != nil {
+			t.Fatal(err)
+		}
+		s.Snapshot()
+		s.DropRelation("X")
 	}
 	best := uint64(math.MaxUint64)
 	var ms runtime.MemStats

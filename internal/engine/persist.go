@@ -190,7 +190,7 @@ func relationOf(id int32, rs *RelState, born *epoch) (*Relation, error) {
 // InstallRelation installs a bulk-loaded relation — a flat RelState plus the
 // components backing its placeholder fields — into a live store. Unlike
 // ImportState, which builds a fresh store, this grafts onto an existing
-// catalog: the relation gets the next free id, component ids are remapped
+// catalog: the relation gets the lowest free id, component ids are remapped
 // past the store's sequence, and every field reference is rewritten to the
 // new relation id (the components must reference only the installed
 // relation). The store takes ownership of the state's slices. All local
@@ -211,7 +211,7 @@ func (s *Store) InstallRelation(rs *RelState, comps []*CompState) error {
 	if len(rs.Cols) != len(rs.Attrs) {
 		return fmt.Errorf("engine: install: relation %q has %d columns for %d attributes", rs.Name, len(rs.Cols), len(rs.Attrs))
 	}
-	relID := int32(len(s.rels))
+	relID := s.newRelID()
 	r, err := relationOf(relID, rs, s.epoch)
 	if err != nil {
 		return fmt.Errorf("engine: install: %w", err)
@@ -267,8 +267,7 @@ func (s *Store) InstallRelation(rs *RelState, comps []*CompState) error {
 	if len(covered) != placeholders {
 		return fmt.Errorf("engine: install: relation %q has %d placeholder fields but %d component fields", rs.Name, placeholders, len(covered))
 	}
-	s.relID[rs.Name] = relID
-	s.rels = append(s.rels, r)
+	s.setRel(r)
 	for _, c := range built {
 		s.idx.putComp(s.epoch, c)
 		for _, f := range c.Fields {

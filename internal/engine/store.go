@@ -172,6 +172,8 @@ type Store struct {
 	epoch    *epoch
 	detached *epoch
 
+	// rels holds the relations by id; a DROP leaves its slot nil until the
+	// next new relation takes it (newRelID).
 	rels  []*Relation
 	relID map[string]int32
 	// idx holds the components and maps every uncertain field to its
@@ -207,16 +209,42 @@ func (s *Store) AddRelation(name string, attrs []string, cols [][]int32) (*Relat
 		return nil, err
 	}
 	r := &Relation{
-		id:    int32(len(s.rels)),
+		id:    s.newRelID(),
 		Name:  name,
 		Attrs: append([]string(nil), attrs...),
 		Cols:  cols,
 		born:  s.epoch,
 		posts: newPostSlots(len(cols)),
 	}
-	s.relID[name] = r.id
-	s.rels = append(s.rels, r)
+	s.setRel(r)
 	return r, nil
+}
+
+// newRelID returns the id a new relation takes: the lowest slot a dropped
+// relation left nil, else one past the last, so the slot count is bounded by
+// the peak number of live relations. It depends on the committed history
+// alone, so a live commit, WAL replay and a snapshot restore (which keeps
+// nil slots) assign equal ids. No reader can meet the new relation in the
+// old one's slot: a snapshot, and every arena or cursor over it, resolves
+// ids through its own frozen rels slice; DropRelation removed the old
+// relation's fields from the component index; Arena.Commit's conflict
+// check and the shard layout's holds compare *Relation pointers, not ids;
+// compiled plans revalidate by name and attribute list; value postings live
+// on the Relation. Callers hold s.mu and have detached.
+func (s *Store) newRelID() int32 {
+	if i := slices.Index(s.rels, nil); i >= 0 {
+		return int32(i)
+	}
+	return int32(len(s.rels))
+}
+
+// setRel registers r under the id newRelID gave it.
+func (s *Store) setRel(r *Relation) {
+	if int(r.id) == len(s.rels) {
+		s.rels = append(s.rels, nil)
+	}
+	s.rels[r.id] = r
+	s.relID[r.Name] = r.id
 }
 
 // checkColumns reports a column count that differs from the attribute count
@@ -658,7 +686,7 @@ func (s *Store) DropRelation(name string) {
 			}
 		}
 	}
-	s.rels[id] = nil
+	s.rels[id] = nil // free for the next new relation (newRelID)
 	delete(s.relID, name)
 }
 

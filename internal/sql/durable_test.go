@@ -277,6 +277,21 @@ func TestLiveVsReplayAllRecordTypes(t *testing.T) {
 	commit("MATERIALIZE", err)
 	commit("DROP", db.DropRelation("Tmp"))
 	refused("DROP of a missing relation", db.DropRelation("Tmp"))
+	// Each DROP frees a slot the next new relation takes: Tmp's slot 2
+	// first, then Kept's slot 1, below the live Tmp, then Tmp's slot 2 again
+	// for a LOAD CSV, whose components are rewritten to the reused id.
+	_, err = db.Materialize("Tmp", "SELECT SEX FROM Kept WHERE AGE = 5")
+	commit("MATERIALIZE into the dropped slot", err)
+	commit("DROP", db.DropRelation("Kept"))
+	_, err = db.Materialize("Again", "SELECT SEX FROM Tmp WHERE SEX = 2")
+	commit("MATERIALIZE into the lower dropped slot", err)
+	commit("DROP", db.DropRelation("Tmp"))
+	_, err = db.IngestCSV(writeCSV(t, bootCSV), "L")
+	commit("LOAD CSV into the dropped slot", err)
+	sn := db.Snapshot()
+	if a, l := sn.RelByID(1), sn.RelByID(2); a == nil || a.Name != "Again" || l == nil || l.Name != "L" || sn.NumRelSlots() != 3 {
+		t.Fatalf("slots 1 and 2 hold %v and %v of %d slots, want Again and L of 3", a, l, sn.NumRelSlots())
+	}
 	if err := db.ValidateShards(); err != nil {
 		t.Fatal(err)
 	}
@@ -318,6 +333,15 @@ func TestLiveVsReplayNoisyCensus(t *testing.T) {
 	if _, err := census.AddNoise(store, "R", 0.02, 4); err != nil {
 		t.Fatal(err)
 	}
+	// A dropped slot below a live relation before the log starts: the
+	// snapshot keeps it nil, and the first MATERIALIZE refills it, live and
+	// in replay alike.
+	for _, name := range []string{"x", "y"} {
+		if _, err := store.AddRelation(name, []string{"A"}, [][]int32{{1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.DropRelation("x")
 	dir := t.TempDir()
 	db, err := sql.InitDir(dir, store)
 	if err != nil {
@@ -330,6 +354,9 @@ func TestLiveVsReplayNoisyCensus(t *testing.T) {
 		if _, err := db.Materialize(strings.ToLower(q), census.SQL[q]); err != nil {
 			t.Fatalf("MATERIALIZE %s: %v", q, err)
 		}
+	}
+	if r := db.Snapshot().RelByID(1); r == nil || r.Name != "q2" {
+		t.Fatalf("slot 1 holds %v, want q2 in the slot x left", r)
 	}
 	want := sql.FlatState(db.Snapshot().ExportState())
 	wantShards := shardFingerprints(t, db)

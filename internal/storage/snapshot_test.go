@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -127,6 +128,23 @@ func droppedSlotStore(t *testing.T) *engine.Store {
 	return s
 }
 
+// refill commits a MATERIALIZE of σ_{A>10}(T) as U into s, a
+// droppedSlotStore or a load of one, and checks that U took the slot the
+// DROP of S left.
+func refill(t *testing.T, s *engine.Store) {
+	t.Helper()
+	a := engine.NewArena(s.Snapshot())
+	if err := a.Select("U", "T", engine.Gt("A", 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if r := s.RelByID(1); r == nil || r.Name != "U" {
+		t.Fatalf("slot 1 holds %v after the MATERIALIZE, want U", r)
+	}
+}
+
 // TestSaveLoadRoundTrip: save → load must validate, and re-saving the
 // loaded store must reproduce the exact bytes (the serialization is
 // canonical, which is what makes snapshot diffs meaningful).
@@ -136,6 +154,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		inputs[fmt.Sprintf("seed %d", seed)] = mustImport(t, randomState(seed))
 	}
 	inputs["dropped relation"] = droppedSlotStore(t)
+	refilled := droppedSlotStore(t)
+	refill(t, refilled)
+	inputs["refilled slot"] = refilled
 	for name, s := range inputs {
 		b1 := saveBytes(t, s)
 		loaded, err := storage.Load(bytes.NewReader(b1))
@@ -149,6 +170,22 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if !bytes.Equal(b1, b2) {
 			t.Fatalf("%s: re-saved snapshot differs (%d vs %d bytes)", name, len(b1), len(b2))
 		}
+	}
+
+	// The dropped slot survives the round trip as an absent RELHDR, so a
+	// MATERIALIZE after the load takes the id it takes on the original.
+	orig := droppedSlotStore(t)
+	loaded, err := storage.Load(bytes.NewReader(saveBytes(t, orig)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refill(t, orig)
+	refill(t, loaded)
+	if got, want := loaded.ExportState(), orig.ExportState(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("refilled after the load:\n%+v\nwant, refilled before the save:\n%+v", got, want)
+	}
+	if !bytes.Equal(saveBytes(t, loaded), saveBytes(t, orig)) {
+		t.Fatal("the store refilled after the load saves other bytes than the one refilled before the save")
 	}
 }
 
