@@ -10,6 +10,7 @@
 //	maybmsd [-listen 127.0.0.1:5439] [-rows 100000] [-density 0.0001] [-seed 42]
 //	maybmsd -store data.csv [-rel R] [-skip-chase]
 //	maybmsd -data ./dbdir [...]
+//	maybmsd -debug-addr 127.0.0.1:6060 [...]
 //
 // Without -store the server generates the Section 9 census relation R (with
 // noise and the Figure 25 cleaning chase, as wsdcli does). With -store it
@@ -37,6 +38,13 @@
 // line per shard (the partition is deterministic, so two boots of the same
 // directory log identical fingerprints).
 //
+// With -debug-addr HOST:PORT the server also serves Go's profiling
+// handlers (net/http/pprof: /debug/pprof/, including the CPU profile at
+// /debug/pprof/profile?seconds=N) on that address, on a mux of their own.
+// It is off by default, and the host must be a loopback address: the
+// handlers expose the process's memory and stacks, so a non-loopback host
+// is refused at boot.
+//
 // SIGTERM and SIGINT drain gracefully: the listener closes, in-flight
 // requests finish, idle clients get a shutting-down error frame, and the
 // process exits once every session has released its arenas (or after
@@ -52,6 +60,9 @@ import (
 	"fmt"
 	"io/fs"
 	"log"
+	"net"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -82,10 +93,22 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline (also bounds budget queueing)")
 	fetchBatch := flag.Int("fetch-batch", 4096, "maximum tuples per FETCH response frame")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "grace period for shutdown before connections are cut")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this loopback address (off when empty)")
 	flag.Parse()
 
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("maybmsd: ")
+
+	if *debugAddr != "" {
+		ln, err := listenDebug(*debugAddr)
+		if err != nil {
+			log.SetFlags(0)
+			log.SetPrefix("")
+			log.Fatal(err)
+		}
+		log.Printf("profiling on http://%s/debug/pprof/", ln.Addr())
+		go func() { log.Printf("debug listener stopped: %v", http.Serve(ln, debugMux())) }()
+	}
 
 	db, err := openDB(*data, *store, *rel, *rows, *density, *seed, *skipChase)
 	if err != nil {
@@ -143,6 +166,35 @@ func main() {
 		}
 		log.Printf("checkpointed %s (log compacted into a fresh snapshot)", db.DataDir())
 	}
+}
+
+// listenDebug opens the -debug-addr listener, refusing any host that is
+// not a loopback address.
+func listenDebug(addr string) (net.Listener, error) {
+	host, _, err := net.SplitHostPort(addr)
+	if err != nil {
+		return nil, fmt.Errorf("maybmsd: -debug-addr %q: %v (give HOST:PORT, e.g. 127.0.0.1:6060)", addr, err)
+	}
+	if ip := net.ParseIP(host); host != "localhost" && (ip == nil || !ip.IsLoopback()) {
+		return nil, fmt.Errorf("maybmsd: -debug-addr %q: host is not a loopback address (the profiler exposes process memory; use 127.0.0.1 or ::1)", addr)
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("maybmsd: -debug-addr %q: %w", addr, err)
+	}
+	return ln, nil
+}
+
+// debugMux serves the net/http/pprof handlers, and nothing else, on a mux
+// of its own rather than http.DefaultServeMux.
+func debugMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // openDB builds the served session. A -data directory that already holds a
