@@ -59,12 +59,19 @@ type Arena struct {
 	guard *Guard
 	// attrBuf and decBuf back the attribute lists and decisions of the
 	// selections' row plans, keptBuf their kept uncertain rows, and refs is
-	// a selection stage's scratch; a pooled arena keeps their capacity
-	// across queries.
+	// a selection stage's scratch; a pooled arena keeps their capacity, and
+	// that of the backings below, across queries.
 	attrBuf []uint16
 	decBuf  []decision
 	keptBuf []keptRow
 	refs    []urow
+	// rankBits and rankCnt back a selection stage's bitmap of candidate
+	// uncertain rows and its ranks (keptRows).
+	rankBits []uint64
+	rankCnt  []int32
+	// view backs the per-row slices of the tuple-level views of the
+	// arena's mode queries (tuplelevel.go).
+	view viewBufs
 	// onDecide, when set, sees every row a selection stage decides per
 	// local world: its stage and source row. Tests count decisions with it.
 	onDecide func(stage int, row int32)

@@ -212,9 +212,18 @@ func groupTuple(cols [][]int32, g *tlGroup, tr tlRow, w int, buf []int32) (_ []i
 // as many as the relation has rows, so the guard is ticked once per run of
 // at most guardPeriod rows. When the tuples fit a dense mixed-radix key no
 // larger than the row count, a seen-bit per key admits each distinct tuple
-// to the table once; answers are typically far fewer than rows.
+// to the table once; answers are typically far fewer than rows. When the
+// columns' value counts say how many tuples they admit — the product of
+// their distinct values — interning stops once it has seen that many: the
+// rows left can add no tuple, so the answers, their first-seen order and
+// every mass are those of the whole walk.
 func (ac *tupleAccum) internCertain(tv *tupleView, guard *Guard) error {
-	seen, stride := tv.denseKeys()
+	counts := tv.admitted(guard)
+	seen, stride := tv.denseKeys(counts)
+	limit := -1 // never reached without counts
+	if counts != nil {
+		limit = ac.tab.len() + admits(counts)
+	}
 	tbuf := make([]int32, len(tv.cols))
 	for it := tv.runs(); ; {
 		rows, ok := it.next()
@@ -237,17 +246,53 @@ func (ac *tupleAccum) internCertain(tv *tupleView, guard *Guard) error {
 				seen[key] = true
 			}
 			ac.certain[ac.intern(tbuf)] = true
+			if ac.tab.len() == limit {
+				return nil
+			}
 		}
 	}
 }
 
+// admitted returns the value counts of the view's columns (posting.go)
+// when every column is a base relation's column with counts and the tuples
+// they admit are no more than the view's certain rows; nil otherwise.
+// Beyond that neither can interning saturate nor a dense key fit, so no
+// further column's counts are built once the product exceeds them.
+func (tv *tupleView) admitted(g *Guard) []*valueCounts {
+	n := tv.n - len(tv.uncertain)
+	if tv.src == nil || n == 0 {
+		return nil
+	}
+	counts := make([]*valueCounts, len(tv.order))
+	size := 1
+	for a, at := range tv.order {
+		c := tv.src.counts(at, g)
+		if c == nil || c.vals == 0 || c.vals > n/size {
+			return nil
+		}
+		counts[a], size = c, size*c.vals
+	}
+	return counts
+}
+
+// admits returns the number of tuples columns with the value counts cs
+// admit: the product of their distinct values, at most the certain rows.
+func admits(cs []*valueCounts) int {
+	size := 1
+	for _, c := range cs {
+		size *= c.vals
+	}
+	return size
+}
+
 // denseKeys sizes the dense key of the certain tuples: stride[a] is the
-// mixed-radix weight of column a, by the columns' maxima over the runs
-// internCertain reads. seen is nil — every row interns — when a value is
-// negative or the key space would exceed the number of certain rows.
+// mixed-radix weight of column a, by the columns' maxima — from their value
+// counts when there are some, else over the runs internCertain reads. seen
+// is nil — every row interns — when a value is negative or the key space
+// would exceed the number of certain rows.
 //
 //maybms:unguarded one linear max pass ahead of the interning loop, which ticks per run of the same rows
-func (tv *tupleView) denseKeys() (seen []bool, stride []int) {
+func (tv *tupleView) denseKeys(counts []*valueCounts) (seen []bool, stride []int) {
 	stride = make([]int, len(tv.cols))
 	n := tv.n - len(tv.uncertain)
 	if n == 0 {
@@ -255,17 +300,11 @@ func (tv *tupleView) denseKeys() (seen []bool, stride []int) {
 	}
 	size := 1
 	for a := len(tv.cols) - 1; a >= 0; a-- {
-		col := tv.cols[a]
-		lo, hi := int32(0), int32(0)
-		for it := tv.runs(); ; {
-			rows, ok := it.next()
-			if !ok {
-				break
-			}
-			for _, row := range rows {
-				v := col[row]
-				lo, hi = min(lo, v), max(hi, v)
-			}
+		var lo, hi int32
+		if counts != nil {
+			lo, hi = counts[a].vmin, counts[a].vmax
+		} else {
+			lo, hi = tv.colRange(a)
 		}
 		if lo < 0 {
 			return nil, make([]int, len(tv.cols))
@@ -279,6 +318,24 @@ func (tv *tupleView) denseKeys() (seen []bool, stride []int) {
 	return make([]bool, size), stride
 }
 
+// colRange returns the smallest and largest values of column a over the
+// certain rows, widened to include 0.
+//
+//maybms:unguarded one linear max pass ahead of the interning loop, which ticks per run of the same rows
+func (tv *tupleView) colRange(a int) (lo, hi int32) {
+	col := tv.cols[a]
+	for it := tv.runs(); ; {
+		rows, ok := it.next()
+		if !ok {
+			return lo, hi
+		}
+		for _, row := range rows {
+			v := col[row]
+			lo, hi = min(lo, v), max(hi, v)
+		}
+	}
+}
+
 // sweepGroups scores every tuple each group of the view can produce: one
 // epoch per (group, local world), fold at each group boundary. The guard is
 // ticked once per (group, local world) epoch — the sweep is the exponential
@@ -287,7 +344,8 @@ func (ac *tupleAccum) sweepGroups(tv *tupleView, guard *Guard) error {
 	cols := tv.cols
 	tbuf := make([]int32, 0, len(cols))
 	epoch := 0
-	for _, g := range tv.groups {
+	for gi := range tv.groups {
+		g := &tv.groups[gi]
 		ac.group = epoch
 		for w := range g.comp.Rows {
 			if err := guard.Tick(); err != nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -651,16 +652,13 @@ func (v *Selection) Stats() Stats {
 // Either way the rows come a batch of guardPeriod rows at a time, the
 // kernels' verdicts on the rows of refs are overruled by their
 // per-local-world decisions, and the batch's uncertain rows — the source's
-// indexed rows, or the previous stage's kept ones — are merged against its
-// survivors.
+// indexed rows, or the previous stage's kept ones — are found among its
+// survivors (keptRows).
 func (a *Arena) filter(v *Selection, k int, refs []urow) ([]int32, []keptRow, error) {
 	r := v.src
 	n := r.NumRows()
 	start := len(a.keptBuf)
-	km := keptMerge{x: &r.unc, n: len(r.unc.rows)}
-	if k > 0 {
-		km.prev, km.n = v.kept, len(v.kept)
-	}
+	km := a.keptRows(v, k)
 	cand, kernel, driven := v.sel, v.stages[k], k > 0
 	if k == 0 {
 		if c, rest, ok := drive(r, kernel, a.guard); ok {
@@ -716,41 +714,109 @@ func (a *Arena) filter(v *Selection, k int, refs []urow) ([]int32, []keptRow, er
 	return sel, kept, nil
 }
 
-// keptMerge finds, batch by batch, the uncertain rows a stage keeps among
+// keptRows finds, batch by batch, the uncertain rows a stage keeps among
 // its candidates: the source's indexed rows for the first stage (prev nil),
-// the rows the previous stage kept (prev) for a later one; n counts them.
-type keptMerge struct {
+// the rows the previous stage kept (prev) for a later one. The candidates'
+// source rows are marked in a bitmap with a count of the marks before every
+// word, so the rank of a row — the candidates below it — takes one word's
+// popcount.
+type keptRows struct {
 	x    *uncIndex
 	prev []keptRow
-	c, n int // the next candidate, and their count
+	bits []uint64 // one bit per source row, and a zero word past the last
+	rank []int32  // rank[w]: the marks in the words before w
+	c    int      // the first candidate not yet found
+}
+
+// keptRows returns stage k's finder of kept rows over v, its bitmap and
+// ranks cut from the arena's backings.
+func (a *Arena) keptRows(v *Selection, k int) keptRows {
+	x := &v.src.unc
+	m := keptRows{x: x}
+	if k > 0 {
+		m.prev = v.kept
+	}
+	nw := v.src.NumRows()/64 + 1
+	a.rankBits = grown(a.rankBits, nw)
+	a.rankCnt = grown(a.rankCnt, nw)
+	m.bits, m.rank = a.rankBits, a.rankCnt
+	clear(m.bits)
+	if m.prev != nil {
+		for _, kr := range m.prev {
+			row := x.rows[kr.i]
+			m.bits[row>>6] |= 1 << (row & 63)
+		}
+	} else {
+		for _, row := range x.rows {
+			m.bits[row>>6] |= 1 << (row & 63)
+		}
+	}
+	var c int32
+	for w, word := range m.bits {
+		m.rank[w] = c
+		c += int32(bits.OnesCount64(word))
+	}
+	return m
+}
+
+// rankOf returns the number of candidates whose source rows lie below row.
+func (m *keptRows) rankOf(row int32) int {
+	w := row >> 6
+	return int(m.rank[w]) + bits.OnesCount64(m.bits[w]&(1<<(row&63)-1))
+}
+
+// index returns candidate c's position in the source's uncertainty index.
+func (m *keptRows) index(c int) int32 {
+	if m.prev != nil {
+		return m.prev[c].i
+	}
+	return int32(c)
 }
 
 // add appends to buf the candidates below bound that the batch's survivors
-// sel[base:] keep, with their result rows. It skips through sel eight rows
-// at a time: the survivors outnumber the uncertain rows.
-func (m *keptMerge) add(buf []keptRow, sel []int32, base int, bound int32) []keptRow {
-	c, s := m.c, base
-	for ; c < m.n; c++ {
-		i := int32(c)
-		if m.prev != nil {
-			i = m.prev[c].i
+// sel[base:] keep, with their result rows. Each survivor is tested against
+// the bitmap and a marked one placed by its rank; a batch whose survivors
+// outnumber its candidates by more than a bisection costs bisects for each
+// candidate instead.
+func (m *keptRows) add(buf []keptRow, sel []int32, base int, bound int32) []keptRow {
+	end := m.rankOf(bound)
+	surv := sel[base:]
+	if (end-m.c)*bits.Len(uint(len(surv))) < len(surv) {
+		s := 0
+		for c := m.c; c < end; c++ {
+			i := m.index(c)
+			row := m.x.rows[i]
+			s += lowerBound(surv[s:], row)
+			if s < len(surv) && surv[s] == row {
+				buf = append(buf, keptRow{i: i, j: int32(base + s)})
+			}
 		}
-		row := m.x.rows[i]
-		if row >= bound {
-			break
-		}
-		for s+8 <= len(sel) && sel[s+7] < row {
-			s += 8
-		}
-		for s < len(sel) && sel[s] < row {
-			s++
-		}
-		if s < len(sel) && sel[s] == row {
-			buf = append(buf, keptRow{i: i, j: int32(s)})
+	} else {
+		for s, row := range surv {
+			if m.bits[row>>6]&(1<<(row&63)) != 0 {
+				buf = append(buf, keptRow{i: m.index(m.rankOf(row)), j: int32(base + s)})
+			}
 		}
 	}
-	m.c = c
+	m.c = end
 	return buf
+}
+
+// lowerBound returns the first index of the ascending xs whose value is at
+// least v, bisecting with no branch on the values compared.
+func lowerBound(xs []int32, v int32) int {
+	lo, n := 0, len(xs)
+	for n > 1 {
+		half := n >> 1
+		if xs[lo+half-1] < v {
+			lo += half
+		}
+		n -= half
+	}
+	if n == 1 && xs[lo] < v {
+		lo++
+	}
+	return lo
 }
 
 // condEval decides the stages of a compiled condition per local world on

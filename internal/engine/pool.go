@@ -67,6 +67,7 @@ func (a *Arena) Reset(snap *Snapshot) {
 	a.attrBuf = a.attrBuf[:0]
 	a.decBuf = a.decBuf[:0]
 	a.keptBuf = a.keptBuf[:0]
+	a.view.release()
 	a.onDecide = nil
 	if a.relID == nil {
 		a.relID = make(map[string]int32)

@@ -18,14 +18,20 @@ import (
 // kernel would; the rows whose referenced fields are placeholders are
 // decided per local world afterwards, as on the scan.
 //
-// Postings are built lazily, by the first selection that asks for one, on
-// columns of relations a snapshot holds (never on arena results), and are
-// never persisted: the snapshot format, the WAL and the wire are unaware of
-// them. The build ticks the guard of the query that asks, so a canceled
-// query stops it; the posting outlives that query and is not charged to
-// its memory budget. A posting is immutable and keyed to its column slice:
-// relation copies that share a column share its slot, and every write that
-// replaces a column gives the copy a fresh slot (Store.markUncertain). The
+// A posting is built in two parts, each lazily and at most once, on
+// columns of relations a snapshot holds (never on arena results): its value
+// counts — the offsets alone, two passes over the column — by the first
+// selection or mode query that reads the column, and its rows — one more
+// pass — only when the posting drives a selection. A selection picks its
+// driving atom from the counts, so one that then scans builds no rows, and
+// the tuple-level view (conf.go) reads which values a column admits from
+// the counts. Neither part is persisted: the snapshot format, the WAL and
+// the wire are unaware of them. A build ticks the guard of the query that
+// asks, so a canceled query stops it; what it built outlives that query
+// and is not charged to its memory budget. A posting is immutable and
+// keyed to its column slice: relation copies that share a column share its
+// slot, and every write that replaces a column gives the copy a fresh slot
+// (Store.markUncertain). The
 // only in-place column write, on a column created or copied in the current
 // store epoch, meets a slot no snapshot reader could have built.
 
@@ -40,23 +46,36 @@ const (
 	postingMaxValues = 1024
 )
 
-// posting is the value → rows index of one column.
-type posting struct {
-	col *int32 // the column indexed: its first cell
+// valueCounts are the counts of one column's values, as the offsets of a
+// posting: value lo+v occurs off[v+1] − off[v] times. They answer how many
+// rows an atom keeps, and which values the column admits, without the rows.
+type valueCounts struct {
+	col *int32 // the column counted: its first cell
 	lo  int32  // the smallest value
-	// off has one entry per value of the span plus one: the rows holding
-	// value lo+v are rows[off[v]:off[v+1]], ascending.
-	off  []int32
+	off []int32
+	// vals is the number of distinct values other than Placeholder, and
+	// vmin and vmax the smallest and largest of them (vals > 0).
+	vals       int
+	vmin, vmax int32
+}
+
+// posting is the value → rows index of one column: its counts, and the
+// rows holding value lo+v, ascending, at rows[off[v]:off[v+1]].
+type posting struct {
+	*valueCounts
 	rows []int32
 }
 
-// postSlot builds one column's posting at most once; p stays nil for a
-// column that gets none. A build stopped by its query's guard leaves the
-// slot unbuilt for the next reader.
+// postSlot builds one column's counts, and then its rows, each at most
+// once; counts stays nil for a column that gets none. The rows are built
+// only for a posting that drives a selection. A build stopped by its
+// query's guard leaves its part unbuilt for the next reader.
 type postSlot struct {
-	mu   sync.Mutex
-	done atomic.Bool // p is set: built, or nil for a column that gets none
-	p    *posting
+	mu      sync.Mutex
+	counted atomic.Bool // counts is set: built, or nil for a column that gets none
+	counts  *valueCounts
+	placed  atomic.Bool // post is built
+	post    *posting
 }
 
 // newPostSlots returns fresh slots for a relation of n columns.
@@ -69,40 +88,64 @@ func newPostSlots(n int) []*postSlot {
 	return out
 }
 
-// posting returns the posting of column ai, building it on first use and
-// ticking g for every row the build reads, or nil when the column gets
+// counts returns the value counts of column ai, building them on first use
+// and ticking g for every row the build reads, or nil when the column gets
 // none: an arena result, a column under postingMinRows rows or spanning
 // more than postingMaxValues values. It is also nil when g stops the
-// build; the caller then scans, and the scan's first tick reports g's
-// error. Safe for concurrent use: concurrent first readers build it once.
-func (r *Relation) posting(ai uint16, g *Guard) *posting {
+// build; the caller then proceeds without, and its next tick reports g's
+// error. Safe for concurrent use: concurrent first readers build once.
+func (r *Relation) counts(ai uint16, g *Guard) *valueCounts {
 	if r.posts == nil {
 		return nil
 	}
 	col, s := r.Cols[ai], r.posts[ai]
-	if !s.done.Load() {
+	if !s.counted.Load() {
 		s.mu.Lock()
-		if !s.done.Load() {
-			p, err := buildPosting(col, g)
+		if !s.counted.Load() {
+			c, err := countValues(col, g)
 			if err != nil {
 				s.mu.Unlock()
 				return nil
 			}
-			s.p = p
-			s.done.Store(true)
+			s.counts = c
+			s.counted.Store(true)
 		}
 		s.mu.Unlock()
 	}
-	if s.p == nil || s.p.col != &col[0] {
+	if s.counts == nil || s.counts.col != &col[0] {
 		return nil
 	}
-	return s.p
+	return s.counts
 }
 
-// buildPosting indexes col by a two-pass counting sort: count every value,
-// turn the counts into offsets, then place every row. Each pass ticks g a
-// batch of guardPeriod rows at a time.
-func buildPosting(col []int32, g *Guard) (*posting, error) {
+// posting returns the posting of column ai — its counts (see counts) and
+// its rows, each built on first use under g — or nil when the column gets
+// no counts or g stops a build. Safe for concurrent use.
+func (r *Relation) posting(ai uint16, g *Guard) *posting {
+	c := r.counts(ai, g)
+	if c == nil {
+		return nil
+	}
+	s := r.posts[ai]
+	if !s.placed.Load() {
+		s.mu.Lock()
+		if !s.placed.Load() {
+			rows, err := placeRows(r.Cols[ai], c, g)
+			if err != nil {
+				s.mu.Unlock()
+				return nil
+			}
+			s.post = &posting{valueCounts: c, rows: rows}
+			s.placed.Store(true)
+		}
+		s.mu.Unlock()
+	}
+	return s.post
+}
+
+// countValues counts col's values in two passes — its span, then every
+// value — each ticking g a batch of guardPeriod rows at a time.
+func countValues(col []int32, g *Guard) (*valueCounts, error) {
 	if len(col) < postingMinRows {
 		return nil, nil
 	}
@@ -115,29 +158,42 @@ func buildPosting(col []int32, g *Guard) (*posting, error) {
 	if err != nil || int64(hi)-int64(lo) >= postingMaxValues {
 		return nil, err
 	}
-	p := &posting{col: &col[0], lo: lo, off: make([]int32, hi-lo+2), rows: make([]int32, len(col))}
+	c := &valueCounts{col: &col[0], lo: lo, off: make([]int32, hi-lo+2)}
 	err = inBatches(g, len(col), func(i, j int) {
 		for _, v := range col[i:j] {
-			p.off[v-lo+1]++
+			c.off[v-lo+1]++
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	for v := 1; v < len(p.off); v++ {
-		p.off[v] += p.off[v-1]
+	for v := 1; v < len(c.off); v++ {
+		if n := c.off[v]; n > 0 && lo+int32(v-1) != Placeholder {
+			if c.vals == 0 {
+				c.vmin = lo + int32(v-1)
+			}
+			c.vals, c.vmax = c.vals+1, lo+int32(v-1)
+		}
+		c.off[v] += c.off[v-1]
 	}
-	next := append([]int32(nil), p.off[:len(p.off)-1]...)
-	err = inBatches(g, len(col), func(i, j int) {
+	return c, nil
+}
+
+// placeRows lists the rows of col grouped by value, as c's offsets lay
+// them out: the counting sort's third pass, ticking g per batch.
+func placeRows(col []int32, c *valueCounts, g *Guard) ([]int32, error) {
+	rows := make([]int32, len(col))
+	next := append([]int32(nil), c.off[:len(c.off)-1]...)
+	err := inBatches(g, len(col), func(i, j int) {
 		for k, v := range col[i:j] {
-			p.rows[next[v-lo]] = int32(i + k)
-			next[v-lo]++
+			rows[next[v-c.lo]] = int32(i + k)
+			next[v-c.lo]++
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return rows, nil
 }
 
 // inBatches calls fn on the batches [i, j) of guardPeriod rows of n rows,
@@ -160,63 +216,90 @@ type span struct {
 	sorted bool
 }
 
+// window returns the value indexes [i, j] of the values in [a, b] trimmed
+// to the values present; i > j when there are none.
+func (c *valueCounts) window(a, b int64) (i, j int64) {
+	a, b = max(a, int64(c.lo)), min(b, int64(c.lo)+int64(len(c.off))-2)
+	i, j = a-int64(c.lo), b-int64(c.lo)
+	for i <= j && c.off[i] == c.off[i+1] {
+		i++
+	}
+	for i <= j && c.off[j] == c.off[j+1] {
+		j--
+	}
+	return i, j
+}
+
 // between returns the span of the values in [a, b], trimmed to the values
 // present.
 func (p *posting) between(a, b int64) span {
-	a, b = max(a, int64(p.lo)), min(b, int64(p.lo)+int64(len(p.off))-2)
-	i, j := a-int64(p.lo), b-int64(p.lo)
-	for i <= j && p.off[i] == p.off[i+1] {
-		i++
-	}
-	for i <= j && p.off[j] == p.off[j+1] {
-		j--
-	}
+	i, j := p.window(a, b)
 	if i > j {
 		return span{}
 	}
 	return span{rows: p.rows[p.off[i]:p.off[j+1]], sorted: i == j}
 }
 
-// cover returns the spans whose rows together are exactly the rows cp's
-// kernels keep on r, and their total length, when postings can say: an
-// atom A θ c, or a disjunction of such over one attribute folded into value
-// ranges, over a column with a posting.
-func cover(r *Relation, cp CompiledPred, g *Guard) (spans []span, n int, ok bool) {
+// keeps returns how many rows cp's kernels keep on r, when the counts can
+// say: an atom A θ c, or a disjunction of such over one attribute folded
+// into value ranges, over a column with counts.
+func keeps(r *Relation, cp CompiledPred, g *Guard) (n int, ok bool) {
 	ai, rs, ok := valueRanges(cp)
 	if !ok {
-		return nil, 0, false
+		return 0, false
+	}
+	c := r.counts(ai, g)
+	if c == nil {
+		return 0, false
+	}
+	for _, v := range rs {
+		if i, j := c.window(int64(v.lo), int64(v.hi)); i <= j {
+			n += int(c.off[j+1] - c.off[i])
+		}
+	}
+	return n, true
+}
+
+// cover returns the spans whose rows together are exactly the rows cp's
+// kernels keep on r (see keeps), building the rows of its column's posting.
+func cover(r *Relation, cp CompiledPred, g *Guard) (spans []span, ok bool) {
+	ai, rs, ok := valueRanges(cp)
+	if !ok {
+		return nil, false
 	}
 	post := r.posting(ai, g)
 	if post == nil {
-		return nil, 0, false
+		return nil, false
 	}
 	for _, v := range rs {
-		s := post.between(int64(v.lo), int64(v.hi))
-		spans = append(spans, s)
-		n += len(s.rows)
+		spans = append(spans, post.between(int64(v.lo), int64(v.hi)))
 	}
-	return spans, n, true
+	return spans, true
 }
 
 // drive picks how a selection of cp on r starts: from the candidate rows of
-// its conjunct with the fewest rows in its posting (see cover) —
+// its conjunct keeping the fewest rows by its column's counts (see keeps) —
 // ascending, read-only, every row cp's kernels keep among them — with rest
 // the conjuncts left to run over them; or, with ok false, from a scan of
-// every row, when no conjunct has a posting or even the best keeps more
-// than half of the rows. g is ticked by the postings built on the way.
+// every row, when no conjunct has counts or even the best keeps more than
+// half of the rows. Only the chosen conjunct's posting builds its rows. g
+// is ticked by the builds on the way.
 func drive(r *Relation, cp CompiledPred, g *Guard) (cand []int32, rest CompiledPred, ok bool) {
 	kids := []CompiledPred{cp}
 	if l, isList := cp.(compiledList); isList && l.conj {
 		kids = l.kids
 	}
 	best, bestN := -1, r.NumRows()/2+1
-	var spans []span
 	for k, kid := range kids {
-		if s, n, ok := cover(r, kid, g); ok && n < bestN {
-			best, bestN, spans = k, n, s
+		if n, ok := keeps(r, kid, g); ok && n < bestN {
+			best, bestN = k, n
 		}
 	}
 	if best < 0 {
+		return nil, nil, false
+	}
+	spans, ok := cover(r, kids[best], g)
+	if !ok {
 		return nil, nil, false
 	}
 	rest = compiledList{conj: true, kids: append(kids[:best:best], kids[best+1:]...)}

@@ -288,9 +288,10 @@ func TestDrivenSelectionTicksCandidates(t *testing.T) {
 	}
 }
 
-// TestPostingBuildStopsOnGuard: a canceled query stops building a posting
-// at its first batch, its selection fails, and the slot stays unbuilt for
-// the next reader, which builds it.
+// TestPostingBuildStopsOnGuard: a canceled query stops building a
+// posting's counts, or its rows, at its first batch, its selection fails,
+// and the part it stopped stays unbuilt for the next reader, which builds
+// it.
 func TestPostingBuildStopsOnGuard(t *testing.T) {
 	s := postingStore(t, 6, postingMinRows+1000)
 	sn := s.Snapshot()
@@ -304,7 +305,7 @@ func TestPostingBuildStopsOnGuard(t *testing.T) {
 	if n := g.n; n > guardPeriod {
 		t.Fatalf("a canceled build ticked %d after its first batch", n)
 	}
-	if r.posts[2].done.Load() {
+	if r.posts[2].counted.Load() || r.posts[2].placed.Load() {
 		t.Fatal("a canceled build left its slot built")
 	}
 	a := NewArena(sn)
@@ -312,11 +313,27 @@ func TestPostingBuildStopsOnGuard(t *testing.T) {
 	if err := a.Select("x", "R", Eq("C", 1)); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled selection: %v, want ErrCanceled", err)
 	}
-	if r.posts[2].done.Load() {
+	if r.posts[2].counted.Load() || r.posts[2].placed.Load() {
 		t.Fatal("a canceled selection left C's slot built")
 	}
 	if !checkSelection(t, sn, "R", Eq("C", 1)) || r.posting(2, nil) == nil {
 		t.Fatal("the next selection did not build C's posting")
+	}
+	// Counts built, rows not: a canceled query stops the rows' pass and
+	// leaves the counts as they were.
+	c := r.counts(3, nil)
+	if c == nil || r.posts[3].placed.Load() {
+		t.Fatal("D's counts were not built alone")
+	}
+	g = NewGuard(ctx)
+	if p := r.posting(3, g); p != nil || g.n > guardPeriod {
+		t.Fatalf("a canceled rows build returned %v after %d ticks", p, g.n)
+	}
+	if r.posts[3].placed.Load() || r.counts(3, nil) != c {
+		t.Fatal("a canceled rows build left its rows built or its counts replaced")
+	}
+	if p := r.posting(3, nil); p == nil || p.valueCounts != c {
+		t.Fatal("the next reader did not build D's rows over its counts")
 	}
 }
 
@@ -442,7 +459,11 @@ func TestPostingsAcrossWrites(t *testing.T) {
 }
 
 // TestPostingBuiltOnce: eight goroutines making the first selection on one
-// column of one snapshot get the scan's answer, and one posting is built.
+// column of one snapshot get the scan's answer, and its counts and its rows
+// are each built once: the goroutines' guards tick, beyond what a selection
+// over the built posting ticks, exactly the two counting passes and the
+// placing pass over the column. A selection that then scans builds its
+// column's counts and no rows.
 func TestPostingBuiltOnce(t *testing.T) {
 	s := postingStore(t, 3, postingMinRows+200)
 	sn := s.Snapshot()
@@ -450,20 +471,28 @@ func TestPostingBuiltOnce(t *testing.T) {
 	if err := want.Select("x", "R", Eq("C", 1)); err != nil {
 		t.Fatal(err)
 	}
+	selectC := func(g *Guard) ([]int32, error) {
+		a := NewArena(sn)
+		a.SetGuard(g)
+		if err := a.Select("x", "R", Eq("C", 1)); err != nil {
+			return nil, err
+		}
+		return a.Selection("x").Sel(), nil
+	}
 	var wg sync.WaitGroup
 	got := make([][]int32, 8)
 	errs := make([]error, 8)
+	guards := make([]*Guard, 8)
 	for g := range got {
 		wg.Add(1)
+		guards[g] = NewGuard(context.Background())
 		go func() {
 			defer wg.Done()
-			a := NewArena(sn)
-			if errs[g] = a.Select("x", "R", Eq("C", 1)); errs[g] == nil {
-				got[g] = a.Selection("x").Sel()
-			}
+			got[g], errs[g] = selectC(guards[g])
 		}()
 	}
 	wg.Wait()
+	var ticked uint64
 	for g := range got {
 		if errs[g] != nil {
 			t.Fatal(errs[g])
@@ -471,9 +500,29 @@ func TestPostingBuiltOnce(t *testing.T) {
 		if !slices.Equal(got[g], want.Selection("x").Sel()) {
 			t.Fatalf("goroutine %d: %d rows, the scan keeps %d", g, len(got[g]), want.Selection("x").Len())
 		}
+		ticked += guards[g].n
 	}
 	r := sn.Rel("R")
-	if p := r.posting(2, nil); p == nil || r.posts[2].p != p {
+	if p := r.posting(2, nil); p == nil || r.posts[2].post != p || p.valueCounts != r.posts[2].counts {
 		t.Fatal("no single posting for C after the concurrent first selections")
+	}
+	after := NewGuard(context.Background())
+	if _, err := selectC(after); err != nil {
+		t.Fatal(err)
+	}
+	if builds := 3 * uint64(r.NumRows()); ticked != 8*after.n+builds {
+		t.Fatalf("the first selections ticked %d, eight over the built posting %d, plus the builds' %d", ticked, 8*after.n, builds)
+	}
+
+	// B ≥ 0 keeps every row but the placeholders: the selection scans, and
+	// B gets its counts, not its rows.
+	if r.posts[1].counted.Load() {
+		t.Fatal("B's counts were built before any selection read B")
+	}
+	if checkSelection(t, sn, "R", AttrConst{"B", relation.GE, 0}) {
+		t.Fatal("a selection keeping nearly every row was driven")
+	}
+	if !r.posts[1].counted.Load() || r.posts[1].placed.Load() {
+		t.Fatalf("a scanning selection left B counted %v, placed %v; want counted, not placed", r.posts[1].counted.Load(), r.posts[1].placed.Load())
 	}
 }

@@ -70,8 +70,13 @@ type Component struct {
 	sharedCells bool
 }
 
-// Pos returns the column index of field f, or -1.
+// Pos returns the column index of field f, or -1. A component of a few
+// fields, or one without a field map (the tuple-level view's restrictions),
+// is scanned.
 func (c *Component) Pos(f FieldID) int {
+	if c.pos == nil || len(c.Fields) <= 8 {
+		return slices.Index(c.Fields, f)
+	}
 	if i, ok := c.pos[f]; ok {
 		return i
 	}

@@ -114,6 +114,11 @@ func TestCancelMidScan(t *testing.T) {
 // POSSIBLE query passes beyond those of the same plain query (which runs the
 // filter and reads its result in place, as the confidence pass does after
 // it) lies in that pass; the cancel lands five checkpoints into it.
+//
+// Interning stops once it has seen every tuple A's value counts admit, so
+// the last row holds A = 30 and B = 30: the only A = 30 is in a row the
+// WHERE drops, the result's tuples never reach the 31 A admits, and the
+// pass walks every row.
 func TestCancelMidIntern(t *testing.T) {
 	const rows = 50000
 	r := rand.New(rand.NewSource(23))
@@ -122,6 +127,7 @@ func TestCancelMidIntern(t *testing.T) {
 		for i := range col {
 			col[i] = int32(r.Intn(30))
 		}
+		col[rows-1] = 30
 	}
 	s := engine.NewStore()
 	if _, err := s.AddRelation("R", []string{"A", "B"}, cols); err != nil {
@@ -138,11 +144,14 @@ func TestCancelMidIntern(t *testing.T) {
 		}
 		return ctx.calls.Load(), err
 	}
-	// The first selection on R builds B's value posting, ticking the guard
-	// for every row each build pass reads: run it once first, so that both
-	// counts below are of queries reading the built posting.
-	if _, err := run("SELECT A FROM R WHERE B < 30", 0); err != nil {
-		t.Fatal(err)
+	// The first selection on R builds B's value counts, and the first
+	// POSSIBLE A builds A's, ticking the guard for every row each build
+	// pass reads: run both once first, so that the counts below are of
+	// queries reading built ones.
+	for _, warm := range []string{"SELECT A FROM R WHERE B < 30", "SELECT POSSIBLE A FROM R WHERE B < 30"} {
+		if _, err := run(warm, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	plain, err := run("SELECT A FROM R WHERE B < 30", 0)
 	if err != nil {
