@@ -353,3 +353,75 @@ func TestCompareTuples(t *testing.T) {
 		}
 	}
 }
+
+// TestRestrictionAgainstOracle: the tuple-level view restricts components of
+// at most 16 local worlds by a linear scan and longer ones through a tuple
+// table, with copies absent in some local worlds. On pending σ/π results
+// over such components the confidence table matches the WSD oracle, and its
+// masses equal, bit for bit, those of the same result once built.
+func TestRestrictionAgainstOracle(t *testing.T) {
+	cases := []struct {
+		name string
+		op   func(ar *Arena) error
+	}{
+		{"π one attribute", func(ar *Arena) error { return ar.Project("res", "T", "A1") }},
+		{"π two attributes", func(ar *Arena) error { return ar.Project("res", "T", "A0", "A2") }},
+		{"σ", func(ar *Arena) error { return ar.Select("res", "T", Gt("A0", 0)) }},
+		{"σπ drops the condition", func(ar *Arena) error { return ar.SelectProject("res", "T", Gt("A1", 0), "A2") }},
+		{"σ two placeholders", func(ar *Arena) error {
+			return ar.Select("res", "T", AttrAttr{A: "A0", Theta: relation.LE, B: "A2"})
+		}},
+	}
+	short, long, absent := 0, 0, 0
+	for seed := int64(0); seed < 10; seed++ {
+		s := RandomWideStore(t, seed)
+		s.EachComp(func(c *Component) {
+			if len(c.Rows) > 16 {
+				long++
+			} else {
+				short++
+			}
+			for _, row := range c.Rows {
+				if row.Absent.Any() {
+					absent++
+				}
+			}
+		})
+		snap := s.Snapshot()
+		for _, c := range cases {
+			label := fmt.Sprintf("seed %d %s", seed, c.name)
+			ar := NewArena(snap)
+			if err := c.op(ar); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			pending, err := PossibleMasses(ar, "res")
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			native, err := PossibleP(ar, "res")
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if ar.Rel("res").NumRows() == 0 {
+				continue
+			}
+			built, err := PossibleMasses(ar, "res")
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			sameMasses(t, label, pending, built)
+			w, err := bridge.ToWSDOf(ar, "res")
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			oracle, err := confidence.PossibleP(w, "res")
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			diffPossibleP(t, label, native, oracle)
+		}
+	}
+	if short == 0 || long == 0 || absent == 0 {
+		t.Fatalf("the seeds gave %d components of ≤ 16 local worlds, %d longer ones and %d local worlds with an absent field; want all three", short, long, absent)
+	}
+}

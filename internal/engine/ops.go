@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sort"
 )
 
 // This file implements selection, projection and renaming on the columnar
@@ -716,54 +717,32 @@ func (a *Arena) filter(v *Selection, k int, refs []urow) ([]int32, []keptRow, er
 
 // keptRows finds, batch by batch, the uncertain rows a stage keeps among
 // its candidates: the source's indexed rows for the first stage (prev nil),
-// the rows the previous stage kept (prev) for a later one. The candidates'
-// source rows are marked in a bitmap with a count of the marks before every
-// word, so the rank of a row — the candidates below it — takes one word's
-// popcount.
+// the rows the previous stage kept (prev) for a later one. A batch with few
+// survivors per candidate tests each survivor against a bitmap of the
+// candidates' source rows, built on first use with a count of the marks
+// before every word, so that the rank of a row — the candidates below it —
+// takes one word's popcount; any other batch merges.
 type keptRows struct {
+	a    *Arena // whose backings the bitmap is cut from
 	x    *uncIndex
 	prev []keptRow
+	n    int      // the number of source rows
 	bits []uint64 // one bit per source row, and a zero word past the last
 	rank []int32  // rank[w]: the marks in the words before w
 	c    int      // the first candidate not yet found
 }
 
-// keptRows returns stage k's finder of kept rows over v, its bitmap and
-// ranks cut from the arena's backings.
+// keptRows returns stage k's finder of kept rows over v.
 func (a *Arena) keptRows(v *Selection, k int) keptRows {
-	x := &v.src.unc
-	m := keptRows{x: x}
+	m := keptRows{a: a, x: &v.src.unc, n: v.src.NumRows()}
 	if k > 0 {
 		m.prev = v.kept
-	}
-	nw := v.src.NumRows()/64 + 1
-	a.rankBits = grown(a.rankBits, nw)
-	a.rankCnt = grown(a.rankCnt, nw)
-	m.bits, m.rank = a.rankBits, a.rankCnt
-	clear(m.bits)
-	if m.prev != nil {
-		for _, kr := range m.prev {
-			row := x.rows[kr.i]
-			m.bits[row>>6] |= 1 << (row & 63)
-		}
-	} else {
-		for _, row := range x.rows {
-			m.bits[row>>6] |= 1 << (row & 63)
-		}
-	}
-	var c int32
-	for w, word := range m.bits {
-		m.rank[w] = c
-		c += int32(bits.OnesCount64(word))
 	}
 	return m
 }
 
-// rankOf returns the number of candidates whose source rows lie below row.
-func (m *keptRows) rankOf(row int32) int {
-	w := row >> 6
-	return int(m.rank[w]) + bits.OnesCount64(m.bits[w]&(1<<(row&63)-1))
-}
+// row returns candidate c's source row.
+func (m *keptRows) row(c int) int32 { return m.x.rows[m.index(c)] }
 
 // index returns candidate c's position in the source's uncertainty index.
 func (m *keptRows) index(c int) int32 {
@@ -773,50 +752,81 @@ func (m *keptRows) index(c int) int32 {
 	return int32(c)
 }
 
-// add appends to buf the candidates below bound that the batch's survivors
-// sel[base:] keep, with their result rows. Each survivor is tested against
-// the bitmap and a marked one placed by its rank; a batch whose survivors
-// outnumber its candidates by more than a bisection costs bisects for each
-// candidate instead.
-func (m *keptRows) add(buf []keptRow, sel []int32, base int, bound int32) []keptRow {
-	end := m.rankOf(bound)
-	surv := sel[base:]
-	if (end-m.c)*bits.Len(uint(len(surv))) < len(surv) {
-		s := 0
-		for c := m.c; c < end; c++ {
-			i := m.index(c)
-			row := m.x.rows[i]
-			s += lowerBound(surv[s:], row)
-			if s < len(surv) && surv[s] == row {
-				buf = append(buf, keptRow{i: i, j: int32(base + s)})
-			}
-		}
-	} else {
-		for s, row := range surv {
-			if m.bits[row>>6]&(1<<(row&63)) != 0 {
-				buf = append(buf, keptRow{i: m.index(m.rankOf(row)), j: int32(base + s)})
-			}
-		}
+// below returns the number of candidates whose source rows lie below row:
+// its rank once the bitmap is built, a bisection of the candidates before.
+func (m *keptRows) below(row int32) int {
+	if m.bits != nil {
+		w := row >> 6
+		return int(m.rank[w]) + bits.OnesCount64(m.bits[w]&(1<<(row&63)-1))
 	}
-	m.c = end
-	return buf
+	if m.prev == nil {
+		c, _ := slices.BinarySearch(m.x.rows, row)
+		return c
+	}
+	return sort.Search(len(m.prev), func(c int) bool { return m.row(c) >= row })
 }
 
-// lowerBound returns the first index of the ascending xs whose value is at
-// least v, bisecting with no branch on the values compared.
-func lowerBound(xs []int32, v int32) int {
-	lo, n := 0, len(xs)
-	for n > 1 {
-		half := n >> 1
-		if xs[lo+half-1] < v {
-			lo += half
+// mark builds the bitmap of the candidates' source rows and its ranks.
+func (m *keptRows) mark() {
+	nw := m.n/64 + 1
+	m.a.rankBits = grown(m.a.rankBits, nw)
+	m.a.rankCnt = grown(m.a.rankCnt, nw)
+	m.bits, m.rank = m.a.rankBits, m.a.rankCnt
+	clear(m.bits)
+	cands := len(m.x.rows)
+	if m.prev != nil {
+		cands = len(m.prev)
+	}
+	for c := range cands {
+		row := m.row(c)
+		m.bits[row>>6] |= 1 << (row & 63)
+	}
+	var c int32
+	for w, word := range m.bits {
+		m.rank[w] = c
+		c += int32(bits.OnesCount64(word))
+	}
+}
+
+// rankedShare is the most survivors per candidate a batch tests one by one
+// against the bitmap: each test costs about a quarter of what a candidate
+// costs the merge, which wins beyond it.
+const rankedShare = 4
+
+// add appends to buf the candidates below bound that the batch's survivors
+// sel[base:] keep, with their result rows. With few survivors per
+// candidate each survivor is tested against the bitmap and a marked one
+// placed by its rank; with more, the candidates are merged against the
+// survivors, skipping through them eight at a time.
+func (m *keptRows) add(buf []keptRow, sel []int32, base int, bound int32) []keptRow {
+	end := m.below(bound)
+	if len(sel)-base < rankedShare*(end-m.c) {
+		if m.bits == nil {
+			m.mark()
 		}
-		n -= half
+		for s, row := range sel[base:] {
+			if m.bits[row>>6]&(1<<(row&63)) != 0 {
+				buf = append(buf, keptRow{i: m.index(m.below(row)), j: int32(base + s)})
+			}
+		}
+		m.c = end
+		return buf
 	}
-	if n == 1 && xs[lo] < v {
-		lo++
+	s := base
+	for ; m.c < end; m.c++ {
+		i := m.index(m.c)
+		row := m.x.rows[i]
+		for s+8 <= len(sel) && sel[s+7] < row {
+			s += 8
+		}
+		for s < len(sel) && sel[s] < row {
+			s++
+		}
+		if s < len(sel) && sel[s] == row {
+			buf = append(buf, keptRow{i: i, j: int32(s)})
+		}
 	}
-	return lo
+	return buf
 }
 
 // condEval decides the stages of a compiled condition per local world on

@@ -117,6 +117,74 @@ func RandomConfStore(t *testing.T, seed int64) *Store {
 	return s
 }
 
+// RandomWideStore builds a seeded store whose relation T has components
+// of both sizes the tuple-level view restricts differently: or-sets of 2–3
+// values over a small domain, some merged four at a time across rows into
+// components of up to 81 local worlds (mostly more than 16), others left
+// alone,
+// and absent fields (⊥) in some local worlds. The domain is small, so
+// restricting a component to a few of its fields leaves many local worlds
+// indistinguishable.
+func RandomWideStore(t *testing.T, seed int64) *Store {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	s := NewStore()
+	attrs := []string{"A0", "A1", "A2"}
+	const rows = 6
+	cols := make([][]int32, len(attrs))
+	for a := range cols {
+		cols[a] = make([]int32, rows)
+		for i := range cols[a] {
+			cols[a][i] = int32(rng.Intn(3))
+		}
+	}
+	if _, err := s.AddRelation("T", attrs, cols); err != nil {
+		t.Fatal(err)
+	}
+	var uncertain []FieldID
+	for i := 0; i < rows; i++ {
+		for a := range attrs {
+			if rng.Float64() < 0.5 {
+				continue
+			}
+			vals := []int32{0, 1, 2}
+			rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+			vals = vals[:2+rng.Intn(2)]
+			probs := make([]float64, len(vals))
+			total := 0.0
+			for j := range vals {
+				probs[j] = 0.1 + rng.Float64()
+				total += probs[j]
+			}
+			for j := range probs {
+				probs[j] /= total
+			}
+			if err := s.SetUncertain("T", i, attrs[a], vals, probs); err != nil {
+				t.Fatal(err)
+			}
+			uncertain = append(uncertain, FieldID{Rel: s.Rel("T").id, Row: int32(i), Attr: uint16(a)})
+		}
+	}
+	rng.Shuffle(len(uncertain), func(i, j int) { uncertain[i], uncertain[j] = uncertain[j], uncertain[i] })
+	for k := 0; k+4 <= len(uncertain) && k < 8; k += 4 {
+		if _, err := s.mergeComps(uncertain[k : k+4]...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range uncertain {
+		if rng.Float64() < 0.5 {
+			c := s.ComponentOf(f)
+			w := rng.Intn(len(c.Rows))
+			c.Rows[w].Absent = c.Rows[w].Absent.Set(c.Pos(f))
+			s.Rel("T").absence = true
+		}
+	}
+	if err := s.Validate(1e-9); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	return s
+}
+
 // RandomDiffStore builds a seeded store with two same-schema relations L
 // and R whose tuples collide often.
 func RandomDiffStore(t *testing.T, seed int64) *Store {
