@@ -789,9 +789,9 @@ func (m *keptRows) mark() {
 }
 
 // rankedShare is the most survivors per candidate a batch tests one by one
-// against the bitmap: each test costs about a quarter of what a candidate
-// costs the merge, which wins beyond it.
-const rankedShare = 4
+// against the bitmap: a test costs about an eighth of what a candidate
+// costs the merge (its mispredicted branches), which wins beyond it.
+const rankedShare = 8
 
 // add appends to buf the candidates below bound that the batch's survivors
 // sel[base:] keep, with their result rows. With few survivors per
@@ -813,8 +813,8 @@ func (m *keptRows) add(buf []keptRow, sel []int32, base int, bound int32) []kept
 		return buf
 	}
 	s := base
-	for ; m.c < end; m.c++ {
-		i := m.index(m.c)
+	for c := m.c; c < end; c++ {
+		i := m.index(c)
 		row := m.x.rows[i]
 		for s+8 <= len(sel) && sel[s+7] < row {
 			s += 8
@@ -826,6 +826,7 @@ func (m *keptRows) add(buf []keptRow, sel []int32, base int, bound int32) []kept
 			buf = append(buf, keptRow{i: i, j: int32(s)})
 		}
 	}
+	m.c = end
 	return buf
 }
 
