@@ -21,6 +21,16 @@ import (
 // slice-indexed accumulators, so CONF() over a query result is priced by the
 // uncertain part of the result — not by the base relations the query never
 // touched, not by copying the result, and not by a per-tuple rescan.
+//
+// Nor by its certain rows, past its answers. The certain rows all have
+// confidence 1, so only their distinct tuples matter. A base relation's
+// columns carry value counts (posting.go: the offsets of a posting, built
+// without its rows), and from those internCertain knows how many tuples
+// the projected columns admit — the product of their distinct values. It
+// stops once it has interned that many, usually a few hundred rows into
+// tens of thousands; the counts also give the dense key's radixes without a
+// pass over the rows. An arena result, or a column too short or too wide
+// for counts, walks every certain row.
 
 // TupleConf pairs a possible tuple — in the engine's native int32 encoding —
 // with its confidence.

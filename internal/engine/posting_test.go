@@ -458,6 +458,36 @@ func TestPostingsAcrossWrites(t *testing.T) {
 	}
 }
 
+// TestPostingsAcrossWritesLiveStore: a mode query over the live store
+// builds no value counts, since the store may still write the column in
+// place; selections over a later snapshot, driven from counts and rows
+// built then, give the scan's answer.
+func TestPostingsAcrossWritesLiveStore(t *testing.T) {
+	const rows = postingMinRows + 1000
+	cols := [][]int32{make([]int32, rows), make([]int32, rows)}
+	for i := range rows {
+		cols[0][i], cols[1][i] = int32(i%3), int32(i%5)
+	}
+	s := NewStore()
+	if _, err := s.AddRelation("R", []string{"A", "B"}, cols); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PossibleP(s, "R"); err != nil {
+		t.Fatal(err)
+	}
+	if r := s.Rel("R"); r.posts[0].counted.Load() || r.posts[1].counted.Load() {
+		t.Fatal("a mode query over the live store built value counts")
+	}
+	for i := 0; i < 40; i++ {
+		if err := s.SetUncertain("R", i*7, "A", []int32{0, 1}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !checkSelection(t, s.Snapshot(), "R", Eq("A", 1)) {
+		t.Fatal("the selection on A was not driven")
+	}
+}
+
 // TestPostingBuiltOnce: eight goroutines making the first selection on one
 // column of one snapshot get the scan's answer, and its counts and its rows
 // are each built once: the goroutines' guards tick, beyond what a selection

@@ -247,7 +247,13 @@ func tupleLevelView(s *Selection) (*tupleView, error) {
 	v, out := s.view, s.out
 	guard := guardOf(v)
 	b := viewBufsOf(v)
-	tv := &tupleView{cols: s.cols, sel: s.sel, n: s.Len(), src: s.src, order: s.order}
+	tv := &tupleView{cols: s.cols, sel: s.sel, n: s.Len()}
+	// A live store still writes columns of its current epoch in place
+	// (Store.markUncertain), which would leave their value counts stale: only
+	// a snapshot's relations, read directly or through an arena, have any.
+	if _, live := v.(*Store); !live {
+		tv.src, tv.order = s.src, s.order
+	}
 
 	// Walk the uncertain result rows and file every copy under its source
 	// component, with the masks materialize would give it. The copies of a
@@ -371,6 +377,9 @@ func tupleLevelView(s *Selection) (*tupleView, error) {
 	b.rows = grown(b.rows, len(b.pending))
 	next := 0
 	for g := range b.groups {
+		if err := guard.Tick(); err != nil {
+			return nil, err
+		}
 		n := b.groupN[g]
 		b.groups[g].rows = b.rows[next : next : next+n]
 		next += n
