@@ -65,8 +65,8 @@ type Arena struct {
 	decBuf  []decision
 	keptBuf []keptRow
 	refs    []urow
-	// rankBits and rankCnt back a selection stage's bitmap of candidate
-	// uncertain rows and its ranks (keptRows).
+	// rankBits and rankCnt back a selection batch's bitmap of surviving
+	// rows and its ranks (keptRows.rank).
 	rankBits []uint64
 	rankCnt  []int32
 	// view backs the per-row slices of the tuple-level views of the

@@ -4,7 +4,7 @@ import "unsafe"
 
 // Result memory accounting. A session's result lives in its arena — the
 // built template relations, a pending Selection's vector, row plans and
-// kept uncertain rows with the bitmap that found them, plus the
+// kept uncertain rows with the bitmap that ranked them, plus the
 // adopted/composed components — and the
 // serving layer budgets that memory per session and globally
 // (internal/server). MemUsage is an

@@ -718,31 +718,25 @@ func (a *Arena) filter(v *Selection, k int, refs []urow) ([]int32, []keptRow, er
 // keptRows finds, batch by batch, the uncertain rows a stage keeps among
 // its candidates: the source's indexed rows for the first stage (prev nil),
 // the rows the previous stage kept (prev) for a later one. A batch with few
-// survivors per candidate tests each survivor against a bitmap of the
-// candidates' source rows, built on first use with a count of the marks
-// before every word, so that the rank of a row — the candidates below it —
-// takes one word's popcount; any other batch merges.
+// survivors per candidate marks its survivors in a bitmap over the words
+// they span, with a count of the marks before every word, and places each
+// candidate with no branch on the data: a marked one's result row is its
+// rank among the survivors. Any other batch merges.
 type keptRows struct {
-	a    *Arena // whose backings the bitmap is cut from
+	a    *Arena // whose backings the bitmap and its ranks are cut from
 	x    *uncIndex
 	prev []keptRow
-	n    int      // the number of source rows
-	bits []uint64 // one bit per source row, and a zero word past the last
-	rank []int32  // rank[w]: the marks in the words before w
-	c    int      // the first candidate not yet found
+	c    int // the first candidate not yet found
 }
 
 // keptRows returns stage k's finder of kept rows over v.
 func (a *Arena) keptRows(v *Selection, k int) keptRows {
-	m := keptRows{a: a, x: &v.src.unc, n: v.src.NumRows()}
+	m := keptRows{a: a, x: &v.src.unc}
 	if k > 0 {
 		m.prev = v.kept
 	}
 	return m
 }
-
-// row returns candidate c's source row.
-func (m *keptRows) row(c int) int32 { return m.x.rows[m.index(c)] }
 
 // index returns candidate c's position in the source's uncertainty index.
 func (m *keptRows) index(c int) int32 {
@@ -752,63 +746,28 @@ func (m *keptRows) index(c int) int32 {
 	return int32(c)
 }
 
-// below returns the number of candidates whose source rows lie below row:
-// its rank once the bitmap is built, a bisection of the candidates before.
+// below returns the number of candidates whose source rows lie below row.
 func (m *keptRows) below(row int32) int {
-	if m.bits != nil {
-		w := row >> 6
-		return int(m.rank[w]) + bits.OnesCount64(m.bits[w]&(1<<(row&63)-1))
-	}
 	if m.prev == nil {
 		c, _ := slices.BinarySearch(m.x.rows, row)
 		return c
 	}
-	return sort.Search(len(m.prev), func(c int) bool { return m.row(c) >= row })
+	return sort.Search(len(m.prev), func(c int) bool { return m.x.rows[m.prev[c].i] >= row })
 }
 
-// mark builds the bitmap of the candidates' source rows and its ranks.
-func (m *keptRows) mark() {
-	nw := m.n/64 + 1
-	m.a.rankBits = grown(m.a.rankBits, nw)
-	m.a.rankCnt = grown(m.a.rankCnt, nw)
-	m.bits, m.rank = m.a.rankBits, m.a.rankCnt
-	clear(m.bits)
-	cands := len(m.x.rows)
-	if m.prev != nil {
-		cands = len(m.prev)
-	}
-	for c := range cands {
-		row := m.row(c)
-		m.bits[row>>6] |= 1 << (row & 63)
-	}
-	var c int32
-	for w, word := range m.bits {
-		m.rank[w] = c
-		c += int32(bits.OnesCount64(word))
-	}
-}
-
-// rankedShare is the most survivors per candidate a batch tests one by one
-// against the bitmap: a test costs about an eighth of what a candidate
-// costs the merge (its mispredicted branches), which wins beyond it.
-const rankedShare = 8
+// rankedShare is the most survivors per candidate a batch ranks: marking a
+// survivor costs about a sixteenth of what a candidate costs the merge (its
+// mispredicted branches), which wins beyond it.
+const rankedShare = 16
 
 // add appends to buf the candidates below bound that the batch's survivors
-// sel[base:] keep, with their result rows. With few survivors per
-// candidate each survivor is tested against the bitmap and a marked one
-// placed by its rank; with more, the candidates are merged against the
-// survivors, skipping through them eight at a time.
+// sel[base:] keep, with their result rows: by rank with few survivors per
+// candidate, else by merging the candidates against the survivors,
+// skipping through them eight at a time.
 func (m *keptRows) add(buf []keptRow, sel []int32, base int, bound int32) []keptRow {
 	end := m.below(bound)
-	if len(sel)-base < rankedShare*(end-m.c) {
-		if m.bits == nil {
-			m.mark()
-		}
-		for s, row := range sel[base:] {
-			if m.bits[row>>6]&(1<<(row&63)) != 0 {
-				buf = append(buf, keptRow{i: m.index(m.below(row)), j: int32(base + s)})
-			}
-		}
+	if surv := sel[base:]; len(surv) > 0 && len(surv) < rankedShare*(end-m.c) {
+		buf = m.rank(buf, surv, base, end)
 		m.c = end
 		return buf
 	}
@@ -828,6 +787,38 @@ func (m *keptRows) add(buf []keptRow, sel []int32, base int, bound int32) []kept
 	}
 	m.c = end
 	return buf
+}
+
+// rank appends the candidates [m.c, end) that the survivors surv, result
+// rows from base on, keep.
+func (m *keptRows) rank(buf []keptRow, surv []int32, base, end int) []keptRow {
+	a := m.a
+	w0 := surv[0] >> 6
+	nw := int(surv[len(surv)-1]>>6-w0) + 1
+	a.rankBits, a.rankCnt = grown(a.rankBits, nw+1), grown(a.rankCnt, nw+1)
+	marks, ranks := a.rankBits, a.rankCnt
+	clear(marks)
+	for _, row := range surv {
+		marks[row>>6-w0] |= 1 << (row & 63)
+	}
+	r := int32(base)
+	for w, word := range marks {
+		ranks[w] = r
+		r += int32(bits.OnesCount64(word))
+	}
+	n := len(buf)
+	buf = slices.Grow(buf, end-m.c)[:n+end-m.c]
+	for c := m.c; c < end; c++ {
+		i := m.index(c)
+		row := m.x.rows[i]
+		// A candidate outside the survivors' words reads the zero word past
+		// them.
+		w := min(uint32(row>>6-w0), uint32(nw))
+		word := marks[w]
+		buf[n] = keptRow{i: i, j: ranks[w] + int32(bits.OnesCount64(word&(1<<(row&63)-1)))}
+		n += int(word >> (row & 63) & 1)
+	}
+	return buf[:n]
 }
 
 // condEval decides the stages of a compiled condition per local world on
