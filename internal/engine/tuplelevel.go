@@ -169,7 +169,7 @@ type viewBufs struct {
 	rows      []tlRow
 	cols      []int
 	members   []int32 // the sources grouped by root, in composition order
-	run       []int32 // a root's first member in members, + 1
+	run       []int32 // a root's first member in members
 	comps     []Component
 	compPtrs  []*Component
 	compRows  []CompRow
@@ -196,19 +196,12 @@ func viewBufsOf(v View) *viewBufs {
 	return b
 }
 
-// release drops the references the last view left in the backings, so a
-// pooled arena pins none of its snapshot's components; capacity stays.
+// release drops the references the last view left to its snapshot's
+// components, so a pooled arena pins none of them; capacity stays.
 func (b *viewBufs) release() {
-	clear(b.filed)
-	clear(b.copies)
 	clear(b.srcs)
 	clear(b.masks)
 	clear(b.conds)
-	clear(b.groups)
-	clear(b.rows)
-	clear(b.comps)
-	clear(b.compPtrs)
-	clear(b.compRows)
 }
 
 // grown returns s with length n, reusing its array when it can; the
@@ -357,7 +350,7 @@ func tupleLevelView(s *Selection) (*tupleView, error) {
 			b.groupN[p.g]++
 			continue
 		}
-		lo, hi := b.run[root]-1, b.run[root]-1
+		lo, hi := b.run[root], b.run[root]
 		for hi < int32(len(b.members)) && find(b.members[hi]) == root {
 			hi++
 		}
@@ -439,7 +432,7 @@ func (b *viewBufs) groupSources(find func(int32) int32) {
 	for t, i := range b.members {
 		if r := find(i); r != root {
 			root, off = r, 0
-			b.run[r] = int32(t) + 1
+			b.run[r] = int32(t)
 		}
 		b.srcs[i].off = off
 		off += len(b.srcs[i].copies)
