@@ -57,7 +57,7 @@ func TestKeptRowsMatchMerge(t *testing.T) {
 			}
 		}
 		a := NewArena(nil)
-		m := a.keptRows(&Selection{src: &Relation{Cols: [][]int32{make([]int32, n)}, unc: x}, kept: prev}, trial%2)
+		m := a.keptRows(&Selection{src: &Relation{unc: x}, kept: prev}, trial%2)
 		var got []keptRow
 		for lo := 0; ; {
 			hi := min(lo+1+rng.Intn(3000), len(sel))

@@ -77,9 +77,8 @@ func TestInternCertainSaturates(t *testing.T) {
 			n, _ := db.Sharding()
 			label := fmt.Sprintf("%q on %d shards", q.sql, n)
 			// The first run builds the columns' value counts.
-			if _, rs := checkpoints(db, q.sql); rs != nil {
-				rs.Close()
-			}
+			_, rs := checkpoints(db, q.sql)
+			rs.Close()
 			plain, rs := checkpoints(db, q.plain)
 			rs.Close()
 			total, rs := checkpoints(db, q.sql)
