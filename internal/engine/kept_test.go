@@ -65,7 +65,7 @@ func TestKeptRowsMatchMerge(t *testing.T) {
 			if hi < len(sel) {
 				bound = sel[hi]
 			}
-			if end := m.below(bound); hi > lo && hi-lo < rankedShare*(end-m.c) {
+			if cands := m.below(bound) - m.c; 2*(hi-lo) >= cands && hi-lo < rankedShare*cands {
 				ranked++
 			} else {
 				merged++

@@ -755,18 +755,20 @@ func (m *keptRows) below(row int32) int {
 	return sort.Search(len(m.prev), func(c int) bool { return m.x.rows[m.prev[c].i] >= row })
 }
 
-// rankedShare is the most survivors per candidate a batch ranks: marking a
-// survivor costs about a sixteenth of what a candidate costs the merge (its
-// mispredicted branches), which wins beyond it.
+// rankedShare bounds the survivors per candidate of a batch that ranks:
+// from one per two candidates, below which the merge rarely advances
+// through the survivors and mispredicts little, to sixteen, above which
+// marking the survivors costs more than the merge's mispredicted branches
+// per candidate.
 const rankedShare = 16
 
 // add appends to buf the candidates below bound that the batch's survivors
-// sel[base:] keep, with their result rows: by rank with few survivors per
-// candidate, else by merging the candidates against the survivors,
-// skipping through them eight at a time.
+// sel[base:] keep, with their result rows: by rank with a half to sixteen
+// survivors per candidate, else by merging the candidates against the
+// survivors, skipping through them eight at a time.
 func (m *keptRows) add(buf []keptRow, sel []int32, base int, bound int32) []keptRow {
 	end := m.below(bound)
-	if surv := sel[base:]; len(surv) > 0 && len(surv) < rankedShare*(end-m.c) {
+	if surv, cands := sel[base:], end-m.c; 2*len(surv) >= cands && len(surv) < rankedShare*cands {
 		buf = m.rank(buf, surv, base, end)
 		m.c = end
 		return buf
