@@ -717,11 +717,11 @@ func (a *Arena) filter(v *Selection, k int, refs []urow) ([]int32, []keptRow, er
 
 // keptRows finds, batch by batch, the uncertain rows a stage keeps among
 // its candidates: the source's indexed rows for the first stage (prev nil),
-// the rows the previous stage kept (prev) for a later one. A batch with few
-// survivors per candidate marks its survivors in a bitmap over the words
-// they span, with a count of the marks before every word, and places each
-// candidate with no branch on the data: a marked one's result row is its
-// rank among the survivors. Any other batch merges.
+// the rows the previous stage kept (prev) for a later one. A batch with a
+// half to sixteen survivors per candidate marks its survivors in a bitmap
+// over the words they span, with a count of the marks before every word,
+// and places each candidate with no branch on the data: a marked one's
+// result row is its rank among the survivors. Any other batch merges.
 type keptRows struct {
 	a    *Arena // whose backings the bitmap and its ranks are cut from
 	x    *uncIndex
