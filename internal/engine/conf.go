@@ -228,11 +228,11 @@ func groupTuple(cols [][]int32, g *tlGroup, tr tlRow, w int, buf []int32) (_ []i
 // rows left can add no tuple, so the answers, their first-seen order and
 // every mass are those of the whole walk.
 func (ac *tupleAccum) internCertain(tv *tupleView, guard *Guard) error {
-	counts := tv.admitted(guard)
+	counts, tuples := tv.admitted(guard)
 	seen, stride := tv.denseKeys(counts)
 	limit := -1 // never reached without counts
 	if counts != nil {
-		limit = ac.tab.len() + admits(counts)
+		limit = ac.tab.len() + tuples
 	}
 	tbuf := make([]int32, len(tv.cols))
 	for it := tv.runs(); ; {
@@ -264,35 +264,25 @@ func (ac *tupleAccum) internCertain(tv *tupleView, guard *Guard) error {
 }
 
 // admitted returns the value counts of the view's columns (posting.go)
-// when every column is a base relation's column with counts and the tuples
-// they admit are no more than the view's certain rows; nil otherwise.
-// Beyond that neither can interning saturate nor a dense key fit, so no
-// further column's counts are built once the product exceeds them.
-func (tv *tupleView) admitted(g *Guard) []*valueCounts {
+// and the tuples they admit, the product of their distinct values, when
+// every column is a base relation's column with counts and the product is
+// no more than the view's certain rows; nil otherwise. Beyond that neither
+// can interning saturate nor a dense key fit, so no further column's
+// counts are built once the product exceeds them.
+func (tv *tupleView) admitted(g *Guard) (counts []*valueCounts, tuples int) {
 	n := tv.n - len(tv.uncertain)
 	if tv.src == nil || n == 0 {
-		return nil
+		return nil, 0
 	}
-	counts := make([]*valueCounts, len(tv.order))
-	size := 1
+	counts, tuples = make([]*valueCounts, len(tv.order)), 1
 	for a, at := range tv.order {
 		c := tv.src.counts(at, g)
-		if c == nil || c.vals == 0 || c.vals > n/size {
-			return nil
+		if c == nil || c.vals == 0 || c.vals > n/tuples {
+			return nil, 0
 		}
-		counts[a], size = c, size*c.vals
+		counts[a], tuples = c, tuples*c.vals
 	}
-	return counts
-}
-
-// admits returns the number of tuples columns with the value counts cs
-// admit: the product of their distinct values, at most the certain rows.
-func admits(cs []*valueCounts) int {
-	size := 1
-	for _, c := range cs {
-		size *= c.vals
-	}
-	return size
+	return counts, tuples
 }
 
 // denseKeys sizes the dense key of the certain tuples: stride[a] is the
