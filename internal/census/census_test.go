@@ -3,6 +3,7 @@ package census
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"maybms/internal/engine"
@@ -342,5 +343,51 @@ func TestAddNoiseAllocation(t *testing.T) {
 	}
 	if shared-inPlace > relBytes+relBytes/10 {
 		t.Errorf("AddNoise after a snapshot allocated %d bytes more, want at most one copy of the relation (%d)", shared-inPlace, relBytes)
+	}
+}
+
+// TestMaterializeOnStaleSnapshotConflicts: a Q2 or Q3 result extends R's
+// components, so a MATERIALIZE of either run on a snapshot taken before
+// another session's MATERIALIZE or DROP of such a result commits against a
+// replaced component and is refused, while the same query on a fresh
+// snapshot commits. A MATERIALIZE that ran outside the writer lock and
+// committed optimistically would retry on this traffic.
+func TestMaterializeOnStaleSnapshotConflicts(t *testing.T) {
+	s, err := NewStore("R", 10000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AddNoise(s, "R", 0.001, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ChaseEGDsOpt("R", Dependencies(), engine.ChaseOptions{AssumeClean: true}); err != nil {
+		t.Fatal(err)
+	}
+	materialize := func(snap *engine.Snapshot, q, res string) error {
+		a := engine.NewArena(snap)
+		if err := Run(a, q, "R", res); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return a.Commit()
+	}
+	conflict := func(err error) bool {
+		return err != nil && strings.Contains(err.Error(), "conflicts with a concurrent change")
+	}
+	for _, q := range []string{"Q2", "Q3"} {
+		stale := s.Snapshot()
+		if err := materialize(s.Snapshot(), q, "other_"+q); err != nil {
+			t.Fatal(err)
+		}
+		if err := materialize(stale, q, "mine_"+q); !conflict(err) {
+			t.Errorf("%s on a snapshot from before another %s committed: %v, want a conflict", q, q, err)
+		}
+		stale = s.Snapshot()
+		s.DropRelation("other_" + q)
+		if err := materialize(stale, q, "mine_"+q); !conflict(err) {
+			t.Errorf("%s on a snapshot from before a DROP of another %s result: %v, want a conflict", q, q, err)
+		}
+		if err := materialize(s.Snapshot(), q, "fresh_"+q); err != nil {
+			t.Errorf("%s on a fresh snapshot: %v", q, err)
+		}
 	}
 }
